@@ -152,8 +152,8 @@ func compiledFingerprint(c *buchi.Compiled) string {
 // ImportProjections rebuilds a ProjectionSet for auto from a
 // snapshot. Partition tables identical across subsets are re-shared,
 // and the persisted quotient table — when present — pre-populates the
-// quotient cache with automata whose compiled forms are adopted, not
-// rebuilt.
+// quotient cache with compiled-only shells over the persisted forms,
+// as the query path derives them: adopted, not rebuilt.
 func ImportProjections(auto *buchi.BA, s ProjectionSnapshot) (*ProjectionSet, error) {
 	ps := &ProjectionSet{
 		Auto:      auto,
@@ -210,7 +210,7 @@ func ImportProjections(auto *buchi.BA, s ProjectionSnapshot) (*ProjectionSet, er
 				return nil, fmt.Errorf("bisim: quotient table entry %d is empty", ref.Table)
 			}
 			var err error
-			if q, err = buchi.FromCompiled(qc); err != nil {
+			if q, err = buchi.ShellFromCompiled(qc); err != nil {
 				return nil, fmt.Errorf("bisim: quotient table entry %d: %w", ref.Table, err)
 			}
 			if qc.Events != auto.Events {

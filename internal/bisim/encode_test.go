@@ -17,8 +17,9 @@ import (
 // TestQuotientDerivationMatchesCompile: the quotient automata a
 // ProjectionSet hands out carry a compiled form derived from the
 // parent's CSR rows, not flattened — this pins the derivation to the
-// ground truth by re-flattening each quotient from scratch and
-// requiring bit-identical results.
+// ground truth by re-flattening each quotient from scratch, and by
+// flattening the quotient Quotient builds edge by edge from the
+// parent's pointer adjacency, requiring bit-identical results.
 func TestQuotientDerivationMatchesCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	voc := vocab.MustFromNames("a", "b", "c", "d")
@@ -39,6 +40,12 @@ func TestQuotientDerivationMatchesCompile(t *testing.T) {
 			derived := q.Compiled()
 			if fresh := buchi.Compile(q); !reflect.DeepEqual(derived, fresh) {
 				t.Fatalf("derived compiled form for %v diverges from Compile:\n got %+v\nwant %+v",
+					names, derived, fresh)
+			}
+			relevant := keep.Intersect(a.Events).Intersect(ps.LabelEvents())
+			built := bisim.Quotient(a, bisim.CoarsestProjected(a, relevant), relevant)
+			if fresh := buchi.Compile(built); !reflect.DeepEqual(derived, fresh) {
+				t.Fatalf("derived compiled form for %v diverges from the edge-by-edge quotient:\n got %+v\nwant %+v",
 					names, derived, fresh)
 			}
 		}

@@ -2,6 +2,7 @@ package bisim
 
 import (
 	"sort"
+	"sync"
 
 	"contractdb/internal/buchi"
 	"contractdb/internal/vocab"
@@ -156,21 +157,41 @@ func (ps *ProjectionSet) For(queryEvents vocab.Set) *buchi.BA {
 // class) edge sets, so any member's edges are the class's edges.
 //
 // The derivation reads the parent's *compiled* CSR rows rather than
-// its pointer-rich edge lists: label projection is memoized once per
-// parent label-table entry instead of once per edge, and the quotient
-// comes out with its own compiled form attached — built by remapping
-// arrays, never by flattening. Together with formatVersion-3 snapshots
+// its pointer-rich edge lists and builds the quotient's compiled form
+// by remapping arrays, never by flattening. Together with snapshots
 // adopting the parent's compiled form, this keeps the entire query
 // path free of Compile calls: projecting a canonical (minimal) edge
 // row and re-canonicalizing yields exactly the row Compile would
 // produce from the raw quotient, because projection preserves label
 // implication. Cost is O(classes · out-degree) — this runs on the
-// query path, where it matters.
+// query path, where it matters. Each parent label is projected, and
+// its projection identified in a deduplicated table, once; per edge
+// no map is consulted.
+//
+// The quotient is compiled-only: a buchi.ShellFromCompiled shell with
+// Out == nil, which nothing on the query path materializes (the
+// kernels and the seed analysis read the CSR arrays). A cached
+// quotient therefore costs its arrays alone, each allocated at its
+// final length: 8 bytes per edge (int32 target and label id), 5 per
+// state (offset and final flag) and 16 per distinct label. A pointer
+// adjacency alongside would add 24 bytes per edge and a 24-byte slice
+// header per state, before append slack.
 func deriveQuotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
 	pc := a.Compiled()
-	proj := make([]buchi.Label, len(pc.Labels))
+	// projected[projID[i]] is parent label i projected onto keep, with
+	// equal projections sharing one entry.
+	projID := make([]int32, len(pc.Labels))
+	var projected []buchi.Label
+	seen := make(map[buchi.Label]int32, len(pc.Labels))
 	for i, l := range pc.Labels {
-		proj[i] = l.Project(keep)
+		l = l.Project(keep)
+		id, ok := seen[l]
+		if !ok {
+			id = int32(len(projected))
+			projected = append(projected, l)
+			seen[l] = id
+		}
+		projID[i] = id
 	}
 	rep := make([]int, p.Count)
 	for i := range rep {
@@ -181,55 +202,76 @@ func deriveQuotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
 			rep[c] = s
 		}
 	}
-	q := buchi.New(p.Count)
-	q.Init = buchi.StateID(p.Class[a.Init])
-	q.Events = a.Events
 	qc := &buchi.Compiled{
 		N:       p.Count,
-		Init:    q.Init,
+		Init:    buchi.StateID(p.Class[a.Init]),
 		Final:   make([]bool, p.Count),
 		Events:  a.Events,
 		EdgeOff: make([]int32, p.Count+1),
 	}
-	labelID := make(map[buchi.Label]int32)
-	var row []buchi.Edge
+	// Quotient label ids are assigned in order of first use along the
+	// canonical edge order, as Compile assigns them; qID maps a
+	// projected entry to its id, -1 until used.
+	qID := make([]int32, len(projected))
+	for i := range qID {
+		qID[i] = -1
+	}
+	var nLabels int32
+	sc := derivePool.Get().(*deriveScratch)
+	defer derivePool.Put(sc)
+	row, to, lab := sc.row[:0], sc.to[:0], sc.lab[:0]
 	for c, s := range rep {
-		qc.EdgeOff[c] = int32(len(qc.EdgeTo))
-		if pc.Final[s] {
-			qc.Final[c] = true
-			q.SetFinal(buchi.StateID(c))
-		}
+		qc.EdgeOff[c] = int32(len(to))
+		qc.Final[c] = pc.Final[s]
 		row = row[:0]
 		for e := pc.EdgeOff[s]; e < pc.EdgeOff[s+1]; e++ {
-			row = append(row, buchi.Edge{
-				To:    buchi.StateID(p.Class[pc.EdgeTo[e]]),
-				Label: proj[pc.EdgeLabel[e]],
+			id := projID[pc.EdgeLabel[e]]
+			row = append(row, buchi.TaggedEdge{
+				Edge: buchi.Edge{To: buchi.StateID(p.Class[pc.EdgeTo[e]]), Label: projected[id]},
+				Tag:  id,
 			})
 		}
-		kept := buchi.CanonicalEdges(row)
+		kept := buchi.CanonicalTaggedEdges(row)
 		for _, e := range kept {
-			q.AddEdge(buchi.StateID(c), e.Label, e.To)
-			id, ok := labelID[e.Label]
-			if !ok {
-				id = int32(len(qc.Labels))
-				qc.Labels = append(qc.Labels, e.Label)
-				labelID[e.Label] = id
+			if qID[e.Tag] < 0 {
+				qID[e.Tag] = nLabels
+				nLabels++
 			}
-			qc.EdgeTo = append(qc.EdgeTo, int32(e.To))
-			qc.EdgeLabel = append(qc.EdgeLabel, id)
+			to = append(to, int32(e.To))
+			lab = append(lab, qID[e.Tag])
 		}
-		if d := len(kept); d > qc.MaxDeg {
-			qc.MaxDeg = d
+		qc.MaxDeg = max(qc.MaxDeg, len(kept))
+	}
+	qc.EdgeOff[p.Count] = int32(len(to))
+	if len(to) > 0 { // an edgeless quotient keeps nil arrays, as Compile leaves them
+		qc.EdgeTo = append(make([]int32, 0, len(to)), to...)
+		qc.EdgeLabel = append(make([]int32, 0, len(lab)), lab...)
+		qc.Labels = make([]buchi.Label, nLabels)
+		for id, q := range qID {
+			if q >= 0 {
+				qc.Labels[q] = projected[id]
+			}
 		}
 	}
-	qc.EdgeOff[p.Count] = int32(len(qc.EdgeTo))
-	if err := q.AdoptCompiled(qc); err != nil {
-		// The form was built alongside the automaton from the same
-		// arrays; a mismatch is a bug in this function, not bad input.
-		panic("bisim: derived quotient rejected its own compiled form: " + err.Error())
+	sc.row, sc.to, sc.lab = row, to, lab
+	q, err := buchi.ShellFromCompiled(qc)
+	if err != nil {
+		// The form was remapped from a valid parent form; a rejection
+		// is a bug in this function, not bad input.
+		panic("bisim: derived quotient failed validation: " + err.Error())
 	}
 	return q
 }
+
+// deriveScratch is deriveQuotient's working memory, pooled so that a
+// derivation's only lasting allocations are the quotient's own arrays:
+// edges are gathered here and copied out once their count is known.
+type deriveScratch struct {
+	row     []buchi.TaggedEdge // one class representative's projected row
+	to, lab []int32            // kept edges of all classes so far
+}
+
+var derivePool = sync.Pool{New: func() any { return new(deriveScratch) }}
 
 // StorageStates returns the total number of partition entries held,
 // a proxy for the storage cost §7.4 reports (~80% of the database

@@ -124,10 +124,12 @@ func validateCompiledSelf(c *Compiled) error {
 // ShellFromCompiled wraps a validated compiled form in a BA whose
 // adjacency lists are not materialized: Out stays nil until some
 // analysis calls EnsureEdges. The compiled kernels (product search,
-// stream frontiers, quotient derivation) run entirely off the CSR
-// arrays, so a snapshot-loaded corpus served only through them never
-// allocates per-edge heap structures at all — the edge memory stays
-// wherever the Compiled's arrays live, possibly an mmap'd snapshot.
+// stream frontiers, quotient derivation) and the seed analysis
+// (OnAcceptingCycle) run entirely off the CSR arrays, so a
+// snapshot-loaded corpus — and every projection quotient, derived or
+// adopted — served only through them never allocates per-edge heap
+// structures at all: the edge memory stays wherever the Compiled's
+// arrays live, possibly an mmap'd snapshot.
 //
 // Final aliases c.Final; the shell must be treated as immutable, the
 // same contract every registered automaton already carries.
@@ -135,48 +137,7 @@ func ShellFromCompiled(c *Compiled) (*BA, error) {
 	if err := validateCompiledSelf(c); err != nil {
 		return nil, err
 	}
-	a := &BA{Init: c.Init, Final: c.Final, Events: c.Events}
+	a := &BA{Init: c.Init, Final: c.Final, Events: c.Events, shell: true}
 	a.compileOnce.Do(func() { a.compiled = c })
-	return a, nil
-}
-
-// FromCompiled reconstructs a BA from a compiled form and adopts the
-// form, so the result never flattens. The snapshot import path uses it
-// to materialize persisted projection quotients; the reconstruction is
-// exact — state s of the compiled form is state s of the BA, edges in
-// CSR order — so re-compiling the result would reproduce the input.
-func FromCompiled(c *Compiled) (*BA, error) {
-	if c == nil {
-		return nil, fmt.Errorf("buchi: nil compiled form")
-	}
-	a := New(c.N)
-	if c.Init < 0 || (c.N > 0 && int(c.Init) >= c.N) {
-		return nil, fmt.Errorf("buchi: compiled initial state %d of %d", c.Init, c.N)
-	}
-	a.Init = c.Init
-	a.Events = c.Events
-	if len(c.Final) != c.N || len(c.EdgeOff) != c.N+1 {
-		return nil, fmt.Errorf("buchi: compiled form is malformed (final %d, offsets %d, states %d)",
-			len(c.Final), len(c.EdgeOff), c.N)
-	}
-	for s := 0; s < c.N; s++ {
-		if c.Final[s] {
-			a.SetFinal(StateID(s))
-		}
-		lo, hi := c.EdgeOff[s], c.EdgeOff[s+1]
-		if lo < 0 || hi < lo || int(hi) > len(c.EdgeTo) {
-			return nil, fmt.Errorf("buchi: compiled offsets for state %d span [%d, %d] of %d edges",
-				s, lo, hi, len(c.EdgeTo))
-		}
-		for e := lo; e < hi; e++ {
-			if id := c.EdgeLabel[e]; id < 0 || int(id) >= len(c.Labels) {
-				return nil, fmt.Errorf("buchi: compiled edge %d cites label %d of %d", e, id, len(c.Labels))
-			}
-			a.AddEdge(StateID(s), c.Labels[c.EdgeLabel[e]], StateID(c.EdgeTo[e]))
-		}
-	}
-	if err := a.AdoptCompiled(c); err != nil {
-		return nil, err
-	}
 	return a, nil
 }

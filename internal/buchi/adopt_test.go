@@ -25,9 +25,9 @@ func adoptTestBA(t *testing.T) *BA {
 }
 
 // TestAdoptCompiledRoundTrip: a compiled form survives the gob wire
-// (the snapshot encoding) and FromCompiled reconstructs a BA that
-// adopts it — no flattening — such that re-compiling the
-// reconstruction reproduces the original form exactly.
+// (the snapshot encoding) and ShellFromCompiled wraps it in a BA that
+// adopts it — no flattening — such that re-compiling the shell's
+// materialized adjacency reproduces the original form exactly.
 func TestAdoptCompiledRoundTrip(t *testing.T) {
 	a := adoptTestBA(t)
 	c := Compile(a)
@@ -45,19 +45,19 @@ func TestAdoptCompiledRoundTrip(t *testing.T) {
 	}
 
 	n0 := CompileCount()
-	b, err := FromCompiled(decoded)
+	b, err := ShellFromCompiled(decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Compiled() != decoded {
-		t.Error("FromCompiled did not adopt the decoded form")
+		t.Error("ShellFromCompiled did not adopt the decoded form")
 	}
 	if d := CompileCount() - n0; d != 0 {
-		t.Errorf("FromCompiled + Compiled() flattened %d times, want 0", d)
+		t.Errorf("ShellFromCompiled + Compiled() flattened %d times, want 0", d)
 	}
 
-	// Reconstruction is exact: state s of the compiled form is state s
-	// of the BA, so a from-scratch flattening agrees byte for byte.
+	// Materialization is exact: state s of the compiled form is state
+	// s of the BA, so a from-scratch flattening agrees byte for byte.
 	if rc := Compile(b); !reflect.DeepEqual(rc, c) {
 		t.Errorf("recompiling the reconstruction diverges:\n got %+v\nwant %+v", rc, c)
 	}

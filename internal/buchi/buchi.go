@@ -2,7 +2,6 @@ package buchi
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"contractdb/internal/vocab"
@@ -42,10 +41,20 @@ type BA struct {
 
 	// Shell automata (ShellFromCompiled) start with Out == nil and the
 	// compiled form installed; edgesOnce materializes Out from the CSR
-	// arrays on the first analysis that needs adjacency lists. The
-	// compiled kernels never do, so a snapshot-loaded corpus keeps its
-	// edge memory in the (possibly mmap'd) compiled form only.
+	// arrays on the first analysis that needs labeled or reversed
+	// adjacency lists (Normalize, Trim, Reverse, Clone, Validate, the
+	// interpreted kernels, gob encoding). The query path needs none of
+	// them: the compiled kernels and stream frontiers read the CSR
+	// arrays, and the graph walks the registration-time seed analysis
+	// runs (SCCs, OnAcceptingCycle, Reachable) read them too for a
+	// shell. So a snapshot-loaded corpus and every projection quotient
+	// keep their edge memory in the (possibly mmap'd) compiled form
+	// only.
 	edgesOnce sync.Once
+	// shell is set once by ShellFromCompiled, before the automaton is
+	// shared, and never changes: it selects the CSR arrays as the
+	// graph the walks read, whether or not Out was materialized since.
+	shell bool
 }
 
 // New returns an automaton with n states, initial state 0, and no
@@ -56,10 +65,45 @@ func New(n int) *BA {
 
 // NumStates returns the number of states.
 func (a *BA) NumStates() int {
-	if a.Out == nil && a.compiled != nil {
-		return a.compiled.N // shell: adjacency not materialized
+	if a.shell {
+		return a.compiled.N // adjacency possibly not materialized
 	}
 	return len(a.Out)
+}
+
+// targets is a read-only view of the transition graph without labels:
+// for each state, the neighbour range its outgoing edges lead to. A
+// shell's view reads the CSR arrays of its compiled form; any other
+// automaton's reads Out, so automata still under construction (the
+// translator's Trim) walk the edges they hold right now. The CSR rows
+// drop only edges subsumed by another edge to the same target, so
+// both views of one automaton have the same targets per state.
+type targets struct {
+	out     [][]Edge
+	off, to []int32 // shells: state s's targets are to[off[s]:off[s+1]]
+}
+
+func (a *BA) targets() targets {
+	if a.shell {
+		return targets{off: a.compiled.EdgeOff, to: a.compiled.EdgeTo}
+	}
+	return targets{out: a.Out}
+}
+
+// deg returns state s's out-degree in the view.
+func (g targets) deg(s StateID) int {
+	if g.off != nil {
+		return int(g.off[s+1] - g.off[s])
+	}
+	return len(g.out[s])
+}
+
+// at returns the target of state s's i-th edge in the view.
+func (g targets) at(s StateID, i int) StateID {
+	if g.off != nil {
+		return StateID(g.to[int(g.off[s])+i])
+	}
+	return g.out[s][i].To
 }
 
 // EnsureEdges materializes the Out adjacency lists of a shell
@@ -125,40 +169,9 @@ func (a *BA) AddEdge(from StateID, label Label, to StateID) {
 func (a *BA) Normalize() {
 	a.EnsureEdges()
 	for s, out := range a.Out {
-		if len(out) < 2 {
-			continue
+		if len(out) >= 2 {
+			a.Out[s] = CanonicalEdges(out)
 		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].To != out[j].To {
-				return out[i].To < out[j].To
-			}
-			ci, cj := out[i].Label.LiteralCount(), out[j].Label.LiteralCount()
-			if ci != cj {
-				return ci < cj // weakest labels first: they subsume
-			}
-			if out[i].Label.Pos != out[j].Label.Pos {
-				return out[i].Label.Pos < out[j].Label.Pos
-			}
-			return out[i].Label.Neg < out[j].Label.Neg
-		})
-		kept := out[:0]
-		groupStart := 0 // first kept index of the current To-group
-		for i, e := range out {
-			if i > 0 && e.To != out[i-1].To {
-				groupStart = len(kept)
-			}
-			subsumed := false
-			for _, k := range kept[groupStart:] {
-				if k.Label.ContainedIn(e.Label) {
-					subsumed = true
-					break
-				}
-			}
-			if !subsumed {
-				kept = append(kept, e)
-			}
-		}
-		a.Out[s] = kept
 	}
 }
 
@@ -260,17 +273,17 @@ func (a *BA) Reverse() [][]Edge {
 
 // Reachable returns the set of states reachable from Init (inclusive).
 func (a *BA) Reachable() []bool {
-	a.EnsureEdges()
+	g := a.targets()
 	seen := make([]bool, a.NumStates())
 	stack := []StateID{a.Init}
 	seen[a.Init] = true
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range a.Out[s] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
+		for i, d := 0, g.deg(s); i < d; i++ {
+			if t := g.at(s, i); !seen[t] {
+				seen[t] = true
+				stack = append(stack, t)
 			}
 		}
 	}
@@ -281,8 +294,12 @@ func (a *BA) Reachable() []bool {
 // Tarjan's algorithm. It returns the component index of every state;
 // components are numbered in reverse topological order (a component's
 // successors have smaller indices).
+//
+// It is the package's one Tarjan walk, over the targets view, so a
+// shell is analysed straight from its CSR arrays without materializing
+// Out.
 func (a *BA) SCCs() (comp []int, count int) {
-	a.EnsureEdges()
+	g := a.targets()
 	n := a.NumStates()
 	comp = make([]int, n)
 	for i := range comp {
@@ -317,8 +334,8 @@ func (a *BA) SCCs() (comp []int, count int) {
 				onStack[v] = true
 			}
 			advanced := false
-			for f.edge < len(a.Out[v]) {
-				w := a.Out[v][f.edge].To
+			for d := g.deg(v); f.edge < d; {
+				w := g.at(v, f.edge)
 				f.edge++
 				if index[w] == -1 {
 					work = append(work, frame{v: w})
@@ -360,16 +377,20 @@ func (a *BA) SCCs() (comp []int, count int) {
 // cycle that passes through a final state. These are the valid knots
 // for contract-side lassos; the seeds optimization (paper §6.2.4)
 // precomputes this set at registration time.
+//
+// Like SCCs it reads a shell's CSR arrays, so the seed analysis
+// permission.NewChecker runs on every projection quotient leaves the
+// quotient compiled-only.
 func (a *BA) OnAcceptingCycle() []bool {
-	a.EnsureEdges()
+	g := a.targets()
 	comp, count := a.SCCs()
 	// A component supports cycles iff it has an internal edge (this
 	// covers both multi-state components and self-loops).
 	cyclic := make([]bool, count)
 	hasFinal := make([]bool, count)
-	for from, out := range a.Out {
-		for _, e := range out {
-			if comp[from] == comp[e.To] {
+	for from := range comp {
+		for i, d := 0, g.deg(StateID(from)); i < d; i++ {
+			if comp[from] == comp[g.at(StateID(from), i)] {
 				cyclic[comp[from]] = true
 			}
 		}

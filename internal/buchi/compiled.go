@@ -1,7 +1,8 @@
 package buchi
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"contractdb/internal/vocab"
 )
@@ -109,36 +110,56 @@ func Compile(a *BA) *Compiled {
 // this to reproduce, without flattening, exactly what Compile would
 // build.
 func CanonicalEdges(buf []Edge) []Edge {
-	sort.Slice(buf, func(i, j int) bool {
-		if buf[i].To != buf[j].To {
-			return buf[i].To < buf[j].To
+	return canonicalize(buf, func(e Edge) Edge { return e })
+}
+
+// TaggedEdge is an edge carrying a caller-defined tag, such as the
+// index of its label in a deduplicated table, through
+// CanonicalTaggedEdges.
+type TaggedEdge struct {
+	Edge
+	Tag int32
+}
+
+// CanonicalTaggedEdges is CanonicalEdges for tagged edges: each kept
+// edge keeps its tag. Equal labels must carry equal tags, since which
+// of two identical edges survives is unspecified.
+func CanonicalTaggedEdges(buf []TaggedEdge) []TaggedEdge {
+	return canonicalize(buf, func(e TaggedEdge) Edge { return e.Edge })
+}
+
+func canonicalize[E any](buf []E, edge func(E) Edge) []E {
+	slices.SortFunc(buf, func(x, y E) int {
+		a, b := edge(x), edge(y)
+		if c := cmp.Compare(a.To, b.To); c != 0 {
+			return c
 		}
-		ci, cj := buf[i].Label.LiteralCount(), buf[j].Label.LiteralCount()
-		if ci != cj {
-			return ci < cj // weakest labels first: they subsume
+		// Weakest labels first: they subsume.
+		if c := cmp.Compare(a.Label.LiteralCount(), b.Label.LiteralCount()); c != 0 {
+			return c
 		}
-		if buf[i].Label.Pos != buf[j].Label.Pos {
-			return buf[i].Label.Pos < buf[j].Label.Pos
+		if c := cmp.Compare(a.Label.Pos, b.Label.Pos); c != 0 {
+			return c
 		}
-		return buf[i].Label.Neg < buf[j].Label.Neg
+		return cmp.Compare(a.Label.Neg, b.Label.Neg)
 	})
 	kept := buf[:0]
 	groupStart := 0 // first kept index of the current To-group
-	for i, e := range buf {
-		if i > 0 && e.To != buf[i-1].To {
+	for i, x := range buf {
+		e := edge(x)
+		if i > 0 && e.To != edge(buf[i-1]).To {
 			groupStart = len(kept)
 		}
 		subsumed := false
 		for _, k := range kept[groupStart:] {
-			if k.Label.ContainedIn(e.Label) {
+			if edge(k).Label.ContainedIn(e.Label) {
 				subsumed = true
 				break
 			}
 		}
-		if subsumed {
-			continue
+		if !subsumed {
+			kept = append(kept, x)
 		}
-		kept = append(kept, e)
 	}
 	return kept
 }

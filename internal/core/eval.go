@@ -364,6 +364,9 @@ func (db *DB) evalCandidates(ctx context.Context, qa *buchi.BA, candidates []*Co
 	matched := make([]bool, len(candidates))
 	aggs := make([]checkAgg, workers)
 	var next atomic.Int64
+	// witnessed admits exactly one FindAny witness: several workers can
+	// each find a match before any of them sees the cancellation.
+	var witnessed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -380,11 +383,15 @@ func (db *DB) evalCandidates(ctx context.Context, qa *buchi.BA, candidates []*Co
 					return
 				}
 				if ok != invert {
-					matched[i] = true
-					if mode.FindAny {
-						cancel(errFoundAny)
-						return
+					if !mode.FindAny {
+						matched[i] = true
+						continue
 					}
+					if witnessed.CompareAndSwap(false, true) {
+						matched[i] = true
+					}
+					cancel(errFoundAny)
+					return
 				}
 			}
 		}(&aggs[w])

@@ -179,6 +179,35 @@ func TestLoadV4ZeroCopy(t *testing.T) {
 	if stats.CopiedBytes != 0 {
 		t.Errorf("stats report %d copied bytes, want 0 on this host", stats.CopiedBytes)
 	}
+
+	// Queries after the load pick projection quotients — many adopted
+	// from the image's quotient sections — and build a checker for
+	// each, seed analysis included. That must leave every quotient
+	// compiled-only: no Out adjacency materialized on the heap, and an
+	// adopted quotient's arrays still aliasing the image.
+	for i := 0; i < 24; i++ {
+		if _, err := db.Query(gen.Specification(datagen.SimpleQueries.Properties)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	adopted := 0
+	for _, c := range db.Contracts() {
+		for _, q := range c.CheckedQuotients() {
+			if q.Out != nil {
+				t.Fatalf("contract %s: a quotient's adjacency was materialized on the heap by the query path", c.Name)
+			}
+			qc := q.Compiled()
+			if len(qc.EdgeTo) == 0 {
+				continue
+			}
+			if p := uintptr(unsafe.Pointer(&qc.EdgeTo[0])); p >= lo && p < hi {
+				adopted++
+			}
+		}
+	}
+	if adopted == 0 {
+		t.Fatal("no query picked a quotient adopted from the image")
+	}
 }
 
 // TestLoadV4Hostile: a corrupted container must be refused with the

@@ -21,7 +21,9 @@ package ltl2ba
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
+	"strconv"
 	"sync/atomic"
 
 	"contractdb/internal/bisim"
@@ -211,35 +213,33 @@ func (s fset) clone() fset {
 func (s fset) pick() int {
 	for w, word := range s.bits {
 		if word != 0 {
-			for b := 0; b < 64; b++ {
-				if word&(1<<uint(b)) != 0 {
-					return w*64 + b
-				}
-			}
+			return w*64 + bits.TrailingZeros64(word)
 		}
 	}
 	return -1
 }
 
+// key renders the set as comma-terminated hex words; equal sets, and
+// only equal sets, get equal keys.
 func (s fset) key() string {
 	// Trailing zero words must not distinguish equal sets.
 	end := len(s.bits)
 	for end > 0 && s.bits[end-1] == 0 {
 		end--
 	}
-	return fmt.Sprintf("%x", s.bits[:end])
+	buf := make([]byte, 0, 17*end)
+	for _, word := range s.bits[:end] {
+		buf = strconv.AppendUint(buf, word, 16)
+		buf = append(buf, ',')
+	}
+	return string(buf)
 }
 
 func (s fset) each(fn func(int)) {
 	for w, word := range s.bits {
 		for word != 0 {
-			b := word & (-word)
-			i := 0
-			for b>>uint(i) != 1 {
-				i++
-			}
-			fn(w*64 + i)
-			word &^= b
+			fn(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1 // clear the lowest set bit
 		}
 	}
 }

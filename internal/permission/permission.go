@@ -136,15 +136,17 @@ func WithInterpreted() Option { return func(c *Checker) { c.interpreted = true }
 // WithSeeds installs a precomputed seed vector instead of running the
 // SCC analysis at construction. The snapshot load path uses it:
 // seeds were computed at registration and persisted, so adopting them
-// keeps load free of per-contract graph analysis (and of the Out
-// materialization the analysis would force on a shell automaton).
+// keeps load free of per-contract graph analysis.
 // The vector is trusted the same way AdoptCompiled trusts the
 // persisted edge set; only its length is checked.
 func WithSeeds(seeds []bool) Option { return func(c *Checker) { c.seeds = seeds } }
 
 // NewChecker precomputes the seed states and the compiled form of the
 // contract automaton (registration-time work in the paper's
-// architecture).
+// architecture). The seed analysis reads a shell's CSR arrays, so a
+// compiled-only automaton — a snapshot-loaded contract, any projection
+// quotient — stays compiled-only unless the interpreted kernels are
+// selected.
 func NewChecker(contract *buchi.BA, opts ...Option) *Checker {
 	c := &Checker{
 		contract: contract,
