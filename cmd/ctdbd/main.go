@@ -1,19 +1,19 @@
 // Command ctdbd serves a contract database over HTTP — the online
 // broker deployment of the paper's system.
 //
-// The durable deployment gives it a data directory; every
-// registration and removal is written to a write-ahead log before it
-// is acknowledged, checkpoints fold the log into snapshots in the
-// background, and a crashed broker recovers to exactly the
-// acknowledged state on restart:
+// It keeps its data in a directory; every registration and removal is
+// written to a write-ahead log before it is acknowledged, checkpoints
+// fold the log into snapshots in the background, and a crashed broker
+// recovers to exactly the acknowledged state on restart:
 //
 //	ctdbd -data-dir /var/lib/ctdb -addr :8080 [-fsync always] [-events p1,p2,...]
 //
-// With -shards N (N > 1) the database is partitioned across N
-// in-process shards behind a scatter-gather router: registrations hash
-// to a shard by contract name, queries fan out and merge. The WAL and
-// snapshots are shard-count-agnostic, so the same -data-dir can reopen
-// under a different -shards value (including back to unsharded).
+// The database is served by a scatter-gather router over -shards
+// in-process shards (0 or 1 means one shard): registrations hash to a
+// shard by contract name, queries fan out and merge, and find-all
+// matches come back in contract-name order. The WAL and snapshots are
+// shard-count-agnostic, so the same -data-dir reopens under any
+// -shards value.
 //
 // The daemon also serves live compliance monitoring under /v1/streams
 // (-stream-shards ingest workers, 0 disables): clients open named
@@ -21,12 +21,6 @@
 // long-poll or SSE-subscribe for verdict transitions. With -data-dir
 // the stream journal lives in DIR/streams and verdict state survives
 // crashes.
-//
-// The legacy single-file mode re-saves a whole snapshot after every
-// registration (simple, but O(database) per write and unregistered
-// ops between save and crash are lost):
-//
-//	ctdbd -db fares.ctdb -addr :8080
 //
 // Example session:
 //
@@ -44,7 +38,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -58,38 +51,24 @@ import (
 	"syscall"
 	"time"
 
-	"contractdb/internal/core"
 	"contractdb/internal/insights"
 	"contractdb/internal/metrics"
 	"contractdb/internal/server"
 	"contractdb/internal/store"
 	"contractdb/internal/stream"
 	"contractdb/internal/trace"
-	"contractdb/internal/vocab"
 	"contractdb/internal/wal"
 )
 
-// engine is what ctdbd needs from the database it serves: the
-// server's surface plus the tuning setters. Both the unsharded
-// *core.DB and the sharded *shard.DB qualify.
-type engine interface {
-	server.DB
-	SetParallelism(n int)
-	SetCacheSizes(queryCache, resultCache int)
-	SetIngestWorkers(n int)
-	SetTracer(t *trace.Tracer)
-}
-
 func main() {
-	dataDir := flag.String("data-dir", "", "durable data directory: write-ahead log + snapshots (recommended)")
-	dbPath := flag.String("db", "", "legacy single-snapshot file, re-saved after every registration")
+	dataDir := flag.String("data-dir", "", "durable data directory: write-ahead log + snapshots (required)")
 	addr := flag.String("addr", ":8080", "listen address")
 	events := flag.String("events", "", "comma-separated vocabulary for a fresh database")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always | interval | never")
 	fsyncInterval := flag.Duration("fsync-interval", wal.DefaultSyncInterval, "flush period under -fsync interval")
 	checkpointEvery := flag.Int("checkpoint-every", store.DefaultCheckpointRecords, "auto-checkpoint after this many logged operations (negative disables)")
 	mmapMode := flag.String("mmap", "auto", "snapshot load path: auto maps v4 containers copy-on-write and adopts slabs zero-copy, off reads into the heap")
-	shards := flag.Int("shards", 0, "partition the database across this many scatter-gather shards (0 or 1 = unsharded; requires -data-dir)")
+	shards := flag.Int("shards", 0, "partition the database across this many scatter-gather shards (0 or 1 = one shard)")
 	streamShards := flag.Int("stream-shards", 1, "ingest workers for the live stream-monitoring subsystem (0 disables /v1/streams)")
 	streamQueue := flag.Int("stream-queue", 0, "pending event batches per stream-ingest shard before pushes block (0 = default)")
 	parallelism := flag.Int("parallelism", 0, "query worker-pool width (0 = GOMAXPROCS, 1 = sequential)")
@@ -111,8 +90,12 @@ func main() {
 	logFormat := flag.String("log-format", "text", "request/slow-query log format: text | json")
 	flag.Parse()
 
-	if (*dataDir == "") == (*dbPath == "") {
-		fmt.Fprintln(os.Stderr, "ctdbd: exactly one of -data-dir (durable) or -db (legacy snapshot) is required")
+	if *dataDir == "" {
+		fmt.Fprintln(os.Stderr, "ctdbd: -data-dir is required")
+		os.Exit(2)
+	}
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "ctdbd: -shards %d: want 0 or more\n", *shards)
 		os.Exit(2)
 	}
 
@@ -158,40 +141,19 @@ func main() {
 	}
 	tracer := trace.New(traceCfg)
 
-	var (
-		db      engine
-		st      *store.Store
-		persist func() error
-	)
 	if *mmapMode != "auto" && *mmapMode != "off" {
 		fmt.Fprintf(os.Stderr, "ctdbd: unknown -mmap %q (want auto or off)\n", *mmapMode)
 		os.Exit(2)
 	}
-	if *dataDir != "" {
-		st, err = openStore(*dataDir, *events, *fsync, *fsyncInterval, *checkpointEvery, *shards, *mmapMode == "off", tracer)
-		if err != nil {
-			log.Fatalf("ctdbd: %v", err)
-		}
-		// The store decides which engine actually serves: a sharded
-		// config — or a sharded snapshot found by an unsharded one —
-		// yields the router.
-		if r := st.Router(); r != nil {
-			db = r
-		} else {
-			db = st.DB()
-		}
-	} else {
-		if *shards > 1 {
-			fmt.Fprintln(os.Stderr, "ctdbd: -shards requires -data-dir (the legacy -db snapshot is unsharded)")
-			os.Exit(2)
-		}
-		cdb, err := openOrCreate(*dbPath, *events)
-		if err != nil {
-			log.Fatalf("ctdbd: %v", err)
-		}
-		db = cdb
-		persist = func() error { return save(cdb, *dbPath) }
+	policy, err := wal.ParseSyncPolicy(*fsync)
+	if err != nil {
+		log.Fatalf("ctdbd: %v", err)
 	}
+	st, err := openStore(*dataDir, *events, policy, *fsyncInterval, *checkpointEvery, *shards, *mmapMode == "off", tracer)
+	if err != nil {
+		log.Fatalf("ctdbd: %v", err)
+	}
+	db := st.DB()
 
 	if *parallelism > 0 {
 		db.SetParallelism(*parallelism)
@@ -213,15 +175,13 @@ func main() {
 	var querylog *insights.Log
 	if *querylogSample > 0 {
 		cfg := insights.Config{
+			Dir:           filepath.Join(*dataDir, "querylog"),
 			BufferSize:    *querylogBuffer,
 			SampleEvery:   *querylogSample,
 			SlowThreshold: *querylogSlow,
 		}
 		if cfg.SlowThreshold == 0 {
 			cfg.SlowThreshold = *slowQuery
-		}
-		if *dataDir != "" {
-			cfg.Dir = filepath.Join(*dataDir, "querylog")
 		}
 		querylog, err = insights.Open(cfg)
 		if err != nil {
@@ -230,51 +190,39 @@ func main() {
 	}
 
 	srv := server.New(db)
-	srv.Persist = persist
 	srv.QueryTimeout = *queryTimeout
 	srv.StepBudget = *stepBudget
 	srv.Tracer = tracer
 	srv.Logger = logger
 	srv.Insights = querylog
-	if st != nil {
-		srv.Checkpoint = st.Checkpoint
-		srv.Durability = st.Metrics()
-		srv.Recovery = recoveryState(st.Recovery)
-	}
+	srv.Checkpoint = st.Checkpoint
+	srv.Durability = st.Metrics()
+	srv.Recovery = recoveryState(st.Recovery)
 
 	var broker *stream.Broker
 	if *streamShards > 0 {
-		cfg := stream.Config{
-			Shards:     *streamShards,
-			QueueDepth: *streamQueue,
-			Tracer:     tracer,
-			Logf:       log.Printf,
-		}
-		if *dataDir != "" {
-			// Streams journal beside the contract store, with the same
-			// fsync policy; in legacy -db mode they stay in memory.
-			policy, err := wal.ParseSyncPolicy(*fsync)
-			if err != nil {
-				log.Fatalf("ctdbd: %v", err)
-			}
-			cfg.Dir = filepath.Join(*dataDir, "streams")
-			cfg.Sync = policy
-			cfg.SyncInterval = *fsyncInterval
-			cfg.CheckpointRecords = *checkpointEvery
-		}
-		broker, err = stream.New(db, cfg)
+		// Streams journal beside the contract store, with the same
+		// fsync policy.
+		broker, err = stream.New(db, stream.Config{
+			Shards:            *streamShards,
+			QueueDepth:        *streamQueue,
+			Dir:               filepath.Join(*dataDir, "streams"),
+			Sync:              policy,
+			SyncInterval:      *fsyncInterval,
+			CheckpointRecords: *checkpointEvery,
+			Tracer:            tracer,
+			Logf:              log.Printf,
+		})
 		if err != nil {
 			log.Fatalf("ctdbd: streams: %v", err)
 		}
 		srv.Streams = broker
-		if rec := broker.Recovery; cfg.Dir != "" {
-			if rec.Clean {
-				log.Printf("ctdbd: streams: recovered %d streams clean (%d shards) in %s",
-					rec.Streams, *streamShards, rec.Duration)
-			} else {
-				log.Printf("ctdbd: streams: recovered %d streams (%d shards; snapshot %s + %d replayed records) in %s",
-					rec.Streams, *streamShards, orFresh(rec.SnapshotPath), rec.ReplayedRecords, rec.Duration)
-			}
+		if rec := broker.Recovery; rec.Clean {
+			log.Printf("ctdbd: streams: recovered %d streams clean (%d shards) in %s",
+				rec.Streams, *streamShards, rec.Duration)
+		} else {
+			log.Printf("ctdbd: streams: recovered %d streams (%d shards; snapshot %s + %d replayed records) in %s",
+				rec.Streams, *streamShards, orFresh(rec.SnapshotPath), rec.ReplayedRecords, rec.Duration)
 		}
 	}
 
@@ -320,10 +268,8 @@ func main() {
 			log.Printf("ctdbd: closing streams: %v", err)
 		}
 	}
-	if st != nil {
-		if err := st.Close(); err != nil {
-			log.Fatalf("ctdbd: closing store: %v", err)
-		}
+	if err := st.Close(); err != nil {
+		log.Fatalf("ctdbd: closing store: %v", err)
 	}
 	if querylog != nil {
 		if err := querylog.Close(); err != nil {
@@ -373,11 +319,7 @@ func recoveryState(r store.RecoveryInfo) *server.RecoveryState {
 	}
 }
 
-func openStore(dir, events, fsync string, fsyncInterval time.Duration, checkpointEvery, shards int, noMmap bool, tracer *trace.Tracer) (*store.Store, error) {
-	policy, err := wal.ParseSyncPolicy(fsync)
-	if err != nil {
-		return nil, err
-	}
+func openStore(dir, events string, policy wal.SyncPolicy, fsyncInterval time.Duration, checkpointEvery, shards int, noMmap bool, tracer *trace.Tracer) (*store.Store, error) {
 	var names []string
 	if events != "" {
 		names = strings.Split(events, ",")
@@ -396,14 +338,8 @@ func openStore(dir, events, fsync string, fsyncInterval time.Duration, checkpoin
 	if err != nil {
 		return nil, err
 	}
-	n := 0
-	layout := "unsharded"
-	if r := st.Router(); r != nil {
-		n = r.Len()
-		layout = fmt.Sprintf("%d shards", r.NumShards())
-	} else {
-		n = st.DB().Len()
-	}
+	n := st.DB().Len()
+	layout := fmt.Sprintf("shards=%d", st.DB().NumShards())
 	r := st.Recovery
 	switch {
 	case r.Clean:
@@ -433,47 +369,4 @@ func orFresh(path string) string {
 		return "<fresh>"
 	}
 	return path
-}
-
-func openOrCreate(path, events string) (*core.DB, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		var names []string
-		if events != "" {
-			names = strings.Split(events, ",")
-		}
-		voc, err := vocab.FromNames(names...)
-		if err != nil {
-			return nil, err
-		}
-		db := core.NewDB(voc, core.Options{})
-		if err := save(db, path); err != nil {
-			return nil, err
-		}
-		log.Printf("ctdbd: created new database %s with %d events", path, voc.Len())
-		return db, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.Load(f)
-}
-
-func save(db *core.DB, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := db.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

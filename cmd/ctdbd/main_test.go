@@ -233,21 +233,26 @@ func TestDaemonObservability(t *testing.T) {
 	}
 }
 
-// TestDaemonFlagValidation: -db and -data-dir are mutually exclusive,
-// and neither means there is nowhere to put data.
+// TestDaemonFlagValidation: without -data-dir there is nowhere to put
+// data, the legacy -db mode is gone, and a negative shard count is a
+// usage error rather than a silent single shard.
 func TestDaemonFlagValidation(t *testing.T) {
 	bin := buildDaemon(t)
-	for _, args := range [][]string{
-		{},
-		{"-db", "x.ctdb", "-data-dir", "y"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "-data-dir is required"},
+		{[]string{"-db", "x.ctdb", "-data-dir", "y"}, "flag provided but not defined: -db"},
+		{[]string{"-data-dir", t.TempDir(), "-shards", "-1"}, "-shards -1"},
 	} {
-		cmd := exec.Command(bin, args...)
+		cmd := exec.Command(bin, tc.args...)
 		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Errorf("args %v: daemon started, want usage error", args)
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 2 {
+			t.Errorf("args %v: exit %d (%v), want usage error 2", tc.args, code, err)
 		}
-		if !strings.Contains(string(out), "exactly one of") {
-			t.Errorf("args %v: unexpected output %q", args, out)
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("args %v: output %q lacks %q", tc.args, out, tc.want)
 		}
 	}
 }

@@ -74,8 +74,8 @@ func TestCacheCanonicalSharing(t *testing.T) {
 		t.Fatalf("equivalent spellings disagree: %s vs %s", got, want)
 	}
 	qs := db.Stats().Queries
-	if qs.Translate.Count != 1 {
-		t.Fatalf("translate count = %d, want 1 (shared compilation)", qs.Translate.Count)
+	if qs.QueryCacheMisses != 1 || qs.QueryCacheHits != 1 {
+		t.Fatalf("compile cache misses/hits = %d/%d, want 1/1 (shared compilation)", qs.QueryCacheMisses, qs.QueryCacheHits)
 	}
 	if caches := db.CacheStats(); caches.QueryCacheLen != 1 || caches.ResultCacheLen != 1 {
 		t.Fatalf("cache occupancy = %+v, want one shared entry per tier", caches)

@@ -301,7 +301,7 @@ func (c *Contract) Events() vocab.Set { return c.auto.Events }
 type OpLog interface {
 	// LogRegister receives the encoded registration record (the
 	// byte-deterministic per-contract encoding of the current snapshot
-	// format, replayable via ApplyRegistration).
+	// format, replayable via ApplyRegistrationTo).
 	LogRegister(encoded []byte) error
 	// LogUnregister receives the name of the contract being removed.
 	LogUnregister(name string) error
@@ -367,10 +367,11 @@ type DB struct {
 
 	// The two query-cache tiers (nil when disabled via Options).
 	// compile memoizes LTL→BA translation per canonical query form;
-	// results memoizes whole Results per (canonical query, mode) at
-	// one epoch. Both have internal locks and are used under mu's read
-	// lock.
-	compile *qcache.CompileCache
+	// it is atomic because queries translate outside mu while
+	// SetCacheSizes swaps it. results memoizes whole Results per
+	// (canonical query, mode) at one epoch and is used under mu's read
+	// lock. Both have internal locks.
+	compile atomic.Pointer[qcache.CompileCache]
 	results *qcache.ResultCache
 }
 
@@ -394,23 +395,32 @@ func NewDB(voc *vocab.Vocabulary, opts Options) *DB {
 // counters into the metrics registry. Callers hold the write lock (or
 // own the DB exclusively, as NewDB does).
 func (db *DB) initCaches() {
-	db.compile, db.results = nil, nil
-	if n := db.opts.queryCacheSize(); n > 0 {
-		db.compile = qcache.NewCompileCache(n, qcache.Metrics{
-			Hits:      &db.metrics.QueryCacheHits,
-			Misses:    &db.metrics.QueryCacheMisses,
-			Evictions: &db.metrics.QueryCacheEvictions,
+	db.results = nil
+	cc := NewCompileCache(db.opts, db.metrics)
+	db.compile.Store(cc)
+	// Tier 2 requires tier 1: result keys are canonical forms.
+	if n := db.opts.resultCacheSize(); cc != nil && n > 0 {
+		db.results = qcache.NewResultCache(n, qcache.Metrics{
+			Hits:          &db.metrics.ResultCacheHits,
+			Misses:        &db.metrics.ResultCacheMisses,
+			Evictions:     &db.metrics.ResultCacheEvictions,
+			Invalidations: &db.metrics.ResultCacheInvalidation,
 		})
-		// Tier 2 requires tier 1: result keys are canonical forms.
-		if n := db.opts.resultCacheSize(); n > 0 {
-			db.results = qcache.NewResultCache(n, qcache.Metrics{
-				Hits:          &db.metrics.ResultCacheHits,
-				Misses:        &db.metrics.ResultCacheMisses,
-				Evictions:     &db.metrics.ResultCacheEvictions,
-				Invalidations: &db.metrics.ResultCacheInvalidation,
-			})
-		}
 	}
+}
+
+// NewCompileCache builds the tier-1 compile cache opts asks for,
+// counting its traffic into m; nil when opts disables it.
+func NewCompileCache(opts Options, m *metrics.Query) *qcache.CompileCache {
+	n := opts.queryCacheSize()
+	if n <= 0 {
+		return nil
+	}
+	return qcache.NewCompileCache(n, qcache.Metrics{
+		Hits:      &m.QueryCacheHits,
+		Misses:    &m.QueryCacheMisses,
+		Evictions: &m.QueryCacheEvictions,
+	})
 }
 
 // SetCacheSizes rebuilds the query caches with new capacities, using

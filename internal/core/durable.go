@@ -49,33 +49,8 @@ func (db *DB) encodeRegistration(c *Contract) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RegistrationName peeks at the contract name inside an encoded
-// registration record without installing it. The sharded router uses
-// it to place replayed WAL records on the owning shard.
-func RegistrationName(data []byte) (string, error) {
-	var rec registrationRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-		return "", fmt.Errorf("core: registration record: %w", err)
-	}
-	if rec.Contract.Name == "" {
-		return "", fmt.Errorf("core: registration record has no contract name")
-	}
-	return rec.Contract.Name, nil
-}
-
-// RegistrationFormat peeks at the format version of an encoded
-// registration record; the sharded loader surfaces it in recovery
-// telemetry.
-func RegistrationFormat(data []byte) (int, error) {
-	var rec registrationRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-		return 0, fmt.Errorf("core: registration record: %w", err)
-	}
-	return rec.FormatVersion, nil
-}
-
 // RegistrationExport is one contract re-encoded as a registration
-// record: the same bytes ApplyRegistration accepts. The sharded
+// record: the same bytes ApplyRegistrationTo accepts. The sharded
 // engine's snapshot format is a list of these, which keeps snapshots
 // independent of the shard count they were written under.
 type RegistrationExport struct {
@@ -89,7 +64,7 @@ type RegistrationExport struct {
 // the bytes independent of pipeline timing (the shard-count
 // determinism tests rely on that). Each record carries the full
 // vocabulary as of the export (a superset of the vocabulary at
-// original registration), which ApplyRegistration accepts: interning
+// original registration), which ApplyRegistrationTo accepts: interning
 // the names in order reproduces the same id assignment.
 func (db *DB) ExportRegistrations() ([]RegistrationExport, error) {
 	db.WaitIdle()
@@ -106,22 +81,20 @@ func (db *DB) ExportRegistrations() ([]RegistrationExport, error) {
 	return out, nil
 }
 
-// ApplyRegistration installs a contract from a log record produced by
-// the Register path. It is the replay half of the write-ahead
-// protocol: it validates like Load, never logs, and is idempotent — a
-// name already present is left untouched, because recovery replays a
-// log suffix that may overlap the snapshot state (the checkpoint
-// boundary is a conservative lower bound; see internal/store).
-func (db *DB) ApplyRegistration(data []byte) error {
-	var stats LoadStats
-	return db.ApplyRegistrationStats(data, &stats)
-}
-
-// ApplyRegistrationStats is ApplyRegistration, additionally
-// accumulating the restore breakdown (contracts installed, compiled
-// forms adopted, degraded entries re-pended) into stats. The sharded
-// loader uses it to report recovery telemetry across shards.
-func (db *DB) ApplyRegistrationStats(data []byte, stats *LoadStats) error {
+// ApplyRegistrationTo decodes a register record produced by the
+// Register path once and installs its contract on the database place
+// picks by contract name (the shard router's placement). It is the replay
+// half of the write-ahead protocol: it validates like Load, never
+// logs, and is idempotent — a name already present is left untouched,
+// because recovery replays a log suffix that may overlap the snapshot
+// state (the checkpoint boundary is a conservative lower bound; see
+// internal/store). stats, when non-nil, accumulates the restore
+// breakdown (contracts installed, compiled forms adopted, degraded
+// entries re-pended).
+func ApplyRegistrationTo(data []byte, place func(name string) *DB, stats *LoadStats) error {
+	if stats == nil {
+		stats = &LoadStats{}
+	}
 	var rec registrationRecord
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
 		return fmt.Errorf("core: replay: %w", err)
@@ -130,6 +103,10 @@ func (db *DB) ApplyRegistrationStats(data []byte, stats *LoadStats) error {
 		return fmt.Errorf("core: replay: record has format version %d, but this build supports versions %d through %d",
 			rec.FormatVersion, minFormatVersion, formatVersion)
 	}
+	if rec.Contract.Name == "" {
+		return fmt.Errorf("core: replay: registration record has no contract name")
+	}
+	db := place(rec.Contract.Name)
 	db.mu.Lock()
 	if _, dup := db.byName[rec.Contract.Name]; dup {
 		db.mu.Unlock()
@@ -182,7 +159,7 @@ func (db *DB) ApplyRegistrationStats(data []byte, stats *LoadStats) error {
 
 // ApplyUnregister is the replay half of Unregister: it never logs and
 // is idempotent (removing an absent name is a no-op, for the same
-// overlapping-suffix reason as ApplyRegistration).
+// overlapping-suffix reason as ApplyRegistrationTo).
 func (db *DB) ApplyUnregister(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -15,6 +15,7 @@ import (
 	"contractdb/internal/permission"
 	"contractdb/internal/qcache"
 	"contractdb/internal/trace"
+	"contractdb/internal/vocab"
 )
 
 // Errors distinguishing aborted queries from malformed ones,
@@ -73,19 +74,57 @@ func resultCacheKey(canonical string, mode Mode, obligation bool) string {
 		canonical, mode.Prefilter, mode.Bisim, mode.Algorithm, mode.FindAny, mode.StepBudget, obligation)
 }
 
+// Translate is the broker's translate step, shared by DB's own query
+// path and the shard router: canonicalize through the tier-1 compile
+// cache cc (skipped when cc is nil or mode.NoCache) and build — or
+// reuse — the automaton of the query, or of its negation for an
+// obligation. key is the canonical query key that addresses tier-2
+// result caches; it is empty exactly when caching is off for this
+// evaluation. compileHit reports a tier-1 hit. It takes no database
+// lock: the vocabulary and the cache are safe for concurrent use.
+func Translate(ctx context.Context, voc *vocab.Vocabulary, cc *qcache.CompileCache, spec *ltl.Expr, mode Mode, obligation bool) (qa *buchi.BA, key string, compileHit bool, err error) {
+	var compiled *qcache.Compiled
+	if cc != nil && !mode.NoCache {
+		_, csp := trace.StartSpan(ctx, "canonicalize")
+		compiled, compileHit = cc.Lookup(spec)
+		if csp != nil {
+			csp.SetAttr("cache_hit", compileHit)
+		}
+		csp.End()
+	}
+	_, tsp := trace.StartSpan(ctx, "translate")
+	if compiled != nil {
+		key = compiled.Key
+		qa, err = compiled.Automaton(obligation, func(f *ltl.Expr) (*buchi.BA, error) {
+			return ltl2ba.Translate(voc, f)
+		})
+	} else {
+		q := spec
+		if obligation {
+			q = ltl.Not(spec)
+		}
+		qa, err = ltl2ba.Translate(voc, q)
+	}
+	if tsp != nil && qa != nil {
+		tsp.SetAttr("states", qa.NumStates())
+	}
+	tsp.SetError(err)
+	tsp.End()
+	return qa, key, compileHit, err
+}
+
 // evalQuery is the shared query path: resolve the automaton through
-// the compilation cache, serve a result-cache hit if one is valid at
-// the current epoch, otherwise prefilter (permission queries only —
-// the index over-approximates permission, which is the wrong side for
+// the compilation cache (outside the lock, like the shard router),
+// then serve a result-cache hit if one is valid at the current epoch,
+// otherwise prefilter (permission queries only — the index
+// over-approximates permission, which is the wrong side for
 // obligation's negated query), scan, and populate the result cache.
 //
-// The whole evaluation runs under mu's read lock, so the epoch read
-// here is the epoch of everything the scan observes; results stored
-// with it can never leak across a registration (which takes the write
-// lock and bumps the epoch before the next reader starts).
+// Everything after translation runs under mu's read lock, so the epoch
+// read here is the epoch of everything the scan observes; results
+// stored with it can never leak across a registration (which takes the
+// write lock and bumps the epoch before the next reader starts).
 func (db *DB) evalQuery(ctx context.Context, spec *ltl.Expr, mode Mode, obligation bool) (*Result, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	db.metrics.Queries.Inc()
 
 	errPrefix := "core: query"
@@ -94,56 +133,26 @@ func (db *DB) evalQuery(ctx context.Context, spec *ltl.Expr, mode Mode, obligati
 	}
 
 	var stats QueryStats
-	stats.Total = len(db.contracts)
-
-	// Tier 1: canonical form and (possibly cached) automaton. Tier 2:
-	// a whole-result hit returns before touching index or kernels.
 	start := time.Now()
-	var compiled *qcache.Compiled
-	var resKey string
-	if !mode.NoCache && db.compile != nil {
-		_, csp := trace.StartSpan(ctx, "canonicalize")
-		var tier1 bool
-		compiled, tier1 = db.compile.Lookup(spec)
-		stats.CompileHit = tier1
-		if csp != nil {
-			csp.SetAttr("cache_hit", tier1)
-		}
-		csp.End()
-		if db.results != nil {
-			resKey = resultCacheKey(compiled.Key, mode, obligation)
-			if res, ok := db.serveCachedLocked(ctx, resKey, start); ok {
-				return res, nil
-			}
-		}
-	}
-
-	t := time.Now()
-	_, tsp := trace.StartSpan(ctx, "translate")
-	var qa *buchi.BA
-	var err error
-	if compiled != nil {
-		qa, err = compiled.Automaton(obligation, func(f *ltl.Expr) (*buchi.BA, error) {
-			return ltl2ba.Translate(db.voc, f)
-		})
-	} else {
-		q := spec
-		if obligation {
-			q = ltl.Not(spec)
-		}
-		qa, err = ltl2ba.Translate(db.voc, q)
-	}
-	if tsp != nil && qa != nil {
-		tsp.SetAttr("states", qa.NumStates())
-	}
-	tsp.SetError(err)
-	tsp.End()
+	qa, key, tier1, err := Translate(ctx, db.voc, db.compile.Load(), spec, mode, obligation)
+	stats.CompileHit = tier1
 	if err != nil {
 		db.metrics.Errored.Inc()
 		return nil, fmt.Errorf("%s: %w", errPrefix, err)
 	}
-	stats.Translate = time.Since(t)
+	stats.Translate = time.Since(start)
 	db.metrics.Translate.ObserveEx(stats.Translate, trace.SpanContextFrom(ctx).TraceID)
+
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	stats.Total = len(db.contracts)
+	var resKey string
+	if key != "" && db.results != nil {
+		resKey = resultCacheKey(key, mode, obligation)
+		if res, ok := db.serveCachedLocked(ctx, resKey, start); ok {
+			return res, nil
+		}
+	}
 
 	candidates := db.prefilterLocked(ctx, qa, mode, obligation, &stats)
 
@@ -488,8 +497,9 @@ func (db *DB) Stats() DBStats {
 func (db *DB) CacheStats() CacheStats {
 	db.mu.RLock()
 	cs := CacheStats{Epoch: db.epoch}
-	compile, results := db.compile, db.results
+	results := db.results
 	db.mu.RUnlock()
+	compile := db.compile.Load()
 	if compile != nil {
 		cs.QueryCacheLen, cs.QueryCacheCap = compile.Len(), compile.Cap()
 	}

@@ -730,11 +730,13 @@ func loadV4(data []byte) (*DB, LoadStats, error) {
 	return db, stats, nil
 }
 
-// LoadShardedV4 installs a sharded v4 container's contracts into the
+// LoadShardedV4 installs a v4 container's contracts into the
 // databases chosen by place (the shard router), rebuilding each
-// shard's prefilter index from the adopted compiled forms. All target
-// databases must share one vocabulary built from the snapshot's
-// events. data's lifetime rules match loadV4.
+// shard's prefilter index from the adopted compiled forms. It reads
+// both heads: a sharded container carries no index, and an unsharded
+// one's index sections (built for a single database) are skipped. All
+// target databases must share one vocabulary built from the
+// snapshot's events. data's lifetime rules match loadV4.
 func LoadShardedV4(data []byte, place func(name string) *DB, stats *LoadStats) error {
 	t := time.Now()
 	f, head, err := decodeV4Head(data)
@@ -744,16 +746,18 @@ func LoadShardedV4(data []byte, place func(name string) *DB, stats *LoadStats) e
 	stats.FormatVersion = head.FormatVersion
 	stats.Sections = len(f.Sections)
 	stats.SlabBytes = f.SlabBytes()
-	if !head.Sharded {
-		return fmt.Errorf("core: load: snapshot is not sharded")
-	}
-	if head.IndexNodes != 0 {
+	if head.Sharded && head.IndexNodes != 0 {
 		return fmt.Errorf("core: load: sharded snapshot carries a prefilter index (%d nodes); indexes are per-shard and rebuilt at load", head.IndexNodes)
 	}
 	cur, err := newV4Cursor(f)
 	if err != nil {
 		return fmt.Errorf("core: load: %w", err)
 	}
+	if len(cur.indexLabels) != head.IndexNodes {
+		return fmt.Errorf("core: load: head claims %d index nodes, slab holds %d",
+			head.IndexNodes, len(cur.indexLabels))
+	}
+	cur.indexLabels, cur.indexLens, cur.indexWords = nil, nil, nil
 	if !snapfmt.HostZeroCopy() {
 		stats.CopiedBytes = stats.SlabBytes
 	} else if !hostAdoptsInts() {

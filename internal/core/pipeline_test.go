@@ -145,7 +145,7 @@ func TestDeferredRecordPromotesInline(t *testing.T) {
 	dst := core.NewDB(ref.Vocabulary(), core.Options{MaxAutomatonStates: 300})
 	var stats core.LoadStats
 	for _, rec := range log.records {
-		if err := dst.ApplyRegistrationStats(rec, &stats); err != nil {
+		if err := core.ApplyRegistrationTo(rec, func(string) *core.DB { return dst }, &stats); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"contractdb/internal/core"
 	"contractdb/internal/paperex"
 	"contractdb/internal/server"
+	"contractdb/internal/shard"
 )
 
 // postQuery drives the handler directly with a caller-controlled
@@ -28,7 +29,7 @@ func postQuery(t *testing.T, srv *server.Server, ctx context.Context, body strin
 	return rec
 }
 
-func registerTickets(t *testing.T, db *core.DB) {
+func registerTickets(t *testing.T, db *shard.DB) {
 	t.Helper()
 	for name, spec := range map[string]string{
 		"A": paperex.TicketA().String(),
@@ -45,7 +46,7 @@ func registerTickets(t *testing.T, db *core.DB) {
 // canceled — a client that timed out or hung up — returns promptly
 // with the cancellation error instead of running the search.
 func TestQueryClientCanceled(t *testing.T) {
-	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
+	db := newDB(t, core.Options{})
 	registerTickets(t, db)
 	srv := server.New(db)
 
@@ -74,7 +75,7 @@ func TestQueryClientCanceled(t *testing.T) {
 // TestQueryServerTimeout asserts the server-wide QueryTimeout bounds
 // evaluations even when the client would wait forever.
 func TestQueryServerTimeout(t *testing.T) {
-	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
+	db := newDB(t, core.Options{})
 	registerTickets(t, db)
 	srv := server.New(db)
 	srv.QueryTimeout = time.Nanosecond // expires before the first kernel step
@@ -89,7 +90,7 @@ func TestQueryServerTimeout(t *testing.T) {
 // the server default turn a too-expensive search into a 503, and that
 // -1 opts back out of the server default.
 func TestQueryStepBudgetOverHTTP(t *testing.T) {
-	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
+	db := newDB(t, core.Options{})
 	registerTickets(t, db)
 	srv := server.New(db)
 	srv.StepBudget = 1
@@ -147,12 +148,12 @@ func TestFindAnyOverHTTP(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	cases := []struct {
 		name  string
-		drive func(t *testing.T, client *server.Client, db *core.DB)
+		drive func(t *testing.T, client *server.Client, db *shard.DB)
 		check func(t *testing.T, m server.MetricsResponse)
 	}{
 		{
 			name:  "fresh database",
-			drive: func(t *testing.T, client *server.Client, db *core.DB) {},
+			drive: func(t *testing.T, client *server.Client, db *shard.DB) {},
 			check: func(t *testing.T, m server.MetricsResponse) {
 				if m.Contracts != 0 || m.Queries.Queries != 0 {
 					t.Errorf("fresh metrics = %+v", m)
@@ -161,7 +162,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		},
 		{
 			name: "registrations only",
-			drive: func(t *testing.T, client *server.Client, db *core.DB) {
+			drive: func(t *testing.T, client *server.Client, db *shard.DB) {
 				registerTickets(t, db)
 			},
 			check: func(t *testing.T, m server.MetricsResponse) {
@@ -171,6 +172,9 @@ func TestMetricsEndpoint(t *testing.T) {
 				if m.ProjectionRows == 0 || m.IndexNodes == 0 {
 					t.Errorf("registration gauges empty: %+v", m)
 				}
+				if m.Sharding.Shards != 1 || len(m.Sharding.Sizes) != 1 || m.Sharding.Sizes[0] != 3 {
+					t.Errorf("sharding = %+v, want one shard holding 3 contracts", m.Sharding)
+				}
 				if m.Queries.Queries != 0 {
 					t.Errorf("queries = %d, want 0", m.Queries.Queries)
 				}
@@ -178,7 +182,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		},
 		{
 			name: "successful queries",
-			drive: func(t *testing.T, client *server.Client, db *core.DB) {
+			drive: func(t *testing.T, client *server.Client, db *shard.DB) {
 				registerTickets(t, db)
 				for i := 0; i < 3; i++ {
 					if _, err := client.Query("F(missedFlight && X F refund)", ""); err != nil {
@@ -190,10 +194,12 @@ func TestMetricsEndpoint(t *testing.T) {
 				if m.Queries.Queries != 3 {
 					t.Errorf("queries = %d, want 3", m.Queries.Queries)
 				}
-				// Only the first run translates and scans; the repeats are
-				// served from the result cache.
-				if m.Queries.Translate.Count != 1 {
-					t.Errorf("translate count = %d, want 1", m.Queries.Translate.Count)
+				// Every run passes the translate stage, but only the
+				// first compiles and scans; the repeats are served from
+				// the compile and result caches.
+				if m.Queries.Translate.Count != 3 || m.Queries.QueryCacheMisses != 1 {
+					t.Errorf("translate count = %d, compile misses = %d, want 3 and 1",
+						m.Queries.Translate.Count, m.Queries.QueryCacheMisses)
 				}
 				if m.Queries.ResultCacheHits != 2 {
 					t.Errorf("result cache hits = %d, want 2", m.Queries.ResultCacheHits)
@@ -223,7 +229,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		},
 		{
 			name: "aborted queries are classified",
-			drive: func(t *testing.T, client *server.Client, db *core.DB) {
+			drive: func(t *testing.T, client *server.Client, db *shard.DB) {
 				registerTickets(t, db)
 				if _, err := client.QueryRequest(server.QueryRequest{Spec: "F refund", StepBudget: 1}); err == nil {
 					t.Fatal("budget 1 should abort")

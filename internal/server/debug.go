@@ -149,9 +149,7 @@ func (s *Server) healthResponse() HealthResponse {
 		Events:        s.db.Vocabulary().Len(),
 		UptimeSeconds: s.uptime(),
 		Recovery:      s.Recovery,
-	}
-	if sh, ok := s.db.(sharder); ok {
-		resp.Shards = sh.NumShards()
+		Shards:        s.db.NumShards(),
 	}
 	if s.Streams != nil {
 		g := s.Streams.Gauges()

@@ -25,7 +25,7 @@ import (
 // traceparent carrying the caller's trace ID, the trace is retained
 // under that ID, and the OTLP export addresses the same trace.
 func TestTraceparentPropagation(t *testing.T) {
-	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
+	db := newDB(t, core.Options{})
 	srv := server.New(db)
 	db.SetTracer(srv.Tracer)
 	ts := httptest.NewServer(srv)
@@ -79,7 +79,7 @@ func TestTraceparentPropagation(t *testing.T) {
 // traceparent and checks the asynchronous ingest promotion shows up as
 // a linked trace under the same trace ID.
 func TestTraceparentLinksPromotion(t *testing.T) {
-	db := core.NewDB(paperex.NewVocabulary(), core.Options{IngestWorkers: 1})
+	db := newDB(t, core.Options{IngestWorkers: 1})
 	srv := server.New(db)
 	db.SetTracer(srv.Tracer)
 	ts := httptest.NewServer(srv)
@@ -131,7 +131,7 @@ func contains(xs []string, want string) bool {
 // surface: entries appear newest first with verdicts, cache tiers and
 // selectivity filled in.
 func TestQueryLogEndpoint(t *testing.T) {
-	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
+	db := newDB(t, core.Options{})
 	srv := server.New(db)
 	log, err := insights.Open(insights.Config{SampleEvery: 1})
 	if err != nil {
@@ -269,7 +269,7 @@ func keys(m map[string][]byte) []string {
 // default and switches to OpenMetrics (terminated by # EOF, exemplars
 // allowed) when the scraper asks for it.
 func TestOpenMetricsNegotiation(t *testing.T) {
-	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
+	db := newDB(t, core.Options{})
 	srv := server.New(db)
 	db.SetTracer(srv.Tracer)
 	ts := httptest.NewServer(srv)
@@ -316,7 +316,7 @@ func TestOpenMetricsNegotiation(t *testing.T) {
 // scrape path must be safe against concurrent registry writes. Run
 // with -race.
 func TestMetricsScrapeChurnRace(t *testing.T) {
-	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
+	db := newDB(t, core.Options{})
 	srv := server.New(db)
 	db.SetTracer(srv.Tracer)
 	log, err := insights.Open(insights.Config{SampleEvery: 1})

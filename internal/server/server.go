@@ -70,9 +70,9 @@ import (
 	"contractdb/internal/vocab"
 )
 
-// DB is the database surface the server needs. Both the unsharded
-// *core.DB and the sharded *shard.DB satisfy it, so the same handler
-// set serves either engine.
+// DB is the database surface the server needs: the scatter-gather
+// *shard.DB satisfies it at every shard count. The server depends on
+// the interface only, so it needs no import of the shard package.
 type DB interface {
 	Len() int
 	Vocabulary() *vocab.Vocabulary
@@ -84,12 +84,6 @@ type DB interface {
 	QueryModeCtx(ctx context.Context, spec *ltl.Expr, mode core.Mode) (*core.Result, error)
 	RegistrationStats() core.RegistrationStats
 	Stats() core.DBStats
-}
-
-// sharder is the extra surface a sharded engine exposes; the server
-// detects it by assertion so it needs no dependency on the shard
-// package (and no daemon wiring) to report per-shard metrics.
-type sharder interface {
 	NumShards() int
 	ShardSizes() []int
 	ShardEpochs() []uint64
@@ -101,9 +95,6 @@ type sharder interface {
 type Server struct {
 	db  DB
 	mux *http.ServeMux
-	// Persist, when non-nil, is invoked after every successful
-	// registration so the operator can snapshot the database.
-	Persist func() error
 	// QueryTimeout, when positive, bounds every query evaluation in
 	// addition to the client's own context.
 	QueryTimeout time.Duration
@@ -260,9 +251,8 @@ type HealthResponse struct {
 	Contracts     int     `json:"contracts"`
 	Events        int     `json:"events"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Shards is the scatter-gather shard count; absent when the server
-	// fronts an unsharded engine.
-	Shards   int            `json:"shards,omitempty"`
+	// Shards is the scatter-gather shard count.
+	Shards   int            `json:"shards"`
 	Recovery *RecoveryState `json:"recovery,omitempty"`
 	// Streams reports the streaming subsystem's backlog and journal lag;
 	// absent when streaming is disabled.
@@ -403,12 +393,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, status, err)
 		return
 	}
-	if s.Persist != nil {
-		if err := s.Persist(); err != nil {
-			writeErr(w, r, http.StatusInternalServerError, fmt.Errorf("registered but snapshot failed: %w", err))
-			return
-		}
-	}
 	writeJSON(w, http.StatusCreated, s.contractInfo(c, true))
 }
 
@@ -469,12 +453,6 @@ func (s *Server) handleRegisterBulk(w http.ResponseWriter, r *http.Request) {
 		resp.Registered++
 		resp.Results[i] = BulkRegisterResult{Name: res.Contract.Name}
 	}
-	if s.Persist != nil && resp.Registered > 0 {
-		if err := s.Persist(); err != nil {
-			writeErr(w, r, http.StatusInternalServerError, fmt.Errorf("registered %d but snapshot failed: %w", resp.Registered, err))
-			return
-		}
-	}
 	status := http.StatusCreated
 	if resp.Registered == 0 {
 		status = http.StatusBadRequest
@@ -494,12 +472,6 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, r, http.StatusBadRequest, err)
 		}
 		return
-	}
-	if s.Persist != nil {
-		if err := s.Persist(); err != nil {
-			writeErr(w, r, http.StatusInternalServerError, fmt.Errorf("unregistered but snapshot failed: %w", err))
-			return
-		}
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -824,9 +796,9 @@ type MetricsResponse struct {
 	Build            BuildInfo             `json:"build"`
 	Queries          metrics.QuerySnapshot `json:"queries"`
 	Caches           CacheMetrics          `json:"caches"`
-	// Sharding is present only when the server fronts a sharded
-	// scatter-gather engine.
-	Sharding *ShardingInfo `json:"sharding,omitempty"`
+	// Sharding is the scatter-gather engine's shape and router
+	// counters.
+	Sharding ShardingInfo `json:"sharding"`
 	// Durability is present only when the server fronts a durable
 	// store (WAL + checkpoints).
 	Durability *metrics.DurabilitySnapshot `json:"durability,omitempty"`
@@ -883,15 +855,6 @@ func (s *Server) metricsResponse() MetricsResponse {
 		snap := s.Durability.Snapshot()
 		durability = &snap
 	}
-	var sharding *ShardingInfo
-	if sh, ok := s.db.(sharder); ok {
-		sharding = &ShardingInfo{
-			Shards: sh.NumShards(),
-			Sizes:  sh.ShardSizes(),
-			Epochs: sh.ShardEpochs(),
-			Router: sh.RouterSnapshot(),
-		}
-	}
 	var streams *StreamMetrics
 	if s.Streams != nil {
 		streams = &StreamMetrics{
@@ -900,7 +863,12 @@ func (s *Server) metricsResponse() MetricsResponse {
 		}
 	}
 	return MetricsResponse{
-		Sharding:         sharding,
+		Sharding: ShardingInfo{
+			Shards: s.db.NumShards(),
+			Sizes:  s.db.ShardSizes(),
+			Epochs: s.db.ShardEpochs(),
+			Router: s.db.RouterSnapshot(),
+		},
 		Durability:       durability,
 		Streams:          streams,
 		Contracts:        st.Registration.Contracts,
@@ -957,7 +925,7 @@ func (s *Server) writePrometheus(p *metrics.PromWriter) {
 	p.Gauge("ctdb_registration_translations_total", "LTL-to-BA translations performed by registration paths this process.", float64(st.Registration.Translations))
 	if rec := s.Recovery; rec != nil {
 		p.Gauge("ctdb_cold_start_seconds", "Total recovery time at process start.", float64(rec.DurationUS)/1e6)
-		p.Gauge("ctdb_cold_start_snapshot_decode_seconds", "Recovery time spent gob-decoding the snapshot.", float64(rec.SnapshotDecodeUS)/1e6)
+		p.Gauge("ctdb_cold_start_snapshot_decode_seconds", "Recovery time spent decoding the snapshot (v4 container parse; gob for legacy files).", float64(rec.SnapshotDecodeUS)/1e6)
 		p.Gauge("ctdb_cold_start_artifact_restore_seconds", "Recovery time spent restoring registration artifacts.", float64(rec.ArtifactRestoreUS)/1e6)
 		p.Gauge("ctdb_cold_start_wal_replay_seconds", "Recovery time spent replaying the WAL suffix.", float64(rec.WALReplayUS)/1e6)
 		p.Gauge("ctdb_cold_start_replayed_records", "WAL records replayed past the snapshot boundary.", float64(rec.ReplayedRecords))
@@ -968,9 +936,7 @@ func (s *Server) writePrometheus(p *metrics.PromWriter) {
 		p.Gauge("ctdb_cold_start_sections", "Sections in the loaded v4 snapshot container.", float64(rec.Sections))
 	}
 	p.WriteQuery(st.Queries)
-	if sh, ok := s.db.(sharder); ok {
-		p.WriteShardRouter(sh.RouterSnapshot(), sh.ShardSizes(), sh.ShardEpochs())
-	}
+	p.WriteShardRouter(s.db.RouterSnapshot(), s.db.ShardSizes(), s.db.ShardEpochs())
 	if s.Durability != nil {
 		p.WriteDurability(s.Durability.Snapshot())
 	}

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,11 +10,23 @@ import (
 	"contractdb/internal/core"
 	"contractdb/internal/paperex"
 	"contractdb/internal/server"
+	"contractdb/internal/shard"
 )
 
-func newTestServer(t *testing.T) (*server.Server, *server.Client, *core.DB) {
+// newDB returns the engine the daemon serves — the shard router —
+// at one shard.
+func newDB(t testing.TB, opts core.Options) *shard.DB {
 	t.Helper()
-	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
+	db, err := shard.New(paperex.NewVocabulary(), opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+func newTestServer(t *testing.T) (*server.Server, *server.Client, *shard.DB) {
+	t.Helper()
+	db := newDB(t, core.Options{})
 	srv := server.New(db)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -28,7 +39,7 @@ func TestHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Contracts != 0 || h.Events == 0 {
+	if h.Status != "ok" || h.Contracts != 0 || h.Events == 0 || h.Shards != 1 {
 		t.Errorf("health = %+v", h)
 	}
 }
@@ -139,26 +150,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-func TestPersistHookFailure(t *testing.T) {
-	srv, client, _ := newTestServer(t)
-	srv.Persist = func() error { return errors.New("disk full") }
-	if _, err := client.Register("A", "G !refund"); err == nil || !strings.Contains(err.Error(), "500") {
-		t.Errorf("persist failure should 500, got %v", err)
-	}
-}
-
-func TestPersistHookInvoked(t *testing.T) {
-	srv, client, _ := newTestServer(t)
-	calls := 0
-	srv.Persist = func() error { calls++; return nil }
-	if _, err := client.Register("A", "G !refund"); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("persist hook called %d times, want 1", calls)
-	}
-}
-
 func TestConcurrentHTTPQueries(t *testing.T) {
 	_, client, _ := newTestServer(t)
 	for name, spec := range map[string]string{
@@ -198,7 +189,7 @@ func TestMethodRouting(t *testing.T) {
 	_ = req
 	_ = client
 	// The typed client cannot produce this; hit the handler directly.
-	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
+	db := newDB(t, core.Options{})
 	srv := server.New(db)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/contracts", nil))

@@ -9,14 +9,13 @@ import (
 	"time"
 
 	"contractdb/internal/core"
-	"contractdb/internal/paperex"
 	"contractdb/internal/server"
 	"contractdb/internal/stream"
 )
 
 func newStreamServer(t *testing.T) (*server.Client, string) {
 	t.Helper()
-	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
+	db := newDB(t, core.Options{})
 	for _, c := range []struct{ name, spec string }{
 		{"NoRefund", "G !refund"},
 		{"UseNeedsPurchase", "G(use -> F purchase)"},

@@ -21,7 +21,7 @@ import (
 // tests that need headers or bodies the typed client hides.
 func newTraceServer(t *testing.T) (*server.Server, *httptest.Server, *server.Client) {
 	t.Helper()
-	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
+	db := newDB(t, core.Options{})
 	srv := server.New(db)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

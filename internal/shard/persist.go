@@ -147,12 +147,11 @@ func LoadBytesWithStats(buf []byte, n int) (*DB, core.LoadStats, error) {
 	}
 	t = time.Now()
 	for _, rec := range snap.Records {
-		sh := db.shardFor(rec.Name)
-		before := sh.Len()
-		if err := sh.ApplyRegistrationStats(rec.Record, &stats); err != nil {
+		before := db.Len()
+		if err := core.ApplyRegistrationTo(rec.Record, db.shardFor, &stats); err != nil {
 			return nil, stats, fmt.Errorf("shard: load: contract %q: %w", rec.Name, err)
 		}
-		if sh.Len() == before {
+		if db.Len() == before {
 			return nil, stats, fmt.Errorf("shard: load: duplicate contract name %q", rec.Name)
 		}
 	}
@@ -163,31 +162,16 @@ func LoadBytesWithStats(buf []byte, n int) (*DB, core.LoadStats, error) {
 	return db, stats, nil
 }
 
-// loadContainer routes a v4 container: a sharded head deals its
-// contracts across n fresh shards via the placement function; an
-// unsharded head loads as a core database and is redistributed. The
-// buffer's slabs are adopted zero-copy either way, so buf must stay
-// valid for the database's lifetime (the store owns that when buf is
-// a file mapping).
+// loadContainer deals a v4 container's contracts — sharded or
+// unsharded head alike — across n fresh shards via the placement
+// function. The buffer's slabs are adopted zero-copy, so buf must stay
+// valid for the database's lifetime (the store owns that when buf is a
+// file mapping).
 func loadContainer(buf []byte, n int) (*DB, core.LoadStats, error) {
 	var stats core.LoadStats
 	info, err := core.PeekV4(buf)
 	if err != nil {
 		return nil, stats, fmt.Errorf("shard: load: %w", err)
-	}
-	if !info.Sharded {
-		cdb, cstats, cerr := core.LoadBytesWithStats(buf)
-		stats = cstats
-		if cerr != nil {
-			return nil, stats, fmt.Errorf("shard: load: %w", cerr)
-		}
-		t := time.Now()
-		db, err := FromCore(cdb, n)
-		stats.Restore += time.Since(t)
-		if err != nil {
-			return nil, stats, err
-		}
-		return db, stats, nil
 	}
 	voc, err := vocab.FromNames(info.Events...)
 	if err != nil {
@@ -197,7 +181,7 @@ func loadContainer(buf []byte, n int) (*DB, core.LoadStats, error) {
 	if err != nil {
 		return nil, stats, fmt.Errorf("shard: load: %w", err)
 	}
-	if err := core.LoadShardedV4(buf, func(name string) *core.DB { return db.shardFor(name) }, &stats); err != nil {
+	if err := core.LoadShardedV4(buf, db.shardFor, &stats); err != nil {
 		return nil, stats, fmt.Errorf("shard: load: %w", err)
 	}
 	return db, stats, nil
@@ -218,7 +202,7 @@ func FromCore(cdb *core.DB, n int) (*DB, error) {
 		return nil, fmt.Errorf("shard: from core: %w", err)
 	}
 	for _, rec := range records {
-		if err := db.shardFor(rec.Name).ApplyRegistration(rec.Record); err != nil {
+		if err := db.ApplyRegistration(rec.Record); err != nil {
 			return nil, fmt.Errorf("shard: from core: contract %q: %w", rec.Name, err)
 		}
 	}

@@ -8,11 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"contractdb/internal/buchi"
 	"contractdb/internal/core"
 	"contractdb/internal/ltl"
-	"contractdb/internal/ltl2ba"
-	"contractdb/internal/qcache"
 	"contractdb/internal/trace"
 )
 
@@ -118,7 +115,7 @@ func (db *DB) eval(ctx context.Context, spec *ltl.Expr, mode core.Mode, obligati
 	// Stage 1: translate once.
 	var stats core.QueryStats
 	t := time.Now()
-	qa, key, tier1, err := db.translate(ctx, spec, mode, obligation)
+	qa, key, tier1, err := core.Translate(ctx, db.voc, db.compile.Load(), spec, mode, obligation)
 	stats.CompileHit = tier1
 	if err != nil {
 		db.metrics.Errored.Inc()
@@ -188,46 +185,13 @@ func (db *DB) eval(ctx context.Context, spec *ltl.Expr, mode core.Mode, obligati
 		}
 		return nil, fmt.Errorf("%s: %w", errPrefix, err)
 	}
+	if root := trace.SpanFrom(ctx); root != nil && res.Stats.CacheHit {
+		// Every shard served its result cache: the trace root says so,
+		// as a single database's cached serve does.
+		root.SetAttr("cached", true)
+		root.SetAttr("matched", len(res.Matches))
+	}
 	return res, nil
-}
-
-// translate resolves the query automaton, through the router's compile
-// cache when the mode allows it. The returned key is the canonical
-// query key the shards use to address their result caches; it is empty
-// exactly when caching is off for this evaluation.
-func (db *DB) translate(ctx context.Context, spec *ltl.Expr, mode core.Mode, obligation bool) (*buchi.BA, string, bool, error) {
-	var compiled *qcache.Compiled
-	var tier1 bool
-	if cc := db.compile.Load(); cc != nil && !mode.NoCache {
-		_, csp := trace.StartSpan(ctx, "canonicalize")
-		compiled, tier1 = cc.Lookup(spec)
-		if csp != nil {
-			csp.SetAttr("cache_hit", tier1)
-		}
-		csp.End()
-	}
-	_, tsp := trace.StartSpan(ctx, "translate")
-	var qa *buchi.BA
-	var err error
-	var key string
-	if compiled != nil {
-		key = compiled.Key
-		qa, err = compiled.Automaton(obligation, func(f *ltl.Expr) (*buchi.BA, error) {
-			return ltl2ba.Translate(db.voc, f)
-		})
-	} else {
-		q := spec
-		if obligation {
-			q = ltl.Not(spec)
-		}
-		qa, err = ltl2ba.Translate(db.voc, q)
-	}
-	if tsp != nil && qa != nil {
-		tsp.SetAttr("states", qa.NumStates())
-	}
-	tsp.SetError(err)
-	tsp.End()
-	return qa, key, tier1, err
 }
 
 // gather resolves the scatter's outcome and merges the per-shard

@@ -40,8 +40,8 @@ import (
 
 // DB is a sharded contract database: the scatter-gather router plus
 // its shards. All methods are safe for concurrent use. It mirrors the
-// query/registration surface of core.DB so the server and store layers
-// can front either engine.
+// query/registration surface of core.DB, and it is the engine the
+// store and server layers serve at every shard count.
 type DB struct {
 	voc    *vocab.Vocabulary
 	opts   core.Options // as configured; shards run with adjusted Parallelism
@@ -112,19 +112,7 @@ func perShardParallelism(p, n int) int {
 // disables it (queries then translate per evaluation, exactly like an
 // uncached core.DB).
 func (db *DB) initCompileCache() {
-	size := db.options().QueryCacheSize
-	if size == 0 {
-		size = core.DefaultQueryCacheSize
-	}
-	var cc *qcache.CompileCache
-	if size > 0 {
-		cc = qcache.NewCompileCache(size, qcache.Metrics{
-			Hits:      &db.metrics.QueryCacheHits,
-			Misses:    &db.metrics.QueryCacheMisses,
-			Evictions: &db.metrics.QueryCacheEvictions,
-		})
-	}
-	db.compile.Store(cc)
+	db.compile.Store(core.NewCompileCache(db.options(), db.metrics))
 }
 
 // NumShards returns the shard count.
@@ -399,11 +387,7 @@ func (db *DB) SetOpLog(l core.OpLog) {
 // shard and installs it there (idempotently, like core's). It is the
 // replay half of the sharded write-ahead protocol.
 func (db *DB) ApplyRegistration(data []byte) error {
-	name, err := core.RegistrationName(data)
-	if err != nil {
-		return fmt.Errorf("shard: replay: %w", err)
-	}
-	return db.shardFor(name).ApplyRegistration(data)
+	return core.ApplyRegistrationTo(data, db.shardFor, nil)
 }
 
 // ApplyUnregister is the replay half of Unregister: idempotent, routed

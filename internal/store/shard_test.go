@@ -1,7 +1,10 @@
 package store_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -38,12 +41,9 @@ func TestShardedStoreCrashReopen(t *testing.T) {
 	dir := t.TempDir()
 	cfg := store.Config{Events: events(), Shards: 4, Core: core.Options{MaxAutomatonStates: 300}}
 	st := openStore(t, dir, cfg)
-	if st.DB() != nil {
-		t.Fatal("sharded store exposed an unsharded DB")
-	}
-	sdb := st.Router()
-	if sdb == nil || sdb.NumShards() != 4 {
-		t.Fatalf("Router() = %v, want a 4-shard engine", sdb)
+	sdb := st.DB()
+	if sdb.NumShards() != 4 {
+		t.Fatalf("DB() has %d shards, want 4", sdb.NumShards())
 	}
 
 	gen := datagen.New(sdb.Vocabulary(), 11)
@@ -66,9 +66,9 @@ func TestShardedStoreCrashReopen(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Shards = 2
 	st2 := openStore(t, crashed, cfg2)
-	got := st2.Router()
-	if got == nil || got.NumShards() != 2 {
-		t.Fatalf("reopened Router() = %v, want a 2-shard engine", got)
+	got := st2.DB()
+	if got.NumShards() != 2 {
+		t.Fatalf("reopened DB() has %d shards, want 2", got.NumShards())
 	}
 	if got.Len() != wantLen {
 		t.Fatalf("recovered %d contracts, want %d", got.Len(), wantLen)
@@ -81,65 +81,74 @@ func TestShardedStoreCrashReopen(t *testing.T) {
 	}
 }
 
-// TestShardedStoreUpgradeDowngrade: a directory created unsharded
-// reopens sharded (the sharded loader redistributes the legacy
-// snapshot), and a directory holding a sharded snapshot reopens under
-// an unsharded config by falling back to a 1-shard engine.
+// TestShardedStoreUpgradeDowngrade: the shard count is a runtime
+// choice, not a property of the data (I4). A directory whose newest
+// snapshot is an unsharded container written by core.Save — what
+// daemons serving a single core.DB left behind — opens at 0, 1, 2 and
+// 4 shards: it recovers zero-copy with every compiled form adopted,
+// answers identically, and its next checkpoint is the sharded
+// container, byte-identical at every count.
 func TestShardedStoreUpgradeDowngrade(t *testing.T) {
-	dir := t.TempDir()
-	cfg := store.Config{Events: events(), Core: core.Options{MaxAutomatonStates: 300}}
-	st := openStore(t, dir, cfg)
-	cdb := st.DB()
-	if cdb == nil || st.Router() != nil {
-		t.Fatal("unsharded store did not expose a core.DB")
-	}
+	opts := core.Options{MaxAutomatonStates: 300}
+	cdb := core.NewDB(datagen.NewVocabulary(), opts)
 	gen := datagen.New(cdb.Vocabulary(), 13)
 	for cdb.Len() < 10 {
-		if _, err := cdb.Register("", gen.Specification(2)); err != nil {
-			continue
-		}
+		cdb.Register("", gen.Specification(2))
 	}
-	if err := st.Close(); err != nil {
+	var legacy bytes.Buffer
+	if err := cdb.Save(&legacy); err != nil {
 		t.Fatal(err)
+	}
+	if info, err := core.PeekV4(legacy.Bytes()); err != nil || info.Sharded {
+		t.Fatalf("core.Save wrote %+v (%v), want an unsharded v4 container", info, err)
 	}
 
-	// Upgrade: same directory, now sharded.
-	cfgUp := cfg
-	cfgUp.Shards = 4
-	st2, err := store.Open(dir, cfgUp)
-	if err != nil {
-		t.Fatalf("upgrading to sharded: %v", err)
-	}
-	sdb := st2.Router()
-	if sdb == nil || sdb.Len() != 10 {
-		t.Fatalf("upgrade recovered %v, want 10 contracts on 4 shards", sdb)
-	}
-	if _, err := sdb.RegisterLTL("upgraded", "F p2"); err != nil {
-		t.Fatal(err)
-	}
-	want := queryNames(t, sdb, "F p1")
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Downgrade: the newest snapshot is now sharded-format; an
-	// unsharded open serves it through a 1-shard engine.
-	st3, err := store.Open(dir, cfg)
-	if err != nil {
-		t.Fatalf("reopening sharded directory unsharded: %v", err)
-	}
-	defer st3.Close()
-	one := st3.Router()
-	if one == nil || one.NumShards() != 1 {
-		t.Fatalf("downgrade Router() = %v, want a 1-shard engine", one)
-	}
-	if st3.DB() != nil {
-		t.Fatal("downgrade exposed both engines")
-	}
-	if one.Len() != 11 {
-		t.Fatalf("downgrade recovered %d contracts, want 11", one.Len())
-	}
-	if g, w := fmt.Sprint(queryNames(t, one, "F p1")), fmt.Sprint(want); g != w {
-		t.Fatalf("downgrade answers %s, sharded answered %s", g, w)
+	var wantSnap []byte
+	var wantAnswers string
+	for _, n := range []int{0, 1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "snapshot-00000000000000000001.ctdb"), legacy.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st := openStore(t, dir, store.Config{Events: events(), Shards: n, Core: opts})
+			db := st.DB()
+			if want := max(1, n); db.NumShards() != want {
+				t.Fatalf("DB() has %d shards, want %d", db.NumShards(), want)
+			}
+			rec := st.Recovery
+			if rec.MappedBytes == 0 && rec.MmapFallback != "unsupported-platform" {
+				t.Errorf("unsharded snapshot was not mapped (fallback %q)", rec.MmapFallback)
+			}
+			if rec.CompiledAdopted != cdb.Len() || db.Len() != cdb.Len() {
+				t.Errorf("recovered %d contracts with %d compiled forms adopted, want %d of each",
+					db.Len(), rec.CompiledAdopted, cdb.Len())
+			}
+			if _, err := db.RegisterLTL("upgraded", "F p2"); err != nil {
+				t.Fatal(err)
+			}
+			answers := fmt.Sprint(queryNames(t, db, "F p1"), queryNames(t, db, "G !p3"))
+			boundary, err := st.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("snapshot-%020d.ctdb", boundary)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info, err := core.PeekV4(snap); err != nil || !info.Sharded {
+				t.Fatalf("checkpoint wrote %+v (%v), want the sharded container", info, err)
+			}
+			if wantSnap == nil {
+				wantSnap, wantAnswers = snap, answers
+				return
+			}
+			if !bytes.Equal(snap, wantSnap) {
+				t.Error("checkpoint bytes depend on the shard count")
+			}
+			if answers != wantAnswers {
+				t.Errorf("answers %s, first count answered %s", answers, wantAnswers)
+			}
+		})
 	}
 }

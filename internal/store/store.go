@@ -1,12 +1,13 @@
 // Package store is the broker's durable storage engine: it owns a
-// data directory and keeps a database — an unsharded core.DB or a
-// sharded shard.DB (Config.Shards) — crash-safe by combining the
-// write-ahead log of internal/wal with periodic snapshots.
+// data directory and keeps a database — the shard router of
+// internal/shard at Config.Shards shards (one by default) — crash-safe
+// by combining the write-ahead log of internal/wal with periodic
+// snapshots.
 //
 // Layout of a data directory:
 //
-//	snapshot-<boundary>.ctdb   core.Save snapshot covering every op
-//	                           with sequence < boundary
+//	snapshot-<boundary>.ctdb   shard.DB.Save snapshot covering every
+//	                           op with sequence < boundary
 //	wal/wal-<firstSeq>.seg     log segments (see internal/wal)
 //
 // Open recovers: it loads the newest snapshot that still decodes,
@@ -53,22 +54,6 @@ import (
 	"contractdb/internal/wal"
 )
 
-// engine is the slice of the database surface the store needs — the
-// same write-ahead protocol works over an unsharded core.DB and a
-// sharded shard.DB, because the sharded engine re-routes every record
-// to its owning shard by contract name at replay (placement is derived
-// from the name, never persisted).
-type engine interface {
-	Save(w io.Writer) error
-	ApplyRegistration(data []byte) error
-	ApplyUnregister(name string) error
-	SetOpLog(l core.OpLog)
-	// WaitIdle drains the ingest pipeline so checkpoints snapshot
-	// full-tier state; Close stops the pipeline workers at shutdown.
-	WaitIdle()
-	Close() error
-}
-
 // WAL record types.
 const (
 	recordRegister   = byte(1)
@@ -89,14 +74,14 @@ type Config struct {
 	// Events is the vocabulary of a freshly created database; ignored
 	// when the directory already holds a snapshot.
 	Events []string
-	// Shards, when > 1, fronts the data with a sharded scatter-gather
-	// engine (internal/shard): the WAL stays a single interleaved
-	// stream, but each record replays onto the shard that owns its
-	// contract name. The count is a runtime choice, not a property of
-	// the data — the same directory can reopen under a different count,
-	// and a directory created unsharded upgrades transparently (the
-	// sharded loader reads legacy snapshots and redistributes).
-	// 0 or 1 keeps the unsharded engine.
+	// Shards is the scatter-gather engine's shard count (internal/
+	// shard); 0 or 1 means one shard. The WAL stays a single
+	// interleaved stream, and each record replays onto the shard that
+	// owns its contract name. The count is a runtime choice, not a
+	// property of the data — the same directory reopens under any
+	// count, and a directory whose newest snapshot is an unsharded
+	// container upgrades transparently (the loader deals its contracts
+	// across the shards).
 	Shards int
 	// Core are the registration options of a freshly created database;
 	// ignored when a snapshot exists (options travel in the snapshot).
@@ -199,9 +184,7 @@ type RecoveryInfo struct {
 type Store struct {
 	dir string
 	cfg Config
-	db  engine // == cdb or sdb
-	cdb *core.DB
-	sdb *shard.DB
+	db  *shard.DB
 	log *wal.Log
 	met *metrics.Durability
 
@@ -327,9 +310,8 @@ func Open(dir string, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	var info RecoveryInfo
-	var cdb *core.DB
-	var sdb *shard.DB
-	sharded := cfg.Shards > 1
+	var db *shard.DB
+	shards := max(1, cfg.Shards)
 	loaded := false
 	boundary := uint64(1)
 	var mapping []byte // live snapshot mapping; munmapped at Close
@@ -340,25 +322,11 @@ func Open(dir string, cfg Config) (*Store, error) {
 			info.SkippedSnapshots = append(info.SkippedSnapshots, sn.path)
 			continue
 		}
-		// The sharded loader reads both formats (it redistributes a
-		// legacy unsharded snapshot), so changing Shards across restarts
-		// never strands a directory. The reverse direction — an
-		// unsharded open finding a sharded snapshot — falls back to the
-		// sharded engine at count 1, which serves identically.
+		// The loader reads sharded and unsharded snapshots alike and
+		// deals the contracts across the configured count, so changing
+		// Shards across restarts never strands a directory.
 		var lstats core.LoadStats
-		if sharded {
-			sdb, lstats, err = shard.LoadBytesWithStats(data, cfg.Shards)
-		} else {
-			cdb, lstats, err = core.LoadBytesWithStats(data)
-			if err != nil {
-				if s1, sstats, serr := shard.LoadBytesWithStats(data, 1); serr == nil {
-					sdb, lstats, err = s1, sstats, nil
-					if cfg.Logf != nil {
-						cfg.Logf("store: %s is a sharded snapshot; serving it through a 1-shard engine", sn.path)
-					}
-				}
-			}
-		}
+		db, lstats, err = shard.LoadBytesWithStats(data, shards)
 		if err != nil {
 			if mapped {
 				munmap(data)
@@ -367,7 +335,6 @@ func Open(dir string, cfg Config) (*Store, error) {
 				cfg.Logf("store: skipping snapshot %s: %v", sn.path, err)
 			}
 			info.SkippedSnapshots = append(info.SkippedSnapshots, sn.path)
-			cdb, sdb = nil, nil
 			continue
 		}
 		loaded = true
@@ -414,19 +381,10 @@ func Open(dir string, cfg Config) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		if sharded {
-			sdb, err = shard.New(voc, cfg.Core, cfg.Shards)
-			if err != nil {
-				return nil, fmt.Errorf("store: %w", err)
-			}
-		} else {
-			cdb = core.NewDB(voc, cfg.Core)
+		if db, err = shard.New(voc, cfg.Core, shards); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
 		}
 		fresh = true
-	}
-	var db engine = cdb
-	if sdb != nil {
-		db = sdb
 	}
 
 	_, osp := trace.StartSpan(rctx, "wal_open")
@@ -510,8 +468,6 @@ func Open(dir string, cfg Config) (*Store, error) {
 		dir:          dir,
 		cfg:          cfg,
 		db:           db,
-		cdb:          cdb,
-		sdb:          sdb,
 		log:          w,
 		met:          met,
 		mapping:      mapping,
@@ -534,14 +490,12 @@ func Open(dir string, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// DB returns the recovered unsharded database, or nil when the store
-// runs a sharded engine (then use Router). Mutations on it are logged
+// DB returns the recovered database. Mutations on it are logged
 // through the store; queries touch the store not at all.
-func (s *Store) DB() *core.DB { return s.cdb }
+func (s *Store) DB() *shard.DB { return s.db }
 
-// Router returns the recovered sharded database, or nil when the
-// store runs unsharded. Exactly one of DB and Router is non-nil.
-func (s *Store) Router() *shard.DB { return s.sdb }
+// Router is an alias of DB; e2ebench's replay calls it by this name.
+func (s *Store) Router() *shard.DB { return s.db }
 
 // Metrics returns the store's durability registry.
 func (s *Store) Metrics() *metrics.Durability { return s.met }
