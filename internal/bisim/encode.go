@@ -1,10 +1,9 @@
 package bisim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 
 	"contractdb/internal/buchi"
 	"contractdb/internal/vocab"
@@ -59,94 +58,198 @@ type ProjectionSnapshot struct {
 const quotientEdgeBudgetFactor = 2
 
 // Export captures the precomputed partitions and the budgeted
-// quotient table. It reads only immutable state (the partitions and
-// the parent's compiled form) and never touches the runtime quotient
-// cache, so concurrent query-path materializations cannot influence
-// the bytes: equal databases export equal snapshots regardless of
-// query history.
+// quotient table, rendered from the set's export memo (see
+// ExportFlat): the table is renumbered into the bottom-up visit order
+// formatVersion 3 writes. The memo depends only on immutable state
+// (the partitions and the parent's compiled form), never on the
+// runtime quotient cache, so concurrent query-path materializations
+// cannot influence the bytes: equal databases export equal snapshots
+// regardless of query history. The returned slices alias the memo;
+// treat them as read-only.
 func (ps *ProjectionSet) Export() ProjectionSnapshot {
-	s := ProjectionSnapshot{MaxSubset: ps.MaxSubset, Parts: make([]ProjectionEntry, 0, len(ps.parts))}
-	for set, p := range ps.parts {
-		s.Parts = append(s.Parts, ProjectionEntry{Set: set, Class: append([]int(nil), p.Class...)})
+	f := ps.exportMemo()
+	s := ProjectionSnapshot{MaxSubset: f.MaxSubset, Parts: make([]ProjectionEntry, len(f.PartRefs))}
+	for i, ref := range f.PartRefs {
+		s.Parts[i] = ProjectionEntry{Set: ref.Set, Class: f.PartTables[ref.Table].Class}
 	}
-	sort.Slice(s.Parts, func(i, j int) bool { return s.Parts[i].Set < s.Parts[j].Set })
-	ps.exportQuotients(&s)
+	s.QuotientTable, s.QuotientRefs = renumberQuotients(f.QuotientTable, f.QuotientRefs, bottomUp)
 	return s
 }
 
-func (ps *ProjectionSet) exportQuotients(s *ProjectionSnapshot) {
+// bottomUp orders event subsets smallest first, ties by value: the
+// order the quotient budget is spent in.
+func bottomUp(a, b vocab.Set) int {
+	if c := cmp.Compare(a.Len(), b.Len()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
+// renumberQuotients renumbers a quotient table by first occurrence
+// when refs (sorted by subset) are visited in the given subset order.
+// It returns the renumbered table and refs, still sorted by subset;
+// table entries no ref cites are dropped.
+func renumberQuotients(table []*buchi.Compiled, refs []QuotientRef, order func(a, b vocab.Set) int) ([]*buchi.Compiled, []QuotientRef) {
+	if len(refs) == 0 {
+		return nil, nil
+	}
+	visit := slices.Clone(refs)
+	slices.SortFunc(visit, func(x, y QuotientRef) int { return order(x.Set, y.Set) })
+	remap := make([]int, len(table))
+	for i := range remap {
+		remap[i] = -1
+	}
+	var out []*buchi.Compiled
+	for _, ref := range visit {
+		if remap[ref.Table] == -1 {
+			remap[ref.Table] = len(out)
+			out = append(out, table[ref.Table])
+		}
+	}
+	renum := make([]QuotientRef, len(refs))
+	for i, ref := range refs {
+		renum[i] = QuotientRef{Set: ref.Set, Table: remap[ref.Table]}
+	}
+	return out, renum
+}
+
+// selectQuotients picks the quotients the snapshot persists: subsets
+// are visited bottom-up (queries cite few events, so their relevant
+// subsets are small and the budget goes where the first queries
+// land), identical quotients share one table entry, and a new entry
+// is admitted only while the table's edges stay within budget. The
+// table comes back in visit order, the refs sorted by subset.
+//
+// Most subsets of a large contract are over budget, and their
+// derivation would be thrown away. A quotient keeps at least one edge
+// per distinct (class, target class) pair of its class
+// representatives, because canonicalization only drops edges inside a
+// target group; that bound needs the partition alone. A subset whose
+// bound no longer fits is skipped underived unless the table holds an
+// entry with as many states, the only kind it could share. Equal
+// quotients are found by a hash bucket plus an exact compare; hash is
+// a parameter so tests can force every quotient into one bucket.
+func (ps *ProjectionSet) selectQuotients(budget int, hash func(*buchi.Compiled) uint64) ([]*buchi.Compiled, []QuotientRef) {
 	if ps.Auto == nil || len(ps.parts) == 0 {
-		return
+		return nil, nil
 	}
 	pc := ps.Auto.Compiled()
-	budget := quotientEdgeBudgetFactor * pc.NumEdges()
-	// Bottom-up: smallest subsets first (ties by value). Queries cite
-	// few events, so their relevant subsets are small; the budget goes
-	// where the first queries land.
 	sets := ps.Subsets()
-	sort.Slice(sets, func(i, j int) bool {
-		li, lj := sets[i].Len(), sets[j].Len()
-		if li != lj {
-			return li < lj
-		}
-		return sets[i] < sets[j]
-	})
-	dedup := make(map[string]int)
-	used := 0
+	slices.SortFunc(sets, bottomUp)
+	var (
+		table   []*buchi.Compiled
+		refs    []QuotientRef
+		used    int
+		buckets = make(map[uint64][]int)
+		sizes   = make(map[int]int) // table entries per state count
+		bounds  = make(map[*Partition]int)
+	)
 	for _, set := range sets {
 		part := ps.parts[set]
-		if part.Count == ps.Auto.NumStates() && set == ps.Auto.Events {
+		if part.Count == pc.N && set == ps.Auto.Events {
 			continue // For serves the automaton itself; nothing to store
 		}
-		q := deriveQuotient(ps.Auto, *part, set)
-		qc := q.Compiled() // adopted at derivation, not flattened
-		key := compiledFingerprint(qc)
-		idx, ok := dedup[key]
-		if !ok {
+		if sizes[part.Count] == 0 {
+			lb, ok := bounds[part]
+			if !ok {
+				lb = edgeLowerBound(pc, part)
+				bounds[part] = lb
+			}
+			if used+lb > budget {
+				continue
+			}
+		}
+		qc := deriveQuotient(ps.Auto, *part, set).Compiled() // adopted at derivation, not flattened
+		h := hash(qc)
+		idx := -1
+		for _, i := range buckets[h] {
+			if sameCompiled(table[i], qc) {
+				idx = i
+				break
+			}
+		}
+		if idx < 0 {
 			if used+qc.NumEdges() > budget {
 				continue // keep scanning: later (larger) sets may still dedup
 			}
-			idx = len(s.QuotientTable)
-			s.QuotientTable = append(s.QuotientTable, qc)
-			dedup[key] = idx
+			idx = len(table)
+			table = append(table, qc)
+			buckets[h] = append(buckets[h], idx)
+			sizes[qc.N]++
 			used += qc.NumEdges()
 		}
-		s.QuotientRefs = append(s.QuotientRefs, QuotientRef{Set: set, Table: idx})
+		refs = append(refs, QuotientRef{Set: set, Table: idx})
 	}
-	sort.Slice(s.QuotientRefs, func(i, j int) bool { return s.QuotientRefs[i].Set < s.QuotientRefs[j].Set })
+	slices.SortFunc(refs, func(x, y QuotientRef) int { return cmp.Compare(x.Set, y.Set) })
+	return table, refs
 }
 
-// compiledFingerprint is an exact structural encoding used to share
-// identical quotients in the table; it is a full rendering, not a
-// hash, so distinct automata can never collide.
-func compiledFingerprint(c *buchi.Compiled) string {
-	var b strings.Builder
-	b.Grow(16 * (len(c.EdgeTo) + len(c.Labels) + c.N))
-	b.WriteString(strconv.Itoa(c.N))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(c.Init)))
-	b.WriteByte('|')
+// edgeLowerBound is the number of distinct (class, target class) pairs
+// over the class representatives deriveQuotient reads (each class's
+// first state): a lower bound on the derived quotient's edge count
+// for any subset with this partition.
+func edgeLowerBound(pc *buchi.Compiled, p *Partition) int {
+	seen := make([]int, p.Count) // seen[t] == c+1: class c reaches t
+	done := make([]bool, p.Count)
+	n := 0
+	for s := 0; s < pc.N; s++ {
+		c := p.Class[s]
+		if done[c] {
+			continue
+		}
+		done[c] = true
+		for e := pc.EdgeOff[s]; e < pc.EdgeOff[s+1]; e++ {
+			if t := p.Class[pc.EdgeTo[e]]; seen[t] != c+1 {
+				seen[t] = c + 1
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// hashCompiled hashes everything sameCompiled compares (FNV-1a over
+// 64-bit words); it only buckets candidates for the exact compare.
+func hashCompiled(c *buchi.Compiled) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		h ^= v
+		h *= 1099511628211
+	}
+	mix(uint64(c.N))
+	mix(uint64(c.Init))
 	for s, f := range c.Final {
 		if f {
-			b.WriteString(strconv.Itoa(s))
-			b.WriteByte(',')
+			mix(uint64(s))
 		}
 	}
-	b.WriteByte('|')
-	for s := 0; s < c.N; s++ {
-		for e := c.EdgeOff[s]; e < c.EdgeOff[s+1]; e++ {
-			l := c.Labels[c.EdgeLabel[e]]
-			b.WriteString(strconv.Itoa(s))
-			b.WriteByte('>')
-			b.WriteString(strconv.Itoa(int(c.EdgeTo[e])))
-			b.WriteByte(':')
-			b.WriteString(strconv.FormatUint(uint64(l.Pos), 16))
-			b.WriteByte('/')
-			b.WriteString(strconv.FormatUint(uint64(l.Neg), 16))
-			b.WriteByte(';')
+	for _, off := range c.EdgeOff {
+		mix(uint64(off))
+	}
+	for e, to := range c.EdgeTo {
+		l := c.Labels[c.EdgeLabel[e]]
+		mix(uint64(to))
+		mix(uint64(l.Pos))
+		mix(uint64(l.Neg))
+	}
+	return h
+}
+
+// sameCompiled reports whether two quotients of one parent are the
+// same automaton: state count, initial state, acceptance, and every
+// edge's target and label in CSR order. Label ids may differ as long
+// as the labels they name agree.
+func sameCompiled(a, b *buchi.Compiled) bool {
+	if a.N != b.N || a.Init != b.Init || !slices.Equal(a.Final, b.Final) ||
+		!slices.Equal(a.EdgeOff, b.EdgeOff) || !slices.Equal(a.EdgeTo, b.EdgeTo) {
+		return false
+	}
+	for e := range a.EdgeLabel {
+		if a.Labels[a.EdgeLabel[e]] != b.Labels[b.EdgeLabel[e]] {
+			return false
 		}
 	}
-	return b.String()
+	return true
 }
 
 // ImportProjections rebuilds a ProjectionSet for auto from a

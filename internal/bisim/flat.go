@@ -1,6 +1,7 @@
 package bisim
 
 import (
+	"cmp"
 	"fmt"
 
 	"contractdb/internal/buchi"
@@ -35,15 +36,43 @@ type FlatProjections struct {
 	QuotientRefs  []QuotientRef
 }
 
-// ExportFlat captures the projection set in flat form. Like Export it
-// reads only immutable precomputed state, never the runtime quotient
-// cache, so equal databases export equal structures regardless of
-// query history. The returned tables alias the set's internal state.
-func (ps *ProjectionSet) ExportFlat() FlatProjections {
+// ExportFlat captures the projection set in flat form. It returns the
+// set's export memo, built on first use by one pass over the
+// precomputed partitions and the budgeted quotient selection, and
+// never again: partitions and the parent's compiled form are
+// immutable, so every export of a set — the registration record, each
+// checkpoint — renders the same structure. A set loaded by ImportFlat
+// starts with the memo seeded from its persisted tables. Like Export
+// it never reads the runtime quotient cache, so equal databases export
+// equal structures regardless of query history. The returned tables
+// alias the memo; treat them as read-only.
+func (ps *ProjectionSet) ExportFlat() FlatProjections { return *ps.exportMemo() }
+
+// PrepareExport builds the export memo now, so the first checkpoint
+// covering the set finds it ready. Callers run it off every engine
+// lock.
+func (ps *ProjectionSet) PrepareExport() { ps.exportMemo() }
+
+func (ps *ProjectionSet) exportMemo() *FlatProjections {
+	ps.exportOnce.Do(func() {
+		budget := 0
+		if ps.Auto != nil {
+			budget = quotientEdgeBudgetFactor * ps.Auto.Compiled().NumEdges()
+		}
+		ps.export = ps.flatten(ps.selectQuotients(budget, hashCompiled))
+	})
+	return &ps.export
+}
+
+// flatten builds the flat form of the set's partitions around a
+// quotient selection (refs sorted by subset). Partition tables are
+// deduplicated by content, not pointer: partitions imported from an
+// old snapshot and partitions freshly precomputed must flatten to the
+// same tables for the cross-version byte-equality guarantee. Both
+// tables are numbered by first occurrence in subset order, so the
+// flat numbering is canonical.
+func (ps *ProjectionSet) flatten(table []*buchi.Compiled, refs []QuotientRef) FlatProjections {
 	f := FlatProjections{MaxSubset: ps.MaxSubset}
-	// Dedup by content, not pointer: partitions imported from an old
-	// snapshot and partitions freshly precomputed must flatten to the
-	// same tables for the cross-version byte-equality guarantee.
 	dedup := make(map[string]int)
 	for _, set := range ps.Subsets() {
 		p := ps.parts[set]
@@ -56,22 +85,7 @@ func (ps *ProjectionSet) ExportFlat() FlatProjections {
 		}
 		f.PartRefs = append(f.PartRefs, PartRef{Set: set, Table: idx})
 	}
-	// Reuse v3's budgeted quotient selection (fixed bottom-up visit
-	// order), then renumber table entries by first occurrence in the
-	// Set-sorted reference list so the flat numbering is canonical.
-	var v3 ProjectionSnapshot
-	ps.exportQuotients(&v3)
-	remap := make([]int, len(v3.QuotientTable))
-	for i := range remap {
-		remap[i] = -1
-	}
-	for _, ref := range v3.QuotientRefs {
-		if remap[ref.Table] == -1 {
-			remap[ref.Table] = len(f.QuotientTable)
-			f.QuotientTable = append(f.QuotientTable, v3.QuotientTable[ref.Table])
-		}
-		f.QuotientRefs = append(f.QuotientRefs, QuotientRef{Set: ref.Set, Table: remap[ref.Table]})
-	}
+	f.QuotientTable, f.QuotientRefs = renumberQuotients(table, refs, func(a, b vocab.Set) int { return cmp.Compare(a, b) })
 	return f
 }
 
@@ -193,6 +207,11 @@ func ImportFlat(auto *buchi.BA, labelEvents vocab.Set, f FlatProjections) (*Proj
 	if nextQuot != len(qBA) {
 		return nil, fmt.Errorf("bisim: %d quotient tables stored, %d referenced", len(qBA), nextQuot)
 	}
+	// The validated form is exactly what ExportFlat would build (the
+	// numbering checks above enforce its canonical shape), so it seeds
+	// the export memo: a checkpoint re-exports the persisted tables,
+	// still aliasing their storage, and derives nothing.
+	ps.exportOnce.Do(func() { ps.export = f })
 	return ps, nil
 }
 

@@ -3,6 +3,7 @@ package bisim
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"contractdb/internal/buchi"
 	"contractdb/internal/vocab"
@@ -22,8 +23,12 @@ import (
 // performance of queries with more than k literals", not their
 // answers).
 //
-// A ProjectionSet is not safe for concurrent use; the broker engine
-// serializes access.
+// For, which fills the lazy quotient cache, is not safe for
+// concurrent use; the broker engine serializes it. Everything else
+// reads only state fixed at construction or the export memo, which a
+// sync.Once guards: Export, ExportFlat and PrepareExport (and
+// Subsets, LabelEvents and StorageStates) are safe to call from any
+// goroutine, concurrently with each other and with a serialized For.
 type ProjectionSet struct {
 	Auto      *buchi.BA
 	MaxSubset int
@@ -38,6 +43,11 @@ type ProjectionSet struct {
 
 	parts     map[vocab.Set]*Partition
 	quotients map[vocab.Set]*buchi.BA
+
+	// export is the flat form every export renders, built once (see
+	// ExportFlat).
+	exportOnce sync.Once
+	export     FlatProjections
 
 	// DistinctPartitions counts unique partitions among the
 	// precomputed subsets, reproducing the paper's ~5% observation.
@@ -177,6 +187,7 @@ func (ps *ProjectionSet) For(queryEvents vocab.Set) *buchi.BA {
 // adjacency alongside would add 24 bytes per edge and a 24-byte slice
 // header per state, before append slack.
 func deriveQuotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
+	derivations.Add(1)
 	pc := a.Compiled()
 	// projected[projID[i]] is parent label i projected onto keep, with
 	// equal projections sharing one entry.
@@ -262,6 +273,16 @@ func deriveQuotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
 	}
 	return q
 }
+
+// derivations counts deriveQuotient calls process-wide. The
+// export-once tests assert a zero delta across checkpoints: every
+// contract's quotient selection is derived at most once.
+var derivations atomic.Int64
+
+// DerivationCount returns the number of quotient derivations performed
+// by this process so far, on the query path and at export alike.
+// Tests use deltas; the absolute value is meaningless.
+func DerivationCount() int64 { return derivations.Load() }
 
 // deriveScratch is deriveQuotient's working memory, pooled so that a
 // derivation's only lasting allocations are the quotient's own arrays:

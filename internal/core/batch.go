@@ -101,8 +101,11 @@ func (db *DB) RegisterBatch(specs []Registration, workers int) []BatchResult {
 
 	// Phase 1 (parallel, one task per distinct spec): translate,
 	// precompute projections, enumerate prefilter nodes.
+	db.mu.RLock()
 	maxStates := db.opts.MaxAutomatonStates
 	prefilterK := db.index.K()
+	logging := db.oplog != nil
+	db.mu.RUnlock()
 	var wg sync.WaitGroup
 	work := make(chan *group)
 	for w := 0; w < workers; w++ {
@@ -128,6 +131,9 @@ func (db *DB) RegisterBatch(specs []Registration, workers int) []BatchResult {
 				tProj := time.Now()
 				ps := bisim.Precompute(auto, db.effectiveBudget(auto))
 				g.projTime = time.Since(tProj)
+				if logging {
+					ps.PrepareExport() // phase 2 encodes the records under the lock
+				}
 				g.auto = auto
 				g.checker = permission.NewChecker(auto)
 				g.proj = &projState{ps: ps}
@@ -175,7 +181,7 @@ func (db *DB) RegisterBatch(specs []Registration, workers int) []BatchResult {
 			checker: g.checker,
 			proj:    g.proj,
 		}
-		if err := db.logRegisterLocked(c); err != nil {
+		if err := db.logRegisterLocked(c, nil); err != nil {
 			out[i].Err = fmt.Errorf("core: contract %q: %w", name, err)
 			continue
 		}

@@ -295,9 +295,10 @@ func (c *Contract) Events() vocab.Set { return c.auto.Events }
 // sink that receives every mutating operation after it has been
 // validated and before it is applied to the in-memory state
 // (append-before-apply). The calls happen under the database's write
-// lock, so the log order is exactly the apply order. A sink error
-// aborts the operation — nothing is applied that was not first logged.
-// internal/store implements it over a wal.Log.
+// lock, so the log order is exactly the apply order; Register encodes
+// its record before taking the lock, so only the append waits there.
+// A sink error aborts the operation — nothing is applied that was not
+// first logged. internal/store implements it over a wal.Log.
 type OpLog interface {
 	// LogRegister receives the encoded registration record (the
 	// byte-deterministic per-contract encoding of the current snapshot
@@ -337,6 +338,11 @@ type DB struct {
 	// promotions whose originating registration was traced
 	// (SetTracer). Atomic: promotions read it without db.mu.
 	tracer atomic.Pointer[trace.Tracer]
+
+	// encodeHook, when set, runs at the start of every registration
+	// record encoding (SetEncodeHook; tests only). Atomic: Register
+	// encodes without db.mu.
+	encodeHook atomic.Pointer[func()]
 
 	// registration-time cost accounting for the §7.4 measurements
 	registerTime   time.Duration
@@ -531,6 +537,7 @@ func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Co
 	}
 	maxStates := db.opts.MaxAutomatonStates
 	pipeline := db.ingest
+	logging := db.oplog != nil
 	db.mu.Unlock()
 
 	auto, err := ltl2ba.TranslateBounded(db.voc, spec, maxStates)
@@ -553,6 +560,17 @@ func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Co
 		c.proj.ps = bisim.Precompute(auto, db.effectiveBudget(auto))
 		projElapsed = time.Since(t)
 	}
+	// Build the log record before taking the write lock: exporting the
+	// projections is its costly part, and it reads only the still
+	// private contract and the append-only vocabulary. Under the lock
+	// remain the duplicate check, the append and the apply, so log
+	// order is still apply order.
+	var rec []byte
+	if logging {
+		if rec, err = db.encodeRegistration(c); err != nil {
+			return nil, fmt.Errorf("core: contract %q: %w", name, err)
+		}
+	}
 
 	db.mu.Lock()
 	// Re-check: an explicit name can race another registration in the
@@ -565,7 +583,7 @@ func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Co
 	db.translations++
 	db.projectionTime += projElapsed
 
-	if err := db.logRegisterLocked(c); err != nil {
+	if err := db.logRegisterLocked(c, rec); err != nil {
 		db.mu.Unlock()
 		return nil, fmt.Errorf("core: contract %q: %w", name, err)
 	}
@@ -605,16 +623,19 @@ func (db *DB) nextAutoName() string {
 }
 
 // logRegisterLocked appends c's registration to the op log, if one is
-// attached. Callers hold the write lock and have fully validated c.
-func (db *DB) logRegisterLocked(c *Contract) error {
+// attached, encoding it here unless the caller already has (rec). Callers
+// hold the write lock and have fully validated c.
+func (db *DB) logRegisterLocked(c *Contract, rec []byte) error {
 	if db.oplog == nil {
 		return nil
 	}
-	enc, err := db.encodeRegistration(c)
-	if err != nil {
-		return err
+	if rec == nil {
+		var err error
+		if rec, err = db.encodeRegistration(c); err != nil {
+			return err
+		}
 	}
-	if err := db.oplog.LogRegister(enc); err != nil {
+	if err := db.oplog.LogRegister(rec); err != nil {
 		return fmt.Errorf("%w: %w", ErrDurability, err)
 	}
 	return nil

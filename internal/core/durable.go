@@ -33,10 +33,14 @@ type registrationRecord struct {
 	Contract      contractSnapshot
 }
 
-// encodeRegistration serializes c for the op log. Callers hold db.mu
-// (read or write); Register calls it under the write lock before the
-// contract becomes visible.
+// encodeRegistration serializes c for the op log. It needs no db.mu:
+// Register calls it before taking the write lock, while c is still
+// private, and the vocabulary is append-only, so the snapshot it takes
+// already names every event c's automaton cites.
 func (db *DB) encodeRegistration(c *Contract) ([]byte, error) {
+	if hook := db.encodeHook.Load(); hook != nil {
+		(*hook)()
+	}
 	rec := registrationRecord{
 		FormatVersion: formatVersion,
 		Events:        db.voc.Names(),
@@ -47,6 +51,18 @@ func (db *DB) encodeRegistration(c *Contract) ([]byte, error) {
 		return nil, fmt.Errorf("encode registration: %w", err)
 	}
 	return buf.Bytes(), nil
+}
+
+// SetEncodeHook installs f (nil clears it) to run at the start of
+// every registration-record encoding on db. It exists for tests that
+// park a registration mid-encode to show what the engine lock does and
+// does not wait for; nothing else sets it.
+func (db *DB) SetEncodeHook(f func()) {
+	if f == nil {
+		db.encodeHook.Store(nil)
+		return
+	}
+	db.encodeHook.Store(&f)
 }
 
 // RegistrationExport is one contract re-encoded as a registration

@@ -182,6 +182,9 @@ func (db *DB) promoteLinked(c *Contract, link trace.SpanContext) {
 	t := time.Now()
 	ps := bisim.Precompute(c.auto, db.effectiveBudget(c.auto))
 	elapsed := time.Since(t)
+	// Export once, here, off every lock: the next checkpoint renders
+	// the contract from this memo instead of deriving its quotients.
+	ps.PrepareExport()
 	if tr != nil {
 		if sp := trace.SpanFrom(tctx); sp != nil {
 			sp.SetAttr("contract", c.Name)

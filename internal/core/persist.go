@@ -80,7 +80,9 @@ const (
 func SnapshotFormatVersion() int { return formatVersion }
 
 // exportContract renders one contract in its persisted form. Callers
-// hold db.mu (read suffices; proj.mu is taken inside). The compiled
+// hold db.mu (read suffices) or, like Register before publishing c,
+// own c outright; proj.mu is taken inside, only to read the projection
+// set, whose export needs no lock. The compiled
 // form is exported through Compiled(), so a contract whose CSR form
 // was never needed pays the one flattening now rather than on every
 // future load.
@@ -95,10 +97,11 @@ func exportContract(c *Contract) contractSnapshot {
 		Compiled: c.auto.Compiled(),
 	}
 	c.proj.mu.Lock()
-	if c.proj.ps != nil {
-		cs.Projections = c.proj.ps.Export()
-	}
+	ps := c.proj.ps
 	c.proj.mu.Unlock()
+	if ps != nil {
+		cs.Projections = ps.Export() // safe without proj.mu; see bisim.ProjectionSet
+	}
 	return cs
 }
 

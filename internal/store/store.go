@@ -531,8 +531,8 @@ func (s *Store) logOp(typ byte, data []byte) error {
 }
 
 // checkpointLoop runs threshold-triggered checkpoints off the write
-// path (a checkpoint needs the database read lock; the trigger fires
-// under the write lock).
+// path (a checkpoint read-locks each shard to copy its contract list;
+// the trigger fires under the write lock).
 func (s *Store) checkpointLoop() {
 	defer s.wg.Done()
 	for {
