@@ -1,8 +1,7 @@
 // Package store is the broker's durable storage engine: it owns a
 // data directory and keeps a database — the shard router of
 // internal/shard at Config.Shards shards (one by default) — crash-safe
-// by combining the write-ahead log of internal/wal with periodic
-// snapshots.
+// through internal/journal's write-ahead log and snapshot generations.
 //
 // Layout of a data directory:
 //
@@ -10,28 +9,19 @@
 //	                           op with sequence < boundary
 //	wal/wal-<firstSeq>.seg     log segments (see internal/wal)
 //
-// Open recovers: it loads the newest snapshot that still decodes,
-// opens the WAL (which truncates a torn tail and refuses mid-log
-// corruption), and replays every record past the snapshot's boundary.
-// Replay restores the precomputed registration artifacts from the
-// records themselves — no automata are re-translated — so recovery
-// cost is I/O, not the paper's hours-long registration step.
-//
-// The snapshot boundary is a conservative lower bound: a checkpoint
-// seals the WAL at boundary B and then snapshots, so ops ≥ B that land
-// while the snapshot is being written are both in the snapshot and in
-// the replayed suffix. Replay is therefore idempotent (core's
-// Apply* operations skip what is already present / already absent),
-// which makes the recovered state converge on exactly the state a
-// never-crashed database would hold.
+// Open recovers through the journal: the newest snapshot that decodes
+// (memory-mapped when it is a v4 container), then every record past
+// its boundary. Replay restores the precomputed registration artifacts
+// from the records themselves — no automata are re-translated — so
+// recovery cost is I/O, not the paper's hours-long registration step.
+// Replay is idempotent (core's Apply* operations skip what is already
+// present / already absent), as the journal's conservative boundary
+// requires.
 //
 // Checkpointing runs in the background when the record- or byte-count
 // since the last snapshot crosses a threshold, and on demand (the
-// server's POST /v1/checkpoint). A checkpoint writes the snapshot to a
-// temp file, fsyncs, atomically renames, fsyncs the directory, then
-// prunes snapshots beyond the retention count and every WAL segment
-// the oldest retained snapshot makes obsolete. Close checkpoints one
-// final time, so a cleanly shut down store reopens with zero replay.
+// server's POST /v1/checkpoint). Close checkpoints one final time, so
+// a cleanly shut down store reopens with zero replay.
 package store
 
 import (
@@ -39,14 +29,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"contractdb/internal/core"
+	"contractdb/internal/journal"
 	"contractdb/internal/metrics"
 	"contractdb/internal/shard"
 	"contractdb/internal/trace"
@@ -64,7 +51,6 @@ const (
 const (
 	DefaultCheckpointRecords = 1024
 	DefaultCheckpointBytes   = 64 << 20
-	DefaultKeepSnapshots     = 2
 )
 
 // Config configures a Store. The zero value is usable: an empty
@@ -101,7 +87,7 @@ type Config struct {
 	CheckpointBytes   int64
 	// KeepSnapshots is how many snapshot generations to retain (the WAL
 	// is pruned against the oldest retained one). Zero selects
-	// DefaultKeepSnapshots.
+	// journal.DefaultKeep.
 	KeepSnapshots int
 	// NoMmap disables memory-mapping v4 snapshot containers at Open;
 	// the file is read into the heap instead (the slabs are still
@@ -132,13 +118,6 @@ func (c Config) checkpointBytes() int64 {
 		return DefaultCheckpointBytes
 	}
 	return c.CheckpointBytes
-}
-
-func (c Config) keepSnapshots() int {
-	if c.KeepSnapshots <= 0 {
-		return DefaultKeepSnapshots
-	}
-	return c.KeepSnapshots
 }
 
 // RecoveryInfo reports what Open had to do to reach a servable state.
@@ -182,10 +161,9 @@ type RecoveryInfo struct {
 // Store is an open durable contract database. All methods are safe
 // for concurrent use.
 type Store struct {
-	dir string
 	cfg Config
 	db  *shard.DB
-	log *wal.Log
+	j   *journal.Journal
 	met *metrics.Durability
 
 	// mapping is the snapshot file mapping the database's slabs alias
@@ -200,44 +178,12 @@ type Store struct {
 	mu           sync.Mutex // guards the fields below
 	sinceRecords int        // appends since the last snapshot
 	sinceBytes   int64
-	lastBoundary uint64 // boundary of the newest snapshot on disk
 	closed       bool
 
 	ckptMu sync.Mutex // serializes checkpoint runs
 	ckptC  chan struct{}
 	stop   chan struct{}
 	wg     sync.WaitGroup
-}
-
-func snapshotName(boundary uint64) string {
-	return fmt.Sprintf("snapshot-%020d.ctdb", boundary)
-}
-
-type snapshotFile struct {
-	path     string
-	boundary uint64
-}
-
-// listSnapshots returns the directory's snapshots, newest first.
-func listSnapshots(dir string) ([]snapshotFile, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var out []snapshotFile
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "snapshot-") || !strings.HasSuffix(name, ".ctdb") {
-			continue
-		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snapshot-"), ".ctdb"), 10, 64)
-		if err != nil {
-			continue // not ours
-		}
-		out = append(out, snapshotFile{path: filepath.Join(dir, name), boundary: seq})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].boundary > out[j].boundary })
-	return out, nil
 }
 
 // readSnapshotFile brings a snapshot's bytes into memory, preferring
@@ -286,65 +232,50 @@ func readSnapshotFile(path string, noMmap bool) (data []byte, mapped bool, fallb
 // OpLog, so every mutation on DB() is durably logged before it
 // applies.
 func Open(dir string, cfg Config) (*Store, error) {
-	start := time.Now()
 	// The recovery trace is always retained (Start bypasses sampling);
 	// a failed open still finishes it, recording how far recovery got.
 	rctx, rtr := cfg.Tracer.Start(context.Background(), "recovery")
 	defer cfg.Tracer.Finish(rtr)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
 	met := cfg.Metrics
 	if met == nil {
 		met = &metrics.Durability{}
 	}
-	// A crash mid-checkpoint leaves a temp file the rename never
-	// promoted; it holds nothing the WAL does not.
-	stale, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	for _, p := range stale {
-		os.Remove(p)
-	}
-
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		return nil, err
-	}
 	var info RecoveryInfo
 	var db *shard.DB
 	shards := max(1, cfg.Shards)
-	loaded := false
-	boundary := uint64(1)
 	var mapping []byte // live snapshot mapping; munmapped at Close
-	_, lsp := trace.StartSpan(rctx, "load_snapshot")
-	for _, sn := range snaps {
-		data, mapped, fallback, err := readSnapshotFile(sn.path, cfg.NoMmap)
+	load := func(path string) error {
+		if path == "" {
+			voc, err := vocab.FromNames(cfg.Events...)
+			if err != nil {
+				return fmt.Errorf("store: %w", err)
+			}
+			if db, err = shard.New(voc, cfg.Core, shards); err != nil {
+				return fmt.Errorf("store: %w", err)
+			}
+			return nil
+		}
+		data, mapped, fallback, err := readSnapshotFile(path, cfg.NoMmap)
 		if err != nil {
-			info.SkippedSnapshots = append(info.SkippedSnapshots, sn.path)
-			continue
+			return err
 		}
 		// The loader reads sharded and unsharded snapshots alike and
 		// deals the contracts across the configured count, so changing
 		// Shards across restarts never strands a directory.
 		var lstats core.LoadStats
-		db, lstats, err = shard.LoadBytesWithStats(data, shards)
-		if err != nil {
+		if db, lstats, err = shard.LoadBytesWithStats(data, shards); err != nil {
 			if mapped {
 				munmap(data)
 			}
 			if cfg.Logf != nil {
-				cfg.Logf("store: skipping snapshot %s: %v", sn.path, err)
+				cfg.Logf("store: skipping snapshot %s: %v", path, err)
 			}
-			info.SkippedSnapshots = append(info.SkippedSnapshots, sn.path)
-			continue
+			return err
 		}
-		loaded = true
-		boundary = sn.boundary
 		if mapped {
 			mapping = data
 			info.MappedBytes = int64(len(data))
 		}
-		info.SnapshotSeq = sn.boundary
-		info.SnapshotPath = sn.path
 		info.SnapshotFormat = lstats.FormatVersion
 		info.SnapshotDecode = lstats.Decode
 		info.ArtifactRestore = lstats.Restore
@@ -359,134 +290,65 @@ func Open(dir string, cfg Config) (*Store, error) {
 			// that buffer), or through the gob decoder for legacy.
 			info.CopiedBytes = int64(len(data))
 		}
-		break
+		return nil
 	}
-	if lsp != nil {
-		lsp.SetAttr("boundary", boundary)
-		lsp.SetAttr("skipped", len(info.SkippedSnapshots))
-		if info.SnapshotPath != "" {
-			lsp.SetAttr("path", filepath.Base(info.SnapshotPath))
+	apply := func(r wal.Record) error {
+		switch r.Type {
+		case recordRegister:
+			return db.ApplyRegistration(r.Data)
+		case recordUnregister:
+			return db.ApplyUnregister(string(r.Data))
 		}
+		return fmt.Errorf("store: replay: unknown record type %d at seq %d (written by a newer build?)", r.Type, r.Seq)
 	}
-	lsp.End()
-	fresh := false
-	if !loaded {
-		if len(snaps) > 0 {
-			// Snapshots existed and none decodes: the WAL alone cannot
-			// reach back to sequence 1 (it is pruned against snapshots),
-			// so recovering here would fabricate state. Refuse loudly.
-			return nil, fmt.Errorf("store: all %d snapshots in %s are unreadable; refusing to recover from the WAL alone", len(snaps), dir)
-		}
-		voc, err := vocab.FromNames(cfg.Events...)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		if db, err = shard.New(voc, cfg.Core, shards); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		fresh = true
-	}
-
-	_, osp := trace.StartSpan(rctx, "wal_open")
-	w, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{
-		SegmentBytes: cfg.SegmentBytes,
-		Sync:         cfg.Sync,
-		SyncInterval: cfg.SyncInterval,
-		StartSeq:     boundary,
-		Metrics:      met,
-	})
-	osp.SetError(err)
+	j, rec, err := journal.Open(rctx, journal.Config{
+		Dir:    dir,
+		Prefix: "snapshot-",
+		Suffix: ".ctdb",
+		Keep:   cfg.KeepSnapshots,
+		WAL: wal.Options{
+			SegmentBytes: cfg.SegmentBytes,
+			Sync:         cfg.Sync,
+			SyncInterval: cfg.SyncInterval,
+			Metrics:      met,
+		},
+	}, load, apply)
 	if err != nil {
-		osp.End()
 		if mapping != nil {
 			munmap(mapping)
 		}
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if osp != nil {
-		osp.SetAttr("segments", w.SegmentCount())
-		osp.SetAttr("truncated_bytes", w.TruncatedBytes)
-	}
-	osp.End()
-	ok := false
-	defer func() {
-		if !ok {
-			w.Close()
-			if mapping != nil {
-				munmap(mapping)
-			}
-		}
-	}()
-	info.TruncatedBytes = w.TruncatedBytes
-
-	// The log must reach back to the snapshot boundary: a first
-	// retained record later than the boundary means ops were pruned
-	// that the snapshot does not cover.
-	if first := w.FirstSeq(); first != 0 && first > boundary {
-		return nil, fmt.Errorf("store: WAL starts at seq %d but snapshot covers only seq < %d (log gap)", first, boundary)
-	}
-	if next := w.NextSeq(); next < boundary {
-		return nil, fmt.Errorf("store: snapshot covers seq < %d but the WAL ends at %d (log lost)", boundary, next)
-	}
-
-	replayed := 0
-	replayStart := time.Now()
-	pctx, psp := trace.StartSpan(rctx, "wal_replay")
-	err = w.ReplayCtx(pctx, boundary, func(r wal.Record) error {
-		switch r.Type {
-		case recordRegister:
-			if err := db.ApplyRegistration(r.Data); err != nil {
-				return err
-			}
-		case recordUnregister:
-			if err := db.ApplyUnregister(string(r.Data)); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("store: replay: unknown record type %d at seq %d (written by a newer build?)", r.Type, r.Seq)
-		}
-		replayed++
-		return nil
-	})
-	if psp != nil {
-		psp.SetAttr("replayed", replayed)
-	}
-	psp.SetError(err)
-	psp.End()
-	if err != nil {
 		return nil, err
 	}
-	info.ReplayedRecords = replayed
-	info.WALReplay = time.Since(replayStart)
-	info.Duration = time.Since(start)
-	info.Clean = replayed == 0 && info.TruncatedBytes == 0 && len(info.SkippedSnapshots) == 0
-	met.RecoveryReplayed.Add(int64(replayed))
-	met.RecoveryTruncated.Add(info.TruncatedBytes)
-	met.Recovery.Observe(info.Duration)
+	info.SnapshotSeq = rec.Boundary
+	info.SnapshotPath = rec.Path
+	info.SkippedSnapshots = rec.Skipped
+	info.ReplayedRecords = rec.Replayed
+	info.TruncatedBytes = rec.Truncated
+	info.WALReplay = rec.WALReplay
+	info.Duration = rec.Duration
+	info.Clean = rec.Clean()
 
 	s := &Store{
-		dir:          dir,
-		cfg:          cfg,
-		db:           db,
-		log:          w,
-		met:          met,
-		mapping:      mapping,
-		Recovery:     info,
-		lastBoundary: boundary,
-		ckptC:        make(chan struct{}, 1),
-		stop:         make(chan struct{}),
+		cfg:      cfg,
+		db:       db,
+		j:        j,
+		met:      met,
+		mapping:  mapping,
+		Recovery: info,
+		ckptC:    make(chan struct{}, 1),
+		stop:     make(chan struct{}),
 	}
-	if fresh {
+	if rec.Path == "" {
 		// Materialize the empty state so the vocabulary and options
 		// survive even if the process dies before the first checkpoint.
-		if err := s.writeSnapshot(boundary); err != nil {
+		if _, err := s.checkpoint(); err != nil {
+			j.Close()
 			return nil, err
 		}
 	}
 	db.SetOpLog(s)
 	s.wg.Add(1)
 	go s.checkpointLoop()
-	ok = true
 	return s, nil
 }
 
@@ -512,7 +374,7 @@ func (s *Store) LogUnregister(name string) error {
 }
 
 func (s *Store) logOp(typ byte, data []byte) error {
-	if _, err := s.log.Append(typ, data); err != nil {
+	if _, err := s.j.Append(typ, data); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -541,7 +403,6 @@ func (s *Store) checkpointLoop() {
 			return
 		case <-s.ckptC:
 			if _, err := s.Checkpoint(); err != nil {
-				s.met.CheckpointErrors.Inc()
 				if s.cfg.Logf != nil {
 					s.cfg.Logf("store: background checkpoint: %v", err)
 				}
@@ -567,125 +428,43 @@ func (s *Store) Checkpoint() (uint64, error) {
 	return s.checkpoint()
 }
 
-// checkpoint is Checkpoint without the closed guard; Close uses it for
-// the final flush. Callers hold ckptMu.
+// checkpoint is Checkpoint without the closed guard; Open and Close
+// use it for the first and final snapshots. Callers hold ckptMu or
+// own the store exclusively.
 func (s *Store) checkpoint() (uint64, error) {
 	ctx, tr := s.cfg.Tracer.Start(context.Background(), "checkpoint")
 	defer s.cfg.Tracer.Finish(tr)
 	root := trace.SpanFrom(ctx)
 
-	_, ssp := trace.StartSpan(ctx, "seal")
-	boundary, err := s.log.Seal()
-	ssp.SetError(err)
-	ssp.End()
+	boundary, fresh, err := s.j.Seal(ctx)
 	if err != nil {
 		return 0, err
 	}
 	if root != nil {
 		root.SetAttr("boundary", boundary)
-	}
-	s.mu.Lock()
-	last := s.lastBoundary
-	s.mu.Unlock()
-	if boundary == last {
-		if root != nil {
+		if !fresh {
 			root.SetAttr("noop", true)
 		}
+	}
+	if !fresh {
 		return boundary, nil // nothing new to cover
 	}
-
-	start := time.Now()
-	_, wsp := trace.StartSpan(ctx, "snapshot")
-	err = s.writeSnapshot(boundary)
-	wsp.SetError(err)
-	wsp.End()
+	// The ingest pipeline is drained first so the snapshot holds
+	// full-tier state: recovery from it redoes no projection work.
+	err = s.j.Commit(ctx, boundary, func(w io.Writer) error {
+		s.db.WaitIdle()
+		return s.db.Save(w)
+	})
 	if err != nil {
 		return 0, err
 	}
-	s.met.CheckpointWrite.Observe(time.Since(start))
-	s.met.Checkpoints.Inc()
-
 	s.mu.Lock()
-	s.lastBoundary = boundary
 	// Appends racing the snapshot write are both in it and still in the
 	// WAL suffix; resetting to zero over-covers them, which only delays
 	// the next checkpoint, never loses data.
 	s.sinceRecords, s.sinceBytes = 0, 0
 	s.mu.Unlock()
-
-	_, psp := trace.StartSpan(ctx, "prune")
-	err = s.prune()
-	psp.SetError(err)
-	psp.End()
-	if err != nil {
-		return boundary, err
-	}
 	return boundary, nil
-}
-
-// writeSnapshot persists the current state as covering seq < boundary:
-// temp file, fsync, atomic rename, directory fsync. The ingest
-// pipeline is drained first so the snapshot holds full-tier state —
-// recovery from it redoes no projection work.
-func (s *Store) writeSnapshot(boundary uint64) error {
-	s.db.WaitIdle()
-	final := filepath.Join(s.dir, snapshotName(boundary))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	if err := s.db.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// prune removes snapshots beyond the retention count and WAL segments
-// entirely covered by the oldest retained snapshot.
-func (s *Store) prune() error {
-	snaps, err := listSnapshots(s.dir)
-	if err != nil {
-		return err
-	}
-	keep := s.cfg.keepSnapshots()
-	if len(snaps) > keep {
-		for _, sn := range snaps[keep:] {
-			if err := os.Remove(sn.path); err != nil {
-				return fmt.Errorf("store: prune: %w", err)
-			}
-			s.met.SnapshotsPruned.Inc()
-		}
-		snaps = snaps[:keep]
-	}
-	oldest := snaps[len(snaps)-1].boundary
-	if _, err := s.log.PruneBelow(oldest); err != nil {
-		return err
-	}
-	return nil
 }
 
 // Close checkpoints any unsnapshotted suffix, flushes and closes the
@@ -714,7 +493,7 @@ func (s *Store) Close() error {
 	// The final checkpoint drained the pipeline; now stop its workers.
 	s.db.Close()
 
-	werr := s.log.Close()
+	werr := s.j.Close()
 	// Last: the final checkpoint above read the mapped slabs while
 	// re-saving, so the mapping must outlive it.
 	if s.mapping != nil {

@@ -6,35 +6,29 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
+	"contractdb/internal/journal"
 	"contractdb/internal/metrics"
 	"contractdb/internal/monitor"
 	"contractdb/internal/vocab"
 	"contractdb/internal/wal"
 )
 
-// Journal layout and offset protocol.
+// Journal records and checkpoint payload.
 //
-// A durable broker keeps a WAL (Dir/wal) of three record types —
-// stream creates, deletes, and event batches — appended before the
-// operation is acknowledged, exactly like the contract store's
-// append-before-apply discipline. Checkpoints quiesce intake (every
-// shard's ingestMu held, queues drained, so every acknowledged record
-// is applied), seal the WAL at a boundary sequence, and write
-// Dir/streams-<boundary>.snap: per stream, the contract list, the
+// A durable broker keeps an internal/journal in Config.Dir: a WAL of
+// three record types — stream creates, deletes, and event batches —
+// appended before the operation is acknowledged, plus generations
+// streams-<boundary>.snap holding, per stream, the contract list, the
 // current frontier bitset words, the applied-event count, and the full
-// verdict history with its sequence numbers. Recovery loads the newest
-// decodable snapshot and replays only WAL records at or past its
-// boundary — resuming from the checkpointed frontier, not from event
-// zero. Each event record carries the index of its first snapshot in
-// the stream's event sequence, so a record that overlaps the
-// checkpoint (appended while the snapshot was being written) replays
+// verdict history with its sequence numbers. Recovery resumes from the
+// checkpointed frontier, not from event zero. Each event record
+// carries the index of its first snapshot in the stream's event
+// sequence, so a record that overlaps the checkpoint replays
 // idempotently: already-consumed snapshots are skipped by index.
 const (
 	recCreate byte = 1
@@ -42,21 +36,7 @@ const (
 	recEvents byte = 3
 
 	snapshotFormat = 1
-	snapshotPrefix = "streams-"
-	snapshotSuffix = ".snap"
 )
-
-type journal struct {
-	dir  string
-	log  *wal.Log
-	keep int
-	met  *metrics.Durability
-	// mu serializes checkpoint writers (explicit, auto, final).
-	mu chan struct{}
-}
-
-func (j *journal) lock()   { j.mu <- struct{}{} }
-func (j *journal) unlock() { <-j.mu }
 
 // snapshotFile is the gob-encoded checkpoint payload.
 type snapshotFile struct {
@@ -84,58 +64,60 @@ type streamSnap struct {
 // checkpointed streams and replays the WAL suffix. Called by New
 // before the shard workers start, so apply helpers run unraced.
 func (b *Broker) openJournal(cfg Config) error {
-	start := time.Now()
 	dur := cfg.Durability
 	if dur == nil {
 		dur = &metrics.Durability{}
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return fmt.Errorf("stream: journal: %w", err)
-	}
-	log, err := wal.Open(filepath.Join(cfg.Dir, "wal"), wal.Options{
-		SegmentBytes: cfg.SegmentBytes,
-		Sync:         cfg.Sync,
-		SyncInterval: cfg.SyncInterval,
-		Metrics:      dur,
-	})
-	if err != nil {
-		return fmt.Errorf("stream: journal: %w", err)
-	}
-	keep := cfg.KeepSnapshots
-	if keep <= 0 {
-		keep = 2
-	}
-	b.journal = &journal{dir: cfg.Dir, log: log, keep: keep, met: dur, mu: make(chan struct{}, 1)}
-
 	ctx, tr := b.tracer.Start(context.Background(), "stream_recovery")
 	defer b.tracer.Finish(tr)
-	info := RecoveryInfo{}
-
-	snap, path, skipped := b.journal.loadSnapshot(b.logf)
-	info.SnapshotPath = path
-	info.SkippedSnapshots = skipped
-	boundary := uint64(0)
-	if snap != nil {
-		boundary = snap.Boundary
-		info.SnapshotSeq = boundary
+	load := func(path string) error {
+		if path == "" {
+			return nil // no checkpoint yet: start with no streams
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		var snap snapshotFile
+		err = gob.NewDecoder(f).Decode(&snap)
+		if err == nil && snap.Format != snapshotFormat {
+			err = fmt.Errorf("snapshot format %d, want %d", snap.Format, snapshotFormat)
+		}
+		if err != nil {
+			b.logf("stream: recovery: skipping snapshot %s: %v", path, err)
+			return err
+		}
 		for _, ss := range snap.Streams {
 			b.restoreStream(ss)
 		}
+		return nil
 	}
-	replayErr := log.ReplayCtx(ctx, boundary, func(rec wal.Record) error {
-		info.ReplayedRecords++
-		return b.applyRecord(rec)
-	})
-	if replayErr != nil {
-		log.Close()
-		return replayErr
+	j, rec, err := journal.Open(ctx, journal.Config{
+		Dir:    cfg.Dir,
+		Prefix: "streams-",
+		Suffix: ".snap",
+		Keep:   cfg.KeepSnapshots,
+		WAL: wal.Options{
+			SegmentBytes: cfg.SegmentBytes,
+			Sync:         cfg.Sync,
+			SyncInterval: cfg.SyncInterval,
+			Metrics:      dur,
+		},
+	}, load, b.applyRecord)
+	if err != nil {
+		return fmt.Errorf("stream: %w", err)
 	}
-	dur.RecoveryReplayed.Add(int64(info.ReplayedRecords))
-	info.Streams = len(b.List())
-	info.Duration = time.Since(start)
-	info.Clean = info.ReplayedRecords == 0 && len(skipped) == 0
-	dur.Recovery.Observe(info.Duration)
-	b.Recovery = info
+	b.journal = j
+	b.Recovery = RecoveryInfo{
+		Clean:            rec.Clean(),
+		SnapshotSeq:      rec.Boundary,
+		SnapshotPath:     rec.Path,
+		SkippedSnapshots: rec.Skipped,
+		ReplayedRecords:  rec.Replayed,
+		Streams:          len(b.List()),
+		Duration:         rec.Duration,
+	}
 	return nil
 }
 
@@ -223,23 +205,20 @@ func (b *Broker) applyRecord(rec wal.Record) error {
 }
 
 // Checkpoint quiesces intake, seals the WAL, persists every stream's
-// frontier and verdict history, and prunes sealed segments below the
-// boundary. It returns the boundary sequence: every journal record
-// below it is covered by the fsynced snapshot.
+// frontier and verdict history, and prunes what the retained
+// generations no longer need. It returns the boundary sequence: every
+// journal record below it is covered by the fsynced snapshot. With
+// nothing journaled since the last checkpoint it writes nothing and
+// returns the existing boundary.
 func (b *Broker) Checkpoint() (uint64, error) {
 	j := b.journal
 	if j == nil {
 		return 0, errors.New("stream: no journal configured")
 	}
-	j.lock()
-	defer j.unlock()
+	b.ckptMu.Lock()
+	defer b.ckptMu.Unlock()
 	for _, sh := range b.shards {
 		sh.ingestMu.Lock()
-	}
-	unlock := func() {
-		for _, sh := range b.shards {
-			sh.ingestMu.Unlock()
-		}
 	}
 	// Intake is stopped; drain so every acknowledged record is applied
 	// and therefore captured below.
@@ -248,29 +227,23 @@ func (b *Broker) Checkpoint() (uint64, error) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	boundary, err := j.log.Seal()
+	ctx := context.Background()
+	boundary, fresh, err := j.Seal(ctx)
+	var snaps []streamSnap
+	if fresh {
+		snaps = b.capture()
+	}
+	for _, sh := range b.shards {
+		sh.ingestMu.Unlock()
+	}
+	if err != nil || !fresh {
+		return boundary, err
+	}
+	err = j.Commit(ctx, boundary, func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(snapshotFile{Format: snapshotFormat, Boundary: boundary, Streams: snaps})
+	})
 	if err != nil {
-		unlock()
-		j.met.CheckpointErrors.Inc()
 		return 0, err
-	}
-	snaps := b.capture()
-	unlock()
-
-	start := time.Now()
-	if err := j.writeSnapshot(boundary, snaps); err != nil {
-		j.met.CheckpointErrors.Inc()
-		return 0, err
-	}
-	j.met.Checkpoints.Inc()
-	j.met.CheckpointWrite.Observe(time.Since(start))
-	// Prune below the oldest *retained* snapshot, not this one: the
-	// older generations are only useful fallbacks if the WAL suffix
-	// past their boundary still exists.
-	if n, err := j.log.PruneBelow(j.pruneFloor(boundary)); err != nil {
-		b.logf("stream: prune: %v", err)
-	} else {
-		j.met.SegmentsPruned.Add(int64(n))
 	}
 	b.recordsSince.Store(0)
 	return boundary, nil
@@ -304,137 +277,6 @@ func (b *Broker) capture() []streamSnap {
 	return out
 }
 
-func snapshotPath(dir string, boundary uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%016d%s", snapshotPrefix, boundary, snapshotSuffix))
-}
-
-func (j *journal) writeSnapshot(boundary uint64, snaps []streamSnap) error {
-	path := snapshotPath(j.dir, boundary)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	enc := gob.NewEncoder(f)
-	if err := enc.Encode(snapshotFile{Format: snapshotFormat, Boundary: boundary, Streams: snaps}); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(j.dir); err != nil {
-		return err
-	}
-	j.pruneSnapshots(boundary)
-	return nil
-}
-
-// pruneFloor returns the boundary of the oldest snapshot still on
-// disk, so WAL segments any retained generation would replay from
-// survive pruning. Falls back to the given boundary when no snapshot
-// parses.
-func (j *journal) pruneFloor(boundary uint64) uint64 {
-	paths, _ := snapshotPaths(j.dir)
-	for _, p := range paths {
-		if seq, err := snapshotSeq(p); err == nil {
-			return min(seq, boundary)
-		}
-	}
-	return boundary
-}
-
-// pruneSnapshots removes snapshot generations older than the newest
-// j.keep.
-func (j *journal) pruneSnapshots(latest uint64) {
-	paths, _ := snapshotPaths(j.dir)
-	old := 0
-	for i := len(paths) - 1; i >= 0; i-- {
-		seq, err := snapshotSeq(paths[i])
-		if err != nil || seq > latest {
-			continue
-		}
-		old++
-		if old > j.keep {
-			if os.Remove(paths[i]) == nil {
-				j.met.SnapshotsPruned.Inc()
-			}
-		}
-	}
-}
-
-// loadSnapshot returns the newest decodable snapshot, skipping (and
-// reporting) any that fail to decode — a crash mid-rename leaves only
-// complete older generations behind the atomic rename, but refusing to
-// start over one bad file would be worse than falling back.
-func (j *journal) loadSnapshot(logf func(string, ...any)) (*snapshotFile, string, []string) {
-	paths, err := snapshotPaths(j.dir)
-	if err != nil {
-		return nil, "", nil
-	}
-	var skipped []string
-	for i := len(paths) - 1; i >= 0; i-- {
-		f, err := os.Open(paths[i])
-		if err != nil {
-			skipped = append(skipped, paths[i])
-			continue
-		}
-		var snap snapshotFile
-		err = gob.NewDecoder(f).Decode(&snap)
-		f.Close()
-		if err != nil || snap.Format != snapshotFormat {
-			logf("stream: recovery: skipping snapshot %s: %v", paths[i], err)
-			skipped = append(skipped, paths[i])
-			continue
-		}
-		return &snap, paths[i], skipped
-	}
-	return nil, "", skipped
-}
-
-func snapshotPaths(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, snapshotPrefix) && strings.HasSuffix(name, snapshotSuffix) {
-			out = append(out, filepath.Join(dir, name))
-		}
-	}
-	sort.Strings(out) // zero-padded boundary ⇒ lexicographic = numeric
-	return out, nil
-}
-
-func snapshotSeq(path string) (uint64, error) {
-	name := filepath.Base(path)
-	name = strings.TrimPrefix(name, snapshotPrefix)
-	name = strings.TrimSuffix(name, snapshotSuffix)
-	return strconv.ParseUint(name, 10, 64)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // Record encoding: length-prefixed strings and uvarints; event
 // snapshots are raw 8-byte little-endian vocab.Sets. The per-shard
 // scratch buffer (under ingestMu) keeps the append path allocation-
@@ -453,7 +295,7 @@ func readString(b []byte) (string, []byte, error) {
 	return string(b[k : k+int(n)]), b[k+int(n):], nil
 }
 
-func (j *journal) appendCreate(sh *shard, name string, contracts []string) error {
+func (sh *shard) appendCreate(name string, contracts []string) error {
 	buf := sh.encBuf[:0]
 	buf = appendString(buf, name)
 	buf = binary.AppendUvarint(buf, uint64(len(contracts)))
@@ -461,7 +303,7 @@ func (j *journal) appendCreate(sh *shard, name string, contracts []string) error
 		buf = appendString(buf, c)
 	}
 	sh.encBuf = buf
-	_, err := j.log.Append(recCreate, buf)
+	_, err := sh.b.journal.Append(recCreate, buf)
 	return err
 }
 
@@ -487,13 +329,13 @@ func decodeCreate(b []byte) (string, []string, error) {
 	return name, contracts, nil
 }
 
-func (j *journal) appendDelete(sh *shard, name string) error {
+func (sh *shard) appendDelete(name string) error {
 	sh.encBuf = appendString(sh.encBuf[:0], name)
-	_, err := j.log.Append(recDelete, sh.encBuf)
+	_, err := sh.b.journal.Append(recDelete, sh.encBuf)
 	return err
 }
 
-func (j *journal) appendEvents(sh *shard, name string, first uint64, snaps []vocab.Set) error {
+func (sh *shard) appendEvents(name string, first uint64, snaps []vocab.Set) error {
 	buf := sh.encBuf[:0]
 	buf = appendString(buf, name)
 	buf = binary.AppendUvarint(buf, first)
@@ -502,7 +344,7 @@ func (j *journal) appendEvents(sh *shard, name string, first uint64, snaps []voc
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(s))
 	}
 	sh.encBuf = buf
-	_, err := j.log.Append(recEvents, buf)
+	_, err := sh.b.journal.Append(recEvents, buf)
 	return err
 }
 

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"contractdb/internal/core"
+	"contractdb/internal/journal"
 	"contractdb/internal/vocab"
 	"contractdb/internal/wal"
 )
@@ -35,7 +38,7 @@ func (b *Broker) crash() {
 	}
 	b.wg.Wait()
 	if b.journal != nil {
-		b.journal.log.Close()
+		b.journal.Close()
 	}
 }
 
@@ -52,6 +55,18 @@ func journalDB(t *testing.T) *core.DB {
 		}
 	}
 	return db
+}
+
+// snapshotFiles lists the directory's snapshot generations; every
+// generation this build writes has the same width, so name order is
+// boundary order.
+func snapshotFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "streams-*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
 }
 
 func durableCfg(dir string) Config {
@@ -266,7 +281,7 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if paths, _ := snapshotPaths(dir); len(paths) > 0 {
+		if len(snapshotFiles(t, dir)) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -312,9 +327,9 @@ func TestRecoverySkipsCorruptSnapshot(t *testing.T) {
 	// Corrupt the newest snapshot in place (as a torn write would);
 	// recovery must fall back to the first generation and replay the
 	// WAL suffix past its boundary, which pruning retained.
-	paths, err := snapshotPaths(dir)
-	if err != nil || len(paths) < 2 {
-		t.Fatalf("want 2 snapshot generations after close, got %v (%v)", paths, err)
+	paths := snapshotFiles(t, dir)
+	if len(paths) < 2 {
+		t.Fatalf("want 2 snapshot generations after close, got %v", paths)
 	}
 	newest := paths[len(paths)-1]
 	if err := os.WriteFile(newest, []byte("torn"), 0o644); err != nil {
@@ -399,5 +414,139 @@ func TestRecoveryResetsChangedAutomaton(t *testing.T) {
 	}
 	if !reset {
 		t.Fatalf("no frontier-reset log line; got %q", logs)
+	}
+}
+
+// checkpointedDir leaves a closed broker's directory holding two
+// snapshot generations and a stream with a violated verdict, and
+// returns that stream's verdicts.
+func checkpointedDir(t *testing.T, db *core.DB, dir string) []Verdict {
+	t.Helper()
+	ctx := context.Background()
+	b, err := New(db, durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Create(ctx, "s", []string{"NoRefund", "PayBeforeUse"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AppendEvents(ctx, "s", [][]string{{"use"}, {"pay"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AppendEvents(ctx, "s", [][]string{{"refund"}}); err != nil {
+		t.Fatal(err)
+	}
+	b.WaitIdle()
+	want, err := b.Verdicts(ctx, "s", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(snapshotFiles(t, dir)); n != 2 {
+		t.Fatalf("%d snapshot generations after close, want 2", n)
+	}
+	return want
+}
+
+// TestAllSnapshotsTornRefused: with every generation torn, the pruned
+// WAL cannot rebuild the streams, so New must refuse instead of coming
+// up empty.
+func TestAllSnapshotsTornRefused(t *testing.T) {
+	dir := t.TempDir()
+	db := journalDB(t)
+	checkpointedDir(t, db, dir)
+	for _, p := range snapshotFiles(t, dir) {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := New(db, durableCfg(dir))
+	if err == nil {
+		b.Close()
+		t.Fatalf("broker opened with every snapshot torn: %+v", b.Recovery)
+	}
+	if !errors.Is(err, journal.ErrUnreadable) {
+		t.Fatalf("open = %v, want %v", err, journal.ErrUnreadable)
+	}
+}
+
+// TestWALLostRefused: a WAL directory removed under a snapshot must be
+// refused. Opening would restart sequences below the boundary, and the
+// next recovery would skip every event acknowledged after it.
+func TestWALLostRefused(t *testing.T) {
+	dir := t.TempDir()
+	db := journalDB(t)
+	checkpointedDir(t, db, dir)
+	if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(db, durableCfg(dir))
+	if err == nil {
+		b.Close()
+		t.Fatalf("broker opened with its WAL lost: %+v", b.Recovery)
+	}
+	if !errors.Is(err, journal.ErrLost) || !strings.Contains(err.Error(), "log lost") {
+		t.Fatalf("open = %v, want a log-lost error", err)
+	}
+}
+
+// TestStaleSnapshotTempRemoved: a crash mid-checkpoint leaves a temp
+// file the rename never promoted; New deletes it and recovers.
+func TestStaleSnapshotTempRemoved(t *testing.T) {
+	dir := t.TempDir()
+	db := journalDB(t)
+	want := checkpointedDir(t, db, dir)
+	tmp := filepath.Join(dir, "streams-00000000000000000099.snap.tmp")
+	if err := os.WriteFile(tmp, []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(db, durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Error("stale checkpoint temp file survived recovery")
+	}
+	got, err := b.Verdicts(context.Background(), "s", 0, 0)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdicts after recovery = %+v (%v), want %+v", got, err, want)
+	}
+}
+
+// TestSixteenDigitGenerationReopens: generations named with the
+// 16-digit boundary earlier builds wrote still load, newest by
+// boundary, with identical verdicts.
+func TestSixteenDigitGenerationReopens(t *testing.T) {
+	dir := t.TempDir()
+	db := journalDB(t)
+	want := checkpointedDir(t, db, dir)
+	var newest uint64
+	for _, p := range snapshotFiles(t, dir) {
+		var boundary uint64
+		if _, err := fmt.Sscanf(filepath.Base(p), "streams-%d.snap", &boundary); err != nil {
+			t.Fatal(err)
+		}
+		newest = max(newest, boundary)
+		if err := os.Rename(p, filepath.Join(dir, fmt.Sprintf("streams-%016d.snap", boundary))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := New(db, durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if !b.Recovery.Clean || b.Recovery.SnapshotSeq != newest {
+		t.Errorf("recovery = %+v, want generation %d loaded clean", b.Recovery, newest)
+	}
+	got, err := b.Verdicts(context.Background(), "s", 0, 0)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdicts after reopening 16-digit generations = %+v (%v), want %+v", got, err, want)
 	}
 }

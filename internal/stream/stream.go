@@ -23,7 +23,7 @@
 // and event batch is WAL-appended before it is acknowledged, and
 // checkpoints persist the per-stream frontiers and verdict history so
 // a restart resumes from the last checkpointed frontier instead of
-// replaying every event from zero (see journal.go).
+// replaying every event from zero (see journal.go and internal/journal).
 package stream
 
 import (
@@ -40,6 +40,7 @@ import (
 
 	"contractdb/internal/buchi"
 	"contractdb/internal/core"
+	"contractdb/internal/journal"
 	"contractdb/internal/metrics"
 	"contractdb/internal/monitor"
 	"contractdb/internal/trace"
@@ -355,7 +356,8 @@ type Broker struct {
 	met     *metrics.Stream
 	tracer  *trace.Tracer
 	logf    func(string, ...any)
-	journal *journal
+	journal *journal.Journal
+	ckptMu  sync.Mutex // serializes checkpoints (explicit, auto, final)
 
 	checkpointRecords int64
 	recordsSince      atomic.Int64
@@ -464,7 +466,7 @@ func (b *Broker) Create(ctx context.Context, name string, contracts []string) (I
 	sh.ingestMu.Lock()
 	if b.journal != nil {
 		_, sp := trace.StartSpan(ctx, "stream_journal_append")
-		err := b.journal.appendCreate(sh, name, contracts)
+		err := sh.appendCreate(name, contracts)
 		sp.End()
 		if err != nil {
 			sh.ingestMu.Unlock()
@@ -500,7 +502,7 @@ func (b *Broker) Delete(ctx context.Context, name string) error {
 	}
 	if b.journal != nil {
 		_, sp := trace.StartSpan(ctx, "stream_journal_append")
-		err := b.journal.appendDelete(sh, name)
+		err := sh.appendDelete(name)
 		sp.End()
 		if err != nil {
 			sh.ingestMu.Unlock()
@@ -540,7 +542,7 @@ func (b *Broker) Append(ctx context.Context, name string, snaps []vocab.Set) (ui
 	first := st.accepted.Load()
 	if b.journal != nil {
 		_, sp := trace.StartSpan(ctx, "stream_journal_append")
-		err := b.journal.appendEvents(sh, name, first, snaps)
+		err := sh.appendEvents(name, first, snaps)
 		sp.End()
 		if err != nil {
 			sh.ingestMu.Unlock()
@@ -697,8 +699,8 @@ func (b *Broker) JournalStats() (JournalStats, bool) {
 	}
 	return JournalStats{
 		RecordsSinceCheckpoint: b.recordsSince.Load(),
-		Segments:               b.journal.log.SegmentCount(),
-		OldestUnsealedAgeMS:    time.Since(b.journal.log.ActiveSince()).Milliseconds(),
+		Segments:               b.journal.SegmentCount(),
+		OldestUnsealedAgeMS:    time.Since(b.journal.ActiveSince()).Milliseconds(),
 	}, true
 }
 
@@ -744,7 +746,7 @@ func (b *Broker) Close() error {
 	if _, err := b.Checkpoint(); err != nil {
 		firstErr = err
 	}
-	if err := b.journal.log.Close(); err != nil && firstErr == nil {
+	if err := b.journal.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

@@ -447,7 +447,7 @@ func (l *Log) createSegment(first uint64) error {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := SyncDir(l.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -468,9 +468,9 @@ func (l *Log) ActiveSince() time.Time {
 	return l.activeSince
 }
 
-// syncDir fsyncs a directory so renames and creates within it are
+// SyncDir fsyncs a directory so renames and creates within it are
 // durable.
-func syncDir(dir string) error {
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -617,7 +617,7 @@ func (l *Log) PruneBelow(keep uint64) (int, error) {
 		if m := l.opts.Metrics; m != nil {
 			m.SegmentsPruned.Add(int64(pruned))
 		}
-		if err := syncDir(l.dir); err != nil {
+		if err := SyncDir(l.dir); err != nil {
 			return pruned, err
 		}
 	}
