@@ -14,10 +14,7 @@
 package bisim
 
 import (
-	"encoding/binary"
-	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 
 	"contractdb/internal/buchi"
 	"contractdb/internal/vocab"
@@ -35,30 +32,25 @@ type Partition struct {
 // Key returns a canonical string for the partition, used to detect
 // that different event subsets induce the same simplification (§5.2
 // observes only ~5% of subsets are distinct).
-func (p Partition) Key() string {
-	var b strings.Builder
+func (p Partition) Key() string { return string(p.appendKey(nil)) }
+
+// appendKey appends Key's bytes to b, so deduplication can look a
+// partition up without allocating its key.
+func (p Partition) appendKey(b []byte) []byte {
 	for i, c := range p.Class {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", c)
+		b = strconv.AppendInt(b, int64(c), 10)
 	}
-	return b.String()
+	return b
 }
 
 // normalize renumbers classes by first occurrence.
 func normalize(class []int) Partition {
-	remap := make(map[int]int)
 	out := make([]int, len(class))
-	for i, c := range class {
-		nc, ok := remap[c]
-		if !ok {
-			nc = len(remap)
-			remap[c] = nc
-		}
-		out[i] = nc
-	}
-	return Partition{Class: out, Count: len(remap)}
+	_, count := firstOccurrence(out, class, nil)
+	return Partition{Class: out, Count: count}
 }
 
 // Coarsest computes the coarsest bisimulation partition of a with
@@ -73,13 +65,9 @@ func Coarsest(a *buchi.BA) Partition {
 // when every label is first projected onto the event set keep. Passing
 // the full event set yields plain bisimulation.
 func CoarsestProjected(a *buchi.BA, keep vocab.Set) Partition {
-	initial := make([]int, a.NumStates())
-	for s, f := range a.Final {
-		if f {
-			initial[s] = 1
-		}
-	}
-	return RefineProjected(a, Partition{Class: initial, Count: 2}, keep)
+	r := loadRefiner(a, false)
+	defer refinerPool.Put(r)
+	return r.refine(r.seed(a, false), keep)
 }
 
 // RefineProjected refines a starting partition until it is the
@@ -90,87 +78,12 @@ func CoarsestProjected(a *buchi.BA, keep vocab.Set) Partition {
 // partition and skip the early rounds.
 //
 // The start partition must itself separate final from non-final
-// states; the partitions produced by this package always do.
+// states; the partitions produced by this package always do. Its
+// classes may be numbered in any order.
 func RefineProjected(a *buchi.BA, start Partition, keep vocab.Set) Partition {
-	a.EnsureEdges()
-	n := a.NumStates()
-	if n == 0 {
-		return Partition{}
-	}
-	// Normalize so count reflects the classes actually present; the
-	// stability test below compares against it.
-	norm := normalize(start.Class)
-	class, count := norm.Class, norm.Count
-	// Iteratively split classes by transition signature until stable.
-	// The signature of a state is its set of (projected label, target
-	// class) pairs; bisimilar states must have equal signatures.
-	// Signatures are binary-encoded into a reusable buffer to keep the
-	// refinement loop allocation-light.
-	var pairs tripleSlice
-	var buf []byte
-	newClass := make([]int, n)
-	for {
-		next := make(map[string]int, count)
-		for s := 0; s < n; s++ {
-			pairs = pairs[:0]
-			for _, e := range a.Out[s] {
-				l := e.Label.Project(keep)
-				pairs = append(pairs, [3]uint64{uint64(l.Pos), uint64(l.Neg), uint64(class[e.To])})
-			}
-			pairs.sort()
-			buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(class[s]))
-			last := [3]uint64{^uint64(0), ^uint64(0), ^uint64(0)}
-			for _, p := range pairs {
-				if p == last {
-					continue // signatures are sets: drop duplicates
-				}
-				last = p
-				buf = binary.LittleEndian.AppendUint64(buf, p[0])
-				buf = binary.LittleEndian.AppendUint64(buf, p[1])
-				buf = binary.LittleEndian.AppendUint64(buf, p[2])
-			}
-			c, ok := next[string(buf)]
-			if !ok {
-				c = len(next)
-				next[string(buf)] = c
-			}
-			newClass[s] = c
-		}
-		if len(next) == count {
-			return normalize(newClass)
-		}
-		copy(class, newClass)
-		count = len(next)
-	}
-}
-
-// tripleSlice sorts (Pos, Neg, class) signature triples without the
-// reflection overhead of sort.Slice; out-degrees are small, so an
-// insertion sort wins below a threshold.
-type tripleSlice [][3]uint64
-
-func (t tripleSlice) Len() int      { return len(t) }
-func (t tripleSlice) Swap(i, j int) { t[i], t[j] = t[j], t[i] }
-func (t tripleSlice) Less(i, j int) bool {
-	if t[i][2] != t[j][2] {
-		return t[i][2] < t[j][2]
-	}
-	if t[i][0] != t[j][0] {
-		return t[i][0] < t[j][0]
-	}
-	return t[i][1] < t[j][1]
-}
-
-func (t tripleSlice) sort() {
-	if len(t) <= 24 {
-		for i := 1; i < len(t); i++ {
-			for j := i; j > 0 && t.Less(j, j-1); j-- {
-				t[j], t[j-1] = t[j-1], t[j]
-			}
-		}
-		return
-	}
-	sort.Sort(t)
+	r := loadRefiner(a, false)
+	defer refinerPool.Put(r)
+	return r.refine(start.Class, keep)
 }
 
 // Quotient materializes the quotient automaton of a under the
@@ -217,26 +130,9 @@ func Reduce(a *buchi.BA) *buchi.BA {
 // lift too), and classes are finality-uniform, so acceptance
 // transfers.
 func CoarsestBackward(a *buchi.BA) Partition {
-	a.EnsureEdges()
-	n := a.NumStates()
-	rev := buchi.New(n)
-	for s, out := range a.Out {
-		for _, e := range out {
-			rev.AddEdge(e.To, e.Label, buchi.StateID(s))
-		}
-	}
-	initial := make([]int, n)
-	for s := 0; s < n; s++ {
-		c := 0
-		if a.Final[s] {
-			c |= 1
-		}
-		if buchi.StateID(s) == a.Init {
-			c |= 2
-		}
-		initial[s] = c
-	}
-	return RefineProjected(rev, Partition{Class: initial, Count: 4}, ^vocab.Set(0))
+	r := loadRefiner(a, true)
+	defer refinerPool.Put(r)
+	return r.refine(r.seed(a, true), ^vocab.Set(0))
 }
 
 // ReduceBidirectional alternates forward and backward bisimulation

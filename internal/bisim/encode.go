@@ -270,6 +270,7 @@ func ImportProjections(auto *buchi.BA, s ProjectionSnapshot) (*ProjectionSet, er
 		}
 	}
 	dedup := make(map[string]*Partition)
+	var key []byte
 	for _, entry := range s.Parts {
 		if len(entry.Class) != auto.NumStates() {
 			return nil, fmt.Errorf("bisim: partition for %s has %d entries, automaton has %d states",
@@ -279,12 +280,12 @@ func ImportProjections(auto *buchi.BA, s ProjectionSnapshot) (*ProjectionSet, er
 			return nil, fmt.Errorf("bisim: snapshot has duplicate partition for %s", entry.Set)
 		}
 		p := normalize(entry.Class)
-		key := p.Key()
-		shared, ok := dedup[key]
+		key = p.appendKey(key[:0])
+		shared, ok := dedup[string(key)]
 		if !ok {
 			cp := p
 			shared = &cp
-			dedup[key] = shared
+			dedup[string(key)] = shared
 		}
 		ps.parts[entry.Set] = shared
 	}

@@ -74,13 +74,14 @@ func (ps *ProjectionSet) exportMemo() *FlatProjections {
 func (ps *ProjectionSet) flatten(table []*buchi.Compiled, refs []QuotientRef) FlatProjections {
 	f := FlatProjections{MaxSubset: ps.MaxSubset}
 	dedup := make(map[string]int)
+	var key []byte
 	for _, set := range ps.Subsets() {
 		p := ps.parts[set]
-		key := p.Key()
-		idx, ok := dedup[key]
+		key = p.appendKey(key[:0])
+		idx, ok := dedup[string(key)]
 		if !ok {
 			idx = len(f.PartTables)
-			dedup[key] = idx
+			dedup[string(key)] = idx
 			f.PartTables = append(f.PartTables, *p)
 		}
 		f.PartRefs = append(f.PartRefs, PartRef{Set: set, Table: idx})

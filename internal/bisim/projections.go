@@ -67,11 +67,12 @@ func Precompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 		parts:     make(map[vocab.Set]*Partition),
 		quotients: make(map[vocab.Set]*buchi.BA),
 	}
-	a.EnsureEdges()
-	for _, out := range a.Out {
-		for _, e := range out {
-			ps.labelEvents = ps.labelEvents.Union(e.Label.Vars())
-		}
+	// One refiner serves the whole lattice: the contract is flattened
+	// and its labels interned once, and every subset reuses the scratch.
+	r := loadRefiner(a, false)
+	defer refinerPool.Put(r)
+	for _, l := range r.labels {
+		ps.labelEvents = ps.labelEvents.Union(l.Vars())
 	}
 	events := ps.labelEvents.IDs()
 	if maxSubset > len(events) {
@@ -80,13 +81,14 @@ func Precompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 	}
 
 	dedup := make(map[string]*Partition)
+	var key []byte
 	intern := func(p Partition) *Partition {
-		key := p.Key()
-		if shared, ok := dedup[key]; ok {
+		key = p.appendKey(key[:0])
+		if shared, ok := dedup[string(key)]; ok {
 			return shared
 		}
 		cp := p
-		dedup[key] = &cp
+		dedup[string(key)] = &cp
 		return &cp
 	}
 
@@ -94,10 +96,8 @@ func Precompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 	// full label set. Once a subset's partition saturates to it, every
 	// superset's partition is sandwiched between the two (Theorem 3)
 	// and must be equal — no refinement needed.
-	full := intern(CoarsestProjected(a, ps.labelEvents))
-
-	empty := CoarsestProjected(a, 0)
-	ps.parts[0] = intern(empty)
+	full := intern(r.refine(r.seed(a, false), ps.labelEvents))
+	ps.parts[0] = intern(r.refine(r.seed(a, false), 0))
 
 	subsets := []vocab.Set{0}
 	for size := 1; size <= maxSubset; size++ {
@@ -119,7 +119,7 @@ func Precompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 				if seed == full {
 					ps.parts[s] = full
 				} else {
-					ps.parts[s] = intern(RefineProjected(a, *seed, s))
+					ps.parts[s] = intern(r.refine(seed.Class, s))
 				}
 				nextSubsets = append(nextSubsets, s)
 			}

@@ -1,0 +1,342 @@
+package bisim
+
+import (
+	"slices"
+	"sync"
+
+	"contractdb/internal/buchi"
+	"contractdb/internal/vocab"
+)
+
+// refiner is the package's one partition-refinement engine. Every
+// partition this package computes — plain, projected, backward, and the
+// whole subset lattice of Precompute — comes out of refine.
+//
+// Loading an automaton flattens its edge lists into CSR arrays
+// (per-state offsets plus flat label-id and target arrays) and interns
+// each distinct label once. It reads a.Out, never the compiled rows:
+// buchi.Compile drops subsumed edges, which would change the
+// partitions. A refinement then projects each distinct label once, into
+// a dense projected-id table, so a round touches no label at all: it
+// signs every state by its class plus the set of distinct
+// (projected id, target class) entries, deduplicated in a stamped
+// open-addressing set and hashed commutatively — no sort, no string
+// key. States whose signatures agree on hash, class and entry count are
+// compared exactly, as sets, before they share a class, so a hash
+// collision can never merge states. New classes are numbered by first
+// occurrence in state order, which is the canonical numbering
+// Partition values carry.
+//
+// A refiner is reused: Precompute loads the contract once and refines
+// every subset with the same scratch, and the one-shot callers take a
+// refiner from refinerPool, so the ~10-state automata of query
+// translation allocate nothing but their result.
+type refiner struct {
+	n      int
+	off    []int32 // edges of state s are [off[s], off[s+1])
+	lab    []int32 // interned label id per edge
+	to     []int32 // target state per edge
+	labels []buchi.Label
+	ids    map[buchi.Label]int32 // interns labels in load, projections in refine
+
+	proj []int32 // projected id per interned label, set per refinement
+
+	class, next []int32 // the current and the next round's partition
+	remap       []int32 // renumbering scratch for the start partition
+	start       []int   // the initial partition seed builds
+
+	// set is the stamped open-addressing set deduplicating one state's
+	// entries; a slot is occupied when its stamp is the current one.
+	setKey   []uint64
+	setStamp []uint32
+	stamp    uint32
+
+	// tab maps signatures to the classes of the round being built, by
+	// open addressing on the signature hash; ent holds each class
+	// representative's distinct entries, tab[i].off onward.
+	tab []sigSlot
+	ent []uint64
+
+	// sigMask is ANDed into every signature hash. Tests set it to zero
+	// so that every signature lands in one bucket and the exact compare
+	// alone decides every class.
+	sigMask uint64
+}
+
+// sigSlot is one class of the round being built: its representative's
+// signature hash, its entries ent[off:off+cnt], and the representative
+// state plus one (zero marks an empty slot).
+type sigSlot struct {
+	hash     uint64
+	off, cnt int32
+	rep1     int32
+}
+
+var refinerPool = sync.Pool{New: func() any {
+	return &refiner{ids: make(map[buchi.Label]int32), sigMask: ^uint64(0)}
+}}
+
+// loadRefiner returns a pooled refiner loaded with a's edges, reversed
+// when reverse is set. Return it to refinerPool when done.
+func loadRefiner(a *buchi.BA, reverse bool) *refiner {
+	r := refinerPool.Get().(*refiner)
+	r.load(a, reverse)
+	return r
+}
+
+// load flattens a's edge lists into the refiner, reversing every edge
+// when reverse is set (for backward bisimulation).
+func (r *refiner) load(a *buchi.BA, reverse bool) {
+	a.EnsureEdges()
+	n := a.NumStates()
+	r.n = n
+	r.off = resize(r.off, n+1)
+	clear(r.off)
+	m := 0
+	for s, out := range a.Out {
+		m += len(out)
+		if !reverse {
+			r.off[s+1] = int32(len(out))
+			continue
+		}
+		for _, e := range out {
+			r.off[e.To+1]++
+		}
+	}
+	maxDeg := 0
+	for s := range n {
+		maxDeg = max(maxDeg, int(r.off[s+1])) // still the degree of s
+		r.off[s+1] += r.off[s]
+	}
+	r.lab, r.to = resize(r.lab, m), resize(r.to, m)
+	clear(r.ids)
+	r.labels = r.labels[:0]
+	// fill is the next free edge slot per state; next is free scratch
+	// until the first refinement.
+	fill := append(resize(r.next, n)[:0], r.off[:n]...)
+	for s, out := range a.Out {
+		for _, e := range out {
+			id, ok := r.ids[e.Label]
+			if !ok {
+				id = int32(len(r.labels))
+				r.ids[e.Label] = id
+				r.labels = append(r.labels, e.Label)
+			}
+			from, to := int32(s), int32(e.To)
+			if reverse {
+				from, to = to, from
+			}
+			i := fill[from]
+			fill[from]++
+			r.lab[i], r.to[i] = id, to
+		}
+	}
+	r.next = fill
+	size := pow2AtLeast(2 * maxDeg)
+	if len(r.setKey) < size {
+		r.setKey, r.setStamp, r.stamp = make([]uint64, size), make([]uint32, size), 0
+	}
+	if size = pow2AtLeast(2 * n); len(r.tab) < size {
+		r.tab = make([]sigSlot, size)
+	}
+	r.class = resize(r.class, n)
+}
+
+// seed returns the initial partition of a's states: final apart from
+// non-final and, when init is set, the initial state apart from the
+// rest. The slice is the refiner's scratch, valid until the next seed.
+func (r *refiner) seed(a *buchi.BA, init bool) []int {
+	r.start = resize(r.start, r.n)
+	for s := range r.start {
+		c := 0
+		if a.Final[s] {
+			c |= 1
+		}
+		if init && buchi.StateID(s) == a.Init {
+			c |= 2
+		}
+		r.start[s] = c
+	}
+	return r.start
+}
+
+// refine returns the coarsest bisimulation partition, with every label
+// projected onto keep, that refines start (a class per state, in any
+// numbering). The result is freshly allocated and canonically
+// numbered.
+func (r *refiner) refine(start []int, keep vocab.Set) Partition {
+	n := r.n
+	if n == 0 {
+		return Partition{}
+	}
+	r.proj = resize(r.proj, len(r.labels))
+	clear(r.ids)
+	for i, l := range r.labels {
+		l = l.Project(keep)
+		id, ok := r.ids[l]
+		if !ok {
+			id = int32(len(r.ids))
+			r.ids[l] = id
+		}
+		r.proj[i] = id
+	}
+	var count int
+	r.remap, count = firstOccurrence(r.class, start, r.remap)
+	for {
+		next := r.round()
+		if next == count {
+			break // the round split nothing: r.next is stable
+		}
+		r.class, r.next = r.next, r.class
+		count = next
+	}
+	out := make([]int, n)
+	for s, c := range r.next[:n] {
+		out[s] = int(c)
+	}
+	return Partition{Class: out, Count: count}
+}
+
+// round computes r.next from r.class — two states share a next class
+// exactly when they share a class and their entry sets are equal — and
+// returns the number of next classes.
+func (r *refiner) round() int {
+	n := r.n
+	class, next := r.class[:n], r.next[:n]
+	tab := r.tab[:pow2AtLeast(2*n)]
+	clear(tab)
+	tabMask := uint64(len(tab) - 1)
+	setMask := uint64(len(r.setKey) - 1)
+	r.ent = r.ent[:0]
+	classes := 0
+	for s := range n {
+		if r.stamp++; r.stamp == 0 {
+			clear(r.setStamp)
+			r.stamp = 1
+		}
+		base := int32(len(r.ent))
+		var sum uint64
+		for e := r.off[s]; e < r.off[s+1]; e++ {
+			key := uint64(r.proj[r.lab[e]])<<32 | uint64(class[r.to[e]])
+			h := mix64(key)
+			if r.insert(key, h, setMask) {
+				r.ent = append(r.ent, key)
+				sum += h
+			}
+		}
+		cnt := int32(len(r.ent)) - base
+		hash := mix64(sum^uint64(class[s])<<32^uint64(cnt)) & r.sigMask
+		for i := hash & tabMask; ; i = (i + 1) & tabMask {
+			slot := &tab[i]
+			if slot.rep1 == 0 {
+				*slot = sigSlot{hash: hash, off: base, cnt: cnt, rep1: int32(s) + 1}
+				next[s] = int32(classes)
+				classes++
+				break
+			}
+			rep := slot.rep1 - 1
+			if slot.hash == hash && slot.cnt == cnt && class[rep] == class[s] &&
+				r.containsAll(r.ent[slot.off:slot.off+cnt], setMask) {
+				next[s] = next[rep]
+				r.ent = r.ent[:base] // the class keeps its representative's entries
+				break
+			}
+		}
+	}
+	return classes
+}
+
+// insert adds key (hashed h) to the current state's entry set,
+// reporting whether it was absent.
+func (r *refiner) insert(key, h, mask uint64) bool {
+	for i := h & mask; ; i = (i + 1) & mask {
+		if r.setStamp[i] != r.stamp {
+			r.setStamp[i], r.setKey[i] = r.stamp, key
+			return true
+		}
+		if r.setKey[i] == key {
+			return false
+		}
+	}
+}
+
+// containsAll reports whether every key is in the current state's
+// entry set. Both are sets of equal size here, so containment is
+// equality.
+func (r *refiner) containsAll(keys []uint64, mask uint64) bool {
+	for _, key := range keys {
+		i := mix64(key) & mask
+		for {
+			if r.setStamp[i] != r.stamp {
+				return false
+			}
+			if r.setKey[i] == key {
+				break
+			}
+			i = (i + 1) & mask
+		}
+	}
+	return true
+}
+
+// firstOccurrence writes class renumbered by first occurrence into dst
+// and returns the class count, with remap as reusable scratch. Class
+// values are remapped through a dense slice over their range; a range
+// much wider than the table (possible only in foreign input) is first
+// compressed to ranks.
+func firstOccurrence[T int | int32](dst []T, class []int, remap []int32) ([]int32, int) {
+	if len(class) == 0 {
+		return remap, 0
+	}
+	lo, hi := slices.Min(class), slices.Max(class)
+	var ranks []int
+	if uint64(hi)-uint64(lo) >= uint64(2*len(class)) {
+		ranks = slices.Compact(slices.Sorted(slices.Values(class)))
+		lo, hi = 0, len(ranks)-1
+	}
+	remap = resize(remap, hi-lo+1)
+	for i := range remap {
+		remap[i] = -1
+	}
+	count := 0
+	for i, c := range class {
+		if ranks != nil {
+			c, _ = slices.BinarySearch(ranks, c)
+		}
+		nc := remap[c-lo]
+		if nc < 0 {
+			nc = int32(count)
+			remap[c-lo] = nc
+			count++
+		}
+		dst[i] = T(nc)
+	}
+	return remap, count
+}
+
+// mix64 is splitmix64's output function (increment plus finalizer).
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+func pow2AtLeast(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

@@ -1,0 +1,253 @@
+package bisim
+
+import (
+	"encoding/binary"
+	"fmt"
+	"sort"
+	"strings"
+
+	"contractdb/internal/buchi"
+	"contractdb/internal/vocab"
+)
+
+// This file keeps the signature-string refinement the refiner replaced,
+// unchanged, as the oracle of the reference-differential tests
+// (refine_test.go): a per-round map from binary-encoded signature
+// strings to classes, with each state's (projected label, target class)
+// triples sorted.
+
+// RefineOneBucket is RefineProjected with every signature hash forced
+// equal, so the exact compare alone decides every class.
+func RefineOneBucket(a *buchi.BA, start Partition, keep vocab.Set) Partition {
+	r := &refiner{ids: make(map[buchi.Label]int32), sigMask: 0}
+	r.load(a, false)
+	return r.refine(start.Class, keep)
+}
+
+// ReferenceRefineProjected is the reference RefineProjected.
+func ReferenceRefineProjected(a *buchi.BA, start Partition, keep vocab.Set) Partition {
+	a.EnsureEdges()
+	n := a.NumStates()
+	if n == 0 {
+		return Partition{}
+	}
+	// Normalize so count reflects the classes actually present; the
+	// stability test below compares against it.
+	norm := referenceNormalize(start.Class)
+	class, count := norm.Class, norm.Count
+	// Iteratively split classes by transition signature until stable.
+	// The signature of a state is its set of (projected label, target
+	// class) pairs; bisimilar states must have equal signatures.
+	// Signatures are binary-encoded into a reusable buffer to keep the
+	// refinement loop allocation-light.
+	var pairs tripleSlice
+	var buf []byte
+	newClass := make([]int, n)
+	for {
+		next := make(map[string]int, count)
+		for s := 0; s < n; s++ {
+			pairs = pairs[:0]
+			for _, e := range a.Out[s] {
+				l := e.Label.Project(keep)
+				pairs = append(pairs, [3]uint64{uint64(l.Pos), uint64(l.Neg), uint64(class[e.To])})
+			}
+			pairs.sort()
+			buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(class[s]))
+			last := [3]uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+			for _, p := range pairs {
+				if p == last {
+					continue // signatures are sets: drop duplicates
+				}
+				last = p
+				buf = binary.LittleEndian.AppendUint64(buf, p[0])
+				buf = binary.LittleEndian.AppendUint64(buf, p[1])
+				buf = binary.LittleEndian.AppendUint64(buf, p[2])
+			}
+			c, ok := next[string(buf)]
+			if !ok {
+				c = len(next)
+				next[string(buf)] = c
+			}
+			newClass[s] = c
+		}
+		if len(next) == count {
+			return referenceNormalize(newClass)
+		}
+		copy(class, newClass)
+		count = len(next)
+	}
+}
+
+// referenceNormalize renumbers classes by first occurrence.
+func referenceNormalize(class []int) Partition {
+	remap := make(map[int]int)
+	out := make([]int, len(class))
+	for i, c := range class {
+		nc, ok := remap[c]
+		if !ok {
+			nc = len(remap)
+			remap[c] = nc
+		}
+		out[i] = nc
+	}
+	return Partition{Class: out, Count: len(remap)}
+}
+
+// tripleSlice sorts (Pos, Neg, class) signature triples without the
+// reflection overhead of sort.Slice; out-degrees are small, so an
+// insertion sort wins below a threshold.
+type tripleSlice [][3]uint64
+
+func (t tripleSlice) Len() int      { return len(t) }
+func (t tripleSlice) Swap(i, j int) { t[i], t[j] = t[j], t[i] }
+func (t tripleSlice) Less(i, j int) bool {
+	if t[i][2] != t[j][2] {
+		return t[i][2] < t[j][2]
+	}
+	if t[i][0] != t[j][0] {
+		return t[i][0] < t[j][0]
+	}
+	return t[i][1] < t[j][1]
+}
+
+func (t tripleSlice) sort() {
+	if len(t) <= 24 {
+		for i := 1; i < len(t); i++ {
+			for j := i; j > 0 && t.Less(j, j-1); j-- {
+				t[j], t[j-1] = t[j-1], t[j]
+			}
+		}
+		return
+	}
+	sort.Sort(t)
+}
+
+// ReferenceCoarsestProjected is the reference CoarsestProjected.
+func ReferenceCoarsestProjected(a *buchi.BA, keep vocab.Set) Partition {
+	initial := make([]int, a.NumStates())
+	for s, f := range a.Final {
+		if f {
+			initial[s] = 1
+		}
+	}
+	return ReferenceRefineProjected(a, Partition{Class: initial, Count: 2}, keep)
+}
+
+// ReferenceCoarsestBackward is the reference CoarsestBackward, which
+// refined a reversed automaton built through AddEdge.
+func ReferenceCoarsestBackward(a *buchi.BA) Partition {
+	a.EnsureEdges()
+	n := a.NumStates()
+	rev := buchi.New(n)
+	for s, out := range a.Out {
+		for _, e := range out {
+			rev.AddEdge(e.To, e.Label, buchi.StateID(s))
+		}
+	}
+	initial := make([]int, n)
+	for s := 0; s < n; s++ {
+		c := 0
+		if a.Final[s] {
+			c |= 1
+		}
+		if buchi.StateID(s) == a.Init {
+			c |= 2
+		}
+		initial[s] = c
+	}
+	return ReferenceRefineProjected(rev, Partition{Class: initial, Count: 4}, ^vocab.Set(0))
+}
+
+// ReferenceReduceBidirectional is ReduceBidirectional over the
+// reference partitions.
+func ReferenceReduceBidirectional(a *buchi.BA) *buchi.BA {
+	for {
+		before := a.NumStates()
+		if p := ReferenceCoarsestProjected(a, ^vocab.Set(0)); p.Count != a.NumStates() {
+			a = Quotient(a, p, ^vocab.Set(0))
+		}
+		if bp := ReferenceCoarsestBackward(a); bp.Count < a.NumStates() {
+			a = Quotient(a, bp, ^vocab.Set(0))
+		}
+		if a.NumStates() == before {
+			return a
+		}
+	}
+}
+
+// ReferencePrecompute is Precompute over the reference refinement and
+// the fmt-built partition keys.
+func ReferencePrecompute(a *buchi.BA, maxSubset int) *ProjectionSet {
+	ps := &ProjectionSet{
+		Auto:      a,
+		MaxSubset: maxSubset,
+		parts:     make(map[vocab.Set]*Partition),
+		quotients: make(map[vocab.Set]*buchi.BA),
+	}
+	a.EnsureEdges()
+	for _, out := range a.Out {
+		for _, e := range out {
+			ps.labelEvents = ps.labelEvents.Union(e.Label.Vars())
+		}
+	}
+	events := ps.labelEvents.IDs()
+	if maxSubset > len(events) {
+		maxSubset = len(events)
+		ps.MaxSubset = maxSubset
+	}
+	dedup := make(map[string]*Partition)
+	intern := func(p Partition) *Partition {
+		key := ReferenceKey(p)
+		if shared, ok := dedup[key]; ok {
+			return shared
+		}
+		cp := p
+		dedup[key] = &cp
+		return &cp
+	}
+	full := intern(ReferenceCoarsestProjected(a, ps.labelEvents))
+	ps.parts[0] = intern(ReferenceCoarsestProjected(a, 0))
+	subsets := []vocab.Set{0}
+	for size := 1; size <= maxSubset; size++ {
+		var nextSubsets []vocab.Set
+		for _, sub := range subsets {
+			start := 0
+			if !sub.IsEmpty() {
+				ids := sub.IDs()
+				start = int(ids[len(ids)-1]) + 1
+			}
+			seed := ps.parts[sub]
+			for _, e := range events {
+				if int(e) < start {
+					continue
+				}
+				s := sub.With(e)
+				if seed == full {
+					ps.parts[s] = full
+				} else {
+					ps.parts[s] = intern(ReferenceRefineProjected(a, *seed, s))
+				}
+				nextSubsets = append(nextSubsets, s)
+			}
+		}
+		subsets = nextSubsets
+	}
+	ps.PrecomputedSubsets = len(ps.parts)
+	ps.DistinctPartitions = len(dedup)
+	return ps
+}
+
+// ReferenceKey is the reference Partition.Key.
+func ReferenceKey(p Partition) string {
+	var b strings.Builder
+	for i, c := range p.Class {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d", c)
+	}
+	return b.String()
+}
+
+// Parts returns the set's precomputed partition for each subset.
+func (ps *ProjectionSet) Parts() map[vocab.Set]*Partition { return ps.parts }
