@@ -1,7 +1,6 @@
 package bisim
 
 import (
-	"cmp"
 	"fmt"
 
 	"contractdb/internal/buchi"
@@ -19,33 +18,29 @@ type PartRef struct {
 
 // FlatProjections is the formatVersion-4 shape of a contract's
 // projection precomputation: deduplicated, canonically numbered
-// partition class tables plus the budgeted quotient table, both
-// addressed by (event subset → table index) reference lists sorted by
-// subset. Table entries are numbered by first occurrence in reference
-// order, so equal precomputations produce equal structures regardless
-// of how they were built — the invariant the byte-deterministic v4
-// encoding rests on.
+// partition class tables addressed by an (event subset → table index)
+// reference list sorted by subset. Tables are numbered by first
+// occurrence in reference order, so equal precomputations produce
+// equal structures regardless of how they were built — the invariant
+// the byte-deterministic v4 encoding rests on. Quotients are never
+// persisted: the query path derives each one from its partition on
+// first use.
 //
-// The class tables and compiled quotients may alias storage owned by
-// a snapshot mapping; treat every slice as read-only.
+// The class tables may alias storage owned by a snapshot mapping;
+// treat every slice as read-only.
 type FlatProjections struct {
-	MaxSubset     int
-	PartTables    []Partition
-	PartRefs      []PartRef
-	QuotientTable []*buchi.Compiled
-	QuotientRefs  []QuotientRef
+	MaxSubset  int
+	PartTables []Partition
+	PartRefs   []PartRef
 }
 
 // ExportFlat captures the projection set in flat form. It returns the
 // set's export memo, built on first use by one pass over the
-// precomputed partitions and the budgeted quotient selection, and
-// never again: partitions and the parent's compiled form are
-// immutable, so every export of a set — the registration record, each
-// checkpoint — renders the same structure. A set loaded by ImportFlat
-// starts with the memo seeded from its persisted tables. Like Export
-// it never reads the runtime quotient cache, so equal databases export
-// equal structures regardless of query history. The returned tables
-// alias the memo; treat them as read-only.
+// precomputed partitions, and never again: partitions are immutable,
+// so every export of a set — the registration record, each checkpoint
+// — renders the same structure. A set loaded by ImportFlat starts with
+// the memo seeded from its persisted tables. The returned tables alias
+// the memo; treat them as read-only.
 func (ps *ProjectionSet) ExportFlat() FlatProjections { return *ps.exportMemo() }
 
 // PrepareExport builds the export memo now, so the first checkpoint
@@ -54,24 +49,17 @@ func (ps *ProjectionSet) ExportFlat() FlatProjections { return *ps.exportMemo() 
 func (ps *ProjectionSet) PrepareExport() { ps.exportMemo() }
 
 func (ps *ProjectionSet) exportMemo() *FlatProjections {
-	ps.exportOnce.Do(func() {
-		budget := 0
-		if ps.Auto != nil {
-			budget = quotientEdgeBudgetFactor * ps.Auto.Compiled().NumEdges()
-		}
-		ps.export = ps.flatten(ps.selectQuotients(budget, hashCompiled))
-	})
+	ps.exportOnce.Do(func() { ps.export = ps.flatten() })
 	return &ps.export
 }
 
-// flatten builds the flat form of the set's partitions around a
-// quotient selection (refs sorted by subset). Partition tables are
+// flatten builds the flat form of the set's partitions. Tables are
 // deduplicated by content, not pointer: partitions imported from an
 // old snapshot and partitions freshly precomputed must flatten to the
-// same tables for the cross-version byte-equality guarantee. Both
-// tables are numbered by first occurrence in subset order, so the
-// flat numbering is canonical.
-func (ps *ProjectionSet) flatten(table []*buchi.Compiled, refs []QuotientRef) FlatProjections {
+// same tables for the cross-version byte-equality guarantee. Tables
+// are numbered by first occurrence in subset order, so the flat
+// numbering is canonical.
+func (ps *ProjectionSet) flatten() FlatProjections {
 	f := FlatProjections{MaxSubset: ps.MaxSubset}
 	dedup := make(map[string]int)
 	var key []byte
@@ -86,7 +74,6 @@ func (ps *ProjectionSet) flatten(table []*buchi.Compiled, refs []QuotientRef) Fl
 		}
 		f.PartRefs = append(f.PartRefs, PartRef{Set: set, Table: idx})
 	}
-	f.QuotientTable, f.QuotientRefs = renumberQuotients(table, refs, func(a, b vocab.Set) int { return cmp.Compare(a, b) })
 	return f
 }
 
@@ -113,9 +100,7 @@ func validateCanonicalClasses(class []int) (int, error) {
 // labelEvents is the persisted label-event set (computed at export
 // from the automaton's labels), passed in so import never walks the
 // automaton's adjacency — auto is typically a shell whose edges stay
-// unmaterialized. Class tables are validated in place, never copied;
-// quotient automata are built as shells over the persisted compiled
-// forms.
+// unmaterialized. Class tables are validated in place, never copied.
 func ImportFlat(auto *buchi.BA, labelEvents vocab.Set, f FlatProjections) (*ProjectionSet, error) {
 	n := auto.NumStates()
 	ps := &ProjectionSet{
@@ -123,7 +108,7 @@ func ImportFlat(auto *buchi.BA, labelEvents vocab.Set, f FlatProjections) (*Proj
 		MaxSubset:   f.MaxSubset,
 		labelEvents: labelEvents,
 		parts:       make(map[vocab.Set]*Partition, len(f.PartRefs)),
-		quotients:   make(map[vocab.Set]*buchi.BA, len(f.QuotientRefs)),
+		quotients:   make(map[vocab.Set]*buchi.BA),
 	}
 	tables := make([]*Partition, len(f.PartTables))
 	for i := range f.PartTables {
@@ -163,55 +148,10 @@ func ImportFlat(auto *buchi.BA, labelEvents vocab.Set, f FlatProjections) (*Proj
 	ps.PrecomputedSubsets = len(ps.parts)
 	ps.DistinctPartitions = len(tables)
 
-	qBA := make([]*buchi.BA, len(f.QuotientTable))
-	nextQuot := 0
-	for i, ref := range f.QuotientRefs {
-		if i > 0 && ref.Set <= f.QuotientRefs[i-1].Set {
-			return nil, fmt.Errorf("bisim: quotient refs not strictly sorted at %s", ref.Set)
-		}
-		switch {
-		case ref.Table < 0 || ref.Table > nextQuot:
-			return nil, fmt.Errorf("bisim: quotient ref for %s cites table %d before its introduction (next is %d)",
-				ref.Set, ref.Table, nextQuot)
-		case ref.Table == nextQuot:
-			nextQuot++
-		}
-		if ref.Table >= len(qBA) {
-			return nil, fmt.Errorf("bisim: quotient ref for %s cites table %d of %d", ref.Set, ref.Table, len(qBA))
-		}
-		part, ok := ps.parts[ref.Set]
-		if !ok {
-			return nil, fmt.Errorf("bisim: quotient for %s has no matching partition", ref.Set)
-		}
-		q := qBA[ref.Table]
-		if q == nil {
-			qc := f.QuotientTable[ref.Table]
-			if qc == nil {
-				return nil, fmt.Errorf("bisim: quotient table entry %d is empty", ref.Table)
-			}
-			if qc.Events != auto.Events {
-				return nil, fmt.Errorf("bisim: quotient table entry %d has event set %v, automaton has %v",
-					ref.Table, qc.Events, auto.Events)
-			}
-			var err error
-			if q, err = buchi.ShellFromCompiled(qc); err != nil {
-				return nil, fmt.Errorf("bisim: quotient table entry %d: %w", ref.Table, err)
-			}
-			qBA[ref.Table] = q
-		}
-		if q.NumStates() != part.Count {
-			return nil, fmt.Errorf("bisim: quotient for %s has %d states, its partition has %d classes",
-				ref.Set, q.NumStates(), part.Count)
-		}
-		ps.quotients[ref.Set] = q
-	}
-	if nextQuot != len(qBA) {
-		return nil, fmt.Errorf("bisim: %d quotient tables stored, %d referenced", len(qBA), nextQuot)
-	}
 	// The validated form is exactly what ExportFlat would build (the
 	// numbering checks above enforce its canonical shape), so it seeds
 	// the export memo: a checkpoint re-exports the persisted tables,
-	// still aliasing their storage, and derives nothing.
+	// still aliasing their storage.
 	ps.exportOnce.Do(func() { ps.export = f })
 	return ps, nil
 }

@@ -275,12 +275,12 @@ func deriveQuotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
 }
 
 // derivations counts deriveQuotient calls process-wide. The
-// export-once tests assert a zero delta across checkpoints: every
-// contract's quotient selection is derived at most once.
+// export-once tests assert a zero delta across checkpoints: exports
+// carry partitions only, so no quotient is ever derived to persist.
 var derivations atomic.Int64
 
 // DerivationCount returns the number of quotient derivations performed
-// by this process so far, on the query path and at export alike.
+// by this process so far.
 // Tests use deltas; the absolute value is meaningless.
 func DerivationCount() int64 { return derivations.Load() }
 

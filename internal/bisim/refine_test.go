@@ -111,7 +111,7 @@ func checkRandom(t *testing.T, refine func(*buchi.BA, bisim.Partition, vocab.Set
 // precomputed partition of the subset less its largest event, as
 // Precompute seeds it.
 func checkCorpus(t *testing.T, refine func(*buchi.BA, bisim.Partition, vocab.Set) bisim.Partition) {
-	for _, ps := range selectionCorpus(t)[:4] {
+	for _, ps := range exportCorpus(t)[:4] {
 		a := ps.Auto
 		finals := randomStarts(rand.New(rand.NewSource(0)), a)[0]
 		for _, set := range ps.Subsets() {
@@ -147,11 +147,11 @@ func TestRefinerOneBucket(t *testing.T) {
 }
 
 // TestPrecomputeMatchesReference: Precompute's flat export — the
-// partition tables and quotient selection that feed the v4 snapshot
+// partition tables that feed the v4 snapshot and register-record
 // bytes — gob-encodes to the same bytes as the reference
 // precomputation's.
 func TestPrecomputeMatchesReference(t *testing.T) {
-	for i, ps := range selectionCorpus(t) {
+	for i, ps := range exportCorpus(t) {
 		ref := bisim.ReferencePrecompute(ps.Auto, ps.MaxSubset)
 		if ps.PrecomputedSubsets != ref.PrecomputedSubsets || ps.DistinctPartitions != ref.DistinctPartitions {
 			t.Fatalf("contract %d: %d subsets, %d distinct; reference %d, %d", i,
@@ -205,7 +205,7 @@ func TestReduceBidirectionalMatchesReference(t *testing.T) {
 // Precompute, forward and backward partitions at once — each get the
 // partitions a lone caller gets. Run under -race.
 func TestRefinerPoolConcurrent(t *testing.T) {
-	corpus := selectionCorpus(t)[:4]
+	corpus := exportCorpus(t)[:4]
 	rng := rand.New(rand.NewSource(71))
 	autos := make([]*buchi.BA, 50)
 	for i := range autos {

@@ -183,7 +183,7 @@ func (db *DB) promoteLinked(c *Contract, link trace.SpanContext) {
 	ps := bisim.Precompute(c.auto, db.effectiveBudget(c.auto))
 	elapsed := time.Since(t)
 	// Export once, here, off every lock: the next checkpoint renders
-	// the contract from this memo instead of deriving its quotients.
+	// the contract from this memo instead of flattening its partitions.
 	ps.PrepareExport()
 	if tr != nil {
 		if sp := trace.SpanFrom(tctx); sp != nil {

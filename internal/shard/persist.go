@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"contractdb/internal/core"
@@ -13,22 +12,19 @@ import (
 )
 
 // The sharded snapshot deliberately does not record the shard count.
-// It is a name-sorted list of registration records — the same
-// byte-deterministic per-contract encoding the WAL carries — plus the
-// vocabulary and options. Placement is a pure function of name and
-// shard count, so Load can deal the records onto however many shards
-// the caller asks for: a corpus saved under 8 shards reloads under 4
-// (or 1) byte-for-byte identically re-saved. That property is the
-// backbone of the differential harness and it means re-sharding a
-// deployment is a restart, not a migration.
-
-// formatVersion 4 keeps the count-agnostic property with a different
-// carrier: one snapfmt container holding every shard's contracts in
-// name order, with Sharded=true in its head and no prefilter
-// sections (per-shard indexes depend on the shard count and are
-// rebuilt from the adopted compiled forms at load). The v1 gob
-// wrapper below remains readable, as do unsharded snapshots of every
-// supported version.
+// It is one snapfmt container holding every shard's contracts in name
+// order, with Sharded=true in its head and no prefilter sections
+// (per-shard indexes depend on the shard count and are rebuilt from
+// the adopted compiled forms at load). Placement is a pure function of
+// name and shard count, so Load can deal the contracts onto however
+// many shards the caller asks for: a corpus saved under 8 shards
+// reloads under 4 (or 1) byte-for-byte identically re-saved. That
+// property is the backbone of the differential harness and it means
+// re-sharding a deployment is a restart, not a migration.
+//
+// Earlier builds wrote a v1 gob wrapper (a name-sorted list of
+// registration records); it remains readable, as do unsharded
+// snapshots of every supported version.
 
 // shardSnapshot is the legacy (gob) persisted form of a sharded
 // database.
@@ -51,32 +47,6 @@ const shardFormatVersion = 1
 // different shard counts serialize identically.
 func (db *DB) Save(w io.Writer) error {
 	if err := core.SaveSharded(w, db.voc.Names(), db.options(), db.shards); err != nil {
-		return fmt.Errorf("shard: save: %w", err)
-	}
-	return nil
-}
-
-// SaveLegacy writes the v1 gob wrapper (name-sorted registration
-// records) older builds read.
-func (db *DB) SaveLegacy(w io.Writer) error {
-	var records []core.RegistrationExport
-	for _, sh := range db.shards {
-		recs, err := sh.ExportRegistrations()
-		if err != nil {
-			return fmt.Errorf("shard: save: %w", err)
-		}
-		records = append(records, recs...)
-	}
-	// Name order, not shard-then-id order: the deal across shards must
-	// cancel out of the byte stream.
-	sort.Slice(records, func(i, j int) bool { return records[i].Name < records[j].Name })
-	snap := shardSnapshot{
-		ShardFormat: shardFormatVersion,
-		Events:      db.voc.Names(),
-		Opts:        db.options(),
-		Records:     records,
-	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("shard: save: %w", err)
 	}
 	return nil

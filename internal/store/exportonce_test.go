@@ -28,11 +28,11 @@ func manualCheckpoints(shards int) store.Config {
 	}
 }
 
-// TestCheckpointExportsOnce: a contract's quotient selection is derived
-// once — when its registration record is built, or when the ingest
-// pipeline promotes it — and every checkpoint after that (the first,
-// a second one, and one after reopening on the mapped snapshot)
-// renders it from the memo and derives nothing. The reopened store's
+// TestCheckpointExportsOnce: a contract's flat export is built once —
+// when its registration record is built, or when the ingest pipeline
+// promotes it — and every checkpoint after that (the first, a second
+// one, and one after reopening on the mapped snapshot) renders it from
+// the memo and derives no quotient. The reopened store's
 // snapshot still matches a database built from scratch byte for byte.
 func TestCheckpointExportsOnce(t *testing.T) {
 	for _, workers := range []int{0, 2} {
@@ -72,7 +72,7 @@ func checkpointExportsOnce(t *testing.T, cfg store.Config) {
 	last := uint64(0)
 	checkpoint := func(st *store.Store, when string) {
 		t.Helper()
-		// Promotions derive their memo; the checkpoint must not.
+		// Promotions build their memo; the checkpoint derives nothing.
 		st.DB().WaitIdle()
 		ref.WaitIdle()
 		before := bisim.DerivationCount()

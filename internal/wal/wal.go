@@ -5,7 +5,7 @@
 //
 //	uint32 LE  payload length n (n = 8 seq + 1 type + len(data))
 //	uint32 LE  CRC32C (Castagnoli) over the n payload bytes
-//	uint64 LE  sequence number (dense, starting at Options.StartSeq)
+//	uint64 LE  sequence number (dense, starting at 1)
 //	byte       record type (opaque to this package)
 //	n-9 bytes  payload data
 //
@@ -113,10 +113,6 @@ type Options struct {
 	// SyncInterval is the flush period under SyncInterval policy. Zero
 	// selects DefaultSyncInterval.
 	SyncInterval time.Duration
-	// StartSeq is the sequence number of the first record in a
-	// previously empty log. Zero selects 1. Ignored when the directory
-	// already holds segments.
-	StartSeq uint64
 	// Metrics, when non-nil, receives append/sync latency and byte
 	// counters.
 	Metrics *metrics.Durability
@@ -212,11 +208,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, err
 	}
 	if len(paths) == 0 {
-		start := opts.StartSeq
-		if start == 0 {
-			start = 1
-		}
-		if err := l.createSegment(start); err != nil {
+		if err := l.createSegment(1); err != nil {
 			return nil, err
 		}
 	} else {
@@ -398,6 +390,9 @@ func parseFrame(b []byte, expectSeq uint64) (Record, int, error) {
 	if expectSeq != 0 && seq != expectSeq {
 		return Record{}, 0, fmt.Errorf("record has seq %d, want %d", seq, expectSeq)
 	}
+	// Each record gets its own allocation: replay adopts a register
+	// record's slabs in place, which needs bytes that are 8-byte
+	// aligned and never reused.
 	data := make([]byte, len(payload)-recordOverhead)
 	copy(data, payload[recordOverhead:])
 	return Record{Seq: seq, Type: payload[8], Data: data}, frameHeaderSize + int(n), nil

@@ -336,18 +336,6 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 }
 
-func TestStartSeq(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncNever, StartSeq: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if seq, _ := l.Append(0, []byte("x")); seq != 500 {
-		t.Fatalf("first seq = %d, want 500", seq)
-	}
-}
-
 func TestFrameRoundTrip(t *testing.T) {
 	data := []byte("hello, contract")
 	frame := encodeFrame(42, 7, data)
