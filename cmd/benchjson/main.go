@@ -141,8 +141,8 @@ func main() {
 				os.Exit(1)
 			}
 			rep.ColdStart = append(rep.ColdStart, p)
-			fmt.Fprintf(os.Stderr, "ColdStart/contracts=%-5d register %9.1f ms  v4 load %7.1f ms (%.1fx)  gob load %7.1f ms (v4 %.1fx faster)\n",
-				p.Contracts, p.RegisterMS, p.LoadMS, p.Speedup, p.GobLoadMS, p.GobSpeedup)
+			fmt.Fprintf(os.Stderr, "ColdStart/contracts=%-5d register %9.1f ms  load %7.1f ms (%.1fx)\n",
+				p.Contracts, p.RegisterMS, p.LoadMS, p.Speedup)
 		}
 		for _, workers := range []int{0, runtime.GOMAXPROCS(0)} {
 			p, err := benchkit.RegisterRate(300, workers)

@@ -110,8 +110,7 @@ commands:
                                         download a one-shot diagnostics tarball
                                         (metrics, traces, query log, profiles)
   snapshot inspect [-contracts] [-top N] FILE|DATA-DIR
-                                        print a snapshot's section directory
-                                        (v4) or version and counts (legacy gob)`)
+                                        print a snapshot's section directory`)
 }
 
 func loadDB(path string) (*core.DB, error) {

@@ -12,10 +12,9 @@ import (
 )
 
 // cmdSnapshot dispatches the snapshot subcommands. Today there is
-// one: inspect, which prints a snapshot file's structure — for v4
-// containers the full section directory with sizes and CRCs plus a
-// per-contract slab footprint, for legacy gob streams the version and
-// counts.
+// one: inspect, which prints a snapshot file's structure — the full
+// section directory with sizes and CRCs plus a per-contract slab
+// footprint.
 func cmdSnapshot(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: ctdb snapshot inspect <file-or-data-dir>")
@@ -30,7 +29,7 @@ func cmdSnapshot(args []string) error {
 
 func cmdSnapshotInspect(args []string) error {
 	fs := flag.NewFlagSet("snapshot inspect", flag.ExitOnError)
-	perContract := fs.Bool("contracts", false, "also list the per-contract slab footprint (v4 containers)")
+	perContract := fs.Bool("contracts", false, "also list the per-contract slab footprint")
 	top := fs.Int("top", 10, "with -contracts, show only the N largest (0 = all)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,14 +79,7 @@ func resolveSnapshotPath(arg string) (string, error) {
 
 func printInspection(path string, insp *core.SnapshotInspection, perContract bool, top int) {
 	fmt.Printf("%s\n", path)
-	if !insp.Container {
-		fmt.Printf("  format:    v%d (legacy gob — no section directory; whole file decodes on load)\n", insp.FormatVersion)
-		fmt.Printf("  file:      %s\n", fmtBytes(insp.FileBytes))
-		fmt.Printf("  contracts: %d (%d deferred)\n", insp.Contracts, insp.Deferred)
-		fmt.Printf("  events:    %d\n", insp.Events)
-		return
-	}
-	layout := "unsharded"
+	layout := "unsharded (older writer; index sections skipped at load)"
 	if insp.Sharded {
 		layout = "sharded (count-agnostic; indexes rebuilt at load)"
 	}

@@ -42,6 +42,14 @@
 // safe for concurrent use. Both of the paper's optimizations are
 // enabled by default and can be toggled per query via QueryMode for
 // measurement.
+//
+// # Persistence
+//
+// (*Broker).Save writes the broker, precomputed artifacts included, as
+// a format-v4 snapshot container — the same bytes the sharded daemon
+// checkpoints for the same contracts — and Load adopts it back without
+// redoing registration. Every v4 snapshot loads; the pre-v4 gob
+// formats are refused with ErrUnsupportedFormat.
 package contracts
 
 import (
@@ -114,7 +122,8 @@ func NewBroker(events []string, opts Options) (*Broker, error) {
 }
 
 // Load restores a broker previously written with (*Broker).Save,
-// including all precomputed index structures.
+// including all precomputed artifacts. Bytes that are not a format-v4
+// snapshot fail with ErrUnsupportedFormat.
 func Load(r io.Reader) (*Broker, error) {
 	return core.Load(r)
 }
@@ -154,6 +163,10 @@ var (
 	// check exhausted its kernel step budget.
 	ErrBudgetExceeded = core.ErrBudgetExceeded
 )
+
+// ErrUnsupportedFormat is returned by Load for bytes that are not a
+// format-v4 snapshot, such as the gob snapshots older builds wrote.
+var ErrUnsupportedFormat = core.ErrUnsupportedFormat
 
 // DBStats combines the broker's offline registration counters with
 // its online query metrics, as returned by (*Broker).Stats.

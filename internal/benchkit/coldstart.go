@@ -12,28 +12,21 @@ import (
 	"contractdb/internal/vocab"
 )
 
-// The cold-start series prices the tentpole claim directly: restoring
-// a formatVersion-3 snapshot (compiled automata, prefilter index and
-// projection quotients decoded, zero LTL→BA translations) against
+// The cold-start series prices snapshot restore directly: loading a
+// v4 container (compiled automata and projection partitions adopted,
+// zero LTL→BA translations) against
 // rebuilding the same corpus through the strongest synchronous
 // registration path (RegisterBatch on a full worker pool). Both sides
 // operate on the identical accepted corpus — rejected unsatisfiable
 // draws are excluded before the clock starts.
 
-// ColdStartPoint is one corpus size of the cold-start series. Since
-// formatVersion 4 the point also splits decode out of the load: the
-// v4 container adopts its slabs zero-copy, so its load time is head
-// decode plus validation, against the full gob decode a v3 stream of
-// the same corpus pays.
+// ColdStartPoint is one corpus size of the cold-start series.
 type ColdStartPoint struct {
 	Contracts     int     `json:"contracts"`
 	SnapshotBytes int     `json:"snapshot_bytes"` // v4 container size
 	RegisterMS    float64 `json:"register_ms"`    // RegisterBatch from specs
 	LoadMS        float64 `json:"load_ms"`        // core.Load from a v4 container
 	Speedup       float64 `json:"speedup"`        // RegisterMS / LoadMS
-	GobBytes      int     `json:"gob_bytes"`      // v3 gob stream size, same corpus
-	GobLoadMS     float64 `json:"gob_load_ms"`    // core.Load from the v3 stream
-	GobSpeedup    float64 `json:"gob_speedup"`    // GobLoadMS / LoadMS: what flat sections buy
 }
 
 // benchOpts is the corpus regime shared with DB()/ShardedDB(): same
@@ -100,34 +93,14 @@ func ColdStart(size int) (ColdStartPoint, error) {
 		return ColdStartPoint{}, fmt.Errorf("benchkit: cold start: loaded %d contracts, want %d", loaded.Len(), size)
 	}
 
-	// The same corpus as a legacy v3 gob stream: the decode cost the
-	// flat sections eliminate.
-	var gobBuf bytes.Buffer
-	if err := db.SaveLegacy(&gobBuf); err != nil {
-		return ColdStartPoint{}, fmt.Errorf("benchkit: cold start: %w", err)
-	}
-	runtime.GC()
-	start = time.Now()
-	gobLoaded, err := core.Load(bytes.NewReader(gobBuf.Bytes()))
-	gobLoadMS := float64(time.Since(start).Microseconds()) / 1e3
-	if err != nil {
-		return ColdStartPoint{}, fmt.Errorf("benchkit: cold start: %w", err)
-	}
-	if gobLoaded.Len() != size {
-		return ColdStartPoint{}, fmt.Errorf("benchkit: cold start: gob path loaded %d contracts, want %d", gobLoaded.Len(), size)
-	}
-
 	p := ColdStartPoint{
 		Contracts:     size,
 		SnapshotBytes: buf.Len(),
 		RegisterMS:    registerMS,
 		LoadMS:        loadMS,
-		GobBytes:      gobBuf.Len(),
-		GobLoadMS:     gobLoadMS,
 	}
 	if loadMS > 0 {
 		p.Speedup = registerMS / loadMS
-		p.GobSpeedup = gobLoadMS / loadMS
 	}
 	return p, nil
 }

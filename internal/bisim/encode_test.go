@@ -1,8 +1,6 @@
 package bisim_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -52,11 +50,12 @@ func TestQuotientDerivationMatchesCompile(t *testing.T) {
 	}
 }
 
-// TestProjectionSnapshotRoundTrip: Export → gob → ImportProjections
+// TestFlatProjectionsRoundTrip: ExportFlat → ImportFlat onto a shell
+// of the compiled automaton (as the snapshot loader holds it)
 // reproduces the projection set — every subset's derived quotient
-// accepts the same lassos as the original's — and re-exporting yields
-// byte-identical snapshots regardless of what the runtime cache held.
-func TestProjectionSnapshotRoundTrip(t *testing.T) {
+// accepts the same lassos as the original's — and the imported set
+// re-exports the same flat form after queries filled its cache.
+func TestFlatProjectionsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	voc := vocab.MustFromNames("a", "b", "c", "d")
 	cfg := ltltest.Config{Atoms: []string{"a", "b", "c", "d"}, MaxDepth: 4}
@@ -67,50 +66,29 @@ func TestProjectionSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps := bisim.Precompute(a, 2)
-		snap := ps.Export()
+		flat := ps.ExportFlat()
 
-		var wire bytes.Buffer
-		if err := gob.NewEncoder(&wire).Encode(snap); err != nil {
-			t.Fatal(err)
-		}
-		wireBytes := append([]byte(nil), wire.Bytes()...)
-		var decoded bisim.ProjectionSnapshot
-		if err := gob.NewDecoder(&wire).Decode(&decoded); err != nil {
-			t.Fatal(err)
-		}
-
-		// A second translation of the same formula is the same automaton
-		// (translation is deterministic) — the import target, as Load
-		// would hold it.
-		a2, err := ltl2ba.Translate(voc, f)
+		shell, err := buchi.ShellFromCompiled(a.Compiled())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps2, err := bisim.ImportProjections(a2, decoded)
+		ps2, err := bisim.ImportFlat(shell, ps.LabelEvents(), flat)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		// Language differential between original and imported quotients.
-		for _, entry := range decoded.Parts {
-			q1, q2 := ps.For(entry.Set), ps2.For(entry.Set)
+		for _, ref := range flat.PartRefs {
+			q1, q2 := ps.For(ref.Set), ps2.For(ref.Set)
 			for j := 0; j < 10; j++ {
 				run := ltltest.Lasso(rng, 4, 3, 3)
 				if q1.AcceptsLasso(run) != q2.AcceptsLasso(run) {
-					t.Fatalf("imported quotient for %s changed the language of BA(%s)", entry.Set, f)
+					t.Fatalf("imported quotient for %s changed the language of BA(%s)", ref.Set, f)
 				}
 			}
 		}
-
-		// Export is cache-independent: the imported set re-exports to the
-		// same bytes even though its runtime cache is now populated.
-		var rewire bytes.Buffer
-		if err := gob.NewEncoder(&rewire).Encode(ps2.Export()); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wireBytes, rewire.Bytes()) {
-			t.Fatalf("re-export after import changed the snapshot bytes for BA(%s) (%d vs %d)",
-				f, len(wireBytes), rewire.Len())
+		if !reflect.DeepEqual(ps2.ExportFlat(), flat) {
+			t.Fatalf("re-export after import changed the flat form of BA(%s)", f)
 		}
 	}
 }

@@ -27,22 +27,20 @@ func exportCorpus(t *testing.T) []*bisim.ProjectionSet {
 	return out
 }
 
-// TestExportRendersPartitions: Export and ExportFlat render the same
-// memoized partitions — one entry per precomputed subset, each the
-// coarsest bisimulation of its projection, flat tables numbered by
-// first occurrence — and exporting derives no quotient.
+// TestExportRendersPartitions: ExportFlat renders the memoized
+// partitions — one ref per precomputed subset, each citing the
+// coarsest bisimulation of its projection, tables numbered by first
+// occurrence — and exporting derives no quotient.
 func TestExportRendersPartitions(t *testing.T) {
 	for i, ps := range exportCorpus(t) {
 		before := bisim.DerivationCount()
-		snap := ps.Export()
 		f := ps.ExportFlat()
 		if d := bisim.DerivationCount() - before; d != 0 {
 			t.Fatalf("contract %d: export derived %d quotients, want 0", i, d)
 		}
 		subsets := ps.Subsets()
-		if len(snap.Parts) != len(subsets) || len(f.PartRefs) != len(subsets) {
-			t.Fatalf("contract %d: %d subsets, Export has %d entries, ExportFlat %d refs",
-				i, len(subsets), len(snap.Parts), len(f.PartRefs))
+		if len(f.PartRefs) != len(subsets) {
+			t.Fatalf("contract %d: %d subsets, ExportFlat has %d refs", i, len(subsets), len(f.PartRefs))
 		}
 		next := 0
 		for j, ref := range f.PartRefs {
@@ -52,15 +50,11 @@ func TestExportRendersPartitions(t *testing.T) {
 			if ref.Table == next {
 				next++
 			}
-			entry := snap.Parts[j]
-			if entry.Set != subsets[j] || ref.Set != subsets[j] {
-				t.Fatalf("contract %d: entry %d is for %s / %s, want %s", i, j, entry.Set, ref.Set, subsets[j])
-			}
-			if !reflect.DeepEqual(entry.Class, f.PartTables[ref.Table].Class) {
-				t.Fatalf("contract %d: Export and ExportFlat disagree on %s", i, ref.Set)
+			if ref.Set != subsets[j] {
+				t.Fatalf("contract %d: ref %d is for %s, want %s", i, j, ref.Set, subsets[j])
 			}
 			want := bisim.CoarsestProjected(ps.Auto, ref.Set)
-			if got := (bisim.Partition{Class: entry.Class}); got.Key() != want.Key() {
+			if got := (bisim.Partition{Class: f.PartTables[ref.Table].Class}); got.Key() != want.Key() {
 				t.Fatalf("contract %d: exported partition for %s is not its coarsest bisimulation", i, ref.Set)
 			}
 		}
@@ -81,7 +75,6 @@ func TestExportConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ps.Export()
 				flats[g] = ps.ExportFlat()
 			}()
 		}

@@ -79,7 +79,7 @@ func (ps *ProjectionSet) flatten() FlatProjections {
 
 // validateCanonicalClasses checks that a class table is canonically
 // numbered — classes appear in first-occurrence order 0,1,2,… — and
-// returns the class count. The check replaces v3's normalize-copy:
+// returns the class count. The check replaces a normalizing copy:
 // the table may live in a read-only mapping, and a canonical table is
 // exactly what export writes, so a violation means corruption (or a
 // foreign writer), not a formatting variant to repair.

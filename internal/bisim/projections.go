@@ -26,7 +26,7 @@ import (
 // For, which fills the lazy quotient cache, is not safe for
 // concurrent use; the broker engine serializes it. Everything else
 // reads only state fixed at construction or the export memo, which a
-// sync.Once guards: Export, ExportFlat and PrepareExport (and
+// sync.Once guards: ExportFlat and PrepareExport (and
 // Subsets, LabelEvents and StorageStates) are safe to call from any
 // goroutine, concurrently with each other and with a serialized For.
 type ProjectionSet struct {

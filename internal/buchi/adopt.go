@@ -7,64 +7,19 @@ import (
 
 // compileCount counts CSR flattenings (Compile calls) process-wide.
 // The cold-start tests assert a zero delta across snapshot load plus
-// the first queries: a formatVersion-3 snapshot restores every
-// compiled form, so nothing should flatten again.
+// the first queries: a snapshot restores every compiled form, so
+// nothing should flatten again.
 var compileCount atomic.Int64
 
 // CompileCount returns the number of CSR flattenings performed by this
 // process so far. Tests use deltas; the absolute value is meaningless.
 func CompileCount() int64 { return compileCount.Load() }
 
-// AdoptCompiled installs a previously built compiled form (typically
-// decoded from a formatVersion-3 snapshot or derived from a parent
-// automaton's compiled form) instead of flattening the automaton on
-// first use. The form is validated structurally against the automaton
-// — state count, initial state, acceptance set, events, CSR shape,
-// label table — but its edge set is trusted, exactly as Load trusts
-// the persisted automaton itself after Validate.
-//
-// Adoption is first-writer-wins with Compile: if the automaton already
-// flattened (or adopted), the call validates and returns without
-// replacing the existing form.
-func (a *BA) AdoptCompiled(c *Compiled) error {
-	if err := a.validateCompiled(c); err != nil {
-		return err
-	}
-	a.compileOnce.Do(func() { a.compiled = c })
-	return nil
-}
-
-func (a *BA) validateCompiled(c *Compiled) error {
-	if c == nil {
-		return fmt.Errorf("buchi: adopt: nil compiled form")
-	}
-	n := a.NumStates()
-	if c.N != n {
-		return fmt.Errorf("buchi: adopt: compiled form has %d states, automaton has %d", c.N, n)
-	}
-	if c.Init != a.Init {
-		return fmt.Errorf("buchi: adopt: compiled initial state %d, automaton has %d", c.Init, a.Init)
-	}
-	if c.Events != a.Events {
-		return fmt.Errorf("buchi: adopt: compiled event set %v, automaton has %v", c.Events, a.Events)
-	}
-	if len(c.Final) != n {
-		return fmt.Errorf("buchi: adopt: acceptance set covers %d states, automaton has %d", len(c.Final), n)
-	}
-	for s := 0; s < n; s++ {
-		if c.Final[s] != a.Final[s] {
-			return fmt.Errorf("buchi: adopt: acceptance of state %d disagrees with the automaton", s)
-		}
-	}
-	return validateCompiledSelf(c)
-}
-
 // validateCompiledSelf checks the internal consistency of a compiled
 // form in isolation: CSR shape, offset monotonicity, MaxDeg, edge
 // target and label ranges, label satisfiability and event scoping.
-// The agreement half of adoption (does the form describe *this*
-// automaton?) lives in validateCompiled; shells skip it because the
-// shell is built *from* the form.
+// No agreement check against another automaton is needed: a shell is
+// built *from* the form.
 func validateCompiledSelf(c *Compiled) error {
 	if c == nil {
 		return fmt.Errorf("buchi: adopt: nil compiled form")

@@ -43,7 +43,7 @@ type BA struct {
 	// compiled form installed; edgesOnce materializes Out from the CSR
 	// arrays on the first analysis that needs labeled or reversed
 	// adjacency lists (Normalize, Trim, Reverse, Clone, Validate, the
-	// interpreted kernels, gob encoding). The query path needs none of
+	// interpreted kernels, the text encoding). The query path needs none of
 	// them: the compiled kernels and stream frontiers read the CSR
 	// arrays, and the graph walks the registration-time seed analysis
 	// runs (SCCs, OnAcceptingCycle, Reachable) read them too for a
@@ -111,7 +111,7 @@ func (g targets) at(s StateID, i int) StateID {
 // sync.Once check) for automata built edge-by-edge. Every analysis
 // that walks Out calls it at entry, so callers never need to;
 // it is exported for code that reads a.Out directly (the interpreted
-// kernels, gob encoding). Concurrency-safe.
+// kernels). Concurrency-safe.
 //
 // Materialization reproduces exactly the adjacency a fresh
 // construction would hold after MergeAdjacentLabels+Normalize: the

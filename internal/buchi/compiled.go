@@ -24,9 +24,8 @@ import (
 //
 // The compiled form is derived state, rebuilt from the BA on demand —
 // but rebuilding it is exactly the cold-start flattening tax, so
-// formatVersion-3 snapshots serialize it alongside the BA (all fields
-// are exported and gob-encodable) and Load installs it with
-// AdoptCompiled instead of re-deriving it. State identity is preserved
+// snapshots persist it and Load wraps it with ShellFromCompiled
+// instead of re-deriving it. State identity is preserved
 // — state s of the BA is state s of the Compiled — so
 // registration-time precomputation indexed by StateID (seeds, Final)
 // applies unchanged.

@@ -99,29 +99,34 @@ func TestShellEnsureEdgesConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestShellRejectsCorruptCompiled: a form that breaks any structural
+// invariant — the snapshot loader's only check on persisted automata —
+// is refused.
 func TestShellRejectsCorruptCompiled(t *testing.T) {
-	orig, _ := shellFixture(t)
-	good := orig.Compiled()
-
-	bad := *good
-	bad.Init = StateID(good.N + 3)
-	if _, err := ShellFromCompiled(&bad); err == nil {
-		t.Fatal("accepted out-of-range initial state")
+	tamper := []struct {
+		name string
+		mod  func(c *Compiled)
+	}{
+		{"negative state count", func(c *Compiled) { c.N = -1 }},
+		{"initial state", func(c *Compiled) { c.Init = StateID(c.N + 3) }},
+		{"acceptance shape", func(c *Compiled) { c.Final = c.Final[:len(c.Final)-1] }},
+		{"offset shape", func(c *Compiled) { c.EdgeOff = c.EdgeOff[:len(c.EdgeOff)-1] }},
+		{"offset span", func(c *Compiled) { c.EdgeOff[len(c.EdgeOff)-1]++ }},
+		{"label shape", func(c *Compiled) { c.EdgeLabel = c.EdgeLabel[:len(c.EdgeLabel)-1] }},
+		{"max degree", func(c *Compiled) { c.MaxDeg++ }},
+		{"edge target", func(c *Compiled) { c.EdgeTo[0] = int32(c.N + 1) }},
+		{"edge label id", func(c *Compiled) { c.EdgeLabel[0] = int32(len(c.Labels)) }},
+		{"unsatisfiable label", func(c *Compiled) { c.Labels[0] = Label{Pos: 1, Neg: 1} }},
+		{"foreign label events", func(c *Compiled) { c.Labels[0] = Label{Pos: 1 << 20} }},
 	}
-
-	bad = *good
-	bad.EdgeTo = append([]int32(nil), good.EdgeTo...)
-	bad.EdgeTo[0] = int32(good.N + 1)
-	if _, err := ShellFromCompiled(&bad); err == nil {
-		t.Fatal("accepted out-of-range edge target")
+	for _, tc := range tamper {
+		orig, _ := shellFixture(t)
+		c := Compile(orig) // fresh, structurally valid copy
+		tc.mod(c)
+		if _, err := ShellFromCompiled(c); err == nil {
+			t.Errorf("%s: tampered form accepted", tc.name)
+		}
 	}
-
-	bad = *good
-	bad.MaxDeg = good.MaxDeg + 1
-	if _, err := ShellFromCompiled(&bad); err == nil {
-		t.Fatal("accepted wrong MaxDeg")
-	}
-
 	if _, err := ShellFromCompiled(nil); err == nil {
 		t.Fatal("accepted nil compiled form")
 	}

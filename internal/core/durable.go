@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -28,16 +27,8 @@ import (
 // because checkpoints drain the pipeline first, so a replayed suffix
 // only ever re-runs work that was pending at the crash.
 //
-// Logs written before the container record still replay: their
-// register records are gob registrationRecords, restored through the
-// same restoreContract as the v2/v3 gob snapshots.
-
-// registrationRecord is the payload of a gob-era WAL register record.
-type registrationRecord struct {
-	FormatVersion int
-	Events        []string // vocabulary at registration, in id order
-	Contract      contractSnapshot
-}
+// Gob register records from logs written by older builds are refused
+// with ErrUnsupportedFormat, like gob snapshots.
 
 // encodeRegistration serializes c for the op log. It needs no db.mu:
 // Register calls it before taking the write lock, while c is still
@@ -69,36 +60,6 @@ func (db *DB) SetEncodeHook(f func()) {
 	db.encodeHook.Store(&f)
 }
 
-// RegistrationExport is one contract re-encoded as a registration
-// record: the same bytes ApplyRegistrationTo accepts. The shard layer
-// moves an unsharded database onto shards through these (FromCore).
-type RegistrationExport struct {
-	Name   string
-	Record []byte
-}
-
-// ExportRegistrations re-encodes every contract as a registration
-// record, in id order, under one read lock. The ingest pipeline is
-// drained first, so the export is always full-tier — which also makes
-// the bytes independent of pipeline timing. Each record carries the
-// full vocabulary as of the export (a superset of the vocabulary at
-// original registration), which ApplyRegistrationTo accepts: interning
-// the names in order reproduces the same id assignment.
-func (db *DB) ExportRegistrations() ([]RegistrationExport, error) {
-	db.WaitIdle()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]RegistrationExport, 0, len(db.contracts))
-	for _, c := range db.contracts {
-		enc, err := db.encodeRegistration(c)
-		if err != nil {
-			return nil, fmt.Errorf("core: export %q: %w", c.Name, err)
-		}
-		out = append(out, RegistrationExport{Name: c.Name, Record: enc})
-	}
-	return out, nil
-}
-
 // ApplyRegistrationTo decodes a register record and installs its
 // contract on the database place picks by contract name (the shard
 // router's placement). It is the replay half of the write-ahead
@@ -124,22 +85,34 @@ func ApplyRegistrationTo(data []byte, place func(name string) *DB, stats *LoadSt
 }
 
 func applyRegistration(data []byte, place func(name string) *DB, stats *LoadStats) error {
-	rec, err := decodeRecord(data)
+	f, head, err := decodeV4Head(data)
 	if err != nil {
 		return err
 	}
-	if rec.name == "" {
+	if !head.Sharded || len(head.Contracts) != 1 {
+		return fmt.Errorf("register record must be a one-contract sharded container (sharded %v, %d contracts)",
+			head.Sharded, len(head.Contracts))
+	}
+	h := head.Contracts[0]
+	if h.Name == "" {
 		return fmt.Errorf("registration record has no contract name")
 	}
-	db := place(rec.name)
-	if _, dup := db.ByName(rec.name); dup {
+	db := place(h.Name)
+	if _, dup := db.ByName(h.Name); dup {
 		return nil
 	}
-	c, deferred, err := rec.restore(stats)
+	cur, err := newV4Cursor(f)
 	if err != nil {
 		return err
 	}
-	if err := db.install(c, deferred, rec.events); err != nil {
+	c, deferred, err := cur.restoreContract(0, h, stats)
+	if err != nil {
+		return err
+	}
+	if err := cur.assertDrained(); err != nil {
+		return err
+	}
+	if err := db.install(c, deferred, head.Events); err != nil {
 		if errors.Is(err, errDuplicate) {
 			return nil // installed since the check above; replay is idempotent
 		}
@@ -147,60 +120,9 @@ func applyRegistration(data []byte, place func(name string) *DB, stats *LoadStat
 	}
 	stats.Contracts++
 	if stats.FormatVersion == 0 {
-		stats.FormatVersion = rec.version
+		stats.FormatVersion = head.FormatVersion
 	}
 	return nil
-}
-
-// decodedRecord is a register record decoded far enough to place it;
-// restore rebuilds its contract.
-type decodedRecord struct {
-	name    string
-	version int
-	events  []string
-	restore func(stats *LoadStats) (*Contract, bool, error)
-}
-
-// decodeRecord dispatches on the record shape: a one-contract
-// container, or a gob registrationRecord from a log written before
-// the switch.
-func decodeRecord(data []byte) (decodedRecord, error) {
-	if !IsContainer(data) {
-		var rec registrationRecord
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-			return decodedRecord{}, err
-		}
-		if rec.FormatVersion < minFormatVersion || rec.FormatVersion > formatVersion {
-			return decodedRecord{}, fmt.Errorf("record has format version %d, but this build supports versions %d through %d",
-				rec.FormatVersion, minFormatVersion, formatVersion)
-		}
-		return decodedRecord{rec.Contract.Name, rec.FormatVersion, rec.Events, func(stats *LoadStats) (*Contract, bool, error) {
-			return restoreContract(0, rec.Contract, stats)
-		}}, nil
-	}
-	f, head, err := decodeV4Head(data)
-	if err != nil {
-		return decodedRecord{}, err
-	}
-	if !head.Sharded || len(head.Contracts) != 1 {
-		return decodedRecord{}, fmt.Errorf("register record must be a one-contract sharded container (sharded %v, %d contracts)",
-			head.Sharded, len(head.Contracts))
-	}
-	h := head.Contracts[0]
-	return decodedRecord{h.Name, head.FormatVersion, head.Events, func(stats *LoadStats) (*Contract, bool, error) {
-		cur, err := newV4Cursor(f)
-		if err != nil {
-			return nil, false, err
-		}
-		c, deferred, err := cur.restoreContract(0, h, stats)
-		if err == nil {
-			err = cur.assertDrained()
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		return c, deferred, nil
-	}}, nil
 }
 
 // internEvents makes voc agree with names, a record's vocabulary in id

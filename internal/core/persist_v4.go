@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,12 +17,11 @@ import (
 	"contractdb/internal/vocab"
 )
 
-// formatVersion 4 replaces the monolithic gob stream with a snapfmt
-// container: a small JSON head carrying names, specs, options and
-// per-contract shape counts, followed by flat little-endian slabs
-// holding every hot numeric table — compiled automata (CSR arrays,
-// label words, final bits), checker seeds, partition class tables,
-// partition reference lists and the prefilter postings. A contract is
+// formatVersion 4 is a snapfmt container: a small JSON head carrying
+// names, specs, options and per-contract shape counts, followed by
+// flat little-endian slabs holding every hot numeric table — compiled
+// automata (CSR arrays, label words, final bits), checker seeds,
+// partition class tables and partition reference lists. A contract is
 // stored as §5.2 proposes, by its partitions ("just the list of
 // bisimilar states"); projection quotients are derived on first use.
 // Load adopts the slabs as typed views without copying (see
@@ -43,22 +40,22 @@ import (
 //	        PartTables × class tables (N int64 each, first-occurrence
 //	            order of the Set-sorted reference list)
 //	        PartRefs × (set word, table index)
-//	index (unsharded only): node labels (pairs), node word counts,
-//	    concatenated posting words
 //
-// Snapshots written before quotients stopped being persisted also
-// carry, after a contract's PartRefs, Quotients × compiled forms (the
-// auto's layout) and QuotRefs × (set word, table index). The writer
-// leaves those sections empty and the counts zero; the loader still
-// consumes and validates such rows, then discards them, so any
-// snapshot re-saves to the bytes a fresh save produces.
+// The writer (saveContainer) emits one shape: Sharded=true, contracts
+// merged in name order, and empty index sections. Prefilter indexes
+// depend on the shard count, so they are rebuilt at load from the
+// adopted compiled forms (PrepareCompiled), keeping the bytes
+// count-agnostic. A WAL register record is the same shape holding one
+// contract (see durable.go).
 //
-// A sharded snapshot (SaveSharded) carries Sharded=true, contracts
-// from every shard merged in name order, and empty index sections:
-// per-shard prefilter indexes depend on the shard count, so they are
-// rebuilt at load from the adopted compiled forms (PrepareCompiled),
-// keeping the bytes count-agnostic. A WAL register record is the
-// same shape holding one contract (see durable.go).
+// Two older v4 shapes still load. Snapshots written before quotients
+// stopped being persisted carry, after a contract's PartRefs,
+// Quotients × compiled forms (the auto's layout) and QuotRefs × (set
+// word, table index); the loader validates and discards them
+// (dropQuotients). Unsharded heads carry a prefilter index (node
+// labels, node word counts, concatenated posting words) after all
+// contracts; the loader length-checks and skips it. Either re-saves to
+// the bytes a fresh save produces.
 
 // Section kinds of the v4 container, in file order.
 const (
@@ -139,6 +136,8 @@ type v4Head struct {
 	Events        []string
 	Opts          Options
 
+	// The prefilter index shape of an older unsharded head; the writer
+	// leaves all three zero.
 	IndexK     int
 	IndexN     int
 	IndexNodes int
@@ -175,10 +174,6 @@ type v4Builder struct {
 	classes       []int64
 	partRefSets   []vocab.Set
 	partRefTables []int32
-
-	indexLabels []uint64
-	indexLens   []int32
-	indexWords  []uint64
 }
 
 func (b *v4Builder) addCompiled(c *buchi.Compiled) {
@@ -191,8 +186,7 @@ func (b *v4Builder) addCompiled(c *buchi.Compiled) {
 }
 
 // addContract exports one contract into the builder and returns its
-// head entry. Callers guarantee the contract is quiescent (registered
-// and, for sharded saves, the owning shard idle); proj.mu is taken
+// head entry. The contract must be registered; proj.mu is taken
 // inside, only to read the projection set, whose export needs no lock.
 func (b *v4Builder) addContract(c *Contract) v4ContractHead {
 	h := v4ContractHead{Name: c.Name, Spec: c.Spec.String()}
@@ -242,34 +236,13 @@ func writeV4(w io.Writer, head v4Head, b *v4Builder) error {
 	fw.AddSection(secPartRefTables, snapfmt.AppendSlice[int32](nil, b.partRefTables))
 	fw.AddSection(secQuotRefSets, nil)
 	fw.AddSection(secQuotRefTables, nil)
-	fw.AddSection(secIndexLabels, snapfmt.AppendSlice[uint64](nil, b.indexLabels))
-	fw.AddSection(secIndexLens, snapfmt.AppendSlice[int32](nil, b.indexLens))
-	fw.AddSection(secIndexWords, snapfmt.AppendSlice[uint64](nil, b.indexWords))
+	fw.AddSection(secIndexLabels, nil)
+	fw.AddSection(secIndexLens, nil)
+	fw.AddSection(secIndexWords, nil)
 	if _, err := fw.WriteTo(w); err != nil {
 		return fmt.Errorf("core: save: %w", err)
 	}
 	return nil
-}
-
-// saveV4 renders the whole database. Callers hold db.mu (read).
-func (db *DB) saveV4(w io.Writer) error {
-	head := v4Head{
-		FormatVersion: formatVersion,
-		Events:        db.voc.Names(),
-		Opts:          db.opts,
-	}
-	var b v4Builder
-	for _, c := range db.contracts {
-		head.Contracts = append(head.Contracts, b.addContract(c))
-	}
-	labels, lens, words := db.index.ExportFlat()
-	head.IndexK = db.index.K()
-	head.IndexN = db.index.Len()
-	head.IndexNodes = len(labels)
-	b.indexLabels = appendLabels(nil, labels)
-	b.indexLens = lens
-	b.indexWords = words
-	return writeV4(w, head, &b)
 }
 
 // SaveSharded writes one v4 container holding every shard's contracts
@@ -277,10 +250,20 @@ func (db *DB) saveV4(w io.Writer) error {
 // the shard count — a snapshot saved at N shards reloads at M. Each
 // shard is drained (WaitIdle) first so a quiescent save captures all
 // contracts at the full tier.
-func SaveSharded(w io.Writer, events []string, opts Options, shards []*DB) error {
-	var all []*Contract
+func SaveSharded(w io.Writer, opts Options, shards []*DB) error {
 	for _, sh := range shards {
 		sh.WaitIdle()
+	}
+	return saveContainer(w, opts, shards)
+}
+
+// saveContainer is the one snapshot writer: the contracts of shards,
+// which share one vocabulary, in name order. The vocabulary is read
+// after the contracts are gathered; it is append-only, so it names
+// every event they cite.
+func saveContainer(w io.Writer, opts Options, shards []*DB) error {
+	var all []*Contract
+	for _, sh := range shards {
 		sh.mu.RLock()
 		all = append(all, sh.contracts...)
 		sh.mu.RUnlock()
@@ -289,7 +272,7 @@ func SaveSharded(w io.Writer, events []string, opts Options, shards []*DB) error
 	head := v4Head{
 		FormatVersion: formatVersion,
 		Sharded:       true,
-		Events:        events,
+		Events:        shards[0].voc.Names(),
 		Opts:          opts,
 	}
 	var b v4Builder
@@ -624,109 +607,46 @@ func (cur *v4Cursor) assertDrained() error {
 }
 
 // decodeV4Head parses the container and decodes its JSON head,
-// checking the format version. Shared by the load and inspect paths.
+// checking the format version. Shared by the load, replay and inspect
+// paths.
 func decodeV4Head(data []byte) (*snapfmt.File, v4Head, error) {
 	var head v4Head
 	f, err := snapfmt.Parse(data)
 	if err != nil {
-		return nil, head, err
+		return nil, head, refuseForeign(err)
 	}
 	if err := json.Unmarshal(f.Head, &head); err != nil {
 		return nil, head, fmt.Errorf("head: %w", err)
 	}
-	if head.FormatVersion != formatVersion {
-		return nil, head, fmt.Errorf("container has format version %d, this build writes %d (legacy gob handles %d through %d)",
-			head.FormatVersion, formatVersion, minFormatVersion, formatVersion-1)
-	}
-	return f, head, nil
+	return f, head, checkVersion(head.FormatVersion)
 }
 
-// loadV4 rebuilds a database from a v4 container. data must stay
-// valid (and unmodified apart from prefilter posting bits) for the
-// database's lifetime: every adopted slab aliases it. The store owns
-// that lifetime when data is a file mapping.
-func loadV4(data []byte) (*DB, LoadStats, error) {
-	var stats LoadStats
-	t := time.Now()
-	f, head, err := decodeV4Head(data)
-	if err != nil {
-		return nil, stats, fmt.Errorf("core: load: %w", err)
+// refuseForeign names bytes without the container magic — a gob
+// snapshot or register record from an older build, or anything else —
+// as ErrUnsupportedFormat; other framing errors pass through.
+func refuseForeign(err error) error {
+	if errors.Is(err, snapfmt.ErrNotContainer) {
+		return fmt.Errorf("%w: no v4 container magic (pre-v4 gob bytes?)", ErrUnsupportedFormat)
 	}
-	stats.FormatVersion = head.FormatVersion
-	stats.Sections = len(f.Sections)
-	stats.SlabBytes = f.SlabBytes()
-	if head.Sharded {
-		return nil, stats, fmt.Errorf("core: load: snapshot is sharded; route it through the shard loader")
+	return err
+}
+
+func checkVersion(v int) error {
+	if v != formatVersion {
+		return fmt.Errorf("%w: container has format version %d, this build reads %d", ErrUnsupportedFormat, v, formatVersion)
 	}
-	cur, err := newV4Cursor(f)
-	if err != nil {
-		return nil, stats, fmt.Errorf("core: load: %w", err)
-	}
-	if !snapfmt.HostZeroCopy() {
-		stats.CopiedBytes = stats.SlabBytes
-	} else if !hostAdoptsInts() {
-		if b, ok := f.Section(secClasses); ok {
-			stats.CopiedBytes = int64(len(b))
-		}
-	}
-	stats.Decode = time.Since(t)
-	t = time.Now()
-	voc, err := vocab.FromNames(head.Events...)
-	if err != nil {
-		return nil, stats, fmt.Errorf("core: load: %w", err)
-	}
-	db := NewDB(voc, head.Opts)
-	if len(cur.indexLabels) != head.IndexNodes {
-		return nil, stats, fmt.Errorf("core: load: head claims %d index nodes, slab holds %d",
-			head.IndexNodes, len(cur.indexLabels))
-	}
-	db.index, err = prefilter.ImportFlat(head.IndexK, head.IndexN, cur.indexLabels, cur.indexLens, cur.indexWords)
-	if err != nil {
-		return nil, stats, fmt.Errorf("core: load: %w", err)
-	}
-	cur.indexLabels, cur.indexLens, cur.indexWords = nil, nil, nil
-	var deferred []*Contract
-	for i, h := range head.Contracts {
-		c, wasDeferred, err := cur.restoreContract(ContractID(i), h, &stats)
-		if err != nil {
-			return nil, stats, fmt.Errorf("core: load: %w", err)
-		}
-		if _, dup := db.byName[c.Name]; dup {
-			return nil, stats, fmt.Errorf("core: load: duplicate contract name %q", c.Name)
-		}
-		db.contracts = append(db.contracts, c)
-		db.byName[c.Name] = c
-		if wasDeferred {
-			deferred = append(deferred, c)
-		}
-	}
-	if err := cur.assertDrained(); err != nil {
-		return nil, stats, fmt.Errorf("core: load: %w", err)
-	}
-	if db.index.Len() != len(db.contracts) {
-		return nil, stats, fmt.Errorf("core: load: index covers %d contracts, database has %d",
-			db.index.Len(), len(db.contracts))
-	}
-	db.epoch++
-	for _, c := range deferred {
-		if db.ingest != nil {
-			db.ingest.enqueue(c)
-		} else {
-			db.promote(c)
-		}
-	}
-	stats.Contracts = len(db.contracts)
-	stats.Restore = time.Since(t)
-	return db, stats, nil
+	return nil
 }
 
 // LoadShardedV4 installs a v4 container's contracts into the
-// databases chosen by place (the shard router), rebuilding each
-// shard's prefilter index from the adopted compiled forms. It reads
-// both heads: a sharded container carries no index, and an unsharded
-// one's index sections (built for a single database) are skipped. All
+// databases chosen by place (the shard router, or one database for
+// Load), rebuilding each one's prefilter index from the adopted
+// compiled forms. It reads both heads: a sharded container carries no
+// index, and an older unsharded one's index sections are skipped. All
 // target databases must share one vocabulary built from the
-// snapshot's events. data's lifetime rules match loadV4.
+// snapshot's events. Every adopted slab aliases data, so data must
+// stay valid and unmodified for the databases' lifetime; the store
+// owns that lifetime when data is a file mapping.
 func LoadShardedV4(data []byte, place func(name string) *DB, stats *LoadStats) error {
 	t := time.Now()
 	f, head, err := decodeV4Head(data)
@@ -784,8 +704,8 @@ var errDuplicate = errors.New("duplicate contract name")
 
 // install adds a restored contract to db under the next dense id,
 // posting it to the prefilter index from its compiled form, and
-// re-pends it when deferred: the per-contract step LoadShardedV4 and
-// register-record replay share. events, when non-nil, is the
+// re-pends it when deferred: the one per-contract step snapshot load
+// and register-record replay share. events, when non-nil, is the
 // vocabulary the contract's labels were minted against (see
 // internEvents). A name db already holds is refused with errDuplicate
 // and leaves db unchanged.
@@ -816,8 +736,8 @@ func (db *DB) install(c *Contract, deferred bool, events []string) error {
 	return nil
 }
 
-// SnapshotInfo is the cheap dispatch view of a v4 container: enough
-// for a router to choose a loader without validating any slab.
+// SnapshotInfo is the cheap view of a v4 container's head: enough to
+// build the target databases before the loader validates any slab.
 type SnapshotInfo struct {
 	Sharded   bool
 	Events    []string
@@ -832,11 +752,14 @@ func PeekV4(data []byte) (SnapshotInfo, error) {
 	var info SnapshotInfo
 	hb, err := snapfmt.PeekHead(data)
 	if err != nil {
-		return info, fmt.Errorf("core: peek: %w", err)
+		return info, fmt.Errorf("core: peek: %w", refuseForeign(err))
 	}
 	var head v4Head
 	if err := json.Unmarshal(hb, &head); err != nil {
 		return info, fmt.Errorf("core: peek: head: %w", err)
+	}
+	if err := checkVersion(head.FormatVersion); err != nil {
+		return info, fmt.Errorf("core: peek: %w", err)
 	}
 	info.Sharded = head.Sharded
 	info.Events = head.Events
@@ -844,10 +767,6 @@ func PeekV4(data []byte) (SnapshotInfo, error) {
 	info.Contracts = len(head.Contracts)
 	return info, nil
 }
-
-// IsContainer reports whether data begins with the v4 container
-// magic. False means legacy gob (v2/v3) or garbage.
-func IsContainer(data []byte) bool { return snapfmt.Sniff(data) }
 
 // SectionInfo is one section directory row for inspection output.
 type SectionInfo struct {
@@ -865,10 +784,9 @@ type ContractFootprint struct {
 }
 
 // SnapshotInspection is the `ctdb snapshot inspect` view of a
-// snapshot file: the section directory for v4 containers, or the bare
-// facts of a legacy gob stream.
+// snapshot file or register record: its section directory and
+// per-contract slab footprint.
 type SnapshotInspection struct {
-	Container     bool // false: legacy gob (v2/v3)
 	FormatVersion int
 	Sharded       bool
 	Events        int
@@ -881,35 +799,16 @@ type SnapshotInspection struct {
 	PerContract   []ContractFootprint
 }
 
-// InspectSnapshot reads a snapshot's structure without building a
-// database. v4 containers are fully CRC-validated and walked for
-// per-contract footprints; legacy gob streams report their version
-// and counts.
+// InspectSnapshot reads a v4 container's structure without building a
+// database: the container is fully CRC-validated and walked for
+// per-contract footprints. Anything else is refused with
+// ErrUnsupportedFormat.
 func InspectSnapshot(data []byte) (*SnapshotInspection, error) {
-	if !snapfmt.Sniff(data) {
-		var snap dbSnapshot
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-			return nil, fmt.Errorf("core: inspect: not a v4 container and not a gob snapshot: %w", err)
-		}
-		insp := &SnapshotInspection{
-			FormatVersion: snap.FormatVersion,
-			Events:        len(snap.Events),
-			Contracts:     len(snap.Contracts),
-			FileBytes:     int64(len(data)),
-		}
-		for _, cs := range snap.Contracts {
-			if len(cs.Projections.Parts) == 0 {
-				insp.Deferred++
-			}
-		}
-		return insp, nil
-	}
 	f, head, err := decodeV4Head(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: inspect: %w", err)
 	}
 	insp := &SnapshotInspection{
-		Container:     true,
 		FormatVersion: head.FormatVersion,
 		Sharded:       head.Sharded,
 		Events:        len(head.Events),

@@ -2,48 +2,36 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"strings"
 	"testing"
-
-	"contractdb/internal/datagen"
 )
 
-// TestLoadVersionMismatch doctors the format-version field of an
-// otherwise valid snapshot and checks Load names both the found and
-// the supported version in its error — an operator staring at a failed
-// startup needs to know which side is stale.
+// TestLoadVersionMismatch writes an otherwise valid container whose
+// head claims format version 99 and checks every reader refuses it by
+// name, and that the error names both the found and the supported
+// version — an operator staring at a failed startup needs to know
+// which side is stale.
 func TestLoadVersionMismatch(t *testing.T) {
-	db := NewDB(datagen.NewVocabulary(), Options{})
-	if _, err := db.RegisterLTL("c", "G(p1 -> F p2)"); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := db.SaveLegacy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Decode to the snapshot struct, doctor the version, re-encode —
-	// the in-package equivalent of flipping the version byte on disk,
-	// without depending on gob's wire layout.
-	var snap dbSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	snap.FormatVersion = 99
 	var doctored bytes.Buffer
-	if err := gob.NewEncoder(&doctored).Encode(snap); err != nil {
+	head := v4Head{FormatVersion: 99, Sharded: true, Events: []string{"purchase"}}
+	if err := writeV4(&doctored, head, &v4Builder{}); err != nil {
 		t.Fatal(err)
 	}
-
-	_, err := Load(&doctored)
-	if err == nil {
-		t.Fatal("Load accepted a version-99 snapshot")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "99") {
-		t.Errorf("error does not name the found version: %v", err)
-	}
-	if !strings.Contains(msg, "2") {
-		t.Errorf("error does not name the supported version: %v", err)
+	data := doctored.Bytes()
+	_, peekErr := PeekV4(data)
+	_, loadErr := Load(bytes.NewReader(data))
+	_, inspErr := InspectSnapshot(data)
+	for _, err := range []error{peekErr, loadErr, inspErr} {
+		if !errors.Is(err, ErrUnsupportedFormat) {
+			t.Fatalf("version-99 container: got %v, want %v", err, ErrUnsupportedFormat)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "99") {
+			t.Errorf("error does not name the found version: %v", err)
+		}
+		if !strings.Contains(msg, "reads 4") {
+			t.Errorf("error does not name the supported version: %v", err)
+		}
 	}
 }

@@ -13,12 +13,14 @@ import (
 )
 
 // The committed register-gob-*.rec fixtures are WAL register records
-// as builds before the container record wrote them: gob
-// registrationRecords carrying the pointer automaton, its compiled
-// form, per-subset partition tables and a quotient table. Each was
-// captured from a database over recordEvents registering one of
-// recordContracts — the full one synchronously, the deferred one
-// through a one-worker ingest pipeline, which logs before promotion.
+// as builds before the container record wrote them: gob records
+// carrying the pointer automaton, its compiled form, per-subset
+// partition tables and a quotient table. This build refuses them (see
+// TestPreV4Refused). Each was captured from a database over
+// recordEvents registering one of recordContracts — the full one
+// synchronously, the deferred one through a one-worker ingest
+// pipeline, which logs before promotion — as containerRecords does
+// today.
 var recordEvents = []string{"purchase", "use", "refund", "dateChange"}
 
 var recordContracts = []struct {
@@ -92,7 +94,7 @@ func saveOf(t *testing.T, db *core.DB) []byte {
 // it was logged ahead of the projection precompute.
 func TestRegisterRecordIsContainer(t *testing.T) {
 	for i, rec := range containerRecords(t) {
-		if !core.IsContainer(rec) {
+		if !snapfmt.Sniff(rec) {
 			t.Fatalf("record %d is not a v4 container", i)
 		}
 		insp, err := core.InspectSnapshot(rec)
@@ -119,29 +121,22 @@ func assertNoQuotientRows(t *testing.T, insp *core.SnapshotInspection) {
 	}
 }
 
-// TestLegacyGobRecordReplays: the committed gob-era records still
-// replay — the deferred one promoted inline — and leave exactly the
-// state container records for the same contracts leave, down to the
-// Save bytes. Replaying either log a second time changes nothing.
-func TestLegacyGobRecordReplays(t *testing.T) {
-	gobDB, gobStats := replayRecords(t, gobRecords(t))
+// TestRegisterRecordReplays: container records replay — the deferred
+// one promoted inline — adopting every compiled form, and replaying
+// them a second time changes nothing.
+func TestRegisterRecordReplays(t *testing.T) {
 	records := containerRecords(t)
-	conDB, conStats := replayRecords(t, records)
-	for _, st := range []core.LoadStats{gobStats, conStats} {
-		if st.Contracts != 2 || st.Degraded != 1 || st.CompiledAdopted != 2 || st.FormatVersion != 4 {
-			t.Errorf("replay stats %+v: want 2 contracts, 1 degraded, 2 compiled forms adopted, version 4", st)
-		}
+	db, stats := replayRecords(t, records)
+	if stats.Contracts != 2 || stats.Degraded != 1 || stats.CompiledAdopted != 2 || stats.FormatVersion != 4 {
+		t.Errorf("replay stats %+v: want 2 contracts, 1 degraded, 2 compiled forms adopted, version 4", stats)
 	}
-	want := saveOf(t, conDB)
-	if got := saveOf(t, gobDB); !bytes.Equal(got, want) {
-		t.Fatalf("gob-record replay saves %d bytes, container-record replay %d, and they differ", len(got), len(want))
-	}
-	for _, rec := range append(gobRecords(t), records...) {
-		if err := core.ApplyRegistrationTo(rec, func(string) *core.DB { return conDB }, nil); err != nil {
+	want := saveOf(t, db)
+	for _, rec := range records {
+		if err := core.ApplyRegistrationTo(rec, func(string) *core.DB { return db }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(saveOf(t, conDB), want) {
+	if !bytes.Equal(saveOf(t, db), want) {
 		t.Fatal("replaying already-installed records changed the database")
 	}
 }
@@ -155,7 +150,7 @@ func TestApplyRegistrationHostile(t *testing.T) {
 		for cut := 0; cut < len(rec); cut += 1 + len(rec)/97 {
 			damaged = append(damaged, rec[:cut])
 		}
-		if !core.IsContainer(rec) {
+		if !snapfmt.Sniff(rec) {
 			continue
 		}
 		f, err := snapfmt.Parse(rec)
@@ -187,11 +182,9 @@ func TestApplyRegistrationHostile(t *testing.T) {
 
 // FuzzApplyRegistration: any bytes replay as a register record or are
 // refused — never a panic, and a refused record installs nothing. An
-// accepted record installs one contract and saves; an accepted
-// container record's database also reloads, since the container path
-// validates exactly as the snapshot loader does. (A gob record is
-// trusted where v3 Load always trusted it: its pointer automaton and
-// compiled form are checked for shape, not for the same edge labels.)
+// accepted record installs one contract, and its database saves and
+// reloads, since replay validates exactly as the snapshot loader does.
+// The gob seeds exercise the refusal branch.
 func FuzzApplyRegistration(f *testing.F) {
 	for _, rec := range gobRecords(f) {
 		f.Add(rec)
@@ -213,8 +206,8 @@ func FuzzApplyRegistration(f *testing.F) {
 			t.Fatalf("accepted record installed %d contracts", db.Len())
 		}
 		saved := saveOf(t, db)
-		if _, err := core.LoadBytes(saved); err != nil && core.IsContainer(data) {
-			t.Fatalf("database built by an accepted container record does not reload: %v", err)
+		if _, err := core.Load(bytes.NewReader(saved)); err != nil {
+			t.Fatalf("database built by an accepted record does not reload: %v", err)
 		}
 	})
 }

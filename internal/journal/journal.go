@@ -105,7 +105,8 @@ type Journal struct {
 // nil; a load that fails must leave the caller's state untouched. When
 // the directory holds no generation at all, load is called once with
 // an empty path and sets up the caller's empty state; its error is
-// returned. apply receives every WAL record at or past the loaded
+// returned. When generations exist but none loads, the ErrUnreadable
+// refusal also wraps the newest generation's load error. apply receives every WAL record at or past the loaded
 // boundary, in sequence order.
 func Open(ctx context.Context, cfg Config, load func(path string) error, apply func(wal.Record) error) (*Journal, Recovery, error) {
 	start := time.Now()
@@ -126,10 +127,15 @@ func Open(ctx context.Context, cfg Config, load func(path string) error, apply f
 	}
 
 	_, lsp := trace.StartSpan(ctx, "load_snapshot")
+	var newestErr error // why the newest generation did not load
 	for _, g := range gens {
-		if load(g.path) == nil {
+		err := load(g.path)
+		if err == nil {
 			rec.Boundary, rec.Path = g.boundary, g.path
 			break
+		}
+		if newestErr == nil {
+			newestErr = err
 		}
 		rec.Skipped = append(rec.Skipped, g.path)
 	}
@@ -143,7 +149,8 @@ func Open(ctx context.Context, cfg Config, load func(path string) error, apply f
 	lsp.End()
 	if rec.Path == "" {
 		if len(gens) > 0 {
-			return nil, rec, fmt.Errorf("%w: all %d in %s; refusing to recover from the WAL alone", ErrUnreadable, len(gens), cfg.Dir)
+			return nil, rec, fmt.Errorf("%w: all %d in %s; refusing to recover from the WAL alone; newest: %w",
+				ErrUnreadable, len(gens), cfg.Dir, newestErr)
 		}
 		if err := load(""); err != nil {
 			return nil, rec, err

@@ -137,7 +137,7 @@ func WithInterpreted() Option { return func(c *Checker) { c.interpreted = true }
 // SCC analysis at construction. The snapshot load path uses it:
 // seeds were computed at registration and persisted, so adopting them
 // keeps load free of per-contract graph analysis.
-// The vector is trusted the same way AdoptCompiled trusts the
+// The vector is trusted the same way the snapshot loader trusts the
 // persisted edge set; only its length is checked.
 func WithSeeds(seeds []bool) Option { return func(c *Checker) { c.seeds = seeds } }
 

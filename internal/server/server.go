@@ -293,13 +293,12 @@ type RecoveryState struct {
 	CompiledAdopted   int   `json:"compiled_adopted"`
 	DegradedLoaded    int   `json:"degraded_loaded,omitempty"`
 
-	// Load mechanics (formatVersion 4 containers): how the snapshot's
-	// slab bytes entered memory. MappedBytes counts slabs adopted
-	// zero-copy from a private file mapping (paged in on demand);
-	// CopiedBytes counts slabs materialized on the heap — the whole
-	// file for legacy gob snapshots, everything when the mapping
-	// fell back (MmapFallback says why), or just the int-width-
-	// converted sections on exotic hosts.
+	// Load mechanics: how the snapshot's slab bytes entered memory.
+	// MappedBytes counts slabs adopted zero-copy from a private file
+	// mapping (paged in on demand); CopiedBytes counts slabs
+	// materialized on the heap — everything when the mapping fell
+	// back (MmapFallback says why), or just the int-width-converted
+	// sections on exotic hosts.
 	MappedBytes  int64  `json:"mapped_bytes"`
 	CopiedBytes  int64  `json:"copied_bytes"`
 	Sections     int    `json:"sections,omitempty"`
@@ -925,7 +924,7 @@ func (s *Server) writePrometheus(p *metrics.PromWriter) {
 	p.Gauge("ctdb_registration_translations_total", "LTL-to-BA translations performed by registration paths this process.", float64(st.Registration.Translations))
 	if rec := s.Recovery; rec != nil {
 		p.Gauge("ctdb_cold_start_seconds", "Total recovery time at process start.", float64(rec.DurationUS)/1e6)
-		p.Gauge("ctdb_cold_start_snapshot_decode_seconds", "Recovery time spent decoding the snapshot (v4 container parse; gob for legacy files).", float64(rec.SnapshotDecodeUS)/1e6)
+		p.Gauge("ctdb_cold_start_snapshot_decode_seconds", "Recovery time spent decoding the snapshot (container parse, head decode, slab views).", float64(rec.SnapshotDecodeUS)/1e6)
 		p.Gauge("ctdb_cold_start_artifact_restore_seconds", "Recovery time spent restoring registration artifacts.", float64(rec.ArtifactRestoreUS)/1e6)
 		p.Gauge("ctdb_cold_start_wal_replay_seconds", "Recovery time spent replaying the WAL suffix.", float64(rec.WALReplayUS)/1e6)
 		p.Gauge("ctdb_cold_start_replayed_records", "WAL records replayed past the snapshot boundary.", float64(rec.ReplayedRecords))

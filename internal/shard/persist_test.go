@@ -2,22 +2,32 @@ package shard_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"contractdb/internal/core"
-	"contractdb/internal/datagen"
 	"contractdb/internal/ltl"
 	"contractdb/internal/shard"
 )
 
-func saveBytes(t *testing.T, sdb *shard.DB) []byte {
+func saveBytes(t *testing.T, db interface{ Save(io.Writer) error }) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := sdb.Save(&buf); err != nil {
+	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+func loadBytes(t *testing.T, data []byte, n int) *shard.DB {
+	t.Helper()
+	db, _, err := shard.LoadBytesWithStats(data, n)
+	if err != nil {
+		t.Fatalf("load at %d shards: %v", n, err)
+	}
+	return db
 }
 
 // TestSaveDeterministic: saving twice yields identical bytes, and a
@@ -30,10 +40,7 @@ func TestSaveDeterministic(t *testing.T) {
 		t.Fatal("two saves of the same database differ")
 	}
 	for _, n := range []int{1, 2, 4, 8} {
-		loaded, err := shard.Load(bytes.NewReader(first), n)
-		if err != nil {
-			t.Fatalf("load at %d shards: %v", n, err)
-		}
+		loaded := loadBytes(t, first, n)
 		if loaded.Len() != sdb.Len() {
 			t.Fatalf("load at %d shards: %d contracts, want %d", n, loaded.Len(), sdb.Len())
 		}
@@ -50,10 +57,7 @@ func TestSaveDeterministic(t *testing.T) {
 // one that was saved, at a different shard count.
 func TestLoadQueriesMatch(t *testing.T) {
 	_, sdb := buildPair(t, 8, 25, 29)
-	loaded, err := shard.Load(bytes.NewReader(saveBytes(t, sdb)), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := loadBytes(t, saveBytes(t, sdb), 2)
 	for _, src := range []string{"F p1", "G (p2 -> F p3)"} {
 		q, err := ltl.Parse(src)
 		if err != nil {
@@ -73,74 +77,40 @@ func TestLoadQueriesMatch(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyCoreSnapshot: shard.Load accepts an unsharded core.DB
-// snapshot and redistributes it — the upgrade path for a pre-sharding
-// data directory.
-func TestLoadLegacyCoreSnapshot(t *testing.T) {
-	voc := datagen.NewVocabulary()
-	cdb := core.NewDB(voc, core.Options{MaxAutomatonStates: 300})
-	gen := datagen.New(voc, 31)
-	for cdb.Len() < 15 {
-		if _, err := cdb.Register("", gen.Specification(2)); err != nil {
-			continue
+// TestCoreSaveMatchesSharded: core.DB.Save and shard.DB.Save write one
+// byte shape — the same corpus saves identically unsharded and at 1, 2
+// and 4 shards — and a core.Save file loads at each count, answering
+// like the database that wrote it.
+func TestCoreSaveMatchesSharded(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		cdb, sdb := buildPair(t, n, 15, 31)
+		want := saveBytes(t, cdb)
+		if got := saveBytes(t, sdb); !bytes.Equal(got, want) {
+			t.Fatalf("%d shards: shard.Save wrote %d bytes, core.Save %d, and they differ", n, len(got), len(want))
 		}
-	}
-	var buf bytes.Buffer
-	if err := cdb.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sdb, err := shard.Load(bytes.NewReader(buf.Bytes()), 4)
-	if err != nil {
-		t.Fatalf("loading a legacy core snapshot: %v", err)
-	}
-	if sdb.Len() != cdb.Len() {
-		t.Fatalf("redistributed %d contracts, want %d", sdb.Len(), cdb.Len())
-	}
-	q, err := ltl.Parse("F p1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cdb.QueryMode(q, core.Mode{Prefilter: true, Bisim: true, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sdb.QueryMode(q, core.Mode{Prefilter: true, Bisim: true, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := fmt.Sprint(resultNames(got)), fmt.Sprint(resultNames(want)); g != w {
-		t.Fatalf("redistributed answers %s, legacy answered %s", g, w)
+		loaded := loadBytes(t, want, n)
+		if loaded.Len() != cdb.Len() || loaded.NumShards() != n {
+			t.Fatalf("%d shards: loaded %d contracts on %d shards, want %d", n, loaded.Len(), loaded.NumShards(), cdb.Len())
+		}
+		q := ltl.MustParse("F p1")
+		a, err := cdb.QueryMode(q, core.Mode{Prefilter: true, Bisim: true, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := loaded.QueryMode(q, core.Mode{Prefilter: true, Bisim: true, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := fmt.Sprint(resultNames(b)), fmt.Sprint(resultNames(a)); g != w {
+			t.Fatalf("%d shards: loaded answers %s, core answered %s", n, g, w)
+		}
 	}
 }
 
-// TestLoadGarbage: neither snapshot reader should accept junk.
+// TestLoadGarbage: bytes that are not a v4 container are refused by
+// name.
 func TestLoadGarbage(t *testing.T) {
-	if _, err := shard.Load(bytes.NewReader([]byte("not a snapshot")), 2); err == nil {
-		t.Fatal("loading garbage succeeded")
-	}
-}
-
-// TestFromCore converts in memory without touching the source.
-func TestFromCore(t *testing.T) {
-	voc := datagen.NewVocabulary()
-	cdb := core.NewDB(voc, core.Options{MaxAutomatonStates: 300})
-	gen := datagen.New(voc, 37)
-	for cdb.Len() < 12 {
-		if _, err := cdb.Register("", gen.Specification(2)); err != nil {
-			continue
-		}
-	}
-	sdb, err := shard.FromCore(cdb, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sdb.Len() != cdb.Len() {
-		t.Fatalf("FromCore carried %d contracts, want %d", sdb.Len(), cdb.Len())
-	}
-	if cdb.Len() != 12 {
-		t.Fatalf("FromCore mutated the source: %d contracts", cdb.Len())
-	}
-	if sdb.Vocabulary() != cdb.Vocabulary() {
-		t.Fatal("FromCore must share the source vocabulary")
+	if _, _, err := shard.LoadBytesWithStats([]byte("not a snapshot"), 2); !errors.Is(err, core.ErrUnsupportedFormat) {
+		t.Fatalf("loading garbage: got %v, want %v", err, core.ErrUnsupportedFormat)
 	}
 }

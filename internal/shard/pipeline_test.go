@@ -14,9 +14,9 @@ import (
 // TestPipelinedShardDifferential: with the ingest pipeline on, every
 // shard count must give the synchronous unsharded oracle's answers —
 // both inside the degraded window (projections still pending) and
-// after the pipelines drain — and the v3 Save bytes must be identical
-// across shard counts (Save exports through ExportRegistrations, which
-// drains, so no explicit WaitIdle is needed before comparing).
+// after the pipelines drain — and the Save bytes must be identical
+// across shard counts (Save drains every shard first, so no explicit
+// WaitIdle is needed before comparing).
 func TestPipelinedShardDifferential(t *testing.T) {
 	const nContracts = 24
 	voc := datagen.NewVocabulary()

@@ -83,24 +83,23 @@ func TestShardedStoreCrashReopen(t *testing.T) {
 
 // TestShardedStoreUpgradeDowngrade: the shard count is a runtime
 // choice, not a property of the data (I4). A directory whose newest
-// snapshot is an unsharded container written by core.Save — what
-// daemons serving a single core.DB left behind — opens at 0, 1, 2 and
-// 4 shards: it recovers zero-copy with every compiled form adopted,
-// answers identically, and its next checkpoint is the sharded
+// snapshot is an unsharded container — what older builds' core.Save
+// and daemons serving a single core.DB left behind — opens at 0, 1, 2
+// and 4 shards: it recovers zero-copy with every compiled form
+// adopted, answers identically, and its next checkpoint is the sharded
 // container, byte-identical at every count.
 func TestShardedStoreUpgradeDowngrade(t *testing.T) {
 	opts := core.Options{MaxAutomatonStates: 300}
-	cdb := core.NewDB(datagen.NewVocabulary(), opts)
-	gen := datagen.New(cdb.Vocabulary(), 13)
-	for cdb.Len() < 10 {
-		cdb.Register("", gen.Specification(2))
-	}
-	var legacy bytes.Buffer
-	if err := cdb.Save(&legacy); err != nil {
+	legacy, err := os.ReadFile(filepath.Join("..", "core", "testdata", "snapshot-v4-unsharded.golden"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if info, err := core.PeekV4(legacy.Bytes()); err != nil || info.Sharded {
-		t.Fatalf("core.Save wrote %+v (%v), want an unsharded v4 container", info, err)
+	if info, err := core.PeekV4(legacy); err != nil || info.Sharded {
+		t.Fatalf("fixture holds %+v (%v), want an unsharded v4 container", info, err)
+	}
+	cdb, err := core.Load(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var wantSnap []byte
@@ -108,7 +107,7 @@ func TestShardedStoreUpgradeDowngrade(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "snapshot-00000000000000000001.ctdb"), legacy.Bytes(), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "snapshot-00000000000000000001.ctdb"), legacy, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			st := openStore(t, dir, store.Config{Events: events(), Shards: n, Core: opts})

@@ -89,11 +89,11 @@ type Config struct {
 	// is pruned against the oldest retained one). Zero selects
 	// journal.DefaultKeep.
 	KeepSnapshots int
-	// NoMmap disables memory-mapping v4 snapshot containers at Open;
-	// the file is read into the heap instead (the slabs are still
-	// adopted zero-copy from that buffer). Mapping is also skipped
-	// automatically on platforms without mmap and for legacy gob
-	// snapshots; RecoveryInfo.MmapFallback records why.
+	// NoMmap disables memory-mapping snapshot containers at Open; the
+	// file is read into the heap instead (the slabs are still adopted
+	// zero-copy from that buffer). Mapping is also skipped
+	// automatically on platforms without mmap; RecoveryInfo.MmapFallback
+	// records why.
 	NoMmap bool
 	// Metrics receives durability counters; a fresh registry is created
 	// when nil.
@@ -137,21 +137,21 @@ type RecoveryInfo struct {
 	// /v1/health surface these): where the recovery time went, and how
 	// much re-derivation the persisted artifacts avoided.
 	SnapshotFormat  int           // per-contract format version loaded (0 = started empty)
-	SnapshotDecode  time.Duration // snapshot wire decode (gob, or v4 container parse + view setup)
+	SnapshotDecode  time.Duration // container parse + head decode + slab view setup
 	ArtifactRestore time.Duration // validation + artifact adoption + index/projection rebuild
 	WALReplay       time.Duration // replaying the log suffix
 	CompiledAdopted int           // automata whose CSR form came from disk (no flattening)
 	DegradedLoaded  int           // contracts restored at the degraded tier and re-pended
 
-	// Load mechanics of the snapshot bytes (formatVersion 4): how the
-	// slabs entered memory. MappedBytes is the file mapping adopted
+	// Load mechanics of the snapshot bytes: how the slabs entered
+	// memory. MappedBytes is the file mapping adopted
 	// in place (0 when the file was read into the heap); CopiedBytes
 	// is slab bytes element-wise copied instead of viewed (0 on
 	// little-endian hosts); Sections is the container's directory
 	// size. MmapFallback names the reason mapping was not used
-	// ("disabled", "unsupported-platform", "legacy-gob-snapshot",
-	// "empty-file", or "mmap-failed: ..."; empty when mapped or when
-	// no snapshot was loaded).
+	// ("disabled", "unsupported-platform", "empty-file", or
+	// "mmap-failed: ..."; empty when mapped or when no snapshot was
+	// loaded).
 	MappedBytes  int64
 	CopiedBytes  int64
 	Sections     int
@@ -187,8 +187,7 @@ type Store struct {
 }
 
 // readSnapshotFile brings a snapshot's bytes into memory, preferring
-// a private mapping for v4 containers: the loader adopts the slabs in
-// place, so a mapped cold start pages data in on demand instead of
+// a private mapping: the loader adopts the slabs in place, so a mapped cold start pages data in on demand instead of
 // decoding it up front. mapped reports whether data is a mapping the
 // caller must eventually munmap; fallback names the reason it is not.
 func readSnapshotFile(path string, noMmap bool) (data []byte, mapped bool, fallback string, err error) {
@@ -197,12 +196,6 @@ func readSnapshotFile(path string, noMmap bool) (data []byte, mapped bool, fallb
 		return nil, false, "", err
 	}
 	defer f.Close()
-	var magic [8]byte
-	n, _ := io.ReadFull(f, magic[:])
-	if !core.IsContainer(magic[:n]) {
-		data, err := os.ReadFile(path)
-		return data, false, "legacy-gob-snapshot", err
-	}
 	readHeap := func(reason string) ([]byte, bool, string, error) {
 		data, err := os.ReadFile(path)
 		return data, false, reason, err
@@ -259,9 +252,10 @@ func Open(dir string, cfg Config) (*Store, error) {
 		if err != nil {
 			return err
 		}
-		// The loader reads sharded and unsharded snapshots alike and
-		// deals the contracts across the configured count, so changing
-		// Shards across restarts never strands a directory.
+		// The loader reads sharded and older unsharded v4 snapshots
+		// alike and deals the contracts across the configured count, so
+		// changing Shards across restarts never strands a directory.
+		// Pre-v4 gob snapshots are refused with core.ErrUnsupportedFormat.
 		var lstats core.LoadStats
 		if db, lstats, err = shard.LoadBytesWithStats(data, shards); err != nil {
 			if mapped {
@@ -286,8 +280,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 		info.MmapFallback = fallback
 		if !mapped && info.CopiedBytes < int64(len(data)) {
 			// Nothing mapped, so every byte of the file reached the heap
-			// — by ReadFile for a v4 container (the adopted slabs alias
-			// that buffer), or through the gob decoder for legacy.
+			// by ReadFile (the adopted slabs alias that buffer).
 			info.CopiedBytes = int64(len(data))
 		}
 		return nil
@@ -470,7 +463,7 @@ func (s *Store) checkpoint() (uint64, error) {
 // Close checkpoints any unsnapshotted suffix, flushes and closes the
 // WAL, stops the background work, and releases the snapshot mapping
 // if the database was loaded from one. When recovery read the
-// snapshot into the heap (legacy gob, -mmap off) the database stays
+// snapshot into the heap (-mmap off) the database stays
 // queryable in memory afterwards; when it was memory-mapped
 // (Recovery.MappedBytes > 0) its artifacts alias the released
 // mapping, so the database must not be used after Close.
