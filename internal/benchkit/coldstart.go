@@ -14,9 +14,9 @@ import (
 
 // The cold-start series prices snapshot restore directly: loading a
 // v4 container (compiled automata and projection partitions adopted,
-// zero LTL→BA translations) against
-// rebuilding the same corpus through the strongest synchronous
-// registration path (RegisterBatch on a full worker pool). Both sides
+// zero LTL→BA translations) against rebuilding the same corpus
+// through the strongest synchronous registration path (RegisterBatch
+// on a full worker pool). Both sides
 // operate on the identical accepted corpus — rejected unsatisfiable
 // draws are excluded before the clock starts.
 

@@ -106,8 +106,9 @@ type Journal struct {
 // the directory holds no generation at all, load is called once with
 // an empty path and sets up the caller's empty state; its error is
 // returned. When generations exist but none loads, the ErrUnreadable
-// refusal also wraps the newest generation's load error. apply receives every WAL record at or past the loaded
-// boundary, in sequence order.
+// refusal also wraps the newest generation's load error. apply
+// receives every WAL record at or past the loaded boundary, in
+// sequence order.
 func Open(ctx context.Context, cfg Config, load func(path string) error, apply func(wal.Record) error) (*Journal, Recovery, error) {
 	start := time.Now()
 	var rec Recovery
