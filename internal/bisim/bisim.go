@@ -46,13 +46,6 @@ func (p Partition) appendKey(b []byte) []byte {
 	return b
 }
 
-// normalize renumbers classes by first occurrence.
-func normalize(class []int) Partition {
-	out := make([]int, len(class))
-	_, count := firstOccurrence(out, class, nil)
-	return Partition{Class: out, Count: count}
-}
-
 // Coarsest computes the coarsest bisimulation partition of a with
 // labels considered as-is. The initial partition separates final from
 // non-final states (as in Hopcroft's DFA minimization, adapted per the
