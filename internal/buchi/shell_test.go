@@ -99,10 +99,38 @@ func TestShellEnsureEdgesConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShellRejectsCorruptCompiled: a form that breaks any structural
-// invariant — the snapshot loader's only check on persisted automata —
-// is refused.
 func TestShellRejectsCorruptCompiled(t *testing.T) {
+	orig, _ := shellFixture(t)
+	good := orig.Compiled()
+
+	bad := *good
+	bad.Init = StateID(good.N + 3)
+	if _, err := ShellFromCompiled(&bad); err == nil {
+		t.Fatal("accepted out-of-range initial state")
+	}
+
+	bad = *good
+	bad.EdgeTo = append([]int32(nil), good.EdgeTo...)
+	bad.EdgeTo[0] = int32(good.N + 1)
+	if _, err := ShellFromCompiled(&bad); err == nil {
+		t.Fatal("accepted out-of-range edge target")
+	}
+
+	bad = *good
+	bad.MaxDeg = good.MaxDeg + 1
+	if _, err := ShellFromCompiled(&bad); err == nil {
+		t.Fatal("accepted wrong MaxDeg")
+	}
+
+	if _, err := ShellFromCompiled(nil); err == nil {
+		t.Fatal("accepted nil compiled form")
+	}
+}
+
+// TestAdoptCompiledValidates: adopting a compiled form (ShellFromCompiled,
+// the snapshot loader's only check on persisted automata) refuses a form
+// that breaks any structural invariant.
+func TestAdoptCompiledValidates(t *testing.T) {
 	tamper := []struct {
 		name string
 		mod  func(c *Compiled)
@@ -124,10 +152,10 @@ func TestShellRejectsCorruptCompiled(t *testing.T) {
 		c := Compile(orig) // fresh, structurally valid copy
 		tc.mod(c)
 		if _, err := ShellFromCompiled(c); err == nil {
-			t.Errorf("%s: tampered form accepted", tc.name)
+			t.Errorf("%s: tampered form adopted without error", tc.name)
 		}
 	}
 	if _, err := ShellFromCompiled(nil); err == nil {
-		t.Fatal("accepted nil compiled form")
+		t.Error("nil compiled form adopted without error")
 	}
 }
