@@ -43,13 +43,13 @@ type BA struct {
 	// compiled form installed; edgesOnce materializes Out from the CSR
 	// arrays on the first analysis that needs labeled or reversed
 	// adjacency lists (Normalize, Trim, Reverse, Clone, Validate, the
-	// interpreted kernels, the text encoding). The query path needs none of
-	// them: the compiled kernels and stream frontiers read the CSR
-	// arrays, and the graph walks the registration-time seed analysis
-	// runs (SCCs, OnAcceptingCycle, Reachable) read them too for a
-	// shell. So a snapshot-loaded corpus and every projection quotient
-	// keep their edge memory in the (possibly mmap'd) compiled form
-	// only.
+	// permission tests' interpreted kernels, the text encoding). The
+	// query path needs none of them: the compiled kernels and stream
+	// frontiers read the CSR arrays, and the graph walks the
+	// registration-time seed analysis runs (SCCs, OnAcceptingCycle,
+	// Reachable) read them too for a shell. So a snapshot-loaded corpus
+	// and every projection quotient keep their edge memory in the
+	// (possibly mmap'd) compiled form only.
 	edgesOnce sync.Once
 	// shell is set once by ShellFromCompiled, before the automaton is
 	// shared, and never changes: it selects the CSR arrays as the
@@ -110,8 +110,8 @@ func (g targets) at(s StateID, i int) StateID {
 // automaton from its compiled form. It is a no-op (beyond a
 // sync.Once check) for automata built edge-by-edge. Every analysis
 // that walks Out calls it at entry, so callers never need to;
-// it is exported for code that reads a.Out directly (the interpreted
-// kernels). Concurrency-safe.
+// it is exported for code that reads a.Out directly (the permission
+// tests' interpreted kernels). Concurrency-safe.
 //
 // Materialization reproduces exactly the adjacency a fresh
 // construction would hold after MergeAdjacentLabels+Normalize: the

@@ -289,8 +289,6 @@ func (db *DB) finishQuery(ctx context.Context, qa *buchi.BA, candidates []*Contr
 	db.metrics.ProjectionPick.Observe(stats.ProjPick)
 	db.metrics.CandidatesScanned.Add(int64(stats.Checked))
 	db.metrics.KernelSteps.Add(int64(stats.Permission.Steps))
-	db.metrics.KernelMaskBuilds.Add(int64(stats.Permission.MaskBuilds))
-	db.metrics.KernelStepsSaved.Add(int64(stats.Permission.StepsSaved))
 	if err != nil {
 		db.metrics.Errored.Inc()
 		switch {

@@ -198,8 +198,6 @@ type Query struct {
 	ProjCacheHits     Counter // projection-checker cache hits
 	ProjCacheMisses   Counter // projection checkers built on demand
 	KernelSteps       Counter // product pairs/cycle nodes expanded
-	KernelMaskBuilds  Counter // compatibility mask matrices built (compiled kernel)
-	KernelStepsSaved  Counter // label tests avoided by the masks vs. the naive loop
 	Permitted         Counter // matches returned across all queries
 }
 
@@ -229,8 +227,6 @@ type QuerySnapshot struct {
 	ProjCacheHits     int64 `json:"proj_cache_hits"`
 	ProjCacheMisses   int64 `json:"proj_cache_misses"`
 	KernelSteps       int64 `json:"kernel_steps"`
-	KernelMaskBuilds  int64 `json:"kernel_mask_builds"`
-	KernelStepsSaved  int64 `json:"kernel_steps_saved"`
 	Permitted         int64 `json:"permitted"`
 }
 
@@ -327,8 +323,6 @@ func (q *Query) Snapshot() QuerySnapshot {
 		ProjCacheHits:     q.ProjCacheHits.Value(),
 		ProjCacheMisses:   q.ProjCacheMisses.Value(),
 		KernelSteps:       q.KernelSteps.Value(),
-		KernelMaskBuilds:  q.KernelMaskBuilds.Value(),
-		KernelStepsSaved:  q.KernelStepsSaved.Value(),
 		Permitted:         q.Permitted.Value(),
 	}
 }

@@ -148,8 +148,6 @@ func (p *PromWriter) WriteQuery(s QuerySnapshot) {
 	p.Counter("ctdb_proj_cache_hits_total", "Projection-checker cache hits.", s.ProjCacheHits)
 	p.Counter("ctdb_proj_cache_misses_total", "Projection checkers built on demand.", s.ProjCacheMisses)
 	p.Counter("ctdb_kernel_steps_total", "Product pairs and cycle nodes expanded.", s.KernelSteps)
-	p.Counter("ctdb_kernel_mask_builds_total", "Compatibility mask matrices built by the compiled kernel.", s.KernelMaskBuilds)
-	p.Counter("ctdb_kernel_steps_saved_total", "Label tests avoided by the compatibility masks.", s.KernelStepsSaved)
 	p.Counter("ctdb_permitted_total", "Matches returned across all queries.", s.Permitted)
 }
 

@@ -123,8 +123,6 @@ func MergeQuery(snaps ...QuerySnapshot) QuerySnapshot {
 		out.ProjCacheHits += s.ProjCacheHits
 		out.ProjCacheMisses += s.ProjCacheMisses
 		out.KernelSteps += s.KernelSteps
-		out.KernelMaskBuilds += s.KernelMaskBuilds
-		out.KernelStepsSaved += s.KernelStepsSaved
 		out.Permitted += s.Permitted
 	}
 	out.Translate = hists(func(s *QuerySnapshot) *HistogramSnapshot { return &s.Translate })

@@ -3,12 +3,14 @@ package permission
 import "sync"
 
 // scratch is the reusable per-search arena. Every piece of working
-// memory a Permits call needs — visit marks, Tarjan bookkeeping, the
-// compatibility mask matrix, the explicit DFS stacks — lives here, so
-// a steady-state candidate check allocates nothing: the arrays grow to
-// the largest product seen and are then reused, and the generation
-// counters make "reset between searches" an O(1) bump instead of an
-// O(|product|) clear.
+// memory a Permits call needs — pair sets, SCC bookkeeping, the target
+// rows, the explicit DFS stacks — lives here, so a steady-state
+// candidate check allocates nothing: the arrays grow to the largest
+// product seen and are then reused. The pair sets are cleared per
+// check (W words per contract state); everything sized by the product
+// is either valid only where a pair set says so (index) or stamped
+// with a generation counter, so "reset between searches" is an O(1)
+// bump instead of an O(|product|) clear.
 //
 // Arenas are pooled; PermitsCtx takes one from scratchPool and returns
 // it when done, so concurrent checkers (the core worker pool) each get
@@ -19,44 +21,41 @@ type scratch struct {
 	// instead of allocating one.
 	srch search
 
-	// gen stamps visited/onStack entries; an entry is set iff it holds
-	// the current generation. Bumped once per search.
-	gen     uint32
-	visited []uint32 // product pair → generation expanded (outer DFS / Tarjan index-assigned)
-	onStack []uint32 // product pair → generation while on the Tarjan stack
-	index   []int32  // Tarjan discovery index (valid only when visited == gen)
-	low     []int32  // Tarjan low-link (valid only when visited == gen)
+	// Pair sets: bit qs of words [cs*W, (cs+1)*W) is pair (cs, qs).
+	visited []uint64 // expanded pairs (both kernels)
+	active  []uint64 // SCC: pairs whose component is not complete
+	index   []int32  // SCC: product pair → DFS index (valid once visited)
+
+	// gen stamps labelGen and built; an entry is set iff it holds the
+	// current generation. Bumped once per search.
+	gen uint32
 
 	// cycleGen stamps cycleSeen; bumped once per nested cycle search,
 	// so all knots of one outer DFS share the array without clears.
 	cycleGen  uint32
 	cycleSeen []uint32 // (pair<<1|flag) → generation visited
 
-	// Compiled-kernel mask state (see buildMasks / fillLabel).
+	// Target rows (see prepRows / fillLabel).
 	qlOK     []bool   // query label → cites only contract-vocabulary events
-	masks    []uint64 // (contract label × query state) → query-edge bitmask rows
-	labelGen []uint32 // contract label → generation its mask rows were filled
+	rows     []uint64 // (contract label × query state) → target-state bitset
+	labelGen []uint32 // contract label → generation its rows were filled
 
-	// Memoized product adjacency (compiled kernels; see (*search).succ).
-	// A pair's successor list is derived from the masks on its first
-	// expansion and reused on every revisit — the nested cycle searches
-	// re-expand pairs many times per check.
+	// Memoized product adjacency (NestedDFS; see (*search).succ). A
+	// pair's successor list is derived from the rows on its first
+	// expansion and reused on every revisit — the nested cycle
+	// searches re-expand pairs many times per check.
 	built  []uint32 // product pair → generation its successor list was built
 	adjOff []int32  // product pair → start of its list in adj
 	adjEnd []int32  // product pair → end of its list in adj
 	adj    []int32  // concatenated lists: (target pair)<<1 | target contract-final bit
 
-	// Interpreted-kernel edge vocabulary check, flattened.
-	edgeOK []bool  // qOff[qs]+qi → query edge qi of qs cites only contract events
-	qOff   []int32 // query state → offset into edgeOK
-
 	// Explicit stacks. Written back after every search so grown
 	// capacity is retained across reuses.
-	stack    []int32  // outer-DFS worklist
-	cstack   []int32  // nested cycle-search worklist
-	sccStack []int32  // Tarjan component stack
-	frames   []cframe // compiled Tarjan cursor frames
-	iframes  []iframe // interpreted Tarjan cursor frames
+	stack    []int32 // outer-DFS worklist
+	cstack   []int32 // nested cycle-search worklist
+	sccStack []int32 // SCC: active pairs in DFS order
+	roots    []root  // SCC: Couvreur root stack
+	frames   []frame // SCC: DFS cursor frames
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -69,18 +68,8 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func (sc *scratch) nextGen() uint32 {
 	sc.gen++
 	if sc.gen == 0 {
-		for i := range sc.visited {
-			sc.visited[i] = 0
-		}
-		for i := range sc.onStack {
-			sc.onStack[i] = 0
-		}
-		for i := range sc.built {
-			sc.built[i] = 0
-		}
-		for i := range sc.labelGen {
-			sc.labelGen[i] = 0
-		}
+		clear(sc.built)
+		clear(sc.labelGen)
 		sc.gen = 1
 	}
 	return sc.gen
@@ -90,9 +79,7 @@ func (sc *scratch) nextGen() uint32 {
 func (sc *scratch) nextCycleGen() uint32 {
 	sc.cycleGen++
 	if sc.cycleGen == 0 {
-		for i := range sc.cycleSeen {
-			sc.cycleSeen[i] = 0
-		}
+		clear(sc.cycleSeen)
 		sc.cycleGen = 1
 	}
 	return sc.cycleGen

@@ -1,141 +1,101 @@
 package permission
 
-import (
-	"math/bits"
+import "math/bits"
 
-	"contractdb/internal/buchi"
-)
-
-// This file holds the compiled product-search kernel: the default
-// execution path of PermitsCtx. It runs on the buchi.Compiled CSR
-// forms of both automata and replaces the interpreted kernels'
-// doubly-nested per-pair label work with precomputed edge-compatibility
-// bitmasks.
+// This file holds the target rows both kernels read and the compiled
+// Algorithm 2 (NestedDFS) kernel.
 //
-// Before the search, buildMasks sizes — once per (contract, query)
-// pair — a matrix of uint64 rows indexed by (contract label, query
-// state): bit j of a row is set iff query state qs's j'th out-edge is
-// compatible with the contract label (it cites only contract-vocabulary
-// events and its literals do not conflict). Rows fill lazily per
-// contract label as the search first crosses it, so because both
-// automata intern labels the quadratic Conflicts work collapses to at
-// most |contract labels| × |query labels| tests, and a pair's first
-// expansion becomes "load a word, iterate its set bits" via
-// bits.TrailingZeros64 — no Conflicts call ever runs inside a search
-// proper.
+// A target row, indexed by (contract label cl, query state qs), is a
+// bitset over query states of W = ⌈nq/64⌉ words: bit qt is set iff some
+// query edge qs → qt is compatible with cl — it cites only
+// contract-vocabulary events and its literals do not conflict with cl.
+// Rows fill lazily per contract label as a search first crosses it
+// (fillLabel), so the Conflicts work is bounded by the labels a check
+// actually uses, and no Conflicts call runs inside a search proper. A
+// product pair (cs, qs)'s successors through contract edge cs → ct are
+// then the set bits of row (label, qs), read as pairs (ct, qt).
 //
-// On top of the masks sits a per-search adjacency memo (succ): the
-// successor list a pair's first expansion derives is kept in the
-// arena, so every re-expansion — the nested cycle searches revisit
-// pairs once per knot — is a straight-line walk over packed int32
-// entries that already carry the contract-final flag transition.
-//
-// All three searches are iterative with explicit stacks (no recursion,
-// no stack-overflow risk on large products) and draw every piece of
-// scratch from the pooled arena, so steady-state candidate checks
-// allocate nothing.
+// The NestedDFS kernel adds a per-search adjacency memo (succ) on top
+// of the rows: the successor list of a pair's first expansion is kept
+// in the arena, so the nested cycle searches — which revisit pairs
+// once per knot — re-expand by walking packed int32 entries that
+// already carry the contract-final flag transition. The SCC kernel
+// expands each pair once and reads the rows directly.
 
-// cframe is a compiled-Tarjan traversal frame. ci/end delimit the
-// unconsumed remainder of the pair's memoized successor list (absolute
-// indices into the arena's adj array, so they survive adj growing
-// under a child's expansion).
-type cframe struct {
-	pair int32
-	ci   int32
-	end  int32
-}
-
-// buildMasks prepares the compatibility mask matrix for the current
-// (contract, query) pair. Layout: row (cl, qs) occupies words
-// [(cl*nq+qs)*W, (cl*nq+qs+1)*W) of sc.masks, W = ⌈maxQueryDeg/64⌉.
-// Rows are filled lazily per contract label (fillLabel) on first use,
-// so a check pays for the labels its search actually crosses, not for
-// |Σc| × |Σq|; stale words from earlier checks are dead until their
-// label's labelGen stamp matches the current generation.
-func (s *search) buildMasks() {
+// prepRows sizes the target rows for the current (contract, query)
+// pair. Layout: row (cl, qs) occupies words [(cl*nq+qs)*W,
+// (cl*nq+qs+1)*W) of the arena's rows; stale words from earlier checks
+// are dead until their label's labelGen stamp matches the current
+// generation.
+func (s *search) prepRows() {
 	sc, cc, qc := s.sc, s.cc, s.qc
-	nlc, nlq := len(cc.Labels), len(qc.Labels)
-	s.W = (qc.MaxDeg + 63) / 64
-
 	// Condition (i) of compatibility depends only on the query label.
-	sc.qlOK = ensureBool(sc.qlOK, nlq)
+	sc.qlOK = ensureBool(sc.qlOK, len(qc.Labels))
 	for j, ql := range qc.Labels {
 		sc.qlOK[j] = ql.Vars().SubsetOf(cc.Events)
 	}
-	sc.masks = ensureU64(sc.masks, nlc*s.nq*s.W)
-	sc.labelGen = ensureU32(sc.labelGen, nlc)
-	s.masks = sc.masks
-	s.stats.MaskBuilds++
+	sc.rows = ensureU64(sc.rows, len(cc.Labels)*s.nq*s.W)
+	sc.labelGen = ensureU32(sc.labelGen, len(cc.Labels))
 }
 
-// fillLabel populates contract label cl's mask rows for every query
-// state — the only place Conflicts runs on the compiled path.
+// fillLabel populates contract label cl's target rows for every query
+// state — the only place Conflicts runs.
 func (s *search) fillLabel(cl int) {
-	sc, qc := s.sc, s.qc
+	sc, qc, W := s.sc, s.qc, s.W
 	l := s.cc.Labels[cl]
-	base := cl * s.nq * s.W
-	m := s.masks[base : base+s.nq*s.W]
-	for i := range m {
-		m[i] = 0
-	}
-	qlOK := sc.qlOK
+	m := sc.rows[cl*s.nq*W : (cl+1)*s.nq*W]
+	clear(m)
 	for qs := 0; qs < s.nq; qs++ {
-		off := int(qc.EdgeOff[qs])
-		deg := int(qc.EdgeOff[qs+1]) - off
-		for j := 0; j < deg; j++ {
-			ql := int(qc.EdgeLabel[off+j])
-			if qlOK[ql] && !l.Conflicts(qc.Labels[ql]) {
-				m[qs*s.W+(j>>6)] |= 1 << uint(j&63)
+		for j := qc.EdgeOff[qs]; j < qc.EdgeOff[qs+1]; j++ {
+			ql := qc.EdgeLabel[j]
+			if sc.qlOK[ql] && !l.Conflicts(qc.Labels[ql]) {
+				qt := int(qc.EdgeTo[j])
+				m[qs*W+qt>>6] |= 1 << uint(qt&63)
 			}
 		}
 	}
 	sc.labelGen[cl] = s.gen
 }
 
-// maskRow returns the compatibility row for (contract label cl, query
-// state qs).
-func (s *search) maskRow(cl, qs int) []uint64 {
+// row returns the target row for (contract label cl, query state qs),
+// filling the label's rows on first use.
+func (s *search) row(cl, qs int) []uint64 {
+	if s.sc.labelGen[cl] != s.gen {
+		s.fillLabel(cl)
+	}
 	off := (cl*s.nq + qs) * s.W
-	return s.masks[off : off+s.W]
+	return s.sc.rows[off : off+s.W]
 }
 
 // succ returns pair p's successors in the implicit product, memoized
-// in the arena. The first expansion derives the list from the
-// compatibility masks; every revisit — the nested cycle searches
-// re-expand each pair up to twice per knot — reuses the flat slice,
-// which turns the hot inner loops into a linear walk over int32s.
-// Entries encode (target pair)<<1 | (contract-final bit of the
-// target), so cycle searches read the flag transition without
-// touching the automata. The returned slice stays valid across later
-// succ calls: adj is append-only within a search and written entries
-// are never moved logically, only copied on growth.
+// in the arena. The first expansion derives the list from the target
+// rows; every revisit — the nested cycle searches re-expand each pair
+// up to twice per knot — reuses the flat slice, which turns the hot
+// inner loops into a linear walk over int32s. Entries encode (target
+// pair)<<1 | (contract-final bit of the target), so cycle searches read
+// the flag transition without touching the automata. The returned
+// slice stays valid across later succ calls: adj is append-only within
+// a search and written entries are never moved logically, only copied
+// on growth.
 func (s *search) succ(p int32) []int32 {
 	sc := s.sc
 	if sc.built[p] == s.gen {
 		return sc.adj[sc.adjOff[p]:sc.adjEnd[p]]
 	}
-	cc, qc, nq := s.cc, s.qc, s.nq
+	cc, nq := s.cc, s.nq
 	cs := int(p) / nq
 	qs := int(p) % nq
 	adj := sc.adj
 	start := int32(len(adj))
-	qe := int(qc.EdgeOff[qs])
 	for ci := cc.EdgeOff[cs]; ci < cc.EdgeOff[cs+1]; ci++ {
 		ct := int(cc.EdgeTo[ci])
 		e := int32(ct*nq) << 1
 		if cc.Final[ct] {
 			e |= 1
 		}
-		cl := int(cc.EdgeLabel[ci])
-		if sc.labelGen[cl] != s.gen {
-			s.fillLabel(cl)
-		}
-		row := s.maskRow(cl, qs)
-		for wi, w := range row {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &= w - 1
-				adj = append(adj, e+int32(qc.EdgeTo[qe+wi*64+b])<<1)
+		for wi, w := range s.row(int(cc.EdgeLabel[ci]), qs) {
+			for ; w != 0; w &= w - 1 {
+				adj = append(adj, e+int32(wi<<6|bits.TrailingZeros64(w))<<1)
 			}
 		}
 	}
@@ -146,32 +106,33 @@ func (s *search) succ(p int32) []int32 {
 	return adj[start:]
 }
 
-// compiledNested is Algorithm 2's outer DFS on the compiled forms: an
-// explicit-stack enumeration of reachable product pairs, starting a
-// nested cycle search at every viable knot.
-func (s *search) compiledNested() bool {
+// nestedSearch is Algorithm 2's outer DFS: an explicit-stack
+// enumeration of reachable product pairs, starting a nested cycle
+// search at every viable knot. Expanded pairs are marked in the
+// arena's per-contract-state visited bitsets.
+func (s *search) nestedSearch() bool {
 	sc, cc, qc := s.sc, s.cc, s.qc
-	nq := s.nq
-	gen := s.gen
+	nq, W := s.nq, s.W
 	visited := sc.visited
 	stack := append(sc.stack[:0], int32(int(cc.Init)*nq+int(qc.Init)))
 	found := false
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if visited[v] == gen {
+		cs := int(v) / nq
+		qs := int(v) % nq
+		w, bit := cs*W+qs>>6, uint64(1)<<uint(qs&63)
+		if visited[w]&bit != 0 {
 			continue
 		}
 		if s.tick() {
 			break
 		}
-		visited[v] = gen
+		visited[w] |= bit
 		s.stats.PairsVisited++
-		cs := int(v) / nq
-		qs := int(v) % nq
 		if qc.Final[qs] && (!s.checker.useSeeds || s.checker.seeds[cs]) {
 			s.stats.CycleSearches++
-			if s.compiledCycle(v) {
+			if s.cycleSearch(v) {
 				found = true
 				break
 			}
@@ -179,29 +140,27 @@ func (s *search) compiledNested() bool {
 				break
 			}
 		}
-		list := s.succ(v)
-		s.stats.StepsSaved += s.deg(cs, qs) - len(list)
-		for _, t := range list {
-			if tp := t >> 1; visited[tp] != gen {
-				stack = append(stack, tp)
-			}
+		for _, t := range s.succ(v) {
+			stack = append(stack, t>>1)
 		}
 	}
 	sc.stack = stack[:0]
 	return found
 }
 
-// compiledCycle is the flag-doubled nested cycle search on the
-// compiled forms: does a product cycle run from the knot back to
-// itself through a contract-final pair? Nodes are encoded as
-// pair<<1|flag, matching the cycleSeen layout.
-func (s *search) compiledCycle(knot int32) bool {
+// cycleSearch is the flag-doubled nested cycle search: does a product
+// cycle run from the knot back to itself through a contract-final
+// pair? The search space is the product graph doubled with a flag
+// recording whether a contract-final pair has been seen since leaving
+// the knot (the knot itself counts); memoizing (pair, flag) keeps the
+// search linear. Nodes are encoded as pair<<1|flag, matching the
+// cycleSeen layout.
+func (s *search) cycleSearch(knot int32) bool {
 	sc, cc := s.sc, s.cc
-	nq := s.nq
 	cg := sc.nextCycleGen()
 	seen := sc.cycleSeen
 	start := knot << 1
-	if cc.Final[int(knot)/nq] {
+	if cc.Final[int(knot)/s.nq] {
 		start |= 1
 	}
 	cstack := append(sc.cstack[:0], start)
@@ -219,10 +178,7 @@ loop:
 		seen[nd] = cg
 		s.stats.CycleVisited++
 		flag := nd & 1
-		p := nd >> 1
-		list := s.succ(p)
-		s.stats.StepsSaved += s.deg(int(p)/nq, int(p)%nq) - len(list)
-		for _, t := range list {
+		for _, t := range s.succ(nd >> 1) {
 			tp := t >> 1
 			nflag := flag | t&1
 			if tp == knot {
@@ -243,113 +199,4 @@ loop:
 	}
 	sc.cstack = cstack[:0]
 	return found
-}
-
-// compiledSCC decides simultaneous-lasso existence with one Tarjan
-// pass over the implicit product of the compiled forms; see sccSearch
-// for the underlying argument. Each frame walks its pair's memoized
-// successor list by absolute adj index, so preemption by a child costs
-// nothing beyond the frame push.
-func (s *search) compiledSCC() bool {
-	sc, cc, qc := s.sc, s.cc, s.qc
-	nq := s.nq
-	gen := s.gen
-	visited, onStack := sc.visited, sc.onStack
-	index, low := sc.index, sc.low
-	stack := sc.sccStack[:0]
-	frames := sc.frames[:0]
-	next := int32(0)
-	found := false
-	root := int32(int(cc.Init)*nq + int(qc.Init))
-	frames = append(frames, cframe{pair: root})
-	for len(frames) > 0 {
-		f := &frames[len(frames)-1]
-		v := f.pair
-		if visited[v] != gen {
-			if s.tick() {
-				break
-			}
-			visited[v] = gen
-			index[v] = next
-			low[v] = next
-			next++
-			stack = append(stack, v)
-			onStack[v] = gen
-			s.stats.PairsVisited++
-			list := s.succ(v)
-			s.stats.StepsSaved += s.deg(int(v)/nq, int(v)%nq) - len(list)
-			f.ci, f.end = sc.adjOff[v], sc.adjEnd[v]
-		}
-		advanced := false
-		for f.ci < f.end {
-			w := sc.adj[f.ci] >> 1
-			f.ci++
-			if visited[w] != gen {
-				frames = append(frames, cframe{pair: w})
-				advanced = true
-				break
-			}
-			if onStack[w] == gen && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if advanced {
-			continue
-		}
-		if low[v] == index[v] {
-			// Pop the component, testing the three conditions in place
-			// (no members copy).
-			queryFinal, contractFinal := false, false
-			cut := len(stack)
-			for {
-				cut--
-				m := stack[cut]
-				onStack[m] = 0
-				if cc.Final[int(m)/nq] {
-					contractFinal = true
-				}
-				if qc.Final[int(m)%nq] {
-					queryFinal = true
-				}
-				if m == v {
-					break
-				}
-			}
-			multi := len(stack)-cut > 1
-			stack = stack[:cut]
-			if queryFinal && contractFinal && (multi || s.compiledSelfLoop(v)) {
-				found = true
-				break
-			}
-		}
-		frames = frames[:len(frames)-1]
-		if len(frames) > 0 {
-			if p := frames[len(frames)-1].pair; low[v] < low[p] {
-				low[p] = low[v]
-			}
-		}
-	}
-	sc.sccStack, sc.frames = stack[:0], frames[:0]
-	return found
-}
-
-// compiledSelfLoop reports whether singleton component {v} has a
-// product self-edge, the one case where strong connectivity alone does
-// not imply a cycle.
-func (s *search) compiledSelfLoop(v int32) bool {
-	for _, t := range s.succ(v) {
-		if t>>1 == v {
-			return true
-		}
-	}
-	return false
-}
-
-// deg returns the pair's naive expansion cost — contract out-degree ×
-// query out-degree — the number of label tests the interpreted kernels
-// would run at this pair. StepsSaved adds it on expansion and
-// subtracts one per compatible edge pair actually taken, so the
-// counter reports exactly the label tests the masks avoided.
-func (s *search) deg(cs, qs int) int {
-	return s.cc.Deg(buchi.StateID(cs)) * s.qc.Deg(buchi.StateID(qs))
 }

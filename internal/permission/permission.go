@@ -22,13 +22,22 @@
 //     (pair, flag) is visited at most once per knot and the search is
 //     linear in the product rather than backtracking-exponential.
 //
-// Each algorithm exists in two executions. The *compiled* kernels (the
-// default; see compiled.go) run on the flat buchi.Compiled forms with
-// precomputed edge-compatibility bitmasks and pooled scratch, and are
-// what production queries use. The *interpreted* kernels walk the
-// pointer-rich BA directly, re-testing label compatibility at every
-// product edge; they are the readable reference the differential tests
-// cross-validate against, selected with WithInterpreted.
+// Both algorithms run on the flat buchi.Compiled forms of the two
+// automata (see compiled.go) over lazily filled *target rows*: for a
+// contract label and a query state, a bitset of the query states one
+// compatible query edge reaches. The default SCC kernel (scc.go) is an
+// on-the-fly Couvreur emptiness check that keeps its visited and
+// active pairs as per-contract-state bitsets too, so it steps query
+// states 64 at a time and answers at the edge that closes the first
+// accepting cycle. Every piece of scratch comes from a pooled arena
+// (arena.go), so steady-state checks allocate nothing.
+//
+// Invariant I3 — the kernels agree with each other and with an
+// independent product-emptiness oracle, and honour the step budget
+// and cancellation — is owned by TestKernelDifferential (which also
+// runs the interpreted reference kernels kept in interpreted_test.go),
+// TestKernelEarlyExit, TestPermitsCtxBudget, TestPermitsCtxCanceled
+// and TestSteadyStateZeroAllocs.
 package permission
 
 import (
@@ -58,10 +67,6 @@ type Stats struct {
 	CycleSearches int // nested searches started (knots tried)
 	CycleVisited  int // (pair, flag) states expanded across nested searches
 	Steps         int // kernel steps consumed (pairs + cycle nodes), the budget unit
-
-	// Compiled-kernel counters, zero on the interpreted path.
-	MaskBuilds int // compatibility mask matrices built (one per compiled check)
-	StepsSaved int // label tests the masks avoided vs. the naive double loop
 }
 
 // Add accumulates another call's counters, for callers aggregating
@@ -71,8 +76,6 @@ func (s *Stats) Add(o Stats) {
 	s.CycleSearches += o.CycleSearches
 	s.CycleVisited += o.CycleVisited
 	s.Steps += o.Steps
-	s.MaskBuilds += o.MaskBuilds
-	s.StepsSaved += o.StepsSaved
 }
 
 // Algorithm selects the search strategy. Both return identical
@@ -80,13 +83,14 @@ func (s *Stats) Add(o Stats) {
 type Algorithm int
 
 const (
-	// SCC finds a simultaneous lasso with a single Tarjan pass over
-	// the reachable product graph: permission holds iff some reachable
-	// product component has an internal edge, a contract-final pair
-	// and a query-final pair. This is Algorithm 2's nested search with
-	// the memoization of §6.2.2 taken to its conclusion ("we can code
-	// the whole procedure as a depth first visit, never visiting any
-	// pair more than once") — linear in the product. The default.
+	// SCC finds a simultaneous lasso with a single on-the-fly SCC pass
+	// over the reachable product graph: permission holds iff some
+	// reachable product component has an internal edge, a
+	// contract-final pair and a query-final pair. This is Algorithm 2's
+	// nested search with the memoization of §6.2.2 taken to its
+	// conclusion ("we can code the whole procedure as a depth first
+	// visit, never visiting any pair more than once") — linear in the
+	// product, and it stops at the first accepting cycle. The default.
 	SCC Algorithm = iota
 	// NestedDFS is the paper's Algorithm 2 as printed: an outer
 	// product DFS that starts a flag-doubled nested cycle search at
@@ -110,9 +114,7 @@ type Checker struct {
 	// useSeeds disables the seed restriction for ablation studies; the
 	// result is unchanged, only more nested searches run.
 	useSeeds bool
-	// interpreted selects the reference kernels over the compiled ones.
-	interpreted bool
-	algo        Algorithm
+	algo     Algorithm
 }
 
 // Option configures a Checker.
@@ -126,13 +128,6 @@ func WithoutSeeds() Option { return func(c *Checker) { c.useSeeds = false } }
 // WithAlgorithm selects the search strategy.
 func WithAlgorithm(a Algorithm) Option { return func(c *Checker) { c.algo = a } }
 
-// WithInterpreted selects the interpreted reference kernels, which
-// walk the BA pointer graph and re-test label compatibility on every
-// product edge. Verdicts are identical to the compiled kernels' (the
-// differential tests enforce this); the option exists for
-// cross-validation and for measuring what compilation buys.
-func WithInterpreted() Option { return func(c *Checker) { c.interpreted = true } }
-
 // WithSeeds installs a precomputed seed vector instead of running the
 // SCC analysis at construction. The snapshot load path uses it:
 // seeds were computed at registration and persisted, so adopting them
@@ -145,8 +140,7 @@ func WithSeeds(seeds []bool) Option { return func(c *Checker) { c.seeds = seeds 
 // contract automaton (registration-time work in the paper's
 // architecture). The seed analysis reads a shell's CSR arrays, so a
 // compiled-only automaton — a snapshot-loaded contract, any projection
-// quotient — stays compiled-only unless the interpreted kernels are
-// selected.
+// quotient — stays compiled-only.
 func NewChecker(contract *buchi.BA, opts ...Option) *Checker {
 	c := &Checker{
 		contract: contract,
@@ -162,10 +156,6 @@ func NewChecker(contract *buchi.BA, opts ...Option) *Checker {
 		// A wrong-length adopted vector would index out of range in the
 		// kernels; recompute rather than trust it.
 		c.seeds = contract.OnAcceptingCycle()
-	}
-	if c.interpreted {
-		// The interpreted kernels walk the pointer adjacency.
-		contract.EnsureEdges()
 	}
 	return c
 }
@@ -215,54 +205,40 @@ func (c *Checker) PermitsCtx(ctx context.Context, query *buchi.BA, algo Algorith
 			return false, Stats{}, ErrCanceled
 		}
 	}
+	qc := query.Compiled()
 	sc := scratchPool.Get().(*scratch)
 	s := &sc.srch
 	*s = search{
-		contract: c.contract,
-		query:    query,
-		checker:  c,
-		nc:       c.contract.NumStates(),
-		nq:       query.NumStates(),
-		sc:       sc,
-		ctx:      ctx,
-		budget:   stepBudget,
+		cc:      c.cc,
+		qc:      qc,
+		checker: c,
+		nc:      c.cc.N,
+		nq:      qc.N,
+		W:       (qc.N + 63) / 64,
+		sc:      sc,
+		ctx:     ctx,
+		budget:  stepBudget,
 	}
+	s.gen = sc.nextGen()
+	s.prepRows()
+	sets := s.nc * s.W
+	sc.visited = ensureU64(sc.visited, sets)
+	clear(sc.visited[:sets])
 	n := s.nc * s.nq
-	sc.visited = ensureU32(sc.visited, n)
 	var found bool
-	if c.interpreted {
-		s.prepEdgeOK()
-		switch algo {
-		case SCC:
-			sc.onStack = ensureU32(sc.onStack, n)
-			sc.index = ensureI32(sc.index, n)
-			sc.low = ensureI32(sc.low, n)
-			s.gen = sc.nextGen()
-			found = s.sccSearch()
-		default:
-			sc.cycleSeen = ensureU32(sc.cycleSeen, 2*n)
-			s.gen = sc.nextGen()
-			found = s.nestedSearch()
-		}
-	} else {
-		s.cc = c.cc
-		s.qc = query.Compiled()
-		s.gen = sc.nextGen()
-		s.buildMasks()
+	switch algo {
+	case SCC:
+		sc.active = ensureU64(sc.active, sets)
+		clear(sc.active[:sets])
+		sc.index = ensureI32(sc.index, n)
+		found = s.sccSearch()
+	default:
 		sc.built = ensureU32(sc.built, n)
 		sc.adjOff = ensureI32(sc.adjOff, n)
 		sc.adjEnd = ensureI32(sc.adjEnd, n)
 		sc.adj = sc.adj[:0]
-		switch algo {
-		case SCC:
-			sc.onStack = ensureU32(sc.onStack, n)
-			sc.index = ensureI32(sc.index, n)
-			sc.low = ensureI32(sc.low, n)
-			found = s.compiledSCC()
-		default:
-			sc.cycleSeen = ensureU32(sc.cycleSeen, 2*n)
-			found = s.compiledNested()
-		}
+		sc.cycleSeen = ensureU32(sc.cycleSeen, 2*n)
+		found = s.nestedSearch()
 	}
 	stats, stop := s.stats, s.stop
 	*s = search{} // drop ctx/automata references before pooling
@@ -282,20 +258,13 @@ func Check(contract, query *buchi.BA) bool {
 // search is the per-call state of one permission check. It lives
 // inside the pooled scratch arena (scratch.srch), not on the heap.
 type search struct {
-	contract *buchi.BA
-	query    *buchi.BA
-	cc, qc   *buchi.Compiled // compiled path only
-	checker  *Checker
-	nc, nq   int
-	W        int // mask row width in words (compiled path)
+	cc, qc  *buchi.Compiled
+	checker *Checker
+	nc, nq  int
+	W       int // words per target row and per pair set: ⌈nq/64⌉
 
 	sc  *scratch
 	gen uint32
-
-	// Aliases into the arena, bound per call.
-	edgeOK []bool   // interpreted: flat query-edge vocabulary check
-	qOff   []int32  // interpreted: edgeOK offset per query state
-	masks  []uint64 // compiled: compatibility mask matrix
 
 	stats Stats
 
@@ -331,141 +300,4 @@ func (s *search) tick() bool {
 		}
 	}
 	return false
-}
-
-func (s *search) pair(cs, qs buchi.StateID) int { return int(cs)*s.nq + int(qs) }
-
-// prepEdgeOK pre-resolves which query labels cite only contract events
-// (condition (i) of compatibility) into the arena's flat edgeOK array;
-// the interpreted kernels' per-pair check then reduces to a literal
-// conflict test.
-func (s *search) prepEdgeOK() {
-	sc := s.sc
-	sc.qOff = ensureI32(sc.qOff, s.nq)
-	total := 0
-	for q, out := range s.query.Out {
-		sc.qOff[q] = int32(total)
-		total += len(out)
-	}
-	sc.edgeOK = ensureBool(sc.edgeOK, total)
-	for q, out := range s.query.Out {
-		off := int(sc.qOff[q])
-		for i, e := range out {
-			sc.edgeOK[off+i] = e.Label.Vars().SubsetOf(s.contract.Events)
-		}
-	}
-	s.edgeOK, s.qOff = sc.edgeOK, sc.qOff
-}
-
-// nestedSearch is the interpreted outer DFS of Algorithm 2: an
-// explicit-stack enumeration of reachable product pairs that starts a
-// nested cycle search at every viable knot.
-func (s *search) nestedSearch() bool {
-	sc := s.sc
-	nq := s.nq
-	gen := s.gen
-	visited := sc.visited
-	stack := append(sc.stack[:0], int32(s.pair(s.contract.Init, s.query.Init)))
-	found := false
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[v] == gen {
-			continue
-		}
-		if s.tick() {
-			break
-		}
-		visited[v] = gen
-		s.stats.PairsVisited++
-		cs := buchi.StateID(int(v) / nq)
-		qs := buchi.StateID(int(v) % nq)
-		if s.query.Final[qs] && (!s.checker.useSeeds || s.checker.seeds[cs]) {
-			s.stats.CycleSearches++
-			if s.cycleSearch(cs, qs) {
-				found = true
-				break
-			}
-			if s.stop != nil {
-				break
-			}
-		}
-		off := int(s.qOff[qs])
-		for _, ec := range s.contract.Out[cs] {
-			for qi, eq := range s.query.Out[qs] {
-				if !s.edgeOK[off+qi] || ec.Label.Conflicts(eq.Label) {
-					continue
-				}
-				t := int32(s.pair(ec.To, eq.To))
-				if visited[t] != gen {
-					stack = append(stack, t)
-				}
-			}
-		}
-	}
-	sc.stack = stack[:0]
-	return found
-}
-
-// cycleSearch looks for a product cycle from the knot back to itself
-// that passes through a pair whose contract state is final. The search
-// space is the product graph doubled with a flag recording whether a
-// contract-final pair has been seen since leaving the knot (the knot
-// itself counts); memoizing (pair, flag) keeps the search linear.
-// Nodes are encoded as pair<<1|flag in the arena's cycleSeen array.
-func (s *search) cycleSearch(kc, kq buchi.StateID) bool {
-	sc := s.sc
-	cg := sc.nextCycleGen()
-	seen := sc.cycleSeen
-	start := int32(s.pair(kc, kq)) << 1
-	if s.contract.Final[kc] {
-		start |= 1
-	}
-	cstack := append(sc.cstack[:0], start)
-	found := false
-loop:
-	for len(cstack) > 0 {
-		nd := cstack[len(cstack)-1]
-		cstack = cstack[:len(cstack)-1]
-		if seen[nd] == cg {
-			continue
-		}
-		if s.tick() {
-			break
-		}
-		seen[nd] = cg
-		s.stats.CycleVisited++
-		flag := nd&1 != 0
-		p := int(nd >> 1)
-		cs := buchi.StateID(p / s.nq)
-		qs := buchi.StateID(p % s.nq)
-		off := int(s.qOff[qs])
-		for _, ec := range s.contract.Out[cs] {
-			for qi, eq := range s.query.Out[qs] {
-				if !s.edgeOK[off+qi] || ec.Label.Conflicts(eq.Label) {
-					continue
-				}
-				nflag := flag || s.contract.Final[ec.To]
-				if ec.To == kc && eq.To == kq {
-					// Closed the cycle: accept if a contract-final
-					// pair occurred on it (the knot itself counts via
-					// the start flag, the closing target via nflag).
-					if nflag {
-						found = true
-						break loop
-					}
-					continue
-				}
-				key := int32(s.pair(ec.To, eq.To)) << 1
-				if nflag {
-					key |= 1
-				}
-				if seen[key] != cg {
-					cstack = append(cstack, key)
-				}
-			}
-		}
-	}
-	sc.cstack = cstack[:0]
-	return found
 }
