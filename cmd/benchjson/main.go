@@ -18,8 +18,7 @@
 //
 // The -compare mode diffs two committed reports without running
 // anything, printing per-series deltas — ns/op and allocs/op per
-// bench, plus the cold-start, registration-rate and stream-ingest
-// wall-clock series:
+// bench, plus the cold-start and stream-ingest wall-clock series:
 //
 //	go run ./cmd/benchjson -compare BENCH_PR4.json BENCH_PR7.json
 package main
@@ -50,13 +49,11 @@ type report struct {
 	GOOS      string   `json:"goos"`
 	GOARCH    string   `json:"goarch"`
 	Results   []result `json:"results"`
-	// ColdStart and RegisterRate are wall-clock series (recorded for
-	// the trajectory, never gated — unlike allocs/op they vary across
-	// machines): snapshot-load vs. batch re-registration milliseconds
-	// per corpus size, and sustained registration throughput with and
-	// without the ingest pipeline.
-	ColdStart    []benchkit.ColdStartPoint    `json:"cold_start,omitempty"`
-	RegisterRate []benchkit.RegisterRatePoint `json:"register_rate,omitempty"`
+	// ColdStart is a wall-clock series (recorded for the trajectory,
+	// never gated — unlike allocs/op it varies across machines):
+	// snapshot-load vs. batch re-registration milliseconds per corpus
+	// size.
+	ColdStart []benchkit.ColdStartPoint `json:"cold_start,omitempty"`
 	// StreamIngest is the live-monitoring throughput series:
 	// events/sec/core at N open streams across M ingest shards.
 	StreamIngest []benchkit.StreamIngestPoint `json:"stream_ingest,omitempty"`
@@ -67,7 +64,7 @@ func main() {
 	baseline := flag.String("baseline", "", "committed report to compare against; exit 1 on allocs/op regression")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional allocs/op growth over -baseline")
 	filter := flag.String("bench", "", "only run benchmarks whose name contains this substring")
-	series := flag.Bool("series", true, "also run the cold-start and registration-rate wall-clock series")
+	series := flag.Bool("series", true, "also run the cold-start and stream-ingest wall-clock series")
 	compare := flag.Bool("compare", false, "diff two committed reports (old.json new.json) instead of running benchmarks")
 	flag.Parse()
 
@@ -143,16 +140,6 @@ func main() {
 			rep.ColdStart = append(rep.ColdStart, p)
 			fmt.Fprintf(os.Stderr, "ColdStart/contracts=%-5d register %9.1f ms  load %7.1f ms (%.1fx)\n",
 				p.Contracts, p.RegisterMS, p.LoadMS, p.Speedup)
-		}
-		for _, workers := range []int{0, runtime.GOMAXPROCS(0)} {
-			p, err := benchkit.RegisterRate(300, workers)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-				os.Exit(1)
-			}
-			rep.RegisterRate = append(rep.RegisterRate, p)
-			fmt.Fprintf(os.Stderr, "RegisterRate/workers=%-3d accept %9.1f ms (%8.1f reg/s)  drain %9.1f ms\n",
-				p.IngestWorkers, p.AcceptMS, p.AcceptPerSec, p.DrainMS)
 		}
 		// Stream-ingest series: fewer events per stream at the larger
 		// stream counts, so every point pushes a comparable total.
@@ -314,22 +301,6 @@ func compareReports(oldPath, newPath string) error {
 			}
 			fmt.Printf("ColdStart/contracts=%-5d load %7.1f -> %7.1f ms %s   snapshot %d -> %d bytes\n",
 				p.Contracts, o.LoadMS, p.LoadMS, pct(o.LoadMS, p.LoadMS), o.SnapshotBytes, p.SnapshotBytes)
-		}
-	}
-	if len(old.RegisterRate) > 0 || len(cur.RegisterRate) > 0 {
-		oldRR := make(map[int]benchkit.RegisterRatePoint, len(old.RegisterRate))
-		for _, p := range old.RegisterRate {
-			oldRR[p.IngestWorkers] = p
-		}
-		fmt.Println()
-		for _, p := range cur.RegisterRate {
-			o, ok := oldRR[p.IngestWorkers]
-			if !ok {
-				fmt.Printf("RegisterRate/workers=%-3d %8.1f reg/s (new point)\n", p.IngestWorkers, p.AcceptPerSec)
-				continue
-			}
-			fmt.Printf("RegisterRate/workers=%-3d %8.1f -> %8.1f reg/s %s\n",
-				p.IngestWorkers, o.AcceptPerSec, p.AcceptPerSec, pct(o.AcceptPerSec, p.AcceptPerSec))
 		}
 	}
 	if len(old.StreamIngest) > 0 || len(cur.StreamIngest) > 0 {

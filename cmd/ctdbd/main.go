@@ -72,7 +72,6 @@ func main() {
 	streamShards := flag.Int("stream-shards", 1, "ingest workers for the live stream-monitoring subsystem (0 disables /v1/streams)")
 	streamQueue := flag.Int("stream-queue", 0, "pending event batches per stream-ingest shard before pushes block (0 = default)")
 	parallelism := flag.Int("parallelism", 0, "query worker-pool width (0 = GOMAXPROCS, 1 = sequential)")
-	ingestWorkers := flag.Int("ingest-workers", 0, "pipelined registration: POST /v1/contracts returns after a degraded (prefilter-only) insert and this many background workers complete the projection precompute (0 = as persisted in the snapshot, negative = force synchronous)")
 	queryTimeout := flag.Duration("query-timeout", 0, "server-side deadline per query evaluation (0 = none)")
 	stepBudget := flag.Int("step-budget", 0, "default kernel step budget per candidate check (0 = unlimited)")
 	queryCacheSize := flag.Int("query-cache-size", 0, "compiled-query (automaton) cache capacity (0 = default, negative = disabled)")
@@ -158,19 +157,9 @@ func main() {
 	if *parallelism > 0 {
 		db.SetParallelism(*parallelism)
 	}
-	switch {
-	case *ingestWorkers > 0:
-		db.SetIngestWorkers(*ingestWorkers)
-	case *ingestWorkers < 0:
-		db.SetIngestWorkers(0)
-	}
 	if *queryCacheSize != 0 || *resultCacheSize != 0 {
 		db.SetCacheSizes(*queryCacheSize, *resultCacheSize)
 	}
-	// The engine shares the daemon's tracer so asynchronous ingest
-	// promotions appear as linked stages under the originating
-	// request's trace ID.
-	db.SetTracer(tracer)
 
 	var querylog *insights.Log
 	if *querylogSample > 0 {
@@ -311,7 +300,6 @@ func recoveryState(r store.RecoveryInfo) *server.RecoveryState {
 		ArtifactRestoreUS: r.ArtifactRestore.Microseconds(),
 		WALReplayUS:       r.WALReplay.Microseconds(),
 		CompiledAdopted:   r.CompiledAdopted,
-		DegradedLoaded:    r.DegradedLoaded,
 		MappedBytes:       r.MappedBytes,
 		CopiedBytes:       r.CopiedBytes,
 		Sections:          r.Sections,
@@ -350,9 +338,9 @@ func openStore(dir, events string, policy wal.SyncPolicy, fsyncInterval time.Dur
 			dir, n, layout, orFresh(r.SnapshotPath), r.ReplayedRecords, r.TruncatedBytes, len(r.SkippedSnapshots), r.Duration)
 	}
 	if r.SnapshotPath != "" || r.ReplayedRecords > 0 {
-		log.Printf("ctdbd: cold start breakdown: snapshot decode %dms, artifact restore %dms, WAL replay %dms (format v%d, %d compiled automata adopted, %d degraded re-pended)",
+		log.Printf("ctdbd: cold start breakdown: snapshot decode %dms, artifact restore %dms, WAL replay %dms (format v%d, %d compiled automata adopted)",
 			r.SnapshotDecode.Milliseconds(), r.ArtifactRestore.Milliseconds(), r.WALReplay.Milliseconds(),
-			r.SnapshotFormat, r.CompiledAdopted, r.DegradedLoaded)
+			r.SnapshotFormat, r.CompiledAdopted)
 	}
 	switch {
 	case r.MappedBytes > 0:

@@ -104,51 +104,3 @@ func ColdStart(size int) (ColdStartPoint, error) {
 	}
 	return p, nil
 }
-
-// RegisterRatePoint is one configuration of the sustained-registration
-// series: how fast Register calls return (accepting writes at the
-// degraded tier when pipelined), and how long the background pipeline
-// needs to finish promoting everything it accepted.
-type RegisterRatePoint struct {
-	Contracts     int     `json:"contracts"`
-	IngestWorkers int     `json:"ingest_workers"` // 0 = synchronous registration
-	AcceptMS      float64 `json:"accept_ms"`      // wall time until every Register returned
-	DrainMS       float64 `json:"drain_ms"`       // further wall time until the pipeline is idle
-	AcceptPerSec  float64 `json:"accept_per_sec"` // registrations accepted per second
-}
-
-// RegisterRate measures sustained registration throughput for size
-// contracts with the given ingest-pipeline width (0 disables the
-// pipeline: every Register pays projection precompute synchronously,
-// which is the pre-pipeline behavior the series compares against).
-func RegisterRate(size, workers int) (RegisterRatePoint, error) {
-	voc := datagen.NewVocabulary()
-	specs := corpusSpecs(voc, size, 1)
-
-	opts := benchOpts()
-	opts.IngestWorkers = workers
-	db := core.NewDB(voc, opts)
-	start := time.Now()
-	for _, q := range specs {
-		if _, err := db.Register("", q); err != nil {
-			return RegisterRatePoint{}, fmt.Errorf("benchkit: register rate: %w", err)
-		}
-	}
-	accept := time.Since(start)
-	db.WaitIdle()
-	drain := time.Since(start) - accept
-	if err := db.Close(); err != nil {
-		return RegisterRatePoint{}, fmt.Errorf("benchkit: register rate: %w", err)
-	}
-
-	p := RegisterRatePoint{
-		Contracts:     size,
-		IngestWorkers: workers,
-		AcceptMS:      float64(accept.Microseconds()) / 1e3,
-		DrainMS:       float64(drain.Microseconds()) / 1e3,
-	}
-	if s := accept.Seconds(); s > 0 {
-		p.AcceptPerSec = float64(size) / s
-	}
-	return p, nil
-}

@@ -42,12 +42,8 @@ type BatchResult struct {
 // contract cost one translation and one bisimulation lattice. Each
 // still registers as a distinct contract under its own name and id.
 //
-// Unlike Register, RegisterBatch always completes registration at the
-// full tier before returning, even when an ingest pipeline is
-// configured — the parallelism here is the batch's own. That makes it
-// the deterministic reference path: a database built by RegisterBatch
-// has the same artifacts (and the same Save bytes) as one built by
-// synchronous Register calls.
+// A database built by RegisterBatch has the same artifacts (and the
+// same Save bytes) as one built by Register calls in input order.
 //
 // workers ≤ 0 selects GOMAXPROCS. Results are returned in input
 // order; failed entries (unsatisfiable, oversized, duplicate name) do

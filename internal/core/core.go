@@ -70,15 +70,6 @@ type Options struct {
 	// query, mode) → Result, invalidated by registration epoch). Zero
 	// selects DefaultResultCacheSize; negative disables it.
 	ResultCacheSize int
-	// IngestWorkers, when positive, pipelines registration: Register
-	// returns after translation, the write-ahead append and a degraded
-	// (no-projection, prefilter-only) insert, and this many background
-	// workers complete the projection precompute, promoting each
-	// contract to the full tier with an epoch bump. Degraded contracts
-	// answer every query correctly — the unprojected automaton is
-	// always a valid projection (§5.2) — just without the §5
-	// speedup. Zero or negative keeps registration fully synchronous.
-	IngestWorkers int
 }
 
 // Default capacities of the two query-cache tiers. Compiled automata
@@ -196,38 +187,15 @@ var Unoptimized = Mode{}
 // assigned in registration order.
 type ContractID int
 
-// Tier is a contract's registration completeness level.
-type Tier int
-
-const (
-	// TierFull means every registration artifact — including the
-	// projection precompute — is in place.
-	TierFull Tier = iota
-	// TierDegraded means the contract is queryable (automaton,
-	// checker, prefilter postings) but its projection precompute is
-	// still pending in the ingest pipeline. Answers are identical to
-	// the full tier; only the §5 projection speedup is missing.
-	TierDegraded
-)
-
-// String renders the tier for logs and metrics.
-func (t Tier) String() string {
-	if t == TierDegraded {
-		return "degraded"
-	}
-	return "full"
-}
-
 // projState bundles a contract's projection artifacts with the mutex
-// guarding their lazy caches. It is a separate, shareable object for
-// two reasons: the bulk-ingest path dedups structurally identical
-// automata — contracts sharing an automaton share one projState, and
-// so one quotient/checker cache and one lock — and the ingest
-// pipeline promotes a degraded contract by filling ps in, under the
-// same lock queries read it through.
+// guarding their lazy caches. It is a separate, shareable object
+// because the bulk-ingest path dedups structurally identical automata:
+// contracts sharing an automaton share one projState, and so one
+// quotient/checker cache and one lock. ps is set before the contract
+// is published and never changes; mu guards the caches ps.For and
+// checkers fill on first use.
 type projState struct {
-	mu sync.Mutex
-	// ps is nil while the contract is at the degraded tier.
+	mu       sync.Mutex
 	ps       *bisim.ProjectionSet
 	checkers map[*buchi.BA]*permission.Checker
 }
@@ -243,18 +211,6 @@ type Contract struct {
 	proj    *projState
 }
 
-// Tier reports the contract's current registration tier. A degraded
-// contract becomes full when the ingest pipeline promotes it; the
-// transition is observable here and in RegistrationStats.
-func (c *Contract) Tier() Tier {
-	c.proj.mu.Lock()
-	defer c.proj.mu.Unlock()
-	if c.proj.ps == nil {
-		return TierDegraded
-	}
-	return TierFull
-}
-
 // checkerFor returns a permission checker for the smallest projection
 // equivalent to the contract for queries citing the given events,
 // caching one checker per materialized quotient. The second result
@@ -264,11 +220,6 @@ func (c *Contract) checkerFor(queryEvents vocab.Set) (*permission.Checker, bool)
 	st := c.proj
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.ps == nil {
-		// Degraded tier: the unprojected automaton is always a valid
-		// projection for any query (§5.2), so the answer is unchanged.
-		return c.checker, true
-	}
 	simplified := st.ps.For(queryEvents)
 	if simplified == c.auto {
 		return c.checker, true
@@ -330,15 +281,6 @@ type DB struct {
 	oplog    OpLog
 	autoname int
 
-	// ingest, when non-nil, is the bounded background pipeline that
-	// completes degraded registrations (see Options.IngestWorkers).
-	ingest *ingestPipeline
-
-	// tracer, when set, records linked "promote" traces for background
-	// promotions whose originating registration was traced
-	// (SetTracer). Atomic: promotions read it without db.mu.
-	tracer atomic.Pointer[trace.Tracer]
-
 	// encodeHook, when set, runs at the start of every registration
 	// record encoding (SetEncodeHook; tests only). Atomic: Register
 	// encodes without db.mu.
@@ -354,9 +296,6 @@ type DB struct {
 	// replay) performs none — the cold-start tests assert exactly that
 	// through RegistrationStats.
 	translations int64
-	// promotions counts degraded→full tier promotions completed by the
-	// ingest pipeline.
-	promotions int64
 
 	// metrics is the always-on query observability registry, exposed
 	// via Stats and the server's /v1/metrics endpoint. Lock-free: it
@@ -391,9 +330,6 @@ func NewDB(voc *vocab.Vocabulary, opts Options) *DB {
 		metrics: &metrics.Query{},
 	}
 	db.initCaches()
-	if opts.IngestWorkers > 0 {
-		db.ingest = newIngestPipeline(db, opts.IngestWorkers)
-	}
 	return db
 }
 
@@ -502,23 +438,16 @@ func (db *DB) ByName(name string) (*Contract, bool) {
 // to the log before it becomes visible; a log failure rejects the
 // registration with ErrDurability.
 //
-// With an ingest pipeline configured (Options.IngestWorkers,
-// SetIngestWorkers), Register returns as soon as the contract is
-// queryable at the degraded tier — translated, logged, prefiltered —
-// and the projection precompute completes in the background; WaitIdle
-// blocks until every pending promotion has landed. The pipeline's
-// queue is bounded, so sustained over-rate registration backpressures
-// here instead of growing without limit.
+// Register returns only once every registration artifact — the
+// projection precompute included — is in place, so a contract is never
+// served without its projections.
 func (db *DB) Register(name string, spec *ltl.Expr) (*Contract, error) {
 	return db.RegisterCtx(nil, name, spec)
 }
 
 // RegisterCtx is Register under a context. The context carries trace
 // identity, not cancellation: when the registering request is traced,
-// the span context is captured here and the background promotion
-// records a linked "promote" trace under the same trace ID, so the
-// full registration story — synchronous accept plus asynchronous
-// precompute — reads as one tree from GET /v1/traces/{id}.
+// its active span records the precompute's cost.
 func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Contract, error) {
 	start := time.Now()
 	// Claim the name first (minting a generated one consumes the
@@ -536,7 +465,6 @@ func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Co
 		return nil, fmt.Errorf("core: contract %q already registered", name)
 	}
 	maxStates := db.opts.MaxAutomatonStates
-	pipeline := db.ingest
 	logging := db.oplog != nil
 	db.mu.Unlock()
 
@@ -554,11 +482,12 @@ func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Co
 		checker: permission.NewChecker(auto),
 		proj:    &projState{},
 	}
-	var projElapsed time.Duration
-	if pipeline == nil {
-		t := time.Now()
-		c.proj.ps = bisim.Precompute(auto, db.effectiveBudget(auto))
-		projElapsed = time.Since(t)
+	t := time.Now()
+	c.proj.ps = bisim.Precompute(auto, db.effectiveBudget(auto))
+	projElapsed := time.Since(t)
+	if sp := trace.SpanFrom(ctx); sp != nil {
+		sp.SetAttr("precompute_us", projElapsed.Microseconds())
+		sp.SetAttr("subsets", c.proj.ps.PrecomputedSubsets)
 	}
 	// Build the log record before taking the write lock: exporting the
 	// projections is its costly part, and it reads only the still
@@ -588,7 +517,7 @@ func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Co
 		return nil, fmt.Errorf("core: contract %q: %w", name, err)
 	}
 
-	t := time.Now()
+	t = time.Now()
 	db.index.Insert(int(c.ID), auto)
 	db.indexTime += time.Since(t)
 
@@ -597,17 +526,7 @@ func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Co
 	db.epoch++
 	db.registerTime += time.Since(start)
 	db.mu.Unlock()
-
-	if pipeline != nil {
-		pipeline.enqueueLinked(c, trace.SpanContextFrom(ctx))
-	}
 	return c, nil
-}
-
-// SetTracer wires the tracer that records linked traces for background
-// promotions. Safe to call at any time; nil disables.
-func (db *DB) SetTracer(t *trace.Tracer) {
-	db.tracer.Store(t)
 }
 
 // nextAutoName mints an unused generated name. Callers hold the write
@@ -804,8 +723,7 @@ func (db *DB) QueryMode(spec *ltl.Expr, mode Mode) (*Result, error) {
 	return db.QueryModeCtx(nil, spec, mode)
 }
 
-// RegistrationStats reports the accumulated offline costs (§7.4) and
-// the ingest pipeline's observable state.
+// RegistrationStats reports the accumulated offline costs (§7.4).
 type RegistrationStats struct {
 	Contracts      int
 	Total          time.Duration
@@ -819,19 +737,6 @@ type RegistrationStats struct {
 	// paths performed. Zero after a pure snapshot load or WAL replay:
 	// persisted automata are restored, never re-translated.
 	Translations int64
-	// Degraded counts contracts currently at the degraded tier
-	// (projection precompute pending).
-	Degraded int
-	// PendingIngest counts registrations queued or in flight in the
-	// ingest pipeline; IngestWorkers is the pipeline's width (zero
-	// when registration is synchronous). Promotions counts completed
-	// degraded→full transitions.
-	PendingIngest int
-	// PendingHighWater is the largest PendingIngest ever observed —
-	// the pipeline's backpressure high-watermark.
-	PendingHighWater int
-	IngestWorkers    int
-	Promotions       int64
 }
 
 // RegistrationStats returns the database's offline-cost counters.
@@ -846,35 +751,17 @@ func (db *DB) RegistrationStats() RegistrationStats {
 		IndexNodes:   db.index.NodeCount(),
 		IndexBytes:   db.index.ApproxBytes(),
 		Translations: db.translations,
-		Promotions:   db.promotions,
-	}
-	if db.ingest != nil {
-		rs.PendingIngest = db.ingest.pendingCount()
-		rs.PendingHighWater = db.ingest.pendingHighWater()
-		rs.IngestWorkers = db.ingest.workers
 	}
 	for _, c := range db.contracts {
-		c.proj.mu.Lock()
-		if c.proj.ps == nil {
-			rs.Degraded++
-		} else {
-			rs.ProjectionRows += c.proj.ps.PrecomputedSubsets
-		}
-		c.proj.mu.Unlock()
+		rs.ProjectionRows += c.proj.ps.PrecomputedSubsets
 	}
 	return rs
 }
 
 // ProjectionStats returns the contract's projection precomputation
 // counters: distinct partitions and total precomputed subsets (the
-// §5.2 dedup observation). Both are zero while the contract is at the
-// degraded tier.
+// §5.2 dedup observation).
 func (c *Contract) ProjectionStats() (distinct, subsets int) {
-	c.proj.mu.Lock()
-	defer c.proj.mu.Unlock()
-	if c.proj.ps == nil {
-		return 0, 0
-	}
 	return c.proj.ps.DistinctPartitions, c.proj.ps.PrecomputedSubsets
 }
 

@@ -20,12 +20,11 @@ import (
 // labels are bitsets over vocabulary ids, so replay must intern events
 // in exactly the original order before installing the contract.
 //
-// A record written by a pipelined Register before promotion is
-// Deferred: it has no partition rows. Replay re-enqueues deferred
-// contracts on the ingest pipeline, or promotes them inline when
-// registration is synchronous; no separate promotion record exists
-// because checkpoints drain the pipeline first, so a replayed suffix
-// only ever re-runs work that was pending at the crash.
+// Builds with a background registration pipeline logged a contract
+// before its projection precompute, as a Deferred record without
+// partition rows. This build writes none, but logs may still hold
+// them: replay runs the precompute inline before installing the
+// contract (see install).
 //
 // Gob register records from logs written by older builds are refused
 // with ErrUnsupportedFormat, like gob snapshots.
@@ -69,7 +68,7 @@ func (db *DB) SetEncodeHook(f func()) {
 // boundary is a conservative lower bound; see internal/store). A
 // record that fails validation installs nothing, vocabulary included.
 // stats, when non-nil, accumulates the restore breakdown (contracts
-// installed, compiled forms adopted, degraded entries re-pended).
+// installed, compiled forms adopted).
 //
 // A container record's slabs are adopted, not copied: data must stay
 // valid and unmodified for the database's lifetime, and 8-byte aligned

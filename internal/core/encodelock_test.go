@@ -33,7 +33,7 @@ func parkEncoder(t *testing.T, db *core.DB) (entered <-chan struct{}, release fu
 // takes the engine's write lock, so a query on the same database
 // completes while a registration is parked inside that step.
 func TestQueryWhileRegisterEncodes(t *testing.T) {
-	specs, ref := pipelineCorpus(t, 31, 4)
+	specs, ref := namedCorpus(t, 31, 4)
 	db := core.NewDB(ref.Vocabulary(), core.Options{MaxAutomatonStates: 300})
 	registerNamed(t, db, specs[:3])
 	log := &captureLog{}

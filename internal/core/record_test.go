@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"slices"
 	"testing"
 
 	"contractdb/internal/core"
+	"contractdb/internal/datagen"
 	"contractdb/internal/ltl"
 	"contractdb/internal/snapfmt"
 	"contractdb/internal/vocab"
@@ -16,48 +18,51 @@ import (
 // as builds before the container record wrote them: gob records
 // carrying the pointer automaton, its compiled form, per-subset
 // partition tables and a quotient table. This build refuses them (see
-// TestPreV4Refused). Each was captured from a database over
-// recordEvents registering one of recordContracts — the full one
-// synchronously, the deferred one through a one-worker ingest
-// pipeline, which logs before promotion — as containerRecords does
-// today.
+// TestPreV4Refused). register-v4-deferred.rec is a container record as
+// builds with a background registration pipeline logged it, before the
+// projection precompute ran: Deferred, with no partition rows. This
+// build writes no such record, but replays it. Each fixture was
+// captured from a database over recordEvents registering one of
+// recordContracts; the deferred ones hold NoRefundsAfterUse.
 var recordEvents = []string{"purchase", "use", "refund", "dateChange"}
 
-var recordContracts = []struct {
-	name, spec, fixture string
-	workers             int
-}{
-	{"Flexible", "G(purchase -> F refund)", "testdata/register-gob-full.rec", 0},
-	{"NoRefundsAfterUse", "G(use -> G !refund) & F purchase", "testdata/register-gob-deferred.rec", 1},
+var recordContracts = []struct{ name, spec string }{
+	{"Flexible", "G(purchase -> F refund)"},
+	{"NoRefundsAfterUse", "G(use -> G !refund) & F purchase"},
+}
+
+const deferredFixture = "testdata/register-v4-deferred.rec"
+
+func readFixture(t testing.TB, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // gobRecords reads the committed gob-era register records.
 func gobRecords(t testing.TB) [][]byte {
 	t.Helper()
-	var out [][]byte
-	for _, rc := range recordContracts {
-		b, err := os.ReadFile(rc.fixture)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, b)
+	return [][]byte{
+		readFixture(t, "testdata/register-gob-full.rec"),
+		readFixture(t, "testdata/register-gob-deferred.rec"),
 	}
-	return out
 }
 
-// containerRecords registers recordContracts the way the fixtures were
-// made and returns the register records this build logs for them.
+// containerRecords registers each of recordContracts on a fresh
+// database and returns the register records this build logs for them.
 func containerRecords(t testing.TB) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for _, rc := range recordContracts {
-		db := core.NewDB(vocab.MustFromNames(recordEvents...), core.Options{IngestWorkers: rc.workers})
+		db := core.NewDB(vocab.MustFromNames(recordEvents...), core.Options{})
 		log := &captureLog{}
 		db.SetOpLog(log)
 		if _, err := db.Register(rc.name, ltl.MustParse(rc.spec)); err != nil {
 			t.Fatal(err)
 		}
-		db.Close()
 		if len(log.records) != 1 {
 			t.Fatalf("%s: captured %d records, want 1", rc.name, len(log.records))
 		}
@@ -66,8 +71,8 @@ func containerRecords(t testing.TB) [][]byte {
 	return out
 }
 
-// replayRecords applies records in order to a fresh synchronous
-// database with an empty vocabulary.
+// replayRecords applies records in order to a fresh database with an
+// empty vocabulary.
 func replayRecords(t *testing.T, records [][]byte) (*core.DB, core.LoadStats) {
 	t.Helper()
 	db := core.NewDB(vocab.New(), core.Options{})
@@ -89,24 +94,78 @@ func saveOf(t *testing.T, db *core.DB) []byte {
 	return buf.Bytes()
 }
 
+// captureLog is an OpLog that records the encoded registration
+// records, exactly as the WAL receives them.
+type captureLog struct{ records [][]byte }
+
+func (l *captureLog) LogRegister(b []byte) error {
+	l.records = append(l.records, append([]byte(nil), b...))
+	return nil
+}
+func (l *captureLog) LogUnregister(string) error { return nil }
+
+// namedCorpus draws n satisfiable specs once, plus a reference
+// database holding them under registerNamed's names. Names are
+// explicit: the auto-minting counter advances on rejected draws, so a
+// database that redraws and one fed only accepted specs would disagree
+// on names.
+func namedCorpus(t *testing.T, seed int64, n int) ([]*ltl.Expr, *core.DB) {
+	t.Helper()
+	voc := datagen.NewVocabulary()
+	scratch := core.NewDB(voc, core.Options{MaxAutomatonStates: 300})
+	gen := datagen.New(voc, seed)
+	var specs []*ltl.Expr
+	for scratch.Len() < n {
+		q := gen.Specification(3)
+		if _, err := scratch.Register("", q); err != nil {
+			continue
+		}
+		specs = append(specs, q)
+	}
+	ref := core.NewDB(voc, core.Options{MaxAutomatonStates: 300})
+	registerNamed(t, ref, specs)
+	return specs, ref
+}
+
+// registerNamed registers specs under the deterministic names
+// c000, c001, ... in order, failing the test on any error.
+func registerNamed(t *testing.T, db *core.DB, specs []*ltl.Expr) {
+	t.Helper()
+	for i, q := range specs {
+		if _, err := db.Register(fmt.Sprintf("c%03d", i), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestRegisterRecordIsContainer: a fresh register record is a
-// one-contract container without quotient rows, deferred exactly when
-// it was logged ahead of the projection precompute.
+// one-contract container without quotient rows and is never deferred;
+// the committed deferred record has the same shape with the flag set.
 func TestRegisterRecordIsContainer(t *testing.T) {
-	for i, rec := range containerRecords(t) {
-		if !snapfmt.Sniff(rec) {
+	type rec struct {
+		name     string
+		data     []byte
+		deferred bool
+	}
+	var recs []rec
+	for i, data := range containerRecords(t) {
+		recs = append(recs, rec{recordContracts[i].name, data, false})
+	}
+	recs = append(recs, rec{"NoRefundsAfterUse", readFixture(t, deferredFixture), true})
+	for i, r := range recs {
+		if !snapfmt.Sniff(r.data) {
 			t.Fatalf("record %d is not a v4 container", i)
 		}
-		insp, err := core.InspectSnapshot(rec)
+		insp, err := core.InspectSnapshot(r.data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !insp.Sharded || insp.Contracts != 1 || insp.PerContract[0].Name != recordContracts[i].name {
+		if !insp.Sharded || insp.Contracts != 1 || insp.PerContract[0].Name != r.name {
 			t.Fatalf("record %d: sharded %v, %d contracts; want one sharded contract %q",
-				i, insp.Sharded, insp.Contracts, recordContracts[i].name)
+				i, insp.Sharded, insp.Contracts, r.name)
 		}
-		if want := recordContracts[i].workers > 0; insp.PerContract[0].Deferred != want {
-			t.Errorf("record %d: deferred %v, want %v", i, insp.PerContract[0].Deferred, want)
+		if insp.PerContract[0].Deferred != r.deferred {
+			t.Errorf("record %d: deferred %v, want %v", i, insp.PerContract[0].Deferred, r.deferred)
 		}
 		assertNoQuotientRows(t, insp)
 	}
@@ -121,14 +180,14 @@ func assertNoQuotientRows(t *testing.T, insp *core.SnapshotInspection) {
 	}
 }
 
-// TestRegisterRecordReplays: container records replay — the deferred
-// one promoted inline — adopting every compiled form, and replaying
-// them a second time changes nothing.
+// TestRegisterRecordReplays: a fresh record and the committed deferred
+// one replay, adopting every compiled form, and replaying them a
+// second time changes nothing.
 func TestRegisterRecordReplays(t *testing.T) {
-	records := containerRecords(t)
+	records := [][]byte{containerRecords(t)[0], readFixture(t, deferredFixture)}
 	db, stats := replayRecords(t, records)
-	if stats.Contracts != 2 || stats.Degraded != 1 || stats.CompiledAdopted != 2 || stats.FormatVersion != 4 {
-		t.Errorf("replay stats %+v: want 2 contracts, 1 degraded, 2 compiled forms adopted, version 4", stats)
+	if stats.Contracts != 2 || stats.CompiledAdopted != 2 || stats.FormatVersion != 4 {
+		t.Errorf("replay stats %+v: want 2 contracts, 2 compiled forms adopted, version 4", stats)
 	}
 	want := saveOf(t, db)
 	for _, rec := range records {
@@ -141,12 +200,44 @@ func TestRegisterRecordReplays(t *testing.T) {
 	}
 }
 
+// TestDeferredRecordPromotesInline: replaying the committed deferred
+// record runs the projection precompute before the contract is
+// installed, so it is served at the full tier and the database is the
+// one a synchronous registration builds — same answers, same bytes.
+func TestDeferredRecordPromotesInline(t *testing.T) {
+	db, _ := replayRecords(t, [][]byte{readFixture(t, deferredFixture)})
+	c, ok := db.ByName("NoRefundsAfterUse")
+	if !ok {
+		t.Fatal("deferred record installed no contract")
+	}
+	if distinct, subsets := c.ProjectionStats(); distinct == 0 || subsets == 0 {
+		t.Errorf("replayed contract has %d partitions over %d subsets; want its projections precomputed", distinct, subsets)
+	}
+	if rs := db.RegistrationStats(); rs.ProjectionRows == 0 || rs.Translations != 0 {
+		t.Errorf("registration stats %+v: want projection rows and no translation", rs)
+	}
+
+	ref := core.NewDB(vocab.MustFromNames(recordEvents...), core.Options{})
+	if _, err := ref.Register(recordContracts[1].name, ltl.MustParse(recordContracts[1].spec)); err != nil {
+		t.Fatal(err)
+	}
+	var queries []*ltl.Expr
+	for _, q := range []string{"F refund", "F purchase", "G !refund", "F (use && F refund)", "purchase U refund", "G F dateChange"} {
+		queries = append(queries, ltl.MustParse(q))
+	}
+	assertSameAnswers(t, db, ref, queries, "deferred replay vs synchronous")
+	if !bytes.Equal(saveOf(t, db), saveOf(t, ref)) {
+		t.Error("database built from the deferred record saves different bytes than a synchronous registration")
+	}
+}
+
 // TestApplyRegistrationHostile: truncated records of either shape and
 // container records with a damaged section or directory are refused,
 // installing nothing — not even vocabulary.
 func TestApplyRegistrationHostile(t *testing.T) {
 	var damaged [][]byte
-	for _, rec := range append(gobRecords(t), containerRecords(t)...) {
+	records := append(gobRecords(t), containerRecords(t)...)
+	for _, rec := range append(records, readFixture(t, deferredFixture)) {
 		for cut := 0; cut < len(rec); cut += 1 + len(rec)/97 {
 			damaged = append(damaged, rec[:cut])
 		}
@@ -192,6 +283,7 @@ func FuzzApplyRegistration(f *testing.F) {
 	for _, rec := range containerRecords(f) {
 		f.Add(rec)
 	}
+	f.Add(readFixture(f, deferredFixture))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		voc := vocab.MustFromNames("purchase")
 		db := core.NewDB(voc, core.Options{})

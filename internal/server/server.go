@@ -291,7 +291,6 @@ type RecoveryState struct {
 	ArtifactRestoreUS int64 `json:"artifact_restore_us"`
 	WALReplayUS       int64 `json:"wal_replay_us"`
 	CompiledAdopted   int   `json:"compiled_adopted"`
-	DegradedLoaded    int   `json:"degraded_loaded,omitempty"`
 
 	// Load mechanics: how the snapshot's slab bytes entered memory.
 	// MappedBytes counts slabs adopted zero-copy from a private file
@@ -371,9 +370,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, errors.New("spec is required"))
 		return
 	}
-	// A sampled inbound traceparent traces the registration, so the
-	// asynchronous promotion it enqueues records a linked stage under
-	// the caller's trace ID.
+	// A sampled inbound traceparent traces the registration under the
+	// caller's trace ID; its span records the projection precompute.
 	ctx := r.Context()
 	var tr *trace.Trace
 	if link := trace.Remote(ctx); link.Valid() && link.Sampled {
@@ -635,8 +633,8 @@ func (s *Server) handleSlowTraces(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleTraceByID serves every retained trace sharing one trace ID —
-// the request's own trace plus linked asynchronous stages (ingest
-// promotions, stream applies). ?format=otlp renders the set as one
+// the request's own trace plus linked asynchronous stages (stream
+// applies). ?format=otlp renders the set as one
 // OTLP/JSON export so standard tooling can display the stitched tree.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -753,15 +751,9 @@ type StatsResponse struct {
 	IndexBuildMS     int64 `json:"index_build_ms"`
 	ProjectionsMS    int64 `json:"projections_ms"`
 	VocabularyEvents int   `json:"vocabulary_events"`
-	// Ingest-pipeline state: LTL→BA translations performed by this
-	// process (zero after a pure snapshot load), contracts still at the
-	// degraded tier, queued/in-flight promotions, completed promotions,
-	// and the pipeline width.
-	Translations  int64 `json:"translations"`
-	Degraded      int   `json:"degraded"`
-	PendingIngest int   `json:"pending_ingest"`
-	Promotions    int64 `json:"promotions"`
-	IngestWorkers int   `json:"ingest_workers"`
+	// Translations counts LTL→BA translations performed by this
+	// process (zero after a pure snapshot load).
+	Translations int64 `json:"translations"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -776,10 +768,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		ProjectionsMS:    rs.Projections.Milliseconds(),
 		VocabularyEvents: s.db.Vocabulary().Len(),
 		Translations:     rs.Translations,
-		Degraded:         rs.Degraded,
-		PendingIngest:    rs.PendingIngest,
-		Promotions:       rs.Promotions,
-		IngestWorkers:    rs.IngestWorkers,
 	})
 }
 
@@ -917,10 +905,6 @@ func (s *Server) writePrometheus(p *metrics.PromWriter) {
 	p.Gauge("ctdb_query_cache_entries", "Tier-1 compilation cache occupancy.", float64(st.Caches.QueryCacheLen))
 	p.Gauge("ctdb_result_cache_entries", "Tier-2 result cache occupancy.", float64(st.Caches.ResultCacheLen))
 	p.Gauge("ctdb_uptime_seconds", "Seconds since the server started.", s.uptime())
-	p.Gauge("ctdb_contracts_degraded", "Contracts at the degraded tier (projection precompute pending).", float64(st.Registration.Degraded))
-	p.Gauge("ctdb_ingest_pending", "Registrations queued or in flight in the ingest pipeline.", float64(st.Registration.PendingIngest))
-	p.Gauge("ctdb_ingest_pending_highwater", "Deepest the ingest promotion queue has been.", float64(st.Registration.PendingHighWater))
-	p.Gauge("ctdb_ingest_promotions_total", "Completed degraded-to-full tier promotions.", float64(st.Registration.Promotions))
 	p.Gauge("ctdb_registration_translations_total", "LTL-to-BA translations performed by registration paths this process.", float64(st.Registration.Translations))
 	if rec := s.Recovery; rec != nil {
 		p.Gauge("ctdb_cold_start_seconds", "Total recovery time at process start.", float64(rec.DurationUS)/1e6)

@@ -52,7 +52,6 @@ func LoadBytesWithStats(buf []byte, n int) (*DB, core.LoadStats, error) {
 		return nil, stats, fmt.Errorf("shard: load: %w", err)
 	}
 	if err := core.LoadShardedV4(buf, db.shardFor, &stats); err != nil {
-		db.Close()
 		return nil, stats, fmt.Errorf("shard: load: %w", err)
 	}
 	return db, stats, nil

@@ -34,7 +34,6 @@ import (
 	"contractdb/internal/ltl"
 	"contractdb/internal/metrics"
 	"contractdb/internal/qcache"
-	"contractdb/internal/trace"
 	"contractdb/internal/vocab"
 )
 
@@ -86,11 +85,6 @@ func New(voc *vocab.Vocabulary, opts core.Options, n int) (*DB, error) {
 	}
 	shardOpts := opts
 	shardOpts.Parallelism = perShardParallelism(opts.Parallelism, n)
-	if opts.IngestWorkers > 0 {
-		// Like Parallelism, the ingest-worker budget is a total: divide
-		// it so the background CPU draw is independent of shard count.
-		shardOpts.IngestWorkers = perShardParallelism(opts.IngestWorkers, n)
-	}
 	for i := range db.shards {
 		db.shards[i] = core.NewDB(voc, shardOpts)
 	}
@@ -174,14 +168,6 @@ func (db *DB) RegisterLTLCtx(ctx context.Context, name, src string) (*core.Contr
 	return db.RegisterCtx(ctx, name, spec)
 }
 
-// SetTracer wires the tracer for linked promotion traces through to
-// every shard.
-func (db *DB) SetTracer(t *trace.Tracer) {
-	for _, sh := range db.shards {
-		sh.SetTracer(t)
-	}
-}
-
 // nextAutoName mints an unused generated name. The counter only moves
 // forward (an unregister can never make a generated name collide), and
 // the existence probe spans all shards.
@@ -238,40 +224,6 @@ func (db *DB) RegisterBatch(specs []core.Registration, workers int) []core.Batch
 	}
 	wg.Wait()
 	return out
-}
-
-// SetIngestWorkers reconfigures the registration pipeline width (a
-// total budget, divided across shards; ≤ 0 makes registration
-// synchronous everywhere). Previous pipelines drain before the call
-// returns.
-func (db *DB) SetIngestWorkers(n int) {
-	db.mu.Lock()
-	db.opts.IngestWorkers = n
-	db.mu.Unlock()
-	per := 0
-	if n > 0 {
-		per = perShardParallelism(n, len(db.shards))
-	}
-	for _, sh := range db.shards {
-		sh.SetIngestWorkers(per)
-	}
-}
-
-// WaitIdle blocks until every shard's ingest pipeline has promoted all
-// pending registrations.
-func (db *DB) WaitIdle() {
-	for _, sh := range db.shards {
-		sh.WaitIdle()
-	}
-}
-
-// Close drains and stops every shard's ingest pipeline. The database
-// remains usable afterwards (registration becomes synchronous).
-func (db *DB) Close() error {
-	for _, sh := range db.shards {
-		sh.Close()
-	}
-	return nil
 }
 
 // Unregister removes the named contract from its owning shard; only
@@ -410,11 +362,6 @@ func (db *DB) RegistrationStats() core.RegistrationStats {
 		out.IndexBytes += rs.IndexBytes
 		out.ProjectionRows += rs.ProjectionRows
 		out.Translations += rs.Translations
-		out.Degraded += rs.Degraded
-		out.PendingIngest += rs.PendingIngest
-		out.PendingHighWater += rs.PendingHighWater
-		out.IngestWorkers += rs.IngestWorkers
-		out.Promotions += rs.Promotions
 	}
 	return out
 }

@@ -27,7 +27,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -141,7 +140,6 @@ type RecoveryInfo struct {
 	ArtifactRestore time.Duration // validation + artifact adoption + index/projection rebuild
 	WALReplay       time.Duration // replaying the log suffix
 	CompiledAdopted int           // automata whose CSR form came from disk (no flattening)
-	DegradedLoaded  int           // contracts restored at the degraded tier and re-pended
 
 	// Load mechanics of the snapshot bytes: how the slabs entered
 	// memory. MappedBytes is the file mapping adopted
@@ -274,7 +272,6 @@ func Open(dir string, cfg Config) (*Store, error) {
 		info.SnapshotDecode = lstats.Decode
 		info.ArtifactRestore = lstats.Restore
 		info.CompiledAdopted = lstats.CompiledAdopted
-		info.DegradedLoaded = lstats.Degraded
 		info.CopiedBytes = lstats.CopiedBytes
 		info.Sections = lstats.Sections
 		info.MmapFallback = fallback
@@ -442,12 +439,7 @@ func (s *Store) checkpoint() (uint64, error) {
 	if !fresh {
 		return boundary, nil // nothing new to cover
 	}
-	// The ingest pipeline is drained first so the snapshot holds
-	// full-tier state: recovery from it redoes no projection work.
-	err = s.j.Commit(ctx, boundary, func(w io.Writer) error {
-		s.db.WaitIdle()
-		return s.db.Save(w)
-	})
+	err = s.j.Commit(ctx, boundary, s.db.Save)
 	if err != nil {
 		return 0, err
 	}
@@ -482,9 +474,6 @@ func (s *Store) Close() error {
 	s.ckptMu.Lock()
 	_, cerr := s.checkpoint()
 	s.ckptMu.Unlock()
-
-	// The final checkpoint drained the pipeline; now stop its workers.
-	s.db.Close()
 
 	werr := s.j.Close()
 	// Last: the final checkpoint above read the mapped slabs while

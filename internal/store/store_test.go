@@ -178,19 +178,29 @@ func TestCrashTruncationRecoversPrefix(t *testing.T) {
 		t.Fatalf("parsed %d frames, wrote %d records", len(ends)-1, registered)
 	}
 
-	var cuts []int64
-	for _, e := range ends {
-		cuts = append(cuts, e, e+1, e+5)
+	// Cuts are named by frame index, not byte offset, so a change in
+	// record sizes does not rename them: endK is the end of frame K
+	// (end0 is the segment header's end).
+	type cutAt struct {
+		name string
+		off  int64
 	}
-	cuts = append(cuts, ends[len(ends)-1]-3) // rip into the final frame
+	var cuts []cutAt
+	for i, e := range ends {
+		cuts = append(cuts,
+			cutAt{fmt.Sprintf("end%d", i), e},
+			cutAt{fmt.Sprintf("end%d+1", i), e + 1},
+			cutAt{fmt.Sprintf("end%d+5", i), e + 5})
+	}
+	last := len(ends) - 1 // rip into the final frame
+	cuts = append(cuts, cutAt{fmt.Sprintf("end%d-3", last), ends[last] - 3})
 
-	for _, cut := range cuts {
-		cut := cut
-		t.Run(fmt.Sprintf("cut@%d", cut), func(t *testing.T) {
+	for _, c := range cuts {
+		t.Run(c.name, func(t *testing.T) {
 			crashed := t.TempDir()
 			copyDir(t, dir, crashed)
 			seg := walSegments(t, crashed)[0]
-			if err := os.Truncate(seg, cut); err != nil {
+			if err := os.Truncate(seg, c.off); err != nil {
 				t.Fatal(err)
 			}
 			st2 := openStore(t, crashed, cfg)
@@ -198,7 +208,7 @@ func TestCrashTruncationRecoversPrefix(t *testing.T) {
 			// a torn tail.
 			wantN := 0
 			for _, e := range ends[1:] {
-				if e <= cut {
+				if e <= c.off {
 					wantN++
 				}
 			}

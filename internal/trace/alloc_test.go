@@ -46,16 +46,16 @@ func TestTraceZeroAllocsWhenDisabled(t *testing.T) {
 		_, tt = nilTracer.StartQuery(ctx, "", "", false)
 		nilTracer.Finish(tt)
 		_ = trace.RequestID(ctx)
-		// Link capture on an untraced context — what the ingest
-		// pipeline and stream workers do on every operation — and the
-		// linked-start it gates, both no-ops without a valid link.
+		// Link capture on an untraced context — what the stream
+		// workers do on every operation — and the linked-start it
+		// gates, both no-ops without a valid link.
 		link := trace.SpanContextFrom(qctx)
 		if link.Valid() {
 			t.Fatal("untraced context produced a valid link")
 		}
-		_, lt := tr.StartLinked(ctx, "promote", link)
+		_, lt := tr.StartLinked(ctx, "stream_apply", link)
 		tr.Finish(lt)
-		_, lt = nilTracer.StartLinked(ctx, "promote", link)
+		_, lt = nilTracer.StartLinked(ctx, "stream_apply", link)
 		nilTracer.Finish(lt)
 	}
 	run() // warm up

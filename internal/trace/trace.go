@@ -257,9 +257,9 @@ func Remote(ctx context.Context) SpanContext {
 // SpanContextFrom returns the identity of the context's active span,
 // or the zero value when tracing is off for this call chain. It is the
 // capture half of cross-component propagation: a component about to
-// hand work to an asynchronous stage (ingest promotion, stream apply)
-// captures the span context here and the stage continues it with
-// StartLinked. Allocation-free on the disabled path.
+// hand work to an asynchronous stage (a stream apply) captures the
+// span context here and the stage continues it with StartLinked.
+// Allocation-free on the disabled path.
 func SpanContextFrom(ctx context.Context) SpanContext {
 	s := SpanFrom(ctx)
 	if s == nil {
@@ -282,8 +282,8 @@ type Trace struct {
 	RequestID string `json:"request_id,omitempty"`
 	Query     string `json:"query,omitempty"`
 	// ParentSpan, when non-zero, is the span (in another trace sharing
-	// this ID) that caused this trace: the registration span for an
-	// ingest promotion, the append span for a stream apply.
+	// this ID) that caused this trace: the append span for a stream
+	// apply.
 	ParentSpan uint64 `json:"parent_span,omitempty"`
 	// StartUnixUS is the trace's wall-clock start (Unix microseconds);
 	// span StartUS offsets are relative to it.
@@ -498,9 +498,8 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Trac
 }
 
 // StartLinked begins an always-recorded trace that continues work
-// started elsewhere in this process: an asynchronous stage (ingest
-// promotion, stream apply) whose originating request has already
-// returned. The new trace adopts the link's trace ID and records the
+// started elsewhere in this process: an asynchronous stage (a stream
+// apply) whose originating request has already returned. The new trace adopts the link's trace ID and records the
 // originating span as its parent, so GET /v1/traces/{id} and the OTLP
 // export stitch the stage back under the request that caused it.
 // Returns (ctx, nil) — tracing off for this stage — when the tracer is
@@ -546,7 +545,7 @@ func (t *Tracer) Finish(tr *Trace) {
 
 // ByID returns every retained trace sharing the trace ID, newest
 // first: the request's own trace plus any linked asynchronous stages
-// (ingest promotions, stream applies) that adopted its ID.
+// (stream applies) that adopted its ID.
 func (t *Tracer) ByID(id string) []*Trace {
 	if t == nil {
 		return nil
