@@ -166,7 +166,7 @@ func (db *DB) RegisterBatch(specs []Registration, workers int) []BatchResult {
 			name = db.nextAutoName()
 		}
 		if _, dup := db.byName[name]; dup {
-			out[i].Err = fmt.Errorf("core: contract %q already registered", name)
+			out[i].Err = fmt.Errorf("core: contract %q %w", name, ErrDuplicateName)
 			continue
 		}
 		c := &Contract{

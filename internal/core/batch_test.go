@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -27,6 +28,9 @@ func TestRegisterBatch(t *testing.T) {
 		if (results[i].Err == nil) != want {
 			t.Errorf("entry %d: err=%v, want success=%v", i, results[i].Err, want)
 		}
+	}
+	if !errors.Is(results[4].Err, core.ErrDuplicateName) {
+		t.Errorf("duplicate entry: %v, want ErrDuplicateName", results[4].Err)
 	}
 	if db.Len() != 3 {
 		t.Fatalf("database has %d contracts, want 3", db.Len())

@@ -263,6 +263,10 @@ type OpLog interface {
 // append failed; the in-memory state was not changed.
 var ErrDurability = errors.New("durability log append failed")
 
+// ErrDuplicateName marks a registration whose name the database
+// already holds.
+var ErrDuplicateName = errors.New("already registered")
+
 // DB is the contract database. All methods are safe for concurrent
 // use.
 type DB struct {
@@ -462,7 +466,7 @@ func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Co
 		name = db.nextAutoName()
 	} else if _, dup := db.byName[name]; dup {
 		db.mu.Unlock()
-		return nil, fmt.Errorf("core: contract %q already registered", name)
+		return nil, fmt.Errorf("core: contract %q %w", name, ErrDuplicateName)
 	}
 	maxStates := db.opts.MaxAutomatonStates
 	logging := db.oplog != nil
@@ -506,7 +510,7 @@ func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Co
 	// unlocked window (a minted name cannot — the counter is claimed).
 	if _, dup := db.byName[name]; dup {
 		db.mu.Unlock()
-		return nil, fmt.Errorf("core: contract %q already registered", name)
+		return nil, fmt.Errorf("core: contract %q %w", name, ErrDuplicateName)
 	}
 	c.ID = ContractID(len(db.contracts))
 	db.translations++

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -111,8 +112,8 @@ func TestModesAgree(t *testing.T) {
 
 func TestRegisterErrors(t *testing.T) {
 	db := newPaperDB(t)
-	if _, err := db.Register("TicketA", paperex.TicketA()); err == nil {
-		t.Error("duplicate name must be rejected")
+	if _, err := db.Register("TicketA", paperex.TicketA()); !errors.Is(err, core.ErrDuplicateName) {
+		t.Errorf("duplicate name: %v, want ErrDuplicateName", err)
 	}
 	if _, err := db.RegisterLTL("bad", "p &&"); err == nil {
 		t.Error("parse error must be reported")

@@ -384,7 +384,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.Tracer.Finish(tr)
 	if err != nil {
 		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already registered") {
+		switch {
+		case errors.Is(err, core.ErrDurability):
+			status = http.StatusInternalServerError
+		case errors.Is(err, core.ErrDuplicateName):
 			status = http.StatusConflict
 		}
 		writeErr(w, r, status, err)

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -107,7 +108,7 @@ func TestContractListingAndGet(t *testing.T) {
 }
 
 func TestRegisterErrorsOverHTTP(t *testing.T) {
-	_, client, _ := newTestServer(t)
+	_, client, db := newTestServer(t)
 	if _, err := client.Register("bad", "p &&"); err == nil {
 		t.Error("syntax error must be surfaced")
 	}
@@ -124,7 +125,27 @@ func TestRegisterErrorsOverHTTP(t *testing.T) {
 	if _, err := client.Register("", "   "); err == nil {
 		t.Error("empty spec must be rejected")
 	}
+
+	// A failed log append is the server's fault, whatever the name
+	// says: the status follows the error's identity, not its text.
+	db.SetOpLog(failingLog{})
+	for _, name := range []string{"fresh", "already registered"} {
+		_, err := client.Register(name, "G !refund")
+		if err == nil || !strings.Contains(err.Error(), "HTTP 500") {
+			t.Errorf("register %q with a failing log: %v, want HTTP 500", name, err)
+		}
+	}
+	if _, ok := db.ByName("fresh"); ok {
+		t.Error("a registration whose log append failed was applied")
+	}
 }
+
+// failingLog is a core.OpLog whose every append fails, as a full disk
+// would.
+type failingLog struct{}
+
+func (failingLog) LogRegister([]byte) error   { return errors.New("disk full") }
+func (failingLog) LogUnregister(string) error { return errors.New("disk full") }
 
 func TestQueryErrorsOverHTTP(t *testing.T) {
 	_, client, _ := newTestServer(t)
