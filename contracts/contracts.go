@@ -171,15 +171,3 @@ var ErrUnsupportedFormat = core.ErrUnsupportedFormat
 // DBStats combines the broker's offline registration counters with
 // its online query metrics, as returned by (*Broker).Stats.
 type DBStats = core.DBStats
-
-// Algorithm selects the permission-search kernel for Mode.Algorithm;
-// the zero value is the fast single-pass SCC search, and
-// AlgorithmNestedDFS is the paper's Algorithm 2 (used by the
-// reproduction experiments).
-type Algorithm = core.Algorithm
-
-// Re-exported kernel selectors.
-const (
-	AlgorithmSCC       = core.AlgorithmSCC
-	AlgorithmNestedDFS = core.AlgorithmNestedDFS
-)
