@@ -92,7 +92,8 @@ func assertSameAnswers(t *testing.T, got, want *core.DB, queries []*ltl.Expr, la
 
 // TestColdStartRatio: loading a snapshot must be at least 10×
 // faster than re-registering the same corpus — the tentpole claim at a
-// test-sized corpus (the committed BENCH series measures larger ones).
+// test-sized corpus (end to end, restart cost is part of e2ebench's
+// setup_s).
 func TestColdStartRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cold-start ratio needs a real corpus; skipped in -short")
@@ -100,8 +101,7 @@ func TestColdStartRatio(t *testing.T) {
 	voc := datagen.NewVocabulary()
 	gen := datagen.New(voc, 3)
 	// The benchmark corpus regime (5-property contracts, where
-	// projection precompute dominates registration); the committed
-	// BENCH series extends the same measurement to larger sizes.
+	// projection precompute dominates registration).
 	const size = 50
 
 	start := time.Now()

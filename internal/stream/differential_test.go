@@ -36,7 +36,7 @@ func runDifferential(t *testing.T, seed int64, shards int) {
 	for db.Len() < 10 {
 		c, err := db.Register("", gen.Specification(datagen.SimpleContracts.Properties))
 		if err != nil {
-			continue // unsatisfiable or too large: redraw, like benchkit
+			continue // unsatisfiable or too large: redraw, like the figure benches
 		}
 		contracts = append(contracts, c)
 	}
