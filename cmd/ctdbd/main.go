@@ -78,14 +78,9 @@ func main() {
 	resultCacheSize := flag.Int("result-cache-size", 0, "query result cache capacity (0 = default, negative = disabled)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-	traceBuffer := flag.Int("trace-buffer", trace.DefaultBufferSize, "recent query-trace ring capacity (negative disables retention)")
 	traceSample := flag.Int("trace-sample", 0, "trace every Nth query into the ring (0 = only explicitly requested traces)")
 	slowQuery := flag.Duration("slow-query", 0, "trace every query and log + retain those at least this slow (0 = disabled)")
-	traceExport := flag.String("trace-export", "", "append finished traces as OTLP/JSON lines to this file (empty = disabled)")
-	traceExportURL := flag.String("trace-export-url", "", "POST finished traces as OTLP/JSON to this endpoint, best-effort (empty = disabled)")
-	querylogSample := flag.Int("querylog-sample", 0, "record every Nth query in the insights log (1 = all, 0 = disabled; slow and failed queries are always recorded while enabled)")
-	querylogBuffer := flag.Int("querylog-buffer", 0, "insights-log ring capacity (0 = default)")
-	querylogSlow := flag.Duration("querylog-slow", 0, "always record queries at least this slow in the insights log (0 = inherit -slow-query)")
+	querylogSample := flag.Int("querylog-sample", 0, "record every Nth query in the insights log (1 = all, 0 = disabled; failed queries and those at least -slow-query slow are always recorded while enabled)")
 	logFormat := flag.String("log-format", "text", "request/slow-query log format: text | json")
 	flag.Parse()
 
@@ -103,8 +98,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ctdbd: %v\n", err)
 		os.Exit(2)
 	}
-	traceCfg := trace.Config{
-		BufferSize:    *traceBuffer,
+	tracer := trace.New(trace.Config{
 		SampleEvery:   *traceSample,
 		SlowThreshold: *slowQuery,
 		OnSlow: func(tr *trace.Trace) {
@@ -115,30 +109,7 @@ func main() {
 				"duration_us", tr.DurUS,
 			)
 		},
-	}
-	var closeExporter func()
-	switch {
-	case *traceExport != "" && *traceExportURL != "":
-		fmt.Fprintln(os.Stderr, "ctdbd: at most one of -trace-export and -trace-export-url")
-		os.Exit(2)
-	case *traceExport != "":
-		f, err := os.OpenFile(*traceExport, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("ctdbd: -trace-export: %v", err)
-		}
-		traceCfg.Exporter = trace.NewFileExporter(f).Export
-		closeExporter = func() { f.Close() }
-	case *traceExportURL != "":
-		exp := trace.NewHTTPExporter(*traceExportURL)
-		traceCfg.Exporter = exp.Export
-		closeExporter = func() {
-			exp.Close()
-			if n := exp.Dropped(); n > 0 {
-				log.Printf("ctdbd: trace export dropped %d traces under backpressure", n)
-			}
-		}
-	}
-	tracer := trace.New(traceCfg)
+	})
 
 	if *mmapMode != "auto" && *mmapMode != "off" {
 		fmt.Fprintf(os.Stderr, "ctdbd: unknown -mmap %q (want auto or off)\n", *mmapMode)
@@ -163,16 +134,11 @@ func main() {
 
 	var querylog *insights.Log
 	if *querylogSample > 0 {
-		cfg := insights.Config{
+		querylog, err = insights.Open(insights.Config{
 			Dir:           filepath.Join(*dataDir, "querylog"),
-			BufferSize:    *querylogBuffer,
 			SampleEvery:   *querylogSample,
-			SlowThreshold: *querylogSlow,
-		}
-		if cfg.SlowThreshold == 0 {
-			cfg.SlowThreshold = *slowQuery
-		}
-		querylog, err = insights.Open(cfg)
+			SlowThreshold: *slowQuery,
+		})
 		if err != nil {
 			log.Fatalf("ctdbd: querylog: %v", err)
 		}
@@ -264,9 +230,6 @@ func main() {
 		if err := querylog.Close(); err != nil {
 			log.Printf("ctdbd: closing querylog: %v", err)
 		}
-	}
-	if closeExporter != nil {
-		closeExporter()
 	}
 	log.Printf("ctdbd: clean shutdown")
 }

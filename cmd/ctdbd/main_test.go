@@ -200,9 +200,9 @@ func TestDaemonObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"ctdb_queries_total",
-		"ctdb_translate_seconds_bucket",
-		"ctdb_wal_appends_total",
+		"ctdb_queries_queries",
+		"ctdb_queries_translate_seconds_bucket",
+		"ctdb_durability_wal_appends",
 		"go_goroutines",
 	} {
 		if !strings.Contains(out, want) {

@@ -8,23 +8,22 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"contractdb/internal/trace"
 )
 
 // TestDaemonTraceContextE2E is the acceptance drive for trace
 // propagation: a sharded daemon (-shards=4), a query carrying a
-// sampled W3C traceparent, and the assertion that GET
-// /v1/traces/{id}?format=otlp yields one OTLP span tree whose scatter
-// phase fans out into one child span per shard.
+// sampled W3C traceparent, and the assertion that GET /v1/traces/{id}
+// yields the span tree under the caller's trace ID, its scatter phase
+// fanning out into one child span per shard.
 func TestDaemonTraceContextE2E(t *testing.T) {
 	bin := buildDaemon(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
-	exportFile := filepath.Join(t.TempDir(), "traces.jsonl")
-	d := startDaemon(t, bin, dataDir,
-		"-shards", "4", "-querylog-sample", "1", "-trace-export", exportFile)
+	d := startDaemon(t, bin, dataDir, "-shards", "4", "-querylog-sample", "1")
 	c := d.client()
 
 	for i := 0; i < 8; i++ {
@@ -54,28 +53,34 @@ func TestDaemonTraceContextE2E(t *testing.T) {
 		t.Fatalf("response traceparent %q does not continue %s", tp, traceID)
 	}
 
-	// The OTLP export must be one span tree under the caller's trace ID
-	// with a child span per shard probe.
-	otlp, err := c.TraceOTLP(traceID)
+	// The retained trace must sit under the caller's trace ID with a
+	// child span per shard probe.
+	traces, err := c.TraceByID(traceID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := json.Marshal(otlp)
-	spans := otlpSpans(t, otlp)
-	if len(spans) == 0 {
-		t.Fatalf("OTLP export has no spans: %s", raw)
+	if len(traces) == 0 {
+		t.Fatalf("no trace retained under %s", traceID)
 	}
 	shardSpans := 0
-	for _, sp := range spans {
-		if sp["traceId"] != traceID {
-			t.Fatalf("span outside the request trace: %v", sp)
-		}
-		if sp["name"] == "shard" {
+	var count func(*trace.Span)
+	count = func(sp *trace.Span) {
+		if sp.Name == "shard" {
 			shardSpans++
 		}
+		for _, c := range sp.Children {
+			count(c)
+		}
+	}
+	for _, tr := range traces {
+		if tr.ID != traceID {
+			t.Fatalf("trace %s outside the request trace %s", tr.ID, traceID)
+		}
+		count(tr.Root)
 	}
 	if shardSpans < 4 {
-		t.Fatalf("OTLP export has %d per-shard spans, want >= 4:\n%s", shardSpans, raw)
+		raw, _ := json.Marshal(traces)
+		t.Fatalf("trace has %d per-shard spans, want >= 4:\n%s", shardSpans, raw)
 	}
 
 	// The same query must be in the insights log with its per-shard
@@ -99,32 +104,6 @@ func TestDaemonTraceContextE2E(t *testing.T) {
 	if !found {
 		t.Fatalf("traced query not in querylog: %+v", entries)
 	}
-
-	// The file exporter wrote the trace as an OTLP/JSON line.
-	data, err := os.ReadFile(exportFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte(traceID)) || !bytes.Contains(data, []byte("resourceSpans")) {
-		t.Errorf("-trace-export file does not hold the OTLP line for %s", traceID)
-	}
-}
-
-// otlpSpans flattens resourceSpans -> scopeSpans -> spans.
-func otlpSpans(t *testing.T, otlp map[string]any) []map[string]any {
-	t.Helper()
-	var out []map[string]any
-	rss, _ := otlp["resourceSpans"].([]any)
-	for _, rs := range rss {
-		sss, _ := rs.(map[string]any)["scopeSpans"].([]any)
-		for _, ss := range sss {
-			spans, _ := ss.(map[string]any)["spans"].([]any)
-			for _, sp := range spans {
-				out = append(out, sp.(map[string]any))
-			}
-		}
-	}
-	return out
 }
 
 // TestDaemonDebugBundleE2E scrapes /v1/debug/bundle off a live daemon
@@ -173,7 +152,7 @@ func TestDaemonDebugBundleE2E(t *testing.T) {
 		t.Fatalf("manifest.json: %v (%s)", err, manifestRaw)
 	}
 	for _, want := range []string{
-		"health.json", "metrics.json", "metrics.prom",
+		"health.json", "metrics.json",
 		"traces_recent.json", "querylog.json", "goroutines.txt", "heap.pprof",
 	} {
 		if files[want] == 0 {

@@ -141,7 +141,7 @@ func (db *DB) evalQuery(ctx context.Context, spec *ltl.Expr, mode Mode, obligati
 		return nil, fmt.Errorf("%s: %w", errPrefix, err)
 	}
 	stats.Translate = time.Since(start)
-	db.metrics.Translate.ObserveEx(stats.Translate, trace.SpanContextFrom(ctx).TraceID)
+	db.metrics.Translate.Observe(stats.Translate)
 
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -285,7 +285,7 @@ func (db *DB) finishQuery(ctx context.Context, qa *buchi.BA, candidates []*Contr
 	t := time.Now()
 	matches, err := db.evalCandidates(ctx, qa, candidates, mode, invert, stats)
 	stats.Check = time.Since(t)
-	db.metrics.Kernel.ObserveEx(stats.Check, trace.SpanContextFrom(ctx).TraceID)
+	db.metrics.Kernel.Observe(stats.Check)
 	db.metrics.ProjectionPick.Observe(stats.ProjPick)
 	db.metrics.CandidatesScanned.Add(int64(stats.Checked))
 	db.metrics.KernelSteps.Add(int64(stats.Permission.Steps))

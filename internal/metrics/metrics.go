@@ -50,30 +50,6 @@ type Histogram struct {
 	sumUS   atomic.Int64
 	maxUS   atomic.Int64
 	buckets [NumBuckets]atomic.Int64
-	// exemplar is the most recent traced observation (nil until one
-	// lands). One pointer per histogram, not per bucket: the point of
-	// an exemplar is a jump-off into a representative trace, and "most
-	// recent" is representative enough without NumBuckets more words.
-	exemplar atomic.Pointer[Exemplar]
-}
-
-// Exemplar ties one observation to the trace that produced it, for
-// OpenMetrics exposition ("# {trace_id=...}" on histogram samples).
-type Exemplar struct {
-	TraceID string
-	ValueUS int64
-	UnixMS  int64
-}
-
-// ObserveEx records one duration and, when traceID is non-empty,
-// attaches it as the histogram's exemplar. The untraced path
-// (traceID == "") is exactly Observe — no allocation.
-func (h *Histogram) ObserveEx(d time.Duration, traceID string) {
-	h.Observe(d)
-	if traceID != "" {
-		us := d.Microseconds()
-		h.exemplar.Store(&Exemplar{TraceID: traceID, ValueUS: us, UnixMS: time.Now().UnixMilli()})
-	}
 }
 
 // Observe records one duration.
@@ -98,7 +74,8 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // HistogramSnapshot is a point-in-time view of a Histogram. P50/P99
-// are upper-bound estimates from the bucket boundaries.
+// are upper-bound estimates from the bucket boundaries; a quantile that
+// lands in the open-ended last bucket reports MaxUS.
 type HistogramSnapshot struct {
 	Count int64 `json:"count"`
 	SumUS int64 `json:"sum_us"`
@@ -111,9 +88,6 @@ type HistogramSnapshot struct {
 	// out of the JSON payload, which already carries the quantile
 	// estimates.
 	Buckets []int64 `json:"-"`
-	// Exemplar is the most recent traced observation, if any; only the
-	// OpenMetrics renderer consumes it.
-	Exemplar *Exemplar `json:"-"`
 }
 
 // Snapshot captures the histogram's current state.
@@ -131,15 +105,16 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		counts[i] = h.buckets[i].Load()
 	}
 	s.Buckets = counts
-	s.Exemplar = h.exemplar.Load()
-	s.P50US = percentile(counts, s.Count, 0.50)
-	s.P99US = percentile(counts, s.Count, 0.99)
+	s.P50US = percentile(counts, s.Count, s.MaxUS, 0.50)
+	s.P99US = percentile(counts, s.Count, s.MaxUS, 0.99)
 	return s
 }
 
 // percentile returns the upper bound of the bucket in which the q-th
-// quantile observation falls (nearest-rank definition).
-func percentile(counts []int64, total int64, q float64) int64 {
+// quantile observation falls (nearest-rank definition). The last bucket
+// has no upper bound, so a rank landing there reports the largest
+// observation, maxUS.
+func percentile(counts []int64, total, maxUS int64, q float64) int64 {
 	if total == 0 {
 		return 0
 	}
@@ -148,7 +123,7 @@ func percentile(counts []int64, total int64, q float64) int64 {
 		rank = 1
 	}
 	var seen int64
-	for i, c := range counts {
+	for i, c := range counts[:len(counts)-1] {
 		seen += c
 		if seen >= rank {
 			if i == 0 {
@@ -157,7 +132,7 @@ func percentile(counts []int64, total int64, q float64) int64 {
 			return (int64(1) << i) - 1 // upper bound of [2^(i-1), 2^i)
 		}
 	}
-	return (int64(1) << len(counts)) - 1
+	return maxUS
 }
 
 // Query aggregates the per-stage observability of the online query

@@ -131,25 +131,41 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 }
 
 // TestHistogramQuantileEstimation checks the nearest-rank upper-bound
-// estimate against a bimodal distribution: 99 fast observations and
-// one slow one.
+// estimates, from the snapshot and from a one-way merge, which share the
+// quantile code.
 func TestHistogramQuantileEstimation(t *testing.T) {
-	// 99 fast observations and 2 slow ones: the nearest-rank p99 of 101
-	// observations is the 100th, which is slow.
-	var h Histogram
-	for i := 0; i < 99; i++ {
-		h.Observe(time.Microsecond)
+	cases := []struct {
+		name     string
+		observe  []time.Duration
+		p50, p99 int64
+	}{
+		// 99 fast observations and 2 slow ones: the nearest-rank p99 of
+		// 101 observations is the 100th, which is slow. 1000µs has
+		// bit-length 10, so its bucket's upper bound is 2^10-1.
+		{"bimodal", append(repeat(time.Microsecond, 99), time.Millisecond, time.Millisecond), 1, (1 << 10) - 1},
+		// The overflow bucket has no upper bound: both quantiles report
+		// the largest observation, not the bucket's lower edge.
+		{"overflow", []time.Duration{60 * time.Second}, 60_000_000, 60_000_000},
 	}
-	h.Observe(time.Millisecond)
-	h.Observe(time.Millisecond)
-	s := h.Snapshot()
-	if s.P50US != 1 {
-		t.Errorf("p50 = %dµs, want 1 (the fast mode's bucket bound)", s.P50US)
+	for _, tc := range cases {
+		var h Histogram
+		for _, d := range tc.observe {
+			h.Observe(d)
+		}
+		for _, s := range []HistogramSnapshot{h.Snapshot(), MergeHistograms(h.Snapshot())} {
+			if s.P50US != tc.p50 || s.P99US != tc.p99 {
+				t.Errorf("%s: p50, p99 = %d, %dµs; want %d, %d (max %d)", tc.name, s.P50US, s.P99US, tc.p50, tc.p99, s.MaxUS)
+			}
+		}
 	}
-	// 1000µs has bit-length 10, so its bucket's upper bound is 2^10-1.
-	if s.P99US != (1<<10)-1 {
-		t.Errorf("p99 = %dµs, want %d (the slow observations' bucket bound)", s.P99US, (1<<10)-1)
+}
+
+func repeat(d time.Duration, n int) []time.Duration {
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = d
 	}
+	return out
 }
 
 // TestHistogramConcurrent hammers one histogram from many goroutines:
@@ -188,37 +204,56 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestPromExposition sanity-checks the text renderer: every sample
-// line parses as `name[{labels}] value`, histogram buckets are
-// cumulative and end at +Inf == count, and the family set covers the
-// query registry plus the runtime gauges.
+// TestPromExposition sanity-checks the text renderer: families are
+// named by their JSON paths, every sample line parses as
+// `name[{labels}] value`, histogram buckets are cumulative and end at
+// +Inf == count, numeric slices become shard-labelled gauges, and the
+// runtime gauges follow. An empty snapshot (nil Buckets) still renders.
 func TestPromExposition(t *testing.T) {
 	var q Query
 	q.Queries.Add(7)
 	q.Translate.Observe(3 * time.Microsecond)
 	q.Translate.Observe(5 * time.Millisecond)
 
+	payload := struct {
+		Queries    QuerySnapshot       `json:"queries"`
+		Durability *DurabilitySnapshot `json:"durability,omitempty"`
+		Absent     *DurabilitySnapshot `json:"absent,omitempty"`
+		Empty      HistogramSnapshot   `json:"empty"`
+		Sizes      []int               `json:"sizes"`
+		Name       string              `json:"name"`
+		Hidden     int64               `json:"-"`
+	}{
+		Queries:    q.Snapshot(),
+		Durability: &DurabilitySnapshot{},
+		Sizes:      []int{3, 4},
+		Name:       "x",
+	}
 	var b strings.Builder
-	p := NewPromWriter(&b)
-	p.WriteQuery(q.Snapshot())
-	p.WriteDurability((&Durability{}).Snapshot())
-	p.WriteRuntime()
-	if p.Err() != nil {
-		t.Fatal(p.Err())
+	if err := WritePrometheus(&b, payload); err != nil {
+		t.Fatal(err)
 	}
 	out := b.String()
 
 	for _, want := range []string{
-		"# TYPE ctdb_queries_total counter",
-		"ctdb_queries_total 7",
-		"# TYPE ctdb_translate_seconds histogram",
-		`ctdb_translate_seconds_bucket{le="+Inf"} 2`,
-		"ctdb_translate_seconds_count 2",
-		"ctdb_wal_appends_total 0",
+		"# TYPE ctdb_queries_queries untyped",
+		"ctdb_queries_queries 7",
+		"# TYPE ctdb_queries_translate_seconds histogram",
+		`ctdb_queries_translate_seconds_bucket{le="+Inf"} 2`,
+		"ctdb_queries_translate_seconds_count 2",
+		"ctdb_durability_wal_appends 0",
+		`ctdb_empty_seconds_bucket{le="+Inf"} 0`,
+		"# TYPE ctdb_sizes gauge",
+		`ctdb_sizes{shard="1"} 4`,
 		"# TYPE go_goroutines gauge",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	for _, absent := range []string{"ctdb_absent", "ctdb_name", "ctdb_hidden", "Hidden"} {
+		if strings.Contains(out, absent) {
+			t.Errorf("exposition has %q, which carries no number in the JSON", absent)
 		}
 	}
 
@@ -234,7 +269,7 @@ func TestPromExposition(t *testing.T) {
 		if _, err := strconv.ParseFloat(line[i+1:], 64); err != nil {
 			t.Fatalf("sample %q has non-numeric value: %v", line, err)
 		}
-		if strings.HasPrefix(line, "ctdb_translate_seconds_bucket") {
+		if strings.HasPrefix(line, "ctdb_queries_translate_seconds_bucket") {
 			v, _ := strconv.ParseInt(line[i+1:], 10, 64)
 			if v < prevCum {
 				t.Fatalf("histogram buckets not cumulative at %q", line)

@@ -68,12 +68,6 @@ func MergeHistograms(snaps ...HistogramSnapshot) HistogramSnapshot {
 		if s.MaxUS > out.MaxUS {
 			out.MaxUS = s.MaxUS
 		}
-		// Keep the newest traced observation so the merged exposition
-		// still links to a trace (per-shard exemplars are equivalent —
-		// any recent one serves the purpose).
-		if s.Exemplar != nil && (out.Exemplar == nil || s.Exemplar.UnixMS > out.Exemplar.UnixMS) {
-			out.Exemplar = s.Exemplar
-		}
 		for i, c := range s.Buckets {
 			if i < NumBuckets {
 				counts[i] += c
@@ -84,8 +78,8 @@ func MergeHistograms(snaps ...HistogramSnapshot) HistogramSnapshot {
 		out.AvgUS = out.SumUS / out.Count
 	}
 	out.Buckets = counts
-	out.P50US = percentile(counts, out.Count, 0.50)
-	out.P99US = percentile(counts, out.Count, 0.99)
+	out.P50US = percentile(counts, out.Count, out.MaxUS, 0.50)
+	out.P99US = percentile(counts, out.Count, out.MaxUS, 0.99)
 	return out
 }
 

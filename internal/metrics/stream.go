@@ -69,30 +69,3 @@ type StreamGauges struct {
 	QueueHighWater []int64  `json:"queue_highwater,omitempty"`
 	VerdictLag     []uint64 `json:"verdict_lag,omitempty"`
 }
-
-// WriteStream emits the ctdb_stream_* Prometheus families.
-func (p *PromWriter) WriteStream(s StreamSnapshot, g StreamGauges) {
-	p.Gauge("ctdb_stream_active", "Open monitored streams.", float64(g.Active))
-	p.Gauge("ctdb_stream_attachments", "Attached (stream, contract) monitor slots.", float64(g.Attachments))
-	p.Counter("ctdb_stream_events_total", "Event snapshots applied to stream frontiers.", s.Events)
-	p.Counter("ctdb_stream_event_batches_total", "Event batches ingested.", s.Batches)
-	p.Counter("ctdb_stream_verdicts_total", "Verdicts emitted (including initial statuses).", s.Verdicts)
-	p.Counter("ctdb_stream_verdict_transitions_total", "Verdict transitions caused by events.", s.Transitions)
-	p.Counter("ctdb_stream_creates_total", "Streams opened.", s.Creates)
-	p.Counter("ctdb_stream_deletes_total", "Streams deleted.", s.Deletes)
-	p.Counter("ctdb_stream_dropped_records_total", "Journaled records skipped at apply.", s.Dropped)
-	p.Counter("ctdb_stream_sse_dropped_total", "Verdicts shed to slow SSE consumers.", s.SSEDropped)
-	p.header("ctdb_stream_ingest_queue_depth", "Pending event batches per ingest shard.", "gauge")
-	for i, d := range g.QueueDepths {
-		p.printf("ctdb_stream_ingest_queue_depth{shard=\"%d\"} %d\n", i, d)
-	}
-	p.header("ctdb_stream_ingest_queue_highwater", "Deepest the ingest queue has been, per shard.", "gauge")
-	for i, d := range g.QueueHighWater {
-		p.printf("ctdb_stream_ingest_queue_highwater{shard=\"%d\"} %d\n", i, d)
-	}
-	p.header("ctdb_stream_verdict_lag", "Events acknowledged but not yet applied, per shard.", "gauge")
-	for i, d := range g.VerdictLag {
-		p.printf("ctdb_stream_verdict_lag{shard=\"%d\"} %d\n", i, d)
-	}
-	p.Histogram("ctdb_stream_apply_seconds", "Per-batch frontier apply latency.", s.Apply)
-}

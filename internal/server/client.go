@@ -161,13 +161,6 @@ func (c *Client) TraceByID(id string) ([]*trace.Trace, error) {
 	return out, err
 }
 
-// TraceOTLP fetches a trace ID's span set as an OTLP/JSON export.
-func (c *Client) TraceOTLP(id string) (map[string]any, error) {
-	var out map[string]any
-	err := c.do(http.MethodGet, "/v1/traces/"+url.PathEscape(id)+"?format=otlp", nil, &out)
-	return out, err
-}
-
 // QueryLog fetches up to n query insights entries, newest first (the
 // server defaults to 100 when n <= 0).
 func (c *Client) QueryLog(n int) ([]*insights.Entry, error) {
@@ -212,13 +205,6 @@ func (c *Client) PrometheusMetrics() (string, error) {
 	}
 	buf, err := io.ReadAll(resp.Body)
 	return string(buf), err
-}
-
-// Stats fetches database statistics.
-func (c *Client) Stats() (StatsResponse, error) {
-	var out StatsResponse
-	err := c.do(http.MethodGet, "/v1/stats", nil, &out)
-	return out, err
 }
 
 // CreateStream opens a monitored stream attached to the named

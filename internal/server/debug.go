@@ -11,14 +11,12 @@ import (
 	"runtime/debug"
 	"runtime/pprof"
 	"time"
-
-	"contractdb/internal/metrics"
 )
 
 // GET /v1/debug/bundle streams one gzipped tarball holding everything a
-// debugging session usually collects by hand: the metrics surface (JSON
-// and Prometheus text), recent and slow traces, the query-log tail,
-// health, build info, a goroutine dump, a heap profile, and — when
+// debugging session usually collects by hand: the metrics surface
+// (/v1/metrics, from which /metrics derives), recent and slow traces,
+// the query-log tail, health, build info, a goroutine dump, a heap profile, and — when
 // ?cpu=<duration> is given — a CPU profile sampled inside the request.
 // The ctdb CLI fronts it as `ctdb debug bundle`.
 
@@ -67,9 +65,6 @@ func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
 
 	addJSON("health.json", s.healthResponse())
 	addJSON("metrics.json", s.metricsResponse())
-	var prom bytes.Buffer
-	s.writePrometheus(metrics.NewPromWriter(&prom))
-	add("metrics.prom", prom.Bytes(), nil)
 	addJSON("traces_recent.json", s.Tracer.Recent())
 	addJSON("traces_slow.json", s.Tracer.Slow())
 	if s.Insights.Enabled() {
@@ -84,7 +79,7 @@ func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
 	add("goroutines.txt", goroutines.Bytes(), nil)
 
 	var heap bytes.Buffer
-	runtime.GC() // fresh heap statistics
+	runtime.GC() // fresh heap statistics; benchmark drivers also use the bundle to force a collection
 	heapErr := pprof.Lookup("heap").WriteTo(&heap, 0)
 	add("heap.pprof", heap.Bytes(), heapErr)
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,14 +17,17 @@ import (
 
 	"contractdb/internal/core"
 	"contractdb/internal/insights"
+	"contractdb/internal/metrics"
 	"contractdb/internal/paperex"
 	"contractdb/internal/server"
+	"contractdb/internal/store"
+	"contractdb/internal/stream"
 )
 
 // TestTraceparentPropagation drives a query with an inbound sampled
 // traceparent and checks the whole loop: the response echoes a
-// traceparent carrying the caller's trace ID, the trace is retained
-// under that ID, and the OTLP export addresses the same trace.
+// traceparent carrying the caller's trace ID and the trace is retained
+// under that ID.
 func TestTraceparentPropagation(t *testing.T) {
 	db := newDB(t, core.Options{})
 	srv := server.New(db)
@@ -59,18 +63,6 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 	if len(traces) == 0 || traces[0].ID != traceID {
 		t.Fatalf("TraceByID(%s) = %+v", traceID, traces)
-	}
-
-	otlp, err := client.TraceOTLP(traceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := json.Marshal(otlp)
-	if !strings.Contains(string(raw), traceID) {
-		t.Errorf("OTLP export does not carry trace id %s: %s", traceID, raw)
-	}
-	if !strings.Contains(string(raw), "resourceSpans") {
-		t.Errorf("OTLP export missing resourceSpans: %s", raw)
 	}
 }
 
@@ -213,7 +205,7 @@ func TestDebugBundle(t *testing.T) {
 		files[hdr.Name] = data
 	}
 	for _, want := range []string{
-		"manifest.json", "health.json", "metrics.json", "metrics.prom",
+		"manifest.json", "health.json", "metrics.json",
 		"traces_recent.json", "traces_slow.json", "querylog.json",
 		"goroutines.txt", "heap.pprof",
 	} {
@@ -234,8 +226,9 @@ func TestDebugBundle(t *testing.T) {
 	if len(manifest.Files)+1 != len(files) { // manifest lists everything but itself
 		t.Errorf("manifest lists %d files, archive has %d", len(manifest.Files), len(files))
 	}
-	if !bytes.Contains(files["metrics.prom"], []byte("ctdb_contracts")) {
-		t.Error("metrics.prom does not look like a Prometheus exposition")
+	var m server.MetricsResponse
+	if err := json.Unmarshal(files["metrics.json"], &m); err != nil || m.Contracts != 1 {
+		t.Errorf("metrics.json = %+v (%v), want the /v1/metrics payload with 1 contract", m, err)
 	}
 	if !bytes.Contains(files["goroutines.txt"], []byte("goroutine")) {
 		t.Error("goroutines.txt does not look like a goroutine dump")
@@ -250,52 +243,7 @@ func keys(m map[string][]byte) []string {
 	return out
 }
 
-// TestOpenMetricsNegotiation checks /metrics stays plain 0.0.4 by
-// default and switches to OpenMetrics (terminated by # EOF, exemplars
-// allowed) when the scraper asks for it.
-func TestOpenMetricsNegotiation(t *testing.T) {
-	db := newDB(t, core.Options{})
-	srv := server.New(db)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	client := server.NewClient(ts.URL, ts.Client())
-	if _, err := client.Register("A", paperex.TicketA().String()); err != nil {
-		t.Fatal(err)
-	}
-	// A traced query stamps an exemplar onto the kernel histogram.
-	if _, err := client.QueryRequest(server.QueryRequest{Spec: "F refund", Trace: true, NoCache: true}); err != nil {
-		t.Fatal(err)
-	}
-
-	plain, err := client.PrometheusMetrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plain, "# EOF") || strings.Contains(plain, "trace_id=") {
-		t.Error("default exposition must stay strict 0.0.4 (no EOF, no exemplars)")
-	}
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
-	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "openmetrics") {
-		t.Errorf("negotiated content type = %q", ct)
-	}
-	om := string(body)
-	if !strings.HasSuffix(strings.TrimRight(om, "\n"), "# EOF") {
-		t.Error("OpenMetrics exposition must end with # EOF")
-	}
-	if !strings.Contains(om, `trace_id="`) {
-		t.Error("OpenMetrics exposition should carry the traced query's exemplar")
-	}
-}
-
-// TestMetricsScrapeChurnRace hammers GET /metrics (both formats) while
+// TestMetricsScrapeChurnRace hammers GET /metrics while
 // contracts churn through register/unregister and queries run — the
 // scrape path must be safe against concurrent registry writes. Run
 // with -race.
@@ -349,31 +297,22 @@ func TestMetricsScrapeChurnRace(t *testing.T) {
 			client.QueryRequest(server.QueryRequest{Spec: "F refund", Trace: true})
 		}
 	}()
-	// Scrapers, one per format.
-	for _, accept := range []string{"", "application/openmetrics-text"} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
-				if accept != "" {
-					req.Header.Set("Accept", accept)
-				}
-				resp, err := ts.Client().Do(req)
-				if err != nil {
-					errs <- err
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+	// The Prometheus scraper.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}()
-	}
+			if _, err := client.PrometheusMetrics(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
 	// JSON surfaces too: /v1/metrics, querylog, traces.
 	wg.Add(1)
 	go func() {
@@ -415,4 +354,147 @@ func TestSSEDropCommentFormat(t *testing.T) {
 	if !strings.HasPrefix(s, ": ") || !strings.HasSuffix(s, "\n\n") {
 		t.Errorf("shed comment %q is not a legal SSE comment", s)
 	}
+}
+
+// TestPrometheusParity checks GET /metrics against GET /v1/metrics on a
+// server with durability and streams attached, before any query and
+// after a round of traffic: every numeric leaf of the JSON has a ctdb_
+// family of the matching type, and every ctdb_ family maps back to a
+// leaf. go_gc_cycles_total must parse as an integer.
+func TestPrometheusParity(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Config{Events: paperex.NewVocabulary().Names(), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	broker, err := stream.New(st.DB(), stream.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer broker.Close()
+	srv := server.New(st.DB())
+	srv.Durability = st.Metrics()
+	srv.Streams = broker
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := server.NewClient(ts.URL, ts.Client())
+
+	check := func(when string) {
+		t.Helper()
+		var raw any
+		if err := getJSON(ts.URL+"/v1/metrics", &raw); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]string{}
+		jsonFamilies(raw, "ctdb", want)
+		prom, err := client.PrometheusMetrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		gcLine := false
+		for _, line := range strings.Split(prom, "\n") {
+			if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && strings.HasPrefix(f[2], "ctdb_") {
+				got[f[2]] = f[3]
+			}
+			if v, ok := strings.CutPrefix(line, "go_gc_cycles_total "); ok {
+				if _, err := strconv.ParseInt(v, 10, 64); err != nil {
+					t.Errorf("%s: go_gc_cycles_total %q: %v", when, v, err)
+				}
+				gcLine = true
+			}
+		}
+		if !gcLine {
+			t.Errorf("%s: no go_gc_cycles_total line", when)
+		}
+		for name, typ := range want {
+			if got[name] != typ {
+				t.Errorf("%s: JSON leaf %s wants a %s family, /metrics has %q", when, name, typ, got[name])
+			}
+		}
+		for name := range got {
+			if _, ok := want[name]; !ok {
+				t.Errorf("%s: family %s maps to no /v1/metrics leaf", when, name)
+			}
+		}
+		for _, block := range []string{"ctdb_durability_wal_appends", "ctdb_streams_events", "ctdb_sharding_sizes"} {
+			if _, ok := got[block]; !ok {
+				t.Errorf("%s: /metrics lacks %s", when, block)
+			}
+		}
+	}
+
+	check("before any query")
+	for name, spec := range map[string]string{"A": paperex.TicketA().String(), "B": paperex.TicketB().String()} {
+		if _, err := client.Register(name, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := client.CreateStream("s", []string{"A"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.PushEvents("s", [][]string{{"refund"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []server.QueryRequest{{Spec: "F refund"}, {Spec: "F refund"}, {Spec: "F refund", FindAny: true, Trace: true}} {
+		if _, err := client.QueryRequest(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after queries")
+
+	// A zero payload — every histogram without buckets — still renders.
+	var b strings.Builder
+	if err := metrics.WritePrometheus(&b, server.MetricsResponse{}); err != nil || !strings.Contains(b.String(), "ctdb_queries_kernel_seconds_count 0") {
+		t.Errorf("zero payload: %v\n%s", err, b.String())
+	}
+}
+
+func getJSON(url string, out any) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// jsonFamilies derives, independently of the renderer, the family each
+// numeric JSON leaf should have: histogram objects (the key set of a
+// metrics.HistogramSnapshot) become "<path>_seconds" histograms,
+// non-empty number arrays gauges, other numbers untyped.
+func jsonFamilies(v any, path string, out map[string]string) {
+	switch x := v.(type) {
+	case map[string]any:
+		if isHistogramJSON(x) {
+			out[path+"_seconds"] = "histogram"
+			return
+		}
+		for k, e := range x {
+			jsonFamilies(e, path+"_"+k, out)
+		}
+	case []any:
+		if len(x) > 0 {
+			if _, ok := x[0].(float64); ok {
+				out[path] = "gauge"
+			}
+		}
+	case float64:
+		out[path] = "untyped"
+	}
+}
+
+func isHistogramJSON(m map[string]any) bool {
+	raw, _ := json.Marshal(metrics.HistogramSnapshot{})
+	var keys map[string]any
+	json.Unmarshal(raw, &keys)
+	if len(keys) != len(m) {
+		return false
+	}
+	for k := range keys {
+		if _, ok := m[k]; !ok {
+			return false
+		}
+	}
+	return true
 }

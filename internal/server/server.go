@@ -12,15 +12,13 @@
 //	DELETE /v1/contracts/{name}  unregister a contract
 //	POST /v1/query               evaluate {"spec": ..., "mode": "opt"|"scan", ...}
 //	POST /v1/checkpoint          force a durability checkpoint (501 without a store)
-//	GET  /v1/stats               registration/index statistics
-//	GET  /v1/metrics             per-stage query metrics (expvar-style JSON)
+//	GET  /v1/metrics             per-stage query metrics and registration costs (JSON)
 //	GET  /v1/traces              recent query traces (sampled or requested)
 //	GET  /v1/traces/slow         queries that crossed the slow-query threshold
-//	GET  /v1/traces/{id}         every retained trace with that ID; ?format=otlp
+//	GET  /v1/traces/{id}         every retained trace with that ID
 //	GET  /v1/querylog            query insights log tail (501 when disabled)
 //	GET  /v1/debug/bundle        one-shot .tar.gz diagnostic bundle
-//	GET  /metrics                Prometheus text exposition of every metric
-//	                             (OpenMetrics + exemplars via Accept)
+//	GET  /metrics                /v1/metrics in the Prometheus text format
 //
 // With streaming enabled (see Streams and internal/stream):
 //
@@ -82,7 +80,6 @@ type DB interface {
 	RegisterBatch(specs []core.Registration, workers int) []core.BatchResult
 	Unregister(name string) error
 	QueryModeCtx(ctx context.Context, spec *ltl.Expr, mode core.Mode) (*core.Result, error)
-	RegistrationStats() core.RegistrationStats
 	Stats() core.DBStats
 	NumShards() int
 	ShardSizes() []int
@@ -146,7 +143,6 @@ func New(db DB) *Server {
 	s.mux.HandleFunc("DELETE /v1/contracts/{name}", s.handleUnregister)
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /v1/traces/slow", s.handleSlowTraces)
@@ -637,17 +633,12 @@ func (s *Server) handleSlowTraces(w http.ResponseWriter, _ *http.Request) {
 
 // handleTraceByID serves every retained trace sharing one trace ID —
 // the request's own trace plus linked asynchronous stages (stream
-// applies). ?format=otlp renders the set as one
-// OTLP/JSON export so standard tooling can display the stitched tree.
+// applies), each linked root naming its parent span.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	traces := s.Tracer.ByID(id)
 	if len(traces) == 0 {
 		writeErr(w, r, http.StatusNotFound, fmt.Errorf("no retained trace with id %q", id))
-		return
-	}
-	if r.URL.Query().Get("format") == "otlp" {
-		writeJSON(w, http.StatusOK, trace.OTLP(traces))
 		return
 	}
 	writeJSON(w, http.StatusOK, traces)
@@ -744,48 +735,26 @@ func (s *Server) recordInsight(req *QueryRequest, requestID string, tr *trace.Tr
 	s.Insights.Record(&e)
 }
 
-// StatsResponse mirrors core.RegistrationStats for the wire.
-type StatsResponse struct {
+// MetricsResponse is the /v1/metrics payload: the engine's per-stage
+// query metrics plus the registration costs, all cheap enough to poll
+// from a scraper. It is the one telemetry registry: GET /metrics
+// renders this same value (see metrics.WritePrometheus).
+type MetricsResponse struct {
 	Contracts        int   `json:"contracts"`
+	VocabularyEvents int   `json:"vocabulary_events"`
+	ProjectionRows   int   `json:"projection_rows"`
 	IndexNodes       int   `json:"index_nodes"`
 	IndexBytes       int   `json:"index_bytes"`
-	ProjectionRows   int   `json:"projection_rows"`
 	RegistrationMS   int64 `json:"registration_ms"`
 	IndexBuildMS     int64 `json:"index_build_ms"`
 	ProjectionsMS    int64 `json:"projections_ms"`
-	VocabularyEvents int   `json:"vocabulary_events"`
-	// Translations counts LTL→BA translations performed by this
-	// process (zero after a pure snapshot load).
-	Translations int64 `json:"translations"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	rs := s.db.RegistrationStats()
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Contracts:        rs.Contracts,
-		IndexNodes:       rs.IndexNodes,
-		IndexBytes:       rs.IndexBytes,
-		ProjectionRows:   rs.ProjectionRows,
-		RegistrationMS:   rs.Total.Milliseconds(),
-		IndexBuildMS:     rs.IndexBuild.Milliseconds(),
-		ProjectionsMS:    rs.Projections.Milliseconds(),
-		VocabularyEvents: s.db.Vocabulary().Len(),
-		Translations:     rs.Translations,
-	})
-}
-
-// MetricsResponse is the /v1/metrics payload: the engine's per-stage
-// query metrics plus a few registration gauges, all cheap enough to
-// poll from a scraper.
-type MetricsResponse struct {
-	Contracts        int                   `json:"contracts"`
-	VocabularyEvents int                   `json:"vocabulary_events"`
-	ProjectionRows   int                   `json:"projection_rows"`
-	IndexNodes       int                   `json:"index_nodes"`
-	UptimeSeconds    float64               `json:"uptime_seconds"`
-	Build            BuildInfo             `json:"build"`
-	Queries          metrics.QuerySnapshot `json:"queries"`
-	Caches           CacheMetrics          `json:"caches"`
+	// Translations counts LTL→BA translations performed by this process
+	// (zero after a pure snapshot load).
+	Translations  int64                 `json:"translations"`
+	UptimeSeconds float64               `json:"uptime_seconds"`
+	Build         BuildInfo             `json:"build"`
+	Queries       metrics.QuerySnapshot `json:"queries"`
+	Caches        CacheMetrics          `json:"caches"`
 	// Sharding is the scatter-gather engine's shape and router
 	// counters.
 	Sharding ShardingInfo `json:"sharding"`
@@ -840,6 +809,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // debug bundle).
 func (s *Server) metricsResponse() MetricsResponse {
 	st := s.db.Stats()
+	rs := st.Registration
 	var durability *metrics.DurabilitySnapshot
 	if s.Durability != nil {
 		snap := s.Durability.Snapshot()
@@ -861,10 +831,15 @@ func (s *Server) metricsResponse() MetricsResponse {
 		},
 		Durability:       durability,
 		Streams:          streams,
-		Contracts:        st.Registration.Contracts,
+		Contracts:        rs.Contracts,
 		VocabularyEvents: s.db.Vocabulary().Len(),
-		ProjectionRows:   st.Registration.ProjectionRows,
-		IndexNodes:       st.Registration.IndexNodes,
+		ProjectionRows:   rs.ProjectionRows,
+		IndexNodes:       rs.IndexNodes,
+		IndexBytes:       rs.IndexBytes,
+		RegistrationMS:   rs.Total.Milliseconds(),
+		IndexBuildMS:     rs.IndexBuild.Milliseconds(),
+		ProjectionsMS:    rs.Projections.Milliseconds(),
+		Translations:     rs.Translations,
 		UptimeSeconds:    s.uptime(),
 		Build: BuildInfo{
 			GoVersion:             runtime.Version(),
@@ -881,56 +856,13 @@ func (s *Server) metricsResponse() MetricsResponse {
 	}
 }
 
-// handlePrometheus serves GET /metrics: the whole metrics surface —
-// registration gauges, every query counter and histogram, durability
-// (when configured) and process runtime — in the Prometheus text
-// exposition format. A scraper that negotiates OpenMetrics via Accept
-// gets the 1.0 superset: histogram buckets carry trace-ID exemplars
-// and the exposition ends with # EOF.
-func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
-	p := metrics.NewPromWriter(w)
-	if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
-		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-		p.SetOpenMetrics(true)
-	} else {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	}
-	s.writePrometheus(p)
-}
-
-// writePrometheus renders the full exposition into p (shared between
-// GET /metrics and the debug bundle).
-func (s *Server) writePrometheus(p *metrics.PromWriter) {
-	st := s.db.Stats()
-	p.Gauge("ctdb_contracts", "Registered contracts.", float64(st.Registration.Contracts))
-	p.Gauge("ctdb_vocabulary_events", "Distinct event names in the vocabulary.", float64(s.db.Vocabulary().Len()))
-	p.Gauge("ctdb_index_nodes", "Prefilter index nodes.", float64(st.Registration.IndexNodes))
-	p.Gauge("ctdb_query_cache_entries", "Tier-1 compilation cache occupancy.", float64(st.Caches.QueryCacheLen))
-	p.Gauge("ctdb_result_cache_entries", "Tier-2 result cache occupancy.", float64(st.Caches.ResultCacheLen))
-	p.Gauge("ctdb_uptime_seconds", "Seconds since the server started.", s.uptime())
-	p.Gauge("ctdb_registration_translations_total", "LTL-to-BA translations performed by registration paths this process.", float64(st.Registration.Translations))
-	if rec := s.Recovery; rec != nil {
-		p.Gauge("ctdb_cold_start_seconds", "Total recovery time at process start.", float64(rec.DurationUS)/1e6)
-		p.Gauge("ctdb_cold_start_snapshot_decode_seconds", "Recovery time spent decoding the snapshot (container parse, head decode, slab views).", float64(rec.SnapshotDecodeUS)/1e6)
-		p.Gauge("ctdb_cold_start_artifact_restore_seconds", "Recovery time spent restoring registration artifacts.", float64(rec.ArtifactRestoreUS)/1e6)
-		p.Gauge("ctdb_cold_start_wal_replay_seconds", "Recovery time spent replaying the WAL suffix.", float64(rec.WALReplayUS)/1e6)
-		p.Gauge("ctdb_cold_start_replayed_records", "WAL records replayed past the snapshot boundary.", float64(rec.ReplayedRecords))
-		p.Gauge("ctdb_cold_start_compiled_adopted", "Automata whose compiled form was restored from the snapshot (no re-flattening).", float64(rec.CompiledAdopted))
-		p.Gauge("ctdb_cold_start_snapshot_format", "Per-contract snapshot format version loaded at start.", float64(rec.SnapshotFormat))
-		p.Gauge("ctdb_cold_start_mapped_bytes", "Snapshot slab bytes adopted zero-copy from the file mapping.", float64(rec.MappedBytes))
-		p.Gauge("ctdb_cold_start_copied_bytes", "Snapshot bytes materialized on the heap during load.", float64(rec.CopiedBytes))
-		p.Gauge("ctdb_cold_start_sections", "Sections in the loaded v4 snapshot container.", float64(rec.Sections))
-	}
-	p.WriteQuery(st.Queries)
-	p.WriteShardRouter(s.db.RouterSnapshot(), s.db.ShardSizes(), s.db.ShardEpochs())
-	if s.Durability != nil {
-		p.WriteDurability(s.Durability.Snapshot())
-	}
-	if s.Streams != nil {
-		p.WriteStream(s.Streams.Metrics().Snapshot(), s.Streams.Gauges())
-	}
-	p.WriteRuntime()
-	p.EOF()
+// handlePrometheus serves GET /metrics: the /v1/metrics payload plus
+// the Go runtime gauges in the Prometheus text exposition format.
+func (s *Server) handlePrometheus(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	// A failed write means the scraper went away; nothing is left to
+	// report to it.
+	_ = metrics.WritePrometheus(w, s.metricsResponse())
 }
 
 func decodeBody(r *http.Request, v any) error {

@@ -157,17 +157,23 @@ func TestQueryErrorsOverHTTP(t *testing.T) {
 	}
 }
 
-func TestStatsEndpoint(t *testing.T) {
+// TestMetricsRegistrationCosts checks /v1/metrics carries the
+// registration costs: index size, the translation count and the
+// offline timings.
+func TestMetricsRegistrationCosts(t *testing.T) {
 	_, client, _ := newTestServer(t)
 	if _, err := client.Register("A", paperex.TicketA().String()); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := client.Stats()
+	m, err := client.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Contracts != 1 || stats.IndexNodes == 0 || stats.VocabularyEvents == 0 {
-		t.Errorf("stats = %+v", stats)
+	if m.Contracts != 1 || m.IndexNodes == 0 || m.IndexBytes == 0 || m.VocabularyEvents == 0 || m.Translations != 1 {
+		t.Errorf("metrics = %+v", m)
+	}
+	if m.RegistrationMS < m.IndexBuildMS || m.RegistrationMS < 0 {
+		t.Errorf("registration_ms %d < index_build_ms %d", m.RegistrationMS, m.IndexBuildMS)
 	}
 }
 

@@ -33,7 +33,7 @@ const (
 	sseHeartbeat = 15 * time.Second
 	// maxSSEBacklog bounds how many buffered verdicts one SSE write
 	// round will flush to a consumer that fell behind. Older verdicts
-	// beyond the bound are shed (counted in ctdb_stream_sse_dropped_total
+	// beyond the bound are shed (counted in the streams sse_dropped metric
 	// and announced with a ": dropped N" comment) so one slow reader
 	// cannot make the handler stream an unbounded catch-up burst.
 	maxSSEBacklog = 256

@@ -104,10 +104,10 @@ func TestStreamEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, family := range []string{
-		"ctdb_stream_active 1",
-		"ctdb_stream_events_total 3",
-		"ctdb_stream_verdict_transitions_total 1",
-		"ctdb_stream_ingest_queue_depth{shard=\"0\"}",
+		"ctdb_streams_gauges_active 1",
+		"ctdb_streams_events 3",
+		"ctdb_streams_transitions 1",
+		"ctdb_streams_gauges_queue_depths{shard=\"0\"}",
 	} {
 		if !strings.Contains(prom, family) {
 			t.Errorf("prometheus output missing %q", family)

@@ -223,9 +223,9 @@ func TestPrometheusEndpoint(t *testing.T) {
 	out := string(buf)
 	for _, want := range []string{
 		"ctdb_contracts 2",
-		"ctdb_queries_total 1",
-		"# TYPE ctdb_kernel_seconds histogram",
-		`ctdb_kernel_seconds_bucket{le="+Inf"} 1`,
+		"ctdb_queries_queries 1",
+		"# TYPE ctdb_queries_kernel_seconds histogram",
+		`ctdb_queries_kernel_seconds_bucket{le="+Inf"} 1`,
 		"# TYPE go_goroutines gauge",
 		"ctdb_uptime_seconds",
 	} {

@@ -122,7 +122,7 @@ func (db *DB) eval(ctx context.Context, spec *ltl.Expr, mode core.Mode, obligati
 		return nil, fmt.Errorf("%s: %w", errPrefix, err)
 	}
 	stats.Translate = time.Since(t)
-	db.metrics.Translate.ObserveEx(stats.Translate, trace.SpanContextFrom(ctx).TraceID)
+	db.metrics.Translate.Observe(stats.Translate)
 
 	// Stage 2+3: scatter with shared cancellation.
 	if ctx == nil {

@@ -132,8 +132,8 @@ type RecoveryInfo struct {
 	// skipped.
 	Clean bool
 
-	// Cold-start breakdown (the ctdb_cold_start_* metric families and
-	// /v1/health surface these): where the recovery time went, and how
+	// Cold-start breakdown (/v1/health's recovery block surfaces
+	// these): where the recovery time went, and how
 	// much re-derivation the persisted artifacts avoided.
 	SnapshotFormat  int           // per-contract format version loaded (0 = started empty)
 	SnapshotDecode  time.Duration // container parse + head decode + slab view setup

@@ -60,7 +60,7 @@ type Attr struct {
 type Span struct {
 	Name string `json:"name"`
 	// SpanID is the span's W3C trace-context identifier (random 64-bit,
-	// rendered as 16 hex chars in traceparent headers and OTLP export).
+	// rendered as 16 hex chars in traceparent headers).
 	// Only spans of an active trace carry one; the disabled path never
 	// builds a Span at all.
 	SpanID          uint64  `json:"span_id,omitempty"`
@@ -158,8 +158,8 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 
 // SpanContext is the W3C trace-context identity of one span: enough to
 // continue its trace in another component (or another process) and to
-// stitch the continuation back under it at export time. The zero value
-// is "no context" and Valid reports false for it.
+// stitch the continuation back under it when the trace is read. The
+// zero value is "no context" and Valid reports false for it.
 type SpanContext struct {
 	TraceID string // 32 lowercase hex chars
 	SpanID  uint64
@@ -184,17 +184,20 @@ func (sc SpanContext) Traceparent() string {
 const traceIDHexLen = 32
 
 // ParseTraceparent parses a W3C traceparent header value
-// ("00-<32 hex>-<16 hex>-<2 hex>"). Unknown versions are accepted per
-// the spec as long as the version-00 prefix parses; all-zero trace or
-// span IDs are rejected as the spec requires.
+// ("00-<32 hex>-<16 hex>-<2 hex>"). A version-00 header is exactly
+// that long; later versions are accepted per the spec as long as the
+// version-00 prefix parses, and may carry further "-"-separated
+// fields. Version ff, uppercase hex and all-zero trace or span IDs are
+// rejected as the spec requires.
 func ParseTraceparent(h string) (SpanContext, bool) {
 	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return SpanContext{}, false
 	}
-	if len(h) > 55 && h[55] != '-' {
+	version := h[0:2]
+	if len(h) > 55 && (version == "00" || h[55] != '-') {
 		return SpanContext{}, false
 	}
-	if !isLowerHex(h[0:2]) || h[0:2] == "ff" {
+	if !isLowerHex(version) || version == "ff" {
 		return SpanContext{}, false
 	}
 	traceID := h[3:35]
@@ -382,11 +385,6 @@ type Config struct {
 	// that crossed SlowThreshold (the server wires it to the structured
 	// slow-query log).
 	OnSlow func(*Trace)
-	// Exporter, when non-nil, receives every retained trace as it is
-	// finished (ctdbd wires it to the -trace-export file or OTLP
-	// endpoint). Called synchronously; exporters that do I/O should
-	// hand off to their own goroutine.
-	Exporter func(*Trace)
 }
 
 // Default ring capacities.
@@ -427,7 +425,7 @@ func (t *Tracer) SlowThreshold() time.Duration {
 // start builds an in-flight trace rooted at a span covering the whole
 // operation and returns a context carrying that root span. A valid
 // link makes the trace continue the linked one: same trace ID, parent
-// span recorded for export-time stitching.
+// span recorded for stitching.
 func (t *Tracer) start(ctx context.Context, name, query, requestID string, link SpanContext) (context.Context, *Trace) {
 	now := time.Now()
 	id := link.TraceID
@@ -500,8 +498,8 @@ func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Trac
 // StartLinked begins an always-recorded trace that continues work
 // started elsewhere in this process: an asynchronous stage (a stream
 // apply) whose originating request has already returned. The new trace adopts the link's trace ID and records the
-// originating span as its parent, so GET /v1/traces/{id} and the OTLP
-// export stitch the stage back under the request that caused it.
+// originating span as its parent, so GET /v1/traces/{id} stitches the
+// stage back under the request that caused it.
 // Returns (ctx, nil) — tracing off for this stage — when the tracer is
 // nil or the link is invalid; callers capture links with
 // SpanContextFrom, which yields an invalid link on untraced requests,
@@ -537,9 +535,6 @@ func (t *Tracer) Finish(tr *Trace) {
 	}
 	if tr.sampled {
 		t.recent.put(tr)
-	}
-	if t.cfg.Exporter != nil && (tr.sampled || tr.Slow) {
-		t.cfg.Exporter(tr)
 	}
 }
 

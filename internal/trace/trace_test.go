@@ -215,3 +215,44 @@ func TestJSONRoundTripAndPretty(t *testing.T) {
 		}
 	}
 }
+
+// TestParseTraceparent pins the W3C trace-context header grammar: a
+// version-00 header is exactly 55 characters, a later version may carry
+// further fields, and version ff, uppercase hex and all-zero IDs are
+// invalid.
+func TestParseTraceparent(t *testing.T) {
+	const (
+		tid = "4bf92f3577b34da6a3ce929d0e0e4736"
+		sid = "00f067aa0ba902b7"
+	)
+	cases := []struct {
+		name    string
+		header  string
+		ok      bool
+		sampled bool
+	}{
+		{"valid", "00-" + tid + "-" + sid + "-01", true, true},
+		{"valid unsampled", "00-" + tid + "-" + sid + "-00", true, false},
+		{"version ff", "ff-" + tid + "-" + sid + "-01", false, false},
+		{"zero trace id", "00-00000000000000000000000000000000-" + sid + "-01", false, false},
+		{"zero span id", "00-" + tid + "-0000000000000000-01", false, false},
+		{"uppercase hex", "00-" + strings.ToUpper(tid) + "-" + sid + "-01", false, false},
+		{"too short", "00-" + tid + "-" + sid + "-0", false, false},
+		{"version 00 with trailing field", "00-" + tid + "-" + sid + "-01-what-the-future-will-be-like", false, false},
+		{"version 01 with trailing field", "01-" + tid + "-" + sid + "-01-what-the-future-will-be-like", true, true},
+		{"version 01 with unseparated tail", "01-" + tid + "-" + sid + "-01x", false, false},
+	}
+	for _, tc := range cases {
+		sc, ok := trace.ParseTraceparent(tc.header)
+		if ok != tc.ok {
+			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		if sc.TraceID != tid || sc.SpanID != 0x00f067aa0ba902b7 || sc.Sampled != tc.sampled {
+			t.Errorf("%s: parsed %+v", tc.name, sc)
+		}
+	}
+}
