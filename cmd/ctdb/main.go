@@ -108,7 +108,7 @@ commands:
                                         log (needs ctdbd -querylog-sample)
   debug bundle -addr URL [-o FILE] [-cpu D]
                                         download a one-shot diagnostics tarball
-                                        (metrics, traces, query log, profiles)
+                                        (health, metrics, query log, profiles)
   snapshot inspect [-contracts] [-top N] FILE|DATA-DIR
                                         print a snapshot's section directory`)
 }
@@ -263,7 +263,6 @@ func cmdQuery(args []string) error {
 	}
 	// Every run gets a request ID like the server would assign; -explain
 	// traces the first (cold) run and prints its span tree.
-	tracer := trace.New(trace.Config{})
 	type runInfo struct {
 		id      string
 		elapsed time.Duration
@@ -279,12 +278,12 @@ func cmdQuery(args []string) error {
 		qctx := trace.WithRequestID(ctx, id)
 		var t *trace.Trace
 		if *explain && i == 0 {
-			qctx, t = tracer.StartQuery(qctx, *spec, id, true)
+			qctx, t = trace.Start(qctx, *spec, id)
 		}
 		start := time.Now()
 		r, err := db.QueryModeCtx(qctx, q, m)
 		elapsed := time.Since(start)
-		tracer.Finish(t)
+		t.Finish()
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,7 @@ import (
 // cmdTop is the live workload view: it polls a running ctdbd's query
 // insights log (GET /v1/querylog) and aggregate metrics, and redraws a
 // top-style table of the most recent queries — verdict, cache tier,
-// latency, prefilter selectivity, trace ID — every interval. Requires
+// latency, prefilter selectivity, request ID — every interval. Requires
 // the daemon to run with the insights log enabled (-querylog-sample).
 func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
@@ -60,7 +60,7 @@ func cmdTop(args []string) error {
 			m.Queries.ResultCacheHits, m.Queries.ResultCacheHits+m.Queries.ResultCacheMisses,
 			(time.Duration(m.UptimeSeconds) * time.Second).String())
 		fmt.Fprintf(&b, "%-6s %-8s %-9s %10s %6s %12s %-34s %s\n",
-			"seq", "verdict", "cache", "dur", "match", "cand/corpus", "query", "trace")
+			"seq", "verdict", "cache", "dur", "match", "cand/corpus", "query", "request")
 		for _, e := range entries {
 			verdict := e.Verdict
 			if e.Slow {
@@ -70,14 +70,14 @@ func cmdTop(args []string) error {
 			if len(q) > 32 {
 				q = q[:31] + "…"
 			}
-			tid := e.TraceID
-			if tid == "" {
-				tid = "-"
+			rid := e.RequestID
+			if rid == "" {
+				rid = "-"
 			}
 			fmt.Fprintf(&b, "%-6d %-8s %-9s %10s %6d %5d/%-6d %-34s %s\n",
 				e.Seq, verdict, e.CacheTier,
 				(time.Duration(e.DurUS) * time.Microsecond).String(),
-				e.Matches, e.Candidates, e.Corpus, q, tid)
+				e.Matches, e.Candidates, e.Corpus, q, rid)
 		}
 		if len(entries) == 0 {
 			b.WriteString("(no entries — is the daemon running with -querylog-sample?)\n")
@@ -96,7 +96,7 @@ func cmdTop(args []string) error {
 }
 
 // cmdDebug handles `ctdb debug bundle`: download a one-shot
-// diagnostics tarball (metrics, traces, query log, profiles, health,
+// diagnostics tarball (metrics, query log, profiles, health,
 // build info) from a running daemon and write it to disk.
 func cmdDebug(args []string) error {
 	if len(args) < 1 || args[0] != "bundle" {

@@ -56,7 +56,6 @@ import (
 	"contractdb/internal/server"
 	"contractdb/internal/store"
 	"contractdb/internal/stream"
-	"contractdb/internal/trace"
 	"contractdb/internal/wal"
 )
 
@@ -78,8 +77,7 @@ func main() {
 	resultCacheSize := flag.Int("result-cache-size", 0, "query result cache capacity (0 = default, negative = disabled)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-	traceSample := flag.Int("trace-sample", 0, "trace every Nth query into the ring (0 = only explicitly requested traces)")
-	slowQuery := flag.Duration("slow-query", 0, "trace every query and log + retain those at least this slow (0 = disabled)")
+	slowQuery := flag.Duration("slow-query", 0, "log queries at least this slow as \"slow query\" and always keep them in the insights log (0 = disabled)")
 	querylogSample := flag.Int("querylog-sample", 0, "record every Nth query in the insights log (1 = all, 0 = disabled; failed queries and those at least -slow-query slow are always recorded while enabled)")
 	logFormat := flag.String("log-format", "text", "request/slow-query log format: text | json")
 	flag.Parse()
@@ -98,19 +96,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ctdbd: %v\n", err)
 		os.Exit(2)
 	}
-	tracer := trace.New(trace.Config{
-		SampleEvery:   *traceSample,
-		SlowThreshold: *slowQuery,
-		OnSlow: func(tr *trace.Trace) {
-			logger.Warn("slow query",
-				"request_id", tr.RequestID,
-				"trace_id", tr.ID,
-				"query", tr.Query,
-				"duration_us", tr.DurUS,
-			)
-		},
-	})
-
 	if *mmapMode != "auto" && *mmapMode != "off" {
 		fmt.Fprintf(os.Stderr, "ctdbd: unknown -mmap %q (want auto or off)\n", *mmapMode)
 		os.Exit(2)
@@ -119,7 +104,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("ctdbd: %v", err)
 	}
-	st, err := openStore(*dataDir, *events, policy, *fsyncInterval, *checkpointEvery, *shards, *mmapMode == "off", tracer)
+	st, err := openStore(*dataDir, *events, policy, *fsyncInterval, *checkpointEvery, *shards, *mmapMode == "off")
 	if err != nil {
 		log.Fatalf("ctdbd: %v", err)
 	}
@@ -132,24 +117,14 @@ func main() {
 		db.SetCacheSizes(*queryCacheSize, *resultCacheSize)
 	}
 
-	var querylog *insights.Log
-	if *querylogSample > 0 {
-		querylog, err = insights.Open(insights.Config{
-			Dir:           filepath.Join(*dataDir, "querylog"),
-			SampleEvery:   *querylogSample,
-			SlowThreshold: *slowQuery,
-		})
-		if err != nil {
-			log.Fatalf("ctdbd: querylog: %v", err)
-		}
-	}
-
 	srv := server.New(db)
 	srv.QueryTimeout = *queryTimeout
 	srv.StepBudget = *stepBudget
-	srv.Tracer = tracer
 	srv.Logger = logger
-	srv.Insights = querylog
+	srv.SlowQuery = *slowQuery
+	if *querylogSample > 0 {
+		srv.Insights = insights.New(*querylogSample)
+	}
 	srv.Checkpoint = st.Checkpoint
 	srv.Durability = st.Metrics()
 	srv.Recovery = recoveryState(st.Recovery)
@@ -165,7 +140,6 @@ func main() {
 			Sync:              policy,
 			SyncInterval:      *fsyncInterval,
 			CheckpointRecords: *checkpointEvery,
-			Tracer:            tracer,
 			Logf:              log.Printf,
 		})
 		if err != nil {
@@ -226,11 +200,6 @@ func main() {
 	if err := st.Close(); err != nil {
 		log.Fatalf("ctdbd: closing store: %v", err)
 	}
-	if querylog != nil {
-		if err := querylog.Close(); err != nil {
-			log.Printf("ctdbd: closing querylog: %v", err)
-		}
-	}
 	log.Printf("ctdbd: clean shutdown")
 }
 
@@ -270,7 +239,7 @@ func recoveryState(r store.RecoveryInfo) *server.RecoveryState {
 	}
 }
 
-func openStore(dir, events string, policy wal.SyncPolicy, fsyncInterval time.Duration, checkpointEvery, shards int, noMmap bool, tracer *trace.Tracer) (*store.Store, error) {
+func openStore(dir, events string, policy wal.SyncPolicy, fsyncInterval time.Duration, checkpointEvery, shards int, noMmap bool) (*store.Store, error) {
 	var names []string
 	if events != "" {
 		names = strings.Split(events, ",")
@@ -283,7 +252,6 @@ func openStore(dir, events string, policy wal.SyncPolicy, fsyncInterval time.Dur
 		SyncInterval:      fsyncInterval,
 		CheckpointRecords: checkpointEvery,
 		Metrics:           &metrics.Durability{},
-		Tracer:            tracer,
 		Logf:              log.Printf,
 	})
 	if err != nil {

@@ -142,15 +142,16 @@ func TestDaemonGracefulShutdownAndRecovery(t *testing.T) {
 	}
 }
 
-// TestDaemonObservability runs a daemon with tracing and JSON logging
-// wired up and scrapes the whole observability surface: /v1/health's
-// recovery state, /v1/metrics' uptime and build info, a trace:true
-// query, /v1/traces, and the Prometheus exposition on /metrics.
+// TestDaemonObservability runs a daemon with a slow-query threshold and
+// JSON logging wired up and scrapes the whole observability surface:
+// /v1/health's recovery state, /v1/metrics' uptime and build info, a
+// trace:true query, the slow-query log line, and the Prometheus
+// exposition on /metrics.
 func TestDaemonObservability(t *testing.T) {
 	bin := buildDaemon(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
 	d := startDaemon(t, bin, dataDir,
-		"-trace-sample", "1", "-slow-query", "1ns", "-log-format", "json")
+		"-slow-query", "1ns", "-log-format", "json")
 	c := d.client()
 
 	if _, err := c.Register("NoDoubleRefund", "G(refund -> X G !refund)"); err != nil {
@@ -175,22 +176,8 @@ func TestDaemonObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || res.RequestID == "" {
+	if res.Trace == nil || res.RequestID == "" || res.Trace.RequestID != res.RequestID {
 		t.Fatalf("trace:true over the daemon returned %+v", res)
-	}
-	traces, err := c.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) == 0 {
-		t.Error("sampled daemon retained no traces")
-	}
-	slow, err := c.SlowTraces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slow) == 0 {
-		t.Error("1ns slow-query threshold retained no slow traces")
 	}
 
 	// Prometheus exposition: known families present, every sample line
@@ -223,13 +210,14 @@ func TestDaemonObservability(t *testing.T) {
 	}
 
 	// The JSON request log carries one parseable record per request
-	// with the request id; the slow-query log records the traced query.
+	// with the request id; the slow-query log records the traced query
+	// under its request id.
 	logs := d.logs.String()
 	if !strings.Contains(logs, `"request_id":"req-`) {
 		t.Errorf("no JSON request log with request ids:\n%s", logs)
 	}
-	if !strings.Contains(logs, "slow query") {
-		t.Errorf("no slow-query log line:\n%s", logs)
+	if !strings.Contains(logs, `"msg":"slow query","request_id":"`+res.RequestID+`"`) {
+		t.Errorf("no slow-query log line for %s:\n%s", res.RequestID, logs)
 	}
 }
 

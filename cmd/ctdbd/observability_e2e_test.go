@@ -12,14 +12,16 @@ import (
 	"strings"
 	"testing"
 
+	"contractdb/internal/server"
 	"contractdb/internal/trace"
 )
 
-// TestDaemonTraceContextE2E is the acceptance drive for trace
-// propagation: a sharded daemon (-shards=4), a query carrying a
-// sampled W3C traceparent, and the assertion that GET /v1/traces/{id}
-// yields the span tree under the caller's trace ID, its scatter phase
-// fanning out into one child span per shard.
+// TestDaemonTraceContextE2E is the acceptance drive for the per-query
+// record, whose context is the request ID: a sharded daemon
+// (-shards=4) answers a "trace": true query sent with an X-Request-ID,
+// the inline span tree fans its scatter phase out into one child span
+// per shard, and the query log holds the same query under the same
+// request ID with a cost breakdown per shard.
 func TestDaemonTraceContextE2E(t *testing.T) {
 	bin := buildDaemon(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
@@ -32,36 +34,31 @@ func TestDaemonTraceContextE2E(t *testing.T) {
 		}
 	}
 
-	const traceID = "0af7651916cd43dd8448eb211c80319c"
-	body := strings.NewReader(`{"spec": "F pay", "no_cache": true}`)
+	const requestID = "req-e2e-inline"
+	body := strings.NewReader(`{"spec": "F pay", "no_cache": true, "trace": true}`)
 	req, err := http.NewRequest(http.MethodPost, "http://"+d.addr+"/v1/query", body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("traceparent", "00-"+traceID+"-b7ad6b7169203331-01")
+	req.Header.Set("X-Request-ID", requestID)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query = HTTP %d", resp.StatusCode)
 	}
-	if tp := resp.Header.Get("Traceparent"); !strings.Contains(tp, traceID) {
-		t.Fatalf("response traceparent %q does not continue %s", tp, traceID)
-	}
-
-	// The retained trace must sit under the caller's trace ID with a
-	// child span per shard probe.
-	traces, err := c.TraceByID(traceID)
-	if err != nil {
+	var res server.QueryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) == 0 {
-		t.Fatalf("no trace retained under %s", traceID)
+	if res.RequestID != requestID || res.Trace == nil || res.Trace.RequestID != requestID {
+		t.Fatalf("response request id %q, trace %+v; want both under %s", res.RequestID, res.Trace, requestID)
 	}
+
+	// The inline trace must show a child span per shard probe.
 	shardSpans := 0
 	var count func(*trace.Span)
 	count = func(sp *trace.Span) {
@@ -72,26 +69,21 @@ func TestDaemonTraceContextE2E(t *testing.T) {
 			count(c)
 		}
 	}
-	for _, tr := range traces {
-		if tr.ID != traceID {
-			t.Fatalf("trace %s outside the request trace %s", tr.ID, traceID)
-		}
-		count(tr.Root)
-	}
+	count(res.Trace.Root)
 	if shardSpans < 4 {
-		raw, _ := json.Marshal(traces)
+		raw, _ := json.Marshal(res.Trace)
 		t.Fatalf("trace has %d per-shard spans, want >= 4:\n%s", shardSpans, raw)
 	}
 
-	// The same query must be in the insights log with its per-shard
-	// cost breakdown and the trace ID for cross-navigation.
+	// The same query must be in the insights log under the same request
+	// ID with its per-shard cost breakdown.
 	entries, err := c.QueryLog(10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var found bool
 	for _, e := range entries {
-		if e.TraceID == traceID {
+		if e.RequestID == requestID {
 			found = true
 			if len(e.Shards) != 4 {
 				t.Errorf("querylog entry has %d shard stats, want 4: %+v", len(e.Shards), e)
@@ -111,7 +103,7 @@ func TestDaemonTraceContextE2E(t *testing.T) {
 func TestDaemonDebugBundleE2E(t *testing.T) {
 	bin := buildDaemon(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
-	d := startDaemon(t, bin, dataDir, "-querylog-sample", "1", "-trace-sample", "1")
+	d := startDaemon(t, bin, dataDir, "-querylog-sample", "1")
 	c := d.client()
 
 	if _, err := c.Register("A", "G(use -> F pay)"); err != nil {
@@ -153,7 +145,7 @@ func TestDaemonDebugBundleE2E(t *testing.T) {
 	}
 	for _, want := range []string{
 		"health.json", "metrics.json",
-		"traces_recent.json", "querylog.json", "goroutines.txt", "heap.pprof",
+		"querylog.json", "goroutines.txt", "heap.pprof",
 	} {
 		if files[want] == 0 {
 			t.Errorf("bundle file %s missing or empty (have %v)", want, files)

@@ -18,7 +18,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -34,7 +33,6 @@ import (
 	"contractdb/internal/permission"
 	"contractdb/internal/prefilter"
 	"contractdb/internal/qcache"
-	"contractdb/internal/trace"
 	"contractdb/internal/vocab"
 )
 
@@ -446,13 +444,6 @@ func (db *DB) ByName(name string) (*Contract, bool) {
 // projection precompute included — is in place, so a contract is never
 // served without its projections.
 func (db *DB) Register(name string, spec *ltl.Expr) (*Contract, error) {
-	return db.RegisterCtx(nil, name, spec)
-}
-
-// RegisterCtx is Register under a context. The context carries trace
-// identity, not cancellation: when the registering request is traced,
-// its active span records the precompute's cost.
-func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Contract, error) {
 	start := time.Now()
 	// Claim the name first (minting a generated one consumes the
 	// counter even if translation then fails — the sharded router's
@@ -489,10 +480,6 @@ func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Co
 	t := time.Now()
 	c.proj.ps = bisim.Precompute(auto, db.effectiveBudget(auto))
 	projElapsed := time.Since(t)
-	if sp := trace.SpanFrom(ctx); sp != nil {
-		sp.SetAttr("precompute_us", projElapsed.Microseconds())
-		sp.SetAttr("subsets", c.proj.ps.PrecomputedSubsets)
-	}
 	// Build the log record before taking the write lock: exporting the
 	// projections is its costly part, and it reads only the still
 	// private contract and the append-only vocabulary. Under the lock
@@ -640,17 +627,11 @@ func (db *DB) effectiveBudget(auto *buchi.BA) int {
 
 // RegisterLTL parses src and registers it.
 func (db *DB) RegisterLTL(name, src string) (*Contract, error) {
-	return db.RegisterLTLCtx(nil, name, src)
-}
-
-// RegisterLTLCtx parses src and registers it under a context; see
-// RegisterCtx for what the context carries.
-func (db *DB) RegisterLTLCtx(ctx context.Context, name, src string) (*Contract, error) {
 	spec, err := ltl.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("core: contract %q: %w", name, err)
 	}
-	return db.RegisterCtx(ctx, name, spec)
+	return db.Register(name, spec)
 }
 
 // QueryStats describes the work one query evaluation performed.

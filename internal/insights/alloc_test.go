@@ -17,7 +17,6 @@ func TestInsightsZeroAllocsWhenDisabled(t *testing.T) {
 			t.Fatal("nil log enabled")
 		}
 		l.Record(nil)
-		_ = l.SlowThreshold()
 	}
 	run() // warm up
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {

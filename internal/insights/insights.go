@@ -1,25 +1,20 @@
 // Package insights is the query insights log: structured per-query
 // cost accounting — prefilter selectivity, candidate counts, cache
 // tier, per-shard latency/step breakdown, verdict — retained in a
-// lock-free ring and, when configured with a directory, journaled to a
-// bounded WAL so the recent query history survives a restart.
+// lock-free in-memory ring of the 512 most recent entries.
 //
-// It complements internal/trace from the aggregate side: a trace
-// answers "why was THIS query slow", the insights log answers "what
-// has the workload been doing" (GET /v1/querylog, ctdb top). The same
-// retention policy applies — a 1-in-N sampler plus always-capture for
-// slow and failed queries — and the same cost discipline: a nil *Log
-// is a no-op on every method, so the disabled path stays allocation
-// free (see TestInsightsZeroAllocsWhenDisabled).
+// It complements internal/trace from the aggregate side: an inline
+// trace answers "why was THIS query slow", the insights log answers
+// "what has the workload been doing" (GET /v1/querylog, ctdb top). A
+// 1-in-N sampler picks the entries it keeps; slow and failed queries
+// are always kept. A nil *Log is a no-op on every method, so the
+// disabled path stays allocation free (see
+// TestInsightsZeroAllocsWhenDisabled).
 package insights
 
 import (
-	"encoding/json"
 	"sort"
 	"sync/atomic"
-	"time"
-
-	"contractdb/internal/wal"
 )
 
 // ShardStat is one shard's share of a scatter-gather query: how long
@@ -38,7 +33,6 @@ type ShardStat struct {
 // Entry is one query's cost accounting.
 type Entry struct {
 	Seq         uint64 `json:"seq"`
-	TraceID     string `json:"trace_id,omitempty"`
 	RequestID   string `json:"request_id,omitempty"`
 	Query       string `json:"query"`
 	Mode        string `json:"mode,omitempty"`
@@ -60,156 +54,56 @@ type Entry struct {
 	// CacheTier is the warmest tier that served the query: "result"
 	// (epoch-valid result cache), "compiled" (canonical compile
 	// cache), or "miss" (full translate).
-	CacheTier   string      `json:"cache_tier"`
-	TranslateUS int64       `json:"translate_us"`
-	FilterUS    int64       `json:"filter_us"`
-	CheckUS     int64       `json:"check_us"`
-	Slow        bool        `json:"slow,omitempty"`
-	Shards      []ShardStat `json:"shards,omitempty"`
+	CacheTier   string `json:"cache_tier"`
+	TranslateUS int64  `json:"translate_us"`
+	FilterUS    int64  `json:"filter_us"`
+	CheckUS     int64  `json:"check_us"`
+	// Slow marks a query at least as slow as the server's slow-query
+	// threshold; the log always keeps it.
+	Slow   bool        `json:"slow,omitempty"`
+	Shards []ShardStat `json:"shards,omitempty"`
 }
 
-// Config configures a Log. The zero value retains nothing (no
-// sampler, no slow threshold); a typical daemon runs
-// {SampleEvery: 1, SlowThreshold: 250ms, Dir: <data-dir>/querylog}.
-type Config struct {
-	// BufferSize is the ring capacity. Zero selects DefaultBufferSize.
-	BufferSize int
-	// SampleEvery records every Nth query (1 = all). Zero disables
-	// sampling; slow and failed queries are still captured.
-	SampleEvery int
-	// SlowThreshold, when positive, always captures queries at least
-	// this slow, regardless of the sampler.
-	SlowThreshold time.Duration
-	// Dir, when non-empty, journals recorded entries to a bounded WAL
-	// there so the query history survives restarts; on open the tail
-	// is replayed into the ring.
-	Dir string
-	// RetainRecords bounds the journal: once it holds more than this
-	// many records the oldest sealed segments are pruned. Zero selects
-	// DefaultRetainRecords.
-	RetainRecords int
-}
-
-// Defaults.
-const (
-	DefaultBufferSize    = 512
-	DefaultRetainRecords = 16384
-	// journal segments stay small so retention can prune at fine grain
-	segmentBytes = 1 << 20
-	recEntry     = 1
-)
+// bufferSize is the ring capacity: how many recent entries the log
+// keeps.
+const bufferSize = 512
 
 // Log is the insights log. All methods are safe for concurrent use
 // and safe on a nil *Log (no-ops), which is the disabled state.
 type Log struct {
-	cfg     Config
-	counter atomic.Uint64 // sampler
-	seq     atomic.Uint64
-	slots   []atomic.Pointer[Entry]
-	next    atomic.Uint64
-	journal *wal.Log
-	pruning atomic.Bool
+	sampleEvery uint64
+	counter     atomic.Uint64 // sampler
+	seq         atomic.Uint64
+	slots       [bufferSize]atomic.Pointer[Entry]
+	next        atomic.Uint64
 }
 
-// Open creates the log; with cfg.Dir set it opens (or creates) the
-// journal there and replays the tail into the ring.
-func Open(cfg Config) (*Log, error) {
-	if cfg.BufferSize <= 0 {
-		cfg.BufferSize = DefaultBufferSize
-	}
-	if cfg.RetainRecords <= 0 {
-		cfg.RetainRecords = DefaultRetainRecords
-	}
-	l := &Log{cfg: cfg, slots: make([]atomic.Pointer[Entry], cfg.BufferSize)}
-	if cfg.Dir != "" {
-		j, err := wal.Open(cfg.Dir, wal.Options{SegmentBytes: segmentBytes, Sync: wal.SyncNever})
-		if err != nil {
-			return nil, err
-		}
-		l.journal = j
-		from := uint64(1)
-		if next := j.NextSeq(); next > uint64(cfg.BufferSize) {
-			from = next - uint64(cfg.BufferSize)
-		}
-		j.Replay(from, func(rec wal.Record) error {
-			if rec.Type != recEntry {
-				return nil
-			}
-			var e Entry
-			if err := json.Unmarshal(rec.Data, &e); err != nil {
-				return nil // a bad entry is history, not an error
-			}
-			l.put(&e)
-			return nil
-		})
-		l.seq.Store(j.NextSeq() - 1)
-	}
-	return l, nil
+// New returns a log that keeps every sampleEvery-th query (1 = all;
+// zero or less keeps only slow and failed queries).
+func New(sampleEvery int) *Log {
+	return &Log{sampleEvery: uint64(max(sampleEvery, 0))}
 }
 
 // Enabled reports whether the log is live — the server guards entry
 // assembly with it so the disabled path never builds an Entry.
 func (l *Log) Enabled() bool { return l != nil }
 
-// SlowThreshold returns the configured always-capture threshold.
-func (l *Log) SlowThreshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.cfg.SlowThreshold
-}
-
 // Record applies the retention policy to one finished query and, if
-// the query is kept, stamps its sequence number and retains it.
-// Returns whether the entry was kept. Safe on a nil log.
+// the query is kept, stamps its sequence number and retains it. Slow
+// (e.Slow) and failed (e.Error) queries are always kept. Returns
+// whether the entry was kept. Safe on a nil log.
 func (l *Log) Record(e *Entry) bool {
 	if l == nil || e == nil {
 		return false
 	}
-	sampled := l.cfg.SampleEvery > 0 && l.counter.Add(1)%uint64(l.cfg.SampleEvery) == 0
-	if th := l.cfg.SlowThreshold; th > 0 && e.DurUS >= th.Microseconds() {
-		e.Slow = true
-	}
+	sampled := l.sampleEvery > 0 && l.counter.Add(1)%l.sampleEvery == 0
 	if !sampled && !e.Slow && e.Error == "" {
 		return false
 	}
 	e.Seq = l.seq.Add(1)
-	l.put(e)
-	if l.journal != nil {
-		if data, err := json.Marshal(e); err == nil {
-			l.journal.Append(recEntry, data)
-			l.maybePrune()
-		}
-	}
-	return true
-}
-
-func (l *Log) put(e *Entry) {
 	i := l.next.Add(1) - 1
-	l.slots[i%uint64(len(l.slots))].Store(e)
-}
-
-// maybePrune seals and prunes the journal once it exceeds the
-// retention budget. At most one goroutine prunes at a time; the rest
-// skip — retention is approximate by design.
-func (l *Log) maybePrune() {
-	j := l.journal
-	first := j.FirstSeq()
-	if first == 0 || j.NextSeq()-first <= uint64(l.cfg.RetainRecords) {
-		return
-	}
-	if !l.pruning.CompareAndSwap(false, true) {
-		return
-	}
-	defer l.pruning.Store(false)
-	if _, err := j.Seal(); err != nil {
-		return
-	}
-	keep := uint64(1)
-	if next := j.NextSeq(); next > uint64(l.cfg.RetainRecords) {
-		keep = next - uint64(l.cfg.RetainRecords)
-	}
-	j.PruneBelow(keep)
+	l.slots[i%bufferSize].Store(e)
+	return true
 }
 
 // Recent returns up to n retained entries, newest first. n <= 0 means
@@ -218,7 +112,7 @@ func (l *Log) Recent(n int) []*Entry {
 	if l == nil {
 		return nil
 	}
-	out := make([]*Entry, 0, len(l.slots))
+	out := make([]*Entry, 0, bufferSize)
 	for i := range l.slots {
 		if e := l.slots[i].Load(); e != nil {
 			out = append(out, e)
@@ -229,12 +123,4 @@ func (l *Log) Recent(n int) []*Entry {
 		out = out[:n]
 	}
 	return out
-}
-
-// Close flushes and closes the journal, if any.
-func (l *Log) Close() error {
-	if l == nil || l.journal == nil {
-		return nil
-	}
-	return l.journal.Close()
 }

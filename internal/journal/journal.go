@@ -22,7 +22,6 @@
 package journal
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -34,7 +33,6 @@ import (
 	"time"
 
 	"contractdb/internal/metrics"
-	"contractdb/internal/trace"
 	"contractdb/internal/wal"
 )
 
@@ -109,7 +107,7 @@ type Journal struct {
 // refusal also wraps the newest generation's load error. apply
 // receives every WAL record at or past the loaded boundary, in
 // sequence order.
-func Open(ctx context.Context, cfg Config, load func(path string) error, apply func(wal.Record) error) (*Journal, Recovery, error) {
+func Open(cfg Config, load func(path string) error, apply func(wal.Record) error) (*Journal, Recovery, error) {
 	start := time.Now()
 	var rec Recovery
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -127,7 +125,6 @@ func Open(ctx context.Context, cfg Config, load func(path string) error, apply f
 		return nil, rec, err
 	}
 
-	_, lsp := trace.StartSpan(ctx, "load_snapshot")
 	var newestErr error // why the newest generation did not load
 	for _, g := range gens {
 		err := load(g.path)
@@ -140,14 +137,6 @@ func Open(ctx context.Context, cfg Config, load func(path string) error, apply f
 		}
 		rec.Skipped = append(rec.Skipped, g.path)
 	}
-	if lsp != nil {
-		lsp.SetAttr("boundary", rec.Boundary)
-		lsp.SetAttr("skipped", len(rec.Skipped))
-		if rec.Path != "" {
-			lsp.SetAttr("path", filepath.Base(rec.Path))
-		}
-	}
-	lsp.End()
 	if rec.Path == "" {
 		if len(gens) > 0 {
 			return nil, rec, fmt.Errorf("%w: all %d in %s; refusing to recover from the WAL alone; newest: %w",
@@ -164,14 +153,7 @@ func Open(ctx context.Context, cfg Config, load func(path string) error, apply f
 	// a healthy directory always keeps the active segment, so a log
 	// created here under a generation past 1 was lost, and the ErrLost
 	// check below refuses it.
-	_, osp := trace.StartSpan(ctx, "wal_open")
 	w, err := wal.Open(filepath.Join(cfg.Dir, "wal"), cfg.WAL)
-	osp.SetError(err)
-	if osp != nil && err == nil {
-		osp.SetAttr("segments", w.SegmentCount())
-		osp.SetAttr("truncated_bytes", w.TruncatedBytes)
-	}
-	osp.End()
 	if err != nil {
 		return nil, rec, err
 	}
@@ -187,19 +169,13 @@ func Open(ctx context.Context, cfg Config, load func(path string) error, apply f
 	}
 
 	replayStart := time.Now()
-	pctx, psp := trace.StartSpan(ctx, "wal_replay")
-	err = w.ReplayCtx(pctx, boundary, func(r wal.Record) error {
+	err = w.Replay(boundary, func(r wal.Record) error {
 		if err := apply(r); err != nil {
 			return err
 		}
 		rec.Replayed++
 		return nil
 	})
-	if psp != nil {
-		psp.SetAttr("replayed", rec.Replayed)
-	}
-	psp.SetError(err)
-	psp.End()
 	if err != nil {
 		w.Close()
 		return nil, rec, err
@@ -216,11 +192,8 @@ func Open(ctx context.Context, cfg Config, load func(path string) error, apply f
 // returns the checkpoint boundary, plus whether anything was appended
 // since the newest generation was written — false means a checkpoint
 // at this boundary would rewrite that generation, so callers skip it.
-func (j *Journal) Seal(ctx context.Context) (uint64, bool, error) {
-	_, sp := trace.StartSpan(ctx, "seal")
+func (j *Journal) Seal() (uint64, bool, error) {
 	boundary, err := j.Log.Seal()
-	sp.SetError(err)
-	sp.End()
 	if err != nil {
 		j.met.CheckpointErrors.Inc()
 		return 0, false, err
@@ -232,13 +205,9 @@ func (j *Journal) Seal(ctx context.Context) (uint64, bool, error) {
 // (write renders it), then keeps the newest Keep generations and
 // prunes the WAL below the oldest one kept, so every retained
 // generation can still replay its suffix.
-func (j *Journal) Commit(ctx context.Context, boundary uint64, write func(io.Writer) error) error {
+func (j *Journal) Commit(boundary uint64, write func(io.Writer) error) error {
 	start := time.Now()
-	_, wsp := trace.StartSpan(ctx, "snapshot")
-	err := j.writeGeneration(boundary, write)
-	wsp.SetError(err)
-	wsp.End()
-	if err != nil {
+	if err := j.writeGeneration(boundary, write); err != nil {
 		j.met.CheckpointErrors.Inc()
 		return err
 	}
@@ -246,10 +215,7 @@ func (j *Journal) Commit(ctx context.Context, boundary uint64, write func(io.Wri
 	j.met.CheckpointWrite.Observe(time.Since(start))
 	j.met.Checkpoints.Inc()
 
-	_, psp := trace.StartSpan(ctx, "prune")
-	err = j.prune()
-	psp.SetError(err)
-	psp.End()
+	err := j.prune()
 	if err != nil {
 		j.met.CheckpointErrors.Inc()
 	}

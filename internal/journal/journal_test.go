@@ -1,7 +1,6 @@
 package journal_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -53,7 +52,7 @@ func openToy(dir string, keep int) (*toy, error) {
 		return nil
 	}
 	var err error
-	t.j, t.rec, err = journal.Open(context.Background(), journal.Config{
+	t.j, t.rec, err = journal.Open(journal.Config{
 		Dir:    dir,
 		Prefix: "toy-",
 		Suffix: ".gen",
@@ -77,14 +76,13 @@ func (t *toy) append(tb testing.TB, entries ...string) {
 // checkpoint seals and, when there is anything new, commits.
 func (t *toy) checkpoint(tb testing.TB) (uint64, bool) {
 	tb.Helper()
-	ctx := context.Background()
-	boundary, fresh, err := t.j.Seal(ctx)
+	boundary, fresh, err := t.j.Seal()
 	if err != nil {
 		tb.Fatal(err)
 	}
 	if fresh {
 		snapshot := toyHeader + strings.Join(t.entries, "\n")
-		if err := t.j.Commit(ctx, boundary, func(w io.Writer) error {
+		if err := t.j.Commit(boundary, func(w io.Writer) error {
 			_, err := io.WriteString(w, snapshot)
 			return err
 		}); err != nil {

@@ -79,3 +79,38 @@ func TestBulkRegisterParseErrorRejectsBatch(t *testing.T) {
 		t.Errorf("parse failure still registered %d contracts", db.Len())
 	}
 }
+
+// TestBulkRegisterAllFailedStatus: with no entry registered, the status
+// names the cause — 409 when every entry is a duplicate, 400 for an
+// unsatisfiable entry among duplicates, and 500 as soon as one entry
+// hit a durability failure. Partial success stays 201.
+func TestBulkRegisterAllFailedStatus(t *testing.T) {
+	_, client, db := newTestServer(t)
+	if _, err := client.Register("TicketA", paperex.TicketA().String()); err != nil {
+		t.Fatal(err)
+	}
+	dup := server.RegisterRequest{Name: "TicketA", Spec: paperex.TicketA().String()}
+	unsat := server.RegisterRequest{Name: "unsat", Spec: "purchase && !purchase"}
+	fresh := server.RegisterRequest{Name: "TicketB", Spec: paperex.TicketB().String()}
+
+	expect := func(what string, batch []server.RegisterRequest, want string) {
+		t.Helper()
+		_, err := client.RegisterBulk(batch, 0)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %s", what, err, want)
+		}
+	}
+	expect("all duplicates", []server.RegisterRequest{dup, dup}, "HTTP 409")
+	expect("duplicate and unsatisfiable", []server.RegisterRequest{dup, unsat}, "HTTP 400")
+
+	db.SetOpLog(failingLog{})
+	expect("durability failure among duplicates", []server.RegisterRequest{dup, fresh}, "HTTP 500")
+	if _, ok := db.ByName("TicketB"); ok {
+		t.Error("an entry whose log append failed was applied")
+	}
+
+	db.SetOpLog(nil)
+	if _, err := client.RegisterBulk([]server.RegisterRequest{dup, fresh}, 0); err != nil {
+		t.Errorf("partial success: %v, want 201", err)
+	}
+}

@@ -11,7 +11,6 @@ import (
 
 	"contractdb/internal/insights"
 	"contractdb/internal/stream"
-	"contractdb/internal/trace"
 )
 
 // Client is a typed HTTP client for the broker server. The zero value
@@ -135,29 +134,6 @@ func (c *Client) QueryRequest(req QueryRequest) (QueryResponse, error) {
 func (c *Client) Metrics() (MetricsResponse, error) {
 	var out MetricsResponse
 	err := c.do(http.MethodGet, "/v1/metrics", nil, &out)
-	return out, err
-}
-
-// Traces fetches the recent query traces (sampled or explicitly
-// requested), newest first.
-func (c *Client) Traces() ([]*trace.Trace, error) {
-	var out []*trace.Trace
-	err := c.do(http.MethodGet, "/v1/traces", nil, &out)
-	return out, err
-}
-
-// SlowTraces fetches the retained slow-query traces, newest first.
-func (c *Client) SlowTraces() ([]*trace.Trace, error) {
-	var out []*trace.Trace
-	err := c.do(http.MethodGet, "/v1/traces/slow", nil, &out)
-	return out, err
-}
-
-// TraceByID fetches every retained trace sharing one trace ID: the
-// request's own trace plus linked asynchronous stages.
-func (c *Client) TraceByID(id string) ([]*trace.Trace, error) {
-	var out []*trace.Trace
-	err := c.do(http.MethodGet, "/v1/traces/"+url.PathEscape(id), nil, &out)
 	return out, err
 }
 

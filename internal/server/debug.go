@@ -15,8 +15,8 @@ import (
 
 // GET /v1/debug/bundle streams one gzipped tarball holding everything a
 // debugging session usually collects by hand: the metrics surface
-// (/v1/metrics, from which /metrics derives), recent and slow traces,
-// the query-log tail, health, build info, a goroutine dump, a heap profile, and — when
+// (/v1/metrics, from which /metrics derives), the query-log tail,
+// health, build info, a goroutine dump, a heap profile, and — when
 // ?cpu=<duration> is given — a CPU profile sampled inside the request.
 // The ctdb CLI fronts it as `ctdb debug bundle`.
 
@@ -65,8 +65,6 @@ func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
 
 	addJSON("health.json", s.healthResponse())
 	addJSON("metrics.json", s.metricsResponse())
-	addJSON("traces_recent.json", s.Tracer.Recent())
-	addJSON("traces_slow.json", s.Tracer.Slow())
 	if s.Insights.Enabled() {
 		addJSON("querylog.json", s.Insights.Recent(0))
 	}

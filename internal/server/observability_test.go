@@ -24,97 +24,13 @@ import (
 	"contractdb/internal/stream"
 )
 
-// TestTraceparentPropagation drives a query with an inbound sampled
-// traceparent and checks the whole loop: the response echoes a
-// traceparent carrying the caller's trace ID and the trace is retained
-// under that ID.
-func TestTraceparentPropagation(t *testing.T) {
-	db := newDB(t, core.Options{})
-	srv := server.New(db)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	client := server.NewClient(ts.URL, ts.Client())
-	if _, err := client.Register("A", paperex.TicketA().String()); err != nil {
-		t.Fatal(err)
-	}
-
-	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
-	body := strings.NewReader(`{"spec": "F refund"}`)
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", body)
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("traceparent", "00-"+traceID+"-00f067aa0ba902b7-01")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query = HTTP %d", resp.StatusCode)
-	}
-	tp := resp.Header.Get("Traceparent")
-	if !strings.Contains(tp, traceID) {
-		t.Fatalf("response traceparent %q does not continue trace %s", tp, traceID)
-	}
-
-	traces, err := client.TraceByID(traceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) == 0 || traces[0].ID != traceID {
-		t.Fatalf("TraceByID(%s) = %+v", traceID, traces)
-	}
-}
-
-// TestTraceparentTracesRegistration registers a contract under a
-// sampled traceparent and checks the registration is retained as a
-// trace under the caller's trace ID, its span recording the projection
-// precompute that ran before the response.
-func TestTraceparentTracesRegistration(t *testing.T) {
-	db := newDB(t, core.Options{})
-	srv := server.New(db)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	const traceID = "aaaabbbbccccddddeeeeffff00001111"
-	body := strings.NewReader(`{"name": "A", "spec": "G !refund"}`)
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/contracts", body)
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("traceparent", "00-"+traceID+"-00f067aa0ba902b7-01")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("register = HTTP %d", resp.StatusCode)
-	}
-
-	traces := srv.Tracer.ByID(traceID)
-	if len(traces) != 1 || traces[0].Name != "register" {
-		t.Fatalf("traces under %s = %+v, want one register trace", traceID, traces)
-	}
-	attrs := map[string]bool{}
-	for _, a := range traces[0].Root.Attrs {
-		attrs[a.Key] = true
-	}
-	if !attrs["contract"] || !attrs["precompute_us"] || !attrs["subsets"] {
-		t.Errorf("register span attrs %+v, want contract, precompute_us and subsets", traces[0].Root.Attrs)
-	}
-}
-
 // TestQueryLogEndpoint exercises the insights log through the HTTP
 // surface: entries appear newest first with verdicts, cache tiers and
 // selectivity filled in.
 func TestQueryLogEndpoint(t *testing.T) {
 	db := newDB(t, core.Options{})
 	srv := server.New(db)
-	log, err := insights.Open(insights.Config{SampleEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Insights = log
+	srv.Insights = insights.New(1)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := server.NewClient(ts.URL, ts.Client())
@@ -168,11 +84,7 @@ func TestQueryLogDisabled501s(t *testing.T) {
 // file list matches the archive.
 func TestDebugBundle(t *testing.T) {
 	srv, client, _ := newTestServer(t)
-	log, err := insights.Open(insights.Config{SampleEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Insights = log
+	srv.Insights = insights.New(1)
 	if _, err := client.Register("A", paperex.TicketA().String()); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +118,7 @@ func TestDebugBundle(t *testing.T) {
 	}
 	for _, want := range []string{
 		"manifest.json", "health.json", "metrics.json",
-		"traces_recent.json", "traces_slow.json", "querylog.json",
+		"querylog.json",
 		"goroutines.txt", "heap.pprof",
 	} {
 		if _, ok := files[want]; !ok {
@@ -250,11 +162,7 @@ func keys(m map[string][]byte) []string {
 func TestMetricsScrapeChurnRace(t *testing.T) {
 	db := newDB(t, core.Options{})
 	srv := server.New(db)
-	log, err := insights.Open(insights.Config{SampleEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Insights = log
+	srv.Insights = insights.New(1)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := server.NewClient(ts.URL, ts.Client())
@@ -313,7 +221,7 @@ func TestMetricsScrapeChurnRace(t *testing.T) {
 			}
 		}
 	}()
-	// JSON surfaces too: /v1/metrics, querylog, traces.
+	// JSON surfaces too: /v1/metrics and the querylog.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -328,7 +236,6 @@ func TestMetricsScrapeChurnRace(t *testing.T) {
 				return
 			}
 			client.QueryLog(10)
-			client.Traces()
 		}
 	}()
 

@@ -9,13 +9,11 @@
 //	GET  /v1/contracts           list registered contracts
 //	GET  /v1/contracts/{name}    one contract's spec and automaton stats
 //	POST /v1/contracts           register {"name": ..., "spec": ...}
+//	POST /v1/contracts/bulk      register many {"contracts": [...]} (201 if any registered)
 //	DELETE /v1/contracts/{name}  unregister a contract
 //	POST /v1/query               evaluate {"spec": ..., "mode": "opt"|"scan", ...}
 //	POST /v1/checkpoint          force a durability checkpoint (501 without a store)
 //	GET  /v1/metrics             per-stage query metrics and registration costs (JSON)
-//	GET  /v1/traces              recent query traces (sampled or requested)
-//	GET  /v1/traces/slow         queries that crossed the slow-query threshold
-//	GET  /v1/traces/{id}         every retained trace with that ID
 //	GET  /v1/querylog            query insights log tail (501 when disabled)
 //	GET  /v1/debug/bundle        one-shot .tar.gz diagnostic bundle
 //	GET  /metrics                /v1/metrics in the Prometheus text format
@@ -35,10 +33,11 @@
 //
 // Every request is assigned a request ID — the X-Request-ID header
 // when the client sends one, a generated "req-…" otherwise — echoed
-// in the response header, stamped into error envelopes and query
-// traces, and logged by the structured request log when a Logger is
-// configured. Setting "trace": true on POST /v1/query returns the
-// query's full span tree inline with the response.
+// in the response header and stamped into error envelopes, inline
+// traces, query-log entries and the structured request and slow-query
+// log lines, so it joins every record of one request. Setting
+// "trace": true on POST /v1/query returns the query's full span tree
+// inline with the response; no trace is kept after it is returned.
 //
 // Query evaluation respects the request context: a client that
 // disconnects or times out aborts the search mid-expansion (HTTP 408
@@ -104,15 +103,15 @@ type Server struct {
 	Checkpoint func() (uint64, error)
 	// Durability, when non-nil, is folded into /v1/metrics.
 	Durability *metrics.Durability
-	// Tracer decides which queries get a span tree and retains the
-	// finished traces for /v1/traces. New installs a default (no
-	// sampling — only the per-request "trace": true knob records), so
-	// tracing works without daemon wiring; replace it before serving to
-	// change sampling or the slow-query threshold.
-	Tracer *trace.Tracer
 	// Logger, when non-nil, receives one structured record per request
-	// (request_id, method, path, status, duration, bytes).
+	// (request_id, method, path, status, duration, bytes) and one
+	// "slow query" record per query at least SlowQuery slow.
 	Logger *slog.Logger
+	// SlowQuery, when positive, is the slow-query threshold: a query
+	// whose handler ran at least this long (decode and parse included)
+	// is logged as "slow query" and marked Slow in the query log, which
+	// always keeps it.
+	SlowQuery time.Duration
 	// Recovery, when non-nil, is reported by GET /v1/health; the daemon
 	// fills it from the store's RecoveryInfo.
 	Recovery *RecoveryState
@@ -130,10 +129,9 @@ type Server struct {
 // New returns a server for the database.
 func New(db DB) *Server {
 	s := &Server{
-		db:     db,
-		mux:    http.NewServeMux(),
-		Tracer: trace.New(trace.Config{}),
-		start:  time.Now(),
+		db:    db,
+		mux:   http.NewServeMux(),
+		start: time.Now(),
 	}
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/contracts", s.handleList)
@@ -144,9 +142,6 @@ func New(db DB) *Server {
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
-	s.mux.HandleFunc("GET /v1/traces/slow", s.handleSlowTraces)
-	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceByID)
 	s.mux.HandleFunc("GET /v1/querylog", s.handleQueryLog)
 	s.mux.HandleFunc("GET /v1/debug/bundle", s.handleDebugBundle)
 	s.mux.HandleFunc("GET /metrics", s.handlePrometheus)
@@ -155,11 +150,7 @@ func New(db DB) *Server {
 }
 
 // ServeHTTP implements http.Handler: assign (or adopt) the request ID,
-// adopt an inbound W3C traceparent, dispatch, and emit one structured
-// log record when a Logger is set. A valid traceparent is echoed on the
-// response so callers can correlate even on endpoints that start no
-// span of their own; handlers that do start one (POST /v1/query)
-// overwrite the echo with their root span's identity.
+// dispatch, and emit one structured log record when a Logger is set.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	id := r.Header.Get("X-Request-ID")
 	if id == "" {
@@ -167,10 +158,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Request-ID", id)
 	r = r.WithContext(trace.WithRequestID(r.Context(), id))
-	if sc, ok := trace.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		r = r.WithContext(trace.WithRemote(r.Context(), sc))
-		w.Header().Set("Traceparent", sc.Traceparent())
-	}
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	start := time.Now()
 	s.mux.ServeHTTP(sw, r)
@@ -223,8 +210,7 @@ func (s *Server) uptime() float64 {
 // Error is the JSON error envelope.
 type Error struct {
 	Error string `json:"error"`
-	// RequestID identifies the failed request in the structured log and
-	// trace rings.
+	// RequestID identifies the failed request in the structured log.
 	RequestID string `json:"request_id,omitempty"`
 }
 
@@ -366,27 +352,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, errors.New("spec is required"))
 		return
 	}
-	// A sampled inbound traceparent traces the registration under the
-	// caller's trace ID; its span records the projection precompute.
-	ctx := r.Context()
-	var tr *trace.Trace
-	if link := trace.Remote(ctx); link.Valid() && link.Sampled {
-		ctx, tr = s.Tracer.Start(ctx, "register")
-		if sp := trace.SpanFrom(ctx); sp != nil {
-			sp.SetAttr("contract", req.Name)
-		}
-	}
-	c, err := s.db.RegisterLTLCtx(ctx, req.Name, req.Spec)
-	s.Tracer.Finish(tr)
+	c, err := s.db.RegisterLTLCtx(r.Context(), req.Name, req.Spec)
 	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, core.ErrDurability):
-			status = http.StatusInternalServerError
-		case errors.Is(err, core.ErrDuplicateName):
-			status = http.StatusConflict
-		}
-		writeErr(w, r, status, err)
+		writeErr(w, r, registerStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, s.contractInfo(c, true))
@@ -440,20 +408,45 @@ func (s *Server) handleRegisterBulk(w http.ResponseWriter, r *http.Request) {
 	}
 	results := s.db.RegisterBatch(specs, req.Workers)
 	resp := BulkRegisterResponse{Results: make([]BulkRegisterResult, len(results))}
+	// failedAs tallies the failed entries by the status each would
+	// get on its own.
+	failedAs := map[int]int{}
 	for i, res := range results {
 		if res.Err != nil {
 			resp.Failed++
 			resp.Results[i] = BulkRegisterResult{Error: res.Err.Error()}
+			failedAs[registerStatus(res.Err)]++
 			continue
 		}
 		resp.Registered++
 		resp.Results[i] = BulkRegisterResult{Name: res.Contract.Name}
 	}
-	status := http.StatusCreated
-	if resp.Registered == 0 {
-		status = http.StatusBadRequest
+	// With nothing registered the status says why: 500 if any entry hit
+	// a durability failure, 409 if every entry was a duplicate, 400
+	// otherwise.
+	status := http.StatusBadRequest
+	switch {
+	case resp.Registered > 0:
+		status = http.StatusCreated
+	case failedAs[http.StatusInternalServerError] > 0:
+		status = http.StatusInternalServerError
+	case failedAs[http.StatusConflict] == resp.Failed:
+		status = http.StatusConflict
 	}
 	writeJSON(w, status, resp)
+}
+
+// registerStatus maps a registration error to its HTTP status: a
+// failed log append is the server's fault (500), a taken name a
+// conflict (409), anything else a bad request (400).
+func registerStatus(err error) int {
+	switch {
+	case errors.Is(err, core.ErrDurability):
+		return http.StatusInternalServerError
+	case errors.Is(err, core.ErrDuplicateName):
+		return http.StatusConflict
+	}
+	return http.StatusBadRequest
 }
 
 func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
@@ -532,6 +525,7 @@ type QueryResponse struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	var req QueryRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
@@ -544,12 +538,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.QueryTimeout)
 		defer cancel()
 	}
-	// From here every return path must Finish the trace (it may be nil;
-	// Finish on a nil trace is a no-op). Finish happens before the
-	// response is written so an inline trace is complete and immutable.
-	ctx, tr := s.Tracer.StartQuery(ctx, req.Spec, requestID, req.Trace)
-	if sc := trace.SpanContextFrom(ctx); sc.Valid() {
-		w.Header().Set("Traceparent", sc.Traceparent())
+	// Only an explicit request builds a trace. Every return path
+	// finishes it (Finish on a nil trace is a no-op) before the
+	// response is written, so an inline trace is complete.
+	var tr *trace.Trace
+	if req.Trace {
+		ctx, tr = trace.Start(ctx, req.Spec, requestID)
 	}
 
 	_, psp := trace.StartSpan(ctx, "parse")
@@ -557,7 +551,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	psp.SetError(err)
 	psp.End()
 	if err != nil {
-		s.Tracer.Finish(tr)
+		tr.Finish()
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
@@ -567,7 +561,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case "scan":
 		mode = core.Unoptimized
 	default:
-		s.Tracer.Finish(tr)
+		tr.Finish()
 		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("unknown mode %q", req.Mode))
 		return
 	}
@@ -579,11 +573,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case req.StepBudget == 0:
 		mode.StepBudget = s.StepBudget
 	}
-	evalStart := time.Now()
 	res, err := s.db.QueryModeCtx(ctx, spec, mode)
-	s.Tracer.Finish(tr)
+	tr.Finish()
+	dur := time.Since(start)
+	slow := s.SlowQuery > 0 && dur >= s.SlowQuery
+	if slow && s.Logger != nil {
+		s.Logger.Warn("slow query",
+			"request_id", requestID,
+			"query", req.Spec,
+			"duration_us", dur.Microseconds(),
+		)
+	}
 	if s.Insights.Enabled() {
-		s.recordInsight(&req, requestID, tr, evalStart, res, err)
+		s.recordInsight(&req, requestID, start, dur, slow, res, err)
 	}
 	if err != nil {
 		switch {
@@ -605,43 +607,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ElapsedUS:  res.Stats.Elapsed().Microseconds(),
 		Cached:     res.Stats.CacheHit,
 		RequestID:  requestID,
-	}
-	if req.Trace {
-		out.Trace = tr
+		Trace:      tr,
 	}
 	for _, c := range res.Matches {
 		out.Matches = append(out.Matches, c.Name)
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	traces := s.Tracer.Recent()
-	if traces == nil {
-		traces = []*trace.Trace{}
-	}
-	writeJSON(w, http.StatusOK, traces)
-}
-
-func (s *Server) handleSlowTraces(w http.ResponseWriter, _ *http.Request) {
-	traces := s.Tracer.Slow()
-	if traces == nil {
-		traces = []*trace.Trace{}
-	}
-	writeJSON(w, http.StatusOK, traces)
-}
-
-// handleTraceByID serves every retained trace sharing one trace ID —
-// the request's own trace plus linked asynchronous stages (stream
-// applies), each linked root naming its parent span.
-func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	traces := s.Tracer.ByID(id)
-	if len(traces) == 0 {
-		writeErr(w, r, http.StatusNotFound, fmt.Errorf("no retained trace with id %q", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, traces)
 }
 
 // handleQueryLog serves the insights log's retained entries, newest
@@ -668,21 +639,19 @@ func (s *Server) handleQueryLog(w http.ResponseWriter, r *http.Request) {
 }
 
 // recordInsight assembles one insights entry from a finished query
-// evaluation. Callers guard with Insights.Enabled() so the disabled
-// path never reaches entry assembly.
-func (s *Server) recordInsight(req *QueryRequest, requestID string, tr *trace.Trace, start time.Time, res *core.Result, err error) {
+// evaluation that started at start and took dur. Callers guard with
+// Insights.Enabled() so the disabled path never reaches entry assembly.
+func (s *Server) recordInsight(req *QueryRequest, requestID string, start time.Time, dur time.Duration, slow bool, res *core.Result, err error) {
 	e := insights.Entry{
 		RequestID:   requestID,
 		Query:       req.Spec,
 		Mode:        req.Mode,
 		StartUnixUS: start.UnixMicro(),
-		DurUS:       time.Since(start).Microseconds(),
+		DurUS:       dur.Microseconds(),
+		Slow:        slow,
 	}
 	if e.Mode == "" {
 		e.Mode = "opt"
-	}
-	if tr != nil {
-		e.TraceID = tr.ID
 	}
 	switch {
 	case err == nil && res != nil && len(res.Matches) > 0:

@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"contractdb/internal/core"
+	"contractdb/internal/insights"
 	"contractdb/internal/paperex"
 	"contractdb/internal/server"
-	"contractdb/internal/trace"
 )
 
 // newTraceServer is newTestServer plus the raw httptest server, for
@@ -143,38 +143,60 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
-// TestTraceEndpoints drives the sampler and slow-query rings through
-// the HTTP surface.
-func TestTraceEndpoints(t *testing.T) {
-	srv, _, client := newTraceServer(t)
-	slowSeen := 0
-	srv.Tracer = trace.New(trace.Config{
-		SampleEvery:   1,
-		SlowThreshold: time.Nanosecond, // every query counts as slow
-		OnSlow:        func(*trace.Trace) { slowSeen++ },
-	})
-	for i := 0; i < 3; i++ {
-		if _, err := client.Query("F refund", ""); err != nil {
+// TestSlowQueryThreshold checks the one slow-query threshold: a query
+// at least Server.SlowQuery slow yields exactly one "slow query" log
+// record carrying its request ID, and its query-log entry is marked
+// slow under the same ID. With the threshold off, no record is written.
+func TestSlowQueryThreshold(t *testing.T) {
+	for _, threshold := range []time.Duration{time.Nanosecond, 0} {
+		srv, ts, _ := newTraceServer(t)
+		var buf bytes.Buffer
+		srv.Logger = slog.New(slog.NewJSONHandler(&buf, nil))
+		srv.SlowQuery = threshold
+		srv.Insights = insights.New(1)
+
+		const id = "req-slow-1"
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", strings.NewReader(`{"spec": "F refund"}`))
+		req.Header.Set("X-Request-ID", id)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	recent, err := client.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recent) != 3 {
-		t.Errorf("recent traces = %d, want 3 (sample every query)", len(recent))
-	}
-	slow, err := client.SlowTraces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slow) != 3 || slowSeen != 3 {
-		t.Errorf("slow traces = %d, hook saw %d, want 3 each", len(slow), slowSeen)
-	}
-	for _, tr := range slow {
-		if !tr.Slow || tr.DurUS < 0 || tr.Root == nil {
-			t.Errorf("slow trace malformed: %+v", tr)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query = HTTP %d", resp.StatusCode)
+		}
+
+		var slow []map[string]any
+		dec := json.NewDecoder(&buf)
+		for dec.More() {
+			var rec map[string]any
+			if err := dec.Decode(&rec); err != nil {
+				t.Fatalf("log is not JSON records: %v", err)
+			}
+			if rec["msg"] == "slow query" {
+				slow = append(slow, rec)
+			}
+		}
+		entries := srv.Insights.Recent(0)
+		if len(entries) != 1 || entries[0].RequestID != id {
+			t.Fatalf("threshold %v: query log = %+v, want one entry for %s", threshold, entries, id)
+		}
+		if threshold == 0 {
+			if len(slow) != 0 || entries[0].Slow {
+				t.Errorf("threshold off: %d slow-query records, entry slow=%t; want none", len(slow), entries[0].Slow)
+			}
+			continue
+		}
+		if len(slow) != 1 {
+			t.Fatalf("%d slow-query records, want 1:\n%s", len(slow), buf.String())
+		}
+		if rec := slow[0]; rec["request_id"] != id || rec["query"] != "F refund" || rec["duration_us"] == nil {
+			t.Errorf("slow-query record = %v, want request_id %s, the query and duration_us", rec, id)
+		}
+		if !entries[0].Slow {
+			t.Errorf("query-log entry %+v not marked slow", entries[0])
 		}
 	}
 }

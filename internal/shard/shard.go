@@ -141,31 +141,25 @@ func (db *DB) shardFor(name string) *core.DB {
 // write-locking only that shard. An empty name gets a generated one
 // (minted globally, so the sequence matches an unsharded database's).
 func (db *DB) Register(name string, spec *ltl.Expr) (*core.Contract, error) {
-	return db.RegisterCtx(nil, name, spec)
-}
-
-// RegisterCtx is Register under a context carrying trace identity;
-// see core.DB.RegisterCtx.
-func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*core.Contract, error) {
 	if name == "" {
 		name = db.nextAutoName()
 	}
-	return db.shardFor(name).RegisterCtx(ctx, name, spec)
+	return db.shardFor(name).Register(name, spec)
 }
 
 // RegisterLTL parses src and registers it.
 func (db *DB) RegisterLTL(name, src string) (*core.Contract, error) {
-	return db.RegisterLTLCtx(nil, name, src)
-}
-
-// RegisterLTLCtx parses src and registers it under a context carrying
-// trace identity.
-func (db *DB) RegisterLTLCtx(ctx context.Context, name, src string) (*core.Contract, error) {
 	spec, err := ltl.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("core: contract %q: %w", name, err)
 	}
-	return db.RegisterCtx(ctx, name, spec)
+	return db.Register(name, spec)
+}
+
+// RegisterLTLCtx is RegisterLTL with the request context the HTTP
+// server passes; registration runs to completion, so it ignores it.
+func (db *DB) RegisterLTLCtx(_ context.Context, name, src string) (*core.Contract, error) {
+	return db.RegisterLTL(name, src)
 }
 
 // nextAutoName mints an unused generated name. The counter only moves

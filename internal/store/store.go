@@ -25,7 +25,6 @@
 package store
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -35,7 +34,6 @@ import (
 	"contractdb/internal/journal"
 	"contractdb/internal/metrics"
 	"contractdb/internal/shard"
-	"contractdb/internal/trace"
 	"contractdb/internal/vocab"
 	"contractdb/internal/wal"
 )
@@ -97,9 +95,6 @@ type Config struct {
 	// Metrics receives durability counters; a fresh registry is created
 	// when nil.
 	Metrics *metrics.Durability
-	// Tracer, when non-nil, records a span tree for recovery (at Open)
-	// and for every checkpoint; nil disables storage tracing.
-	Tracer *trace.Tracer
 	// Logf, when non-nil, receives operational log lines (background
 	// checkpoint failures and recovery notes).
 	Logf func(format string, args ...any)
@@ -223,10 +218,6 @@ func readSnapshotFile(path string, noMmap bool) (data []byte, mapped bool, fallb
 // OpLog, so every mutation on DB() is durably logged before it
 // applies.
 func Open(dir string, cfg Config) (*Store, error) {
-	// The recovery trace is always retained (Start bypasses sampling);
-	// a failed open still finishes it, recording how far recovery got.
-	rctx, rtr := cfg.Tracer.Start(context.Background(), "recovery")
-	defer cfg.Tracer.Finish(rtr)
 	met := cfg.Metrics
 	if met == nil {
 		met = &metrics.Durability{}
@@ -291,7 +282,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 		}
 		return fmt.Errorf("store: replay: unknown record type %d at seq %d (written by a newer build?)", r.Type, r.Seq)
 	}
-	j, rec, err := journal.Open(rctx, journal.Config{
+	j, rec, err := journal.Open(journal.Config{
 		Dir:    dir,
 		Prefix: "snapshot-",
 		Suffix: ".ctdb",
@@ -422,24 +413,14 @@ func (s *Store) Checkpoint() (uint64, error) {
 // use it for the first and final snapshots. Callers hold ckptMu or
 // own the store exclusively.
 func (s *Store) checkpoint() (uint64, error) {
-	ctx, tr := s.cfg.Tracer.Start(context.Background(), "checkpoint")
-	defer s.cfg.Tracer.Finish(tr)
-	root := trace.SpanFrom(ctx)
-
-	boundary, fresh, err := s.j.Seal(ctx)
+	boundary, fresh, err := s.j.Seal()
 	if err != nil {
 		return 0, err
-	}
-	if root != nil {
-		root.SetAttr("boundary", boundary)
-		if !fresh {
-			root.SetAttr("noop", true)
-		}
 	}
 	if !fresh {
 		return boundary, nil // nothing new to cover
 	}
-	err = s.j.Commit(ctx, boundary, s.db.Save)
+	err = s.j.Commit(boundary, s.db.Save)
 	if err != nil {
 		return 0, err
 	}

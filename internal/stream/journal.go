@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -68,8 +67,6 @@ func (b *Broker) openJournal(cfg Config) error {
 	if dur == nil {
 		dur = &metrics.Durability{}
 	}
-	ctx, tr := b.tracer.Start(context.Background(), "stream_recovery")
-	defer b.tracer.Finish(tr)
 	load := func(path string) error {
 		if path == "" {
 			return nil // no checkpoint yet: start with no streams
@@ -93,7 +90,7 @@ func (b *Broker) openJournal(cfg Config) error {
 		}
 		return nil
 	}
-	j, rec, err := journal.Open(ctx, journal.Config{
+	j, rec, err := journal.Open(journal.Config{
 		Dir:    cfg.Dir,
 		Prefix: "streams-",
 		Suffix: ".snap",
@@ -227,8 +224,7 @@ func (b *Broker) Checkpoint() (uint64, error) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	ctx := context.Background()
-	boundary, fresh, err := j.Seal(ctx)
+	boundary, fresh, err := j.Seal()
 	var snaps []streamSnap
 	if fresh {
 		snaps = b.capture()
@@ -239,7 +235,7 @@ func (b *Broker) Checkpoint() (uint64, error) {
 	if err != nil || !fresh {
 		return boundary, err
 	}
-	err = j.Commit(ctx, boundary, func(w io.Writer) error {
+	err = j.Commit(boundary, func(w io.Writer) error {
 		return gob.NewEncoder(w).Encode(snapshotFile{Format: snapshotFormat, Boundary: boundary, Streams: snaps})
 	})
 	if err != nil {
@@ -280,7 +276,11 @@ func (b *Broker) capture() []streamSnap {
 // Record encoding: length-prefixed strings and uvarints; event
 // snapshots are raw 8-byte little-endian vocab.Sets. The per-shard
 // scratch buffer (under ingestMu) keeps the append path allocation-
-// light.
+// light. Decoders bound every count by the bytes that remain before
+// allocating, so a damaged or hostile record fails with
+// errCorruptRecord instead of a panic.
+
+var errCorruptRecord = errors.New("corrupt journal record")
 
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -290,20 +290,23 @@ func appendString(b []byte, s string) []byte {
 func readString(b []byte) (string, []byte, error) {
 	n, k := binary.Uvarint(b)
 	if k <= 0 || uint64(len(b)-k) < n {
-		return "", nil, errors.New("corrupt string")
+		return "", nil, fmt.Errorf("%w: string", errCorruptRecord)
 	}
 	return string(b[k : k+int(n)]), b[k+int(n):], nil
 }
 
-func (sh *shard) appendCreate(name string, contracts []string) error {
-	buf := sh.encBuf[:0]
-	buf = appendString(buf, name)
-	buf = binary.AppendUvarint(buf, uint64(len(contracts)))
+func encodeCreate(b []byte, name string, contracts []string) []byte {
+	b = appendString(b, name)
+	b = binary.AppendUvarint(b, uint64(len(contracts)))
 	for _, c := range contracts {
-		buf = appendString(buf, c)
+		b = appendString(b, c)
 	}
-	sh.encBuf = buf
-	_, err := sh.b.journal.Append(recCreate, buf)
+	return b
+}
+
+func (sh *shard) appendCreate(name string, contracts []string) error {
+	sh.encBuf = encodeCreate(sh.encBuf[:0], name, contracts)
+	_, err := sh.b.journal.Append(recCreate, sh.encBuf)
 	return err
 }
 
@@ -313,8 +316,9 @@ func decodeCreate(b []byte) (string, []string, error) {
 		return "", nil, err
 	}
 	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return "", nil, errors.New("corrupt contract count")
+	// Each contract name takes at least its one-byte length prefix.
+	if k <= 0 || n > uint64(len(b)-k) {
+		return "", nil, fmt.Errorf("%w: contract count", errCorruptRecord)
 	}
 	b = b[k:]
 	contracts := make([]string, 0, n)
@@ -335,16 +339,19 @@ func (sh *shard) appendDelete(name string) error {
 	return err
 }
 
-func (sh *shard) appendEvents(name string, first uint64, snaps []vocab.Set) error {
-	buf := sh.encBuf[:0]
-	buf = appendString(buf, name)
-	buf = binary.AppendUvarint(buf, first)
-	buf = binary.AppendUvarint(buf, uint64(len(snaps)))
+func encodeEvents(b []byte, name string, first uint64, snaps []vocab.Set) []byte {
+	b = appendString(b, name)
+	b = binary.AppendUvarint(b, first)
+	b = binary.AppendUvarint(b, uint64(len(snaps)))
 	for _, s := range snaps {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s))
+		b = binary.LittleEndian.AppendUint64(b, uint64(s))
 	}
-	sh.encBuf = buf
-	_, err := sh.b.journal.Append(recEvents, buf)
+	return b
+}
+
+func (sh *shard) appendEvents(name string, first uint64, snaps []vocab.Set) error {
+	sh.encBuf = encodeEvents(sh.encBuf[:0], name, first, snaps)
+	_, err := sh.b.journal.Append(recEvents, sh.encBuf)
 	return err
 }
 
@@ -355,12 +362,13 @@ func decodeEvents(b []byte) (string, uint64, []vocab.Set, error) {
 	}
 	first, k := binary.Uvarint(b)
 	if k <= 0 {
-		return "", 0, nil, errors.New("corrupt first index")
+		return "", 0, nil, fmt.Errorf("%w: first index", errCorruptRecord)
 	}
 	b = b[k:]
 	n, k := binary.Uvarint(b)
-	if k <= 0 || uint64(len(b)-k) != 8*n {
-		return "", 0, nil, errors.New("corrupt snapshot count")
+	// Compare by division: 8*n overflows for a hostile count.
+	if k <= 0 || n > uint64(len(b)-k)/8 || uint64(len(b)-k) != 8*n {
+		return "", 0, nil, fmt.Errorf("%w: snapshot count", errCorruptRecord)
 	}
 	b = b[k:]
 	snaps := make([]vocab.Set, n)

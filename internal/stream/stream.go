@@ -43,7 +43,6 @@ import (
 	"contractdb/internal/journal"
 	"contractdb/internal/metrics"
 	"contractdb/internal/monitor"
-	"contractdb/internal/trace"
 	"contractdb/internal/vocab"
 	"contractdb/internal/wal"
 )
@@ -97,8 +96,6 @@ type Config struct {
 	// Durability receives the journal WAL's counters; nil allocates a
 	// private set. Kept separate from the contract store's instance.
 	Durability *metrics.Durability
-	// Tracer spans recovery and journal appends; nil disables tracing.
-	Tracer *trace.Tracer
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -312,10 +309,6 @@ type task struct {
 	snaps     []vocab.Set
 	contracts []string
 	done      chan error
-	// link is the trace identity of the request that queued the task
-	// (invalid when untraced); the worker's apply records a linked
-	// trace under the same trace ID.
-	link trace.SpanContext
 }
 
 // shard owns one partition of the stream space: a mutex domain, the
@@ -354,7 +347,6 @@ type Broker struct {
 	src     ContractSource
 	shards  []*shard
 	met     *metrics.Stream
-	tracer  *trace.Tracer
 	logf    func(string, ...any)
 	journal *journal.Journal
 	ckptMu  sync.Mutex // serializes checkpoints (explicit, auto, final)
@@ -379,16 +371,12 @@ func New(src ContractSource, cfg Config) (*Broker, error) {
 		depth = DefaultQueueDepth
 	}
 	b := &Broker{
-		src:    src,
-		met:    cfg.Metrics,
-		tracer: cfg.Tracer,
-		logf:   cfg.Logf,
+		src:  src,
+		met:  cfg.Metrics,
+		logf: cfg.Logf,
 	}
 	if b.met == nil {
 		b.met = &metrics.Stream{}
-	}
-	if b.tracer == nil {
-		b.tracer = trace.New(trace.Config{})
 	}
 	if b.logf == nil {
 		b.logf = func(string, ...any) {}
@@ -465,16 +453,13 @@ func (b *Broker) Create(ctx context.Context, name string, contracts []string) (I
 	done := make(chan error, 1)
 	sh.ingestMu.Lock()
 	if b.journal != nil {
-		_, sp := trace.StartSpan(ctx, "stream_journal_append")
-		err := sh.appendCreate(name, contracts)
-		sp.End()
-		if err != nil {
+		if err := sh.appendCreate(name, contracts); err != nil {
 			sh.ingestMu.Unlock()
 			return Info{}, err
 		}
 	}
 	sh.noteDepth(sh.pending.Add(1))
-	sh.queue <- task{kind: taskCreate, name: name, contracts: contracts, done: done, link: trace.SpanContextFrom(ctx)}
+	sh.queue <- task{kind: taskCreate, name: name, contracts: contracts, done: done}
 	sh.ingestMu.Unlock()
 	b.bumpRecords()
 	select {
@@ -501,16 +486,13 @@ func (b *Broker) Delete(ctx context.Context, name string) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	if b.journal != nil {
-		_, sp := trace.StartSpan(ctx, "stream_journal_append")
-		err := sh.appendDelete(name)
-		sp.End()
-		if err != nil {
+		if err := sh.appendDelete(name); err != nil {
 			sh.ingestMu.Unlock()
 			return err
 		}
 	}
 	sh.noteDepth(sh.pending.Add(1))
-	sh.queue <- task{kind: taskDelete, name: name, done: done, link: trace.SpanContextFrom(ctx)}
+	sh.queue <- task{kind: taskDelete, name: name, done: done}
 	sh.ingestMu.Unlock()
 	b.bumpRecords()
 	select {
@@ -541,17 +523,14 @@ func (b *Broker) Append(ctx context.Context, name string, snaps []vocab.Set) (ui
 	}
 	first := st.accepted.Load()
 	if b.journal != nil {
-		_, sp := trace.StartSpan(ctx, "stream_journal_append")
-		err := sh.appendEvents(name, first, snaps)
-		sp.End()
-		if err != nil {
+		if err := sh.appendEvents(name, first, snaps); err != nil {
 			sh.ingestMu.Unlock()
 			return 0, err
 		}
 	}
 	st.accepted.Store(first + uint64(len(snaps)))
 	sh.noteDepth(sh.pending.Add(1))
-	sh.queue <- task{kind: taskEvents, name: name, first: first, snaps: snaps, link: trace.SpanContextFrom(ctx)}
+	sh.queue <- task{kind: taskEvents, name: name, first: first, snaps: snaps}
 	sh.ingestMu.Unlock()
 	b.bumpRecords()
 	return first, nil
@@ -782,39 +761,17 @@ func (sh *shard) lookup(name string) *stream {
 func (sh *shard) run() {
 	defer sh.b.wg.Done()
 	for t := range sh.queue {
-		// A traced producer (Append/Create/Delete under a traced
-		// request) gets a linked trace for its asynchronous apply, so
-		// the verdict work shows up under the request's trace ID.
-		var tr *trace.Trace
-		var sp *trace.Span
-		if t.link.Valid() {
-			var tctx context.Context
-			tctx, tr = sh.b.tracer.StartLinked(context.Background(), "stream_apply", t.link)
-			if sp = trace.SpanFrom(tctx); sp != nil {
-				sp.SetAttr("shard", sh.id)
-				if t.name != "" {
-					sp.SetAttr("stream", t.name)
-				}
-			}
-		}
 		var err error
 		switch t.kind {
 		case taskEvents:
 			start := time.Now()
 			err = sh.applyEvents(t.name, t.first, t.snaps)
 			sh.b.met.Apply.Observe(time.Since(start))
-			if sp != nil {
-				sp.SetAttr("events", len(t.snaps))
-			}
 		case taskCreate:
 			err = sh.applyCreate(t.name, t.contracts)
 		case taskDelete:
 			err = sh.applyDelete(t.name)
 		case taskBarrier:
-		}
-		if tr != nil {
-			sp.SetError(err)
-			sh.b.tracer.Finish(tr)
 		}
 		sh.pending.Add(-1)
 		if t.done != nil {

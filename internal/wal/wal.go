@@ -33,7 +33,6 @@
 package wal
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -46,7 +45,6 @@ import (
 	"time"
 
 	"contractdb/internal/metrics"
-	"contractdb/internal/trace"
 )
 
 const (
@@ -624,15 +622,6 @@ func (l *Log) PruneBelow(keep uint64) (int, error) {
 // concurrently with appends; recovery calls it before the log is
 // handed to writers.
 func (l *Log) Replay(from uint64, fn func(Record) error) error {
-	return l.ReplayCtx(context.Background(), from, fn)
-}
-
-// ReplayCtx is Replay under a context: when the context carries an
-// active trace span (the store's recovery trace), each segment read
-// gets a child span recording the file and the records it contributed.
-// The context is not consulted for cancellation — replay either
-// completes or the open fails.
-func (l *Log) ReplayCtx(ctx context.Context, from uint64, fn func(Record) error) error {
 	l.mu.Lock()
 	segs := append([]segment(nil), l.segs...)
 	l.mu.Unlock()
@@ -640,16 +629,7 @@ func (l *Log) ReplayCtx(ctx context.Context, from uint64, fn func(Record) error)
 		if seg.empty() || seg.last < from {
 			continue
 		}
-		_, sp := trace.StartSpan(ctx, "segment")
-		if sp != nil {
-			sp.SetAttr("path", filepath.Base(seg.path))
-			sp.SetAttr("first", seg.first)
-			sp.SetAttr("last", seg.last)
-		}
-		err := l.replaySegment(seg, from, fn)
-		sp.SetError(err)
-		sp.End()
-		if err != nil {
+		if err := l.replaySegment(seg, from, fn); err != nil {
 			return err
 		}
 	}
