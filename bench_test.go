@@ -16,7 +16,6 @@
 //	BenchmarkFig5Parallel/*       — sequential vs worker-pool candidate scan
 //	BenchmarkFindAny/*            — early-exit vs full match collection
 //	BenchmarkFig6/*               — Figure 6: per contract×query class
-//	BenchmarkRepeatedQuery*       — the result cache's payoff
 //	BenchmarkIndexBuildPrefilter  — §7.4: prefilter insertion
 //	BenchmarkIndexBuildProjections— §7.4: projection precompute
 //	BenchmarkAblation*            — seeds, kernels, label-set depth
@@ -105,7 +104,7 @@ func warm(tb testing.TB, db *core.DB, queries []*ltl.Expr, mode core.Mode) {
 
 // queryLoop times queries against db in mode, cycling the mix, after
 // a warm-up pass. NoCache is forced: these benches measure the cold
-// evaluation itself, not the result cache.
+// evaluation, translation included.
 func queryLoop(b *testing.B, db *core.DB, queries []*ltl.Expr, mode core.Mode) {
 	mode.NoCache = true
 	warm(b, db, queries, mode)
@@ -161,8 +160,7 @@ func BenchmarkTable2Datasets(b *testing.B) {
 
 // BenchmarkFig5Scan / BenchmarkFig5Optimized reproduce Figure 5's two
 // curves: per-query evaluation time vs database size, with the paper's
-// Algorithm 2 kernel. Iterations are never served from the result
-// cache (see BenchmarkRepeatedQuery for the cached path).
+// Algorithm 2 kernel. Every iteration translates its query afresh.
 func BenchmarkFig5Scan(b *testing.B) {
 	for _, size := range []int{50, 100, 200, 400} {
 		b.Run(fmt.Sprintf("contracts=%d", size), fig5Mix(size, fig5Scan))
@@ -196,7 +194,7 @@ func BenchmarkFig5Parallel(b *testing.B) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			mode := cfg.mode
 			mode.Parallelism = workers
-			mode.NoCache = true // measure the scan, not the result cache
+			mode.NoCache = true // every iteration translates afresh
 			b.Run(fmt.Sprintf("%s/workers=%d", cfg.name, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					q := queries[i%len(queries)]
@@ -233,39 +231,6 @@ func BenchmarkFig6(b *testing.B) {
 		}
 	}
 }
-
-// benchRepeatedQuery drives the same query mix against a 500-contract
-// database over and over — the repeated-workload regime the two-tier
-// query cache targets. cached=false bypasses the caches (every
-// iteration pays translation + scan); cached=true primes both tiers
-// once, then every timed iteration is a result-cache serve.
-func benchRepeatedQuery(b *testing.B, cached bool) {
-	db := contractDB(b, datagen.SimpleContracts, 500)
-	queries := benchQueries(b, db.Vocabulary(), 3)
-	mode := fig5Mode
-	mode.NoCache = !cached
-	if cached {
-		warm(b, db, queries, mode)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		res, err := db.QueryMode(q, mode)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cached && !res.Stats.CacheHit {
-			b.Fatal("warm iteration was not served from the result cache")
-		}
-	}
-}
-
-// BenchmarkRepeatedQueryCold / BenchmarkRepeatedQueryWarm bound the
-// result cache's payoff: identical workload, caches off vs. primed.
-// Warm serves skip translation, prefilter and the whole candidate
-// scan, so the warm/cold ratio is the headline speedup.
-func BenchmarkRepeatedQueryCold(b *testing.B) { benchRepeatedQuery(b, false) }
-func BenchmarkRepeatedQueryWarm(b *testing.B) { benchRepeatedQuery(b, true) }
 
 // BenchmarkIndexBuildPrefilter measures §7.4's prefilter insertion
 // cost per contract.

@@ -227,7 +227,7 @@ func cmdQuery(args []string) error {
 	findAny := fs.Bool("find-any", false, "stop at the first permitting contract")
 	budget := fs.Int("budget", 0, "kernel step budget per candidate check (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "abort the evaluation after this long (0 = none)")
-	noCache := fs.Bool("no-cache", false, "bypass the query-compilation and result caches")
+	noCache := fs.Bool("no-cache", false, "bypass the query-compilation cache")
 	repeat := fs.Int("repeat", 1, "run the query N times, reporting cold vs. warm latency")
 	explain := fs.Bool("explain", false, "trace the first evaluation and print its span tree")
 	fs.Parse(args)
@@ -302,16 +302,16 @@ func cmdQuery(args []string) error {
 		fmt.Fprint(os.Stderr, tr.Pretty())
 	}
 	if *repeat > 1 {
-		// The first run was cold (fresh process, empty caches); the rest
-		// measure the warm path. Wall time, not stage sums — cached
-		// serves skip every stage.
-		fmt.Fprintf(os.Stderr, "%-4s  %-22s  %12s  %-6s  %s\n",
-			"run", "request-id", "elapsed", "cached", "stages")
+		// The first run was cold (fresh process, empty compile cache);
+		// the rest measure the warm path, where a compile-cache hit skips
+		// translation and the prefilter and scan run again.
+		fmt.Fprintf(os.Stderr, "%-4s  %-22s  %12s  %s\n",
+			"run", "request-id", "elapsed", "stages")
 		var warmTotal, warmMin time.Duration
-		cachedServes := 0
+		compileHits := 0
 		for i, r := range runs {
-			fmt.Fprintf(os.Stderr, "%-4d  %-22s  %12v  %-6t  %s\n",
-				i, r.id, r.elapsed.Round(time.Microsecond), r.stats.CacheHit, stageSummary(r.stats))
+			fmt.Fprintf(os.Stderr, "%-4d  %-22s  %12v  %s\n",
+				i, r.id, r.elapsed.Round(time.Microsecond), stageSummary(r.stats))
 			if i == 0 {
 				continue
 			}
@@ -319,24 +319,21 @@ func cmdQuery(args []string) error {
 			if warmMin == 0 || r.elapsed < warmMin {
 				warmMin = r.elapsed
 			}
-			if r.stats.CacheHit {
-				cachedServes++
+			if r.stats.CompileHit {
+				compileHits++
 			}
 		}
-		fmt.Fprintf(os.Stderr, "repeat %d: cold %v, warm avg %v, warm min %v (%d/%d served from cache)\n",
+		fmt.Fprintf(os.Stderr, "repeat %d: cold %v, warm avg %v, warm min %v (%d/%d compile-cache hits)\n",
 			*repeat, runs[0].elapsed.Round(time.Microsecond),
 			(warmTotal / time.Duration(*repeat-1)).Round(time.Microsecond),
-			warmMin.Round(time.Microsecond), cachedServes, *repeat-1)
+			warmMin.Round(time.Microsecond), compileHits, *repeat-1)
 	}
 	return nil
 }
 
 // stageSummary compresses a run's per-stage latencies for the -repeat
-// table: translate / filter / check, or the cache when no stage ran.
+// table: translate / filter / check.
 func stageSummary(st core.QueryStats) string {
-	if st.CacheHit {
-		return "result-cache"
-	}
 	return fmt.Sprintf("t=%v f=%v c=%v",
 		st.Translate.Round(time.Microsecond),
 		st.Filter.Round(time.Microsecond),

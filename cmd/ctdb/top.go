@@ -55,9 +55,8 @@ func cmdTop(args []string) error {
 		if !*once {
 			b.WriteString("\x1b[2J\x1b[H") // clear screen, home cursor
 		}
-		fmt.Fprintf(&b, "ctdb top — %s  contracts=%d  queries=%d (%d errored)%s  result-cache %d/%d hit  up %s\n",
+		fmt.Fprintf(&b, "ctdb top — %s  contracts=%d  queries=%d (%d errored)%s  up %s\n",
 			*addr, m.Contracts, m.Queries.Queries, m.Queries.Errored, rate,
-			m.Queries.ResultCacheHits, m.Queries.ResultCacheHits+m.Queries.ResultCacheMisses,
 			(time.Duration(m.UptimeSeconds) * time.Second).String())
 		fmt.Fprintf(&b, "%-6s %-8s %-9s %10s %6s %12s %-34s %s\n",
 			"seq", "verdict", "cache", "dur", "match", "cand/corpus", "query", "request")

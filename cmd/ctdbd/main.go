@@ -66,15 +66,12 @@ func main() {
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always | interval | never")
 	fsyncInterval := flag.Duration("fsync-interval", wal.DefaultSyncInterval, "flush period under -fsync interval")
 	checkpointEvery := flag.Int("checkpoint-every", store.DefaultCheckpointRecords, "auto-checkpoint after this many logged operations (negative disables)")
-	mmapMode := flag.String("mmap", "auto", "snapshot load path: auto maps v4 containers copy-on-write and adopts slabs zero-copy, off reads into the heap")
 	shards := flag.Int("shards", 0, "partition the database across this many scatter-gather shards (0 or 1 = one shard)")
 	streamShards := flag.Int("stream-shards", 1, "ingest workers for the live stream-monitoring subsystem (0 disables /v1/streams)")
 	streamQueue := flag.Int("stream-queue", 0, "pending event batches per stream-ingest shard before pushes block (0 = default)")
 	parallelism := flag.Int("parallelism", 0, "query worker-pool width (0 = GOMAXPROCS, 1 = sequential)")
 	queryTimeout := flag.Duration("query-timeout", 0, "server-side deadline per query evaluation (0 = none)")
 	stepBudget := flag.Int("step-budget", 0, "default kernel step budget per candidate check (0 = unlimited)")
-	queryCacheSize := flag.Int("query-cache-size", 0, "compiled-query (automaton) cache capacity (0 = default, negative = disabled)")
-	resultCacheSize := flag.Int("result-cache-size", 0, "query result cache capacity (0 = default, negative = disabled)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 	slowQuery := flag.Duration("slow-query", 0, "log queries at least this slow as \"slow query\" and always keep them in the insights log (0 = disabled)")
@@ -96,15 +93,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ctdbd: %v\n", err)
 		os.Exit(2)
 	}
-	if *mmapMode != "auto" && *mmapMode != "off" {
-		fmt.Fprintf(os.Stderr, "ctdbd: unknown -mmap %q (want auto or off)\n", *mmapMode)
-		os.Exit(2)
-	}
 	policy, err := wal.ParseSyncPolicy(*fsync)
 	if err != nil {
 		log.Fatalf("ctdbd: %v", err)
 	}
-	st, err := openStore(*dataDir, *events, policy, *fsyncInterval, *checkpointEvery, *shards, *mmapMode == "off")
+	st, err := openStore(*dataDir, *events, policy, *fsyncInterval, *checkpointEvery, *shards)
 	if err != nil {
 		log.Fatalf("ctdbd: %v", err)
 	}
@@ -112,9 +105,6 @@ func main() {
 
 	if *parallelism > 0 {
 		db.SetParallelism(*parallelism)
-	}
-	if *queryCacheSize != 0 || *resultCacheSize != 0 {
-		db.SetCacheSizes(*queryCacheSize, *resultCacheSize)
 	}
 
 	srv := server.New(db)
@@ -239,7 +229,7 @@ func recoveryState(r store.RecoveryInfo) *server.RecoveryState {
 	}
 }
 
-func openStore(dir, events string, policy wal.SyncPolicy, fsyncInterval time.Duration, checkpointEvery, shards int, noMmap bool) (*store.Store, error) {
+func openStore(dir, events string, policy wal.SyncPolicy, fsyncInterval time.Duration, checkpointEvery, shards int) (*store.Store, error) {
 	var names []string
 	if events != "" {
 		names = strings.Split(events, ",")
@@ -247,7 +237,6 @@ func openStore(dir, events string, policy wal.SyncPolicy, fsyncInterval time.Dur
 	st, err := store.Open(dir, store.Config{
 		Events:            names,
 		Shards:            shards,
-		NoMmap:            noMmap,
 		Sync:              policy,
 		SyncInterval:      fsyncInterval,
 		CheckpointRecords: checkpointEvery,

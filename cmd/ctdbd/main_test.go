@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -39,15 +40,34 @@ func freeAddr(t *testing.T) string {
 	return l.Addr().String()
 }
 
+// logBuffer collects a daemon's combined output. exec's copy goroutine
+// writes it while the test reads it, so both sides take the mutex.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 type daemon struct {
 	cmd  *exec.Cmd
-	logs *bytes.Buffer
+	logs *logBuffer
 	addr string
 }
 
 func startDaemon(t *testing.T, bin, dataDir string, extra ...string) *daemon {
 	t.Helper()
-	d := &daemon{logs: &bytes.Buffer{}, addr: freeAddr(t)}
+	d := &daemon{logs: &logBuffer{}, addr: freeAddr(t)}
 	args := append([]string{"-data-dir", dataDir, "-addr", d.addr, "-events", "pay,use,refund"}, extra...)
 	d.cmd = exec.Command(bin, args...)
 	d.cmd.Stderr = d.logs

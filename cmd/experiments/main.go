@@ -298,9 +298,9 @@ func registerContracts(db *core.DB, gen *datagen.Generator, properties, target i
 // timed run.
 func measure(db *core.DB, queries []*ltl.Expr) (scan, opt []time.Duration) {
 	base := kernel()
-	// NoCache everywhere: the warm-up run would otherwise turn the
-	// timed run into a result-cache serve with zeroed stage times,
-	// which is not the evaluation Figure 5 measures.
+	// NoCache everywhere: the warm-up run would otherwise leave the
+	// timed run a compile-cache hit with no translation time, which is
+	// not the evaluation Figure 5 measures.
 	for _, q := range queries {
 		if _, err := db.QueryMode(q, core.Mode{Prefilter: true, Bisim: true, Algorithm: base, NoCache: true}); err != nil {
 			log.Fatal(err)

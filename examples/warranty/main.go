@@ -76,8 +76,8 @@ func main() {
 		return total, matches, candidates
 	}
 
-	// Bypass the result cache, so every run evaluates its queries, and
-	// warm the lazy projection caches first so the timed optimized run
+	// Bypass the compile cache, so every run translates its queries,
+	// and warm the lazy projection caches first so the timed optimized run
 	// reflects the steady state (the paper precomputes everything at
 	// registration).
 	scanMode := contracts.Mode{NoCache: true}

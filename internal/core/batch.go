@@ -145,11 +145,9 @@ func (db *DB) RegisterBatch(specs []Registration, workers int) []BatchResult {
 	wg.Wait()
 
 	// Phase 2 (serialized): id assignment, duplicate checks, prefilter
-	// merges. One epoch bump covers the whole batch — cached query
-	// results from before the batch are invalidated exactly once.
+	// merges.
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	registered := 0
 	charged := make(map[*group]bool) // first member pays the group's cost
 	out := make([]BatchResult, len(specs))
 	for i, g := range order {
@@ -193,10 +191,6 @@ func (db *DB) RegisterBatch(specs []Registration, workers int) []BatchResult {
 		db.contracts = append(db.contracts, c)
 		db.byName[name] = c
 		out[i].Contract = c
-		registered++
-	}
-	if registered > 0 {
-		db.epoch++
 	}
 	return out
 }

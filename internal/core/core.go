@@ -59,25 +59,18 @@ type Options struct {
 	// step). Zero selects GOMAXPROCS; 1 forces the sequential scan.
 	// Mode.Parallelism overrides it per query.
 	Parallelism int
-	// QueryCacheSize bounds the tier-1 compilation cache (canonical
-	// query → translated automata). Zero selects
-	// DefaultQueryCacheSize; negative disables the cache (and with it
-	// the result cache, which keys off canonical forms).
+	// QueryCacheSize bounds the compilation cache (canonical query →
+	// translated automata). Zero selects DefaultQueryCacheSize;
+	// negative disables the cache.
 	QueryCacheSize int
-	// ResultCacheSize bounds the tier-2 result cache ((canonical
-	// query, mode) → Result, invalidated by registration epoch). Zero
-	// selects DefaultResultCacheSize; negative disables it.
+	// ResultCacheSize is ignored: query results are not cached. The
+	// field remains because snapshot heads serialize Options as JSON
+	// and existing callers still set it.
 	ResultCacheSize int
 }
 
-// Default capacities of the two query-cache tiers. Compiled automata
-// are the expensive artifact (hundreds of states each) so tier 1 is
-// smaller; cached results are a name list plus counters, so tier 2
-// can afford to remember a broader working set.
-const (
-	DefaultQueryCacheSize  = 512
-	DefaultResultCacheSize = 4096
-)
+// DefaultQueryCacheSize is the compilation cache's default capacity.
+const DefaultQueryCacheSize = 512
 
 // DefaultProjectionBudget bounds projection precomputation to event
 // subsets of size ≤ 6, which covers the simple and medium query
@@ -121,16 +114,6 @@ func (o Options) queryCacheSize() int {
 	return o.QueryCacheSize
 }
 
-func (o Options) resultCacheSize() int {
-	switch {
-	case o.ResultCacheSize == 0:
-		return DefaultResultCacheSize
-	case o.ResultCacheSize < 0:
-		return 0
-	}
-	return o.ResultCacheSize
-}
-
 // Algorithm selects the permission-search kernel; see the permission
 // package. The zero value is the fast single-pass SCC search; the
 // paper's Algorithm 2 is available as AlgorithmNestedDFS for
@@ -165,9 +148,9 @@ type Mode struct {
 	// positive (1 forces a sequential scan, which the benchmarks use
 	// to compare against the worker pool on one database).
 	Parallelism int
-	// NoCache bypasses both query-cache tiers for this evaluation: the
-	// query is translated and the candidate set scanned from scratch,
-	// and nothing is stored. The experiment harness uses it so cache
+	// NoCache bypasses the compilation cache for this evaluation: the
+	// query is translated from scratch and nothing is stored. The
+	// experiment harness uses it so cache
 	// hits cannot contaminate the paper's measurements, and the
 	// differential tests use it as the uncached oracle.
 	NoCache bool
@@ -304,22 +287,10 @@ type DB struct {
 	// is updated outside db.mu.
 	metrics *metrics.Query
 
-	// epoch counts completed mutations (registrations, batch loads,
-	// unregistrations); it stamps result-cache entries so any mutation
-	// invalidates cached results
-	// without clearing the cache or blocking queries. Guarded by mu
-	// (bumped under the write lock, read under the read lock, so it is
-	// constant for the duration of any evaluation).
-	epoch uint64
-
-	// The two query-cache tiers (nil when disabled via Options).
-	// compile memoizes LTL→BA translation per canonical query form;
-	// it is atomic because queries translate outside mu while
-	// SetCacheSizes swaps it. results memoizes whole Results per
-	// (canonical query, mode) at one epoch and is used under mu's read
-	// lock. Both have internal locks.
-	compile atomic.Pointer[qcache.CompileCache]
-	results *qcache.ResultCache
+	// compile memoizes LTL→BA translation per canonical query form (nil
+	// when Options disables it). Set once by NewDB; it has its own lock,
+	// so queries use it outside mu.
+	compile *qcache.CompileCache
 }
 
 // NewDB returns an empty database over the given vocabulary.
@@ -331,29 +302,11 @@ func NewDB(voc *vocab.Vocabulary, opts Options) *DB {
 		index:   prefilter.New(opts.prefilterK()),
 		metrics: &metrics.Query{},
 	}
-	db.initCaches()
+	db.compile = NewCompileCache(opts, db.metrics)
 	return db
 }
 
-// initCaches (re)builds both cache tiers from db.opts, wiring their
-// counters into the metrics registry. Callers hold the write lock (or
-// own the DB exclusively, as NewDB does).
-func (db *DB) initCaches() {
-	db.results = nil
-	cc := NewCompileCache(db.opts, db.metrics)
-	db.compile.Store(cc)
-	// Tier 2 requires tier 1: result keys are canonical forms.
-	if n := db.opts.resultCacheSize(); cc != nil && n > 0 {
-		db.results = qcache.NewResultCache(n, qcache.Metrics{
-			Hits:          &db.metrics.ResultCacheHits,
-			Misses:        &db.metrics.ResultCacheMisses,
-			Evictions:     &db.metrics.ResultCacheEvictions,
-			Invalidations: &db.metrics.ResultCacheInvalidation,
-		})
-	}
-}
-
-// NewCompileCache builds the tier-1 compile cache opts asks for,
+// NewCompileCache builds the compile cache opts asks for,
 // counting its traffic into m; nil when opts disables it.
 func NewCompileCache(opts Options, m *metrics.Query) *qcache.CompileCache {
 	n := opts.queryCacheSize()
@@ -365,26 +318,6 @@ func NewCompileCache(opts Options, m *metrics.Query) *qcache.CompileCache {
 		Misses:    &m.QueryCacheMisses,
 		Evictions: &m.QueryCacheEvictions,
 	})
-}
-
-// SetCacheSizes rebuilds the query caches with new capacities, using
-// Options semantics (0 = default, negative = disabled). Existing
-// cached entries are dropped.
-func (db *DB) SetCacheSizes(queryCache, resultCache int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.opts.QueryCacheSize = queryCache
-	db.opts.ResultCacheSize = resultCache
-	db.initCaches()
-}
-
-// Epoch returns the registration epoch: the number of successful
-// registration operations. Cached results are only served at the
-// epoch they were computed in.
-func (db *DB) Epoch() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.epoch
 }
 
 // SetParallelism changes the worker-pool width for subsequent queries
@@ -400,7 +333,7 @@ func (db *DB) SetParallelism(n int) {
 func (db *DB) Vocabulary() *vocab.Vocabulary { return db.voc }
 
 // Options returns the database's registration options as currently in
-// effect (SetCacheSizes and SetParallelism mutate them).
+// effect (SetParallelism mutates them).
 func (db *DB) Options() Options {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -514,7 +447,6 @@ func (db *DB) Register(name string, spec *ltl.Expr) (*Contract, error) {
 
 	db.contracts = append(db.contracts, c)
 	db.byName[name] = c
-	db.epoch++
 	db.registerTime += time.Since(start)
 	db.mu.Unlock()
 	return c, nil
@@ -566,11 +498,10 @@ func (db *DB) SetOpLog(l OpLog) {
 var ErrNotFound = errors.New("contract not found")
 
 // Unregister removes the named contract: its entry, its prefilter
-// postings and its projection partitions all go, the remaining
-// contracts are re-identified densely, and the cache epoch advances so
-// no cached result can keep serving the removed contract. Unknown
-// names report ErrNotFound. With an OpLog attached the removal is
-// logged before it is applied.
+// postings and its projection partitions all go, and the remaining
+// contracts are re-identified densely. Unknown names report
+// ErrNotFound. With an OpLog attached the removal is logged before it
+// is applied.
 func (db *DB) Unregister(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -604,7 +535,6 @@ func (db *DB) removeLocked(c *Contract) {
 	}
 	db.index = ix
 	db.indexTime += time.Since(t)
-	db.epoch++
 }
 
 // effectiveBudget adapts the projection budget to the automaton size:
@@ -651,14 +581,8 @@ type QueryStats struct {
 
 	Permission permission.Stats // aggregated checker work counters
 
-	// CacheHit reports the result was served from the result cache.
-	// The counts (Total, Candidates, Permitted) describe the original
-	// evaluation; the durations and per-check counters are zero
-	// because no translation or scan ran.
-	CacheHit bool
-	// CompileHit reports the canonical compile cache (tier 1) served
-	// the query automaton, so no LTL→BA translation ran. Implied by
-	// CacheHit; meaningful on its own when the scan still had to run.
+	// CompileHit reports the canonical compile cache served the query
+	// automaton, so no LTL→BA translation ran.
 	CompileHit bool
 
 	// Shards, on results from the sharded router, is the per-probe
@@ -675,7 +599,6 @@ type ShardProbeStat struct {
 	Candidates int           // survived the shard's prefilter
 	Checked    int           // kernel checks executed
 	Steps      int64         // product-automaton steps spent
-	Cached     bool          // served from the shard's result cache
 }
 
 // Elapsed returns the query's total evaluation time, the quantity the

@@ -55,34 +55,13 @@ func (db *DB) QueryObligationModeCtx(ctx context.Context, spec *ltl.Expr, mode M
 	return db.evalQuery(ctx, spec, mode, true)
 }
 
-// cachedResult is the tier-2 payload: the match set and the stats of
-// the evaluation that produced it. Matches are immutable shared
-// contracts; hits hand out a fresh slice.
-type cachedResult struct {
-	matches []*Contract
-	stats   QueryStats
-}
-
-// resultCacheKey builds the tier-2 key: the canonical query key plus
-// every mode knob that can change the answer or whose measurements
-// must not cross-contaminate (Prefilter/Bisim do not change answers
-// but keep ablation runs honest). Parallelism is deliberately
-// excluded — find-all answers are deterministic across pool widths,
-// and a FindAny answer from any width is a valid witness.
-func resultCacheKey(canonical string, mode Mode, obligation bool) string {
-	return fmt.Sprintf("%s|p%t|b%t|a%d|f%t|s%d|o%t",
-		canonical, mode.Prefilter, mode.Bisim, mode.Algorithm, mode.FindAny, mode.StepBudget, obligation)
-}
-
 // Translate is the broker's translate step, shared by DB's own query
-// path and the shard router: canonicalize through the tier-1 compile
-// cache cc (skipped when cc is nil or mode.NoCache) and build — or
-// reuse — the automaton of the query, or of its negation for an
-// obligation. key is the canonical query key that addresses tier-2
-// result caches; it is empty exactly when caching is off for this
-// evaluation. compileHit reports a tier-1 hit. It takes no database
-// lock: the vocabulary and the cache are safe for concurrent use.
-func Translate(ctx context.Context, voc *vocab.Vocabulary, cc *qcache.CompileCache, spec *ltl.Expr, mode Mode, obligation bool) (qa *buchi.BA, key string, compileHit bool, err error) {
+// path and the shard router: canonicalize through the compile cache cc
+// (skipped when cc is nil or mode.NoCache) and build — or reuse — the
+// automaton of the query, or of its negation for an obligation.
+// compileHit reports a compile-cache hit. It takes no database lock:
+// the vocabulary and the cache are safe for concurrent use.
+func Translate(ctx context.Context, voc *vocab.Vocabulary, cc *qcache.CompileCache, spec *ltl.Expr, mode Mode, obligation bool) (qa *buchi.BA, compileHit bool, err error) {
 	var compiled *qcache.Compiled
 	if cc != nil && !mode.NoCache {
 		_, csp := trace.StartSpan(ctx, "canonicalize")
@@ -94,7 +73,6 @@ func Translate(ctx context.Context, voc *vocab.Vocabulary, cc *qcache.CompileCac
 	}
 	_, tsp := trace.StartSpan(ctx, "translate")
 	if compiled != nil {
-		key = compiled.Key
 		qa, err = compiled.Automaton(obligation, func(f *ltl.Expr) (*buchi.BA, error) {
 			return ltl2ba.Translate(voc, f)
 		})
@@ -110,20 +88,12 @@ func Translate(ctx context.Context, voc *vocab.Vocabulary, cc *qcache.CompileCac
 	}
 	tsp.SetError(err)
 	tsp.End()
-	return qa, key, compileHit, err
+	return qa, compileHit, err
 }
 
-// evalQuery is the shared query path: resolve the automaton through
-// the compilation cache (outside the lock, like the shard router),
-// then serve a result-cache hit if one is valid at the current epoch,
-// otherwise prefilter (permission queries only — the index
-// over-approximates permission, which is the wrong side for
-// obligation's negated query), scan, and populate the result cache.
-//
-// Everything after translation runs under mu's read lock, so the epoch
-// read here is the epoch of everything the scan observes; results
-// stored with it can never leak across a registration (which takes the
-// write lock and bumps the epoch before the next reader starts).
+// evalQuery is the single-database query path: translate through the
+// compile cache outside the lock (like the shard router), then
+// evaluate the automaton under a "scan" span (EvalCompiled).
 func (db *DB) evalQuery(ctx context.Context, spec *ltl.Expr, mode Mode, obligation bool) (*Result, error) {
 	db.metrics.Queries.Inc()
 
@@ -132,78 +102,30 @@ func (db *DB) evalQuery(ctx context.Context, spec *ltl.Expr, mode Mode, obligati
 		errPrefix = "core: obligation query"
 	}
 
-	var stats QueryStats
 	start := time.Now()
-	qa, key, tier1, err := Translate(ctx, db.voc, db.compile.Load(), spec, mode, obligation)
-	stats.CompileHit = tier1
+	qa, compileHit, err := Translate(ctx, db.voc, db.compile, spec, mode, obligation)
 	if err != nil {
 		db.metrics.Errored.Inc()
 		return nil, fmt.Errorf("%s: %w", errPrefix, err)
 	}
-	stats.Translate = time.Since(start)
-	db.metrics.Translate.Observe(stats.Translate)
-
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	stats.Total = len(db.contracts)
-	var resKey string
-	if key != "" && db.results != nil {
-		resKey = resultCacheKey(key, mode, obligation)
-		if res, ok := db.serveCachedLocked(ctx, resKey, start); ok {
-			return res, nil
-		}
-	}
-
-	candidates := db.prefilterLocked(ctx, qa, mode, obligation, &stats)
+	translate := time.Since(start)
+	db.metrics.Translate.Observe(translate)
 
 	sctx, ssp := trace.StartSpan(ctx, "scan")
-	res, err := db.finishQuery(sctx, qa, candidates, mode, obligation, &stats)
-	if ssp != nil {
-		ssp.SetAttr("checked", stats.Checked)
-		ssp.SetAttr("steps", stats.Permission.Steps)
-		if res != nil {
-			ssp.SetAttr("matched", len(res.Matches))
-		}
+	res, err := db.EvalCompiled(sctx, qa, mode, obligation)
+	if ssp != nil && res != nil {
+		ssp.SetAttr("checked", res.Stats.Checked)
+		ssp.SetAttr("steps", res.Stats.Permission.Steps)
+		ssp.SetAttr("matched", len(res.Matches))
 	}
 	ssp.SetError(err)
 	ssp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", errPrefix, err)
 	}
-	if resKey != "" {
-		db.results.Put(resKey, db.epoch, &cachedResult{matches: res.Matches, stats: res.Stats})
-	}
+	res.Stats.Translate = translate
+	res.Stats.CompileHit = compileHit
 	return res, nil
-}
-
-// serveCachedLocked attempts a tier-2 hit for resKey at the current
-// epoch and, on a hit, assembles the served Result (fresh match slice,
-// zeroed work counters, CacheHit stamped). Callers hold mu's read lock
-// and have already built resKey.
-func (db *DB) serveCachedLocked(ctx context.Context, resKey string, start time.Time) (*Result, bool) {
-	_, rsp := trace.StartSpan(ctx, "result_cache")
-	v, ok := db.results.Get(resKey, db.epoch)
-	if rsp != nil {
-		rsp.SetAttr("hit", ok)
-	}
-	rsp.End()
-	if !ok {
-		return nil, false
-	}
-	cr := v.(*cachedResult)
-	st := cr.stats
-	st.Translate, st.Filter, st.Check, st.ProjPick = 0, 0, 0, 0
-	st.Checked = 0
-	st.Permission = permission.Stats{}
-	st.CacheHit = true
-	st.CompileHit = true
-	db.metrics.CachedServe.Observe(time.Since(start))
-	db.metrics.Permitted.Add(int64(len(cr.matches)))
-	if root := trace.SpanFrom(ctx); root != nil {
-		root.SetAttr("cached", true)
-		root.SetAttr("matched", len(cr.matches))
-	}
-	return &Result{Matches: append([]*Contract(nil), cr.matches...), Stats: st}, true
 }
 
 // prefilterLocked computes the candidate set for qa: the prefiltered
@@ -235,46 +157,25 @@ func (db *DB) prefilterLocked(ctx context.Context, qa *buchi.BA, mode Mode, obli
 }
 
 // EvalCompiled evaluates an already-translated query automaton against
-// this database's corpus. It is the per-shard entry point of the
-// scatter-gather router (internal/shard): the router canonicalizes and
-// translates the query once, then fans the shared automaton out to
-// every shard, so the per-shard path must not pay translation again.
+// this database's corpus under mu's read lock: prefilter (permission
+// queries only — the index over-approximates permission, which is the
+// wrong side for obligation's negated query), then the candidate scan.
+// It is the body of the DB's own query methods and the per-shard entry
+// point of the scatter-gather router (internal/shard), which
+// translates the query once and fans the shared automaton out to every
+// shard, so this path must not pay translation again.
 //
-// key, when non-empty, is the router's canonical query key
-// (ltl.CanonicalKey of the query); combined with the mode knobs it
-// addresses this database's tier-2 result cache. An empty key, a
-// NoCache mode, or a disabled cache all skip caching entirely.
-//
-// Unlike the DB's own query methods, EvalCompiled does not count a
-// top-level query in the metrics registry and emits no "scan" span —
-// the router owns both — but every work counter (candidate scans,
-// kernel steps, cache traffic) accrues to this database, and the
-// per-candidate "check" spans nest under the caller's span.
-func (db *DB) EvalCompiled(ctx context.Context, qa *buchi.BA, key string, mode Mode, obligation bool) (*Result, error) {
+// EvalCompiled does not count a top-level query in the metrics
+// registry and emits no "scan" span — its callers own both — but every
+// work counter (candidate scans, kernel steps) accrues to this
+// database, and the "prefilter" and per-candidate "check" spans nest
+// under the caller's span.
+func (db *DB) EvalCompiled(ctx context.Context, qa *buchi.BA, mode Mode, obligation bool) (*Result, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-
-	var stats QueryStats
-	stats.Total = len(db.contracts)
-
-	start := time.Now()
-	var resKey string
-	if key != "" && !mode.NoCache && db.results != nil {
-		resKey = resultCacheKey(key, mode, obligation)
-		if res, ok := db.serveCachedLocked(ctx, resKey, start); ok {
-			return res, nil
-		}
-	}
-
+	stats := QueryStats{Total: len(db.contracts)}
 	candidates := db.prefilterLocked(ctx, qa, mode, obligation, &stats)
-	res, err := db.finishQuery(ctx, qa, candidates, mode, obligation, &stats)
-	if err != nil {
-		return nil, err
-	}
-	if resKey != "" {
-		db.results.Put(resKey, db.epoch, &cachedResult{matches: res.Matches, stats: res.Stats})
-	}
-	return res, nil
+	return db.finishQuery(ctx, qa, candidates, mode, obligation, &stats)
 }
 
 // finishQuery runs the candidate scan, folds its accounting into the
@@ -468,16 +369,12 @@ type DBStats struct {
 	Caches       CacheStats
 }
 
-// CacheStats is a point-in-time view of the query caches: current
-// occupancy and capacity per tier, plus the registration epoch that
-// gates result-cache validity. Hit/miss/eviction counters live in the
+// CacheStats is a point-in-time view of the compile cache: its
+// occupancy and capacity. Hit/miss/eviction counters live in the
 // Queries snapshot.
 type CacheStats struct {
-	Epoch          uint64
-	QueryCacheLen  int
-	QueryCacheCap  int
-	ResultCacheLen int
-	ResultCacheCap int
+	QueryCacheLen int
+	QueryCacheCap int
 }
 
 // Stats returns a point-in-time view of the database's registration
@@ -491,18 +388,11 @@ func (db *DB) Stats() DBStats {
 	}
 }
 
-// CacheStats returns the cache gauges. Safe for concurrent use.
+// CacheStats returns the compile-cache gauges (zero when the cache is
+// disabled). Safe for concurrent use.
 func (db *DB) CacheStats() CacheStats {
-	db.mu.RLock()
-	cs := CacheStats{Epoch: db.epoch}
-	results := db.results
-	db.mu.RUnlock()
-	compile := db.compile.Load()
-	if compile != nil {
-		cs.QueryCacheLen, cs.QueryCacheCap = compile.Len(), compile.Cap()
+	if db.compile == nil {
+		return CacheStats{}
 	}
-	if results != nil {
-		cs.ResultCacheLen, cs.ResultCacheCap = results.Len(), results.Cap()
-	}
-	return cs
+	return CacheStats{QueryCacheLen: db.compile.Len(), QueryCacheCap: db.compile.Cap()}
 }

@@ -56,8 +56,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 		{Prefilter: true, Bisim: true, Algorithm: AlgorithmNestedDFS},
 	}
 	for mi, base := range modes {
-		// The point is to compare scan accounting across pool widths, so
-		// the repeat runs must not be served from the result cache.
+		// The point is to compare accounting across pool widths, so every
+		// run translates afresh.
 		base.NoCache = true
 		for qi, q := range queries {
 			seqMode := base

@@ -714,7 +714,6 @@ func (db *DB) install(c *Contract, deferred bool, events []string) error {
 	db.byName[c.Name] = c
 	db.index.InsertPrepared(int(c.ID), prefilter.PrepareCompiled(c.auto.Compiled(), db.index.K()))
 	db.projectionTime += projElapsed
-	db.epoch++
 	db.mu.Unlock()
 	return nil
 }

@@ -104,8 +104,9 @@ func TestUnregisterNotFound(t *testing.T) {
 	}
 }
 
-// TestUnregisterInvalidatesCache: a cached result must not keep
-// serving a contract that has since been removed.
+// TestUnregisterInvalidatesCache: a query whose automaton the compile
+// cache already holds, asked again after an unregister, no longer
+// returns the removed contract.
 func TestUnregisterInvalidatesCache(t *testing.T) {
 	db := core.NewDB(datagen.NewVocabulary(), core.Options{})
 	if _, err := db.RegisterLTL("keep", "G(p1 -> F p2)"); err != nil {
@@ -114,7 +115,6 @@ func TestUnregisterInvalidatesCache(t *testing.T) {
 	if _, err := db.RegisterLTL("drop", "G(p1 -> F p2)"); err != nil {
 		t.Fatal(err)
 	}
-	epoch := db.Epoch()
 
 	res, err := db.QueryLTL("F p1")
 	if err != nil {
@@ -126,15 +126,12 @@ func TestUnregisterInvalidatesCache(t *testing.T) {
 	if err := db.Unregister("drop"); err != nil {
 		t.Fatal(err)
 	}
-	if db.Epoch() <= epoch {
-		t.Fatal("unregister did not advance the epoch")
-	}
 	res, err = db.QueryLTL("F p1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.CacheHit {
-		t.Fatal("stale cached result served after unregister")
+	if !res.Stats.CompileHit {
+		t.Fatal("repeat query did not reuse the compiled automaton")
 	}
 	if len(res.Matches) != 1 || res.Matches[0].Name != "keep" {
 		t.Fatalf("after unregister: %d matches", len(res.Matches))

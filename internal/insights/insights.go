@@ -18,16 +18,14 @@ import (
 )
 
 // ShardStat is one shard's share of a scatter-gather query: how long
-// the probe ran, how many candidates its prefilter passed, how many
-// kernel checks and product-automaton steps it spent, and whether its
-// result came from the shard's result cache.
+// the probe ran, how many candidates its prefilter passed, and how
+// many kernel checks and product-automaton steps it spent.
 type ShardStat struct {
 	Shard      int   `json:"shard"`
 	DurUS      int64 `json:"dur_us"`
 	Candidates int   `json:"candidates"`
 	Checked    int   `json:"checked"`
 	Steps      int64 `json:"steps"`
-	Cached     bool  `json:"cached,omitempty"`
 }
 
 // Entry is one query's cost accounting.
@@ -51,9 +49,8 @@ type Entry struct {
 	Candidates  int     `json:"candidates"`
 	Checked     int     `json:"checked"`
 	Selectivity float64 `json:"selectivity"`
-	// CacheTier is the warmest tier that served the query: "result"
-	// (epoch-valid result cache), "compiled" (canonical compile
-	// cache), or "miss" (full translate).
+	// CacheTier is "compiled" when the canonical compile cache served
+	// the query automaton, "miss" when the query was translated.
 	CacheTier   string `json:"cache_tier"`
 	TranslateUS int64  `json:"translate_us"`
 	FilterUS    int64  `json:"filter_us"`

@@ -148,24 +148,16 @@ type Query struct {
 	// Per-stage latency. Translate, Prefilter and Kernel are wall
 	// time per query; ProjectionPick is the summed per-candidate
 	// projection lookup time (CPU time when workers overlap).
-	// CachedServe is the end-to-end latency of queries answered
-	// entirely from the result cache.
 	Translate      Histogram
 	Prefilter      Histogram
 	ProjectionPick Histogram
 	Kernel         Histogram
-	CachedServe    Histogram
 
-	// Query-cache counters (see the qcache package). Tier 1 memoizes
-	// LTL→BA translation per canonical query; tier 2 memoizes whole
-	// results per (canonical query, mode) under the registration epoch.
-	QueryCacheHits          Counter
-	QueryCacheMisses        Counter
-	QueryCacheEvictions     Counter
-	ResultCacheHits         Counter
-	ResultCacheMisses       Counter
-	ResultCacheEvictions    Counter
-	ResultCacheInvalidation Counter // stale-epoch entries dropped at lookup
+	// Compile-cache counters (see the qcache package): LTL→BA
+	// translation memoized per canonical query.
+	QueryCacheHits      Counter
+	QueryCacheMisses    Counter
+	QueryCacheEvictions Counter
 
 	// Work counters.
 	CandidatesScanned Counter // permission checks executed
@@ -187,15 +179,15 @@ type QuerySnapshot struct {
 	Prefilter      HistogramSnapshot `json:"prefilter"`
 	ProjectionPick HistogramSnapshot `json:"projection_pick"`
 	Kernel         HistogramSnapshot `json:"kernel"`
-	CachedServe    HistogramSnapshot `json:"cached_serve"`
 
-	QueryCacheHits          int64 `json:"query_cache_hits"`
-	QueryCacheMisses        int64 `json:"query_cache_misses"`
-	QueryCacheEvictions     int64 `json:"query_cache_evictions"`
-	ResultCacheHits         int64 `json:"result_cache_hits"`
-	ResultCacheMisses       int64 `json:"result_cache_misses"`
-	ResultCacheEvictions    int64 `json:"result_cache_evictions"`
-	ResultCacheInvalidation int64 `json:"result_cache_invalidations"`
+	QueryCacheHits      int64 `json:"query_cache_hits"`
+	QueryCacheMisses    int64 `json:"query_cache_misses"`
+	QueryCacheEvictions int64 `json:"query_cache_evictions"`
+	// ResultCacheHits and ResultCacheMisses are always zero: query
+	// results are not cached. They remain for callers that still read
+	// them, and stay out of every rendering.
+	ResultCacheHits   int64 `json:"-"`
+	ResultCacheMisses int64 `json:"-"`
 
 	CandidatesScanned int64 `json:"candidates_scanned"`
 	CandidatesPruned  int64 `json:"candidates_pruned"`
@@ -283,15 +275,10 @@ func (q *Query) Snapshot() QuerySnapshot {
 		Prefilter:      q.Prefilter.Snapshot(),
 		ProjectionPick: q.ProjectionPick.Snapshot(),
 		Kernel:         q.Kernel.Snapshot(),
-		CachedServe:    q.CachedServe.Snapshot(),
 
-		QueryCacheHits:          q.QueryCacheHits.Value(),
-		QueryCacheMisses:        q.QueryCacheMisses.Value(),
-		QueryCacheEvictions:     q.QueryCacheEvictions.Value(),
-		ResultCacheHits:         q.ResultCacheHits.Value(),
-		ResultCacheMisses:       q.ResultCacheMisses.Value(),
-		ResultCacheEvictions:    q.ResultCacheEvictions.Value(),
-		ResultCacheInvalidation: q.ResultCacheInvalidation.Value(),
+		QueryCacheHits:      q.QueryCacheHits.Value(),
+		QueryCacheMisses:    q.QueryCacheMisses.Value(),
+		QueryCacheEvictions: q.QueryCacheEvictions.Value(),
 
 		CandidatesScanned: q.CandidatesScanned.Value(),
 		CandidatesPruned:  q.CandidatesPruned.Value(),

@@ -4,8 +4,7 @@ package metrics
 // (internal/shard) keeps its own Query registry for query-level
 // outcomes — started/errored/canceled, translation latency, compile-
 // cache traffic — while each shard's core.DB accrues the work it
-// actually performed (candidate scans, kernel steps, result-cache
-// traffic). ShardRouter adds the routing-specific counters neither
+// actually performed (candidate scans, kernel steps). ShardRouter adds the routing-specific counters neither
 // side can see alone, and MergeQuery folds the per-shard registries
 // into one corpus-wide work view for /v1/metrics.
 
@@ -18,13 +17,6 @@ type ShardRouter struct {
 	// EarlyExits counts FindAny scatters that broadcast cancellation to
 	// outstanding probes after the first witness arrived.
 	EarlyExits Counter
-	// FullHits counts scatters answered entirely from shard result
-	// caches; PartialHits counts scatters where only some shards hit.
-	// Because each shard owns its cache and epoch, a registration
-	// invalidates 1/N of the corpus — partial hits are the sharded
-	// cache's signature behavior.
-	FullHits    Counter
-	PartialHits Counter
 
 	// Scatter is the wall time from fan-out to the last probe
 	// finishing; Merge is the deterministic combine that follows.
@@ -34,10 +26,8 @@ type ShardRouter struct {
 
 // ShardRouterSnapshot is the JSON view of ShardRouter.
 type ShardRouterSnapshot struct {
-	Probes      int64 `json:"probes"`
-	EarlyExits  int64 `json:"early_exits"`
-	FullHits    int64 `json:"full_hits"`
-	PartialHits int64 `json:"partial_hits"`
+	Probes     int64 `json:"probes"`
+	EarlyExits int64 `json:"early_exits"`
 
 	Scatter HistogramSnapshot `json:"scatter"`
 	Merge   HistogramSnapshot `json:"merge"`
@@ -46,12 +36,10 @@ type ShardRouterSnapshot struct {
 // Snapshot captures every router counter and histogram.
 func (r *ShardRouter) Snapshot() ShardRouterSnapshot {
 	return ShardRouterSnapshot{
-		Probes:      r.Probes.Value(),
-		EarlyExits:  r.EarlyExits.Value(),
-		FullHits:    r.FullHits.Value(),
-		PartialHits: r.PartialHits.Value(),
-		Scatter:     r.Scatter.Snapshot(),
-		Merge:       r.Merge.Snapshot(),
+		Probes:     r.Probes.Value(),
+		EarlyExits: r.EarlyExits.Value(),
+		Scatter:    r.Scatter.Snapshot(),
+		Merge:      r.Merge.Snapshot(),
 	}
 }
 
@@ -107,10 +95,6 @@ func MergeQuery(snaps ...QuerySnapshot) QuerySnapshot {
 		out.QueryCacheHits += s.QueryCacheHits
 		out.QueryCacheMisses += s.QueryCacheMisses
 		out.QueryCacheEvictions += s.QueryCacheEvictions
-		out.ResultCacheHits += s.ResultCacheHits
-		out.ResultCacheMisses += s.ResultCacheMisses
-		out.ResultCacheEvictions += s.ResultCacheEvictions
-		out.ResultCacheInvalidation += s.ResultCacheInvalidation
 
 		out.CandidatesScanned += s.CandidatesScanned
 		out.CandidatesPruned += s.CandidatesPruned
@@ -123,6 +107,5 @@ func MergeQuery(snaps ...QuerySnapshot) QuerySnapshot {
 	out.Prefilter = hists(func(s *QuerySnapshot) *HistogramSnapshot { return &s.Prefilter })
 	out.ProjectionPick = hists(func(s *QuerySnapshot) *HistogramSnapshot { return &s.ProjectionPick })
 	out.Kernel = hists(func(s *QuerySnapshot) *HistogramSnapshot { return &s.Kernel })
-	out.CachedServe = hists(func(s *QuerySnapshot) *HistogramSnapshot { return &s.CachedServe })
 	return out
 }

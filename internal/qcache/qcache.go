@@ -1,23 +1,18 @@
-// Package qcache implements the two-tier query cache behind the
+// Package qcache implements the query compilation cache behind the
 // contract database's hot path.
 //
-// Tier 1 (CompileCache) memoizes the expensive LTL → Büchi translation
-// per *canonical* query form (ltl.CanonicalKey): queries that differ
-// only in derived-operator spelling or commutative-operand order share
-// one entry. Each entry lazily holds both the positive automaton and
-// the negated-obligation automaton, and translation is deduplicated
+// CompileCache memoizes the expensive LTL → Büchi translation per
+// *canonical* query form (ltl.CanonicalKey): queries that differ only
+// in derived-operator spelling or commutative-operand order share one
+// entry. Each entry lazily holds both the positive automaton and the
+// negated-obligation automaton, and translation is deduplicated
 // singleflight-style — N concurrent identical queries block on one
-// per-entry mutex and translate once.
+// per-entry mutex and translate once. A query's automaton does not
+// depend on the registered contracts, so entries survive every write.
 //
-// Tier 2 (ResultCache) memoizes full query results keyed by
-// (canonical form, evaluation knobs) and stamped with the database's
-// registration epoch. Registering a contract bumps the epoch, which
-// invalidates every cached result at lookup time without clearing the
-// cache or blocking queries; compiled automata are epoch-independent
-// (a query's automaton does not change when contracts are added) and
-// survive registrations.
-//
-// Both tiers are bounded LRUs and safe for concurrent use.
+// The cache is a bounded LRU and safe for concurrent use. Query
+// results are never cached: every query runs prefilter, projection
+// pick and search against the contracts registered when it starts.
 package qcache
 
 import (
@@ -37,10 +32,6 @@ type Metrics struct {
 	Hits      *metrics.Counter
 	Misses    *metrics.Counter
 	Evictions *metrics.Counter
-	// Invalidations counts entries dropped because their epoch was
-	// stale at lookup (ResultCache only). An invalidated lookup also
-	// counts as a miss.
-	Invalidations *metrics.Counter
 }
 
 func inc(c *metrics.Counter) {
@@ -100,7 +91,7 @@ func (e *Compiled) Automaton(negated bool, tr Translate) (*buchi.BA, error) {
 	return ba, nil
 }
 
-// CompileCache is the tier-1 LRU of canonical query form → Compiled.
+// CompileCache is the LRU of canonical query form → Compiled.
 type CompileCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -134,7 +125,7 @@ func (c *CompileCache) Get(spec *ltl.Expr) *Compiled {
 
 // Lookup is Get plus a hit report: the second result is true when the
 // canonical form was already cached. Query tracing uses it to stamp the
-// tier-1 outcome on the canonicalize span without a second lookup.
+// compile-cache outcome on the canonicalize span without a second lookup.
 func (c *CompileCache) Lookup(spec *ltl.Expr) (*Compiled, bool) {
 	key := ltl.CanonicalKey(spec)
 	c.mu.Lock()
@@ -165,91 +156,3 @@ func (c *CompileCache) Len() int {
 
 // Cap returns the cache's capacity.
 func (c *CompileCache) Cap() int { return c.cap }
-
-// resultEntry is one tier-2 entry: an opaque result valid for exactly
-// one database epoch.
-type resultEntry struct {
-	key   string
-	epoch uint64
-	value any
-}
-
-// ResultCache is the tier-2 LRU of (canonical query + knobs) → result,
-// with epoch-stamped entries. The cache does not interpret values.
-type ResultCache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List
-	entries map[string]*list.Element
-	m       Metrics
-}
-
-// NewResultCache returns a result cache holding at most capacity
-// entries (capacity must be positive).
-func NewResultCache(capacity int, m Metrics) *ResultCache {
-	if capacity <= 0 {
-		panic("qcache: NewResultCache capacity must be positive")
-	}
-	return &ResultCache{
-		cap:     capacity,
-		ll:      list.New(),
-		entries: make(map[string]*list.Element, capacity),
-		m:       m,
-	}
-}
-
-// Get returns the cached value for key if it was stored at the given
-// epoch. An entry stored at a different epoch is stale — it is dropped
-// and the lookup counts as a miss (plus an invalidation).
-func (c *ResultCache) Get(key string, epoch uint64) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		inc(c.m.Misses)
-		return nil, false
-	}
-	e := el.Value.(*resultEntry)
-	if e.epoch != epoch {
-		c.ll.Remove(el)
-		delete(c.entries, key)
-		inc(c.m.Invalidations)
-		inc(c.m.Misses)
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	inc(c.m.Hits)
-	return e.value, true
-}
-
-// Put stores value for key at the given epoch, replacing any previous
-// entry for the key and evicting least-recently-used entries over
-// capacity.
-func (c *ResultCache) Put(key string, epoch uint64, value any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*resultEntry)
-		e.epoch, e.value = epoch, value
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.ll.PushFront(&resultEntry{key: key, epoch: epoch, value: value})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.entries, back.Value.(*resultEntry).key)
-		inc(c.m.Evictions)
-	}
-}
-
-// Len returns the number of cached entries (including not-yet-swept
-// stale ones).
-func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Cap returns the cache's capacity.
-func (c *ResultCache) Cap() int { return c.cap }

@@ -125,56 +125,3 @@ func TestCompileCacheErrorNotCached(t *testing.T) {
 		t.Fatal("retry did not invoke translator")
 	}
 }
-
-func TestResultCacheEpochInvalidation(t *testing.T) {
-	var hits, misses, inval metrics.Counter
-	c := qcache.NewResultCache(4, qcache.Metrics{Hits: &hits, Misses: &misses, Invalidations: &inval})
-	c.Put("k", 1, "v1")
-	if v, ok := c.Get("k", 1); !ok || v != "v1" {
-		t.Fatalf("Get(k,1) = %v,%v, want v1,true", v, ok)
-	}
-	// Epoch bump: the entry is stale and must be dropped.
-	if _, ok := c.Get("k", 2); ok {
-		t.Fatal("stale entry served after epoch bump")
-	}
-	if inval.Value() != 1 {
-		t.Fatalf("invalidations = %d, want 1", inval.Value())
-	}
-	if c.Len() != 0 {
-		t.Fatalf("stale entry retained: len = %d", c.Len())
-	}
-	// Refill at the new epoch works.
-	c.Put("k", 2, "v2")
-	if v, ok := c.Get("k", 2); !ok || v != "v2" {
-		t.Fatalf("Get(k,2) = %v,%v, want v2,true", v, ok)
-	}
-	if hits.Value() != 2 || misses.Value() != 1 {
-		t.Fatalf("hits=%d misses=%d, want 2/1", hits.Value(), misses.Value())
-	}
-}
-
-func TestResultCacheLRU(t *testing.T) {
-	var evictions metrics.Counter
-	c := qcache.NewResultCache(2, qcache.Metrics{Evictions: &evictions})
-	c.Put("a", 1, 1)
-	c.Put("b", 1, 2)
-	c.Get("a", 1)    // b becomes LRU
-	c.Put("c", 1, 3) // evicts b
-	if _, ok := c.Get("b", 1); ok {
-		t.Fatal("LRU entry survived eviction")
-	}
-	if _, ok := c.Get("a", 1); !ok {
-		t.Fatal("recently used entry evicted")
-	}
-	if evictions.Value() != 1 {
-		t.Fatalf("evictions = %d, want 1", evictions.Value())
-	}
-	// Put on an existing key replaces in place, no eviction.
-	c.Put("a", 2, 9)
-	if v, ok := c.Get("a", 2); !ok || v != 9 {
-		t.Fatalf("replaced entry = %v,%v, want 9,true", v, ok)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-}

@@ -41,7 +41,7 @@ func TestQueryLogEndpoint(t *testing.T) {
 	if _, err := client.Query("F refund", ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Query("F refund", ""); err != nil { // result-cache hit
+	if _, err := client.Query("F refund", ""); err != nil { // compile-cache hit
 		t.Fatal(err)
 	}
 	if _, err := client.Query("F classUpgrade", ""); err != nil {
@@ -55,14 +55,14 @@ func TestQueryLogEndpoint(t *testing.T) {
 	if len(entries) != 3 {
 		t.Fatalf("querylog has %d entries, want 3", len(entries))
 	}
-	// Newest first: [empty, result-cached matches, cold matches].
+	// Newest first: [empty, compiled matches, cold matches].
 	if entries[0].Verdict != "empty" || entries[0].Query != "F classUpgrade" {
 		t.Errorf("entries[0] = %+v, want empty verdict", entries[0])
 	}
-	if entries[1].Verdict != "matches" || entries[1].CacheTier != "result" {
-		t.Errorf("entries[1] = %+v, want result-cache matches", entries[1])
+	if entries[1].Verdict != "matches" || entries[1].CacheTier != "compiled" {
+		t.Errorf("entries[1] = %+v, want compile-cache matches", entries[1])
 	}
-	if entries[2].CacheTier == "result" {
+	if entries[2].CacheTier != "miss" {
 		t.Errorf("entries[2] = %+v, want a cold evaluation", entries[2])
 	}
 	if entries[2].Corpus != 1 || entries[2].Selectivity <= 0 {

@@ -82,7 +82,6 @@ type DB interface {
 	Stats() core.DBStats
 	NumShards() int
 	ShardSizes() []int
-	ShardEpochs() []uint64
 	RouterSnapshot() metrics.ShardRouterSnapshot
 }
 
@@ -344,8 +343,7 @@ type RegisterRequest struct {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Spec) == "" {
@@ -385,8 +383,7 @@ type BulkRegisterResponse struct {
 
 func (s *Server) handleRegisterBulk(w http.ResponseWriter, r *http.Request) {
 	var req BulkRegisterRequest
-	if err := decodeBodyN(r, &req, 64<<20); err != nil {
-		writeErr(w, r, http.StatusBadRequest, err)
+	if !decodeBodyN(w, r, &req, 64<<20) {
 		return
 	}
 	if len(req.Contracts) == 0 {
@@ -496,9 +493,9 @@ type QueryRequest struct {
 	// StepBudget caps each candidate check's kernel steps; 0 uses the
 	// server default, -1 forces unlimited.
 	StepBudget int `json:"step_budget,omitempty"`
-	// NoCache bypasses the query-compilation and result caches for
-	// this evaluation — measurement runs use it so reported latencies
-	// are always cold.
+	// NoCache bypasses the query-compilation cache for this
+	// evaluation — measurement runs use it so reported latencies are
+	// always cold.
 	NoCache bool `json:"no_cache,omitempty"`
 	// Trace forces a full span tree for this evaluation, returned
 	// inline with the response (the explain knob).
@@ -512,10 +509,6 @@ type QueryResponse struct {
 	Total      int      `json:"total"`
 	Candidates int      `json:"candidates"`
 	ElapsedUS  int64    `json:"elapsed_us"`
-	// Cached reports the answer was served from the result cache;
-	// Candidates and ElapsedUS then describe the cached serve, not a
-	// fresh scan.
-	Cached bool `json:"cached,omitempty"`
 	// RequestID echoes the request's identifier (X-Request-ID or
 	// generated).
 	RequestID string `json:"request_id,omitempty"`
@@ -527,8 +520,7 @@ type QueryResponse struct {
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req QueryRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ctx := r.Context()
@@ -605,7 +597,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Total:      res.Stats.Total,
 		Candidates: res.Stats.Candidates,
 		ElapsedUS:  res.Stats.Elapsed().Microseconds(),
-		Cached:     res.Stats.CacheHit,
 		RequestID:  requestID,
 		Trace:      tr,
 	}
@@ -649,6 +640,7 @@ func (s *Server) recordInsight(req *QueryRequest, requestID string, start time.T
 		StartUnixUS: start.UnixMicro(),
 		DurUS:       dur.Microseconds(),
 		Slow:        slow,
+		CacheTier:   "miss",
 	}
 	if e.Mode == "" {
 		e.Mode = "opt"
@@ -674,13 +666,8 @@ func (s *Server) recordInsight(req *QueryRequest, requestID string, start time.T
 		if st.Total > 0 {
 			e.Selectivity = float64(st.Candidates) / float64(st.Total)
 		}
-		switch {
-		case st.CacheHit:
-			e.CacheTier = "result"
-		case st.CompileHit:
+		if st.CompileHit {
 			e.CacheTier = "compiled"
-		default:
-			e.CacheTier = "miss"
 		}
 		e.TranslateUS = st.Translate.Microseconds()
 		e.FilterUS = st.Filter.Microseconds()
@@ -694,12 +681,9 @@ func (s *Server) recordInsight(req *QueryRequest, requestID string, start time.T
 					Candidates: ps.Candidates,
 					Checked:    ps.Checked,
 					Steps:      ps.Steps,
-					Cached:     ps.Cached,
 				}
 			}
 		}
-	} else {
-		e.CacheTier = "miss"
 	}
 	s.Insights.Record(&e)
 }
@@ -743,12 +727,11 @@ type StreamMetrics struct {
 }
 
 // ShardingInfo reports the sharded engine's shape and router counters:
-// per-shard contract counts and epochs, plus scatter/merge timings and
-// cache-hit composition across shards.
+// per-shard contract counts plus probe, early-exit, scatter and merge
+// accounting.
 type ShardingInfo struct {
 	Shards int                         `json:"shards"`
 	Sizes  []int                       `json:"sizes"`
-	Epochs []uint64                    `json:"epochs"`
 	Router metrics.ShardRouterSnapshot `json:"router"`
 }
 
@@ -759,15 +742,11 @@ type BuildInfo struct {
 	SnapshotFormatVersion int    `json:"snapshot_format_version"`
 }
 
-// CacheMetrics reports the query caches' occupancy gauges and the
-// registration epoch that gates result-cache validity. The hit/miss/
-// eviction counters live under Queries.
+// CacheMetrics reports the compile cache's occupancy gauges. The
+// hit/miss/eviction counters live under Queries.
 type CacheMetrics struct {
-	Epoch          uint64 `json:"epoch"`
-	QueryCacheLen  int    `json:"query_cache_len"`
-	QueryCacheCap  int    `json:"query_cache_cap"`
-	ResultCacheLen int    `json:"result_cache_len"`
-	ResultCacheCap int    `json:"result_cache_cap"`
+	QueryCacheLen int `json:"query_cache_len"`
+	QueryCacheCap int `json:"query_cache_cap"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -795,7 +774,6 @@ func (s *Server) metricsResponse() MetricsResponse {
 		Sharding: ShardingInfo{
 			Shards: s.db.NumShards(),
 			Sizes:  s.db.ShardSizes(),
-			Epochs: s.db.ShardEpochs(),
 			Router: s.db.RouterSnapshot(),
 		},
 		Durability:       durability,
@@ -816,11 +794,8 @@ func (s *Server) metricsResponse() MetricsResponse {
 		},
 		Queries: st.Queries,
 		Caches: CacheMetrics{
-			Epoch:          st.Caches.Epoch,
-			QueryCacheLen:  st.Caches.QueryCacheLen,
-			QueryCacheCap:  st.Caches.QueryCacheCap,
-			ResultCacheLen: st.Caches.ResultCacheLen,
-			ResultCacheCap: st.Caches.ResultCacheCap,
+			QueryCacheLen: st.Caches.QueryCacheLen,
+			QueryCacheCap: st.Caches.QueryCacheCap,
 		},
 	}
 }
@@ -834,15 +809,24 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, _ *http.Request) {
 	_ = metrics.WritePrometheus(w, s.metricsResponse())
 }
 
-func decodeBody(r *http.Request, v any) error {
-	return decodeBodyN(r, v, 1<<20)
+// decodeBody is decodeBodyN with the default 1 MiB body limit.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	return decodeBodyN(w, r, v, 1<<20)
 }
 
-func decodeBodyN(r *http.Request, v any, limit int64) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit))
+// decodeBodyN decodes r's JSON body, at most limit bytes of it, into v.
+// On failure it writes the error response and returns false: 413 when
+// the body exceeds limit, 400 for any other malformed body.
+func decodeBodyN(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		status := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, r, status, fmt.Errorf("bad request body: %w", err))
+		return false
 	}
-	return nil
+	return true
 }

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -222,5 +223,38 @@ func TestMethodRouting(t *testing.T) {
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/contracts", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE /v1/contracts = %d, want 405", rec.Code)
+	}
+}
+
+// TestBodyLimitStatus: a request body over the route's limit answers
+// 413, and a malformed one 400, on every decoding route it samples.
+func TestBodyLimitStatus(t *testing.T) {
+	ts := httptest.NewServer(server.New(newDB(t, core.Options{})))
+	t.Cleanup(ts.Close)
+	huge := strings.Repeat("a", 2<<20) // over the 1 MiB default limit
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"query over limit", "/v1/query", `{"spec":"` + huge + `"}`, http.StatusRequestEntityTooLarge},
+		{"query malformed", "/v1/query", `{"spec":`, http.StatusBadRequest},
+		{"register over limit", "/v1/contracts", `{"name":"big","spec":"` + huge + `"}`, http.StatusRequestEntityTooLarge},
+		{"register malformed", "/v1/contracts", `{"name":"x","spec":"G a",}`, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := ts.Client().Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var apiErr server.Error
+			if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+				t.Fatalf("error body: %v", err)
+			}
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status = %d (%s), want %d", resp.StatusCode, apiErr.Error, tc.want)
+			}
+		})
 	}
 }

@@ -83,8 +83,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req StreamCreateRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	info, err := b.Create(r.Context(), req.Name, req.Contracts)
@@ -152,8 +151,7 @@ func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req StreamEventsRequest
-	if err := decodeBodyN(r, &req, 8<<20); err != nil {
-		writeErr(w, r, http.StatusBadRequest, err)
+	if !decodeBodyN(w, r, &req, 8<<20) {
 		return
 	}
 	if len(req.Events) == 0 {

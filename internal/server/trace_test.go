@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -82,8 +83,8 @@ func TestQueryTraceInline(t *testing.T) {
 		}
 	}
 
-	// A second identical query is served from the result cache and its
-	// trace says so.
+	// A second identical query reuses the compiled automaton, and its
+	// canonicalize span says so; the answer is the first one's.
 	res2, err := client.QueryRequest(server.QueryRequest{
 		Spec:  "F(missedFlight && X F refund)",
 		Trace: true,
@@ -91,17 +92,22 @@ func TestQueryTraceInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res2.Cached || res2.Trace == nil {
-		t.Fatalf("second query cached=%t trace=%v", res2.Cached, res2.Trace)
+	if res2.Trace == nil {
+		t.Fatal("second query returned no trace")
 	}
-	cached := false
-	for _, a := range res2.Trace.Root.Attrs {
-		if a.Key == "cached" {
-			cached = true
+	if !slices.Equal(res2.Matches, res.Matches) {
+		t.Errorf("second query matched %v, first %v", res2.Matches, res.Matches)
+	}
+	compileHit := false
+	for _, c := range res2.Trace.Root.Children {
+		for _, a := range c.Attrs {
+			if c.Name == "canonicalize" && a.Key == "cache_hit" && a.Value == true {
+				compileHit = true
+			}
 		}
 	}
-	if !cached {
-		t.Error("cached serve's trace root has no cached attribute")
+	if !compileHit {
+		t.Error("second query's canonicalize span reports no compile-cache hit")
 	}
 }
 

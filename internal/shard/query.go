@@ -84,13 +84,12 @@ type probe struct {
 // eval is the scatter-gather protocol:
 //
 //  1. Translate once at the router — canonicalize through the shared
-//     tier-1 cache, build (or reuse) the automaton. Every shard
+//     compile cache, build (or reuse) the automaton. Every shard
 //     receives the same *buchi.BA; automaton labels are bitsets over
 //     the shared vocabulary, so the compiled form is shard-agnostic.
 //  2. Scatter — one goroutine per shard calls EvalCompiled under the
-//     shard's read lock, carrying the router's canonical key so the
-//     shard can serve (and fill) its own tier-2 result cache. A
-//     "shard" span per probe nests under the router's "scan" span.
+//     shard's read lock. A "shard" span per probe nests under the
+//     router's "scan" span.
 //  3. Early exit — the first FindAny witness broadcasts cancellation
 //     to the other probes through a shared context; a probe failure
 //     does the same with its error as the cause.
@@ -115,8 +114,8 @@ func (db *DB) eval(ctx context.Context, spec *ltl.Expr, mode core.Mode, obligati
 	// Stage 1: translate once.
 	var stats core.QueryStats
 	t := time.Now()
-	qa, key, tier1, err := core.Translate(ctx, db.voc, db.compile.Load(), spec, mode, obligation)
-	stats.CompileHit = tier1
+	qa, compileHit, err := core.Translate(ctx, db.voc, db.compile, spec, mode, obligation)
+	stats.CompileHit = compileHit
 	if err != nil {
 		db.metrics.Errored.Inc()
 		return nil, fmt.Errorf("%s: %w", errPrefix, err)
@@ -145,14 +144,13 @@ func (db *DB) eval(ctx context.Context, spec *ltl.Expr, mode core.Mode, obligati
 				psp.SetAttr("shard", i)
 			}
 			pstart := time.Now()
-			res, err := sh.EvalCompiled(pctx, qa, key, mode, obligation)
+			res, err := sh.EvalCompiled(pctx, qa, mode, obligation)
 			pdur := time.Since(pstart)
 			if psp != nil && res != nil {
 				psp.SetAttr("matched", len(res.Matches))
 				psp.SetAttr("candidates", res.Stats.Candidates)
 				psp.SetAttr("checked", res.Stats.Checked)
 				psp.SetAttr("steps", res.Stats.Permission.Steps)
-				psp.SetAttr("cached", res.Stats.CacheHit)
 			}
 			psp.SetError(err)
 			psp.End()
@@ -185,12 +183,6 @@ func (db *DB) eval(ctx context.Context, spec *ltl.Expr, mode core.Mode, obligati
 		}
 		return nil, fmt.Errorf("%s: %w", errPrefix, err)
 	}
-	if root := trace.SpanFrom(ctx); root != nil && res.Stats.CacheHit {
-		// Every shard served its result cache: the trace root says so,
-		// as a single database's cached serve does.
-		root.SetAttr("cached", true)
-		root.SetAttr("matched", len(res.Matches))
-	}
 	return res, nil
 }
 
@@ -216,18 +208,14 @@ func (db *DB) gather(probes []probe, cctx, ctx context.Context, mode core.Mode, 
 	defer func() { db.router.Merge.Observe(time.Since(t)) }()
 
 	var matches []*core.Contract
-	hits, served := 0, 0
-	stats.CacheHit = len(probes) > 0
 	stats.Shards = make([]core.ShardProbeStat, 0, len(probes))
 	for i := range probes {
 		p := &probes[i]
 		if p.res == nil {
 			// A canceled losing probe under a FindAny early exit; its
 			// shard contributed no counted work.
-			stats.CacheHit = false
 			continue
 		}
-		served++
 		ps := p.res.Stats
 		stats.Shards = append(stats.Shards, core.ShardProbeStat{
 			Shard:      i,
@@ -235,7 +223,6 @@ func (db *DB) gather(probes []probe, cctx, ctx context.Context, mode core.Mode, 
 			Candidates: ps.Candidates,
 			Checked:    ps.Checked,
 			Steps:      int64(ps.Permission.Steps),
-			Cached:     ps.CacheHit,
 		})
 		stats.Total += ps.Total
 		stats.Candidates += ps.Candidates
@@ -248,19 +235,7 @@ func (db *DB) gather(probes []probe, cctx, ctx context.Context, mode core.Mode, 
 		if ps.Check > stats.Check {
 			stats.Check = ps.Check
 		}
-		if ps.CacheHit {
-			hits++
-		} else {
-			stats.CacheHit = false
-		}
 		matches = append(matches, p.res.Matches...)
-	}
-	if hits > 0 {
-		if hits == served && served == len(probes) {
-			db.router.FullHits.Inc()
-		} else {
-			db.router.PartialHits.Inc()
-		}
 	}
 
 	// Deterministic merge: contract names are unique corpus-wide, so

@@ -5,13 +5,13 @@
 // is a pure function of its name and the shard count — nothing about
 // placement is persisted, and the same corpus can be reloaded under a
 // different shard count (see persist.go). Each shard owns its own
-// prefilter index, bisimulation projections, two-tier query caches,
-// registration epoch, and — crucially — its own sync.RWMutex, so a
-// registration or unregistration write-locks 1/N of the corpus while
+// prefilter index, bisimulation projections and — crucially — its own
+// sync.RWMutex, so a registration or unregistration write-locks 1/N of the corpus while
 // the other shards keep serving queries. All shards share one
 // thread-safe vocabulary: automaton labels are bitsets over vocabulary
-// ids, which is what lets the router translate a query once and fan
-// the compiled automaton out to every shard (core.DB.EvalCompiled).
+// ids, which is what lets the router translate a query once, through
+// its one compile cache, and fan the compiled automaton out to every
+// shard (core.DB.EvalCompiled).
 //
 // Queries scatter to one goroutine per shard, each evaluating against
 // its shard's candidate set on the shard DB's own worker pool (sized
@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"contractdb/internal/core"
 	"contractdb/internal/ltl"
@@ -47,18 +46,14 @@ type DB struct {
 	shards []*core.DB
 
 	// metrics holds router-level outcomes (queries started, errors,
-	// translation latency, tier-1 traffic); each shard's registry
+	// translation latency, compile-cache traffic); each shard's registry
 	// accrues the work that shard performed. Stats() overlays the two.
 	metrics *metrics.Query
 	router  *metrics.ShardRouter
 
-	// compile is the router's tier-1 cache: one translation serves all
-	// shards. Tier-2 result caches stay per shard, keyed by the
-	// router's canonical key — so a write invalidates only the owning
-	// shard's cached results. Atomic because SetCacheSizes swaps it
-	// while queries read it (core.DB does the same dance under its big
-	// lock, which the router deliberately does not have).
-	compile atomic.Pointer[qcache.CompileCache]
+	// compile is the router's compile cache (nil when disabled): one
+	// translation serves all shards. Set once by New.
+	compile *qcache.CompileCache
 
 	// mu guards opts and autoname, the global generated-name counter.
 	// Minting must be centralized: per-shard counters would hand the
@@ -88,7 +83,7 @@ func New(voc *vocab.Vocabulary, opts core.Options, n int) (*DB, error) {
 	for i := range db.shards {
 		db.shards[i] = core.NewDB(voc, shardOpts)
 	}
-	db.initCompileCache()
+	db.compile = core.NewCompileCache(opts, db.metrics)
 	return db, nil
 }
 
@@ -99,14 +94,6 @@ func perShardParallelism(p, n int) int {
 		p = runtime.GOMAXPROCS(0)
 	}
 	return max(1, (p+n-1)/n)
-}
-
-// initCompileCache builds the router's tier-1 cache from opts, wiring
-// its counters into the router registry. Negative QueryCacheSize
-// disables it (queries then translate per evaluation, exactly like an
-// uncached core.DB).
-func (db *DB) initCompileCache() {
-	db.compile.Store(core.NewCompileCache(db.options(), db.metrics))
 }
 
 // NumShards returns the shard count.
@@ -221,8 +208,7 @@ func (db *DB) RegisterBatch(specs []core.Registration, workers int) []core.Batch
 }
 
 // Unregister removes the named contract from its owning shard; only
-// that shard's prefilter index is rebuilt and only its cached results
-// are invalidated. Unknown names report core.ErrNotFound.
+// that shard's prefilter index is rebuilt. Unknown names report core.ErrNotFound.
 func (db *DB) Unregister(name string) error {
 	return db.shardFor(name).Unregister(name)
 }
@@ -234,27 +220,6 @@ func (db *DB) Len() int {
 		n += sh.Len()
 	}
 	return n
-}
-
-// Epoch returns the sum of the shard epochs: it changes whenever any
-// shard's state changes, so it serves the same "did anything mutate"
-// role core.DB.Epoch does. (It is not a valid result-cache stamp —
-// each shard stamps its own cache with its own epoch.)
-func (db *DB) Epoch() uint64 {
-	var e uint64
-	for _, sh := range db.shards {
-		e += sh.Epoch()
-	}
-	return e
-}
-
-// ShardEpochs returns each shard's registration epoch.
-func (db *DB) ShardEpochs() []uint64 {
-	out := make([]uint64, len(db.shards))
-	for i, sh := range db.shards {
-		out[i] = sh.Epoch()
-	}
-	return out
 }
 
 // ShardSizes returns the number of contracts resident on each shard.
@@ -293,20 +258,6 @@ func (db *DB) SetParallelism(n int) {
 	per := perShardParallelism(n, len(db.shards))
 	for _, sh := range db.shards {
 		sh.SetParallelism(per)
-	}
-}
-
-// SetCacheSizes rebuilds the router's compile cache and every shard's
-// caches with new capacities (Options semantics: 0 default, negative
-// disabled). Existing cached entries are dropped.
-func (db *DB) SetCacheSizes(queryCache, resultCache int) {
-	db.mu.Lock()
-	db.opts.QueryCacheSize = queryCache
-	db.opts.ResultCacheSize = resultCache
-	db.mu.Unlock()
-	db.initCompileCache()
-	for _, sh := range db.shards {
-		sh.SetCacheSizes(queryCache, resultCache)
 	}
 }
 
@@ -360,26 +311,19 @@ func (db *DB) RegistrationStats() core.RegistrationStats {
 	return out
 }
 
-// CacheStats returns the cache gauges aggregated across the router's
-// compile cache and every shard's result cache. Epoch is the summed
-// shard epoch (see Epoch).
+// CacheStats returns the router's compile-cache gauges; the shards'
+// own compile caches are never consulted (queries translate once, at
+// the router).
 func (db *DB) CacheStats() core.CacheStats {
-	cs := core.CacheStats{Epoch: db.Epoch()}
-	if cc := db.compile.Load(); cc != nil {
-		cs.QueryCacheLen = cc.Len()
-		cs.QueryCacheCap = cc.Cap()
+	if db.compile == nil {
+		return core.CacheStats{}
 	}
-	for _, sh := range db.shards {
-		scs := sh.CacheStats()
-		cs.ResultCacheLen += scs.ResultCacheLen
-		cs.ResultCacheCap += scs.ResultCacheCap
-	}
-	return cs
+	return core.CacheStats{QueryCacheLen: db.compile.Len(), QueryCacheCap: db.compile.Cap()}
 }
 
 // Stats returns the corpus-wide view: registration counters summed,
 // shard work registries merged, and the router's own outcome counters
-// (queries started, errors, translation latency, tier-1 cache traffic)
+// (queries started, errors, translation latency, compile-cache traffic)
 // overlaid. The shards never count queries, and their probe-level
 // outcome counters (a losing FindAny probe reports a cancellation, for
 // example) are dropped from the merge — query outcomes are the

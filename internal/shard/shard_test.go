@@ -136,11 +136,14 @@ func TestAutoNameMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// TestUnregisterRoutesAndInvalidates: an unregister touches only the
+// owning shard, and a query whose automaton the router's compile cache
+// already holds stops returning the removed contract.
 func TestUnregisterRoutesAndInvalidates(t *testing.T) {
 	_, sdb := buildPair(t, 4, 20, 13)
 	victim := sdb.Contracts()[0].Name
 
-	// Prime a cached result that includes the victim's shard.
+	// Compile the query before the unregister.
 	q, err := ltl.Parse("F p1")
 	if err != nil {
 		t.Fatal(err)
@@ -149,25 +152,22 @@ func TestUnregisterRoutesAndInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	epochs := sdb.ShardEpochs()
+	sizes := sdb.ShardSizes()
 	if err := sdb.Unregister(victim); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := sdb.ByName(victim); ok {
 		t.Fatalf("contract %q still present after Unregister", victim)
 	}
-	after := sdb.ShardEpochs()
-	bumped := 0
-	for i := range epochs {
-		if after[i] != epochs[i] {
-			bumped++
-			if i != sdb.ShardFor(victim) {
-				t.Fatalf("unregister of %q bumped shard %d, owner is %d", victim, i, sdb.ShardFor(victim))
-			}
+	after := sdb.ShardSizes()
+	for i := range sizes {
+		want := sizes[i]
+		if i == sdb.ShardFor(victim) {
+			want--
 		}
-	}
-	if bumped != 1 {
-		t.Fatalf("unregister bumped %d shard epochs, want exactly 1", bumped)
+		if after[i] != want {
+			t.Fatalf("unregister of %q left shard %d with %d contracts, want %d (owner is %d)", victim, i, after[i], want, sdb.ShardFor(victim))
+		}
 	}
 
 	if err := sdb.Unregister("no-such-contract"); err == nil {
@@ -180,6 +180,14 @@ func TestUnregisterRoutesAndInvalidates(t *testing.T) {
 	cached, err := sdb.Query(q)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !cached.Stats.CompileHit {
+		t.Fatal("repeat query did not reuse the compiled automaton")
+	}
+	for _, n := range resultNames(cached) {
+		if n == victim {
+			t.Fatalf("removed contract %q still matched", victim)
+		}
 	}
 	uncached, err := sdb.QueryMode(q, core.Mode{Prefilter: true, Bisim: true, NoCache: true})
 	if err != nil {

@@ -14,13 +14,12 @@ import (
 )
 
 // TestShardStress interleaves registrations, unregistrations and
-// queries across shards under -race, extending the epoch-sandwich
-// pattern of core's cache stress test: each reader runs the cached
-// scatter and the NoCache oracle back to back, and when no shard
-// epoch moved between the two the answers must be identical. A cached
-// shard result surviving that shard's mutation would surface as a
-// differential failure; unsynchronized router or vocabulary state as
-// a race report.
+// queries across shards under -race: each reader runs a scatter
+// through the router's compile cache and the NoCache oracle back to
+// back, and when the corpus (its sorted contract names) did not change
+// between the two the answers must be identical. A scatter that missed
+// or duplicated a contract would surface as a differential failure;
+// unsynchronized router or vocabulary state as a race report.
 func TestShardStress(t *testing.T) {
 	voc := datagen.NewVocabulary()
 	sdb, err := shard.New(voc, core.Options{MaxAutomatonStates: 300}, 4)
@@ -93,7 +92,7 @@ func TestShardStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < roundsPerRead; i++ {
 				q := queries[(r+i)%len(queries)]
-				before := sdb.Epoch()
+				before := corpusNames(sdb)
 				got, err := sdb.QueryMode(q, cached)
 				if err != nil {
 					errs <- err
@@ -104,7 +103,7 @@ func TestShardStress(t *testing.T) {
 					errs <- err
 					return
 				}
-				if sdb.Epoch() != before {
+				if corpusNames(sdb) != before {
 					continue // a mutation landed mid-pair; not comparable
 				}
 				if g, w := fmt.Sprint(resultNames(got)), fmt.Sprint(resultNames(want)); g != w {
@@ -123,22 +122,18 @@ func TestShardStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	if comparable == 0 {
-		t.Fatal("no stable-epoch pairs compared; stress test is vacuous")
+		t.Fatal("no stable-corpus pairs compared; stress test is vacuous")
 	}
 
 	// After the writers drain, every query must settle: cached scatters
-	// equal the oracle on the final corpus, and a repeat is a full
-	// cache hit on every shard.
+	// equal the oracle on the final corpus.
 	for _, q := range queries {
-		if _, err := sdb.QueryMode(q, cached); err != nil {
-			t.Fatal(err)
-		}
 		hit, err := sdb.QueryMode(q, cached)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hit.Stats.CacheHit {
-			t.Fatal("post-stress repeat was not a full cross-shard cache hit")
+		if !hit.Stats.CompileHit {
+			t.Fatal("post-stress query did not reuse its compiled automaton")
 		}
 		want, err := sdb.QueryMode(q, uncached)
 		if err != nil {
@@ -148,6 +143,16 @@ func TestShardStress(t *testing.T) {
 			t.Fatalf("post-stress: cached %s != uncached %s", g, w)
 		}
 	}
+}
+
+// corpusNames is the router's contract names in Contracts' name order,
+// joined: two reads that return the same string saw the same corpus.
+func corpusNames(sdb *shard.DB) string {
+	var ns []string
+	for _, c := range sdb.Contracts() {
+		ns = append(ns, c.Name)
+	}
+	return fmt.Sprint(ns)
 }
 
 // TestFindAnyCancelsProbes proves the FindAny early exit leaves no

@@ -86,12 +86,6 @@ type Config struct {
 	// is pruned against the oldest retained one). Zero selects
 	// journal.DefaultKeep.
 	KeepSnapshots int
-	// NoMmap disables memory-mapping snapshot containers at Open; the
-	// file is read into the heap instead (the slabs are still adopted
-	// zero-copy from that buffer). Mapping is also skipped
-	// automatically on platforms without mmap; RecoveryInfo.MmapFallback
-	// records why.
-	NoMmap bool
 	// Metrics receives durability counters; a fresh registry is created
 	// when nil.
 	Metrics *metrics.Durability
@@ -142,7 +136,7 @@ type RecoveryInfo struct {
 	// is slab bytes element-wise copied instead of viewed (0 on
 	// little-endian hosts); Sections is the container's directory
 	// size. MmapFallback names the reason mapping was not used
-	// ("disabled", "unsupported-platform", "empty-file", or
+	// ("unsupported-platform", "empty-file", or
 	// "mmap-failed: ..."; empty when mapped or when no snapshot was
 	// loaded).
 	MappedBytes  int64
@@ -180,10 +174,14 @@ type Store struct {
 }
 
 // readSnapshotFile brings a snapshot's bytes into memory, preferring
-// a private mapping: the loader adopts the slabs in place, so a mapped cold start pages data in on demand instead of
-// decoding it up front. mapped reports whether data is a mapping the
-// caller must eventually munmap; fallback names the reason it is not.
-func readSnapshotFile(path string, noMmap bool) (data []byte, mapped bool, fallback string, err error) {
+// a private mapping: the loader adopts the slabs in place, so a mapped
+// cold start pages data in on demand instead of decoding it up front.
+// Where mapping is impossible (no mmap on the platform, an empty file,
+// a failed map) it reads the file into the heap, and the slabs are
+// adopted zero-copy from that buffer. mapped reports whether data is a
+// mapping the caller must eventually munmap; fallback names the reason
+// it is not.
+func readSnapshotFile(path string) (data []byte, mapped bool, fallback string, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, false, "", err
@@ -192,9 +190,6 @@ func readSnapshotFile(path string, noMmap bool) (data []byte, mapped bool, fallb
 	readHeap := func(reason string) ([]byte, bool, string, error) {
 		data, err := os.ReadFile(path)
 		return data, false, reason, err
-	}
-	if noMmap {
-		return readHeap("disabled")
 	}
 	if !mmapSupported {
 		return readHeap("unsupported-platform")
@@ -237,7 +232,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 			}
 			return nil
 		}
-		data, mapped, fallback, err := readSnapshotFile(path, cfg.NoMmap)
+		data, mapped, fallback, err := readSnapshotFile(path)
 		if err != nil {
 			return err
 		}
@@ -436,7 +431,7 @@ func (s *Store) checkpoint() (uint64, error) {
 // Close checkpoints any unsnapshotted suffix, flushes and closes the
 // WAL, stops the background work, and releases the snapshot mapping
 // if the database was loaded from one. When recovery read the
-// snapshot into the heap (-mmap off) the database stays
+// snapshot into the heap (RecoveryInfo.MmapFallback set) the database stays
 // queryable in memory afterwards; when it was memory-mapped
 // (Recovery.MappedBytes > 0) its artifacts alias the released
 // mapping, so the database must not be used after Close.
