@@ -97,6 +97,16 @@ func (s Set) IntersectWith(t Set) {
 	}
 }
 
+// UnionWithIntersection adds every member of t ∩ u to s, without
+// materializing the intersection. The sets must have equal capacity.
+func (s Set) UnionWithIntersection(t, u Set) {
+	s.checkCompat(t)
+	s.checkCompat(u)
+	for i, w := range t.words {
+		s.words[i] |= w & u.words[i]
+	}
+}
+
 // Union returns s ∪ t as a new set.
 func (s Set) Union(t Set) Set {
 	out := s.Clone()

@@ -39,6 +39,10 @@ type BA struct {
 	compileOnce sync.Once
 	compiled    *Compiled
 
+	// Lazily built component structure; see Condensation.
+	condOnce sync.Once
+	cond     *Condensation
+
 	// Shell automata (ShellFromCompiled) start with Out == nil and the
 	// compiled form installed; edgesOnce materializes Out from the CSR
 	// arrays on the first analysis that needs labeled or reversed
@@ -412,11 +416,16 @@ func (a *BA) OnAcceptingCycle() []bool {
 // from the state to an accepting cycle. States where this fails can
 // never contribute to an accepting run.
 func (a *BA) CanReachAcceptingCycle() []bool {
-	on := a.OnAcceptingCycle()
+	return a.CanReach(a.OnAcceptingCycle())
+}
+
+// CanReach returns, per state, whether some path (possibly empty)
+// leads from the state to a state marked in goal.
+func (a *BA) CanReach(goal []bool) []bool {
 	in := a.Reverse()
 	out := make([]bool, a.NumStates())
 	var stack []StateID
-	for s, ok := range on {
+	for s, ok := range goal {
 		if ok {
 			out[s] = true
 			stack = append(stack, StateID(s))
@@ -443,14 +452,26 @@ func (a *BA) CanReachAcceptingCycle() []bool {
 // for removed states).
 func (a *BA) Trim() (*BA, []StateID) {
 	a.EnsureEdges()
-	reach := a.Reachable()
-	live := a.CanReachAcceptingCycle()
+	keep := a.Reachable()
+	for s, live := range a.CanReachAcceptingCycle() {
+		keep[s] = keep[s] && live
+	}
+	return a.Restrict(keep)
+}
+
+// Restrict returns the sub-automaton on the states marked in keep,
+// without the edges that leave it or carry unsatisfiable labels. If
+// the initial state is not kept, Restrict returns a single-state
+// automaton with no transitions. The second result maps old state IDs
+// to new ones (-1 for removed states).
+func (a *BA) Restrict(keep []bool) (*BA, []StateID) {
+	a.EnsureEdges()
 	remap := make([]StateID, a.NumStates())
-	keep := 0
+	n := 0
 	for s := range remap {
-		if reach[s] && live[s] {
-			remap[s] = StateID(keep)
-			keep++
+		if keep[s] {
+			remap[s] = StateID(n)
+			n++
 		} else {
 			remap[s] = -1
 		}
@@ -462,7 +483,7 @@ func (a *BA) Trim() (*BA, []StateID) {
 		}
 		return empty, remap
 	}
-	b := New(keep)
+	b := New(n)
 	b.Init = remap[a.Init]
 	b.Events = a.Events
 	for s := range a.Out {

@@ -7,13 +7,11 @@ package buchi
 // labels do not conflict; their conjunction is the product label.
 //
 // Only states reachable from the initial product state are
-// materialized: contract labels prune most combinations, so the
-// reachable product is typically a small fraction of |a|·|b|·2.
+// materialized.
 //
-// The contract/query formulas of the paper are conjunctions of
-// declarative clauses; translating each clause separately and
-// intersecting (with reduction in between) is dramatically cheaper
-// than a monolithic tableau over the conjunction.
+// No production path calls it: the translator folds conjunctions as
+// generalized Büchi automata (internal/ltl2ba). It is the tests'
+// independent product oracle.
 func Intersect(a, b *BA) *BA {
 	a.EnsureEdges()
 	b.EnsureEdges()

@@ -377,6 +377,16 @@ func (db *DB) ByName(name string) (*Contract, bool) {
 // projection precompute included — is in place, so a contract is never
 // served without its projections.
 func (db *DB) Register(name string, spec *ltl.Expr) (*Contract, error) {
+	return db.RegisterAutomaton(name, spec, nil)
+}
+
+// RegisterAutomaton is Register with the automaton supplied: a non-nil
+// auto stands in for spec's translation and must accept exactly the
+// runs spec allows. A contract whose automaton is already built — the
+// one a snapshot or log record stores, whichever translator wrote it —
+// then takes the synchronous registration path as it stands, without
+// being retranslated. A nil auto translates spec.
+func (db *DB) RegisterAutomaton(name string, spec *ltl.Expr, auto *buchi.BA) (*Contract, error) {
 	start := time.Now()
 	// Claim the name first (minting a generated one consumes the
 	// counter even if translation then fails — the sharded router's
@@ -396,9 +406,12 @@ func (db *DB) Register(name string, spec *ltl.Expr) (*Contract, error) {
 	logging := db.oplog != nil
 	db.mu.Unlock()
 
-	auto, err := ltl2ba.TranslateBounded(db.voc, spec, maxStates)
-	if err != nil {
-		return nil, fmt.Errorf("core: contract %q: %w", name, err)
+	translated := auto == nil
+	var err error
+	if translated {
+		if auto, err = ltl2ba.TranslateBounded(db.voc, spec, maxStates); err != nil {
+			return nil, fmt.Errorf("core: contract %q: %w", name, err)
+		}
 	}
 	if auto.IsEmpty() {
 		return nil, fmt.Errorf("core: contract %q allows no behavior (unsatisfiable specification)", name)
@@ -433,7 +446,9 @@ func (db *DB) Register(name string, spec *ltl.Expr) (*Contract, error) {
 		return nil, fmt.Errorf("core: contract %q %w", name, ErrDuplicateName)
 	}
 	c.ID = ContractID(len(db.contracts))
-	db.translations++
+	if translated {
+		db.translations++
+	}
 	db.projectionTime += projElapsed
 
 	if err := db.logRegisterLocked(c, rec); err != nil {

@@ -1,6 +1,11 @@
 package core
 
-import "contractdb/internal/buchi"
+import (
+	"slices"
+
+	"contractdb/internal/bisim"
+	"contractdb/internal/buchi"
+)
 
 // CheckedQuotients returns the projection quotients queries have built
 // permission checkers for so far, for tests that inspect what the
@@ -13,4 +18,23 @@ func (c *Contract) CheckedQuotients() []*buchi.BA {
 		out = append(out, q)
 	}
 	return out
+}
+
+// ReimportProjections rebuilds the contract's projection set from its
+// flat form the way a load does — fresh partition and ref tables, then
+// bisim.ImportFlat — and discards it, for tests that price that step
+// on its own.
+func (c *Contract) ReimportProjections() error {
+	ps := c.proj.ps
+	flat := ps.ExportFlat()
+	flat.PartTables = slices.Clone(flat.PartTables)
+	flat.PartRefs = slices.Clone(flat.PartRefs)
+	_, err := bisim.ImportFlat(c.auto, ps.LabelEvents(), flat)
+	return err
+}
+
+// PartitionTables returns the class tables of the contract's
+// precomputed projections, for tests that check where they live.
+func (c *Contract) PartitionTables() []bisim.Partition {
+	return c.proj.ps.ExportFlat().PartTables
 }

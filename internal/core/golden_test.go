@@ -16,8 +16,10 @@ import (
 // saved by successive writers: snapshot-v2/v3.golden are gob streams
 // this build refuses; snapshot-v4-unsharded.golden (unsharded head
 // with a prefilter index), snapshot-v4-quotients.golden (persisted
-// quotient rows) and snapshot-v4.golden (the current writer) are v4
-// containers that must keep loading.
+// quotient rows), snapshot-v4-clausewise.golden (the current writer
+// with the automata of the translator that degeneralized clause by
+// clause) and snapshot-v4.golden (the current writer and translator)
+// are v4 containers that must keep loading.
 
 // goldenCorpus rebuilds the fixtures' corpus from the generator; the
 // draw is fully deterministic, so this is the ground truth every

@@ -203,7 +203,10 @@ func TestRegisterRecordReplays(t *testing.T) {
 // TestDeferredRecordPromotesInline: replaying the committed deferred
 // record runs the projection precompute before the contract is
 // installed, so it is served at the full tier and the database is the
-// one a synchronous registration builds — same answers, same bytes.
+// one a synchronous registration of the record's own automaton builds
+// — same answers, same bytes. The reference does not retranslate the
+// specification: the record keeps the automaton of the translator that
+// wrote it.
 func TestDeferredRecordPromotesInline(t *testing.T) {
 	db, _ := replayRecords(t, [][]byte{readFixture(t, deferredFixture)})
 	c, ok := db.ByName("NoRefundsAfterUse")
@@ -218,7 +221,7 @@ func TestDeferredRecordPromotesInline(t *testing.T) {
 	}
 
 	ref := core.NewDB(vocab.MustFromNames(recordEvents...), core.Options{})
-	if _, err := ref.Register(recordContracts[1].name, ltl.MustParse(recordContracts[1].spec)); err != nil {
+	if _, err := ref.RegisterAutomaton(c.Name, c.Spec, c.Automaton().Clone()); err != nil {
 		t.Fatal(err)
 	}
 	var queries []*ltl.Expr

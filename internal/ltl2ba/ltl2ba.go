@@ -3,16 +3,24 @@
 //
 // The paper's prototype used the external LTL2BA tool [Gastin &
 // Oddoux, CAV'01] for this step; we implement the translation from
-// scratch. The pipeline is:
+// scratch. Like LTL2BA, it keeps generalized acceptance until the very
+// end. The pipeline is:
 //
 //  1. rewrite to negation normal form over {literals, ∧, ∨, X, U, R,
-//     F, G} and simplify,
-//  2. GPVW tableau expansion [Gerth, Peled, Vardi, Wolper '95]
-//     yielding a generalized Büchi automaton with one acceptance set
-//     per U/F subformula,
-//  3. counter-based degeneralization to a plain Büchi automaton,
-//  4. trimming (drop states that cannot lie on a run from the initial
-//     state through an accepting cycle) and bisimulation reduction.
+//     F, G}, simplify, and split the top-level conjunction into its
+//     conjuncts (a contract's clauses, §2.2);
+//  2. per conjunct, GPVW tableau expansion [Gerth, Peled, Vardi,
+//     Wolper '95] yielding a generalized Büchi automaton (GBA) with
+//     one acceptance set per U/F subformula;
+//  3. per GBA, reduction: trim to the reachable states that can reach
+//     a cycle meeting every acceptance set, normalize the acceptance
+//     sets (dropping duplicate and all-state sets), and quotient by
+//     forward bisimulation seeded with each state's set memberships;
+//  4. fold the conjuncts smallest-first by synchronous product,
+//     concatenating acceptance sets, and reduce every product as in 3;
+//  5. degeneralize the final product once, by the counter
+//     construction, then trim and reduce it by forward and backward
+//     bisimulation.
 //
 // The result accepts exactly the runs satisfying the formula; the
 // package's tests verify this against the LTL lasso evaluator.
@@ -39,9 +47,13 @@ import (
 // when simplification removes some of them from the labels.
 //
 // Top-level conjunctions (the shape of every contract: common clauses
-// ∧ ticket clauses, §2.2) are translated clause-by-clause and
-// intersected, which avoids the exponential tableau over the
-// conjunction. Each intermediate product is trimmed and reduced.
+// ∧ ticket clauses, §2.2) are translated clause-by-clause, which
+// avoids the exponential tableau over the conjunction. The clauses
+// stay generalized Büchi automata until the end: their synchronous
+// product concatenates the acceptance sets, so no product pays the
+// two-copy flag of a Büchi intersection, and every intermediate
+// product is trimmed and reduced. Only the final product is
+// degeneralized.
 func Translate(voc *vocab.Vocabulary, f *ltl.Expr) (*buchi.BA, error) {
 	return TranslateBounded(voc, f, 0)
 }
@@ -64,7 +76,7 @@ var ErrTooLarge = errors.New("ltl2ba: automaton exceeds the state bound")
 
 // TranslateBounded is Translate with an optional size bound:
 // maxStates ≤ 0 means unbounded; otherwise the final automaton may
-// have at most maxStates states, and intermediate products are
+// have at most maxStates states, and intermediate automata are
 // abandoned once they exceed a generous multiple of it (reduction can
 // shrink intermediates, so the early-abort threshold is deliberately
 // loose).
@@ -76,41 +88,44 @@ func TranslateBounded(voc *vocab.Vocabulary, f *ltl.Expr, maxStates int) (*buchi
 	}
 	var conjuncts []*ltl.Expr
 	collectConjuncts(ltl.Simplify(f), &conjuncts)
-	parts := make([]*buchi.BA, len(conjuncts))
+	parts := make([]*gba, len(conjuncts))
 	for i, g := range conjuncts {
-		parts[i], err = translateOne(voc, g)
-		if err != nil {
+		if parts[i], err = translateConjunct(voc, g); err != nil {
 			return nil, err
 		}
 	}
 	// Fold smallest-first: intermediate products stay smaller when the
-	// tightly-constrained clauses intersect early.
+	// tightly-constrained clauses meet early.
 	sort.SliceStable(parts, func(i, j int) bool {
-		return parts[i].NumStates() < parts[j].NumStates()
+		return parts[i].auto.NumStates() < parts[j].auto.NumStates()
 	})
 	// Reduction can shrink intermediates below the final bound, so the
-	// early-abort thresholds are deliberately loose: raw products are
-	// abandoned at 40× the bound (before paying for the expensive
-	// reductions), reduced intermediates at 8×.
+	// early-abort thresholds are deliberately loose: raw automata (a
+	// trimmed product, the degeneralized result) are abandoned at 40×
+	// the bound before paying for bisimulation, reduced products at 8×.
 	rawBound, intermediateBound := 0, 0
 	if maxStates > 0 {
 		rawBound, intermediateBound = 40*maxStates, 8*maxStates
 	}
-	a := parts[0]
-	for _, b := range parts[1:] {
-		a = buchi.Intersect(a, b)
-		if rawBound > 0 {
-			if trimmed, _ := a.Trim(); trimmed.NumStates() > rawBound {
-				return nil, fmt.Errorf("%w (raw product reached %d states, bound %d)",
-					ErrTooLarge, trimmed.NumStates(), maxStates)
-			}
+	g := parts[0]
+	for _, h := range parts[1:] {
+		g = product(g, h).trim()
+		if rawBound > 0 && g.auto.NumStates() > rawBound {
+			return nil, fmt.Errorf("%w (raw product reached %d states, bound %d)",
+				ErrTooLarge, g.auto.NumStates(), maxStates)
 		}
-		a = shrink(a)
-		if intermediateBound > 0 && a.NumStates() > intermediateBound {
+		g = g.reduce()
+		if intermediateBound > 0 && g.auto.NumStates() > intermediateBound {
 			return nil, fmt.Errorf("%w (intermediate product reached %d states, bound %d)",
-				ErrTooLarge, a.NumStates(), maxStates)
+				ErrTooLarge, g.auto.NumStates(), maxStates)
 		}
 	}
+	a := degeneralize(g)
+	if rawBound > 0 && a.NumStates() > rawBound {
+		return nil, fmt.Errorf("%w (degeneralized automaton reached %d states, bound %d)",
+			ErrTooLarge, a.NumStates(), maxStates)
+	}
+	a = shrink(a)
 	if maxStates > 0 && a.NumStates() > maxStates {
 		return nil, fmt.Errorf("%w (%d states, bound %d)", ErrTooLarge, a.NumStates(), maxStates)
 	}
@@ -127,17 +142,18 @@ func collectConjuncts(f *ltl.Expr, out *[]*ltl.Expr) {
 	*out = append(*out, f)
 }
 
-func translateOne(voc *vocab.Vocabulary, f *ltl.Expr) (*buchi.BA, error) {
+// translateConjunct builds the reduced tableau GBA of one conjunct.
+func translateConjunct(voc *vocab.Vocabulary, f *ltl.Expr) (*gba, error) {
 	g := ltl.Simplify(ltl.NNF(f))
 	t := newTableau(voc)
 	if err := t.check(g); err != nil {
 		return nil, err
 	}
 	t.expandFrom(g)
-	gba := t.build(g)
-	return shrink(degeneralize(gba)), nil
+	return t.build(g).trim().reduce(), nil
 }
 
+// shrink trims and reduces the degeneralized automaton.
 func shrink(a *buchi.BA) *buchi.BA {
 	a, _ = a.Trim()
 	a.MergeAdjacentLabels()
@@ -426,11 +442,14 @@ func negation(f *ltl.Expr) *ltl.Expr {
 	return ltl.Not(f)
 }
 
-// gba is the intermediate generalized Büchi automaton with labels on
-// transitions and one acceptance set per U/F subformula.
+// gba is a generalized Büchi automaton with labels on transitions: a
+// run is accepting iff it visits every acceptance set infinitely
+// often. auto holds the transitions (its Final marks are unused) and
+// accept[i][s] reports whether state s belongs to acceptance set i.
+// With no acceptance sets every run is accepting.
 type gba struct {
 	auto   *buchi.BA
-	accept [][]bool // accept[i][state]
+	accept [][]bool
 }
 
 // build converts the expanded node set into a transition-labeled
@@ -499,14 +518,183 @@ func (t *tableau) labelOf(n *gnode) buchi.Label {
 	return l
 }
 
-// degeneralize applies the counter construction: state (q, i) waits
-// for acceptance set i; the counter advances when the *source* state
-// belongs to set i, and a visit to the last set at counter k-1 is
-// accepting. With no acceptance sets every run is accepting and the
-// automaton is returned with all states final.
-func degeneralize(g *gba) *buchi.BA {
+// product is the synchronous product of two GBAs over the pairs
+// reachable from the initial pair: a transition exists where the two
+// labels do not conflict, and carries their conjunction. The
+// acceptance sets are g's followed by h's, each lifted to the pairs,
+// so a run is accepting iff both of its projections are.
+func product(g, h *gba) *gba {
+	x, y := g.auto, h.auto
+	ny := y.NumStates()
+	ids := make([]int32, x.NumStates()*ny)
+	for i := range ids {
+		ids[i] = -1
+	}
+	out := buchi.New(0)
+	var pairs []int // pair index s*ny+t per product state
+	intern := func(s, t buchi.StateID) buchi.StateID {
+		k := int(s)*ny + int(t)
+		if ids[k] < 0 {
+			ids[k] = int32(out.AddState())
+			pairs = append(pairs, k)
+		}
+		return buchi.StateID(ids[k])
+	}
+	out.Init = intern(x.Init, y.Init)
+	for from := 0; from < len(pairs); from++ {
+		s, t := pairs[from]/ny, pairs[from]%ny
+		for _, ex := range x.Out[s] {
+			for _, ey := range y.Out[t] {
+				if !ex.Label.Conflicts(ey.Label) {
+					out.AddEdge(buchi.StateID(from), ex.Label.And(ey.Label), intern(ex.To, ey.To))
+				}
+			}
+		}
+	}
+	accept := make([][]bool, 0, len(g.accept)+len(h.accept))
+	lift := func(set []bool, side func(pair int) int) {
+		lifted := make([]bool, len(pairs))
+		for i, k := range pairs {
+			lifted[i] = set[side(k)]
+		}
+		accept = append(accept, lifted)
+	}
+	for _, set := range g.accept {
+		lift(set, func(k int) int { return k / ny })
+	}
+	for _, set := range h.accept {
+		lift(set, func(k int) int { return k % ny })
+	}
+	return &gba{auto: out, accept: accept}
+}
+
+// trim restricts g to the states reachable from the initial state
+// that can reach a fair component: a strongly connected component
+// with a cycle that meets every acceptance set. It then normalizes
+// the acceptance sets, which changes no run's acceptance:
+//
+//   - a state on no cycle is visited at most once by any run, so it
+//     joins every set;
+//   - a run that stays in an unfair cyclic component is rejected
+//     whatever its states belong to, so they leave every set;
+//   - a set holding every state, or equal to an earlier set, is
+//     dropped.
+//
+// Uniform memberships let reduce merge more states, and every dropped
+// set spares degeneralize a counter level.
+func (g *gba) trim() *gba {
 	a := g.auto
-	k := len(g.accept)
+	n := a.NumStates()
+	comp, count := a.SCCs()
+	cyclic := make([]bool, count)
+	for s, out := range a.Out {
+		for _, e := range out {
+			if comp[s] == comp[e.To] {
+				cyclic[comp[s]] = true
+			}
+		}
+	}
+	fair := append([]bool(nil), cyclic...)
+	meets := make([]bool, count)
+	for _, set := range g.accept {
+		clear(meets)
+		for s, in := range set {
+			if in {
+				meets[comp[s]] = true
+			}
+		}
+		for c := range fair {
+			fair[c] = fair[c] && meets[c]
+		}
+	}
+	goal := make([]bool, n)
+	for s := range goal {
+		goal[s] = fair[comp[s]]
+	}
+	keep := a.Reachable()
+	for s, live := range a.CanReach(goal) {
+		keep[s] = keep[s] && live
+	}
+	b, remap := a.Restrict(keep)
+	if remap[a.Init] < 0 {
+		return &gba{auto: b} // empty language
+	}
+	var accept [][]bool
+	seen := map[string]bool{}
+	key := make([]byte, b.NumStates())
+	for _, set := range g.accept {
+		norm := make([]bool, b.NumStates())
+		full := true
+		for s, to := range remap {
+			if to < 0 {
+				continue
+			}
+			c := comp[s]
+			norm[to] = !cyclic[c] || fair[c] && set[s]
+			full = full && norm[to]
+			key[to] = 0
+			if norm[to] {
+				key[to] = 1
+			}
+		}
+		if !full && !seen[string(key)] {
+			seen[string(key)] = true
+			accept = append(accept, norm)
+		}
+	}
+	return &gba{auto: b, accept: accept}
+}
+
+// reduce quotients g by forward bisimulation, seeded so that states
+// in different acceptance sets start apart: equivalent states belong
+// to the same sets and mimic each other's labeled transitions into
+// equivalent states, so the quotient accepts the same language.
+func (g *gba) reduce() *gba {
+	a := g.auto
+	a.MergeAdjacentLabels()
+	a.Normalize()
+	n := a.NumStates()
+	start := make([]int, n)
+	classes := map[string]int{}
+	sig := make([]byte, len(g.accept))
+	for s := range start {
+		for i, set := range g.accept {
+			sig[i] = 0
+			if set[s] {
+				sig[i] = 1
+			}
+		}
+		c, ok := classes[string(sig)]
+		if !ok {
+			c = len(classes)
+			classes[string(sig)] = c
+		}
+		start[s] = c
+	}
+	p := bisim.RefineProjected(a, bisim.Partition{Class: start, Count: len(classes)}, ^vocab.Set(0))
+	if p.Count == n {
+		return g
+	}
+	accept := make([][]bool, len(g.accept))
+	for i, set := range g.accept {
+		accept[i] = make([]bool, p.Count)
+		for s, c := range p.Class {
+			accept[i][c] = set[s]
+		}
+	}
+	return &gba{auto: bisim.Quotient(a, p, ^vocab.Set(0)), accept: accept}
+}
+
+// degeneralize applies the counter construction to the states
+// reachable from (Init, 0): state (q, i) waits for acceptance set i.
+// Leaving q, the counter skips every set from i on that q belongs to;
+// a state whose skip passes the last set completes a round, is
+// accepting, and restarts the counter at 0. A run completes rounds
+// infinitely often iff it visits every set infinitely often. With no
+// acceptance sets every run is accepting and the automaton is
+// returned with all states final.
+func degeneralize(g *gba) *buchi.BA {
+	a, k := g.auto, len(g.accept)
 	if k == 0 {
 		b := a.Clone()
 		for s := range b.Final {
@@ -514,23 +702,32 @@ func degeneralize(g *gba) *buchi.BA {
 		}
 		return b
 	}
-	n := a.NumStates()
-	out := buchi.New(n * k)
-	state := func(q buchi.StateID, i int) buchi.StateID { return buchi.StateID(int(q)*k + i) }
-	out.Init = state(a.Init, 0)
-	for q := 0; q < n; q++ {
-		for i := 0; i < k; i++ {
-			from := state(buchi.StateID(q), i)
-			j := i
-			if g.accept[i][q] {
-				j = (i + 1) % k
-			}
-			if i == k-1 && g.accept[i][q] {
-				out.SetFinal(from)
-			}
-			for _, e := range a.Out[q] {
-				out.AddEdge(from, e.Label, state(e.To, j))
-			}
+	ids := make([]int32, a.NumStates()*k)
+	for i := range ids {
+		ids[i] = -1
+	}
+	out := buchi.New(0)
+	var queue []int // q*k+i per state of out
+	intern := func(q buchi.StateID, i int) buchi.StateID {
+		key := int(q)*k + i
+		if ids[key] < 0 {
+			ids[key] = int32(out.AddState())
+			queue = append(queue, key)
+		}
+		return buchi.StateID(ids[key])
+	}
+	out.Init = intern(a.Init, 0)
+	for from := 0; from < len(queue); from++ {
+		q, i := queue[from]/k, queue[from]%k
+		for i < k && g.accept[i][q] {
+			i++
+		}
+		if i == k {
+			out.SetFinal(buchi.StateID(from))
+			i = 0
+		}
+		for _, e := range a.Out[q] {
+			out.AddEdge(buchi.StateID(from), e.Label, intern(e.To, i))
 		}
 	}
 	return out

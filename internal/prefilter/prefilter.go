@@ -211,15 +211,12 @@ func forEachSubset(lits []literal, k int, fn func(buchi.Label)) {
 // literals than the index depth K (§4.2). The result has capacity
 // Len().
 func (ix *Index) S(l buchi.Label) bitset.Set {
-	lits := literalsOf(l)
-	if len(lits) == 0 {
+	if l.LiteralCount() <= ix.k {
 		// The empty literal set is compatible with every transition;
 		// its node holds every contract with at least one transition.
-		return ix.nodeSet(buchi.Label{})
-	}
-	if len(lits) <= ix.k {
 		return ix.nodeSet(l)
 	}
+	lits := literalsOf(l)
 	// Over-depth lookup: intersect the node sets of consecutive
 	// chunks of ≤ k literals. Every chunk set is a superset of S(λ),
 	// hence so is their intersection.
@@ -263,36 +260,36 @@ func (ix *Index) nodeSet(l buchi.Label) bitset.Set {
 // against the index (Algorithm 1) and returns the candidate contract
 // set. The result is guaranteed to contain every contract that permits
 // the query.
+//
+// The automaton's side of the work — its components, the edges that
+// cross them and the edges that close cycles at final states — is the
+// automaton's memoized Condensation, so a query fanned out to every
+// shard, or served again from the compile cache, is analysed once.
+// What remains is index lookups, once per distinct label.
 func (ix *Index) Candidates(q *buchi.BA) bitset.Set {
 	result := bitset.New(ix.n)
-	comp, count := q.SCCs()
-	in := q.Reverse()
-	paths := ix.pathConditions(q, comp, count)
-	for _, t := range q.FinalStates() {
-		cyc := ix.cycleCondition(q, in, comp, t)
-		if cyc.IsEmpty() {
-			// No cycle can knot at t; this final state contributes no
-			// candidates.
-			continue
+	if ix.n == 0 {
+		return result
+	}
+	d := q.Condensation()
+	labels := q.Compiled().Labels
+	sets := make([]bitset.Set, len(labels)) // S per label, on first use
+	s := func(id int32) bitset.Set {
+		if sets[id].Len() == 0 {
+			sets[id] = ix.S(labels[id])
 		}
-		cyc.IntersectWith(paths[comp[t]])
-		result.UnionWith(cyc)
+		return sets[id]
+	}
+	paths := ix.pathConditions(q, d, s)
+	// A final state contributes its cycle condition — the union of S
+	// over its cycle-closing edges (§4.1.1) — intersected with its
+	// component's path condition.
+	for _, k := range d.Knots {
+		for _, id := range k.Labels {
+			result.UnionWithIntersection(s(id), paths[k.Comp])
+		}
 	}
 	return result
-}
-
-// cycleCondition unions S(λ) over t's incoming transitions from
-// within its own strongly connected component — the transitions that
-// can close a lasso cycle at t (§4.1.1).
-func (ix *Index) cycleCondition(q *buchi.BA, in [][]buchi.Edge, comp []int, t buchi.StateID) bitset.Set {
-	out := bitset.New(ix.n)
-	for _, e := range in[t] {
-		if comp[e.To] != comp[t] { // e.To is the *source* in reversed edges
-			continue
-		}
-		out.UnionWith(ix.S(e.Label))
-	}
-	return out
 }
 
 // pathConditions computes compute_path_from_init of Algorithm 1 for
@@ -310,32 +307,18 @@ func (ix *Index) cycleCondition(q *buchi.BA, in [][]buchi.Edge, comp []int, t bu
 // naively memoizing its cycle-guarded recursion is either unsound
 // (guard = ∅) or vacuous at self-looping final states (guard = all).
 //
-// Components are propagated in reverse SCC order (Tarjan numbers a
-// component's successors with smaller indices), so every inter-
-// component predecessor is final before its successors consume it.
-func (ix *Index) pathConditions(q *buchi.BA, comp []int, count int) []bitset.Set {
-	out := make([]bitset.Set, count)
+// The crossing edges come in decreasing source-component order
+// (Tarjan numbers a component's successors with smaller indices), so
+// every component's condition is complete before its edges out of it
+// propagate it.
+func (ix *Index) pathConditions(q *buchi.BA, d *buchi.Condensation, s func(int32) bitset.Set) []bitset.Set {
+	out := make([]bitset.Set, d.Count)
 	for c := range out {
 		out[c] = bitset.New(ix.n)
 	}
-	out[comp[q.Init]] = bitset.All(ix.n)
-	// Group states by component so we can walk components in
-	// topological (decreasing-index) order.
-	states := make([][]buchi.StateID, count)
-	for s := range q.Out {
-		states[comp[s]] = append(states[comp[s]], buchi.StateID(s))
-	}
-	for c := count - 1; c >= 0; c-- {
-		for _, s := range states[c] {
-			for _, e := range q.Out[s] {
-				if comp[e.To] == c {
-					continue // intra-component edges constrain nothing
-				}
-				branch := out[c].Clone()
-				branch.IntersectWith(ix.S(e.Label))
-				out[comp[e.To]].UnionWith(branch)
-			}
-		}
+	out[d.Comp[q.Init]] = bitset.All(ix.n)
+	for _, e := range d.Cross {
+		out[e.To].UnionWithIntersection(out[e.From], s(e.Label))
 	}
 	return out
 }

@@ -80,6 +80,11 @@ func New(voc *vocab.Vocabulary, opts core.Options, n int) (*DB, error) {
 	}
 	shardOpts := opts
 	shardOpts.Parallelism = perShardParallelism(opts.Parallelism, n)
+	// The router translates each query once, through its own compile
+	// cache, and hands shards the automaton: a shard's cache would
+	// never be consulted. db.opts, which Save records, keeps the
+	// configured size.
+	shardOpts.QueryCacheSize = -1
 	for i := range db.shards {
 		db.shards[i] = core.NewDB(voc, shardOpts)
 	}
@@ -311,9 +316,8 @@ func (db *DB) RegistrationStats() core.RegistrationStats {
 	return out
 }
 
-// CacheStats returns the router's compile-cache gauges; the shards'
-// own compile caches are never consulted (queries translate once, at
-// the router).
+// CacheStats returns the router's compile-cache gauges. Shards have no
+// compile cache: queries translate once, at the router.
 func (db *DB) CacheStats() core.CacheStats {
 	if db.compile == nil {
 		return core.CacheStats{}

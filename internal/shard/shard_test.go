@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 
@@ -113,6 +114,40 @@ func TestShardingBasics(t *testing.T) {
 	cs := sdb.Contracts()
 	if !sort.SliceIsSorted(cs, func(i, j int) bool { return cs[i].Name < cs[j].Name }) {
 		t.Fatal("Contracts() not sorted by name")
+	}
+}
+
+// TestOnlyRouterCompileCache: the router translates every query
+// through its own compile cache, so the shards are built without one,
+// while the options Save records keep the configured cache size.
+func TestOnlyRouterCompileCache(t *testing.T) {
+	db, err := shard.New(datagen.NewVocabulary(), core.Options{QueryCacheSize: 64}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"F p1", "G(p2 -> F p3)"} {
+		if _, err := db.QueryLTL(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.CacheStats(); got.QueryCacheLen != 2 || got.QueryCacheCap != 64 {
+		t.Errorf("router cache = %+v, want 2 entries of 64", got)
+	}
+	for i := range db.NumShards() {
+		if got := db.Shard(i).CacheStats(); got != (core.CacheStats{}) {
+			t.Errorf("shard %d has a compile cache: %+v", i, got)
+		}
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	info, err := core.PeekV4(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Opts.QueryCacheSize != 64 {
+		t.Errorf("saved QueryCacheSize = %d, want 64", info.Opts.QueryCacheSize)
 	}
 }
 

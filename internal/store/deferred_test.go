@@ -9,6 +9,7 @@ import (
 
 	"contractdb/internal/core"
 	"contractdb/internal/store"
+	"contractdb/internal/vocab"
 )
 
 // TestDeferredWALReplayPromotes: builds with a background registration
@@ -17,14 +18,16 @@ import (
 // register-v4-deferred.rec). A data directory whose WAL holds one still
 // opens: replay runs the precompute inline, the contract is served at
 // the full tier, and the recovered state is the one a synchronous
-// registration builds — same answers, same bytes, also after a clean
-// reopen.
+// registration of the record's own automaton builds — same answers,
+// same bytes, also after a clean reopen. The reference does not
+// retranslate the specification: the record keeps the automaton of the
+// translator that wrote it.
 func TestDeferredWALReplayPromotes(t *testing.T) {
 	rec, err := os.ReadFile(filepath.Join("..", "core", "testdata", "register-v4-deferred.rec"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const name, spec = "NoRefundsAfterUse", "G(use -> G !refund) & F purchase"
+	const name = "NoRefundsAfterUse"
 	cfg := store.Config{Events: []string{"purchase", "use", "refund", "dateChange"}}
 
 	// Append the record the way such a build's Register did, then crash:
@@ -37,17 +40,31 @@ func TestDeferredWALReplayPromotes(t *testing.T) {
 	crash := t.TempDir()
 	copyDir(t, dir, crash)
 
-	ref := openStore(t, t.TempDir(), cfg)
-	if _, err := ref.DB().RegisterLTL(name, spec); err != nil {
+	// The reference registers the record's automaton synchronously. An
+	// unsharded database saves the bytes a store's router does.
+	stored := core.NewDB(vocab.MustFromNames(cfg.Events...), cfg.Core)
+	if err := core.ApplyRegistrationTo(rec, func(string) *core.DB { return stored }, nil); err != nil {
 		t.Fatal(err)
 	}
-	want := saveBytes(t, ref.DB())
+	c, ok := stored.ByName(name)
+	if !ok {
+		t.Fatal("the deferred record holds no contract")
+	}
+	ref := core.NewDB(vocab.MustFromNames(cfg.Events...), cfg.Core)
+	if _, err := ref.RegisterAutomaton(name, c.Spec, c.Automaton().Clone()); err != nil {
+		t.Fatal(err)
+	}
+	var refSave bytes.Buffer
+	if err := ref.Save(&refSave); err != nil {
+		t.Fatal(err)
+	}
+	want := refSave.Bytes()
 
 	st2 := openStore(t, crash, cfg)
 	if st2.Recovery.ReplayedRecords != 1 {
 		t.Errorf("replayed %d records, want 1", st2.Recovery.ReplayedRecords)
 	}
-	c, ok := st2.DB().ByName(name)
+	c, ok = st2.DB().ByName(name)
 	if !ok {
 		t.Fatal("the deferred record installed no contract")
 	}
@@ -59,7 +76,7 @@ func TestDeferredWALReplayPromotes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp, err := ref.DB().QueryLTL(q)
+		exp, err := ref.QueryLTL(q)
 		if err != nil {
 			t.Fatal(err)
 		}
