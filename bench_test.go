@@ -22,6 +22,7 @@
 package main_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -239,7 +240,7 @@ func BenchmarkIndexBuildPrefilter(b *testing.B) {
 	gen := datagen.New(voc, 1)
 	var autos []*buchi.BA
 	for len(autos) < 50 {
-		a, err := ltl2ba.TranslateBounded(voc, gen.Specification(datagen.SimpleContracts.Properties), 300)
+		a, err := ltl2ba.TranslateBounded(context.Background(), voc, gen.Specification(datagen.SimpleContracts.Properties), 300)
 		if err != nil {
 			continue // oversized or unsatisfiable: redraw
 		}
@@ -262,7 +263,7 @@ func BenchmarkIndexBuildProjections(b *testing.B) {
 	gen := datagen.New(voc, 1)
 	var autos []*buchi.BA
 	for len(autos) < 25 {
-		a, err := ltl2ba.TranslateBounded(voc, gen.Specification(datagen.SimpleContracts.Properties), 300)
+		a, err := ltl2ba.TranslateBounded(context.Background(), voc, gen.Specification(datagen.SimpleContracts.Properties), 300)
 		if err != nil {
 			continue // oversized or unsatisfiable: redraw
 		}
@@ -284,7 +285,7 @@ func BenchmarkAblationKernel(b *testing.B) {
 	gen := datagen.New(voc, 3)
 	var checkers []*permission.Checker
 	for len(checkers) < 20 {
-		a, err := ltl2ba.TranslateBounded(voc, gen.Specification(5), 300)
+		a, err := ltl2ba.TranslateBounded(context.Background(), voc, gen.Specification(5), 300)
 		if err != nil {
 			continue // oversized or unsatisfiable: redraw
 		}
@@ -325,7 +326,7 @@ func BenchmarkAblationSeeds(b *testing.B) {
 	gen := datagen.New(voc, 5)
 	var autos []*buchi.BA
 	for len(autos) < 20 {
-		a, err := ltl2ba.TranslateBounded(voc, gen.Specification(5), 300)
+		a, err := ltl2ba.TranslateBounded(context.Background(), voc, gen.Specification(5), 300)
 		if err != nil {
 			continue // oversized or unsatisfiable: redraw
 		}
@@ -369,7 +370,7 @@ func BenchmarkAblationPrefilterDepth(b *testing.B) {
 	gen := datagen.New(voc, 7)
 	var autos []*buchi.BA
 	for len(autos) < 40 {
-		a, err := ltl2ba.TranslateBounded(voc, gen.Specification(5), 300)
+		a, err := ltl2ba.TranslateBounded(context.Background(), voc, gen.Specification(5), 300)
 		if err != nil {
 			continue // oversized or unsatisfiable: redraw
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -69,7 +70,7 @@ func cmdImport(args []string) error {
 		specs[i] = core.Registration{Name: e.Name, Spec: e.Spec}
 	}
 	start := time.Now()
-	results := db.RegisterBatch(specs, *workers)
+	results := db.RegisterBatch(context.Background(), specs, *workers)
 	ok, failed := 0, 0
 	for _, r := range results {
 		if r.Err != nil {
@@ -97,7 +98,7 @@ func cmdExplain(args []string) error {
 	if err != nil {
 		return err
 	}
-	w, ok, err := db.ExplainLTL(*name, *spec)
+	w, ok, err := db.ExplainLTL(context.Background(), *name, *spec)
 	if err != nil {
 		return err
 	}

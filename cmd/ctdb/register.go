@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +41,7 @@ func cmdRegister(args []string) error {
 		return err
 	}
 	start := time.Now()
-	results := db.RegisterBatch(specs, *workers)
+	results := db.RegisterBatch(context.Background(), specs, *workers)
 	ok, failed := 0, 0
 	for i, r := range results {
 		if r.Err != nil {

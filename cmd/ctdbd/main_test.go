@@ -2,7 +2,11 @@ package main_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -262,5 +266,49 @@ func TestDaemonFlagValidation(t *testing.T) {
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("args %v: output %q lacks %q", tc.args, out, tc.want)
 		}
+	}
+}
+
+// TestDaemonHostileTranslation sends a daemon under -query-timeout 1s
+// two queries whose translation once held a request for seconds: the
+// fairness conjunction G F e0 ∧ … ∧ G F e9, and a chain of 10,000 X
+// operators. Each must answer within 1.5 s, with its matches (200) or
+// with a timeout (408), and leave the daemon serving.
+func TestDaemonHostileTranslation(t *testing.T) {
+	bin := buildDaemon(t)
+	d := startDaemon(t, bin, filepath.Join(t.TempDir(), "data"), "-query-timeout", "1s")
+	if _, err := d.client().Register("PayBeforeUse", "G(use -> F pay)"); err != nil {
+		t.Fatal(err)
+	}
+	var fairness []string
+	for i := range 10 {
+		fairness = append(fairness, fmt.Sprintf("G F e%d", i))
+	}
+	for _, q := range []struct{ name, spec string }{
+		{"fairness", strings.Join(fairness, " && ")},
+		{"next chain", strings.Repeat("X ", 10_000) + "pay"},
+	} {
+		body, err := json.Marshal(server.QueryRequest{Spec: q.spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := http.Post("http://"+d.addr+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		elapsed := time.Since(start)
+		t.Logf("%s: %d after %v", q.name, resp.StatusCode, elapsed)
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusRequestTimeout {
+			t.Errorf("%s: status %d, want 200 or 408", q.name, resp.StatusCode)
+		}
+		if elapsed > 1500*time.Millisecond {
+			t.Errorf("%s: answered after %v, want within 1.5s", q.name, elapsed)
+		}
+	}
+	if _, err := d.client().Query("F pay", ""); err != nil {
+		t.Fatalf("daemon stopped serving: %v", err)
 	}
 }

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -186,7 +187,7 @@ func buildSpecs(voc *vocab.Vocabulary, gen *datagen.Generator, c classSpec) []*b
 	out := make([]*buchi.BA, 0, c.size)
 	for len(out) < c.size {
 		spec := gen.Specification(c.Properties)
-		a, err := ltl2ba.TranslateBounded(voc, spec, *capFlag)
+		a, err := ltl2ba.TranslateBounded(context.Background(), voc, spec, *capFlag)
 		if errors.Is(err, ltl2ba.ErrTooLarge) {
 			continue
 		}

@@ -14,6 +14,7 @@
 package bisim
 
 import (
+	"context"
 	"strconv"
 
 	"contractdb/internal/buchi"
@@ -123,25 +124,40 @@ func Reduce(a *buchi.BA) *buchi.BA {
 // lift too), and classes are finality-uniform, so acceptance
 // transfers.
 func CoarsestBackward(a *buchi.BA) Partition {
-	r := loadRefiner(a, true)
+	p, _ := coarsest(nil, a, true)
+	return p
+}
+
+// coarsest is Coarsest, or CoarsestBackward when backward is set,
+// stopping with ctx's error once a non-nil ctx is done.
+func coarsest(ctx context.Context, a *buchi.BA, backward bool) (Partition, error) {
+	r := loadRefiner(a, backward)
 	defer refinerPool.Put(r)
-	return r.refine(r.seed(a, true), ^vocab.Set(0))
+	r.project(^vocab.Set(0))
+	return r.partition(ctx, r.seed(a, backward))
 }
 
 // ReduceBidirectional alternates forward and backward bisimulation
 // quotients until neither shrinks the automaton. Forward bisimulation
 // merges states with identical futures, backward ones with identical
 // pasts; clause-product automata typically carry both kinds of
-// redundancy.
-func ReduceBidirectional(a *buchi.BA) *buchi.BA {
+// redundancy. It checks ctx before every refinement round and stops
+// with its error once it is done: a long chain of states takes one
+// round per state.
+func ReduceBidirectional(ctx context.Context, a *buchi.BA) (*buchi.BA, error) {
 	for {
 		before := a.NumStates()
-		a = Reduce(a)
-		if bp := CoarsestBackward(a); bp.Count < a.NumStates() {
-			a = Quotient(a, bp, ^vocab.Set(0))
+		for _, backward := range []bool{false, true} {
+			p, err := coarsest(ctx, a, backward)
+			if err != nil {
+				return nil, err
+			}
+			if p.Count < a.NumStates() {
+				a = Quotient(a, p, ^vocab.Set(0))
+			}
 		}
 		if a.NumStates() == before {
-			return a
+			return a, nil
 		}
 	}
 }

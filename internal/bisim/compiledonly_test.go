@@ -1,6 +1,7 @@
 package bisim_test
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -20,7 +21,7 @@ func datagenProjections(t *testing.T) []*bisim.ProjectionSet {
 	gen := datagen.New(voc, 23)
 	var out []*bisim.ProjectionSet
 	for len(out) < 8 {
-		a, err := ltl2ba.TranslateBounded(voc, gen.Specification(datagen.SimpleContracts.Properties), 300)
+		a, err := ltl2ba.TranslateBounded(context.Background(), voc, gen.Specification(datagen.SimpleContracts.Properties), 300)
 		if err != nil {
 			continue // over the state bound; registration would refuse it too
 		}

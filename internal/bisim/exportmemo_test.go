@@ -1,6 +1,7 @@
 package bisim_test
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ func exportCorpus(t *testing.T) []*bisim.ProjectionSet {
 	gen := datagen.New(voc, 29)
 	var out []*bisim.ProjectionSet
 	for len(out) < 8 {
-		a, err := ltl2ba.TranslateBounded(voc, gen.Specification(datagen.SimpleContracts.Properties), 300)
+		a, err := ltl2ba.TranslateBounded(context.Background(), voc, gen.Specification(datagen.SimpleContracts.Properties), 300)
 		if err != nil || a.IsEmpty() {
 			continue
 		}

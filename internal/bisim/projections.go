@@ -1,6 +1,8 @@
 package bisim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -173,10 +175,10 @@ func (ps *ProjectionSet) For(queryEvents vocab.Set) *buchi.BA {
 // path free of Compile calls: projecting a canonical (minimal) edge
 // row and re-canonicalizing yields exactly the row Compile would
 // produce from the raw quotient, because projection preserves label
-// implication. Cost is O(classes · out-degree) — this runs on the
-// query path, where it matters. Each parent label is projected, and
-// its projection identified in a deduplicated table, once; per edge
-// no map is consulted.
+// implication. This runs on the query path, where it matters. Each
+// parent label is projected, and its projection identified and ranked
+// in a deduplicated table, once; a row then sorts as plain integer
+// keys, with no comparator call and no map lookup per edge.
 //
 // The quotient is compiled-only: a buchi.ShellFromCompiled shell with
 // Out == nil, which nothing on the query path materializes (the
@@ -204,6 +206,22 @@ func deriveQuotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
 		}
 		projID[i] = id
 	}
+	// byRank lists the projected labels in CanonicalEdges' label order
+	// (literal count, then Pos, then Neg) and rank inverts it, so that
+	// one integer key per edge, target class over label rank, sorts a
+	// row into canonical order.
+	byRank := make([]int32, len(projected))
+	for i := range byRank {
+		byRank[i] = int32(i)
+	}
+	slices.SortFunc(byRank, func(x, y int32) int {
+		a, b := projected[x], projected[y]
+		return cmp.Or(cmp.Compare(a.LiteralCount(), b.LiteralCount()), cmp.Compare(a.Pos, b.Pos), cmp.Compare(a.Neg, b.Neg))
+	})
+	rank := make([]int32, len(projected))
+	for r, id := range byRank {
+		rank[id] = int32(r)
+	}
 	rep := make([]int, p.Count)
 	for i := range rep {
 		rep[i] = -1
@@ -230,28 +248,34 @@ func deriveQuotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
 	var nLabels int32
 	sc := derivePool.Get().(*deriveScratch)
 	defer derivePool.Put(sc)
-	row, to, lab := sc.row[:0], sc.to[:0], sc.lab[:0]
+	row, group, to, lab := sc.row[:0], sc.group[:0], sc.to[:0], sc.lab[:0]
 	for c, s := range rep {
 		qc.EdgeOff[c] = int32(len(to))
 		qc.Final[c] = pc.Final[s]
 		row = row[:0]
 		for e := pc.EdgeOff[s]; e < pc.EdgeOff[s+1]; e++ {
-			id := projID[pc.EdgeLabel[e]]
-			row = append(row, buchi.TaggedEdge{
-				Edge: buchi.Edge{To: buchi.StateID(p.Class[pc.EdgeTo[e]]), Label: projected[id]},
-				Tag:  id,
-			})
+			row = append(row, uint64(p.Class[pc.EdgeTo[e]])<<32|uint64(rank[projID[pc.EdgeLabel[e]]]))
 		}
-		kept := buchi.CanonicalTaggedEdges(row)
-		for _, e := range kept {
-			if qID[e.Tag] < 0 {
-				qID[e.Tag] = nLabels
+		slices.Sort(row)
+		// As CanonicalEdges does, keep an edge only if no kept edge to
+		// the same target has a weaker label (or the same one).
+		for i, key := range row {
+			if i == 0 || row[i-1]>>32 != key>>32 {
+				group = group[:0] // kept labels of this target
+			}
+			id := byRank[uint32(key)]
+			if slices.ContainsFunc(group, func(k int32) bool { return projected[k].ContainedIn(projected[id]) }) {
+				continue
+			}
+			group = append(group, id)
+			if qID[id] < 0 {
+				qID[id] = nLabels
 				nLabels++
 			}
-			to = append(to, int32(e.To))
-			lab = append(lab, qID[e.Tag])
+			to = append(to, int32(key>>32))
+			lab = append(lab, qID[id])
 		}
-		qc.MaxDeg = max(qc.MaxDeg, len(kept))
+		qc.MaxDeg = max(qc.MaxDeg, len(to)-int(qc.EdgeOff[c]))
 	}
 	qc.EdgeOff[p.Count] = int32(len(to))
 	if len(to) > 0 { // an edgeless quotient keeps nil arrays, as Compile leaves them
@@ -264,7 +288,7 @@ func deriveQuotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
 			}
 		}
 	}
-	sc.row, sc.to, sc.lab = row, to, lab
+	sc.row, sc.group, sc.to, sc.lab = row, group, to, lab
 	q, err := buchi.ShellFromCompiled(qc)
 	if err != nil {
 		// The form was remapped from a valid parent form; a rejection
@@ -288,8 +312,9 @@ func DerivationCount() int64 { return derivations.Load() }
 // derivation's only lasting allocations are the quotient's own arrays:
 // edges are gathered here and copied out once their count is known.
 type deriveScratch struct {
-	row     []buchi.TaggedEdge // one class representative's projected row
-	to, lab []int32            // kept edges of all classes so far
+	row     []uint64 // one class representative's edge keys
+	group   []int32  // the row's kept labels to one target
+	to, lab []int32  // kept edges of all classes so far
 }
 
 var derivePool = sync.Pool{New: func() any { return new(deriveScratch) }}

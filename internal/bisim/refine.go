@@ -1,6 +1,7 @@
 package bisim
 
 import (
+	"context"
 	"slices"
 	"sync"
 
@@ -132,14 +133,47 @@ func (r *refiner) load(a *buchi.BA, reverse bool) {
 		}
 	}
 	r.next = fill
+	r.size(maxDeg)
+}
+
+// size fits the scratch tables to r.n states of at most maxDeg edges.
+func (r *refiner) size(maxDeg int) {
 	size := pow2AtLeast(2 * maxDeg)
 	if len(r.setKey) < size {
 		r.setKey, r.setStamp, r.stamp = make([]uint64, size), make([]uint32, size), 0
 	}
-	if size = pow2AtLeast(2 * n); len(r.tab) < size {
+	if size = pow2AtLeast(2 * r.n); len(r.tab) < size {
 		r.tab = make([]sigSlot, size)
 	}
-	r.class = resize(r.class, n)
+	r.class, r.next = resize(r.class, r.n), resize(r.next, r.n)
+}
+
+// RefineEdges returns the coarsest partition refining start (a class
+// per state, in any numbering) under which the states of one class
+// have equal sets of (key, target class) pairs. State s's edges are
+// key[off[s]:off[s+1]] and to[off[s]:off[s+1]]; keys are dense from
+// 0. It refines automata whose edges carry more than a label, such as
+// the translator's generalized automata, whose edges also carry
+// acceptance marks. It stops with ctx's error once ctx is done,
+// checking it once per round.
+func RefineEdges(ctx context.Context, off, key, to []int32, start []int) (Partition, error) {
+	r := refinerPool.Get().(*refiner)
+	defer refinerPool.Put(r)
+	r.n = len(off) - 1
+	r.off, r.lab, r.to = append(r.off[:0], off...), append(r.lab[:0], key...), append(r.to[:0], to...)
+	maxDeg, keys := 0, 0
+	for s := range r.n {
+		maxDeg = max(maxDeg, int(off[s+1]-off[s]))
+	}
+	for _, k := range key {
+		keys = max(keys, int(k)+1)
+	}
+	r.proj = resize(r.proj, keys)
+	for i := range r.proj {
+		r.proj[i] = int32(i)
+	}
+	r.size(maxDeg)
+	return r.partition(ctx, start)
 }
 
 // seed returns the initial partition of a's states: final apart from
@@ -165,10 +199,14 @@ func (r *refiner) seed(a *buchi.BA, init bool) []int {
 // numbering). The result is freshly allocated and canonically
 // numbered.
 func (r *refiner) refine(start []int, keep vocab.Set) Partition {
-	n := r.n
-	if n == 0 {
-		return Partition{}
-	}
+	r.project(keep)
+	p, _ := r.partition(nil, start)
+	return p
+}
+
+// project numbers the loaded labels' projections onto keep densely,
+// into r.proj.
+func (r *refiner) project(keep vocab.Set) {
 	r.proj = resize(r.proj, len(r.labels))
 	clear(r.ids)
 	for i, l := range r.labels {
@@ -180,9 +218,24 @@ func (r *refiner) refine(start []int, keep vocab.Set) Partition {
 		}
 		r.proj[i] = id
 	}
+}
+
+// partition runs refinement rounds over the projected ids in r.proj
+// from start until a round splits nothing. A non-nil ctx is checked
+// before every round; once it is done, partition returns its error.
+func (r *refiner) partition(ctx context.Context, start []int) (Partition, error) {
+	n := r.n
+	if n == 0 {
+		return Partition{}, nil
+	}
 	var count int
 	r.remap, count = firstOccurrence(r.class, start, r.remap)
 	for {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return Partition{}, err
+			}
+		}
 		next := r.round()
 		if next == count {
 			break // the round split nothing: r.next is stable
@@ -194,7 +247,7 @@ func (r *refiner) refine(start []int, keep vocab.Set) Partition {
 	for s, c := range r.next[:n] {
 		out[s] = int(c)
 	}
-	return Partition{Class: out, Count: count}
+	return Partition{Class: out, Count: count}, nil
 }
 
 // round computes r.next from r.class — two states share a next class

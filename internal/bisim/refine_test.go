@@ -2,7 +2,9 @@ package bisim_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -172,6 +174,47 @@ func gobBytes(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
+// TestRefineEdgesMatchesReference: RefineEdges over edges keyed by
+// their labels partitions random automata as the reference refines
+// them with unprojected labels, from every start, and stops with the
+// context's error once the context is done.
+func TestRefineEdgesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for range 500 {
+		a := randomBA(rng)
+		n := a.NumStates()
+		if n == 0 {
+			continue
+		}
+		ids := map[buchi.Label]int32{}
+		off := make([]int32, n+1)
+		var key, to []int32
+		for s, out := range a.Out {
+			for _, e := range out {
+				if _, ok := ids[e.Label]; !ok {
+					ids[e.Label] = int32(len(ids))
+				}
+				key, to = append(key, ids[e.Label]), append(to, int32(e.To))
+			}
+			off[s+1] = int32(len(key))
+		}
+		for _, start := range randomStarts(rng, a) {
+			got, err := bisim.RefineEdges(context.Background(), off, key, to, start.Class)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bisim.ReferenceRefineProjected(a, start, ^vocab.Set(0)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d states, start %v:\n got %v\nwant %v", n, start.Class, got, want)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := bisim.RefineEdges(ctx, off, key, to, make([]int, n)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled refinement returned %v, want %v", err, context.Canceled)
+		}
+	}
+}
+
 // TestReduceBidirectionalMatchesReference: ReduceBidirectional yields
 // the reference reduction's automaton, compiled form included, on a
 // fixed set of datagen queries and on random automata. Translation
@@ -193,7 +236,11 @@ func TestReduceBidirectionalMatchesReference(t *testing.T) {
 		inputs = append(inputs, func() *buchi.BA { return inflate(a) })
 	}
 	for i, input := range inputs {
-		got, want := bisim.ReduceBidirectional(input()), bisim.ReferenceReduceBidirectional(input())
+		got, err := bisim.ReduceBidirectional(context.Background(), input())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bisim.ReferenceReduceBidirectional(input())
 		if got.Init != want.Init || got.Events != want.Events || !reflect.DeepEqual(got.Final, want.Final) ||
 			!reflect.DeepEqual(got.Out, want.Out) || !reflect.DeepEqual(got.Compiled(), want.Compiled()) {
 			t.Fatalf("input %d: reduction to %d states diverges from the reference's %d", i, got.NumStates(), want.NumStates())

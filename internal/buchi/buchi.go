@@ -194,10 +194,11 @@ func (a *BA) MergeAdjacentLabels() {
 		pos, neg vocab.Set
 	}
 	a.EnsureEdges()
+	index := make(map[key]int) // reused across rows and passes
 	for s, out := range a.Out {
 		for {
 			merged := false
-			index := make(map[key]int, len(out))
+			clear(index)
 			kept := out[:0]
 			for _, e := range out {
 				placed := false

@@ -109,27 +109,7 @@ func Compile(a *BA) *Compiled {
 // this to reproduce, without flattening, exactly what Compile would
 // build.
 func CanonicalEdges(buf []Edge) []Edge {
-	return canonicalize(buf, func(e Edge) Edge { return e })
-}
-
-// TaggedEdge is an edge carrying a caller-defined tag, such as the
-// index of its label in a deduplicated table, through
-// CanonicalTaggedEdges.
-type TaggedEdge struct {
-	Edge
-	Tag int32
-}
-
-// CanonicalTaggedEdges is CanonicalEdges for tagged edges: each kept
-// edge keeps its tag. Equal labels must carry equal tags, since which
-// of two identical edges survives is unspecified.
-func CanonicalTaggedEdges(buf []TaggedEdge) []TaggedEdge {
-	return canonicalize(buf, func(e TaggedEdge) Edge { return e.Edge })
-}
-
-func canonicalize[E any](buf []E, edge func(E) Edge) []E {
-	slices.SortFunc(buf, func(x, y E) int {
-		a, b := edge(x), edge(y)
+	slices.SortFunc(buf, func(a, b Edge) int {
 		if c := cmp.Compare(a.To, b.To); c != 0 {
 			return c
 		}
@@ -144,20 +124,19 @@ func canonicalize[E any](buf []E, edge func(E) Edge) []E {
 	})
 	kept := buf[:0]
 	groupStart := 0 // first kept index of the current To-group
-	for i, x := range buf {
-		e := edge(x)
-		if i > 0 && e.To != edge(buf[i-1]).To {
+	for i, e := range buf {
+		if i > 0 && e.To != buf[i-1].To {
 			groupStart = len(kept)
 		}
 		subsumed := false
 		for _, k := range kept[groupStart:] {
-			if edge(k).Label.ContainedIn(e.Label) {
+			if k.Label.ContainedIn(e.Label) {
 				subsumed = true
 				break
 			}
 		}
 		if !subsumed {
-			kept = append(kept, x)
+			kept = append(kept, e)
 		}
 	}
 	return kept

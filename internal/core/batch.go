@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,7 +10,6 @@ import (
 	"contractdb/internal/bisim"
 	"contractdb/internal/buchi"
 	"contractdb/internal/ltl"
-	"contractdb/internal/ltl2ba"
 	"contractdb/internal/permission"
 	"contractdb/internal/prefilter"
 )
@@ -47,8 +47,9 @@ type BatchResult struct {
 //
 // workers ≤ 0 selects GOMAXPROCS. Results are returned in input
 // order; failed entries (unsatisfiable, oversized, duplicate name) do
-// not abort the rest.
-func (db *DB) RegisterBatch(specs []Registration, workers int) []BatchResult {
+// not abort the rest. Translations still running when ctx is done fail
+// with ErrCanceled.
+func (db *DB) RegisterBatch(ctx context.Context, specs []Registration, workers int) []BatchResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -115,7 +116,7 @@ func (db *DB) RegisterBatch(specs []Registration, workers int) []BatchResult {
 					continue
 				}
 				spec := specs[g.indices[0]].Spec
-				auto, err := ltl2ba.TranslateBounded(db.voc, spec, maxStates)
+				auto, err := translate(ctx, db.voc, spec, maxStates)
 				if err != nil {
 					g.err = err
 					continue

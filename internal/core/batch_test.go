@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -20,7 +21,7 @@ func TestRegisterBatch(t *testing.T) {
 		{Name: "C", Spec: paperex.TicketC()},
 		{Name: "A", Spec: paperex.TicketA()}, // duplicate
 	}
-	results := db.RegisterBatch(specs, 4)
+	results := db.RegisterBatch(context.Background(), specs, 4)
 	if len(results) != len(specs) {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -69,7 +70,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 			specs[len(specs)-1].Name = "FAILS:" + name
 		}
 	}
-	for _, r := range batch.RegisterBatch(specs, 3) {
+	for _, r := range batch.RegisterBatch(context.Background(), specs, 3) {
 		_ = r // individual failures compared below via Len
 	}
 	// Both databases hold the same registered names.
@@ -95,7 +96,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 
 func TestBatchVocabularyGrowth(t *testing.T) {
 	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
-	results := db.RegisterBatch([]core.Registration{
+	results := db.RegisterBatch(context.Background(), []core.Registration{
 		{Name: "new-events", Spec: ltl.MustParse("G(premiumPaid -> F claimAccepted)")},
 	}, 2)
 	if results[0].Err != nil {
@@ -108,7 +109,7 @@ func TestBatchVocabularyGrowth(t *testing.T) {
 
 func TestBatchGeneratedNames(t *testing.T) {
 	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
-	results := db.RegisterBatch([]core.Registration{
+	results := db.RegisterBatch(context.Background(), []core.Registration{
 		{Spec: paperex.TicketA()},
 		{Spec: paperex.TicketB()},
 	}, 2)

@@ -18,6 +18,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -28,7 +29,6 @@ import (
 	"contractdb/internal/bisim"
 	"contractdb/internal/buchi"
 	"contractdb/internal/ltl"
-	"contractdb/internal/ltl2ba"
 	"contractdb/internal/metrics"
 	"contractdb/internal/permission"
 	"contractdb/internal/prefilter"
@@ -377,7 +377,13 @@ func (db *DB) ByName(name string) (*Contract, bool) {
 // projection precompute included — is in place, so a contract is never
 // served without its projections.
 func (db *DB) Register(name string, spec *ltl.Expr) (*Contract, error) {
-	return db.RegisterAutomaton(name, spec, nil)
+	return db.RegisterCtx(context.Background(), name, spec)
+}
+
+// RegisterCtx is Register under a context: a translation still running
+// when ctx is done fails with ErrCanceled.
+func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Contract, error) {
+	return db.register(ctx, name, spec, nil)
 }
 
 // RegisterAutomaton is Register with the automaton supplied: a non-nil
@@ -387,6 +393,10 @@ func (db *DB) Register(name string, spec *ltl.Expr) (*Contract, error) {
 // then takes the synchronous registration path as it stands, without
 // being retranslated. A nil auto translates spec.
 func (db *DB) RegisterAutomaton(name string, spec *ltl.Expr, auto *buchi.BA) (*Contract, error) {
+	return db.register(context.Background(), name, spec, auto)
+}
+
+func (db *DB) register(ctx context.Context, name string, spec *ltl.Expr, auto *buchi.BA) (*Contract, error) {
 	start := time.Now()
 	// Claim the name first (minting a generated one consumes the
 	// counter even if translation then fails — the sharded router's
@@ -409,7 +419,7 @@ func (db *DB) RegisterAutomaton(name string, spec *ltl.Expr, auto *buchi.BA) (*C
 	translated := auto == nil
 	var err error
 	if translated {
-		if auto, err = ltl2ba.TranslateBounded(db.voc, spec, maxStates); err != nil {
+		if auto, err = translate(ctx, db.voc, spec, maxStates); err != nil {
 			return nil, fmt.Errorf("core: contract %q: %w", name, err)
 		}
 	}
@@ -426,11 +436,15 @@ func (db *DB) RegisterAutomaton(name string, spec *ltl.Expr, auto *buchi.BA) (*C
 	t := time.Now()
 	c.proj.ps = bisim.Precompute(auto, db.effectiveBudget(auto))
 	projElapsed := time.Since(t)
-	// Build the log record before taking the write lock: exporting the
-	// projections is its costly part, and it reads only the still
-	// private contract and the append-only vocabulary. Under the lock
-	// remain the duplicate check, the append and the apply, so log
-	// order is still apply order.
+	// Build the log record and enumerate the prefilter nodes before
+	// taking the write lock: exporting the projections and walking the
+	// labels are the costly parts, and they read only the still private
+	// contract and the append-only vocabulary. Under the lock remain
+	// the duplicate check, the append and the apply, so log order is
+	// still apply order.
+	t = time.Now()
+	prep := prefilter.Prepare(auto, db.opts.prefilterK())
+	indexElapsed := time.Since(t)
 	var rec []byte
 	if logging {
 		if rec, err = db.encodeRegistration(c); err != nil {
@@ -457,8 +471,8 @@ func (db *DB) RegisterAutomaton(name string, spec *ltl.Expr, auto *buchi.BA) (*C
 	}
 
 	t = time.Now()
-	db.index.Insert(int(c.ID), auto)
-	db.indexTime += time.Since(t)
+	db.index.InsertPrepared(int(c.ID), prep)
+	db.indexTime += indexElapsed + time.Since(t)
 
 	db.contracts = append(db.contracts, c)
 	db.byName[name] = c
@@ -534,21 +548,18 @@ func (db *DB) Unregister(name string) error {
 }
 
 // removeLocked deletes c and restores the dense-id invariant: ids are
-// reassigned in order and the prefilter index is rebuilt over the
-// survivors (its postings are not individually erasable — node bitsets
-// only record membership, not which labels produced it — and an index
-// rebuild is cheap next to the translation work registration already
-// paid). Callers hold the write lock.
+// reassigned in order, and the prefilter index drops c's bit from
+// every node and shifts the later ids down, which leaves it as a
+// rebuild over the survivors would without enumerating their labels
+// again. Callers hold the write lock.
 func (db *DB) removeLocked(c *Contract) {
 	delete(db.byName, c.Name)
 	db.contracts = append(db.contracts[:c.ID], db.contracts[c.ID+1:]...)
 	t := time.Now()
-	ix := prefilter.New(db.opts.prefilterK())
+	db.index.Remove(int(c.ID))
 	for i, cc := range db.contracts {
 		cc.ID = ContractID(i)
-		ix.Insert(i, cc.auto)
 	}
-	db.index = ix
 	db.indexTime += time.Since(t)
 }
 

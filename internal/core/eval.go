@@ -74,14 +74,14 @@ func Translate(ctx context.Context, voc *vocab.Vocabulary, cc *qcache.CompileCac
 	_, tsp := trace.StartSpan(ctx, "translate")
 	if compiled != nil {
 		qa, err = compiled.Automaton(obligation, func(f *ltl.Expr) (*buchi.BA, error) {
-			return ltl2ba.Translate(voc, f)
+			return translate(ctx, voc, f, 0)
 		})
 	} else {
 		q := spec
 		if obligation {
 			q = ltl.Not(spec)
 		}
-		qa, err = ltl2ba.Translate(voc, q)
+		qa, err = translate(ctx, voc, q, 0)
 	}
 	if tsp != nil && qa != nil {
 		tsp.SetAttr("states", qa.NumStates())
@@ -89,6 +89,20 @@ func Translate(ctx context.Context, voc *vocab.Vocabulary, cc *qcache.CompileCac
 	tsp.SetError(err)
 	tsp.End()
 	return qa, compileHit, err
+}
+
+// translate is the package's one call into the translator, shared by
+// queries, registration and explain: a translation still running when
+// ctx is done fails with ErrCanceled. A nil ctx never cancels.
+func translate(ctx context.Context, voc *vocab.Vocabulary, f *ltl.Expr, maxStates int) (*buchi.BA, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	a, err := ltl2ba.TranslateBounded(ctx, voc, f, maxStates)
+	if err != nil && errors.Is(err, ctx.Err()) {
+		return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
+	}
+	return a, err
 }
 
 // evalQuery is the single-database query path: translate through the
@@ -106,6 +120,9 @@ func (db *DB) evalQuery(ctx context.Context, spec *ltl.Expr, mode Mode, obligati
 	qa, compileHit, err := Translate(ctx, db.voc, db.compile, spec, mode, obligation)
 	if err != nil {
 		db.metrics.Errored.Inc()
+		if errors.Is(err, ErrCanceled) {
+			db.metrics.Canceled.Inc()
+		}
 		return nil, fmt.Errorf("%s: %w", errPrefix, err)
 	}
 	translate := time.Since(start)

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"contractdb/internal/buchi"
 	"contractdb/internal/ltl"
-	"contractdb/internal/ltl2ba"
 	"contractdb/internal/vocab"
 )
 
@@ -52,15 +52,16 @@ func (w Witness) Format(voc *vocab.Vocabulary) string {
 // accepting lasso of the product of the contract automaton with the
 // query automaton restricted to the contract's vocabulary, choosing
 // for each step the snapshot that sets exactly the positively required
-// events.
-func (db *DB) Explain(contractName string, spec *ltl.Expr) (Witness, bool, error) {
+// events. A translation still running when ctx is done fails with
+// ErrCanceled.
+func (db *DB) Explain(ctx context.Context, contractName string, spec *ltl.Expr) (Witness, bool, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	c, ok := db.byName[contractName]
 	if !ok {
 		return Witness{}, false, fmt.Errorf("core: no contract named %q", contractName)
 	}
-	qa, err := ltl2ba.Translate(db.voc, spec)
+	qa, err := translate(ctx, db.voc, spec, 0)
 	if err != nil {
 		return Witness{}, false, fmt.Errorf("core: explain: %w", err)
 	}
@@ -87,10 +88,10 @@ func (db *DB) Explain(contractName string, spec *ltl.Expr) (Witness, bool, error
 }
 
 // ExplainLTL parses the query and calls Explain.
-func (db *DB) ExplainLTL(contractName, src string) (Witness, bool, error) {
+func (db *DB) ExplainLTL(ctx context.Context, contractName, src string) (Witness, bool, error) {
 	spec, err := ltl.Parse(src)
 	if err != nil {
 		return Witness{}, false, fmt.Errorf("core: explain: %w", err)
 	}
-	return db.Explain(contractName, spec)
+	return db.Explain(ctx, contractName, spec)
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func TestExplainPaperExample(t *testing.T) {
 	db := newPaperDB(t)
 	// Ticket B permits Q3 through the refund disjunct; the witness must
 	// actually satisfy both the query and Ticket B's specification.
-	w, ok, err := db.Explain("TicketB", paperex.QueryQ3())
+	w, ok, err := db.Explain(context.Background(), "TicketB", paperex.QueryQ3())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +47,13 @@ func TestExplainPaperExample(t *testing.T) {
 func TestExplainDenied(t *testing.T) {
 	db := newPaperDB(t)
 	// Ticket C does not permit the missed-flight query: no witness.
-	if _, ok, err := db.Explain("TicketC", paperex.QueryMissedRefundOrChange()); err != nil || ok {
+	if _, ok, err := db.Explain(context.Background(), "TicketC", paperex.QueryMissedRefundOrChange()); err != nil || ok {
 		t.Errorf("Ticket C must have no witness (ok=%v err=%v)", ok, err)
 	}
-	if _, _, err := db.Explain("nope", paperex.QueryQ3()); err == nil {
+	if _, _, err := db.Explain(context.Background(), "nope", paperex.QueryQ3()); err == nil {
 		t.Error("unknown contract must error")
 	}
-	if _, _, err := db.ExplainLTL("TicketA", ")("); err == nil {
+	if _, _, err := db.ExplainLTL(context.Background(), "TicketA", ")("); err == nil {
 		t.Error("bad query syntax must error")
 	}
 }
@@ -85,7 +86,7 @@ func TestExplainAgreesWithQuery(t *testing.T) {
 			matched[c.Name] = true
 		}
 		for name, holder := range specs {
-			w, ok, err := db.Explain(name, q)
+			w, ok, err := db.Explain(context.Background(), name, q)
 			if err != nil {
 				t.Fatal(err)
 			}

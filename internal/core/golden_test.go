@@ -18,8 +18,10 @@ import (
 // with a prefilter index), snapshot-v4-quotients.golden (persisted
 // quotient rows), snapshot-v4-clausewise.golden (the current writer
 // with the automata of the translator that degeneralized clause by
-// clause) and snapshot-v4.golden (the current writer and translator)
-// are v4 containers that must keep loading.
+// clause), snapshot-v4-gpvw.golden (the current writer with the
+// automata of the tableau translator with state-based acceptance) and
+// snapshot-v4.golden (the current writer and translator) are v4
+// containers that must keep loading.
 
 // goldenCorpus rebuilds the fixtures' corpus from the generator; the
 // draw is fully deterministic, so this is the ground truth every

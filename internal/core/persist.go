@@ -81,16 +81,17 @@ func Load(r io.Reader) (*DB, error) {
 // zero-copy, so data must outlive the database and stay unmodified.
 func LoadBytesWithStats(data []byte) (*DB, LoadStats, error) {
 	var stats LoadStats
-	info, err := PeekV4(data)
+	im, err := DecodeV4(data)
 	if err != nil {
 		return nil, stats, err
 	}
+	info := im.Info()
 	voc, err := vocab.FromNames(info.Events...)
 	if err != nil {
 		return nil, stats, fmt.Errorf("core: load: %w", err)
 	}
 	db := NewDB(voc, info.Opts)
-	if err := LoadShardedV4(data, func(string) *DB { return db }, &stats); err != nil {
+	if err := LoadShardedV4(im, func(string) *DB { return db }, &stats); err != nil {
 		return nil, stats, err
 	}
 	return db, stats, nil

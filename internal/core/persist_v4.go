@@ -621,21 +621,41 @@ func checkVersion(v int) error {
 	return nil
 }
 
-// LoadShardedV4 installs a v4 container's contracts into the
-// databases chosen by place (the shard router, or one database for
-// Load), rebuilding each one's prefilter index from the adopted
-// compiled forms. It reads both heads: a sharded container carries no
-// index, and an older unsharded one's index sections are skipped. All
-// target databases must share one vocabulary built from the
-// snapshot's events. Every adopted slab aliases data, so data must
-// stay valid and unmodified for the databases' lifetime; the store
-// owns that lifetime when data is a file mapping.
-func LoadShardedV4(data []byte, place func(name string) *DB, stats *LoadStats) error {
+// V4Image is a v4 container parsed, with its head decoded, once per
+// load: the caller reads Info to build the target databases, and
+// LoadShardedV4 restores the contracts from the same decoded head.
+type V4Image struct {
+	f      *snapfmt.File
+	head   v4Head
+	decode time.Duration
+}
+
+// DecodeV4 parses a v4 container and decodes its head. The image's
+// slabs alias data.
+func DecodeV4(data []byte) (*V4Image, error) {
 	t := time.Now()
 	f, head, err := decodeV4Head(data)
 	if err != nil {
-		return fmt.Errorf("core: load: %w", err)
+		return nil, fmt.Errorf("core: load: %w", err)
 	}
+	return &V4Image{f: f, head: head, decode: time.Since(t)}, nil
+}
+
+// Info returns the image's head summary.
+func (im *V4Image) Info() SnapshotInfo { return im.head.info() }
+
+// LoadShardedV4 installs a v4 image's contracts into the databases
+// chosen by place (the shard router, or one database for Load),
+// rebuilding each one's prefilter index from the adopted compiled
+// forms. It reads both heads: a sharded container carries no index,
+// and an older unsharded one's index sections are skipped. All target
+// databases must share one vocabulary built from the snapshot's
+// events. Every adopted slab aliases the image's bytes, so they must
+// stay valid and unmodified for the databases' lifetime; the store
+// owns that lifetime when they are a file mapping.
+func LoadShardedV4(im *V4Image, place func(name string) *DB, stats *LoadStats) error {
+	t := time.Now()
+	f, head := im.f, im.head
 	stats.FormatVersion = head.FormatVersion
 	stats.Sections = len(f.Sections)
 	stats.SlabBytes = f.SlabBytes()
@@ -658,7 +678,7 @@ func LoadShardedV4(data []byte, place func(name string) *DB, stats *LoadStats) e
 			stats.CopiedBytes = int64(len(b))
 		}
 	}
-	stats.Decode = time.Since(t)
+	stats.Decode = im.decode + time.Since(t)
 	t = time.Now()
 	for _, h := range head.Contracts {
 		db := place(h.Name)
@@ -743,11 +763,11 @@ func PeekV4(data []byte) (SnapshotInfo, error) {
 	if err := checkVersion(head.FormatVersion); err != nil {
 		return info, fmt.Errorf("core: peek: %w", err)
 	}
-	info.Sharded = head.Sharded
-	info.Events = head.Events
-	info.Opts = head.Opts
-	info.Contracts = len(head.Contracts)
-	return info, nil
+	return head.info(), nil
+}
+
+func (head *v4Head) info() SnapshotInfo {
+	return SnapshotInfo{Sharded: head.Sharded, Events: head.Events, Opts: head.Opts, Contracts: len(head.Contracts)}
 }
 
 // SectionInfo is one section directory row for inspection output.

@@ -51,15 +51,23 @@ func TestV4GoldenPinned(t *testing.T) {
 	}
 }
 
-// TestLoadV4Golden: the committed v4 container restores query-ready
-// state with zero translations and zero flattenings — and, on hosts
-// whose layout matches the file, zero slab bytes copied to the heap.
+// TestLoadV4Golden: the committed v4 containers — the current one and
+// snapshot-v4-gpvw.golden, whose automata the tableau translator built
+// — restore query-ready state with zero translations and zero
+// flattenings — and, on hosts whose layout matches the file, zero slab
+// bytes copied to the heap.
 func TestLoadV4Golden(t *testing.T) {
+	for _, path := range []string{"testdata/snapshot-v4.golden", "testdata/snapshot-v4-gpvw.golden"} {
+		t.Run(filepath.Base(path), func(t *testing.T) { checkLoadV4Golden(t, path) })
+	}
+}
+
+func checkLoadV4Golden(t *testing.T, path string) {
 	ref := goldenCorpus(t)
 
 	t0 := ltl2ba.TranslationCount()
 	c0 := buchi.CompileCount()
-	db, stats := loadGolden(t, "testdata/snapshot-v4.golden")
+	db, stats := loadGolden(t, path)
 	if d := ltl2ba.TranslationCount() - t0; d != 0 {
 		t.Errorf("v4 load performed %d LTL→BA translations, want 0", d)
 	}
@@ -94,6 +102,9 @@ func TestLoadV4Golden(t *testing.T) {
 //     translator that degeneralized clause by clause wrote it — all
 //     re-save onto snapshot-v4-clausewise.golden, which holds no
 //     quotient rows and no index;
+//   - snapshot-v4-gpvw.golden — the current container as the tableau
+//     translator, with state-based acceptance, wrote it — re-saves
+//     onto itself;
 //   - snapshot-v4.golden re-saves to a fresh registration's bytes.
 //
 // v4 is a fixed point. Every fixture answers the golden query mix as a
@@ -109,7 +120,11 @@ func TestCompatMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, data := range [][]byte{fresh.Bytes(), clausewise} {
+	gpvw, err := os.ReadFile("testdata/snapshot-v4-gpvw.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]byte{fresh.Bytes(), clausewise, gpvw} {
 		insp, err := core.InspectSnapshot(data)
 		if err != nil {
 			t.Fatal(err)
@@ -124,6 +139,7 @@ func TestCompatMatrix(t *testing.T) {
 		{"v4-unsharded-to-v4", "testdata/snapshot-v4-unsharded.golden", clausewise},
 		{"v4-quotients-to-v4", "testdata/snapshot-v4-quotients.golden", clausewise},
 		{"v4-clausewise-to-v4", "testdata/snapshot-v4-clausewise.golden", clausewise},
+		{"v4-gpvw-to-v4", "testdata/snapshot-v4-gpvw.golden", gpvw},
 		{"v4-to-v4", "testdata/snapshot-v4.golden", fresh.Bytes()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -256,9 +272,9 @@ func TestLoadV4ZeroCopy(t *testing.T) {
 	// none), mostly transient maps; it imports each contract's
 	// projections, a ref and a map entry per precomputed event subset,
 	// so that cost follows the subsets the contracts' events span, not
-	// their states; it decodes the head twice, once for the options
-	// the database is built with and once to restore the contracts;
-	// and it parses each specification.
+	// their states; it decodes the head once, for both the options the
+	// database is built with and the contracts it restores; and it
+	// parses each specification.
 	contracts := db.Contracts()
 	specs := make([]string, len(contracts))
 	for i, c := range contracts {
@@ -316,7 +332,7 @@ func TestLoadV4ZeroCopy(t *testing.T) {
 	// that; copying any one of this corpus's edge, class or ref slabs
 	// to the heap busts it.
 	const perContract = 1 << 10
-	rest := allocated - fixed - rebuild - imports - 2*head - parse
+	rest := allocated - fixed - rebuild - imports - head - parse
 	t.Logf("load allocated %d bytes: empty load %d, index rebuild %d, projection import %d, head %d, spec parse %d, rest %d; %d slab bytes",
 		allocated, fixed, rebuild, imports, head, parse, rest, insp.SlabBytes)
 	if limit := int64(perContract * len(contracts)); rest >= limit {

@@ -1,6 +1,7 @@
 package ltl2ba_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -133,8 +134,8 @@ func TestTranslateSizeCeiling(t *testing.T) {
 		patterns      func(i int) int
 		states, edges float64 // measured means
 	}{
-		{"contracts", 1, 40, func(int) int { return datagen.SimpleContracts.Properties }, 35.70, 1271.95},
-		{"queries", 2, 60, func(i int) int { return queryClasses[i%len(queryClasses)].Properties }, 5.25, 34.55},
+		{"contracts", 1, 40, func(int) int { return datagen.SimpleContracts.Properties }, 31.98, 1004.52},
+		{"queries", 2, 60, func(i int) int { return queryClasses[i%len(queryClasses)].Properties }, 4.73, 31.55},
 	} {
 		voc := datagen.NewVocabulary()
 		gen := datagen.New(voc, c.seed)
@@ -144,7 +145,7 @@ func TestTranslateSizeCeiling(t *testing.T) {
 			a := ltl2ba.MustTranslate(voc, f)
 			states += float64(a.NumStates())
 			edges += float64(a.Compiled().NumEdges())
-			if _, err := ltl2ba.TranslateBounded(voc, f, a.NumStates()); err != nil {
+			if _, err := ltl2ba.TranslateBounded(context.Background(), voc, f, a.NumStates()); err != nil {
 				t.Errorf("%s: %s translates to %d states, but not within that bound: %v", c.name, f, a.NumStates(), err)
 			}
 		}

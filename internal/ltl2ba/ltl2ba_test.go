@@ -1,6 +1,7 @@
 package ltl2ba_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -268,12 +269,12 @@ func commonClauses() *ltl.Expr {
 func TestTranslateBounded(t *testing.T) {
 	voc := newVoc()
 	// A bound of 1 rejects anything beyond the trivial automaton.
-	_, err := ltl2ba.TranslateBounded(voc, ltl.MustParse("G(p -> F q) && G(q -> F r) && (p U r)"), 1)
+	_, err := ltl2ba.TranslateBounded(context.Background(), voc, ltl.MustParse("G(p -> F q) && G(q -> F r) && (p U r)"), 1)
 	if !errors.Is(err, ltl2ba.ErrTooLarge) {
 		t.Errorf("tight bound should reject, got %v", err)
 	}
 	// A generous bound changes nothing.
-	a, err := ltl2ba.TranslateBounded(voc, ltl.MustParse("G(p -> F q)"), 10_000)
+	a, err := ltl2ba.TranslateBounded(context.Background(), voc, ltl.MustParse("G(p -> F q)"), 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func diffWorkload(t *testing.T, seed int64, nContracts, nQueries int) ([]*buchi.
 	gen := datagen.New(voc, seed)
 	var contracts []*buchi.BA
 	for len(contracts) < nContracts {
-		a, err := ltl2ba.TranslateBounded(voc, gen.Specification(3), 200)
+		a, err := ltl2ba.TranslateBounded(context.Background(), voc, gen.Specification(3), 200)
 		if err != nil || a.IsEmpty() {
 			continue // oversized or unsatisfiable: redraw
 		}

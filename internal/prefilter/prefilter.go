@@ -165,6 +165,32 @@ func (ix *Index) InsertPrepared(id int, p Prepared) {
 	}
 }
 
+// Remove deletes contract id and renumbers every later contract down
+// by one, leaving the index a dense re-insertion of the survivors
+// would build: each node drops the id's bit and shifts the bits above
+// it, and a node no survivor touches goes. It costs a pass over the
+// nodes, and no label enumeration.
+func (ix *Index) Remove(id int) {
+	w, b := id/64, uint(id%64)
+	for l, words := range ix.nodes {
+		if w < len(words) {
+			words[w] = words[w]&(1<<b-1) | words[w]>>(b+1)<<b
+			for i := w + 1; i < len(words); i++ {
+				words[i-1] |= words[i] << 63
+				words[i] >>= 1
+			}
+		}
+		empty := true
+		for _, word := range words {
+			empty = empty && word == 0
+		}
+		if empty {
+			delete(ix.nodes, l)
+		}
+	}
+	ix.n--
+}
+
 // literal is one polarized event.
 type literal struct {
 	event vocab.EventID

@@ -196,3 +196,61 @@ func mustLTL(t *testing.T, src string) *ltl.Expr {
 	}
 	return f
 }
+
+// TestRemoveMatchesRebuild: removing a contract leaves the index a
+// dense re-insertion of the survivors builds — same contract count,
+// same nodes, same node sets and candidates — across bitset word
+// boundaries and for the first and last ids.
+func TestRemoveMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	voc := vocab.MustFromNames("a", "b", "c", "d")
+	cfg := ltltest.Config{Atoms: []string{"a", "b", "c", "d"}, MaxDepth: 3}
+	var contracts []*buchi.BA
+	ix := prefilter.New(2)
+	for i := 0; i < 150; i++ {
+		a, err := ltl2ba.Translate(voc, ltltest.Expr(rng, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.Insert(i, a)
+		contracts = append(contracts, a)
+	}
+	var queries []*buchi.BA
+	for range 20 {
+		q, err := ltl2ba.Translate(voc, ltltest.Expr(rng, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	var probes []buchi.Label
+	for pos := range vocab.Set(16) {
+		for neg := range vocab.Set(16) {
+			if l := (buchi.Label{Pos: pos, Neg: neg}); l.LiteralCount() <= 2 {
+				probes = append(probes, l)
+			}
+		}
+	}
+	for _, id := range []int{0, 63, 64, 140, 70, 0, 120} {
+		ix.Remove(id)
+		contracts = append(contracts[:id], contracts[id+1:]...)
+		want := prefilter.New(2)
+		for i, a := range contracts {
+			want.Insert(i, a)
+		}
+		if ix.Len() != want.Len() || ix.NodeCount() != want.NodeCount() {
+			t.Fatalf("after removing %d: %d contracts and %d nodes, a rebuild has %d and %d",
+				id, ix.Len(), ix.NodeCount(), want.Len(), want.NodeCount())
+		}
+		for _, l := range probes {
+			if !ix.S(l).Equal(want.S(l)) {
+				t.Fatalf("after removing %d: S(%v) = %v, a rebuild's is %v", id, l, ix.S(l).Members(), want.S(l).Members())
+			}
+		}
+		for _, q := range queries {
+			if !ix.Candidates(q).Equal(want.Candidates(q)) {
+				t.Fatalf("after removing %d: candidates differ from a rebuild's", id)
+			}
+		}
+	}
+}

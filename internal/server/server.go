@@ -76,7 +76,7 @@ type DB interface {
 	Contracts() []*core.Contract
 	ByName(name string) (*core.Contract, bool)
 	RegisterLTLCtx(ctx context.Context, name, src string) (*core.Contract, error)
-	RegisterBatch(specs []core.Registration, workers int) []core.BatchResult
+	RegisterBatch(ctx context.Context, specs []core.Registration, workers int) []core.BatchResult
 	Unregister(name string) error
 	QueryModeCtx(ctx context.Context, spec *ltl.Expr, mode core.Mode) (*core.Result, error)
 	Stats() core.DBStats
@@ -403,7 +403,7 @@ func (s *Server) handleRegisterBulk(w http.ResponseWriter, r *http.Request) {
 		}
 		specs[i] = core.Registration{Name: c.Name, Spec: spec}
 	}
-	results := s.db.RegisterBatch(specs, req.Workers)
+	results := s.db.RegisterBatch(r.Context(), specs, req.Workers)
 	resp := BulkRegisterResponse{Results: make([]BulkRegisterResult, len(results))}
 	// failedAs tallies the failed entries by the status each would
 	// get on its own.
@@ -435,13 +435,16 @@ func (s *Server) handleRegisterBulk(w http.ResponseWriter, r *http.Request) {
 
 // registerStatus maps a registration error to its HTTP status: a
 // failed log append is the server's fault (500), a taken name a
-// conflict (409), anything else a bad request (400).
+// conflict (409), a translation cut short by the request's context a
+// timeout (408), anything else a bad request (400).
 func registerStatus(err error) int {
 	switch {
 	case errors.Is(err, core.ErrDurability):
 		return http.StatusInternalServerError
 	case errors.Is(err, core.ErrDuplicateName):
 		return http.StatusConflict
+	case errors.Is(err, core.ErrCanceled):
+		return http.StatusRequestTimeout
 	}
 	return http.StatusBadRequest
 }

@@ -39,10 +39,11 @@ func (db *DB) Save(w io.Writer) error {
 // owns that lifetime).
 func LoadBytesWithStats(buf []byte, n int) (*DB, core.LoadStats, error) {
 	var stats core.LoadStats
-	info, err := core.PeekV4(buf)
+	im, err := core.DecodeV4(buf)
 	if err != nil {
 		return nil, stats, fmt.Errorf("shard: load: %w", err)
 	}
+	info := im.Info()
 	voc, err := vocab.FromNames(info.Events...)
 	if err != nil {
 		return nil, stats, fmt.Errorf("shard: load: %w", err)
@@ -51,7 +52,7 @@ func LoadBytesWithStats(buf []byte, n int) (*DB, core.LoadStats, error) {
 	if err != nil {
 		return nil, stats, fmt.Errorf("shard: load: %w", err)
 	}
-	if err := core.LoadShardedV4(buf, db.shardFor, &stats); err != nil {
+	if err := core.LoadShardedV4(im, db.shardFor, &stats); err != nil {
 		return nil, stats, fmt.Errorf("shard: load: %w", err)
 	}
 	return db, stats, nil

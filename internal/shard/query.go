@@ -118,6 +118,9 @@ func (db *DB) eval(ctx context.Context, spec *ltl.Expr, mode core.Mode, obligati
 	stats.CompileHit = compileHit
 	if err != nil {
 		db.metrics.Errored.Inc()
+		if errors.Is(err, core.ErrCanceled) {
+			db.metrics.Canceled.Inc()
+		}
 		return nil, fmt.Errorf("%s: %w", errPrefix, err)
 	}
 	stats.Translate = time.Since(t)

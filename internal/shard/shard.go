@@ -133,25 +133,30 @@ func (db *DB) shardFor(name string) *core.DB {
 // write-locking only that shard. An empty name gets a generated one
 // (minted globally, so the sequence matches an unsharded database's).
 func (db *DB) Register(name string, spec *ltl.Expr) (*core.Contract, error) {
+	return db.register(context.Background(), name, spec)
+}
+
+func (db *DB) register(ctx context.Context, name string, spec *ltl.Expr) (*core.Contract, error) {
 	if name == "" {
 		name = db.nextAutoName()
 	}
-	return db.shardFor(name).Register(name, spec)
+	return db.shardFor(name).RegisterCtx(ctx, name, spec)
 }
 
 // RegisterLTL parses src and registers it.
 func (db *DB) RegisterLTL(name, src string) (*core.Contract, error) {
+	return db.RegisterLTLCtx(context.Background(), name, src)
+}
+
+// RegisterLTLCtx is RegisterLTL under the request context the HTTP
+// server passes: a translation still running when ctx is done fails
+// with core.ErrCanceled.
+func (db *DB) RegisterLTLCtx(ctx context.Context, name, src string) (*core.Contract, error) {
 	spec, err := ltl.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("core: contract %q: %w", name, err)
 	}
-	return db.Register(name, spec)
-}
-
-// RegisterLTLCtx is RegisterLTL with the request context the HTTP
-// server passes; registration runs to completion, so it ignores it.
-func (db *DB) RegisterLTLCtx(_ context.Context, name, src string) (*core.Contract, error) {
-	return db.RegisterLTL(name, src)
+	return db.register(ctx, name, spec)
 }
 
 // nextAutoName mints an unused generated name. The counter only moves
@@ -175,7 +180,7 @@ func (db *DB) nextAutoName() string {
 // the budget divided across shards. Results come back in input order;
 // entries with empty names get globally minted ones first, so the
 // generated-name sequence matches an unsharded batch.
-func (db *DB) RegisterBatch(specs []core.Registration, workers int) []core.BatchResult {
+func (db *DB) RegisterBatch(ctx context.Context, specs []core.Registration, workers int) []core.BatchResult {
 	named := make([]core.Registration, len(specs))
 	copy(named, specs)
 	for i := range named {
@@ -202,7 +207,7 @@ func (db *DB) RegisterBatch(specs []core.Registration, workers int) []core.Batch
 			for j, i := range idxs {
 				batch[j] = named[i]
 			}
-			res := db.shards[s].RegisterBatch(batch, per)
+			res := db.shards[s].RegisterBatch(ctx, batch, per)
 			for j, i := range idxs {
 				out[i] = res[j]
 			}
@@ -213,7 +218,7 @@ func (db *DB) RegisterBatch(specs []core.Registration, workers int) []core.Batch
 }
 
 // Unregister removes the named contract from its owning shard; only
-// that shard's prefilter index is rebuilt. Unknown names report core.ErrNotFound.
+// that shard's prefilter index changes. Unknown names report core.ErrNotFound.
 func (db *DB) Unregister(name string) error {
 	return db.shardFor(name).Unregister(name)
 }
