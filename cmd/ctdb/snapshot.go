@@ -79,14 +79,10 @@ func resolveSnapshotPath(arg string) (string, error) {
 
 func printInspection(path string, insp *core.SnapshotInspection, perContract bool, top int) {
 	fmt.Printf("%s\n", path)
-	layout := "unsharded (older writer; index sections skipped at load)"
-	if insp.Sharded {
-		layout = "sharded (count-agnostic; indexes rebuilt at load)"
-	}
-	fmt.Printf("  format:    v%d container, %s\n", insp.FormatVersion, layout)
+	fmt.Printf("  format:    v%d container, count-agnostic (indexes rebuilt at load)\n", insp.FormatVersion)
 	fmt.Printf("  file:      %s (head %s, slabs %s)\n",
 		fmtBytes(insp.FileBytes), fmtBytes(insp.HeadBytes), fmtBytes(insp.SlabBytes))
-	fmt.Printf("  contracts: %d (%d deferred)\n", insp.Contracts, insp.Deferred)
+	fmt.Printf("  contracts: %d\n", insp.Contracts)
 	fmt.Printf("  events:    %d\n", insp.Events)
 	fmt.Printf("  sections:  %d\n", len(insp.Sections))
 	for _, s := range insp.Sections {
@@ -103,11 +99,7 @@ func printInspection(path string, insp *core.SnapshotInspection, perContract boo
 	}
 	fmt.Printf("  largest contracts (%d of %d):\n", shown, len(fp))
 	for _, c := range fp[:shown] {
-		tier := ""
-		if c.Deferred {
-			tier = "  [deferred]"
-		}
-		fmt.Printf("    %-32s %12s%s\n", c.Name, fmtBytes(c.SlabBytes), tier)
+		fmt.Printf("    %-32s %12s\n", c.Name, fmtBytes(c.SlabBytes))
 	}
 }
 

@@ -2,16 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
-	"contractdb/internal/bisim"
-	"contractdb/internal/buchi"
 	"contractdb/internal/ltl"
-	"contractdb/internal/permission"
-	"contractdb/internal/prefilter"
 )
 
 // Registration names one specification for batch loading.
@@ -27,14 +21,12 @@ type BatchResult struct {
 	Err      error
 }
 
-// RegisterBatch registers many contracts, running the expensive
-// per-contract work — automaton construction, projection
-// precomputation and prefilter preparation — on a worker pool. The
-// paper notes this workload is "completely parallel (each contract is
-// simplified independently)"; only id assignment and the prefilter
-// bitset merges are serialized, and the merge consumes pre-enumerated
-// node sets (prefilter.Prepare) so the serial section is bit-ORs, not
-// subset enumeration.
+// RegisterBatch registers many contracts, running prepare — automaton
+// construction, projection precomputation, prefilter preparation —
+// and the register-record encoding on a worker pool, off the write
+// lock. The paper notes this workload is "completely parallel (each
+// contract is simplified independently)"; only the publish step (id
+// assignment, log append, prefilter bit-ORs) is serialized.
 //
 // Entries with identical specifications (canonical form) are
 // *deduplicated structurally*: translated once, sharing one automaton,
@@ -42,8 +34,10 @@ type BatchResult struct {
 // contract cost one translation and one bisimulation lattice. Each
 // still registers as a distinct contract under its own name and id.
 //
-// A database built by RegisterBatch has the same artifacts (and the
-// same Save bytes) as one built by Register calls in input order.
+// Empty names are minted first, in input order, as Register mints
+// before it translates, so a database built by RegisterBatch has the
+// same names, artifacts and Save bytes as one built by Register calls
+// in input order.
 //
 // workers ≤ 0 selects GOMAXPROCS. Results are returned in input
 // order; failed entries (unsatisfiable, oversized, duplicate name) do
@@ -56,30 +50,33 @@ func (db *DB) RegisterBatch(ctx context.Context, specs []Registration, workers i
 
 	// Pre-intern every atom serially: translation then only *reads*
 	// the vocabulary (Add returns early for known names), so workers
-	// cannot race on it.
-	var internErr error
-	for _, r := range specs {
+	// cannot race on it. An entry whose events do not fit fails alone,
+	// as its Register call would.
+	internErr := make([]error, len(specs))
+	for i, r := range specs {
 		for _, atom := range r.Spec.Atoms() {
 			if _, err := db.voc.Add(atom); err != nil {
-				internErr = err
+				internErr[i] = err
 			}
 		}
 	}
+
+	names := make([]string, len(specs))
+	db.mu.Lock()
+	for i, r := range specs {
+		if names[i] = r.Name; names[i] == "" {
+			names[i] = db.nextAutoName()
+		}
+	}
+	logging := db.oplog != nil
+	db.mu.Unlock()
 
 	// Group structurally identical specifications. Translation and
 	// precomputation are deterministic functions of the canonical form,
 	// so group members can share every derived artifact.
 	type group struct {
-		indices []int // input positions, ascending
-
-		auto     *buchi.BA
-		checker  *permission.Checker
-		proj     *projState
-		prep     prefilter.Prepared
-		elapsed  time.Duration
-		projTime time.Duration
-		err      error
-		unsat    bool // err is per-name; render it with each member's name
+		members []int // input positions, ascending
+		art     *artifacts
 	}
 	byKey := make(map[string]*group)
 	var groups []*group
@@ -92,17 +89,14 @@ func (db *DB) RegisterBatch(ctx context.Context, specs []Registration, workers i
 			byKey[key] = g
 			groups = append(groups, g)
 		}
-		g.indices = append(g.indices, i)
+		g.members = append(g.members, i)
 		order[i] = g
 	}
 
-	// Phase 1 (parallel, one task per distinct spec): translate,
-	// precompute projections, enumerate prefilter nodes.
-	db.mu.RLock()
-	maxStates := db.opts.MaxAutomatonStates
-	prefilterK := db.index.K()
-	logging := db.oplog != nil
-	db.mu.RUnlock()
+	// Parallel, one task per distinct spec: prepare it, then pend
+	// every member (encoding its record when logging).
+	out := make([]BatchResult, len(specs))
+	ready := make([]pending, len(specs))
 	var wg sync.WaitGroup
 	work := make(chan *group)
 	for w := 0; w < workers; w++ {
@@ -110,32 +104,16 @@ func (db *DB) RegisterBatch(ctx context.Context, specs []Registration, workers i
 		go func() {
 			defer wg.Done()
 			for g := range work {
-				start := time.Now()
-				if internErr != nil {
-					g.err = internErr
-					continue
+				err := internErr[g.members[0]] // members share their atoms
+				if err == nil {
+					g.art, err = db.prepare(ctx, specs[g.members[0]].Spec)
 				}
-				spec := specs[g.indices[0]].Spec
-				auto, err := translate(ctx, db.voc, spec, maxStates)
-				if err != nil {
-					g.err = err
-					continue
+				for _, i := range g.members {
+					out[i].Err = err
+					if err == nil {
+						ready[i], out[i].Err = db.pend(g.art, names[i], specs[i].Spec, logging)
+					}
 				}
-				if auto.IsEmpty() {
-					g.unsat = true
-					continue
-				}
-				tProj := time.Now()
-				ps := bisim.Precompute(auto, db.effectiveBudget(auto))
-				g.projTime = time.Since(tProj)
-				if logging {
-					ps.PrepareExport() // phase 2 encodes the records under the lock
-				}
-				g.auto = auto
-				g.checker = permission.NewChecker(auto)
-				g.proj = &projState{ps: ps}
-				g.prep = prefilter.Prepare(auto, prefilterK)
-				g.elapsed = time.Since(start)
 			}
 		}()
 	}
@@ -145,53 +123,19 @@ func (db *DB) RegisterBatch(ctx context.Context, specs []Registration, workers i
 	close(work)
 	wg.Wait()
 
-	// Phase 2 (serialized): id assignment, duplicate checks, prefilter
-	// merges.
+	// Serialized: publish in input order.
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	charged := make(map[*group]bool) // first member pays the group's cost
-	out := make([]BatchResult, len(specs))
 	for i, g := range order {
-		if g.unsat {
-			out[i].Err = fmt.Errorf("core: contract %q allows no behavior (unsatisfiable specification)", specs[i].Name)
+		if out[i].Err == nil {
+			out[i].Err = db.publishLocked(ready[i], g.art.cost)
+		}
+		if out[i].Err != nil {
+			out[i].Err = contractErr(names[i], out[i].Err)
 			continue
 		}
-		if g.err != nil {
-			out[i].Err = g.err
-			continue
-		}
-		name := specs[i].Name
-		if name == "" {
-			name = db.nextAutoName()
-		}
-		if _, dup := db.byName[name]; dup {
-			out[i].Err = fmt.Errorf("core: contract %q %w", name, ErrDuplicateName)
-			continue
-		}
-		c := &Contract{
-			ID:      ContractID(len(db.contracts)),
-			Name:    name,
-			Spec:    specs[i].Spec,
-			auto:    g.auto,
-			checker: g.checker,
-			proj:    g.proj,
-		}
-		if err := db.logRegisterLocked(c, nil); err != nil {
-			out[i].Err = fmt.Errorf("core: contract %q: %w", name, err)
-			continue
-		}
-		t := time.Now()
-		db.index.InsertPrepared(int(c.ID), g.prep)
-		db.indexTime += time.Since(t)
-		if !charged[g] {
-			charged[g] = true
-			db.translations++
-			db.projectionTime += g.projTime
-			db.registerTime += g.elapsed
-		}
-		db.contracts = append(db.contracts, c)
-		db.byName[name] = c
-		out[i].Contract = c
+		g.art.cost = regCost{} // the group's first published member paid it
+		out[i].Contract = ready[i].c
 	}
 	return out
 }

@@ -1,15 +1,18 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"contractdb/internal/core"
 	"contractdb/internal/datagen"
 	"contractdb/internal/ltl"
 	"contractdb/internal/paperex"
+	"contractdb/internal/vocab"
 )
 
 func TestRegisterBatch(t *testing.T) {
@@ -48,7 +51,9 @@ func TestRegisterBatch(t *testing.T) {
 }
 
 // TestBatchMatchesSerial: same specs through RegisterBatch and
-// Register produce identical query answers.
+// Register produce the same Save bytes and identical query answers,
+// including a repeated specification under a second name, which the
+// batch registers through its structural dedup.
 func TestBatchMatchesSerial(t *testing.T) {
 	voc1, voc2 := datagen.NewVocabulary(), datagen.NewVocabulary()
 	gen1, gen2 := datagen.New(voc1, 31), datagen.New(voc2, 31)
@@ -56,6 +61,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 	batch := core.NewDB(voc2, core.Options{})
 
 	var specs []core.Registration
+	var repeat *ltl.Expr
 	for i := 0; i < 20; i++ {
 		spec := gen1.Specification(4)
 		spec2 := gen2.Specification(4)
@@ -64,18 +70,27 @@ func TestBatchMatchesSerial(t *testing.T) {
 		}
 		name := fmt.Sprintf("c%02d", i)
 		specs = append(specs, core.Registration{Name: name, Spec: spec2})
-		_, err := serial.Register(name, spec)
-		if err != nil {
+		if _, err := serial.Register(name, spec); err != nil {
 			// The batch must fail on the same entry.
 			specs[len(specs)-1].Name = "FAILS:" + name
+		} else if repeat == nil {
+			repeat = spec
 		}
 	}
-	for _, r := range batch.RegisterBatch(context.Background(), specs, 3) {
-		_ = r // individual failures compared below via Len
+	if _, err := serial.Register("again", repeat); err != nil {
+		t.Fatal(err)
 	}
-	// Both databases hold the same registered names.
+	specs = append(specs, core.Registration{Name: "again", Spec: ltl.MustParse(repeat.String())})
+	for i, r := range batch.RegisterBatch(context.Background(), specs, 3) {
+		if fails := strings.HasPrefix(specs[i].Name, "FAILS:"); (r.Err != nil) != fails {
+			t.Errorf("entry %s: err=%v, serial registration failed: %v", specs[i].Name, r.Err, fails)
+		}
+	}
 	if serial.Len() != batch.Len() {
 		t.Fatalf("serial has %d, batch has %d contracts", serial.Len(), batch.Len())
+	}
+	if s, b := saveOf(t, serial), saveOf(t, batch); !bytes.Equal(s, b) {
+		t.Fatalf("batch saves %d bytes that differ from serial registration's %d", len(b), len(s))
 	}
 	qgen := datagen.New(datagen.NewVocabulary(), 131)
 	for i := 0; i < 15; i++ {
@@ -104,6 +119,32 @@ func TestBatchVocabularyGrowth(t *testing.T) {
 	}
 	if _, ok := db.Vocabulary().Lookup("claimAccepted"); !ok {
 		t.Error("batch registration must intern new events")
+	}
+}
+
+// TestBatchVocabularyLimit: an entry whose events overflow the
+// vocabulary fails alone, as its Register call would; the rest of the
+// batch registers.
+func TestBatchVocabularyLimit(t *testing.T) {
+	voc := vocab.New()
+	for i := 0; i < vocab.MaxEvents-1; i++ {
+		if _, err := voc.Add(fmt.Sprintf("e%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := core.NewDB(voc, core.Options{})
+	results := db.RegisterBatch(context.Background(), []core.Registration{
+		{Name: "fits", Spec: ltl.MustParse("F e0")},
+		{Name: "overflows", Spec: ltl.MustParse("F x1 && F x2")},
+	}, 2)
+	if results[0].Err != nil {
+		t.Errorf("entry within the vocabulary failed: %v", results[0].Err)
+	}
+	if results[1].Err == nil {
+		t.Error("entry overflowing the vocabulary registered")
+	}
+	if db.Len() != 1 {
+		t.Errorf("database holds %d contracts, want 1", db.Len())
 	}
 }
 

@@ -50,8 +50,9 @@ type Options struct {
 	// translated automaton exceeds the limit. The experiment harness
 	// uses it to keep the synthetic datasets within the size regime
 	// the paper reports (its LTL2BA-built automata average ~31-51
-	// states; our GPVW pipeline occasionally produces much larger
-	// automata for the same specification).
+	// states). The translator also abandons intermediate automata at
+	// a multiple of the bound (ltl2ba.TranslateBounded), so it caps
+	// what one specification's translation can cost.
 	MaxAutomatonStates int
 	// Parallelism is the number of workers evaluating a query's
 	// candidate set concurrently (the paper's §7.4 observation that
@@ -227,8 +228,9 @@ func (c *Contract) Events() vocab.Set { return c.auto.Events }
 // sink that receives every mutating operation after it has been
 // validated and before it is applied to the in-memory state
 // (append-before-apply). The calls happen under the database's write
-// lock, so the log order is exactly the apply order; Register encodes
-// its record before taking the lock, so only the append waits there.
+// lock, so the log order is exactly the apply order; Register and
+// RegisterBatch encode their records before taking the lock, so only
+// the append waits there.
 // A sink error aborts the operation — nothing is applied that was not
 // first logged. internal/store implements it over a wal.Log.
 type OpLog interface {
@@ -267,8 +269,8 @@ type DB struct {
 	autoname int
 
 	// encodeHook, when set, runs at the start of every registration
-	// record encoding (SetEncodeHook; tests only). Atomic: Register
-	// encodes without db.mu.
+	// record encoding (SetEncodeHook; tests only). Atomic:
+	// registrations encode without db.mu.
 	encodeHook atomic.Pointer[func()]
 
 	// registration-time cost accounting for the §7.4 measurements
@@ -383,102 +385,162 @@ func (db *DB) Register(name string, spec *ltl.Expr) (*Contract, error) {
 // RegisterCtx is Register under a context: a translation still running
 // when ctx is done fails with ErrCanceled.
 func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Contract, error) {
-	return db.register(ctx, name, spec, nil)
-}
-
-// RegisterAutomaton is Register with the automaton supplied: a non-nil
-// auto stands in for spec's translation and must accept exactly the
-// runs spec allows. A contract whose automaton is already built — the
-// one a snapshot or log record stores, whichever translator wrote it —
-// then takes the synchronous registration path as it stands, without
-// being retranslated. A nil auto translates spec.
-func (db *DB) RegisterAutomaton(name string, spec *ltl.Expr, auto *buchi.BA) (*Contract, error) {
-	return db.register(context.Background(), name, spec, auto)
-}
-
-func (db *DB) register(ctx context.Context, name string, spec *ltl.Expr, auto *buchi.BA) (*Contract, error) {
-	start := time.Now()
 	// Claim the name first (minting a generated one consumes the
 	// counter even if translation then fails — the sharded router's
-	// global minting mirrors exactly this), capture the options, and
-	// release the lock: translation and projection precompute are the
-	// expensive parts of registration — milliseconds against the index
-	// insert's microseconds — and holding the write lock through them
-	// would stall every concurrent query for the whole duration.
+	// global minting mirrors exactly this) and release the lock:
+	// prepare is the expensive part of registration — milliseconds
+	// against the publish step's microseconds — and holding the write
+	// lock through it would stall every concurrent query.
 	db.mu.Lock()
 	if name == "" {
 		name = db.nextAutoName()
 	} else if _, dup := db.byName[name]; dup {
 		db.mu.Unlock()
-		return nil, fmt.Errorf("core: contract %q %w", name, ErrDuplicateName)
+		return nil, contractErr(name, ErrDuplicateName)
 	}
-	maxStates := db.opts.MaxAutomatonStates
 	logging := db.oplog != nil
 	db.mu.Unlock()
 
-	translated := auto == nil
-	var err error
-	if translated {
-		if auto, err = translate(ctx, db.voc, spec, maxStates); err != nil {
-			return nil, fmt.Errorf("core: contract %q: %w", name, err)
-		}
+	a, err := db.prepare(ctx, spec)
+	if err != nil {
+		return nil, contractErr(name, err)
+	}
+	p, err := db.pend(a, name, spec, logging)
+	if err != nil {
+		return nil, contractErr(name, err)
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	// publishLocked re-checks the name: an explicit one can race
+	// another registration in the unlocked window (a minted name
+	// cannot — the counter is claimed).
+	if err := db.publishLocked(p, a.cost); err != nil {
+		return nil, contractErr(name, err)
+	}
+	return p.c, nil
+}
+
+// errUnsatisfiable rejects a specification whose automaton accepts
+// nothing.
+var errUnsatisfiable = errors.New("allows no behavior (unsatisfiable specification)")
+
+// contractErr names the contract a registration error belongs to.
+func contractErr(name string, err error) error {
+	return fmt.Errorf("core: contract %q: %w", name, err)
+}
+
+// artifacts are one specification's registration products (§3's
+// offline step): the automaton, its checker, its projection partitions
+// and its prefilter nodes. They read only the specification and the
+// append-only vocabulary, so prepare builds them without db.mu, and
+// every contract a batch registers under one specification shares
+// them.
+type artifacts struct {
+	auto    *buchi.BA
+	checker *permission.Checker
+	proj    *projState
+	prep    prefilter.Prepared
+	cost    regCost
+}
+
+// regCost is the registration work publishLocked charges to
+// RegistrationStats, once per prepared artifact set.
+type regCost struct {
+	total, projections, index time.Duration
+	translations              int64
+}
+
+// prepare runs the expensive half of registration off the lock:
+// translate, reject the empty automaton, build the checker, precompute
+// the bisimulation projections (§5.2) and enumerate the prefilter
+// nodes (§4.2).
+func (db *DB) prepare(ctx context.Context, spec *ltl.Expr) (*artifacts, error) {
+	start := time.Now()
+	auto, err := translate(ctx, db.voc, spec, db.opts.MaxAutomatonStates)
+	if err != nil {
+		return nil, err
 	}
 	if auto.IsEmpty() {
-		return nil, fmt.Errorf("core: contract %q allows no behavior (unsatisfiable specification)", name)
+		return nil, errUnsatisfiable
 	}
-	c := &Contract{
-		Name:    name,
-		Spec:    spec,
-		auto:    auto,
-		checker: permission.NewChecker(auto),
-		proj:    &projState{},
-	}
+	a := &artifacts{auto: auto, checker: permission.NewChecker(auto), cost: regCost{translations: 1}}
 	t := time.Now()
-	c.proj.ps = bisim.Precompute(auto, db.effectiveBudget(auto))
-	projElapsed := time.Since(t)
-	// Build the log record and enumerate the prefilter nodes before
-	// taking the write lock: exporting the projections and walking the
-	// labels are the costly parts, and they read only the still private
-	// contract and the append-only vocabulary. Under the lock remain
-	// the duplicate check, the append and the apply, so log order is
-	// still apply order.
+	a.proj = &projState{ps: bisim.Precompute(auto, db.effectiveBudget(auto))}
+	a.cost.projections = time.Since(t)
 	t = time.Now()
-	prep := prefilter.Prepare(auto, db.opts.prefilterK())
-	indexElapsed := time.Since(t)
-	var rec []byte
+	a.prep = prefilter.Prepare(auto, db.opts.prefilterK())
+	a.cost.index = time.Since(t)
+	a.cost.total = time.Since(start)
+	return a, nil
+}
+
+// pending is a contract ready to publish: every artifact built and,
+// when it is to be logged, its register record encoded; only the id
+// is missing.
+type pending struct {
+	c    *Contract
+	prep prefilter.Prepared
+	// rec is the encoded register record, nil when none was encoded.
+	rec []byte
+	// restored marks a contract read from a snapshot or the log, which
+	// is never logged again.
+	restored bool
+}
+
+// pend names a's contract and, when logging, encodes its register
+// record — the projection export and the container framing — so the
+// write lock covers only the append.
+func (db *DB) pend(a *artifacts, name string, spec *ltl.Expr, logging bool) (pending, error) {
+	p := pending{
+		c:    &Contract{Name: name, Spec: spec, auto: a.auto, checker: a.checker, proj: a.proj},
+		prep: a.prep,
+	}
 	if logging {
-		if rec, err = db.encodeRegistration(c); err != nil {
-			return nil, fmt.Errorf("core: contract %q: %w", name, err)
+		var err error
+		if p.rec, err = db.encodeRegistration(p.c); err != nil {
+			return p, err
 		}
 	}
+	return p, nil
+}
 
-	db.mu.Lock()
-	// Re-check: an explicit name can race another registration in the
-	// unlocked window (a minted name cannot — the counter is claimed).
-	if _, dup := db.byName[name]; dup {
-		db.mu.Unlock()
-		return nil, fmt.Errorf("core: contract %q %w", name, ErrDuplicateName)
+// publishLocked makes p's contract visible under the next dense id. It
+// is the one step every way in shares — Register, RegisterBatch,
+// snapshot load and log replay — and the only code that adds to
+// db.contracts, db.byName and the prefilter index: it refuses a name
+// db already holds with ErrDuplicateName, appends the register record
+// to the op log (unless the contract was restored), inserts the
+// prepared prefilter nodes, and charges cost plus the insert to
+// RegistrationStats. A refused contract leaves db unchanged. Callers
+// hold the write lock.
+func (db *DB) publishLocked(p pending, cost regCost) error {
+	c := p.c
+	if _, dup := db.byName[c.Name]; dup {
+		return ErrDuplicateName
 	}
+	if db.oplog != nil && !p.restored {
+		rec := p.rec
+		if rec == nil { // the log was attached after the caller looked
+			var err error
+			if rec, err = db.encodeRegistration(c); err != nil {
+				return err
+			}
+		}
+		if err := db.oplog.LogRegister(rec); err != nil {
+			return fmt.Errorf("%w: %w", ErrDurability, err)
+		}
+	}
+	t := time.Now()
 	c.ID = ContractID(len(db.contracts))
-	if translated {
-		db.translations++
-	}
-	db.projectionTime += projElapsed
-
-	if err := db.logRegisterLocked(c, rec); err != nil {
-		db.mu.Unlock()
-		return nil, fmt.Errorf("core: contract %q: %w", name, err)
-	}
-
-	t = time.Now()
-	db.index.InsertPrepared(int(c.ID), prep)
-	db.indexTime += indexElapsed + time.Since(t)
-
+	db.index.InsertPrepared(int(c.ID), p.prep)
 	db.contracts = append(db.contracts, c)
-	db.byName[name] = c
-	db.registerTime += time.Since(start)
-	db.mu.Unlock()
-	return c, nil
+	db.byName[c.Name] = c
+	insert := time.Since(t)
+	db.registerTime += cost.total + insert
+	db.indexTime += cost.index + insert
+	db.projectionTime += cost.projections
+	db.translations += cost.translations
+	return nil
 }
 
 // nextAutoName mints an unused generated name. Callers hold the write
@@ -491,25 +553,6 @@ func (db *DB) nextAutoName() string {
 			return name
 		}
 	}
-}
-
-// logRegisterLocked appends c's registration to the op log, if one is
-// attached, encoding it here unless the caller already has (rec). Callers
-// hold the write lock and have fully validated c.
-func (db *DB) logRegisterLocked(c *Contract, rec []byte) error {
-	if db.oplog == nil {
-		return nil
-	}
-	if rec == nil {
-		var err error
-		if rec, err = db.encodeRegistration(c); err != nil {
-			return err
-		}
-	}
-	if err := db.oplog.LogRegister(rec); err != nil {
-		return fmt.Errorf("%w: %w", ErrDurability, err)
-	}
-	return nil
 }
 
 // SetOpLog attaches (or, with nil, detaches) the durability sink that

@@ -20,19 +20,15 @@ import (
 // labels are bitsets over vocabulary ids, so replay must intern events
 // in exactly the original order before installing the contract.
 //
-// Builds with a background registration pipeline logged a contract
-// before its projection precompute, as a Deferred record without
-// partition rows. This build writes none, but logs may still hold
-// them: replay runs the precompute inline before installing the
-// contract (see install).
-//
-// Gob register records from logs written by older builds are refused
-// with ErrUnsupportedFormat, like gob snapshots.
+// Gob register records from logs written by older builds, and the
+// Deferred container records builds with a background registration
+// pipeline logged before the projection precompute, are refused with
+// ErrUnsupportedFormat, like gob snapshots.
 
 // encodeRegistration serializes c for the op log. It needs no db.mu:
-// Register calls it before taking the write lock, while c is still
-// private, and the vocabulary is append-only, so the snapshot it takes
-// already names every event c's automaton cites.
+// registrations call it (through pend) before taking the write lock,
+// while c is still private, and the vocabulary is append-only, so the
+// snapshot it takes already names every event c's automaton cites.
 func (db *DB) encodeRegistration(c *Contract) ([]byte, error) {
 	if hook := db.encodeHook.Load(); hook != nil {
 		(*hook)()
@@ -88,9 +84,8 @@ func applyRegistration(data []byte, place func(name string) *DB, stats *LoadStat
 	if err != nil {
 		return err
 	}
-	if !head.Sharded || len(head.Contracts) != 1 {
-		return fmt.Errorf("register record must be a one-contract sharded container (sharded %v, %d contracts)",
-			head.Sharded, len(head.Contracts))
+	if len(head.Contracts) != 1 {
+		return fmt.Errorf("register record must hold one contract, holds %d", len(head.Contracts))
 	}
 	h := head.Contracts[0]
 	if h.Name == "" {
@@ -104,16 +99,19 @@ func applyRegistration(data []byte, place func(name string) *DB, stats *LoadStat
 	if err != nil {
 		return err
 	}
-	c, deferred, err := cur.restoreContract(0, h, stats)
+	c, err := cur.restoreContract(h, stats)
 	if err != nil {
 		return err
 	}
 	if err := cur.assertDrained(); err != nil {
 		return err
 	}
-	if err := db.install(c, deferred, head.Events); err != nil {
-		if errors.Is(err, errDuplicate) {
-			return nil // installed since the check above; replay is idempotent
+	if err := internEvents(db.voc, head.Events); err != nil {
+		return err
+	}
+	if err := db.publishRestored(c); err != nil {
+		if errors.Is(err, ErrDuplicateName) {
+			return nil // published since the check above; replay is idempotent
 		}
 		return err
 	}

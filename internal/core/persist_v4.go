@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"contractdb/internal/bisim"
@@ -35,26 +36,24 @@ import (
 //	    auto compiled: 4 meta words, EdgeOff (N+1), EdgeTo (E),
 //	        EdgeLabel (E), Labels (L pairs), Final (N bytes)
 //	    checker seeds: N bytes
-//	    if not deferred (see v4ContractHead.Deferred):
-//	        PartTables × class tables (N int64 each, first-occurrence
-//	            order of the Set-sorted reference list)
-//	        PartRefs × (set word, table index)
+//	    PartTables × class tables (N int64 each, first-occurrence
+//	        order of the Set-sorted reference list)
+//	    PartRefs × (set word, table index)
 //
 // The writer (SaveSharded) emits one shape: Sharded=true, contracts
-// merged in name order, and empty index sections. Prefilter indexes
-// depend on the shard count, so they are rebuilt at load from the
-// adopted compiled forms (PrepareCompiled), keeping the bytes
-// count-agnostic. A WAL register record is the same shape holding one
-// contract (see durable.go).
+// merged in name order, and the five legacy sections (quotient refs
+// and prefilter index) present but empty. Prefilter indexes depend on
+// the shard count, so they are rebuilt at load from the adopted
+// compiled forms (PrepareCompiled), keeping the bytes count-agnostic.
+// A WAL register record is the same shape holding one contract (see
+// durable.go).
 //
-// Two older v4 shapes still load. Snapshots written before quotients
-// stopped being persisted carry, after a contract's PartRefs,
-// Quotients × compiled forms (the auto's layout) and QuotRefs × (set
-// word, table index); the loader validates and discards them
-// (dropQuotients). Unsharded heads carry a prefilter index (node
-// labels, node word counts, concatenated posting words) after all
-// contracts; the loader length-checks and skips it. Either re-saves to
-// the bytes a fresh save produces.
+// Older writers left three other v4 shapes: unsharded heads carrying
+// a prefilter index, contracts carrying persisted quotients, and
+// Deferred register records logged before the projection precompute.
+// Every reader refuses them with ErrUnsupportedFormat naming the shape
+// (v4Head.check, newV4Cursor), as it refuses pre-v4 gob; the upgrade
+// path is the one that error states.
 
 // Section kinds of the v4 container, in file order.
 const (
@@ -108,10 +107,10 @@ type v4ContractHead struct {
 	Name string
 	Spec string
 
-	// Deferred marks a contract logged before its projection
-	// precompute, as builds with a background registration pipeline
-	// wrote it: it has no projection rows in the slabs, and install
-	// precomputes them. The writer never sets it.
+	// Deferred (a record logged before its projection precompute) and
+	// Quotients/QuotRefs (persisted quotient rows) describe legacy
+	// shapes: the writer leaves them zero, and readers refuse a head
+	// that sets them.
 	Deferred bool
 
 	// LabelEvents is the projection set's label-event universe,
@@ -137,8 +136,9 @@ type v4Head struct {
 	Events        []string
 	Opts          Options
 
-	// The prefilter index shape of an older unsharded head; the writer
-	// leaves all three zero.
+	// Sharded is always true, and the prefilter index shape of an
+	// older unsharded head always zero, in what the writer emits;
+	// readers refuse anything else.
 	IndexK     int
 	IndexN     int
 	IndexNodes int
@@ -291,17 +291,18 @@ type v4Cursor struct {
 	classes       []int
 	partRefSets   []vocab.Set
 	partRefTables []int32
-	quotRefSets   []vocab.Set
-	quotRefTables []int32
-	indexLabels   []buchi.Label
-	indexLens     []int32
-	indexWords    []uint64
 }
 
+// newV4Cursor views the container's sections, refusing a non-empty
+// legacy section (quotient refs or a prefilter index) by name.
 func newV4Cursor(f *snapfmt.File) (*v4Cursor, error) {
 	for kind := uint32(secCompiledMeta); kind <= secIndexWords; kind++ {
-		if _, ok := f.Section(kind); !ok {
+		b, ok := f.Section(kind)
+		if !ok {
 			return nil, fmt.Errorf("snapshot missing section %s", V4SectionName(kind))
+		}
+		if kind >= secQuotRefSets && len(b) != 0 {
+			return nil, fmt.Errorf("%w: legacy section %s holds %d bytes", ErrUnsupportedFormat, V4SectionName(kind), len(b))
 		}
 	}
 	sec := func(kind uint32) []byte {
@@ -336,16 +337,6 @@ func newV4Cursor(f *snapfmt.File) (*v4Cursor, error) {
 	step(secPartRefSets, e)
 	cur.partRefTables, e = snapfmt.ViewSlice[int32](sec(secPartRefTables))
 	step(secPartRefTables, e)
-	cur.quotRefSets, e = viewSets(sec(secQuotRefSets))
-	step(secQuotRefSets, e)
-	cur.quotRefTables, e = snapfmt.ViewSlice[int32](sec(secQuotRefTables))
-	step(secQuotRefTables, e)
-	cur.indexLabels, e = viewLabels(sec(secIndexLabels))
-	step(secIndexLabels, e)
-	cur.indexLens, e = snapfmt.ViewSlice[int32](sec(secIndexLens))
-	step(secIndexLens, e)
-	cur.indexWords, e = snapfmt.ViewSlice[uint64](sec(secIndexWords))
-	step(secIndexWords, e)
 	if err != nil {
 		return nil, err
 	}
@@ -390,9 +381,9 @@ func (cur *v4Cursor) takeCompiled() (*buchi.Compiled, error) {
 // restoreContract rebuilds one contract from the cursor: shell
 // automaton over the adopted compiled form, persisted checker seeds,
 // flat projection import. Nothing is flattened, translated or copied.
-func (cur *v4Cursor) restoreContract(id ContractID, h v4ContractHead, stats *LoadStats) (*Contract, bool, error) {
-	fail := func(err error) (*Contract, bool, error) {
-		return nil, false, fmt.Errorf("contract %q: %w", h.Name, err)
+func (cur *v4Cursor) restoreContract(h v4ContractHead, stats *LoadStats) (*Contract, error) {
+	fail := func(err error) (*Contract, error) {
+		return nil, fmt.Errorf("contract %q: %w", h.Name, err)
 	}
 	spec, err := ltl.Parse(h.Spec)
 	if err != nil {
@@ -411,22 +402,8 @@ func (cur *v4Cursor) restoreContract(id ContractID, h v4ContractHead, stats *Loa
 		return fail(err)
 	}
 	stats.CompiledAdopted++
-	c := &Contract{
-		ID:      id,
-		Name:    h.Name,
-		Spec:    spec,
-		auto:    auto,
-		checker: permission.NewChecker(auto, permission.WithSeeds(seeds)),
-		proj:    &projState{},
-	}
-	if h.Deferred {
-		if h.PartTables != 0 || h.PartRefs != 0 || h.Quotients != 0 || h.QuotRefs != 0 {
-			return fail(fmt.Errorf("deferred contract carries %d projection rows", h.PartRefs))
-		}
-		return c, true, nil
-	}
 	if h.PartRefs == 0 {
-		return fail(fmt.Errorf("full-tier contract has no projection subsets"))
+		return fail(fmt.Errorf("contract has no projection subsets"))
 	}
 	// The persisted label-event universe must cover every event the
 	// kept labels cite and stay inside the automaton's alphabet; a
@@ -473,53 +450,17 @@ func (cur *v4Cursor) restoreContract(id ContractID, h v4ContractHead, stats *Loa
 	for i := range flat.PartRefs {
 		flat.PartRefs[i] = bisim.PartRef{Set: sets[i], Table: int(tables[i])}
 	}
-	if err := cur.dropQuotients(h, cc.Events); err != nil {
-		return fail(err)
-	}
 	ps, err := bisim.ImportFlat(auto, h.LabelEvents, flat)
 	if err != nil {
 		return fail(err)
 	}
-	c.proj.ps = ps
-	return c, false, nil
-}
-
-// dropQuotients consumes a contract's stored quotient rows, which only
-// snapshots written before quotients stopped being persisted hold.
-// Each stored quotient must be a valid compiled form over the
-// contract's alphabet, and the refs must be strictly sorted by subset
-// and cite stored entries; then all of it is discarded — the query
-// path derives every quotient from its partition.
-func (cur *v4Cursor) dropQuotients(h v4ContractHead, events vocab.Set) error {
-	for q := 0; q < h.Quotients; q++ {
-		qc, err := cur.takeCompiled()
-		if err != nil {
-			return err
-		}
-		if qc.Events != events {
-			return fmt.Errorf("quotient %d has event set %v, automaton has %v", q, qc.Events, events)
-		}
-		if _, err := buchi.ShellFromCompiled(qc); err != nil {
-			return fmt.Errorf("quotient %d: %w", q, err)
-		}
-	}
-	sets, err := take(&cur.quotRefSets, h.QuotRefs, "quot-ref-sets")
-	if err != nil {
-		return err
-	}
-	tables, err := take(&cur.quotRefTables, h.QuotRefs, "quot-ref-tables")
-	if err != nil {
-		return err
-	}
-	for i, t := range tables {
-		if t < 0 || int(t) >= h.Quotients {
-			return fmt.Errorf("quotient ref for %s cites entry %d of %d", sets[i], t, h.Quotients)
-		}
-		if i > 0 && sets[i] <= sets[i-1] {
-			return fmt.Errorf("quotient refs not strictly sorted at %s", sets[i])
-		}
-	}
-	return nil
+	return &Contract{
+		Name:    h.Name,
+		Spec:    spec,
+		auto:    auto,
+		checker: permission.NewChecker(auto, permission.WithSeeds(seeds)),
+		proj:    &projState{ps: ps},
+	}, nil
 }
 
 // skipContract consumes one contract's slab rows without rebuilding
@@ -538,60 +479,44 @@ func (cur *v4Cursor) skipContract(h v4ContractHead) error {
 	if _, err := take(&cur.partRefSets, h.PartRefs, "part-ref-sets"); err != nil {
 		return err
 	}
-	if _, err := take(&cur.partRefTables, h.PartRefs, "part-ref-tables"); err != nil {
-		return err
-	}
-	return cur.dropQuotients(h, cc.Events)
+	_, err = take(&cur.partRefTables, h.PartRefs, "part-ref-tables")
+	return err
 }
 
 // remainingBytes reports the encoded size of everything the cursor
 // has not yet consumed, used to attribute slab bytes per contract.
 func (cur *v4Cursor) remainingBytes() int64 {
-	i32 := len(cur.edgeOff) + len(cur.edgeTo) + len(cur.edgeLabel) +
-		len(cur.partRefTables) + len(cur.quotRefTables) + len(cur.indexLens)
-	u64 := len(cur.metas) + len(cur.classes) + len(cur.partRefSets) +
-		len(cur.quotRefSets) + len(cur.indexWords)
-	pairs := len(cur.labels) + len(cur.indexLabels)
-	return int64(4*i32) + int64(8*u64) + int64(16*pairs) +
+	i32 := len(cur.edgeOff) + len(cur.edgeTo) + len(cur.edgeLabel) + len(cur.partRefTables)
+	u64 := len(cur.metas) + len(cur.classes) + len(cur.partRefSets)
+	return int64(4*i32) + int64(8*u64) + int64(16*len(cur.labels)) +
 		int64(len(cur.final)) + int64(len(cur.seeds))
 }
 
 // assertDrained verifies exact consumption: a well-formed container
 // has nothing left once every head entry is restored.
 func (cur *v4Cursor) assertDrained() error {
-	left := map[string]int{
-		"compiled-meta":   len(cur.metas),
-		"edge-off":        len(cur.edgeOff),
-		"edge-to":         len(cur.edgeTo),
-		"edge-label":      len(cur.edgeLabel),
-		"labels":          len(cur.labels),
-		"final":           len(cur.final),
-		"seeds":           len(cur.seeds),
-		"classes":         len(cur.classes),
-		"part-ref-sets":   len(cur.partRefSets),
-		"part-ref-tables": len(cur.partRefTables),
-		"quot-ref-sets":   len(cur.quotRefSets),
-		"quot-ref-tables": len(cur.quotRefTables),
-		"index-labels":    len(cur.indexLabels),
-		"index-lens":      len(cur.indexLens),
-		"index-words":     len(cur.indexWords),
-	}
-	for _, name := range []string{
-		"compiled-meta", "edge-off", "edge-to", "edge-label", "labels",
-		"final", "seeds", "classes", "part-ref-sets", "part-ref-tables",
-		"quot-ref-sets", "quot-ref-tables", "index-labels", "index-lens",
-		"index-words",
+	for kind, left := range []int{
+		secCompiledMeta:  len(cur.metas),
+		secEdgeOff:       len(cur.edgeOff),
+		secEdgeTo:        len(cur.edgeTo),
+		secEdgeLabel:     len(cur.edgeLabel),
+		secLabels:        len(cur.labels),
+		secFinal:         len(cur.final),
+		secSeeds:         len(cur.seeds),
+		secClasses:       len(cur.classes),
+		secPartRefSets:   len(cur.partRefSets),
+		secPartRefTables: len(cur.partRefTables),
 	} {
-		if left[name] > 0 {
-			return fmt.Errorf("snapshot has %d unconsumed %s entries", left[name], name)
+		if left > 0 {
+			return fmt.Errorf("snapshot has %d unconsumed %s entries", left, V4SectionName(uint32(kind)))
 		}
 	}
 	return nil
 }
 
 // decodeV4Head parses the container and decodes its JSON head,
-// checking the format version. Shared by the load, replay and inspect
-// paths.
+// checking the format version and shape. Shared by the load, replay
+// and inspect paths.
 func decodeV4Head(data []byte) (*snapfmt.File, v4Head, error) {
 	var head v4Head
 	f, err := snapfmt.Parse(data)
@@ -601,7 +526,7 @@ func decodeV4Head(data []byte) (*snapfmt.File, v4Head, error) {
 	if err := json.Unmarshal(f.Head, &head); err != nil {
 		return nil, head, fmt.Errorf("head: %w", err)
 	}
-	return f, head, checkVersion(head.FormatVersion)
+	return f, head, head.check()
 }
 
 // refuseForeign names bytes without the container magic — a gob
@@ -614,9 +539,37 @@ func refuseForeign(err error) error {
 	return err
 }
 
-func checkVersion(v int) error {
-	if v != formatVersion {
-		return fmt.Errorf("%w: container has format version %d, this build reads %d", ErrUnsupportedFormat, v, formatVersion)
+// check refuses, with ErrUnsupportedFormat naming what it found, a
+// head of another format version or of a legacy v4 shape.
+func (head *v4Head) check() error {
+	if head.FormatVersion != formatVersion {
+		return fmt.Errorf("%w: container has format version %d, this build reads %d",
+			ErrUnsupportedFormat, head.FormatVersion, formatVersion)
+	}
+	var legacy []string
+	if !head.Sharded {
+		legacy = append(legacy, "an unsharded head")
+	}
+	if head.IndexK != 0 || head.IndexN != 0 || head.IndexNodes != 0 {
+		legacy = append(legacy, fmt.Sprintf("a persisted prefilter index (%d nodes)", head.IndexNodes))
+	}
+	deferred, quotients := 0, 0
+	for _, h := range head.Contracts {
+		if h.Deferred {
+			deferred++
+		}
+		if h.Quotients != 0 || h.QuotRefs != 0 {
+			quotients++
+		}
+	}
+	if deferred > 0 {
+		legacy = append(legacy, fmt.Sprintf("%d deferred contract(s) (logged before the projection precompute)", deferred))
+	}
+	if quotients > 0 {
+		legacy = append(legacy, fmt.Sprintf("%d contract(s) with persisted quotients", quotients))
+	}
+	if len(legacy) > 0 {
+		return fmt.Errorf("%w: legacy v4 shape: %s", ErrUnsupportedFormat, strings.Join(legacy, ", "))
 	}
 	return nil
 }
@@ -644,33 +597,23 @@ func DecodeV4(data []byte) (*V4Image, error) {
 // Info returns the image's head summary.
 func (im *V4Image) Info() SnapshotInfo { return im.head.info() }
 
-// LoadShardedV4 installs a v4 image's contracts into the databases
+// LoadShardedV4 publishes a v4 image's contracts into the databases
 // chosen by place (the shard router, or one database for Load),
 // rebuilding each one's prefilter index from the adopted compiled
-// forms. It reads both heads: a sharded container carries no index,
-// and an older unsharded one's index sections are skipped. All target
-// databases must share one vocabulary built from the snapshot's
-// events. Every adopted slab aliases the image's bytes, so they must
-// stay valid and unmodified for the databases' lifetime; the store
-// owns that lifetime when they are a file mapping.
+// forms. All target databases must share one vocabulary built from the
+// snapshot's events. Every adopted slab aliases the image's bytes, so
+// they must stay valid and unmodified for the databases' lifetime; the
+// store owns that lifetime when they are a file mapping.
 func LoadShardedV4(im *V4Image, place func(name string) *DB, stats *LoadStats) error {
 	t := time.Now()
 	f, head := im.f, im.head
 	stats.FormatVersion = head.FormatVersion
 	stats.Sections = len(f.Sections)
 	stats.SlabBytes = f.SlabBytes()
-	if head.Sharded && head.IndexNodes != 0 {
-		return fmt.Errorf("core: load: sharded snapshot carries a prefilter index (%d nodes); indexes are per-shard and rebuilt at load", head.IndexNodes)
-	}
 	cur, err := newV4Cursor(f)
 	if err != nil {
 		return fmt.Errorf("core: load: %w", err)
 	}
-	if len(cur.indexLabels) != head.IndexNodes {
-		return fmt.Errorf("core: load: head claims %d index nodes, slab holds %d",
-			head.IndexNodes, len(cur.indexLabels))
-	}
-	cur.indexLabels, cur.indexLens, cur.indexWords = nil, nil, nil
 	if !snapfmt.HostZeroCopy() {
 		stats.CopiedBytes = stats.SlabBytes
 	} else if !hostAdoptsInts() {
@@ -685,11 +628,11 @@ func LoadShardedV4(im *V4Image, place func(name string) *DB, stats *LoadStats) e
 		if db == nil {
 			return fmt.Errorf("core: load: no shard for contract %q", h.Name)
 		}
-		c, wasDeferred, err := cur.restoreContract(0, h, stats)
+		c, err := cur.restoreContract(h, stats)
 		if err != nil {
 			return fmt.Errorf("core: load: %w", err)
 		}
-		if err := db.install(c, wasDeferred, nil); err != nil {
+		if err := db.publishRestored(c); err != nil {
 			return fmt.Errorf("core: load: %w", err)
 		}
 	}
@@ -701,47 +644,26 @@ func LoadShardedV4(im *V4Image, place func(name string) *DB, stats *LoadStats) e
 	return nil
 }
 
-// errDuplicate reports a contract name the target database already
-// holds.
-var errDuplicate = errors.New("duplicate contract name")
-
-// install adds a restored contract to db under the next dense id,
-// posting it to the prefilter index from its compiled form: the one
-// per-contract step snapshot load and register-record replay share. A
-// deferred contract first gets its projection precompute, off the
-// lock, so it is published with every registration artifact in place.
-// events, when non-nil, is the vocabulary the contract's labels were
-// minted against (see internEvents). A name db already holds is
-// refused with errDuplicate and leaves db unchanged.
-func (db *DB) install(c *Contract, deferred bool, events []string) error {
-	var projElapsed time.Duration
-	if deferred {
-		t := time.Now()
-		c.proj.ps = bisim.Precompute(c.auto, db.effectiveBudget(c.auto))
-		projElapsed = time.Since(t)
-	}
+// publishRestored publishes a contract read from a snapshot or the
+// log through publishLocked. Its prefilter nodes are prepared from the
+// adopted compiled form before the lock is taken, and it is never
+// logged again.
+func (db *DB) publishRestored(c *Contract) error {
+	t := time.Now()
+	p := pending{c: c, prep: prefilter.PrepareCompiled(c.auto.Compiled(), db.index.K()), restored: true}
+	cost := regCost{index: time.Since(t)}
+	cost.total = cost.index
 	db.mu.Lock()
-	if _, dup := db.byName[c.Name]; dup {
-		db.mu.Unlock()
-		return fmt.Errorf("%w %q", errDuplicate, c.Name)
+	defer db.mu.Unlock()
+	if err := db.publishLocked(p, cost); err != nil {
+		return fmt.Errorf("contract %q: %w", c.Name, err)
 	}
-	if err := internEvents(db.voc, events); err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	c.ID = ContractID(len(db.contracts))
-	db.contracts = append(db.contracts, c)
-	db.byName[c.Name] = c
-	db.index.InsertPrepared(int(c.ID), prefilter.PrepareCompiled(c.auto.Compiled(), db.index.K()))
-	db.projectionTime += projElapsed
-	db.mu.Unlock()
 	return nil
 }
 
 // SnapshotInfo is the cheap view of a v4 container's head: enough to
 // build the target databases before the loader validates any slab.
 type SnapshotInfo struct {
-	Sharded   bool
 	Events    []string
 	Opts      Options
 	Contracts int
@@ -760,14 +682,14 @@ func PeekV4(data []byte) (SnapshotInfo, error) {
 	if err := json.Unmarshal(hb, &head); err != nil {
 		return info, fmt.Errorf("core: peek: head: %w", err)
 	}
-	if err := checkVersion(head.FormatVersion); err != nil {
+	if err := head.check(); err != nil {
 		return info, fmt.Errorf("core: peek: %w", err)
 	}
 	return head.info(), nil
 }
 
 func (head *v4Head) info() SnapshotInfo {
-	return SnapshotInfo{Sharded: head.Sharded, Events: head.Events, Opts: head.Opts, Contracts: len(head.Contracts)}
+	return SnapshotInfo{Events: head.Events, Opts: head.Opts, Contracts: len(head.Contracts)}
 }
 
 // SectionInfo is one section directory row for inspection output.
@@ -781,7 +703,6 @@ type SectionInfo struct {
 // ContractFootprint attributes slab bytes to one contract.
 type ContractFootprint struct {
 	Name      string
-	Deferred  bool
 	SlabBytes int64
 }
 
@@ -790,10 +711,8 @@ type ContractFootprint struct {
 // per-contract slab footprint.
 type SnapshotInspection struct {
 	FormatVersion int
-	Sharded       bool
 	Events        int
 	Contracts     int
-	Deferred      int
 	FileBytes     int64
 	HeadBytes     int64
 	SlabBytes     int64
@@ -803,8 +722,8 @@ type SnapshotInspection struct {
 
 // InspectSnapshot reads a v4 container's structure without building a
 // database: the container is fully CRC-validated and walked for
-// per-contract footprints. Anything else is refused with
-// ErrUnsupportedFormat.
+// per-contract footprints. Anything else — pre-v4 bytes or a legacy v4
+// shape — is refused with ErrUnsupportedFormat.
 func InspectSnapshot(data []byte) (*SnapshotInspection, error) {
 	f, head, err := decodeV4Head(data)
 	if err != nil {
@@ -812,7 +731,6 @@ func InspectSnapshot(data []byte) (*SnapshotInspection, error) {
 	}
 	insp := &SnapshotInspection{
 		FormatVersion: head.FormatVersion,
-		Sharded:       head.Sharded,
 		Events:        len(head.Events),
 		Contracts:     len(head.Contracts),
 		FileBytes:     int64(len(data)),
@@ -836,12 +754,8 @@ func InspectSnapshot(data []byte) (*SnapshotInspection, error) {
 		if err := cur.skipContract(h); err != nil {
 			return nil, fmt.Errorf("core: inspect: contract %q: %w", h.Name, err)
 		}
-		if h.Deferred {
-			insp.Deferred++
-		}
 		insp.PerContract = append(insp.PerContract, ContractFootprint{
 			Name:      h.Name,
-			Deferred:  h.Deferred,
 			SlabBytes: before - cur.remainingBytes(),
 		})
 	}

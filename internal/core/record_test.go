@@ -21,7 +21,7 @@ import (
 // TestPreV4Refused). register-v4-deferred.rec is a container record as
 // builds with a background registration pipeline logged it, before the
 // projection precompute ran: Deferred, with no partition rows. This
-// build writes no such record, but replays it. Each fixture was
+// build refuses it too (see TestLegacyV4Refused). Each fixture was
 // captured from a database over recordEvents registering one of
 // recordContracts; the deferred ones hold NoRefundsAfterUse.
 var recordEvents = []string{"purchase", "use", "refund", "dateChange"}
@@ -139,33 +139,19 @@ func registerNamed(t *testing.T, db *core.DB, specs []*ltl.Expr) {
 }
 
 // TestRegisterRecordIsContainer: a fresh register record is a
-// one-contract container without quotient rows and is never deferred;
-// the committed deferred record has the same shape with the flag set.
+// one-contract container without quotient rows, which inspection (and
+// so every reader) accepts.
 func TestRegisterRecordIsContainer(t *testing.T) {
-	type rec struct {
-		name     string
-		data     []byte
-		deferred bool
-	}
-	var recs []rec
 	for i, data := range containerRecords(t) {
-		recs = append(recs, rec{recordContracts[i].name, data, false})
-	}
-	recs = append(recs, rec{"NoRefundsAfterUse", readFixture(t, deferredFixture), true})
-	for i, r := range recs {
-		if !snapfmt.Sniff(r.data) {
+		if !snapfmt.Sniff(data) {
 			t.Fatalf("record %d is not a v4 container", i)
 		}
-		insp, err := core.InspectSnapshot(r.data)
+		insp, err := core.InspectSnapshot(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !insp.Sharded || insp.Contracts != 1 || insp.PerContract[0].Name != r.name {
-			t.Fatalf("record %d: sharded %v, %d contracts; want one sharded contract %q",
-				i, insp.Sharded, insp.Contracts, r.name)
-		}
-		if insp.PerContract[0].Deferred != r.deferred {
-			t.Errorf("record %d: deferred %v, want %v", i, insp.PerContract[0].Deferred, r.deferred)
+		if name := recordContracts[i].name; insp.Contracts != 1 || insp.PerContract[0].Name != name {
+			t.Fatalf("record %d: %d contracts; want one contract %q", i, insp.Contracts, name)
 		}
 		assertNoQuotientRows(t, insp)
 	}
@@ -180,16 +166,28 @@ func assertNoQuotientRows(t *testing.T, insp *core.SnapshotInspection) {
 	}
 }
 
-// TestRegisterRecordReplays: a fresh record and the committed deferred
-// one replay, adopting every compiled form, and replaying them a
-// second time changes nothing.
+// TestRegisterRecordReplays: fresh records replay, adopting every
+// compiled form, into the database their registrations built, and
+// replaying them a second time changes nothing.
 func TestRegisterRecordReplays(t *testing.T) {
-	records := [][]byte{containerRecords(t)[0], readFixture(t, deferredFixture)}
+	records := containerRecords(t)
 	db, stats := replayRecords(t, records)
 	if stats.Contracts != 2 || stats.CompiledAdopted != 2 || stats.FormatVersion != 4 {
 		t.Errorf("replay stats %+v: want 2 contracts, 2 compiled forms adopted, version 4", stats)
 	}
+	if rs := db.RegistrationStats(); rs.Translations != 0 {
+		t.Errorf("replay translated %d specifications, want 0", rs.Translations)
+	}
 	want := saveOf(t, db)
+	ref := core.NewDB(vocab.MustFromNames(recordEvents...), core.Options{})
+	for _, rc := range recordContracts {
+		if _, err := ref.RegisterLTL(rc.name, rc.spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(saveOf(t, ref), want) {
+		t.Error("replayed records save different bytes than their registrations")
+	}
 	for _, rec := range records {
 		if err := core.ApplyRegistrationTo(rec, func(string) *core.DB { return db }, nil); err != nil {
 			t.Fatal(err)
@@ -197,40 +195,6 @@ func TestRegisterRecordReplays(t *testing.T) {
 	}
 	if !bytes.Equal(saveOf(t, db), want) {
 		t.Fatal("replaying already-installed records changed the database")
-	}
-}
-
-// TestDeferredRecordPromotesInline: replaying the committed deferred
-// record runs the projection precompute before the contract is
-// installed, so it is served at the full tier and the database is the
-// one a synchronous registration of the record's own automaton builds
-// — same answers, same bytes. The reference does not retranslate the
-// specification: the record keeps the automaton of the translator that
-// wrote it.
-func TestDeferredRecordPromotesInline(t *testing.T) {
-	db, _ := replayRecords(t, [][]byte{readFixture(t, deferredFixture)})
-	c, ok := db.ByName("NoRefundsAfterUse")
-	if !ok {
-		t.Fatal("deferred record installed no contract")
-	}
-	if distinct, subsets := c.ProjectionStats(); distinct == 0 || subsets == 0 {
-		t.Errorf("replayed contract has %d partitions over %d subsets; want its projections precomputed", distinct, subsets)
-	}
-	if rs := db.RegistrationStats(); rs.ProjectionRows == 0 || rs.Translations != 0 {
-		t.Errorf("registration stats %+v: want projection rows and no translation", rs)
-	}
-
-	ref := core.NewDB(vocab.MustFromNames(recordEvents...), core.Options{})
-	if _, err := ref.RegisterAutomaton(c.Name, c.Spec, c.Automaton().Clone()); err != nil {
-		t.Fatal(err)
-	}
-	var queries []*ltl.Expr
-	for _, q := range []string{"F refund", "F purchase", "G !refund", "F (use && F refund)", "purchase U refund", "G F dateChange"} {
-		queries = append(queries, ltl.MustParse(q))
-	}
-	assertSameAnswers(t, db, ref, queries, "deferred replay vs synchronous")
-	if !bytes.Equal(saveOf(t, db), saveOf(t, ref)) {
-		t.Error("database built from the deferred record saves different bytes than a synchronous registration")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -92,16 +93,14 @@ func checkLoadV4Golden(t *testing.T, path string) {
 	assertSameAnswers(t, db, ref, goldenQueries(t, ref), "v4 golden vs fresh registration")
 }
 
-// TestCompatMatrix: every v4 shape an older writer left on disk loads
-// and re-saves to fixed bytes. A load never retranslates, so the
-// automata stored by earlier translators survive every re-save:
+// TestCompatMatrix: every container the current writer's shape holds
+// loads and re-saves to fixed bytes, whichever translator built its
+// automata. A load never retranslates, so the automata stored by
+// earlier translators survive every re-save:
 //
-//   - an unsharded head carrying a prefilter index, a container from
-//     before quotients stopped being persisted, and
-//     snapshot-v4-clausewise.golden — the current container as the
-//     translator that degeneralized clause by clause wrote it — all
-//     re-save onto snapshot-v4-clausewise.golden, which holds no
-//     quotient rows and no index;
+//   - snapshot-v4-clausewise.golden — the current container as the
+//     translator that degeneralized clause by clause wrote it —
+//     re-saves onto itself;
 //   - snapshot-v4-gpvw.golden — the current container as the tableau
 //     translator, with state-based acceptance, wrote it — re-saves
 //     onto itself;
@@ -136,8 +135,6 @@ func TestCompatMatrix(t *testing.T) {
 		name, path string
 		want       []byte
 	}{
-		{"v4-unsharded-to-v4", "testdata/snapshot-v4-unsharded.golden", clausewise},
-		{"v4-quotients-to-v4", "testdata/snapshot-v4-quotients.golden", clausewise},
 		{"v4-clausewise-to-v4", "testdata/snapshot-v4-clausewise.golden", clausewise},
 		{"v4-gpvw-to-v4", "testdata/snapshot-v4-gpvw.golden", gpvw},
 		{"v4-to-v4", "testdata/snapshot-v4.golden", fresh.Bytes()},
@@ -169,37 +166,62 @@ func TestPreV4Refused(t *testing.T) {
 		"testdata/register-gob-full.rec",
 		"testdata/register-gob-deferred.rec",
 	} {
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			db, loadErr := core.Load(bytes.NewReader(data))
-			if db != nil {
-				t.Error("core.Load returned a database")
-			}
-			sdb, _, shardErr := shard.LoadBytesWithStats(data, 2)
-			if sdb != nil {
-				t.Error("shard.LoadBytesWithStats returned a database")
-			}
-			_, inspErr := core.InspectSnapshot(data)
-			voc := vocab.MustFromNames("purchase")
-			target := core.NewDB(voc, core.Options{})
-			replayErr := core.ApplyRegistrationTo(data, func(string) *core.DB { return target }, nil)
-			if target.Len() != 0 || voc.Len() != 1 {
-				t.Errorf("replay left %d contracts and %d events behind", target.Len(), voc.Len())
-			}
-			for name, err := range map[string]error{
-				"core.Load":                loadErr,
-				"shard.LoadBytesWithStats": shardErr,
-				"core.InspectSnapshot":     inspErr,
-				"core.ApplyRegistrationTo": replayErr,
-			} {
-				if !errors.Is(err, core.ErrUnsupportedFormat) {
-					t.Errorf("%s: got %v, want %v", name, err, core.ErrUnsupportedFormat)
-				}
-			}
-		})
+		t.Run(filepath.Base(path), func(t *testing.T) { assertRefused(t, path, "no v4 container magic") })
+	}
+}
+
+// TestLegacyV4Refused: the v4 shapes older writers left — an unsharded
+// head carrying a prefilter index, a container carrying persisted
+// quotients, and a Deferred register record logged before its
+// projection precompute — are refused by name at every entry point,
+// and install nothing.
+func TestLegacyV4Refused(t *testing.T) {
+	for _, tc := range []struct{ path, shape string }{
+		{"testdata/snapshot-v4-unsharded.golden", "unsharded head"},
+		{"testdata/snapshot-v4-quotients.golden", "persisted quotients"},
+		{deferredFixture, "deferred contract"},
+	} {
+		t.Run(filepath.Base(tc.path), func(t *testing.T) { assertRefused(t, tc.path, tc.shape) })
+	}
+}
+
+// assertRefused checks that every reader refuses the fixture at path
+// with ErrUnsupportedFormat and an error naming shape, and that the
+// replay installs nothing.
+func assertRefused(t *testing.T, path, shape string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, loadErr := core.Load(bytes.NewReader(data))
+	if db != nil {
+		t.Error("core.Load returned a database")
+	}
+	sdb, _, shardErr := shard.LoadBytesWithStats(data, 2)
+	if sdb != nil {
+		t.Error("shard.LoadBytesWithStats returned a database")
+	}
+	_, peekErr := core.PeekV4(data)
+	_, inspErr := core.InspectSnapshot(data)
+	voc := vocab.MustFromNames("purchase")
+	target := core.NewDB(voc, core.Options{})
+	replayErr := core.ApplyRegistrationTo(data, func(string) *core.DB { return target }, nil)
+	if target.Len() != 0 || voc.Len() != 1 {
+		t.Errorf("replay left %d contracts and %d events behind", target.Len(), voc.Len())
+	}
+	for name, err := range map[string]error{
+		"core.Load":                loadErr,
+		"shard.LoadBytesWithStats": shardErr,
+		"core.PeekV4":              peekErr,
+		"core.InspectSnapshot":     inspErr,
+		"core.ApplyRegistrationTo": replayErr,
+	} {
+		if !errors.Is(err, core.ErrUnsupportedFormat) {
+			t.Errorf("%s: got %v, want %v", name, err, core.ErrUnsupportedFormat)
+		} else if !strings.Contains(err.Error(), shape) {
+			t.Errorf("%s: %v does not name the shape %q", name, err, shape)
+		}
 	}
 }
 

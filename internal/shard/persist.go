@@ -31,9 +31,9 @@ func (db *DB) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadBytesWithStats deals a v4 container's contracts — sharded or
-// older unsharded head alike — across n fresh shards via the placement
-// function, reporting the recovery breakdown summed across shards.
+// LoadBytesWithStats deals a v4 container's contracts across n fresh
+// shards via the placement function, reporting the recovery breakdown
+// summed across shards.
 // The image's slabs are adopted zero-copy, so buf must stay valid for
 // the database's lifetime (a private file mapping qualifies; the store
 // owns that lifetime).

@@ -17,31 +17,55 @@ import (
 // names both the journal's verdict and the loader's cause.
 func TestOpenRefusesGobSnapshot(t *testing.T) {
 	for _, fixture := range []string{"snapshot-v2.golden", "snapshot-v3.golden"} {
-		t.Run(fixture, func(t *testing.T) {
-			gob, err := os.ReadFile(filepath.Join("..", "core", "testdata", fixture))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "snapshot-00000000000000000001.ctdb"), gob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			st, err := store.Open(dir, store.Config{Events: events()})
-			if err == nil {
-				st.Close()
-				t.Fatal("store opened on a gob snapshot")
-			}
-			if !errors.Is(err, journal.ErrUnreadable) || !errors.Is(err, core.ErrUnsupportedFormat) {
-				t.Fatalf("open = %v, want both %v and %v", err, journal.ErrUnreadable, core.ErrUnsupportedFormat)
-			}
-		})
+		t.Run(fixture, func(t *testing.T) { assertOpenRefuses(t, fixture) })
+	}
+}
+
+// TestOpenRefusesLegacyV4Snapshot: so is a directory whose only
+// generation is a v4 container of a legacy shape — an unsharded head
+// carrying a prefilter index, or persisted quotients.
+func TestOpenRefusesLegacyV4Snapshot(t *testing.T) {
+	for _, fixture := range []string{"snapshot-v4-unsharded.golden", "snapshot-v4-quotients.golden"} {
+		t.Run(fixture, func(t *testing.T) { assertOpenRefuses(t, fixture) })
+	}
+}
+
+func assertOpenRefuses(t *testing.T, fixture string) {
+	t.Helper()
+	snap, err := os.ReadFile(filepath.Join("..", "core", "testdata", fixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot-00000000000000000001.ctdb"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Config{Events: events()})
+	if err == nil {
+		st.Close()
+		t.Fatalf("store opened on %s", fixture)
+	}
+	if !errors.Is(err, journal.ErrUnreadable) || !errors.Is(err, core.ErrUnsupportedFormat) {
+		t.Fatalf("open = %v, want both %v and %v", err, journal.ErrUnreadable, core.ErrUnsupportedFormat)
 	}
 }
 
 // TestReplayRefusesGobRecord: a gob register record in the WAL suffix
 // past a v4 snapshot fails recovery by name; it is never skipped.
 func TestReplayRefusesGobRecord(t *testing.T) {
-	rec, err := os.ReadFile(filepath.Join("..", "core", "testdata", "register-gob-full.rec"))
+	assertReplayRefuses(t, "register-gob-full.rec")
+}
+
+// TestReplayRefusesDeferredRecord: so does a Deferred container
+// record, as builds with a background registration pipeline logged it
+// before the projection precompute.
+func TestReplayRefusesDeferredRecord(t *testing.T) {
+	assertReplayRefuses(t, "register-v4-deferred.rec")
+}
+
+func assertReplayRefuses(t *testing.T, fixture string) {
+	t.Helper()
+	rec, err := os.ReadFile(filepath.Join("..", "core", "testdata", fixture))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +92,7 @@ func TestReplayRefusesGobRecord(t *testing.T) {
 	st2, err := store.Open(dir, cfg)
 	if err == nil {
 		st2.Close()
-		t.Fatal("store replayed past a gob register record")
+		t.Fatalf("store replayed past %s", fixture)
 	}
 	if !errors.Is(err, core.ErrUnsupportedFormat) {
 		t.Fatalf("open = %v, want %v", err, core.ErrUnsupportedFormat)

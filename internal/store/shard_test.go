@@ -82,22 +82,18 @@ func TestShardedStoreCrashReopen(t *testing.T) {
 }
 
 // TestShardedStoreUpgradeDowngrade: the shard count is a runtime
-// choice, not a property of the data (I4). A directory whose newest
-// snapshot is an unsharded container — what older builds' core.Save
-// and daemons serving a single core.DB left behind — opens at 0, 1, 2
-// and 4 shards: it recovers zero-copy with every compiled form
-// adopted, answers identically, and its next checkpoint is the sharded
-// container, byte-identical at every count.
+// choice, not a property of the data (I4). One directory, whose newest
+// snapshot is the committed v4 golden, opens at 0, 1, 2 and 4 shards:
+// it recovers zero-copy with every compiled form adopted, answers
+// identically, and its next checkpoint is byte-identical at every
+// count.
 func TestShardedStoreUpgradeDowngrade(t *testing.T) {
 	opts := core.Options{MaxAutomatonStates: 300}
-	legacy, err := os.ReadFile(filepath.Join("..", "core", "testdata", "snapshot-v4-unsharded.golden"))
+	golden, err := os.ReadFile(filepath.Join("..", "core", "testdata", "snapshot-v4.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info, err := core.PeekV4(legacy); err != nil || info.Sharded {
-		t.Fatalf("fixture holds %+v (%v), want an unsharded v4 container", info, err)
-	}
-	cdb, err := core.Load(bytes.NewReader(legacy))
+	cdb, err := core.Load(bytes.NewReader(golden))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +103,7 @@ func TestShardedStoreUpgradeDowngrade(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "snapshot-00000000000000000001.ctdb"), legacy, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "snapshot-00000000000000000001.ctdb"), golden, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			st := openStore(t, dir, store.Config{Events: events(), Shards: n, Core: opts})
@@ -117,7 +113,7 @@ func TestShardedStoreUpgradeDowngrade(t *testing.T) {
 			}
 			rec := st.Recovery
 			if rec.MappedBytes == 0 && rec.MmapFallback != "unsupported-platform" {
-				t.Errorf("unsharded snapshot was not mapped (fallback %q)", rec.MmapFallback)
+				t.Errorf("snapshot was not mapped (fallback %q)", rec.MmapFallback)
 			}
 			if rec.CompiledAdopted != cdb.Len() || db.Len() != cdb.Len() {
 				t.Errorf("recovered %d contracts with %d compiled forms adopted, want %d of each",
@@ -135,8 +131,8 @@ func TestShardedStoreUpgradeDowngrade(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info, err := core.PeekV4(snap); err != nil || !info.Sharded {
-				t.Fatalf("checkpoint wrote %+v (%v), want the sharded container", info, err)
+			if info, err := core.PeekV4(snap); err != nil || info.Contracts != cdb.Len()+1 {
+				t.Fatalf("checkpoint wrote %+v (%v), want a v4 container of %d contracts", info, err, cdb.Len()+1)
 			}
 			if wantSnap == nil {
 				wantSnap, wantAnswers = snap, answers

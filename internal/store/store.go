@@ -62,9 +62,8 @@ type Config struct {
 	// interleaved stream, and each record replays onto the shard that
 	// owns its contract name. The count is a runtime choice, not a
 	// property of the data — the same directory reopens under any
-	// count, and a directory whose newest snapshot is an unsharded
-	// container upgrades transparently (the loader deals its contracts
-	// across the shards).
+	// count (the loader deals the snapshot's contracts across the
+	// shards).
 	Shards int
 	// Core are the registration options of a freshly created database;
 	// ignored when a snapshot exists (options travel in the snapshot).
@@ -236,10 +235,10 @@ func Open(dir string, cfg Config) (*Store, error) {
 		if err != nil {
 			return err
 		}
-		// The loader reads sharded and older unsharded v4 snapshots
-		// alike and deals the contracts across the configured count, so
+		// The loader deals the contracts across the configured count, so
 		// changing Shards across restarts never strands a directory.
-		// Pre-v4 gob snapshots are refused with core.ErrUnsupportedFormat.
+		// Pre-v4 gob snapshots and legacy v4 shapes are refused with
+		// core.ErrUnsupportedFormat.
 		var lstats core.LoadStats
 		if db, lstats, err = shard.LoadBytesWithStats(data, shards); err != nil {
 			if mapped {
