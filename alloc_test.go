@@ -33,8 +33,8 @@ func TestQueryAllocCeilings(t *testing.T) {
 	// Allocations per pass, measured under -cpu 1,2,4 (the largest
 	// reading), by shard count. Both kernels allocate nothing in
 	// steady state, so the two cold modes share one count.
-	cold := map[int]float64{1: 9570, 2: 9836, 4: 10148, 8: 10977}
-	compiled := map[int]float64{1: 1013, 2: 1279, 4: 1591, 8: 2420}
+	cold := map[int]float64{1: 3295, 2: 3605, 4: 4013, 8: 5012}
+	compiled := map[int]float64{1: 783, 2: 1093, 4: 1501, 8: 2420}
 	fig5Cold, optimizedCold := fig5Mode, core.Optimized
 	fig5Cold.NoCache, optimizedCold.NoCache = true, true
 	cases := []struct {

@@ -28,7 +28,7 @@ func exportCorpus(t *testing.T) []*bisim.ProjectionSet {
 	return out
 }
 
-// TestExportRendersPartitions: ExportFlat renders the memoized
+// TestExportRendersPartitions: ExportFlat renders the set's
 // partitions — one ref per precomputed subset, each citing the
 // coarsest bisimulation of its projection, tables numbered by first
 // occurrence — and exporting derives no quotient.
@@ -40,34 +40,35 @@ func TestExportRendersPartitions(t *testing.T) {
 			t.Fatalf("contract %d: export derived %d quotients, want 0", i, d)
 		}
 		subsets := ps.Subsets()
-		if len(f.PartRefs) != len(subsets) {
-			t.Fatalf("contract %d: %d subsets, ExportFlat has %d refs", i, len(subsets), len(f.PartRefs))
+		if len(f.RefSets) != len(subsets) || len(f.RefTables) != len(subsets) {
+			t.Fatalf("contract %d: %d subsets, ExportFlat has %d refs citing %d tables", i, len(subsets), len(f.RefSets), len(f.RefTables))
 		}
-		next := 0
-		for j, ref := range f.PartRefs {
-			if ref.Table > next {
-				t.Fatalf("contract %d: ExportFlat table %d cited before %d", i, ref.Table, next)
+		next := int32(0)
+		for j, set := range f.RefSets {
+			table := f.RefTables[j]
+			if table > next {
+				t.Fatalf("contract %d: ExportFlat table %d cited before %d", i, table, next)
 			}
-			if ref.Table == next {
+			if table == next {
 				next++
 			}
-			if ref.Set != subsets[j] {
-				t.Fatalf("contract %d: ref %d is for %s, want %s", i, j, ref.Set, subsets[j])
+			if set != subsets[j] {
+				t.Fatalf("contract %d: ref %d is for %s, want %s", i, j, set, subsets[j])
 			}
-			want := bisim.CoarsestProjected(ps.Auto, ref.Set)
-			if got := (bisim.Partition{Class: f.PartTables[ref.Table].Class}); got.Key() != want.Key() {
-				t.Fatalf("contract %d: exported partition for %s is not its coarsest bisimulation", i, ref.Set)
+			want := bisim.CoarsestProjected(ps.Auto, set)
+			if got := (bisim.Partition{Class: f.PartTables[table].Class}); got.Key() != want.Key() {
+				t.Fatalf("contract %d: exported partition for %s is not its coarsest bisimulation", i, set)
 			}
 		}
-		if next != len(f.PartTables) {
+		if int(next) != len(f.PartTables) {
 			t.Fatalf("contract %d: %d tables, %d referenced", i, len(f.PartTables), next)
 		}
 	}
 }
 
 // TestExportConcurrent: exports may run from any goroutine while the
-// serialized query path fills the quotient cache; every caller sees
-// the one memoized export. Run under -race.
+// serialized query path fills the quotient slots; every caller sees
+// the one flat form. Run under -race.
 func TestExportConcurrent(t *testing.T) {
 	for i, ps := range exportCorpus(t)[:3] {
 		var wg sync.WaitGroup

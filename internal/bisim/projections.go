@@ -2,8 +2,8 @@ package bisim
 
 import (
 	"cmp"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,21 +16,25 @@ import (
 // up to size MaxSubset, it stores the coarsest bisimulation partition
 // of the automaton with labels projected onto S. Partitions — not
 // quotient automata — are stored, as the paper suggests ("we can just
-// memorize the list of bisimilar states for a particular projection");
-// quotients are materialized lazily and cached.
+// memorize the list of bisimilar states for a particular projection"),
+// and the set is nothing but their flat form (FlatProjections): the
+// sorted subsets, each citing one of the deduplicated partition
+// tables. A set loaded from a snapshot adopts that form from the
+// snapshot's slabs as it is.
 //
-// Subsets larger than MaxSubset fall back to an on-demand computation,
-// also cached, so correctness never depends on the precomputation
-// budget (§5.2: limiting precomputation "would affect the evaluation
-// performance of queries with more than k literals", not their
-// answers).
+// Quotients are derived lazily, one per table, not one per subset:
+// only ~5% of subsets have a distinct partition, so the quotients (and
+// the checkers callers build over them) are bounded by the tables
+// fixed at precomputation. Subsets larger than MaxSubset fall back to
+// the full automaton, so correctness never depends on the
+// precomputation budget (§5.2: limiting precomputation "would affect
+// the evaluation performance of queries with more than k literals",
+// not their answers).
 //
-// For, which fills the lazy quotient cache, is not safe for
-// concurrent use; the broker engine serializes it. Everything else
-// reads only state fixed at construction or the export memo, which a
-// sync.Once guards: ExportFlat and PrepareExport (and
-// Subsets, LabelEvents and StorageStates) are safe to call from any
-// goroutine, concurrently with each other and with a serialized For.
+// TableQuotient and For, which fill the lazy quotient slots, are not
+// safe for concurrent use; the engine serializes them. Everything
+// else reads only the flat form, fixed at construction, and is safe to
+// call from any goroutine, concurrently with a serialized For.
 type ProjectionSet struct {
 	Auto      *buchi.BA
 	MaxSubset int
@@ -43,13 +47,11 @@ type ProjectionSet struct {
 	// of literals that could result in a split".
 	labelEvents vocab.Set
 
-	parts     map[vocab.Set]*Partition
-	quotients map[vocab.Set]*buchi.BA
+	flat FlatProjections
 
-	// export is the flat form every export renders, built once (see
-	// ExportFlat).
-	exportOnce sync.Once
-	export     FlatProjections
+	// quotients holds each table's quotient, nil until first asked
+	// for; the slice itself is allocated by the first TableQuotient.
+	quotients []*buchi.BA
 
 	// DistinctPartitions counts unique partitions among the
 	// precomputed subsets, reproducing the paper's ~5% observation.
@@ -63,24 +65,16 @@ type ProjectionSet struct {
 // Theorem 3 is a coarser partition of the same states. Identical
 // partitions are shared.
 func Precompute(a *buchi.BA, maxSubset int) *ProjectionSet {
-	ps := &ProjectionSet{
-		Auto:      a,
-		MaxSubset: maxSubset,
-		parts:     make(map[vocab.Set]*Partition),
-		quotients: make(map[vocab.Set]*buchi.BA),
-	}
 	// One refiner serves the whole lattice: the contract is flattened
 	// and its labels interned once, and every subset reuses the scratch.
 	r := loadRefiner(a, false)
 	defer refinerPool.Put(r)
+	var labelEvents vocab.Set
 	for _, l := range r.labels {
-		ps.labelEvents = ps.labelEvents.Union(l.Vars())
+		labelEvents = labelEvents.Union(l.Vars())
 	}
-	events := ps.labelEvents.IDs()
-	if maxSubset > len(events) {
-		maxSubset = len(events)
-		ps.MaxSubset = maxSubset
-	}
+	events := labelEvents.IDs()
+	maxSubset = min(maxSubset, len(events))
 
 	dedup := make(map[string]*Partition)
 	var key []byte
@@ -98,8 +92,8 @@ func Precompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 	// full label set. Once a subset's partition saturates to it, every
 	// superset's partition is sandwiched between the two (Theorem 3)
 	// and must be equal — no refinement needed.
-	full := intern(r.refine(r.seed(a, false), ps.labelEvents))
-	ps.parts[0] = intern(r.refine(r.seed(a, false), 0))
+	full := intern(r.refine(r.seed(a, false), labelEvents))
+	parts := map[vocab.Set]*Partition{0: intern(r.refine(r.seed(a, false), 0))}
 
 	subsets := []vocab.Set{0}
 	for size := 1; size <= maxSubset; size++ {
@@ -112,53 +106,117 @@ func Precompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 				ids := sub.IDs()
 				start = int(ids[len(ids)-1]) + 1
 			}
-			seed := ps.parts[sub]
+			seed := parts[sub]
 			for _, e := range events {
 				if int(e) < start {
 					continue
 				}
 				s := sub.With(e)
 				if seed == full {
-					ps.parts[s] = full
+					parts[s] = full
 				} else {
-					ps.parts[s] = intern(r.refine(seed.Class, s))
+					parts[s] = intern(r.refine(seed.Class, s))
 				}
 				nextSubsets = append(nextSubsets, s)
 			}
 		}
 		subsets = nextSubsets
 	}
-	ps.PrecomputedSubsets = len(ps.parts)
-	ps.DistinctPartitions = len(dedup)
-	return ps
+	return fromParts(a, maxSubset, labelEvents, parts)
+}
+
+// fromParts builds the set's flat form from interned partitions (equal
+// partitions share one pointer): the subsets in ascending order, and
+// the tables numbered by first occurrence in that order, so equal
+// precomputations flatten to equal structures however they were built
+// — the invariant the byte-deterministic snapshot encoding rests on.
+func fromParts(a *buchi.BA, maxSubset int, labelEvents vocab.Set, parts map[vocab.Set]*Partition) *ProjectionSet {
+	f := FlatProjections{MaxSubset: maxSubset, RefSets: slices.Sorted(maps.Keys(parts))}
+	f.RefTables = make([]int32, len(f.RefSets))
+	table := make(map[*Partition]int32)
+	for i, set := range f.RefSets {
+		p := parts[set]
+		t, ok := table[p]
+		if !ok {
+			t = int32(len(f.PartTables))
+			table[p] = t
+			f.PartTables = append(f.PartTables, *p)
+		}
+		f.RefTables[i] = t
+	}
+	return newProjectionSet(a, labelEvents, f)
+}
+
+func newProjectionSet(a *buchi.BA, labelEvents vocab.Set, f FlatProjections) *ProjectionSet {
+	return &ProjectionSet{
+		Auto:               a,
+		MaxSubset:          f.MaxSubset,
+		labelEvents:        labelEvents,
+		flat:               f,
+		DistinctPartitions: len(f.PartTables),
+		PrecomputedSubsets: len(f.RefSets),
+	}
 }
 
 // For returns the smallest simplified automaton that is equivalent to
 // the contract automaton for any query citing only the given events
-// (Theorem 9). The relevant subset is the intersection of the query's
-// events with the contract's; projecting onto exactly that subset
-// yields the best available simplification. When the subset exceeds
-// the precomputation budget, the original automaton is returned — the
-// fallback §5.2 describes: any projection containing the required
-// literals is usable, and the full automaton always qualifies (such
-// queries "mostly benefit from the complementary prefiltering
-// optimization").
+// (Theorem 9): the quotient of the partition table that Table picks,
+// or, when the subset exceeds the precomputation budget, the original
+// automaton — the fallback §5.2 describes: any projection containing
+// the required literals is usable, and the full automaton always
+// qualifies (such queries "mostly benefit from the complementary
+// prefiltering optimization").
 func (ps *ProjectionSet) For(queryEvents vocab.Set) *buchi.BA {
-	relevant := queryEvents.Intersect(ps.Auto.Events).Intersect(ps.labelEvents)
-	part, ok := ps.parts[relevant]
-	if !ok {
-		return ps.Auto
+	if t := ps.Table(queryEvents); t >= 0 {
+		return ps.TableQuotient(t)
 	}
-	if q, ok := ps.quotients[relevant]; ok {
+	return ps.Auto
+}
+
+// Table returns the index of the partition table serving queries that
+// cite the given events, or -1 when none does and the full automaton
+// serves them. The relevant subset is the intersection of the query's
+// events with the contract's label events; projecting onto exactly
+// that subset yields the best available simplification. The subset is
+// found by binary search in the sorted subset list.
+func (ps *ProjectionSet) Table(queryEvents vocab.Set) int {
+	relevant := queryEvents.Intersect(ps.Auto.Events).Intersect(ps.labelEvents)
+	if i, ok := slices.BinarySearch(ps.flat.RefSets, relevant); ok {
+		return int(ps.flat.RefTables[i])
+	}
+	return -1
+}
+
+// TableQuotient returns the quotient of partition table t, derived on
+// first use with its labels projected onto the union U of the subsets
+// that cite the table. It serves each of those subsets S as well as
+// the quotient projected onto S would: the table is the coarsest
+// bisimulation for S, so a class representative's edges are the
+// class's edges under S-projection, and a query relevant to S can only
+// conflict with a contract label on events of S, where projecting onto
+// U and onto S agree. An edge that U-projection leaves subsumed is
+// subsumed under S-projection too, so dropping it removes no match. A
+// table with one class per state — no reduction — serves the automaton
+// itself, whose labels queries read the same way.
+func (ps *ProjectionSet) TableQuotient(t int) *buchi.BA {
+	if ps.quotients == nil {
+		ps.quotients = make([]*buchi.BA, len(ps.flat.PartTables))
+	}
+	if q := ps.quotients[t]; q != nil {
 		return q
 	}
-	var q *buchi.BA
-	if part.Count == ps.Auto.NumStates() && relevant == ps.Auto.Events {
-		q = ps.Auto // no reduction and no label change: reuse as-is
-	} else {
-		q = deriveQuotient(ps.Auto, *part, relevant)
+	p := ps.flat.PartTables[t]
+	q := ps.Auto
+	if p.Count < ps.Auto.NumStates() {
+		var keep vocab.Set
+		for i, set := range ps.flat.RefSets {
+			if int(ps.flat.RefTables[i]) == t {
+				keep = keep.Union(set)
+			}
+		}
+		q = deriveQuotient(ps.Auto, p, keep)
 	}
-	ps.quotients[relevant] = q
+	ps.quotients[t] = q
 	return q
 }
 
@@ -319,28 +377,6 @@ type deriveScratch struct {
 
 var derivePool = sync.Pool{New: func() any { return new(deriveScratch) }}
 
-// StorageStates returns the total number of partition entries held,
-// a proxy for the storage cost §7.4 reports (~80% of the database
-// size in the paper's measurement).
-func (ps *ProjectionSet) StorageStates() int {
-	seen := make(map[*Partition]bool)
-	total := 0
-	for _, p := range ps.parts {
-		if !seen[p] {
-			seen[p] = true
-			total += len(p.Class)
-		}
-	}
-	return total
-}
-
-// Subsets returns the precomputed event subsets in deterministic
-// order, mainly for tests and diagnostics.
-func (ps *ProjectionSet) Subsets() []vocab.Set {
-	out := make([]vocab.Set, 0, len(ps.parts))
-	for s := range ps.parts {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Subsets returns the precomputed event subsets in ascending order,
+// mainly for tests and diagnostics.
+func (ps *ProjectionSet) Subsets() []vocab.Set { return slices.Clone(ps.flat.RefSets) }

@@ -178,22 +178,16 @@ func ReferenceReduceBidirectional(a *buchi.BA) *buchi.BA {
 // ReferencePrecompute is Precompute over the reference refinement and
 // the fmt-built partition keys.
 func ReferencePrecompute(a *buchi.BA, maxSubset int) *ProjectionSet {
-	ps := &ProjectionSet{
-		Auto:      a,
-		MaxSubset: maxSubset,
-		parts:     make(map[vocab.Set]*Partition),
-		quotients: make(map[vocab.Set]*buchi.BA),
-	}
 	a.EnsureEdges()
+	var labelEvents vocab.Set
 	for _, out := range a.Out {
 		for _, e := range out {
-			ps.labelEvents = ps.labelEvents.Union(e.Label.Vars())
+			labelEvents = labelEvents.Union(e.Label.Vars())
 		}
 	}
-	events := ps.labelEvents.IDs()
+	events := labelEvents.IDs()
 	if maxSubset > len(events) {
 		maxSubset = len(events)
-		ps.MaxSubset = maxSubset
 	}
 	dedup := make(map[string]*Partition)
 	intern := func(p Partition) *Partition {
@@ -205,8 +199,8 @@ func ReferencePrecompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 		dedup[key] = &cp
 		return &cp
 	}
-	full := intern(ReferenceCoarsestProjected(a, ps.labelEvents))
-	ps.parts[0] = intern(ReferenceCoarsestProjected(a, 0))
+	full := intern(ReferenceCoarsestProjected(a, labelEvents))
+	parts := map[vocab.Set]*Partition{0: intern(ReferenceCoarsestProjected(a, 0))}
 	subsets := []vocab.Set{0}
 	for size := 1; size <= maxSubset; size++ {
 		var nextSubsets []vocab.Set
@@ -216,25 +210,23 @@ func ReferencePrecompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 				ids := sub.IDs()
 				start = int(ids[len(ids)-1]) + 1
 			}
-			seed := ps.parts[sub]
+			seed := parts[sub]
 			for _, e := range events {
 				if int(e) < start {
 					continue
 				}
 				s := sub.With(e)
 				if seed == full {
-					ps.parts[s] = full
+					parts[s] = full
 				} else {
-					ps.parts[s] = intern(ReferenceRefineProjected(a, *seed, s))
+					parts[s] = intern(ReferenceRefineProjected(a, *seed, s))
 				}
 				nextSubsets = append(nextSubsets, s)
 			}
 		}
 		subsets = nextSubsets
 	}
-	ps.PrecomputedSubsets = len(ps.parts)
-	ps.DistinctPartitions = len(dedup)
-	return ps
+	return fromParts(a, maxSubset, labelEvents, parts)
 }
 
 // ReferenceKey is the reference Partition.Key.
@@ -250,4 +242,10 @@ func ReferenceKey(p Partition) string {
 }
 
 // Parts returns the set's precomputed partition for each subset.
-func (ps *ProjectionSet) Parts() map[vocab.Set]*Partition { return ps.parts }
+func (ps *ProjectionSet) Parts() map[vocab.Set]*Partition {
+	out := make(map[vocab.Set]*Partition, len(ps.flat.RefSets))
+	for i, set := range ps.flat.RefSets {
+		out[set] = &ps.flat.PartTables[ps.flat.RefTables[i]]
+	}
+	return out
+}

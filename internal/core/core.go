@@ -174,12 +174,14 @@ type ContractID int
 // because the bulk-ingest path dedups structurally identical automata:
 // contracts sharing an automaton share one projState, and so one
 // quotient/checker cache and one lock. ps is set before the contract
-// is published and never changes; mu guards the caches ps.For and
-// checkers fill on first use.
+// is published and never changes; mu guards the quotient slots
+// ps.TableQuotient fills and checkers, one slot per partition table,
+// filled on first use. Both are bounded by the partitions fixed at
+// registration.
 type projState struct {
 	mu       sync.Mutex
 	ps       *bisim.ProjectionSet
-	checkers map[*buchi.BA]*permission.Checker
+	checkers []*permission.Checker
 }
 
 // Contract is a registered contract with its precomputed artifacts.
@@ -195,25 +197,28 @@ type Contract struct {
 
 // checkerFor returns a permission checker for the smallest projection
 // equivalent to the contract for queries citing the given events,
-// caching one checker per materialized quotient. The second result
-// reports whether the checker was served from the cache (false when a
-// quotient's checker had to be built on this call).
+// caching one checker per partition table. The second result reports
+// whether the checker was served from the cache (false when the
+// table's slot was filled on this call).
 func (c *Contract) checkerFor(queryEvents vocab.Set) (*permission.Checker, bool) {
 	st := c.proj
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	simplified := st.ps.For(queryEvents)
-	if simplified == c.auto {
+	t := st.ps.Table(queryEvents)
+	if t < 0 {
 		return c.checker, true
 	}
-	if ch, ok := st.checkers[simplified]; ok {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.checkers == nil {
+		st.checkers = make([]*permission.Checker, st.ps.DistinctPartitions)
+	}
+	if ch := st.checkers[t]; ch != nil {
 		return ch, true
 	}
-	ch := permission.NewChecker(simplified)
-	if st.checkers == nil {
-		st.checkers = make(map[*buchi.BA]*permission.Checker)
+	ch := c.checker
+	if q := st.ps.TableQuotient(t); q != c.auto {
+		ch = permission.NewChecker(q)
 	}
-	st.checkers[simplified] = ch
+	st.checkers[t] = ch
 	return ch, false
 }
 

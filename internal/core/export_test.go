@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"contractdb/internal/bisim"
 	"contractdb/internal/buchi"
 )
@@ -13,24 +11,13 @@ import (
 func (c *Contract) CheckedQuotients() []*buchi.BA {
 	c.proj.mu.Lock()
 	defer c.proj.mu.Unlock()
-	out := make([]*buchi.BA, 0, len(c.proj.checkers))
-	for q := range c.proj.checkers {
-		out = append(out, q)
+	var out []*buchi.BA
+	for _, ch := range c.proj.checkers {
+		if ch != nil && ch != c.checker {
+			out = append(out, ch.Contract())
+		}
 	}
 	return out
-}
-
-// ReimportProjections rebuilds the contract's projection set from its
-// flat form the way a load does — fresh partition and ref tables, then
-// bisim.ImportFlat — and discards it, for tests that price that step
-// on its own.
-func (c *Contract) ReimportProjections() error {
-	ps := c.proj.ps
-	flat := ps.ExportFlat()
-	flat.PartTables = slices.Clone(flat.PartTables)
-	flat.PartRefs = slices.Clone(flat.PartRefs)
-	_, err := bisim.ImportFlat(c.auto, ps.LabelEvents(), flat)
-	return err
 }
 
 // PartitionTables returns the class tables of the contract's

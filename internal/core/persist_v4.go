@@ -197,14 +197,12 @@ func (b *v4Builder) addContract(c *Contract) v4ContractHead {
 	h.LabelEvents = ps.LabelEvents()
 	h.MaxSubset = f.MaxSubset
 	h.PartTables = len(f.PartTables)
-	h.PartRefs = len(f.PartRefs)
+	h.PartRefs = len(f.RefSets)
 	for _, t := range f.PartTables {
 		b.classes = appendInts(b.classes, t.Class)
 	}
-	for _, r := range f.PartRefs {
-		b.partRefSets = append(b.partRefSets, r.Set)
-		b.partRefTables = append(b.partRefTables, int32(r.Table))
-	}
+	b.partRefSets = append(b.partRefSets, f.RefSets...)
+	b.partRefTables = append(b.partRefTables, f.RefTables...)
 	return h
 }
 
@@ -380,7 +378,8 @@ func (cur *v4Cursor) takeCompiled() (*buchi.Compiled, error) {
 
 // restoreContract rebuilds one contract from the cursor: shell
 // automaton over the adopted compiled form, persisted checker seeds,
-// flat projection import. Nothing is flattened, translated or copied.
+// and the projection set adopting its class, subset and reference
+// slabs as they are. Nothing is flattened, translated or copied.
 func (cur *v4Cursor) restoreContract(h v4ContractHead, stats *LoadStats) (*Contract, error) {
 	fail := func(err error) (*Contract, error) {
 		return nil, fmt.Errorf("contract %q: %w", h.Name, err)
@@ -438,17 +437,11 @@ func (cur *v4Cursor) restoreContract(h v4ContractHead, stats *LoadStats) (*Contr
 		}
 		flat.PartTables[t] = bisim.Partition{Class: cls, Count: count}
 	}
-	sets, err := take(&cur.partRefSets, h.PartRefs, "part-ref-sets")
-	if err != nil {
+	if flat.RefSets, err = take(&cur.partRefSets, h.PartRefs, "part-ref-sets"); err != nil {
 		return fail(err)
 	}
-	tables, err := take(&cur.partRefTables, h.PartRefs, "part-ref-tables")
-	if err != nil {
+	if flat.RefTables, err = take(&cur.partRefTables, h.PartRefs, "part-ref-tables"); err != nil {
 		return fail(err)
-	}
-	flat.PartRefs = make([]bisim.PartRef, h.PartRefs)
-	for i := range flat.PartRefs {
-		flat.PartRefs[i] = bisim.PartRef{Set: sets[i], Table: int(tables[i])}
 	}
 	ps, err := bisim.ImportFlat(auto, h.LabelEvents, flat)
 	if err != nil {

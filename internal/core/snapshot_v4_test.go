@@ -288,31 +288,23 @@ func TestLoadV4ZeroCopy(t *testing.T) {
 	}
 	fixed := allocs(load(empty.Bytes()))
 	allocated := allocs(load(data))
-	// Then the load does four things that allocate without copying a
+	// Then the load does three things that allocate without copying a
 	// slab, each priced here on its own: it rebuilds the prefilter
 	// index from the adopted compiled forms (the container persists
-	// none), mostly transient maps; it imports each contract's
-	// projections, a ref and a map entry per precomputed event subset,
-	// so that cost follows the subsets the contracts' events span, not
-	// their states; it decodes the head once, for both the options the
-	// database is built with and the contracts it restores; and it
-	// parses each specification.
+	// none), mostly transient maps; it decodes the head once, for both
+	// the options the database is built with and the contracts it
+	// restores; and it parses each specification.
 	contracts := db.Contracts()
 	specs := make([]string, len(contracts))
+	tables := 0
 	for i, c := range contracts {
 		specs[i] = c.Spec.String()
+		tables += len(c.PartitionTables())
 	}
 	rebuild := allocs(func() {
 		ix := prefilter.New(prefilter.DefaultK)
 		for i, c := range contracts {
 			ix.InsertPrepared(i, prefilter.PrepareCompiled(c.Automaton().Compiled(), prefilter.DefaultK))
-		}
-	})
-	imports := allocs(func() {
-		for _, c := range contracts {
-			if err := c.ReimportProjections(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	})
 	head := allocs(func() {
@@ -349,17 +341,20 @@ func TestLoadV4ZeroCopy(t *testing.T) {
 
 	// Allocation ceiling: what remains is per-contract bookkeeping —
 	// the shell automaton and compiled-form headers, the checker, the
-	// contract record — a few hundred bytes each, and nothing
-	// slab-sized. The bound allows 1 KiB per contract, about twice
-	// that; copying any one of this corpus's edge, class or ref slabs
-	// to the heap busts it.
-	const perContract = 1 << 10
-	rest := allocated - fixed - rebuild - imports - head - parse
-	t.Logf("load allocated %d bytes: empty load %d, index rebuild %d, projection import %d, head %d, spec parse %d, rest %d; %d slab bytes",
-		allocated, fixed, rebuild, imports, head, parse, rest, insp.SlabBytes)
-	if limit := int64(perContract * len(contracts)); rest >= limit {
-		t.Errorf("load allocated %d bytes beyond the steps priced on their own, over the %d-byte allowance for %d contracts (%d slab bytes in the file); a slab is being copied",
-			rest, limit, len(contracts), insp.SlabBytes)
+	// contract record, the projection set — a few hundred bytes each,
+	// plus one partition header (a class-slab view and its count, 32
+	// bytes) per distinct partition table; the subset and reference
+	// slabs are adopted as they are, with no per-subset cost. The bound
+	// allows 1 KiB per contract, about twice its share, and the 32
+	// bytes per table; copying any one of this corpus's edge, class or
+	// ref slabs to the heap busts it.
+	const perContract, perTable = 1 << 10, 32
+	rest := allocated - fixed - rebuild - head - parse
+	t.Logf("load allocated %d bytes: empty load %d, index rebuild %d, head %d, spec parse %d, rest %d for %d contracts and %d partition tables; %d slab bytes",
+		allocated, fixed, rebuild, head, parse, rest, len(contracts), tables, insp.SlabBytes)
+	if limit := int64(perContract*len(contracts) + perTable*tables); rest >= limit {
+		t.Errorf("load allocated %d bytes beyond the steps priced on their own, over the %d-byte allowance for %d contracts and %d partition tables (%d slab bytes in the file); a slab is being copied",
+			rest, limit, len(contracts), tables, insp.SlabBytes)
 	}
 	if stats.CopiedBytes != 0 {
 		t.Errorf("stats report %d copied bytes, want 0 on this host", stats.CopiedBytes)

@@ -3,7 +3,6 @@ package ltl
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
 )
 
 // This file implements the structural canonicalizer behind the query
@@ -36,6 +35,7 @@ const digestSize = sha256.Size
 type canonizer struct {
 	memo map[*Expr]*Expr            // input node → canonical node
 	dig  map[*Expr][digestSize]byte // canonical node → digest
+	buf  []byte                     // digest input, reused across nodes
 }
 
 func newCanonizer() *canonizer {
@@ -69,26 +69,32 @@ func CanonicalKey(f *Expr) string {
 // digest computes (memoized) the compositional SHA-256 of a canonical
 // node: H(op ‖ name ‖ digest(left) ‖ digest(right)). The op byte
 // disambiguates leaf/unary/binary shapes, so no length framing is
-// needed.
+// needed. The operands are digested first, then the node's input is
+// assembled in the canonizer's one reused buffer and hashed in a
+// single call, so a node costs no hasher and no digest allocation.
 func (c *canonizer) digest(f *Expr) [digestSize]byte {
 	if d, ok := c.dig[f]; ok {
 		return d
 	}
-	h := sha256.New()
-	h.Write([]byte{byte(f.Op)})
-	if f.Op == OpAtom {
-		io.WriteString(h, f.Name)
-	}
+	var left, right [digestSize]byte
 	if f.Left != nil {
-		d := c.digest(f.Left)
-		h.Write(d[:])
+		left = c.digest(f.Left)
 	}
 	if f.Right != nil {
-		d := c.digest(f.Right)
-		h.Write(d[:])
+		right = c.digest(f.Right)
 	}
-	var d [digestSize]byte
-	copy(d[:], h.Sum(nil))
+	b := append(c.buf[:0], byte(f.Op))
+	if f.Op == OpAtom {
+		b = append(b, f.Name...)
+	}
+	if f.Left != nil {
+		b = append(b, left[:]...)
+	}
+	if f.Right != nil {
+		b = append(b, right[:]...)
+	}
+	c.buf = b
+	d := sha256.Sum256(b)
 	c.dig[f] = d
 	return d
 }

@@ -57,6 +57,30 @@ func TestCanonicalKeyEquivalences(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeyPinned: CanonicalKey's bytes for a fixed formula
+// set. The keys address compile-cache slots, so a change to how the
+// digest is computed must leave every key as it was.
+func TestCanonicalKeyPinned(t *testing.T) {
+	for _, c := range []struct{ f, key string }{
+		{"a", "022a6979e6dab7aa5ae4c3e5e45f7e977112a7e63593820dbec1ec738a24f93c"},
+		{"true", "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a"},
+		{"!a", "455967273d811e07cfddb8972c6ac9e5aeecded38ae7168025b00420828106d6"},
+		{"X a", "4ec5af679f673e18c89453472d5fc672c3cee63869b40b4fa335e706388c6e6a"},
+		{"a && b", "e843a7ebf1f2bbd29ea5211a0d267d2dca192390604a95be6133eca33971c099"},
+		{"F refund", "c777d21163ffe0693e006fd33f55e0f27fefec8c3ab6eef9c1d5e0b9df5336c6"},
+		{"G(purchase -> F refund)", "2d8bafb9bda8fb73a0791affdda51d52e57bc5b3ccd79e75f2bf8581990fb4ae"},
+		{"(a || b) U (c && d)", "38cd4a778e091f73b22f4735dabdf326238c4a97deb62e204766e690efa018b1"},
+		{"p W q", "92b93567dc19df13f712d6d01069ad8230aa21e52cb13529f958584979ec36f7"},
+		{"p <-> q", "0522b0c080d0782262c1453fe3c838e9ce4932ac9eee0b48ab0968f2ca034bf1"},
+		{"G(!refund) && F(use && X dateChange)", "09d1760d0218220641cb1cbcbc121588d80924b89a7599b4ebbb5df0c54a2231"},
+		{"(a B b) || !(c R X d)", "a7ae955e046e6ba78c6039a5324328b0da8135ce00bff2f11d76c1837ea3058a"},
+	} {
+		if got := ltl.CanonicalKey(ltl.MustParse(c.f)); got != c.key {
+			t.Errorf("CanonicalKey(%q) = %s, want %s", c.f, got, c.key)
+		}
+	}
+}
+
 // TestCanonicalPreservesSemantics evaluates originals and canonical
 // forms on random ultimately periodic runs; they must agree
 // everywhere.

@@ -162,8 +162,8 @@ type Query struct {
 	// Work counters.
 	CandidatesScanned Counter // permission checks executed
 	CandidatesPruned  Counter // contracts removed by the prefilter
-	ProjCacheHits     Counter // projection-checker cache hits
-	ProjCacheMisses   Counter // projection checkers built on demand
+	ProjCacheHits     Counter // candidate checks served by a filled per-table checker slot (or the full automaton's checker)
+	ProjCacheMisses   Counter // partition tables whose checker slot was filled on demand: at most one per table per contract
 	KernelSteps       Counter // product pairs/cycle nodes expanded
 	Permitted         Counter // matches returned across all queries
 }

@@ -28,10 +28,11 @@ func manualCheckpoints(shards int) store.Config {
 	}
 }
 
-// TestCheckpointExportsOnce: a contract's flat export is built once,
-// when its registration record is built, and every checkpoint after
-// that (the first, a second one, and one after reopening on the mapped
-// snapshot) renders it from the memo and derives no quotient. The
+// TestCheckpointExportsOnce: a contract's flat export is its
+// projection set's flat form, fixed at precomputation, and every
+// checkpoint after its registration record (the first, a second one,
+// and one after reopening on the mapped snapshot) renders it as it
+// stands and derives no quotient. The
 // reopened store's snapshot still matches a database built from
 // scratch byte for byte.
 //
@@ -101,7 +102,7 @@ func checkpointExportsOnce(t *testing.T, cfg store.Config) {
 	register(st2, 1)
 	checkpoint(st2, "checkpoint after reopen")
 	if !bytes.Equal(saveBytes(t, st2.DB()), saveBytes(t, ref)) {
-		t.Fatal("snapshot rendered from export memos differs from a fresh database's")
+		t.Fatal("snapshot rendered from adopted flat forms differs from a fresh database's")
 	}
 }
 
