@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,8 +9,10 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"contractdb/internal/stream"
+	"contractdb/internal/vocab"
 )
 
 // Streaming endpoints. A server whose Streams broker is nil (the
@@ -150,20 +153,118 @@ func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 	if b == nil {
 		return
 	}
-	var req StreamEventsRequest
-	if !decodeBodyN(w, r, &req, 8<<20) {
+	snaps, ok := decodePush(w, r, b.Vocabulary())
+	if !ok {
 		return
 	}
-	if len(req.Events) == 0 {
-		writeErr(w, r, http.StatusBadRequest, errors.New("events is required"))
-		return
-	}
-	first, err := b.AppendEvents(r.Context(), r.PathValue("name"), req.Events)
+	first, err := b.Append(r.Context(), r.PathValue("name"), snaps)
 	if err != nil {
 		writeErr(w, r, streamStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, StreamEventsResponse{First: first, Accepted: len(req.Events)})
+	writeJSON(w, http.StatusAccepted, StreamEventsResponse{First: first, Accepted: len(snaps)})
+}
+
+// decodePush decodes a StreamEventsRequest body straight into event
+// sets resolved against voc, refusing what AppendEvents on the decoded
+// request would, with the same status. It writes the refusal itself.
+func decodePush(w http.ResponseWriter, r *http.Request, voc *vocab.Vocabulary) ([]vocab.Set, bool) {
+	req := struct {
+		Events pushEvents `json:"events"`
+	}{pushEvents{voc: voc}}
+	if !decodeBodyN(w, r, &req, 8<<20) {
+		return nil, false
+	}
+	err := req.Events.unknown
+	if err == nil && len(req.Events.sets) == 0 {
+		err = errors.New("events is required")
+	}
+	if err != nil {
+		writeErr(w, r, http.StatusBadRequest, err)
+		return nil, false
+	}
+	return req.Events.sets, true
+}
+
+// pushEvents is a push's events array as one event set per instant.
+// An unknown name is kept, not returned as a decode error, so that a
+// later duplicate "events" key replaces it as it would the names.
+type pushEvents struct {
+	voc     *vocab.Vocabulary
+	sets    []vocab.Set
+	unknown error
+}
+
+var errPushShape = errors.New("events must be an array of arrays of event names")
+
+// UnmarshalJSON gets a value the decoder has checked as JSON, so only
+// its shape is checked here.
+func (p *pushEvents) UnmarshalJSON(data []byte) error {
+	p.sets, p.unknown = nil, nil
+	if data[0] == 'n' {
+		return nil
+	} else if data[0] != '[' {
+		return errPushShape
+	}
+	var buf [64]vocab.Set // one exact allocation for up to 64 instants
+	sets := buf[:0]
+	for i := skipSeparators(data, 1); data[i] != ']'; i = skipSeparators(data, i+1) {
+		var set vocab.Set // a null instant is an empty one
+		switch data[i] {
+		case 'n':
+			i += len("null") - 1
+		case '[':
+			for i = skipSeparators(data, i+1); data[i] != ']'; i = skipSeparators(data, i) {
+				name, next, err := scanName(data, i)
+				if err != nil {
+					return err
+				}
+				id, ok := p.voc.LookupBytes(name)
+				if !ok {
+					p.unknown = fmt.Errorf("stream: events[%d]: vocab: unknown event %q", len(sets), name)
+					return nil
+				}
+				set, i = set.With(id), next
+			}
+		default:
+			return errPushShape
+		}
+		sets = append(sets, set)
+	}
+	p.sets = append([]vocab.Set(nil), sets...)
+	return nil
+}
+
+// scanName returns the name at data[i] and the index past it, in
+// place unless it holds escapes or invalid UTF-8. null reads as "", as
+// it does decoded into a string, and "" names no event.
+func scanName(data []byte, i int) ([]byte, int, error) {
+	if data[i] == 'n' {
+		return nil, i + len("null"), nil
+	} else if data[i] != '"' {
+		return nil, 0, errPushShape
+	}
+	end := i + 1
+	for ; data[end] != '"'; end++ {
+		if data[end] == '\\' {
+			end++
+		}
+	}
+	if name := data[i+1 : end]; bytes.IndexByte(name, '\\') < 0 && utf8.Valid(name) {
+		return name, end + 1, nil
+	}
+	var s string
+	err := json.Unmarshal(data[i:end+1], &s)
+	return []byte(s), end + 1, err
+}
+
+// skipSeparators returns the index of the first byte at or after i
+// that is neither JSON whitespace nor a comma.
+func skipSeparators(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == ',' || data[i] == '\n' || data[i] == '\t' || data[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 // StreamVerdictsResponse is one long-poll round: the verdicts past the

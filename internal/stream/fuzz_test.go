@@ -13,28 +13,43 @@ import (
 // FuzzStreamRecord feeds arbitrary bytes to the journal record
 // decoders. A record is either refused with errCorruptRecord or
 // decodes, and then its re-encoding decodes to the same values and
-// re-encodes to the same bytes; it never panics. The seeds hold
-// well-formed records and two hostile counts: a contract count of 2^62
-// and a snapshot count of 2^61, whose 8*n overflows to zero.
+// re-encodes to the same bytes; it never panics. Any type but the
+// create and the legacy raw event record decodes as a uvarint event
+// record. The seeds hold well-formed records and hostile counts: a
+// contract count of 2^62, a raw snapshot count of 2^61, whose 8*n
+// overflows to zero, a uvarint snapshot count past the bytes left, a
+// snapshot uvarint past 64 bits, and a snapshot cut short.
 func FuzzStreamRecord(f *testing.F) {
+	head := binary.AppendUvarint(appendString(nil, "s"), 0)
 	f.Add(recCreate, encodeCreate(nil, "s", []string{"A", "B"}))
 	f.Add(recCreate, encodeCreate(nil, "", nil))
-	f.Add(recEvents, encodeEvents(nil, "s", 3, []vocab.Set{1, 6, 0}))
+	f.Add(recEvents, encodeEvents(nil, "s", 3, []vocab.Set{1, 6, 0, 1 << 63}))
 	f.Add(recEvents, encodeEvents(nil, "s", 0, nil))
+	f.Add(recEventsRaw, encodeEventsRaw(nil, "s", 3, []vocab.Set{1, 6, 0}))
+	f.Add(recEventsRaw, encodeEventsRaw(nil, "s", 0, nil))
 	f.Add(recCreate, binary.AppendUvarint(appendString(nil, "s"), 1<<62))
-	f.Add(recEvents, binary.AppendUvarint(binary.AppendUvarint(appendString(nil, "s"), 0), 1<<61))
+	f.Add(recEventsRaw, binary.AppendUvarint(bytes.Clone(head), 1<<61))
+	f.Add(recEvents, append(binary.AppendUvarint(bytes.Clone(head), 3), 0, 0))
+	f.Add(recEvents, append(binary.AppendUvarint(bytes.Clone(head), 1), bytes.Repeat([]byte{0xff}, 10)...))
+	f.Add(recEvents, append(binary.AppendUvarint(bytes.Clone(head), 2), 0, 0x80))
 
 	f.Fuzz(func(t *testing.T, typ byte, data []byte) {
 		// decode returns the record's values and their re-encoding.
 		var decode func([]byte) (any, []byte, error)
-		if typ == recCreate {
+		switch typ {
+		case recCreate:
 			decode = func(b []byte) (any, []byte, error) {
 				name, contracts, err := decodeCreate(b)
 				return []any{name, contracts}, encodeCreate(nil, name, contracts), err
 			}
-		} else {
+		case recEventsRaw:
 			decode = func(b []byte) (any, []byte, error) {
-				name, first, snaps, err := decodeEvents(b)
+				name, first, snaps, err := decodeEvents(recEventsRaw, b)
+				return []any{name, first, snaps}, encodeEventsRaw(nil, name, first, snaps), err
+			}
+		default:
+			decode = func(b []byte) (any, []byte, error) {
+				name, first, snaps, err := decodeEvents(recEvents, b)
 				return []any{name, first, snaps}, encodeEvents(nil, name, first, snaps), err
 			}
 		}
@@ -53,4 +68,17 @@ func FuzzStreamRecord(f *testing.F) {
 			t.Fatalf("round trip changed the record: %v as %x, then %v as %x", got, enc, again, enc2)
 		}
 	})
+}
+
+// encodeEventsRaw is the event-record encoder of earlier builds, which
+// wrote each snapshot as a raw 8-byte little-endian set under
+// recEventsRaw. Recovery still replays such records.
+func encodeEventsRaw(b []byte, name string, first uint64, snaps []vocab.Set) []byte {
+	b = appendString(b, name)
+	b = binary.AppendUvarint(b, first)
+	b = binary.AppendUvarint(b, uint64(len(snaps)))
+	for _, s := range snaps {
+		b = binary.LittleEndian.AppendUint64(b, uint64(s))
+	}
+	return b
 }

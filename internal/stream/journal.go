@@ -20,8 +20,8 @@ import (
 // Journal records and checkpoint payload.
 //
 // A durable broker keeps an internal/journal in Config.Dir: a WAL of
-// three record types — stream creates, deletes, and event batches —
-// appended before the operation is acknowledged, plus generations
+// stream creates, deletes and event batches, each appended before the
+// operation is acknowledged, plus generations
 // streams-<boundary>.snap holding, per stream, the contract list, the
 // current frontier bitset words, the applied-event count, and the full
 // verdict history with its sequence numbers. Recovery resumes from the
@@ -32,7 +32,10 @@ import (
 const (
 	recCreate byte = 1
 	recDelete byte = 2
-	recEvents byte = 3
+	// recEventsRaw is the event-batch record of earlier builds, with
+	// each snapshot a raw 8-byte set. It is replayed, never written.
+	recEventsRaw byte = 3
+	recEvents    byte = 4
 
 	snapshotFormat = 1
 )
@@ -106,6 +109,7 @@ func (b *Broker) openJournal(cfg Config) error {
 		return fmt.Errorf("stream: %w", err)
 	}
 	b.journal = j
+	b.recordsSince.Store(int64(rec.Replayed))
 	b.Recovery = RecoveryInfo{
 		Clean:            rec.Clean(),
 		SnapshotSeq:      rec.Boundary,
@@ -186,8 +190,8 @@ func (b *Broker) applyRecord(rec wal.Record) error {
 			b.met.Dropped.Inc()
 			b.logf("stream: replay: %v", err)
 		}
-	case recEvents:
-		name, first, snaps, err := decodeEvents(rec.Data)
+	case recEvents, recEventsRaw:
+		name, first, snaps, err := decodeEvents(rec.Type, rec.Data)
 		if err != nil {
 			return fmt.Errorf("stream: journal record %d: %w", rec.Seq, err)
 		}
@@ -225,6 +229,8 @@ func (b *Broker) Checkpoint() (uint64, error) {
 		}
 	}
 	boundary, fresh, err := j.Seal()
+	// Records acknowledged once intake resumes stay counted as lag.
+	sealed := b.recordsSince.Load()
 	var snaps []streamSnap
 	if fresh {
 		snaps = b.capture()
@@ -241,7 +247,7 @@ func (b *Broker) Checkpoint() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	b.recordsSince.Store(0)
+	b.recordsSince.Add(-sealed)
 	return boundary, nil
 }
 
@@ -273,11 +279,13 @@ func (b *Broker) capture() []streamSnap {
 	return out
 }
 
-// Record encoding: length-prefixed strings and uvarints; event
-// snapshots are raw 8-byte little-endian vocab.Sets. The per-shard
-// scratch buffer (under ingestMu) keeps the append path allocation-
-// light. Decoders bound every count by the bytes that remain before
-// allocating, so a damaged or hostile record fails with
+// Record encoding: length-prefixed strings and uvarints. An event
+// record is the stream name, the index of its first snapshot, the
+// snapshot count, and each snapshot as the uvarint of its vocab.Set, so
+// an empty instant takes one byte (recEventsRaw wrote 8 per snapshot).
+// The per-shard scratch buffer (under ingestMu) keeps the append path
+// allocation-light. Decoders bound every count by the bytes that
+// remain before allocating, so a damaged or hostile record fails with
 // errCorruptRecord instead of a panic.
 
 var errCorruptRecord = errors.New("corrupt journal record")
@@ -344,7 +352,7 @@ func encodeEvents(b []byte, name string, first uint64, snaps []vocab.Set) []byte
 	b = binary.AppendUvarint(b, first)
 	b = binary.AppendUvarint(b, uint64(len(snaps)))
 	for _, s := range snaps {
-		b = binary.LittleEndian.AppendUint64(b, uint64(s))
+		b = binary.AppendUvarint(b, uint64(s))
 	}
 	return b
 }
@@ -355,7 +363,9 @@ func (sh *shard) appendEvents(name string, first uint64, snaps []vocab.Set) erro
 	return err
 }
 
-func decodeEvents(b []byte) (string, uint64, []vocab.Set, error) {
+// decodeEvents decodes an event record of type typ, recEvents or
+// recEventsRaw.
+func decodeEvents(typ byte, b []byte) (string, uint64, []vocab.Set, error) {
 	name, b, err := readString(b)
 	if err != nil {
 		return "", 0, nil, err
@@ -366,14 +376,29 @@ func decodeEvents(b []byte) (string, uint64, []vocab.Set, error) {
 	}
 	b = b[k:]
 	n, k := binary.Uvarint(b)
-	// Compare by division: 8*n overflows for a hostile count.
-	if k <= 0 || n > uint64(len(b)-k)/8 || uint64(len(b)-k) != 8*n {
+	// A snapshot takes at least one byte, a raw one exactly 8. Compare
+	// by division: 8*n overflows for a hostile count.
+	raw := typ == recEventsRaw
+	if k <= 0 || n > uint64(len(b)-k) || raw && (n > uint64(len(b)-k)/8 || uint64(len(b)-k) != 8*n) {
 		return "", 0, nil, fmt.Errorf("%w: snapshot count", errCorruptRecord)
 	}
 	b = b[k:]
 	snaps := make([]vocab.Set, n)
+	if raw {
+		for i := range snaps {
+			snaps[i] = vocab.Set(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		return name, first, snaps, nil
+	}
 	for i := range snaps {
-		snaps[i] = vocab.Set(binary.LittleEndian.Uint64(b[8*i:]))
+		s, k := binary.Uvarint(b)
+		if k <= 0 {
+			return "", 0, nil, fmt.Errorf("%w: snapshot %d", errCorruptRecord, i)
+		}
+		snaps[i], b = vocab.Set(s), b[k:]
+	}
+	if len(b) != 0 {
+		return "", 0, nil, fmt.Errorf("%w: %d bytes past the last snapshot", errCorruptRecord, len(b))
 	}
 	return name, first, snaps, nil
 }

@@ -8,11 +8,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"contractdb/internal/core"
 	"contractdb/internal/journal"
+	"contractdb/internal/monitor"
 	"contractdb/internal/vocab"
 	"contractdb/internal/wal"
 )
@@ -549,4 +551,154 @@ func TestSixteenDigitGenerationReopens(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("verdicts after reopening 16-digit generations = %+v (%v), want %+v", got, err, want)
 	}
+}
+
+// TestLegacyEventRecordsReplay: a journal whose event batches are
+// recEventsRaw records, written by earlier builds' encoder, replays to
+// the frontiers, statuses and verdicts that the same batches
+// journaled as recEvents records replay to, and keeps recovering once
+// the broker appends new records after them.
+func TestLegacyEventRecordsReplay(t *testing.T) {
+	db := journalDB(t)
+	ctx := context.Background()
+	batches := []struct {
+		stream string
+		events [][]string
+	}{
+		{"a", [][]string{{"use"}, {}, {"pay"}}},
+		{"b", [][]string{{"use", "change"}}},
+		{"a", [][]string{{"use"}, {"refund"}}},
+		{"b", [][]string{{}, {}, {"pay"}, {"use"}}},
+	}
+	journalDir := func(legacy bool) string {
+		dir := t.TempDir()
+		b, err := New(db, durableCfg(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a", "b"} {
+			if _, err := b.Create(ctx, name, []string{"NoRefund", "PayBeforeUse"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first := map[string]uint64{}
+		for _, bt := range batches {
+			if !legacy {
+				if _, err := b.AppendEvents(ctx, bt.stream, bt.events); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			snaps := make([]vocab.Set, len(bt.events))
+			for i, evs := range bt.events {
+				if snaps[i], err = db.Vocabulary().SetOf(evs...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := b.journal.Append(recEventsRaw, encodeEventsRaw(nil, bt.stream, first[bt.stream], snaps)); err != nil {
+				t.Fatal(err)
+			}
+			first[bt.stream] += uint64(len(snaps))
+		}
+		b.crash()
+		return dir
+	}
+	// reopen recovers dir, checks how many records it replayed, and
+	// returns the recovered state with the broker.
+	reopen := func(dir string, replayed int) (*Broker, []streamSnap) {
+		b, err := New(db, durableCfg(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Recovery.ReplayedRecords != replayed {
+			t.Fatalf("%s replayed %d records, want %d", dir, b.Recovery.ReplayedRecords, replayed)
+		}
+		return b, b.capture()
+	}
+	dirs := []string{journalDir(false), journalDir(true)}
+	records := 2 + len(batches)
+	for round := 0; round < 2; round++ {
+		var states [2][]streamSnap
+		for i, dir := range dirs {
+			b, state := reopen(dir, records)
+			states[i] = state
+			// The next round replays a recEvents record past the
+			// legacy ones.
+			if _, err := b.AppendEvents(ctx, "b", [][]string{{"refund"}}); err != nil {
+				t.Fatal(err)
+			}
+			b.WaitIdle()
+			b.crash()
+		}
+		if !reflect.DeepEqual(states[1], states[0]) {
+			t.Fatalf("round %d: legacy journal recovered %+v\nwant %+v", round, states[1], states[0])
+		}
+		if a := states[0][0]; a.Statuses[0] != int(monitor.Violated) || a.Events != 5 {
+			t.Fatalf("round %d: stream a recovered %+v, want NoRefund violated after 5 events", round, a)
+		}
+		records++
+	}
+}
+
+// TestCheckpointLagExact: RecordsSinceCheckpoint counts exactly the
+// records past the last checkpoint's boundary, the ones a crash would
+// replay: records acknowledged while a checkpoint commits count toward
+// the next one, and a recovered broker counts the records it replayed.
+func TestCheckpointLagExact(t *testing.T) {
+	dir := t.TempDir()
+	db := journalDB(t)
+	ctx := context.Background()
+	b, err := New(db, durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := []string{"a", "b", "c", "d"}
+	for _, name := range streams {
+		if _, err := b.Create(ctx, name, []string{"NoRefund"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lag := func(b *Broker, boundary uint64) {
+		t.Helper()
+		st, _ := b.JournalStats()
+		if want := int64(b.journal.NextSeq() - boundary); st.RecordsSinceCheckpoint != want {
+			t.Fatalf("RecordsSinceCheckpoint = %d, want %d records past boundary %d", st.RecordsSinceCheckpoint, want, boundary)
+		}
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for _, name := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := b.AppendEvents(ctx, name, [][]string{{"use"}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var boundary uint64
+	for i := 0; i < 20; i++ {
+		if boundary, err = b.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	lag(b, boundary)
+	b.crash()
+
+	b, err = New(db, durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	lag(b, b.Recovery.SnapshotSeq)
 }

@@ -460,8 +460,8 @@ func (b *Broker) Create(ctx context.Context, name string, contracts []string) (I
 	}
 	sh.noteDepth(sh.pending.Add(1))
 	sh.queue <- task{kind: taskCreate, name: name, contracts: contracts, done: done}
-	sh.ingestMu.Unlock()
 	b.bumpRecords()
+	sh.ingestMu.Unlock()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -493,8 +493,8 @@ func (b *Broker) Delete(ctx context.Context, name string) error {
 	}
 	sh.noteDepth(sh.pending.Add(1))
 	sh.queue <- task{kind: taskDelete, name: name, done: done}
-	sh.ingestMu.Unlock()
 	b.bumpRecords()
+	sh.ingestMu.Unlock()
 	select {
 	case err := <-done:
 		return err
@@ -531,8 +531,8 @@ func (b *Broker) Append(ctx context.Context, name string, snaps []vocab.Set) (ui
 	st.accepted.Store(first + uint64(len(snaps)))
 	sh.noteDepth(sh.pending.Add(1))
 	sh.queue <- task{kind: taskEvents, name: name, first: first, snaps: snaps}
-	sh.ingestMu.Unlock()
 	b.bumpRecords()
+	sh.ingestMu.Unlock()
 	return first, nil
 }
 
@@ -550,6 +550,10 @@ func (b *Broker) AppendEvents(ctx context.Context, name string, batches [][]stri
 	}
 	return b.Append(ctx, name, snaps)
 }
+
+// Vocabulary returns the vocabulary AppendEvents resolves names
+// against.
+func (b *Broker) Vocabulary() *vocab.Vocabulary { return b.src.Vocabulary() }
 
 // Verdicts returns the stream's verdicts with Seq > after. When none
 // exist yet and wait is positive, it long-polls until a verdict
@@ -660,8 +664,9 @@ func (b *Broker) Gauges() metrics.StreamGauges {
 // JournalStats is the stream journal's checkpoint-lag view: how much
 // acknowledged data the next crash would have to replay.
 type JournalStats struct {
-	// RecordsSinceCheckpoint counts journal appends since the last
-	// completed checkpoint.
+	// RecordsSinceCheckpoint counts the journal records past the last
+	// completed checkpoint's boundary: the records a crash would
+	// replay.
 	RecordsSinceCheckpoint int64 `json:"records_since_checkpoint"`
 	// Segments is the journal's on-disk segment-file count.
 	Segments int `json:"segments"`
@@ -731,6 +736,9 @@ func (b *Broker) Close() error {
 	return firstErr
 }
 
+// bumpRecords counts one journaled record; callers hold the shard's
+// ingestMu, so a checkpoint, which holds every ingestMu while it
+// seals, sees every record below its boundary counted.
 func (b *Broker) bumpRecords() {
 	if b.journal == nil {
 		return

@@ -97,6 +97,15 @@ func (v *Vocabulary) Lookup(name string) (EventID, bool) {
 	return id, ok
 }
 
+// LookupBytes is Lookup for a name held as bytes; it does not
+// allocate.
+func (v *Vocabulary) LookupBytes(name []byte) (EventID, bool) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	id, ok := v.ids[string(name)]
+	return id, ok
+}
+
 // Name returns the name of an event ID. It panics on an out-of-range
 // ID, which always indicates a programming error (IDs are only minted
 // by Add).

@@ -19,11 +19,11 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	f.Add(empty)
-	one := append(header(1), encodeFrame(1, 2, []byte("payload"))...)
+	one := append(header(1), encodeFrame(nil, 1, 2, []byte("payload"))...)
 	f.Add(one)
 	three := append([]byte(nil), header(1)...)
 	for seq := uint64(1); seq <= 3; seq++ {
-		three = append(three, encodeFrame(seq, byte(seq), bytes.Repeat([]byte{byte(seq)}, int(seq)*5))...)
+		three = append(three, encodeFrame(nil, seq, byte(seq), bytes.Repeat([]byte{byte(seq)}, int(seq)*5))...)
 	}
 	f.Add(three)
 	f.Add(three[:len(three)-4]) // torn tail
@@ -59,7 +59,7 @@ func FuzzWALReplay(f *testing.F) {
 			if r.Seq != uint64(i+1) {
 				t.Fatalf("record %d has seq %d (not contiguous)", i, r.Seq)
 			}
-			want = append(want, encodeFrame(r.Seq, r.Type, r.Data)...)
+			want = append(want, encodeFrame(nil, r.Seq, r.Type, r.Data)...)
 		}
 		got, err := os.ReadFile(path)
 		if err != nil {

@@ -38,6 +38,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,6 +174,7 @@ type Log struct {
 	nextSeq uint64
 	dirty   bool // unsynced appends under SyncInterval/SyncNever
 	closed  bool
+	frame   []byte // Append's encode buffer
 	// activeSince is when the active segment started accepting
 	// appends: creation time for a fresh segment, file mtime for one
 	// adopted on Open. Observability only — "how stale is the oldest
@@ -414,9 +416,10 @@ func findLaterFrame(data []byte, from int, minSeq uint64) (int, bool) {
 	return 0, false
 }
 
-func encodeFrame(seq uint64, typ byte, data []byte) []byte {
+// encodeFrame encodes one frame into buf, growing it as needed.
+func encodeFrame(buf []byte, seq uint64, typ byte, data []byte) []byte {
 	n := recordOverhead + len(data)
-	buf := make([]byte, frameHeaderSize+n)
+	buf = slices.Grow(buf[:0], frameHeaderSize+n)[:frameHeaderSize+n]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(n))
 	payload := buf[frameHeaderSize:]
 	binary.LittleEndian.PutUint64(payload[0:8], seq)
@@ -488,12 +491,12 @@ func (l *Log) Append(typ byte, data []byte) (uint64, error) {
 		return 0, ErrClosed
 	}
 	seq := l.nextSeq
-	frame := encodeFrame(seq, typ, data)
+	l.frame = encodeFrame(l.frame, seq, typ, data)
 	start := time.Now()
-	if _, err := l.f.Write(frame); err != nil {
+	if _, err := l.f.Write(l.frame); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	l.size += int64(len(frame))
+	l.size += int64(len(l.frame))
 	active := &l.segs[len(l.segs)-1]
 	active.last = seq
 	l.nextSeq++
@@ -505,7 +508,7 @@ func (l *Log) Append(typ byte, data []byte) (uint64, error) {
 	}
 	if m := l.opts.Metrics; m != nil {
 		m.WALAppends.Inc()
-		m.WALBytes.Add(int64(len(frame)))
+		m.WALBytes.Add(int64(len(l.frame)))
 		m.WALAppend.Observe(time.Since(start))
 	}
 	if l.size >= l.opts.segmentBytes() {
