@@ -4,6 +4,8 @@
 // history-dependent, which would break byte-determinism) followed by raw
 // little-endian binary sections ("slabs"), each 8-byte aligned and
 // CRC-framed, indexed by a section directory at the end of the file.
+// The stream broker frames its checkpoint generations in it too, with
+// uvarint-packed sections (internal/stream/checkpoint.go).
 //
 // The layout exists so that a loader can adopt the hot numeric tables
 // of a snapshot — CSR edge arrays, partition class tables, prefilter

@@ -2,29 +2,25 @@ package stream
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 
 	"contractdb/internal/journal"
 	"contractdb/internal/metrics"
-	"contractdb/internal/monitor"
 	"contractdb/internal/vocab"
 	"contractdb/internal/wal"
 )
 
-// Journal records and checkpoint payload.
+// Journal records.
 //
 // A durable broker keeps an internal/journal in Config.Dir: a WAL of
 // stream creates, deletes and event batches, each appended before the
-// operation is acknowledged, plus generations
-// streams-<boundary>.snap holding, per stream, the contract list, the
-// current frontier bitset words, the applied-event count, and the full
-// verdict history with its sequence numbers. Recovery resumes from the
+// operation is acknowledged, plus generations streams-<boundary>.snap
+// holding every stream's attachments, frontiers, applied-event count
+// and verdict history (see checkpoint.go). Recovery resumes from the
 // checkpointed frontier, not from event zero. Each event record
 // carries the index of its first snapshot in the stream's event
 // sequence, so a record that overlaps the checkpoint replays
@@ -36,31 +32,7 @@ const (
 	// each snapshot a raw 8-byte set. It is replayed, never written.
 	recEventsRaw byte = 3
 	recEvents    byte = 4
-
-	snapshotFormat = 1
 )
-
-// snapshotFile is the gob-encoded checkpoint payload.
-type snapshotFile struct {
-	Format   int
-	Boundary uint64
-	Streams  []streamSnap
-}
-
-// streamSnap is one stream's checkpointed state. States holds each
-// attachment's automaton size at checkpoint time: if the contract's
-// automaton has a different size at recovery (re-registered under the
-// same name), the persisted frontier indexes the wrong state space and
-// the attachment is reset to the initial frontier instead.
-type streamSnap struct {
-	Name      string
-	Contracts []string
-	States    []int
-	Frontiers [][]uint64
-	Statuses  []int
-	Events    uint64
-	Verdicts  []Verdict
-}
 
 // openJournal opens (or creates) the journal under cfg.Dir, recovers
 // checkpointed streams and replays the WAL suffix. Called by New
@@ -74,24 +46,14 @@ func (b *Broker) openJournal(cfg Config) error {
 		if path == "" {
 			return nil // no checkpoint yet: start with no streams
 		}
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		var snap snapshotFile
-		err = gob.NewDecoder(f).Decode(&snap)
-		if err == nil && snap.Format != snapshotFormat {
-			err = fmt.Errorf("snapshot format %d, want %d", snap.Format, snapshotFormat)
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = b.loadGeneration(data)
 		}
 		if err != nil {
 			b.logf("stream: recovery: skipping snapshot %s: %v", path, err)
-			return err
 		}
-		for _, ss := range snap.Streams {
-			b.restoreStream(ss)
-		}
-		return nil
+		return err
 	}
 	j, rec, err := journal.Open(journal.Config{
 		Dir:    cfg.Dir,
@@ -120,48 +82,6 @@ func (b *Broker) openJournal(cfg Config) error {
 		Duration:         rec.Duration,
 	}
 	return nil
-}
-
-// restoreStream rebuilds one checkpointed stream: shared automaton
-// groups re-resolved by contract name, frontier words copied into
-// fresh arena slots. A contract that no longer resolves drops the
-// stream (logged); a changed automaton resets that attachment.
-func (b *Broker) restoreStream(ss streamSnap) {
-	sh := b.shardFor(ss.Name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	groups := make([]*group, len(ss.Contracts))
-	for i, cname := range ss.Contracts {
-		g, err := sh.groupFor(cname)
-		if err != nil {
-			b.met.Dropped.Inc()
-			b.logf("stream: recovery: stream %q: %v; stream dropped", ss.Name, err)
-			return
-		}
-		groups[i] = g
-	}
-	st := &stream{
-		name:      ss.Name,
-		contracts: append([]string(nil), ss.Contracts...),
-		atts:      make([]attachment, len(ss.Contracts)),
-		notify:    make(chan struct{}),
-		verdicts:  ss.Verdicts,
-	}
-	for i, g := range groups {
-		g.refs++
-		a := attachment{g: g, slot: g.alloc()}
-		if i < len(ss.States) && ss.States[i] == g.auto.N && i < len(ss.Frontiers) {
-			a.setFrontier(ss.Frontiers[i])
-			a.status = monitor.Status(ss.Statuses[i])
-		} else {
-			a.status = g.initialStatus()
-			b.logf("stream: recovery: stream %q contract %q automaton changed; frontier reset", ss.Name, g.contract)
-		}
-		st.atts[i] = a
-	}
-	st.events = ss.Events
-	st.accepted.Store(ss.Events)
-	sh.streams[ss.Name] = st
 }
 
 // applyRecord replays one journal record. Decode failures and unknown
@@ -210,7 +130,9 @@ func (b *Broker) applyRecord(rec wal.Record) error {
 // generations no longer need. It returns the boundary sequence: every
 // journal record below it is covered by the fsynced snapshot. With
 // nothing journaled since the last checkpoint it writes nothing and
-// returns the existing boundary.
+// returns the existing boundary. Only the seal and the capture run
+// with intake stopped; the generation is encoded and written after it
+// resumes.
 func (b *Broker) Checkpoint() (uint64, error) {
 	j := b.journal
 	if j == nil {
@@ -231,9 +153,9 @@ func (b *Broker) Checkpoint() (uint64, error) {
 	boundary, fresh, err := j.Seal()
 	// Records acknowledged once intake resumes stay counted as lag.
 	sealed := b.recordsSince.Load()
-	var snaps []streamSnap
+	var gen generation
 	if fresh {
-		snaps = b.capture()
+		gen = b.capture()
 	}
 	for _, sh := range b.shards {
 		sh.ingestMu.Unlock()
@@ -242,41 +164,13 @@ func (b *Broker) Checkpoint() (uint64, error) {
 		return boundary, err
 	}
 	err = j.Commit(boundary, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(snapshotFile{Format: snapshotFormat, Boundary: boundary, Streams: snaps})
+		return gen.write(w, boundary)
 	})
 	if err != nil {
 		return 0, err
 	}
 	b.recordsSince.Add(-sealed)
 	return boundary, nil
-}
-
-// capture deep-copies every stream's checkpointable state. Callers
-// hold every ingestMu with queues drained, so the copy is a consistent
-// cut; shard mutexes still guard against concurrent readers.
-func (b *Broker) capture() []streamSnap {
-	var out []streamSnap
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		for _, st := range sh.streams {
-			ss := streamSnap{
-				Name:      st.name,
-				Contracts: append([]string(nil), st.contracts...),
-				Events:    st.events,
-				Verdicts:  append([]Verdict(nil), st.verdicts...),
-			}
-			for i := range st.atts {
-				a := &st.atts[i]
-				ss.States = append(ss.States, a.g.auto.N)
-				ss.Frontiers = append(ss.Frontiers, a.frontier())
-				ss.Statuses = append(ss.Statuses, int(a.status))
-			}
-			out = append(out, ss)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Record encoding: length-prefixed strings and uvarints. An event

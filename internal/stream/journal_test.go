@@ -14,7 +14,6 @@ import (
 
 	"contractdb/internal/core"
 	"contractdb/internal/journal"
-	"contractdb/internal/monitor"
 	"contractdb/internal/vocab"
 	"contractdb/internal/wal"
 )
@@ -605,7 +604,7 @@ func TestLegacyEventRecordsReplay(t *testing.T) {
 	}
 	// reopen recovers dir, checks how many records it replayed, and
 	// returns the recovered state with the broker.
-	reopen := func(dir string, replayed int) (*Broker, []streamSnap) {
+	reopen := func(dir string, replayed int) (*Broker, generation) {
 		b, err := New(db, durableCfg(dir))
 		if err != nil {
 			t.Fatal(err)
@@ -613,12 +612,12 @@ func TestLegacyEventRecordsReplay(t *testing.T) {
 		if b.Recovery.ReplayedRecords != replayed {
 			t.Fatalf("%s replayed %d records, want %d", dir, b.Recovery.ReplayedRecords, replayed)
 		}
-		return b, b.capture()
+		return b, state(b)
 	}
 	dirs := []string{journalDir(false), journalDir(true)}
 	records := 2 + len(batches)
 	for round := 0; round < 2; round++ {
-		var states [2][]streamSnap
+		var states [2]generation
 		for i, dir := range dirs {
 			b, state := reopen(dir, records)
 			states[i] = state
@@ -633,7 +632,7 @@ func TestLegacyEventRecordsReplay(t *testing.T) {
 		if !reflect.DeepEqual(states[1], states[0]) {
 			t.Fatalf("round %d: legacy journal recovered %+v\nwant %+v", round, states[1], states[0])
 		}
-		if a := states[0][0]; a.Statuses[0] != int(monitor.Violated) || a.Events != 5 {
+		if a := states[0].streams[0]; a.atts[0].status != Violated || a.events != 5 {
 			t.Fatalf("round %d: stream a recovered %+v, want NoRefund violated after 5 events", round, a)
 		}
 		records++

@@ -42,7 +42,6 @@ import (
 	"contractdb/internal/core"
 	"contractdb/internal/journal"
 	"contractdb/internal/metrics"
-	"contractdb/internal/monitor"
 	"contractdb/internal/vocab"
 	"contractdb/internal/wal"
 )
@@ -63,6 +62,44 @@ var ErrNotFound = errors.New("stream: not found")
 
 // ErrClosed reports an operation on a closed broker.
 var ErrClosed = errors.New("stream: broker closed")
+
+// Status classifies the prefix a stream has consumed against one
+// attached contract, in the finite-trace semantics of
+// internal/monitor, whose Status it mirrors code for code and name for
+// name. Checkpoints store the code.
+type Status uint8
+
+const (
+	// Compliant: the prefix is consistent with the contract and an
+	// accepting continuation exists.
+	Compliant Status = iota
+	// Doomed: the prefix has not violated the contract, but no
+	// continuation satisfies it; it never becomes Compliant again.
+	Doomed
+	// Violated: the prefix itself is not allowed by the contract.
+	Violated
+
+	numStatuses
+)
+
+var statusNames = [numStatuses]string{"compliant", "doomed", "violated"}
+
+func (s Status) String() string {
+	if s < numStatuses {
+		return statusNames[s]
+	}
+	return fmt.Sprintf("Status(%d)", uint8(s))
+}
+
+// parseStatus is String's inverse.
+func parseStatus(name string) (Status, bool) {
+	for s, n := range statusNames {
+		if n == name {
+			return Status(s), true
+		}
+	}
+	return 0, false
+}
 
 // ContractSource resolves contract names to their automata. Both the
 // unsharded *core.DB and the sharded *shard.DB satisfy it.
@@ -153,10 +190,7 @@ type group struct {
 
 func newGroup(contract string, ba *buchi.BA) *group {
 	c := ba.Compiled()
-	words := (c.N + 63) >> 6
-	if words == 0 {
-		words = 1
-	}
+	words := wordsFor(c.N)
 	g := &group{contract: contract, auto: c, events: c.Events, words: words, live: make([]uint64, words)}
 	for s, ok := range ba.CanReachAcceptingCycle() {
 		if ok {
@@ -165,6 +199,10 @@ func newGroup(contract string, ba *buchi.BA) *group {
 	}
 	return g
 }
+
+// wordsFor is the frontier width, in bitset words, of an automaton
+// with n states: one bit per state, and at least one word.
+func wordsFor(n int) int { return max(1, (n+63)>>6) }
 
 // alloc hands out a frontier slot with the initial state set in its
 // phase-0 half. Growth doubles the arena; it only happens at attach
@@ -190,12 +228,12 @@ func (g *group) alloc() int32 {
 	return slot
 }
 
-func (g *group) initialStatus() monitor.Status {
+func (g *group) initialStatus() Status {
 	init := int32(g.auto.Init)
 	if g.live[init>>6]&(1<<(uint32(init)&63)) != 0 {
-		return monitor.Compliant
+		return Compliant
 	}
-	return monitor.Doomed
+	return Doomed
 }
 
 // attachment is one (stream, contract) monitor: a slot in the group's
@@ -204,15 +242,15 @@ type attachment struct {
 	g      *group
 	slot   int32
 	phase  uint8
-	status monitor.Status
+	status Status
 }
 
 // step advances the frontier by one snapshot and returns the new
 // status. This is the compiled hot path: bitset words in, bitset words
 // out, no allocation.
-func (a *attachment) step(snapshot vocab.Set) monitor.Status {
-	if a.status == monitor.Violated {
-		return monitor.Violated
+func (a *attachment) step(snapshot vocab.Set) Status {
+	if a.status == Violated {
+		return Violated
 	}
 	g := a.g
 	projected := snapshot.Intersect(g.events)
@@ -240,8 +278,8 @@ func (a *attachment) step(snapshot vocab.Set) monitor.Status {
 	}
 	switch {
 	case !any:
-		a.status = monitor.Violated
-	case a.status == monitor.Compliant:
+		a.status = Violated
+	case a.status == Compliant:
 		// Doomed is a trap (a successor of a non-live state is never
 		// live), so only a compliant attachment needs the live check.
 		doomed := true
@@ -252,17 +290,17 @@ func (a *attachment) step(snapshot vocab.Set) monitor.Status {
 			}
 		}
 		if doomed {
-			a.status = monitor.Doomed
+			a.status = Doomed
 		}
 	}
 	return a.status
 }
 
-// frontier copies the attachment's current frontier words (for
-// checkpoints).
-func (a *attachment) frontier() []uint64 {
+// appendFrontier appends the attachment's current frontier words to
+// dst (for checkpoints).
+func (a *attachment) appendFrontier(dst []uint64) []uint64 {
 	base := int(a.slot)*2*a.g.words + int(a.phase)*a.g.words
-	return append([]uint64(nil), a.g.arena[base:base+a.g.words]...)
+	return append(dst, a.g.arena[base:base+a.g.words]...)
 }
 
 // setFrontier installs a checkpointed frontier into the slot.
