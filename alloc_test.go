@@ -6,7 +6,6 @@ import (
 
 	"contractdb/internal/core"
 	"contractdb/internal/datagen"
-	"contractdb/internal/shard"
 )
 
 // allocTolerance is the fractional growth over a measured count that
@@ -15,8 +14,8 @@ const allocTolerance = 0.15
 
 // TestQueryAllocCeilings pins the allocations of the query path: one
 // pass over the Fig. 5 query mix (three queries per class) against the
-// 50-contract Simple corpus, served by the shard router at 1, 2, 4 and
-// 8 shards. The cold cases bypass the compile cache (NoCache) and run
+// 50-contract Simple corpus, loaded from its snapshot as the store
+// loads it. The cold cases bypass the compile cache (NoCache) and run
 // the mix under Figure 5's mode (Algorithm 2) and under core.Optimized
 // (the SCC kernel the daemon serves). The compiled case runs
 // core.Optimized through the compile cache, which AllocsPerRun's
@@ -31,16 +30,15 @@ const allocTolerance = 0.15
 // and must say why before the ceiling moves.
 func TestQueryAllocCeilings(t *testing.T) {
 	// Allocations per pass, measured under -cpu 1,2,4 (the largest
-	// reading), by shard count. Both kernels allocate nothing in
-	// steady state, so the two cold modes share one count.
-	cold := map[int]float64{1: 3295, 2: 3605, 4: 4013, 8: 5012}
-	compiled := map[int]float64{1: 783, 2: 1093, 4: 1501, 8: 2420}
+	// reading). Both kernels allocate nothing in steady state, so the
+	// two cold modes share one count.
+	const cold, compiled = 3122, 610
 	fig5Cold, optimizedCold := fig5Mode, core.Optimized
 	fig5Cold.NoCache, optimizedCold.NoCache = true, true
 	cases := []struct {
 		name     string
 		mode     core.Mode
-		measured map[int]float64
+		measured float64
 	}{
 		{"fig5", fig5Cold, cold},
 		{"optimized", optimizedCold, cold},
@@ -53,31 +51,26 @@ func TestQueryAllocCeilings(t *testing.T) {
 	if err := src.Save(&snap); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshots are shard-count-invariant: every shard count loads the
-	// same bytes, so the corpus is registered once.
-	for _, shards := range []int{1, 2, 4, 8} {
-		db, _, err := shard.LoadBytesWithStats(snap.Bytes(), shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range cases {
-			limit := c.measured[shards] * (1 + allocTolerance)
-			// AllocsPerRun's own warm-up pass derives the projection
-			// quotients the mix needs (and, for the compiled case,
-			// fills the compile cache), so the measured passes are
-			// steady state.
-			got := testing.AllocsPerRun(5, func() {
-				for _, q := range queries {
-					if _, err := db.QueryMode(q, c.mode); err != nil {
-						t.Fatal(err)
-					}
+	db, _, err := core.LoadBytesWithStats(snap.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		limit := c.measured * (1 + allocTolerance)
+		// AllocsPerRun's own warm-up pass derives the projection
+		// quotients the mix needs (and, for the compiled case, fills
+		// the compile cache), so the measured passes are steady state.
+		got := testing.AllocsPerRun(5, func() {
+			for _, q := range queries {
+				if _, err := db.QueryMode(q, c.mode); err != nil {
+					t.Fatal(err)
 				}
-			})
-			t.Logf("%s/shards=%d: %.0f allocs per pass (ceiling %.0f)", c.name, shards, got, limit)
-			if got > limit {
-				t.Errorf("%s/shards=%d: %.0f allocs per pass of %d queries exceeds ceiling %.0f",
-					c.name, shards, got, len(queries), limit)
 			}
+		})
+		t.Logf("%s: %.0f allocs per pass (ceiling %.0f)", c.name, got, limit)
+		if got > limit {
+			t.Errorf("%s: %.0f allocs per pass of %d queries exceeds ceiling %.0f",
+				c.name, got, len(queries), limit)
 		}
 	}
 }

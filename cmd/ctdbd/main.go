@@ -8,12 +8,10 @@
 //
 //	ctdbd -data-dir /var/lib/ctdb -addr :8080 [-fsync always] [-events p1,p2,...]
 //
-// The database is served by a scatter-gather router over -shards
-// in-process shards (0 or 1 means one shard): registrations hash to a
-// shard by contract name, queries fan out and merge, and find-all
-// matches come back in contract-name order. The WAL and snapshots are
-// shard-count-agnostic, so the same -data-dir reopens under any
-// -shards value.
+// One core.DB serves every registration and query; find-all matches
+// come back in contract-name order. -shards is accepted and ignored
+// (e2ebench still passes it): nothing persisted names a shard count,
+// so a -data-dir written under any -shards value reopens unchanged.
 //
 // The daemon also serves live compliance monitoring under /v1/streams
 // (-stream-shards ingest workers, 0 disables): clients open named
@@ -66,7 +64,7 @@ func main() {
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always | interval | never")
 	fsyncInterval := flag.Duration("fsync-interval", wal.DefaultSyncInterval, "flush period under -fsync interval")
 	checkpointEvery := flag.Int("checkpoint-every", store.DefaultCheckpointRecords, "auto-checkpoint after this many logged operations (negative disables)")
-	shards := flag.Int("shards", 0, "partition the database across this many scatter-gather shards (0 or 1 = one shard)")
+	shards := flag.Int("shards", 0, "ignored: one engine serves every query (accepted so older command lines still start)")
 	streamShards := flag.Int("stream-shards", 1, "ingest workers for the live stream-monitoring subsystem (0 disables /v1/streams)")
 	streamQueue := flag.Int("stream-queue", 0, "pending event batches per stream-ingest shard before pushes block (0 = default)")
 	parallelism := flag.Int("parallelism", 0, "query worker-pool width (0 = GOMAXPROCS, 1 = sequential)")
@@ -83,10 +81,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ctdbd: -data-dir is required")
 		os.Exit(2)
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "ctdbd: -shards %d: want 0 or more\n", *shards)
-		os.Exit(2)
-	}
 
 	logger, err := newLogger(*logFormat)
 	if err != nil {
@@ -97,7 +91,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("ctdbd: %v", err)
 	}
-	st, err := openStore(*dataDir, *events, policy, *fsyncInterval, *checkpointEvery, *shards)
+	if *shards != 0 {
+		log.Printf("ctdbd: -shards %d ignored: one engine serves every query", *shards)
+	}
+	st, err := openStore(*dataDir, *events, policy, *fsyncInterval, *checkpointEvery)
 	if err != nil {
 		log.Fatalf("ctdbd: %v", err)
 	}
@@ -229,14 +226,13 @@ func recoveryState(r store.RecoveryInfo) *server.RecoveryState {
 	}
 }
 
-func openStore(dir, events string, policy wal.SyncPolicy, fsyncInterval time.Duration, checkpointEvery, shards int) (*store.Store, error) {
+func openStore(dir, events string, policy wal.SyncPolicy, fsyncInterval time.Duration, checkpointEvery int) (*store.Store, error) {
 	var names []string
 	if events != "" {
 		names = strings.Split(events, ",")
 	}
 	st, err := store.Open(dir, store.Config{
 		Events:            names,
-		Shards:            shards,
 		Sync:              policy,
 		SyncInterval:      fsyncInterval,
 		CheckpointRecords: checkpointEvery,
@@ -247,15 +243,14 @@ func openStore(dir, events string, policy wal.SyncPolicy, fsyncInterval time.Dur
 		return nil, err
 	}
 	n := st.DB().Len()
-	layout := fmt.Sprintf("shards=%d", st.DB().NumShards())
 	r := st.Recovery
 	switch {
 	case r.Clean:
-		log.Printf("ctdbd: recovered %s clean: %d contracts (%s) from %s in %s",
-			dir, n, layout, orFresh(r.SnapshotPath), r.Duration)
+		log.Printf("ctdbd: recovered %s clean: %d contracts from %s in %s",
+			dir, n, orFresh(r.SnapshotPath), r.Duration)
 	default:
-		log.Printf("ctdbd: recovered %s: %d contracts (%s; snapshot %s + %d replayed ops, %d torn bytes truncated, %d snapshots skipped) in %s",
-			dir, n, layout, orFresh(r.SnapshotPath), r.ReplayedRecords, r.TruncatedBytes, len(r.SkippedSnapshots), r.Duration)
+		log.Printf("ctdbd: recovered %s: %d contracts (snapshot %s + %d replayed ops, %d torn bytes truncated, %d snapshots skipped) in %s",
+			dir, n, orFresh(r.SnapshotPath), r.ReplayedRecords, r.TruncatedBytes, len(r.SkippedSnapshots), r.Duration)
 	}
 	if r.SnapshotPath != "" || r.ReplayedRecords > 0 {
 		log.Printf("ctdbd: cold start breakdown: snapshot decode %dms, artifact restore %dms, WAL replay %dms (format v%d, %d compiled automata adopted)",

@@ -246,8 +246,7 @@ func TestDaemonObservability(t *testing.T) {
 }
 
 // TestDaemonFlagValidation: without -data-dir there is nowhere to put
-// data, the legacy -db mode is gone, and a negative shard count is a
-// usage error rather than a silent single shard.
+// data, and the legacy -db mode is gone.
 func TestDaemonFlagValidation(t *testing.T) {
 	bin := buildDaemon(t)
 	for _, tc := range []struct {
@@ -256,7 +255,6 @@ func TestDaemonFlagValidation(t *testing.T) {
 	}{
 		{nil, "-data-dir is required"},
 		{[]string{"-db", "x.ctdb", "-data-dir", "y"}, "flag provided but not defined: -db"},
-		{[]string{"-data-dir", t.TempDir(), "-shards", "-1"}, "-shards -1"},
 	} {
 		cmd := exec.Command(bin, tc.args...)
 		out, err := cmd.CombinedOutput()

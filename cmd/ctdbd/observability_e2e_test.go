@@ -17,15 +17,15 @@ import (
 )
 
 // TestDaemonTraceContextE2E is the acceptance drive for the per-query
-// record, whose context is the request ID: a sharded daemon
-// (-shards=4) answers a "trace": true query sent with an X-Request-ID,
-// the inline span tree fans its scatter phase out into one child span
-// per shard, and the query log holds the same query under the same
-// request ID with a cost breakdown per shard.
+// record, whose context is the request ID: a daemon answers a
+// "trace": true query sent with an X-Request-ID, the inline span
+// tree's "scan" span holds the prefilter and one "check" child per
+// candidate checked, and the query log holds the same query under the
+// same request ID with its cost breakdown.
 func TestDaemonTraceContextE2E(t *testing.T) {
 	bin := buildDaemon(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
-	d := startDaemon(t, bin, dataDir, "-shards", "4", "-querylog-sample", "1")
+	d := startDaemon(t, bin, dataDir, "-querylog-sample", "1")
 	c := d.client()
 
 	for i := 0; i < 8; i++ {
@@ -58,25 +58,32 @@ func TestDaemonTraceContextE2E(t *testing.T) {
 		t.Fatalf("response request id %q, trace %+v; want both under %s", res.RequestID, res.Trace, requestID)
 	}
 
-	// The inline trace must show a child span per shard probe.
-	shardSpans := 0
-	var count func(*trace.Span)
-	count = func(sp *trace.Span) {
-		if sp.Name == "shard" {
-			shardSpans++
+	// The inline trace's scan span must hold the prefilter and one
+	// check per contract: every one permits "F pay".
+	var scan *trace.Span
+	var find func(*trace.Span)
+	find = func(sp *trace.Span) {
+		if sp.Name == "scan" {
+			scan = sp
 		}
 		for _, c := range sp.Children {
-			count(c)
+			find(c)
 		}
 	}
-	count(res.Trace.Root)
-	if shardSpans < 4 {
+	find(res.Trace.Root)
+	children := map[string]int{}
+	if scan != nil {
+		for _, c := range scan.Children {
+			children[c.Name]++
+		}
+	}
+	if children["prefilter"] != 1 || children["check"] != 8 {
 		raw, _ := json.Marshal(res.Trace)
-		t.Fatalf("trace has %d per-shard spans, want >= 4:\n%s", shardSpans, raw)
+		t.Fatalf("scan span children %v, want one prefilter and 8 checks:\n%s", children, raw)
 	}
 
 	// The same query must be in the insights log under the same request
-	// ID with its per-shard cost breakdown.
+	// ID with its cost breakdown.
 	entries, err := c.QueryLog(10)
 	if err != nil {
 		t.Fatal(err)
@@ -85,10 +92,7 @@ func TestDaemonTraceContextE2E(t *testing.T) {
 	for _, e := range entries {
 		if e.RequestID == requestID {
 			found = true
-			if len(e.Shards) != 4 {
-				t.Errorf("querylog entry has %d shard stats, want 4: %+v", len(e.Shards), e)
-			}
-			if e.Verdict != "matches" || e.Candidates == 0 {
+			if e.Verdict != "matches" || e.Matches != 8 || e.Candidates != 8 || e.Checked != 8 {
 				t.Errorf("querylog entry = %+v", e)
 			}
 		}

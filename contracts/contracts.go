@@ -46,7 +46,7 @@
 // # Persistence
 //
 // (*Broker).Save writes the broker, precomputed artifacts included, as
-// a format-v4 snapshot container — the same bytes the sharded daemon
+// a format-v4 snapshot container — the same bytes the daemon
 // checkpoints for the same contracts — and Load adopts it back without
 // redoing registration. Every v4 snapshot loads; the pre-v4 gob
 // formats are refused with ErrUnsupportedFormat.

@@ -241,7 +241,7 @@ func (c *Contract) Events() vocab.Set { return c.auto.Events }
 type OpLog interface {
 	// LogRegister receives the encoded registration record (the
 	// byte-deterministic per-contract encoding of the current snapshot
-	// format, replayable via ApplyRegistrationTo).
+	// format, replayable via ApplyRegistration).
 	LogRegister(encoded []byte) error
 	// LogUnregister receives the name of the contract being removed.
 	LogUnregister(name string) error
@@ -309,22 +309,14 @@ func NewDB(voc *vocab.Vocabulary, opts Options) *DB {
 		index:   prefilter.New(opts.prefilterK()),
 		metrics: &metrics.Query{},
 	}
-	db.compile = NewCompileCache(opts, db.metrics)
-	return db
-}
-
-// NewCompileCache builds the compile cache opts asks for,
-// counting its traffic into m; nil when opts disables it.
-func NewCompileCache(opts Options, m *metrics.Query) *qcache.CompileCache {
-	n := opts.queryCacheSize()
-	if n <= 0 {
-		return nil
+	if n := opts.queryCacheSize(); n > 0 {
+		db.compile = qcache.NewCompileCache(n, qcache.Metrics{
+			Hits:      &db.metrics.QueryCacheHits,
+			Misses:    &db.metrics.QueryCacheMisses,
+			Evictions: &db.metrics.QueryCacheEvictions,
+		})
 	}
-	return qcache.NewCompileCache(n, qcache.Metrics{
-		Hits:      &m.QueryCacheHits,
-		Misses:    &m.QueryCacheMisses,
-		Evictions: &m.QueryCacheEvictions,
-	})
+	return db
 }
 
 // SetParallelism changes the worker-pool width for subsequent queries
@@ -391,8 +383,7 @@ func (db *DB) Register(name string, spec *ltl.Expr) (*Contract, error) {
 // when ctx is done fails with ErrCanceled.
 func (db *DB) RegisterCtx(ctx context.Context, name string, spec *ltl.Expr) (*Contract, error) {
 	// Claim the name first (minting a generated one consumes the
-	// counter even if translation then fails — the sharded router's
-	// global minting mirrors exactly this) and release the lock:
+	// counter even if translation then fails) and release the lock:
 	// prepare is the expensive part of registration — milliseconds
 	// against the publish step's microseconds — and holding the write
 	// lock through it would stall every concurrent query.
@@ -631,11 +622,18 @@ func (db *DB) effectiveBudget(auto *buchi.BA) int {
 
 // RegisterLTL parses src and registers it.
 func (db *DB) RegisterLTL(name, src string) (*Contract, error) {
+	return db.RegisterLTLCtx(context.Background(), name, src)
+}
+
+// RegisterLTLCtx is RegisterLTL under the request context the HTTP
+// server passes: a translation still running when ctx is done fails
+// with ErrCanceled.
+func (db *DB) RegisterLTLCtx(ctx context.Context, name, src string) (*Contract, error) {
 	spec, err := ltl.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("core: contract %q: %w", name, err)
 	}
-	return db.Register(name, spec)
+	return db.RegisterCtx(ctx, name, spec)
 }
 
 // QueryStats describes the work one query evaluation performed.
@@ -659,20 +657,19 @@ type QueryStats struct {
 	// automaton, so no LTL→BA translation ran.
 	CompileHit bool
 
-	// Shards, on results from the sharded router, is the per-probe
-	// cost breakdown in shard order (absent on single-shard engines
-	// and for probes canceled by a FindAny early exit). The insights
-	// log surfaces it as the per-shard latency/step accounting.
+	// Shards is never filled: one engine answers every query. It is
+	// kept only because the benchmark harness still reads it.
 	Shards []ShardProbeStat
 }
 
-// ShardProbeStat is one shard's share of a scatter-gather query.
+// ShardProbeStat is never produced; QueryStats.Shards keeps the type
+// for the benchmark harness that still compiles against it.
 type ShardProbeStat struct {
-	Shard      int           // shard index
-	Dur        time.Duration // the probe's wall clock
-	Candidates int           // survived the shard's prefilter
-	Checked    int           // kernel checks executed
-	Steps      int64         // product-automaton steps spent
+	Shard      int
+	Dur        time.Duration
+	Candidates int
+	Checked    int
+	Steps      int64
 }
 
 // Elapsed returns the query's total evaluation time, the quantity the

@@ -55,31 +55,30 @@ func (db *DB) SetEncodeHook(f func()) {
 	db.encodeHook.Store(&f)
 }
 
-// ApplyRegistrationTo decodes a register record and installs its
-// contract on the database place picks by contract name (the shard
-// router's placement). It is the replay half of the write-ahead
-// protocol: it validates like Load, never logs, and is idempotent — a
-// name already present is left untouched, because recovery replays a
-// log suffix that may overlap the snapshot state (the checkpoint
-// boundary is a conservative lower bound; see internal/store). A
-// record that fails validation installs nothing, vocabulary included.
-// stats, when non-nil, accumulates the restore breakdown (contracts
-// installed, compiled forms adopted).
+// ApplyRegistration decodes a register record and installs its
+// contract. It is the replay half of the write-ahead protocol: it
+// validates like Load, never logs, and is idempotent — a name already
+// present is left untouched, because recovery replays a log suffix
+// that may overlap the snapshot state (the checkpoint boundary is a
+// conservative lower bound; see internal/store). A record that fails
+// validation installs nothing, vocabulary included. stats, when
+// non-nil, accumulates the restore breakdown (contracts installed,
+// compiled forms adopted).
 //
 // A container record's slabs are adopted, not copied: data must stay
 // valid and unmodified for the database's lifetime, and 8-byte aligned
 // (each WAL record is its own allocation).
-func ApplyRegistrationTo(data []byte, place func(name string) *DB, stats *LoadStats) error {
+func (db *DB) ApplyRegistration(data []byte, stats *LoadStats) error {
 	if stats == nil {
 		stats = &LoadStats{}
 	}
-	if err := applyRegistration(data, place, stats); err != nil {
+	if err := db.applyRegistration(data, stats); err != nil {
 		return fmt.Errorf("core: replay: %w", err)
 	}
 	return nil
 }
 
-func applyRegistration(data []byte, place func(name string) *DB, stats *LoadStats) error {
+func (db *DB) applyRegistration(data []byte, stats *LoadStats) error {
 	f, head, err := decodeV4Head(data)
 	if err != nil {
 		return err
@@ -91,7 +90,6 @@ func applyRegistration(data []byte, place func(name string) *DB, stats *LoadStat
 	if h.Name == "" {
 		return fmt.Errorf("registration record has no contract name")
 	}
-	db := place(h.Name)
 	if _, dup := db.ByName(h.Name); dup {
 		return nil
 	}
@@ -156,7 +154,7 @@ func internEvents(voc *vocab.Vocabulary, names []string) error {
 
 // ApplyUnregister is the replay half of Unregister: it never logs and
 // is idempotent (removing an absent name is a no-op, for the same
-// overlapping-suffix reason as ApplyRegistrationTo).
+// overlapping-suffix reason as ApplyRegistration).
 func (db *DB) ApplyUnregister(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -55,17 +55,17 @@ func (db *DB) QueryObligationModeCtx(ctx context.Context, spec *ltl.Expr, mode M
 	return db.evalQuery(ctx, spec, mode, true)
 }
 
-// Translate is the broker's translate step, shared by DB's own query
-// path and the shard router: canonicalize through the compile cache cc
-// (skipped when cc is nil or mode.NoCache) and build — or reuse — the
-// automaton of the query, or of its negation for an obligation.
-// compileHit reports a compile-cache hit. It takes no database lock:
-// the vocabulary and the cache are safe for concurrent use.
-func Translate(ctx context.Context, voc *vocab.Vocabulary, cc *qcache.CompileCache, spec *ltl.Expr, mode Mode, obligation bool) (qa *buchi.BA, compileHit bool, err error) {
+// translateQuery is the query's translate step: canonicalize through
+// the compile cache (skipped when it is disabled or mode.NoCache) and
+// build — or reuse — the automaton of the query, or of its negation
+// for an obligation. compileHit reports a compile-cache hit. It takes
+// no database lock: the vocabulary and the cache are safe for
+// concurrent use.
+func (db *DB) translateQuery(ctx context.Context, spec *ltl.Expr, mode Mode, obligation bool) (qa *buchi.BA, compileHit bool, err error) {
 	var compiled *qcache.Compiled
-	if cc != nil && !mode.NoCache {
+	if db.compile != nil && !mode.NoCache {
 		_, csp := trace.StartSpan(ctx, "canonicalize")
-		compiled, compileHit = cc.Lookup(spec)
+		compiled, compileHit = db.compile.Lookup(spec)
 		if csp != nil {
 			csp.SetAttr("cache_hit", compileHit)
 		}
@@ -74,14 +74,14 @@ func Translate(ctx context.Context, voc *vocab.Vocabulary, cc *qcache.CompileCac
 	_, tsp := trace.StartSpan(ctx, "translate")
 	if compiled != nil {
 		qa, err = compiled.Automaton(obligation, func(f *ltl.Expr) (*buchi.BA, error) {
-			return translate(ctx, voc, f, 0)
+			return translate(ctx, db.voc, f, 0)
 		})
 	} else {
 		q := spec
 		if obligation {
 			q = ltl.Not(spec)
 		}
-		qa, err = translate(ctx, voc, q, 0)
+		qa, err = translate(ctx, db.voc, q, 0)
 	}
 	if tsp != nil && qa != nil {
 		tsp.SetAttr("states", qa.NumStates())
@@ -105,9 +105,11 @@ func translate(ctx context.Context, voc *vocab.Vocabulary, f *ltl.Expr, maxState
 	return a, err
 }
 
-// evalQuery is the single-database query path: translate through the
-// compile cache outside the lock (like the shard router), then
-// evaluate the automaton under a "scan" span (EvalCompiled).
+// evalQuery is the query path: translate through the compile cache
+// outside the lock, then, under mu's read lock and a "scan" span,
+// prefilter (permission queries only — the index over-approximates
+// permission, which is the wrong side for obligation's negated query)
+// and scan the candidates.
 func (db *DB) evalQuery(ctx context.Context, spec *ltl.Expr, mode Mode, obligation bool) (*Result, error) {
 	db.metrics.Queries.Inc()
 
@@ -117,7 +119,7 @@ func (db *DB) evalQuery(ctx context.Context, spec *ltl.Expr, mode Mode, obligati
 	}
 
 	start := time.Now()
-	qa, compileHit, err := Translate(ctx, db.voc, db.compile, spec, mode, obligation)
+	qa, compileHit, err := db.translateQuery(ctx, spec, mode, obligation)
 	if err != nil {
 		db.metrics.Errored.Inc()
 		if errors.Is(err, ErrCanceled) {
@@ -129,7 +131,11 @@ func (db *DB) evalQuery(ctx context.Context, spec *ltl.Expr, mode Mode, obligati
 	db.metrics.Translate.Observe(translate)
 
 	sctx, ssp := trace.StartSpan(ctx, "scan")
-	res, err := db.EvalCompiled(sctx, qa, mode, obligation)
+	db.mu.RLock()
+	stats := QueryStats{Total: len(db.contracts)}
+	candidates := db.prefilterLocked(sctx, qa, mode, obligation, &stats)
+	res, err := db.finishQuery(sctx, qa, candidates, mode, obligation, &stats)
+	db.mu.RUnlock()
 	if ssp != nil && res != nil {
 		ssp.SetAttr("checked", res.Stats.Checked)
 		ssp.SetAttr("steps", res.Stats.Permission.Steps)
@@ -171,28 +177,6 @@ func (db *DB) prefilterLocked(ctx context.Context, qa *buchi.BA, mode Mode, obli
 	stats.Candidates = len(candidates)
 	db.metrics.CandidatesPruned.Add(int64(stats.Total - len(candidates)))
 	return candidates
-}
-
-// EvalCompiled evaluates an already-translated query automaton against
-// this database's corpus under mu's read lock: prefilter (permission
-// queries only — the index over-approximates permission, which is the
-// wrong side for obligation's negated query), then the candidate scan.
-// It is the body of the DB's own query methods and the per-shard entry
-// point of the scatter-gather router (internal/shard), which
-// translates the query once and fans the shared automaton out to every
-// shard, so this path must not pay translation again.
-//
-// EvalCompiled does not count a top-level query in the metrics
-// registry and emits no "scan" span — its callers own both — but every
-// work counter (candidate scans, kernel steps) accrues to this
-// database, and the "prefilter" and per-candidate "check" spans nest
-// under the caller's span.
-func (db *DB) EvalCompiled(ctx context.Context, qa *buchi.BA, mode Mode, obligation bool) (*Result, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	stats := QueryStats{Total: len(db.contracts)}
-	candidates := db.prefilterLocked(ctx, qa, mode, obligation, &stats)
-	return db.finishQuery(ctx, qa, candidates, mode, obligation, &stats)
 }
 
 // finishQuery runs the candidate scan, folds its accounting into the

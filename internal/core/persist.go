@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"time"
 
+	"contractdb/internal/snapfmt"
 	"contractdb/internal/vocab"
 )
 
@@ -38,10 +41,27 @@ var ErrUnsupportedFormat = errors.New("unsupported snapshot format (this build r
 	"the checkpoint it writes is v4)")
 
 // Save writes the database, including all precomputed artifacts, to w
-// as the same name-ordered, count-agnostic container a sharded save
-// writes (see SaveSharded).
+// as one v4 container holding the contracts in name order, so the
+// bytes depend only on the corpus, never on registration order. The
+// vocabulary is read after the contracts are gathered; it is
+// append-only, so it names every event they cite.
 func (db *DB) Save(w io.Writer) error {
-	return SaveSharded(w, db.Options(), []*DB{db})
+	db.mu.RLock()
+	all := slices.Clone(db.contracts)
+	opts := db.opts
+	db.mu.RUnlock()
+	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
+	head := v4Head{
+		FormatVersion: formatVersion,
+		Sharded:       true,
+		Events:        db.voc.Names(),
+		Opts:          opts,
+	}
+	var b v4Builder
+	for _, c := range all {
+		head.Contracts = append(head.Contracts, b.addContract(c))
+	}
+	return writeV4(w, head, &b)
 }
 
 // LoadStats breaks a Load down for the cold-start telemetry: where
@@ -77,22 +97,52 @@ func Load(r io.Reader) (*DB, error) {
 }
 
 // LoadBytesWithStats is Load from an in-memory snapshot image,
-// additionally reporting the recovery breakdown. The slabs are adopted
-// zero-copy, so data must outlive the database and stay unmodified.
+// additionally reporting the recovery breakdown. It rebuilds each
+// contract's prefilter nodes from the adopted compiled form. The slabs
+// are adopted zero-copy, so data must outlive the database and stay
+// unmodified; the store owns that lifetime when data is a file
+// mapping.
 func LoadBytesWithStats(data []byte) (*DB, LoadStats, error) {
 	var stats LoadStats
-	im, err := DecodeV4(data)
-	if err != nil {
-		return nil, stats, err
-	}
-	info := im.Info()
-	voc, err := vocab.FromNames(info.Events...)
+	t := time.Now()
+	f, head, err := decodeV4Head(data)
 	if err != nil {
 		return nil, stats, fmt.Errorf("core: load: %w", err)
 	}
-	db := NewDB(voc, info.Opts)
-	if err := LoadShardedV4(im, func(string) *DB { return db }, &stats); err != nil {
-		return nil, stats, err
+	voc, err := vocab.FromNames(head.Events...)
+	if err != nil {
+		return nil, stats, fmt.Errorf("core: load: %w", err)
 	}
+	db := NewDB(voc, head.Opts)
+	stats.FormatVersion = head.FormatVersion
+	stats.Sections = len(f.Sections)
+	stats.SlabBytes = f.SlabBytes()
+	cur, err := newV4Cursor(f)
+	if err != nil {
+		return nil, stats, fmt.Errorf("core: load: %w", err)
+	}
+	if !snapfmt.HostZeroCopy() {
+		stats.CopiedBytes = stats.SlabBytes
+	} else if !hostAdoptsInts() {
+		if b, ok := f.Section(secClasses); ok {
+			stats.CopiedBytes = int64(len(b))
+		}
+	}
+	stats.Decode = time.Since(t)
+	t = time.Now()
+	for _, h := range head.Contracts {
+		c, err := cur.restoreContract(h, &stats)
+		if err != nil {
+			return nil, stats, fmt.Errorf("core: load: %w", err)
+		}
+		if err := db.publishRestored(c); err != nil {
+			return nil, stats, fmt.Errorf("core: load: %w", err)
+		}
+	}
+	if err := cur.assertDrained(); err != nil {
+		return nil, stats, fmt.Errorf("core: load: %w", err)
+	}
+	stats.Contracts = len(head.Contracts)
+	stats.Restore = time.Since(t)
 	return db, stats, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -40,11 +39,10 @@ import (
 //	        order of the Set-sorted reference list)
 //	    PartRefs × (set word, table index)
 //
-// The writer (SaveSharded) emits one shape: Sharded=true, contracts
-// merged in name order, and the five legacy sections (quotient refs
-// and prefilter index) present but empty. Prefilter indexes depend on
-// the shard count, so they are rebuilt at load from the adopted
-// compiled forms (PrepareCompiled), keeping the bytes count-agnostic.
+// The writer (DB.Save) emits one shape: Sharded=true, contracts in
+// name order, and the five legacy sections (quotient refs and
+// prefilter index) present but empty. Prefilter indexes are rebuilt at
+// load from the adopted compiled forms (PrepareCompiled).
 // A WAL register record is the same shape holding one contract (see
 // durable.go).
 //
@@ -235,33 +233,6 @@ func writeV4(w io.Writer, head v4Head, b *v4Builder) error {
 		return fmt.Errorf("core: save: %w", err)
 	}
 	return nil
-}
-
-// SaveSharded is the one snapshot writer: one v4 container holding the
-// contracts of shards, which share one vocabulary, merged in name
-// order. The bytes depend only on the corpus, never on the shard count
-// — a snapshot saved at N shards reloads at M. The vocabulary is read
-// after the contracts are gathered; it is append-only, so it names
-// every event they cite.
-func SaveSharded(w io.Writer, opts Options, shards []*DB) error {
-	var all []*Contract
-	for _, sh := range shards {
-		sh.mu.RLock()
-		all = append(all, sh.contracts...)
-		sh.mu.RUnlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
-	head := v4Head{
-		FormatVersion: formatVersion,
-		Sharded:       true,
-		Events:        shards[0].voc.Names(),
-		Opts:          opts,
-	}
-	var b v4Builder
-	for _, c := range all {
-		head.Contracts = append(head.Contracts, b.addContract(c))
-	}
-	return writeV4(w, head, &b)
 }
 
 // take removes the first n entries from *s, returning them with
@@ -564,76 +535,6 @@ func (head *v4Head) check() error {
 	if len(legacy) > 0 {
 		return fmt.Errorf("%w: legacy v4 shape: %s", ErrUnsupportedFormat, strings.Join(legacy, ", "))
 	}
-	return nil
-}
-
-// V4Image is a v4 container parsed, with its head decoded, once per
-// load: the caller reads Info to build the target databases, and
-// LoadShardedV4 restores the contracts from the same decoded head.
-type V4Image struct {
-	f      *snapfmt.File
-	head   v4Head
-	decode time.Duration
-}
-
-// DecodeV4 parses a v4 container and decodes its head. The image's
-// slabs alias data.
-func DecodeV4(data []byte) (*V4Image, error) {
-	t := time.Now()
-	f, head, err := decodeV4Head(data)
-	if err != nil {
-		return nil, fmt.Errorf("core: load: %w", err)
-	}
-	return &V4Image{f: f, head: head, decode: time.Since(t)}, nil
-}
-
-// Info returns the image's head summary.
-func (im *V4Image) Info() SnapshotInfo { return im.head.info() }
-
-// LoadShardedV4 publishes a v4 image's contracts into the databases
-// chosen by place (the shard router, or one database for Load),
-// rebuilding each one's prefilter index from the adopted compiled
-// forms. All target databases must share one vocabulary built from the
-// snapshot's events. Every adopted slab aliases the image's bytes, so
-// they must stay valid and unmodified for the databases' lifetime; the
-// store owns that lifetime when they are a file mapping.
-func LoadShardedV4(im *V4Image, place func(name string) *DB, stats *LoadStats) error {
-	t := time.Now()
-	f, head := im.f, im.head
-	stats.FormatVersion = head.FormatVersion
-	stats.Sections = len(f.Sections)
-	stats.SlabBytes = f.SlabBytes()
-	cur, err := newV4Cursor(f)
-	if err != nil {
-		return fmt.Errorf("core: load: %w", err)
-	}
-	if !snapfmt.HostZeroCopy() {
-		stats.CopiedBytes = stats.SlabBytes
-	} else if !hostAdoptsInts() {
-		if b, ok := f.Section(secClasses); ok {
-			stats.CopiedBytes = int64(len(b))
-		}
-	}
-	stats.Decode = im.decode + time.Since(t)
-	t = time.Now()
-	for _, h := range head.Contracts {
-		db := place(h.Name)
-		if db == nil {
-			return fmt.Errorf("core: load: no shard for contract %q", h.Name)
-		}
-		c, err := cur.restoreContract(h, stats)
-		if err != nil {
-			return fmt.Errorf("core: load: %w", err)
-		}
-		if err := db.publishRestored(c); err != nil {
-			return fmt.Errorf("core: load: %w", err)
-		}
-	}
-	if err := cur.assertDrained(); err != nil {
-		return fmt.Errorf("core: load: %w", err)
-	}
-	stats.Contracts = len(head.Contracts)
-	stats.Restore = time.Since(t)
 	return nil
 }
 

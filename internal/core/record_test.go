@@ -78,7 +78,7 @@ func replayRecords(t *testing.T, records [][]byte) (*core.DB, core.LoadStats) {
 	db := core.NewDB(vocab.New(), core.Options{})
 	var stats core.LoadStats
 	for i, rec := range records {
-		if err := core.ApplyRegistrationTo(rec, func(string) *core.DB { return db }, &stats); err != nil {
+		if err := db.ApplyRegistration(rec, &stats); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 	}
@@ -189,7 +189,7 @@ func TestRegisterRecordReplays(t *testing.T) {
 		t.Error("replayed records save different bytes than their registrations")
 	}
 	for _, rec := range records {
-		if err := core.ApplyRegistrationTo(rec, func(string) *core.DB { return db }, nil); err != nil {
+		if err := db.ApplyRegistration(rec, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +229,7 @@ func TestApplyRegistrationHostile(t *testing.T) {
 	for i, rec := range damaged {
 		voc := vocab.MustFromNames("purchase")
 		db := core.NewDB(voc, core.Options{})
-		if err := core.ApplyRegistrationTo(rec, func(string) *core.DB { return db }, nil); err == nil {
+		if err := db.ApplyRegistration(rec, nil); err == nil {
 			t.Fatalf("damaged record %d (%d bytes) accepted", i, len(rec))
 		}
 		if db.Len() != 0 || voc.Len() != 1 {
@@ -254,7 +254,7 @@ func FuzzApplyRegistration(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		voc := vocab.MustFromNames("purchase")
 		db := core.NewDB(voc, core.Options{})
-		err := core.ApplyRegistrationTo(data, func(string) *core.DB { return db }, nil)
+		err := db.ApplyRegistration(data, nil)
 		if err != nil {
 			if db.Len() != 0 || voc.Len() != 1 {
 				t.Fatalf("refused record (%v) left %d contracts and %d events behind", err, db.Len(), voc.Len())

@@ -17,7 +17,6 @@ import (
 	"contractdb/internal/ltl"
 	"contractdb/internal/ltl2ba"
 	"contractdb/internal/prefilter"
-	"contractdb/internal/shard"
 	"contractdb/internal/snapfmt"
 	"contractdb/internal/vocab"
 )
@@ -198,24 +197,24 @@ func assertRefused(t *testing.T, path, shape string) {
 	if db != nil {
 		t.Error("core.Load returned a database")
 	}
-	sdb, _, shardErr := shard.LoadBytesWithStats(data, 2)
-	if sdb != nil {
-		t.Error("shard.LoadBytesWithStats returned a database")
+	ldb, _, bytesErr := core.LoadBytesWithStats(data)
+	if ldb != nil {
+		t.Error("core.LoadBytesWithStats returned a database")
 	}
 	_, peekErr := core.PeekV4(data)
 	_, inspErr := core.InspectSnapshot(data)
 	voc := vocab.MustFromNames("purchase")
 	target := core.NewDB(voc, core.Options{})
-	replayErr := core.ApplyRegistrationTo(data, func(string) *core.DB { return target }, nil)
+	replayErr := target.ApplyRegistration(data, nil)
 	if target.Len() != 0 || voc.Len() != 1 {
 		t.Errorf("replay left %d contracts and %d events behind", target.Len(), voc.Len())
 	}
 	for name, err := range map[string]error{
-		"core.Load":                loadErr,
-		"shard.LoadBytesWithStats": shardErr,
-		"core.PeekV4":              peekErr,
-		"core.InspectSnapshot":     inspErr,
-		"core.ApplyRegistrationTo": replayErr,
+		"core.Load":               loadErr,
+		"core.LoadBytesWithStats": bytesErr,
+		"core.PeekV4":             peekErr,
+		"core.InspectSnapshot":    inspErr,
+		"DB.ApplyRegistration":    replayErr,
 	} {
 		if !errors.Is(err, core.ErrUnsupportedFormat) {
 			t.Errorf("%s: got %v, want %v", name, err, core.ErrUnsupportedFormat)

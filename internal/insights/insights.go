@@ -1,7 +1,7 @@
 // Package insights is the query insights log: structured per-query
 // cost accounting — prefilter selectivity, candidate counts, cache
-// tier, per-shard latency/step breakdown, verdict — retained in a
-// lock-free in-memory ring of the 512 most recent entries.
+// tier, stage latencies, verdict — retained in a lock-free in-memory
+// ring of the 512 most recent entries.
 //
 // It complements internal/trace from the aggregate side: an inline
 // trace answers "why was THIS query slow", the insights log answers
@@ -16,17 +16,6 @@ import (
 	"sort"
 	"sync/atomic"
 )
-
-// ShardStat is one shard's share of a scatter-gather query: how long
-// the probe ran, how many candidates its prefilter passed, and how
-// many kernel checks and product-automaton steps it spent.
-type ShardStat struct {
-	Shard      int   `json:"shard"`
-	DurUS      int64 `json:"dur_us"`
-	Candidates int   `json:"candidates"`
-	Checked    int   `json:"checked"`
-	Steps      int64 `json:"steps"`
-}
 
 // Entry is one query's cost accounting.
 type Entry struct {
@@ -57,8 +46,7 @@ type Entry struct {
 	CheckUS     int64  `json:"check_us"`
 	// Slow marks a query at least as slow as the server's slow-query
 	// threshold; the log always keeps it.
-	Slow   bool        `json:"slow,omitempty"`
-	Shards []ShardStat `json:"shards,omitempty"`
+	Slow bool `json:"slow,omitempty"`
 }
 
 // bufferSize is the ring capacity: how many recent entries the log

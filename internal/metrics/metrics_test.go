@@ -130,9 +130,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileEstimation checks the nearest-rank upper-bound
-// estimates, from the snapshot and from a one-way merge, which share the
-// quantile code.
+// TestHistogramQuantileEstimation checks the snapshot's nearest-rank
+// upper-bound estimates.
 func TestHistogramQuantileEstimation(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -152,10 +151,8 @@ func TestHistogramQuantileEstimation(t *testing.T) {
 		for _, d := range tc.observe {
 			h.Observe(d)
 		}
-		for _, s := range []HistogramSnapshot{h.Snapshot(), MergeHistograms(h.Snapshot())} {
-			if s.P50US != tc.p50 || s.P99US != tc.p99 {
-				t.Errorf("%s: p50, p99 = %d, %dµs; want %d, %d (max %d)", tc.name, s.P50US, s.P99US, tc.p50, tc.p99, s.MaxUS)
-			}
+		if s := h.Snapshot(); s.P50US != tc.p50 || s.P99US != tc.p99 {
+			t.Errorf("%s: p50, p99 = %d, %dµs; want %d, %d (max %d)", tc.name, s.P50US, s.P99US, tc.p50, tc.p99, s.MaxUS)
 		}
 	}
 }

@@ -122,9 +122,9 @@ func Prepare(a *buchi.BA, k int) Prepared {
 // table already holds exactly the distinct labels appearing on kept
 // edges, so the enumeration needs neither the pointer adjacency nor
 // an Out materialization. For a registered (normalized) automaton it
-// touches exactly the nodes Prepare would — the sharded load path
-// uses it to rebuild per-shard indexes from snapshot-adopted compiled
-// forms without waking any shell automaton.
+// touches exactly the nodes Prepare would — the load path uses it to
+// rebuild the index from snapshot-adopted compiled forms without
+// waking any shell automaton.
 func PrepareCompiled(c *buchi.Compiled, k int) Prepared {
 	if k <= 0 {
 		k = DefaultK

@@ -11,7 +11,6 @@ import (
 
 	"contractdb/internal/core"
 	"contractdb/internal/paperex"
-	"contractdb/internal/shard"
 	"contractdb/internal/stream"
 )
 
@@ -25,10 +24,7 @@ import (
 // and none moves up without saying why. Excluded under -race, whose
 // runtime allocates on its own and drops sync.Pool entries.
 func TestRequestAllocCeilings(t *testing.T) {
-	db, err := shard.New(paperex.NewVocabulary(), core.Options{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := core.NewDB(paperex.NewVocabulary(), core.Options{})
 	for name, spec := range map[string]string{"NoRefund": "G !refund", "UseNeedsPurchase": "G(use -> F purchase)"} {
 		if _, err := db.RegisterLTL(name, spec); err != nil {
 			t.Fatal(err)
@@ -51,8 +47,8 @@ func TestRequestAllocCeilings(t *testing.T) {
 		status     int
 		ceiling    float64
 	}{
-		{"query cached", "/v1/query", []byte(`{"spec":"F refund"}`), http.StatusOK, 69},
-		{"query no_cache", "/v1/query", []byte(`{"spec":"F refund","no_cache":true}`), http.StatusOK, 173},
+		{"query cached", "/v1/query", []byte(`{"spec":"F refund"}`), http.StatusOK, 61},
+		{"query no_cache", "/v1/query", []byte(`{"spec":"F refund","no_cache":true}`), http.StatusOK, 165},
 		{"push 64 instants", "/v1/streams/s/events", streamMonitorBody(), http.StatusAccepted, 44},
 		{"push 1 instant", "/v1/streams/s/events", []byte(`{"events":[["purchase","use"]]}`), http.StatusAccepted, 44},
 	}

@@ -12,7 +12,6 @@ import (
 	"contractdb/internal/core"
 	"contractdb/internal/paperex"
 	"contractdb/internal/server"
-	"contractdb/internal/shard"
 )
 
 // postQuery drives the handler directly with a caller-controlled
@@ -29,7 +28,7 @@ func postQuery(t *testing.T, srv *server.Server, ctx context.Context, body strin
 	return rec
 }
 
-func registerTickets(t *testing.T, db *shard.DB) {
+func registerTickets(t *testing.T, db *core.DB) {
 	t.Helper()
 	for name, spec := range map[string]string{
 		"A": paperex.TicketA().String(),
@@ -148,12 +147,12 @@ func TestFindAnyOverHTTP(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	cases := []struct {
 		name  string
-		drive func(t *testing.T, client *server.Client, db *shard.DB)
+		drive func(t *testing.T, client *server.Client, db *core.DB)
 		check func(t *testing.T, m server.MetricsResponse)
 	}{
 		{
 			name:  "fresh database",
-			drive: func(t *testing.T, client *server.Client, db *shard.DB) {},
+			drive: func(t *testing.T, client *server.Client, db *core.DB) {},
 			check: func(t *testing.T, m server.MetricsResponse) {
 				if m.Contracts != 0 || m.Queries.Queries != 0 {
 					t.Errorf("fresh metrics = %+v", m)
@@ -162,7 +161,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		},
 		{
 			name: "registrations only",
-			drive: func(t *testing.T, client *server.Client, db *shard.DB) {
+			drive: func(t *testing.T, client *server.Client, db *core.DB) {
 				registerTickets(t, db)
 			},
 			check: func(t *testing.T, m server.MetricsResponse) {
@@ -172,9 +171,6 @@ func TestMetricsEndpoint(t *testing.T) {
 				if m.ProjectionRows == 0 || m.IndexNodes == 0 {
 					t.Errorf("registration gauges empty: %+v", m)
 				}
-				if m.Sharding.Shards != 1 || len(m.Sharding.Sizes) != 1 || m.Sharding.Sizes[0] != 3 {
-					t.Errorf("sharding = %+v, want one shard holding 3 contracts", m.Sharding)
-				}
 				if m.Queries.Queries != 0 {
 					t.Errorf("queries = %d, want 0", m.Queries.Queries)
 				}
@@ -182,7 +178,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		},
 		{
 			name: "successful queries",
-			drive: func(t *testing.T, client *server.Client, db *shard.DB) {
+			drive: func(t *testing.T, client *server.Client, db *core.DB) {
 				registerTickets(t, db)
 				for i := 0; i < 3; i++ {
 					if _, err := client.Query("F(missedFlight && X F refund)", ""); err != nil {
@@ -216,7 +212,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		},
 		{
 			name: "aborted queries are classified",
-			drive: func(t *testing.T, client *server.Client, db *shard.DB) {
+			drive: func(t *testing.T, client *server.Client, db *core.DB) {
 				registerTickets(t, db)
 				if _, err := client.QueryRequest(server.QueryRequest{Spec: "F refund", StepBudget: 1}); err == nil {
 					t.Fatal("budget 1 should abort")

@@ -142,7 +142,6 @@ func (s *Server) healthResponse() HealthResponse {
 		Events:        s.db.Vocabulary().Len(),
 		UptimeSeconds: s.uptime(),
 		Recovery:      s.Recovery,
-		Shards:        s.db.NumShards(),
 	}
 	if s.Streams != nil {
 		g := s.Streams.Gauges()

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,4 +123,77 @@ func TestDurableServer(t *testing.T) {
 	if _, ok := st2.DB().ByName("TicketA"); !ok {
 		t.Error("TicketA lost across restart")
 	}
+}
+
+// TestFindAllOrderStable: the engine answers in contract-id order,
+// which depends on the registration history; a served find-all and the
+// contract listing must come back in name order anyway — after
+// registrations out of name order, an unregister and a later
+// registration, and again after the store reopens.
+func TestFindAllOrderStable(t *testing.T) {
+	dir := t.TempDir()
+	cfg := store.Config{Events: paperex.NewVocabulary().Names()}
+	specs := map[string]string{
+		"Mango": "G(purchase -> F refund)", "Cherry": "F refund", "Xigua": "G(use -> F refund)",
+		"Apple": "G !refund", "Kiwi": "F(purchase & F refund)", "Fig": "G(refund -> F use)",
+		"Banana": "F refund & G(use -> F purchase)",
+	}
+	want := []string{"Banana", "Fig", "Kiwi", "Mango", "Xigua"}
+
+	serve := func() (*store.Store, *server.Client) {
+		st, err := store.Open(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.DB().SetParallelism(4)
+		ts := httptest.NewServer(server.New(st.DB()))
+		t.Cleanup(ts.Close)
+		return st, server.NewClient(ts.URL, ts.Client())
+	}
+	check := func(when string, client *server.Client) {
+		t.Helper()
+		for _, mode := range []string{"opt", "scan"} {
+			for range 3 {
+				res, err := client.QueryRequest(server.QueryRequest{Spec: "F refund", Mode: mode, NoCache: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(res.Matches, want) {
+					t.Fatalf("%s, mode %s: matches %v, want %v", when, mode, res.Matches, want)
+				}
+			}
+		}
+		list, err := client.Contracts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(list))
+		for i, c := range list {
+			names[i] = c.Name
+		}
+		if !slices.IsSorted(names) || len(names) != len(want)+1 {
+			t.Fatalf("%s: contract listing %v is not the %d names in order", when, names, len(want)+1)
+		}
+	}
+
+	st, client := serve()
+	for _, name := range []string{"Mango", "Cherry", "Xigua", "Apple", "Kiwi", "Fig"} {
+		if _, err := client.Register(name, specs[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.Unregister("Cherry"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Register("Banana", specs["Banana"]); err != nil {
+		t.Fatal(err)
+	}
+	check("before reopening", client)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, client = serve()
+	defer st.Close()
+	check("after reopening", client)
 }

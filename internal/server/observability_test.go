@@ -269,7 +269,7 @@ func TestSSEDropCommentFormat(t *testing.T) {
 // family of the matching type, and every ctdb_ family maps back to a
 // leaf. go_gc_cycles_total must parse as an integer.
 func TestPrometheusParity(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Config{Events: paperex.NewVocabulary().Names(), Shards: 2})
+	st, err := store.Open(t.TempDir(), store.Config{Events: paperex.NewVocabulary().Names()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestPrometheusParity(t *testing.T) {
 				t.Errorf("%s: family %s maps to no /v1/metrics leaf", when, name)
 			}
 		}
-		for _, block := range []string{"ctdb_durability_wal_appends", "ctdb_streams_events", "ctdb_sharding_sizes"} {
+		for _, block := range []string{"ctdb_durability_wal_appends", "ctdb_streams_events", "ctdb_streams_gauges_queue_depths"} {
 			if _, ok := got[block]; !ok {
 				t.Errorf("%s: /metrics lacks %s", when, block)
 			}

@@ -54,6 +54,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -67,9 +68,9 @@ import (
 	"contractdb/internal/vocab"
 )
 
-// DB is the database surface the server needs: the scatter-gather
-// *shard.DB satisfies it at every shard count. The server depends on
-// the interface only, so it needs no import of the shard package.
+// DB is the database surface the server needs; *core.DB satisfies
+// it. The server depends on the interface only, so a caller can wrap
+// the database (to time it, say) before serving it.
 type DB interface {
 	Len() int
 	Vocabulary() *vocab.Vocabulary
@@ -80,9 +81,6 @@ type DB interface {
 	Unregister(name string) error
 	QueryModeCtx(ctx context.Context, spec *ltl.Expr, mode core.Mode) (*core.Result, error)
 	Stats() core.DBStats
-	NumShards() int
-	ShardSizes() []int
-	RouterSnapshot() metrics.ShardRouterSnapshot
 }
 
 // Server wires a database to an http.Handler. Create with New; the
@@ -228,13 +226,11 @@ func writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
 // HealthResponse reports liveness, database size, uptime, and — when
 // the server fronts a durable store — what recovery did at open.
 type HealthResponse struct {
-	Status        string  `json:"status"`
-	Contracts     int     `json:"contracts"`
-	Events        int     `json:"events"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Shards is the scatter-gather shard count.
-	Shards   int            `json:"shards"`
-	Recovery *RecoveryState `json:"recovery,omitempty"`
+	Status        string         `json:"status"`
+	Contracts     int            `json:"contracts"`
+	Events        int            `json:"events"`
+	UptimeSeconds float64        `json:"uptime_seconds"`
+	Recovery      *RecoveryState `json:"recovery,omitempty"`
 	// Streams reports the streaming subsystem's backlog and journal lag;
 	// absent when streaming is disabled.
 	Streams *StreamsHealth `json:"streams,omitempty"`
@@ -318,6 +314,7 @@ func (s *Server) contractInfo(c *core.Contract, includeSpec bool) ContractInfo {
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	contracts := s.db.Contracts()
+	slices.SortFunc(contracts, byName)
 	out := make([]ContractInfo, 0, len(contracts))
 	for _, c := range contracts {
 		out = append(out, s.contractInfo(c, false))
@@ -603,11 +600,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		RequestID:  requestID,
 		Trace:      tr,
 	}
+	// The engine answers in contract-id order, which depends on the
+	// registration history; clients get name order.
 	for _, c := range res.Matches {
 		out.Matches = append(out.Matches, c.Name)
 	}
+	slices.Sort(out.Matches)
 	writeJSON(w, http.StatusOK, out)
 }
+
+func byName(a, b *core.Contract) int { return strings.Compare(a.Name, b.Name) }
 
 // handleQueryLog serves the insights log's retained entries, newest
 // first; ?n= bounds the count (default 100).
@@ -675,18 +677,6 @@ func (s *Server) recordInsight(req *QueryRequest, requestID string, start time.T
 		e.TranslateUS = st.Translate.Microseconds()
 		e.FilterUS = st.Filter.Microseconds()
 		e.CheckUS = st.Check.Microseconds()
-		if len(st.Shards) > 0 {
-			e.Shards = make([]insights.ShardStat, len(st.Shards))
-			for i, ps := range st.Shards {
-				e.Shards[i] = insights.ShardStat{
-					Shard:      ps.Shard,
-					DurUS:      ps.Dur.Microseconds(),
-					Candidates: ps.Candidates,
-					Checked:    ps.Checked,
-					Steps:      ps.Steps,
-				}
-			}
-		}
 	}
 	s.Insights.Record(&e)
 }
@@ -711,9 +701,6 @@ type MetricsResponse struct {
 	Build         BuildInfo             `json:"build"`
 	Queries       metrics.QuerySnapshot `json:"queries"`
 	Caches        CacheMetrics          `json:"caches"`
-	// Sharding is the scatter-gather engine's shape and router
-	// counters.
-	Sharding ShardingInfo `json:"sharding"`
 	// Durability is present only when the server fronts a durable
 	// store (WAL + checkpoints).
 	Durability *metrics.DurabilitySnapshot `json:"durability,omitempty"`
@@ -727,15 +714,6 @@ type MetricsResponse struct {
 type StreamMetrics struct {
 	metrics.StreamSnapshot
 	Gauges metrics.StreamGauges `json:"gauges"`
-}
-
-// ShardingInfo reports the sharded engine's shape and router counters:
-// per-shard contract counts plus probe, early-exit, scatter and merge
-// accounting.
-type ShardingInfo struct {
-	Shards int                         `json:"shards"`
-	Sizes  []int                       `json:"sizes"`
-	Router metrics.ShardRouterSnapshot `json:"router"`
 }
 
 // BuildInfo identifies the serving binary: the Go toolchain it was
@@ -774,11 +752,6 @@ func (s *Server) metricsResponse() MetricsResponse {
 		}
 	}
 	return MetricsResponse{
-		Sharding: ShardingInfo{
-			Shards: s.db.NumShards(),
-			Sizes:  s.db.ShardSizes(),
-			Router: s.db.RouterSnapshot(),
-		},
 		Durability:       durability,
 		Streams:          streams,
 		Contracts:        rs.Contracts,

@@ -12,21 +12,15 @@ import (
 	"contractdb/internal/core"
 	"contractdb/internal/paperex"
 	"contractdb/internal/server"
-	"contractdb/internal/shard"
 )
 
-// newDB returns the engine the daemon serves — the shard router —
-// at one shard.
-func newDB(t testing.TB, opts core.Options) *shard.DB {
+// newDB returns an empty database over the paper's vocabulary.
+func newDB(t testing.TB, opts core.Options) *core.DB {
 	t.Helper()
-	db, err := shard.New(paperex.NewVocabulary(), opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
+	return core.NewDB(paperex.NewVocabulary(), opts)
 }
 
-func newTestServer(t *testing.T) (*server.Server, *server.Client, *shard.DB) {
+func newTestServer(t *testing.T) (*server.Server, *server.Client, *core.DB) {
 	t.Helper()
 	db := newDB(t, core.Options{})
 	srv := server.New(db)
@@ -41,7 +35,7 @@ func TestHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Contracts != 0 || h.Events == 0 || h.Shards != 1 {
+	if h.Status != "ok" || h.Contracts != 0 || h.Events == 0 {
 		t.Errorf("health = %+v", h)
 	}
 }

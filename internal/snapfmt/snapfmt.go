@@ -201,7 +201,7 @@ func Parse(data []byte) (*File, error) {
 
 // PeekHead returns the head bytes without validating the directory or
 // any section checksum. It is the cheap path for dispatchers that
-// only need the metadata (e.g. "is this snapshot sharded?") before
+// only need the metadata (e.g. the format version) before
 // handing the buffer to a full Parse; nothing returned by PeekHead
 // may be used to adopt slabs.
 func PeekHead(data []byte) ([]byte, error) {

@@ -12,16 +12,14 @@ import (
 	"contractdb/internal/core"
 	"contractdb/internal/datagen"
 	"contractdb/internal/ltl"
-	"contractdb/internal/shard"
 	"contractdb/internal/store"
 )
 
 // manualCheckpoints disables both background checkpoint triggers, so
 // only explicit Checkpoint calls (and Close) snapshot.
-func manualCheckpoints(shards int) store.Config {
+func manualCheckpoints() store.Config {
 	return store.Config{
 		Events:            events(),
-		Shards:            shards,
 		Core:              core.Options{MaxAutomatonStates: 300},
 		CheckpointRecords: -1,
 		CheckpointBytes:   -1,
@@ -41,7 +39,7 @@ func manualCheckpoints(shards int) store.Config {
 // the synchronous registration every store now uses.
 func TestCheckpointExportsOnce(t *testing.T) {
 	t.Run("ingest-workers=0", func(t *testing.T) {
-		checkpointExportsOnce(t, manualCheckpoints(2))
+		checkpointExportsOnce(t, manualCheckpoints())
 	})
 }
 
@@ -51,10 +49,7 @@ func checkpointExportsOnce(t *testing.T, cfg store.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := shard.New(datagen.NewVocabulary(), cfg.Core, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := core.NewDB(datagen.NewVocabulary(), cfg.Core)
 	gen := datagen.New(datagen.NewVocabulary(), 13)
 	register := func(st *store.Store, n int) {
 		t.Helper()
@@ -125,12 +120,12 @@ func parkEncoder(t *testing.T, db *core.DB) (entered <-chan struct{}, release fu
 }
 
 // TestQueryDuringCheckpointWithPendingRegister (I10): with a
-// registration in flight on the only shard, a checkpoint completes
+// registration in flight, a checkpoint completes
 // without waiting for it, and a query issued meanwhile answers in
 // milliseconds. Neither the export nor the record encoding runs under
 // the engine lock, so neither can queue readers behind a writer.
 func TestQueryDuringCheckpointWithPendingRegister(t *testing.T) {
-	st := openStore(t, t.TempDir(), manualCheckpoints(1))
+	st := openStore(t, t.TempDir(), manualCheckpoints())
 	db := st.DB()
 	gen := datagen.New(db.Vocabulary(), 17)
 	for db.Len() < 6 {
@@ -143,7 +138,7 @@ func TestQueryDuringCheckpointWithPendingRegister(t *testing.T) {
 		db.Register("", gen.Specification(2))
 	}
 
-	entered, release := parkEncoder(t, db.Shard(0))
+	entered, release := parkEncoder(t, db)
 	registered := make(chan error, 1)
 	go func() {
 		_, err := db.RegisterLTL("pending", "G(p1 -> F p2)")
@@ -195,12 +190,12 @@ func TestQueryDuringCheckpointWithPendingRegister(t *testing.T) {
 // records, vocabulary snapshot included, outside the engine lock, so
 // concurrent registrations interleave their vocabulary snapshots with
 // their log appends. Each round below registers contracts citing
-// events nobody has seen, concurrently, across two shards; a crash
+// events nobody has seen, concurrently; a crash
 // copy taken after a checkpoint and a second round must reopen onto
 // the same vocabulary and the same Save bytes.
 func TestConcurrentNewEventsCrashReopen(t *testing.T) {
 	dir := t.TempDir()
-	cfg := manualCheckpoints(2)
+	cfg := manualCheckpoints()
 	st := openStore(t, dir, cfg)
 	db := st.DB()
 	round := func(r int) {

@@ -1,11 +1,10 @@
 // Package store is the broker's durable storage engine: it owns a
-// data directory and keeps a database — the shard router of
-// internal/shard at Config.Shards shards (one by default) — crash-safe
-// through internal/journal's write-ahead log and snapshot generations.
+// data directory and keeps one core.DB crash-safe through
+// internal/journal's write-ahead log and snapshot generations.
 //
 // Layout of a data directory:
 //
-//	snapshot-<boundary>.ctdb   shard.DB.Save snapshot covering every
+//	snapshot-<boundary>.ctdb   core.DB.Save snapshot covering every
 //	                           op with sequence < boundary
 //	wal/wal-<firstSeq>.seg     log segments (see internal/wal)
 //
@@ -33,7 +32,6 @@ import (
 	"contractdb/internal/core"
 	"contractdb/internal/journal"
 	"contractdb/internal/metrics"
-	"contractdb/internal/shard"
 	"contractdb/internal/vocab"
 	"contractdb/internal/wal"
 )
@@ -57,13 +55,10 @@ type Config struct {
 	// Events is the vocabulary of a freshly created database; ignored
 	// when the directory already holds a snapshot.
 	Events []string
-	// Shards is the scatter-gather engine's shard count (internal/
-	// shard); 0 or 1 means one shard. The WAL stays a single
-	// interleaved stream, and each record replays onto the shard that
-	// owns its contract name. The count is a runtime choice, not a
-	// property of the data — the same directory reopens under any
-	// count (the loader deals the snapshot's contracts across the
-	// shards).
+	// Shards is ignored: one database serves every store. Nothing
+	// persisted names a shard count, so a directory written under any
+	// value reopens with equal answers and bytes. The field stays
+	// only because the benchmark harness still sets it.
 	Shards int
 	// Core are the registration options of a freshly created database;
 	// ignored when a snapshot exists (options travel in the snapshot).
@@ -148,7 +143,7 @@ type RecoveryInfo struct {
 // for concurrent use.
 type Store struct {
 	cfg Config
-	db  *shard.DB
+	db  *core.DB
 	j   *journal.Journal
 	met *metrics.Durability
 
@@ -217,8 +212,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 		met = &metrics.Durability{}
 	}
 	var info RecoveryInfo
-	var db *shard.DB
-	shards := max(1, cfg.Shards)
+	var db *core.DB
 	var mapping []byte // live snapshot mapping; munmapped at Close
 	load := func(path string) error {
 		if path == "" {
@@ -226,21 +220,17 @@ func Open(dir string, cfg Config) (*Store, error) {
 			if err != nil {
 				return fmt.Errorf("store: %w", err)
 			}
-			if db, err = shard.New(voc, cfg.Core, shards); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
+			db = core.NewDB(voc, cfg.Core)
 			return nil
 		}
 		data, mapped, fallback, err := readSnapshotFile(path)
 		if err != nil {
 			return err
 		}
-		// The loader deals the contracts across the configured count, so
-		// changing Shards across restarts never strands a directory.
 		// Pre-v4 gob snapshots and legacy v4 shapes are refused with
 		// core.ErrUnsupportedFormat.
 		var lstats core.LoadStats
-		if db, lstats, err = shard.LoadBytesWithStats(data, shards); err != nil {
+		if db, lstats, err = core.LoadBytesWithStats(data); err != nil {
 			if mapped {
 				munmap(data)
 			}
@@ -270,7 +260,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	apply := func(r wal.Record) error {
 		switch r.Type {
 		case recordRegister:
-			return db.ApplyRegistration(r.Data)
+			return db.ApplyRegistration(r.Data, nil)
 		case recordUnregister:
 			return db.ApplyUnregister(string(r.Data))
 		}
@@ -329,10 +319,11 @@ func Open(dir string, cfg Config) (*Store, error) {
 
 // DB returns the recovered database. Mutations on it are logged
 // through the store; queries touch the store not at all.
-func (s *Store) DB() *shard.DB { return s.db }
+func (s *Store) DB() *core.DB { return s.db }
 
-// Router is an alias of DB; e2ebench's replay calls it by this name.
-func (s *Store) Router() *shard.DB { return s.db }
+// Router returns the same database as DB. It is kept only because the
+// benchmark harness still calls it by this name.
+func (s *Store) Router() *core.DB { return s.db }
 
 // Metrics returns the store's durability registry.
 func (s *Store) Metrics() *metrics.Durability { return s.met }
@@ -368,8 +359,8 @@ func (s *Store) logOp(typ byte, data []byte) error {
 }
 
 // checkpointLoop runs threshold-triggered checkpoints off the write
-// path (a checkpoint read-locks each shard to copy its contract list;
-// the trigger fires under the write lock).
+// path (a checkpoint read-locks the database to copy its contract
+// list; the trigger fires under the write lock).
 func (s *Store) checkpointLoop() {
 	defer s.wg.Done()
 	for {

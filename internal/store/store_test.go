@@ -12,7 +12,6 @@ import (
 
 	"contractdb/internal/core"
 	"contractdb/internal/datagen"
-	"contractdb/internal/shard"
 	"contractdb/internal/store"
 )
 
@@ -88,7 +87,7 @@ func frameEnds(t *testing.T, path string) []int64 {
 	return ends
 }
 
-func saveBytes(t testing.TB, db *shard.DB) []byte {
+func saveBytes(t testing.TB, db *core.DB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
@@ -149,10 +148,7 @@ func TestCrashTruncationRecoversPrefix(t *testing.T) {
 
 	// refBytes[n] is the Save output of a database holding the first n
 	// contracts; built incrementally alongside the store.
-	oracle, err := shard.New(datagen.NewVocabulary(), core.Options{MaxAutomatonStates: 300}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := core.NewDB(datagen.NewVocabulary(), core.Options{MaxAutomatonStates: 300})
 	refBytes := [][]byte{saveBytes(t, oracle)}
 	gen := datagen.New(datagen.NewVocabulary(), 7)
 	registered := 0

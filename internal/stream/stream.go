@@ -16,14 +16,14 @@
 // most two per attachment, since doomed is a trap — allocate.
 //
 // Streams are partitioned across N ingest shards by FNV-1a over the
-// stream name (mirroring internal/shard's placement). Each shard owns
-// a mutex domain, an arena per contract, and one worker goroutine
-// draining a bounded queue, so pushes to different shards never
-// contend. With a journal directory configured, every create, delete
-// and event batch is WAL-appended before it is acknowledged, and
-// checkpoints persist the per-stream frontiers and verdict history so
-// a restart resumes from the last checkpointed frontier instead of
-// replaying every event from zero (see journal.go and internal/journal).
+// stream name. Each shard owns a mutex domain, an arena per contract,
+// and one worker goroutine draining a bounded queue, so pushes to
+// different shards never contend. With a journal directory configured,
+// every create, delete and event batch is WAL-appended before it is
+// acknowledged, and checkpoints persist the per-stream frontiers and
+// verdict history so a restart resumes from the last checkpointed
+// frontier instead of replaying every event from zero (see journal.go
+// and internal/journal).
 package stream
 
 import (
@@ -101,8 +101,8 @@ func parseStatus(name string) (Status, bool) {
 	return 0, false
 }
 
-// ContractSource resolves contract names to their automata. Both the
-// unsharded *core.DB and the sharded *shard.DB satisfy it.
+// ContractSource resolves contract names to their automata; *core.DB
+// satisfies it.
 type ContractSource interface {
 	ByName(name string) (*core.Contract, bool)
 	Vocabulary() *vocab.Vocabulary
@@ -490,6 +490,10 @@ func (b *Broker) Create(ctx context.Context, name string, contracts []string) (I
 	sh := b.shardFor(name)
 	done := make(chan error, 1)
 	sh.ingestMu.Lock()
+	if b.closed.Load() {
+		sh.ingestMu.Unlock()
+		return Info{}, ErrClosed
+	}
 	if b.journal != nil {
 		if err := sh.appendCreate(name, contracts); err != nil {
 			sh.ingestMu.Unlock()
@@ -519,6 +523,10 @@ func (b *Broker) Delete(ctx context.Context, name string) error {
 	sh := b.shardFor(name)
 	done := make(chan error, 1)
 	sh.ingestMu.Lock()
+	if b.closed.Load() {
+		sh.ingestMu.Unlock()
+		return ErrClosed
+	}
 	if sh.lookup(name) == nil {
 		sh.ingestMu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -554,6 +562,10 @@ func (b *Broker) Append(ctx context.Context, name string, snaps []vocab.Set) (ui
 	}
 	sh := b.shardFor(name)
 	sh.ingestMu.Lock()
+	if b.closed.Load() {
+		sh.ingestMu.Unlock()
+		return 0, ErrClosed
+	}
 	st := sh.lookup(name)
 	if st == nil {
 		sh.ingestMu.Unlock()

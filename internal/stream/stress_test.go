@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"contractdb/internal/stream"
+	"contractdb/internal/vocab"
 )
 
 // TestConcurrentPushChurn hammers one broker from every direction at
@@ -133,6 +135,60 @@ func TestConcurrentPushChurn(t *testing.T) {
 		}
 		if info.Events != pushed[i].Load() {
 			t.Errorf("fixed-%d consumed %d events, pushed %d", i, info.Events, pushed[i].Load())
+		}
+	}
+}
+
+// TestCloseRacesOperations races Close against pushes, creates and
+// deletes already past their entry check: each must either complete
+// or refuse with ErrClosed, never send on a closed ingest queue.
+func TestCloseRacesOperations(t *testing.T) {
+	db := testDB(t)
+	ctx := context.Background()
+	for round := 0; round < 300; round++ {
+		b, err := stream.New(db, stream.Config{Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Create(ctx, "s", []string{"NoRefund"}); err != nil {
+			t.Fatal(err)
+		}
+		// Close once the workers have made a round-dependent number of
+		// calls, so it lands at varying points of their loops.
+		var calls atomic.Int64
+		closeAt := int64(round % 150)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					calls.Add(1)
+					var err error
+					name := fmt.Sprintf("g%d-%d", g, i/3)
+					switch i % 3 {
+					case 0:
+						_, err = b.Append(ctx, "s", []vocab.Set{0})
+					case 1:
+						_, err = b.Create(ctx, name, []string{"NoRefund"})
+					case 2:
+						err = b.Delete(ctx, name)
+					}
+					if err != nil && !errors.Is(err, stream.ErrClosed) && !errors.Is(err, stream.ErrNotFound) {
+						t.Errorf("round %d: %v", round, err)
+					}
+				}
+			}(g)
+		}
+		for calls.Load() < closeAt {
+			runtime.Gosched()
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
 		}
 	}
 }

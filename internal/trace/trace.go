@@ -1,7 +1,8 @@
 // Package trace provides on-request execution tracing for the contract
 // database: span trees recording each evaluation stage (parse,
-// canonicalize, cache lookups, prefilter, per-shard scans, per-candidate
-// kernel checks) with start offsets, durations and key attributes.
+// canonicalize, translate, the candidate scan with its prefilter and
+// per-candidate kernel checks) with start offsets, durations and key
+// attributes.
 //
 // A trace exists only when it is asked for — the HTTP "trace": true
 // knob or ctdb query -explain — and is returned inline with the answer;

@@ -33,10 +33,10 @@ type Set uint64
 // New.
 //
 // A Vocabulary is safe for concurrent use. This matters because one
-// vocabulary is shared across every lock domain that refers to it: all
-// shards of a sharded database intern into the same vocabulary while
-// holding only their own shard lock, and query translation may intern
-// atoms while the owning database holds just a read lock.
+// vocabulary is shared across every lock domain that refers to it:
+// registrations intern events off the database lock, and query
+// translation may intern atoms while the owning database holds just a
+// read lock.
 type Vocabulary struct {
 	mu    sync.RWMutex
 	names []string
