@@ -79,7 +79,11 @@ func resolveSnapshotPath(arg string) (string, error) {
 
 func printInspection(path string, insp *core.SnapshotInspection, perContract bool, top int) {
 	fmt.Printf("%s\n", path)
-	fmt.Printf("  format:    v%d container, count-agnostic (indexes rebuilt at load)\n", insp.FormatVersion)
+	legacy := ""
+	if v := core.SnapshotFormatVersion(); insp.FormatVersion < v {
+		legacy = fmt.Sprintf(" (legacy: still loads; the next checkpoint writes v%d)", v)
+	}
+	fmt.Printf("  format:    v%d container%s, count-agnostic (indexes rebuilt at load)\n", insp.FormatVersion, legacy)
 	fmt.Printf("  file:      %s (head %s, slabs %s)\n",
 		fmtBytes(insp.FileBytes), fmtBytes(insp.HeadBytes), fmtBytes(insp.SlabBytes))
 	fmt.Printf("  contracts: %d\n", insp.Contracts)

@@ -46,9 +46,9 @@
 // # Persistence
 //
 // (*Broker).Save writes the broker, precomputed artifacts included, as
-// a format-v4 snapshot container — the same bytes the daemon
+// a format-v5 snapshot container — the same bytes the daemon
 // checkpoints for the same contracts — and Load adopts it back without
-// redoing registration. Every v4 snapshot loads; the pre-v4 gob
+// redoing registration. Every v4 and v5 snapshot loads; the pre-v4 gob
 // formats are refused with ErrUnsupportedFormat.
 package contracts
 
@@ -123,7 +123,7 @@ func NewBroker(events []string, opts Options) (*Broker, error) {
 
 // Load restores a broker previously written with (*Broker).Save,
 // including all precomputed artifacts. Bytes that are not a format-v4
-// snapshot fail with ErrUnsupportedFormat.
+// or -v5 snapshot fail with ErrUnsupportedFormat.
 func Load(r io.Reader) (*Broker, error) {
 	return core.Load(r)
 }
@@ -165,7 +165,8 @@ var (
 )
 
 // ErrUnsupportedFormat is returned by Load for bytes that are not a
-// format-v4 snapshot, such as the gob snapshots older builds wrote.
+// format-v4 or -v5 snapshot, such as the gob snapshots older builds
+// wrote.
 var ErrUnsupportedFormat = core.ErrUnsupportedFormat
 
 // DBStats combines the broker's offline registration counters with

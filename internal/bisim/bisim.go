@@ -26,7 +26,7 @@ import (
 // first occurrence in state order, making Partition values comparable
 // with Key.
 type Partition struct {
-	Class []int
+	Class []int32
 	Count int
 }
 

@@ -100,7 +100,7 @@ func TestRefinementMonotonicity(t *testing.T) {
 // refines reports whether p refines q: states sharing a p-class also
 // share their q-class.
 func refines(p, q bisim.Partition) bool {
-	rep := make(map[int]int)
+	rep := make(map[int32]int32)
 	for s, pc := range p.Class {
 		if qc, ok := rep[pc]; ok {
 			if qc != q.Class[s] {

@@ -57,7 +57,7 @@ func TestQuotientDerivationMatchesCompile(t *testing.T) {
 func tableUnion(ps *bisim.ProjectionSet, t int) vocab.Set {
 	f := ps.ExportFlat()
 	var u vocab.Set
-	for i, set := range f.RefSets {
+	for i, set := range ps.Subsets() {
 		if int(f.RefTables[i]) == t {
 			u = u.Union(set)
 		}
@@ -93,7 +93,7 @@ func TestFlatProjectionsRoundTrip(t *testing.T) {
 		}
 
 		// Language differential between original and imported quotients.
-		for _, set := range flat.RefSets {
+		for _, set := range ps.Subsets() {
 			q1, q2 := ps.For(set), ps2.For(set)
 			for j := 0; j < 10; j++ {
 				run := ltltest.Lasso(rng, 4, 3, 3)

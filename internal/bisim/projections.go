@@ -2,7 +2,6 @@ package bisim
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -17,10 +16,10 @@ import (
 // of the automaton with labels projected onto S. Partitions — not
 // quotient automata — are stored, as the paper suggests ("we can just
 // memorize the list of bisimilar states for a particular projection"),
-// and the set is nothing but their flat form (FlatProjections): the
-// sorted subsets, each citing one of the deduplicated partition
-// tables. A set loaded from a snapshot adopts that form from the
-// snapshot's slabs as it is.
+// and the set is nothing but their flat form (FlatProjections): one
+// deduplicated partition table cited per subset, by the subset's rank.
+// A set loaded from a snapshot adopts that form from the snapshot's
+// slabs as it is.
 //
 // Quotients are derived lazily, one per table, not one per subset:
 // only ~5% of subsets have a distinct partition, so the quotients (and
@@ -74,7 +73,7 @@ func Precompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 		labelEvents = labelEvents.Union(l.Vars())
 	}
 	events := labelEvents.IDs()
-	maxSubset = min(maxSubset, len(events))
+	maxSubset = max(0, min(maxSubset, len(events)))
 
 	dedup := make(map[string]*Partition)
 	var key []byte
@@ -126,15 +125,15 @@ func Precompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 }
 
 // fromParts builds the set's flat form from interned partitions (equal
-// partitions share one pointer): the subsets in ascending order, and
-// the tables numbered by first occurrence in that order, so equal
-// precomputations flatten to equal structures however they were built
-// — the invariant the byte-deterministic snapshot encoding rests on.
+// partitions share one pointer), one per subset: the references in
+// rank order, and the tables numbered by first occurrence in that
+// order, so equal precomputations flatten to equal structures however
+// they were built — the invariant the byte-deterministic snapshot
+// encoding rests on.
 func fromParts(a *buchi.BA, maxSubset int, labelEvents vocab.Set, parts map[vocab.Set]*Partition) *ProjectionSet {
-	f := FlatProjections{MaxSubset: maxSubset, RefSets: slices.Sorted(maps.Keys(parts))}
-	f.RefTables = make([]int32, len(f.RefSets))
+	f := FlatProjections{MaxSubset: maxSubset, RefTables: make([]int32, 0, len(parts))}
 	table := make(map[*Partition]int32)
-	for i, set := range f.RefSets {
+	for set := range Subsets(labelEvents, maxSubset) {
 		p := parts[set]
 		t, ok := table[p]
 		if !ok {
@@ -142,7 +141,7 @@ func fromParts(a *buchi.BA, maxSubset int, labelEvents vocab.Set, parts map[voca
 			table[p] = t
 			f.PartTables = append(f.PartTables, *p)
 		}
-		f.RefTables[i] = t
+		f.RefTables = append(f.RefTables, t)
 	}
 	return newProjectionSet(a, labelEvents, f)
 }
@@ -154,7 +153,7 @@ func newProjectionSet(a *buchi.BA, labelEvents vocab.Set, f FlatProjections) *Pr
 		labelEvents:        labelEvents,
 		flat:               f,
 		DistinctPartitions: len(f.PartTables),
-		PrecomputedSubsets: len(f.RefSets),
+		PrecomputedSubsets: len(f.RefTables),
 	}
 }
 
@@ -177,11 +176,11 @@ func (ps *ProjectionSet) For(queryEvents vocab.Set) *buchi.BA {
 // cite the given events, or -1 when none does and the full automaton
 // serves them. The relevant subset is the intersection of the query's
 // events with the contract's label events; projecting onto exactly
-// that subset yields the best available simplification. The subset is
-// found by binary search in the sorted subset list.
+// that subset yields the best available simplification. Its table is
+// cited at its rank among the precomputed subsets.
 func (ps *ProjectionSet) Table(queryEvents vocab.Set) int {
 	relevant := queryEvents.Intersect(ps.Auto.Events).Intersect(ps.labelEvents)
-	if i, ok := slices.BinarySearch(ps.flat.RefSets, relevant); ok {
+	if i := subsetRank(ps.labelEvents, ps.MaxSubset, relevant); i >= 0 {
 		return int(ps.flat.RefTables[i])
 	}
 	return -1
@@ -209,10 +208,12 @@ func (ps *ProjectionSet) TableQuotient(t int) *buchi.BA {
 	q := ps.Auto
 	if p.Count < ps.Auto.NumStates() {
 		var keep vocab.Set
-		for i, set := range ps.flat.RefSets {
+		i := 0
+		for set := range Subsets(ps.labelEvents, ps.MaxSubset) {
 			if int(ps.flat.RefTables[i]) == t {
 				keep = keep.Union(set)
 			}
+			i++
 		}
 		q = deriveQuotient(ps.Auto, p, keep)
 	}
@@ -376,7 +377,3 @@ type deriveScratch struct {
 }
 
 var derivePool = sync.Pool{New: func() any { return new(deriveScratch) }}
-
-// Subsets returns the precomputed event subsets in ascending order,
-// mainly for tests and diagnostics.
-func (ps *ProjectionSet) Subsets() []vocab.Set { return slices.Clone(ps.flat.RefSets) }

@@ -44,7 +44,7 @@ type refiner struct {
 
 	class, next []int32 // the current and the next round's partition
 	remap       []int32 // renumbering scratch for the start partition
-	start       []int   // the initial partition seed builds
+	start       []int32 // the initial partition seed builds
 
 	// set is the stamped open-addressing set deduplicating one state's
 	// entries; a slot is occupied when its stamp is the current one.
@@ -156,7 +156,7 @@ func (r *refiner) size(maxDeg int) {
 // the translator's generalized automata, whose edges also carry
 // acceptance marks. It stops with ctx's error once ctx is done,
 // checking it once per round.
-func RefineEdges(ctx context.Context, off, key, to []int32, start []int) (Partition, error) {
+func RefineEdges(ctx context.Context, off, key, to []int32, start []int32) (Partition, error) {
 	r := refinerPool.Get().(*refiner)
 	defer refinerPool.Put(r)
 	r.n = len(off) - 1
@@ -179,10 +179,10 @@ func RefineEdges(ctx context.Context, off, key, to []int32, start []int) (Partit
 // seed returns the initial partition of a's states: final apart from
 // non-final and, when init is set, the initial state apart from the
 // rest. The slice is the refiner's scratch, valid until the next seed.
-func (r *refiner) seed(a *buchi.BA, init bool) []int {
+func (r *refiner) seed(a *buchi.BA, init bool) []int32 {
 	r.start = resize(r.start, r.n)
 	for s := range r.start {
-		c := 0
+		c := int32(0)
 		if a.Final[s] {
 			c |= 1
 		}
@@ -198,7 +198,7 @@ func (r *refiner) seed(a *buchi.BA, init bool) []int {
 // projected onto keep, that refines start (a class per state, in any
 // numbering). The result is freshly allocated and canonically
 // numbered.
-func (r *refiner) refine(start []int, keep vocab.Set) Partition {
+func (r *refiner) refine(start []int32, keep vocab.Set) Partition {
 	r.project(keep)
 	p, _ := r.partition(nil, start)
 	return p
@@ -223,7 +223,7 @@ func (r *refiner) project(keep vocab.Set) {
 // partition runs refinement rounds over the projected ids in r.proj
 // from start until a round splits nothing. A non-nil ctx is checked
 // before every round; once it is done, partition returns its error.
-func (r *refiner) partition(ctx context.Context, start []int) (Partition, error) {
+func (r *refiner) partition(ctx context.Context, start []int32) (Partition, error) {
 	n := r.n
 	if n == 0 {
 		return Partition{}, nil
@@ -243,11 +243,7 @@ func (r *refiner) partition(ctx context.Context, start []int) (Partition, error)
 		r.class, r.next = r.next, r.class
 		count = next
 	}
-	out := make([]int, n)
-	for s, c := range r.next[:n] {
-		out[s] = int(c)
-	}
-	return Partition{Class: out, Count: count}, nil
+	return Partition{Class: slices.Clone(r.next[:n]), Count: count}, nil
 }
 
 // round computes r.next from r.class — two states share a next class
@@ -337,24 +333,25 @@ func (r *refiner) containsAll(keys []uint64, mask uint64) bool {
 // values are remapped through a dense slice over their range; a range
 // much wider than the table (possible only in foreign input) is first
 // compressed to ranks.
-func firstOccurrence[T int | int32](dst []T, class []int, remap []int32) ([]int32, int) {
+func firstOccurrence(dst, class, remap []int32) ([]int32, int) {
 	if len(class) == 0 {
 		return remap, 0
 	}
 	lo, hi := slices.Min(class), slices.Max(class)
-	var ranks []int
-	if uint64(hi)-uint64(lo) >= uint64(2*len(class)) {
+	var ranks []int32
+	if int64(hi)-int64(lo) >= int64(2*len(class)) {
 		ranks = slices.Compact(slices.Sorted(slices.Values(class)))
-		lo, hi = 0, len(ranks)-1
+		lo, hi = 0, int32(len(ranks)-1)
 	}
-	remap = resize(remap, hi-lo+1)
+	remap = resize(remap, int(hi-lo)+1)
 	for i := range remap {
 		remap[i] = -1
 	}
 	count := 0
 	for i, c := range class {
 		if ranks != nil {
-			c, _ = slices.BinarySearch(ranks, c)
+			rank, _ := slices.BinarySearch(ranks, c)
+			c = int32(rank)
 		}
 		nc := remap[c-lo]
 		if nc < 0 {
@@ -362,7 +359,7 @@ func firstOccurrence[T int | int32](dst []T, class []int, remap []int32) ([]int3
 			remap[c-lo] = nc
 			count++
 		}
-		dst[i] = T(nc)
+		dst[i] = nc
 	}
 	return remap, count
 }

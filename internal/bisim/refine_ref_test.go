@@ -3,6 +3,7 @@ package bisim
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,9 +43,9 @@ func ReferenceRefineProjected(a *buchi.BA, start Partition, keep vocab.Set) Part
 	// refinement loop allocation-light.
 	var pairs tripleSlice
 	var buf []byte
-	newClass := make([]int, n)
+	newClass := make([]int32, n)
 	for {
-		next := make(map[string]int, count)
+		next := make(map[string]int32, count)
 		for s := 0; s < n; s++ {
 			pairs = pairs[:0]
 			for _, e := range a.Out[s] {
@@ -65,7 +66,7 @@ func ReferenceRefineProjected(a *buchi.BA, start Partition, keep vocab.Set) Part
 			}
 			c, ok := next[string(buf)]
 			if !ok {
-				c = len(next)
+				c = int32(len(next))
 				next[string(buf)] = c
 			}
 			newClass[s] = c
@@ -79,13 +80,13 @@ func ReferenceRefineProjected(a *buchi.BA, start Partition, keep vocab.Set) Part
 }
 
 // referenceNormalize renumbers classes by first occurrence.
-func referenceNormalize(class []int) Partition {
-	remap := make(map[int]int)
-	out := make([]int, len(class))
+func referenceNormalize(class []int32) Partition {
+	remap := make(map[int32]int32)
+	out := make([]int32, len(class))
 	for i, c := range class {
 		nc, ok := remap[c]
 		if !ok {
-			nc = len(remap)
+			nc = int32(len(remap))
 			remap[c] = nc
 		}
 		out[i] = nc
@@ -124,7 +125,7 @@ func (t tripleSlice) sort() {
 
 // ReferenceCoarsestProjected is the reference CoarsestProjected.
 func ReferenceCoarsestProjected(a *buchi.BA, keep vocab.Set) Partition {
-	initial := make([]int, a.NumStates())
+	initial := make([]int32, a.NumStates())
 	for s, f := range a.Final {
 		if f {
 			initial[s] = 1
@@ -144,9 +145,9 @@ func ReferenceCoarsestBackward(a *buchi.BA) Partition {
 			rev.AddEdge(e.To, e.Label, buchi.StateID(s))
 		}
 	}
-	initial := make([]int, n)
+	initial := make([]int32, n)
 	for s := 0; s < n; s++ {
-		c := 0
+		c := int32(0)
 		if a.Final[s] {
 			c |= 1
 		}
@@ -241,11 +242,18 @@ func ReferenceKey(p Partition) string {
 	return b.String()
 }
 
+// Subsets returns the set's precomputed subsets in rank order.
+func (ps *ProjectionSet) Subsets() []vocab.Set {
+	return slices.Collect(Subsets(ps.labelEvents, ps.MaxSubset))
+}
+
 // Parts returns the set's precomputed partition for each subset.
 func (ps *ProjectionSet) Parts() map[vocab.Set]*Partition {
-	out := make(map[vocab.Set]*Partition, len(ps.flat.RefSets))
-	for i, set := range ps.flat.RefSets {
+	out := make(map[vocab.Set]*Partition, len(ps.flat.RefTables))
+	i := 0
+	for set := range Subsets(ps.labelEvents, ps.MaxSubset) {
 		out[set] = &ps.flat.PartTables[ps.flat.RefTables[i]]
+		i++
 	}
 	return out
 }

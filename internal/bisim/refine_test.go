@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -56,16 +57,16 @@ func randomBA(rng *rand.Rand) *buchi.BA {
 // one-class partition (which does not separate final states).
 func randomStarts(rng *rand.Rand, a *buchi.BA) []bisim.Partition {
 	n := a.NumStates()
-	canon, scattered, wide, one := make([]int, n), make([]int, n), make([]int, n), make([]int, n)
-	values := []int{9, 4, 17, 2}
+	canon, scattered, wide, one := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
+	values := []int32{9, 4, 17, 2}
 	for s := range n {
-		f := 0
+		f := int32(0)
 		if a.Final[s] {
 			f = 1
 		}
 		canon[s] = f
-		scattered[s] = values[2*f+rng.Intn(2)]
-		wide[s] = []int{-3, 1 << 40}[f]
+		scattered[s] = values[2*f+int32(rng.Intn(2))]
+		wide[s] = []int32{math.MinInt32, math.MaxInt32}[f]
 	}
 	return []bisim.Partition{{Class: canon, Count: 2}, {Class: scattered, Count: 4}, {Class: wide, Count: 2}, {Class: one, Count: 1}}
 }
@@ -209,7 +210,7 @@ func TestRefineEdgesMatchesReference(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := bisim.RefineEdges(ctx, off, key, to, make([]int, n)); !errors.Is(err, context.Canceled) {
+		if _, err := bisim.RefineEdges(ctx, off, key, to, make([]int32, n)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled refinement returned %v, want %v", err, context.Canceled)
 		}
 	}

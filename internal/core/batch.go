@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"time"
 
 	"contractdb/internal/ltl"
 )
@@ -42,8 +43,11 @@ type BatchResult struct {
 // workers ≤ 0 selects GOMAXPROCS. Results are returned in input
 // order; failed entries (unsatisfiable, oversized, duplicate name) do
 // not abort the rest. Translations still running when ctx is done fail
-// with ErrCanceled.
+// with ErrCanceled. A batch that registers anything adds its own wall
+// clock to RegistrationStats.Total, once, not its groups' overlapping
+// prepare times.
 func (db *DB) RegisterBatch(ctx context.Context, specs []Registration, workers int) []BatchResult {
+	start := time.Now()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -126,6 +130,7 @@ func (db *DB) RegisterBatch(ctx context.Context, specs []Registration, workers i
 	// Serialized: publish in input order.
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	contracts, total := len(db.contracts), db.registerTime
 	for i, g := range order {
 		if out[i].Err == nil {
 			out[i].Err = db.publishLocked(ready[i], g.art.cost)
@@ -136,6 +141,9 @@ func (db *DB) RegisterBatch(ctx context.Context, specs []Registration, workers i
 		}
 		g.art.cost = regCost{} // the group's first published member paid it
 		out[i].Contract = ready[i].c
+	}
+	if len(db.contracts) > contracts {
+		db.registerTime = total + time.Since(start)
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"contractdb/internal/core"
 	"contractdb/internal/datagen"
@@ -165,4 +166,29 @@ func TestBatchGeneratedNames(t *testing.T) {
 	if results[0].Contract.Name == results[1].Contract.Name {
 		t.Error("generated names collide")
 	}
+}
+
+// TestBatchTotalIsWallClock: a batch charges its own wall clock to
+// RegistrationStats.Total, once, not the sum of its workers'
+// overlapping prepare times, so a two-worker batch never reads longer
+// than the call took. Projections and IndexBuild stay work sums.
+func TestBatchTotalIsWallClock(t *testing.T) {
+	voc := datagen.NewVocabulary()
+	gen := datagen.New(voc, 5)
+	var specs []core.Registration
+	for range 24 {
+		specs = append(specs, core.Registration{Spec: gen.Specification(3)})
+	}
+	db := core.NewDB(voc, core.Options{MaxAutomatonStates: 300})
+	start := time.Now()
+	db.RegisterBatch(context.Background(), specs, 2)
+	wall := time.Since(start)
+	rs := db.RegistrationStats()
+	if rs.Contracts == 0 || rs.Projections <= 0 {
+		t.Fatalf("batch registered nothing: %+v", rs)
+	}
+	if rs.Total > wall {
+		t.Errorf("Total %v exceeds the batch's wall clock %v (projections %v, index %v)", rs.Total, wall, rs.Projections, rs.IndexBuild)
+	}
+	t.Logf("%d contracts: Total %v, wall %v, projections %v", rs.Contracts, rs.Total, wall, rs.Projections)
 }

@@ -703,6 +703,9 @@ func (db *DB) QueryMode(spec *ltl.Expr, mode Mode) (*Result, error) {
 }
 
 // RegistrationStats reports the accumulated offline costs (§7.4).
+// Total is wall clock: each Register call's, and each RegisterBatch
+// call's once. IndexBuild and Projections sum the work of every
+// preparation, so in a parallel batch they can exceed Total.
 type RegistrationStats struct {
 	Contracts      int
 	Total          time.Duration

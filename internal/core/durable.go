@@ -9,7 +9,7 @@ import (
 )
 
 // The write-ahead log's per-operation encoding. A registration record
-// is the contract's v4 encoding: a one-contract, Sharded=true snapfmt
+// is the contract's v5 encoding: a one-contract, Sharded=true snapfmt
 // container (see persist_v4.go) holding the compiled automaton, the
 // checker seeds and the deduplicated partition tables — the same slab
 // group a checkpoint writes for the contract — so replay restores the
@@ -20,10 +20,11 @@ import (
 // labels are bitsets over vocabulary ids, so replay must intern events
 // in exactly the original order before installing the contract.
 //
-// Gob register records from logs written by older builds, and the
-// Deferred container records builds with a background registration
-// pipeline logged before the projection precompute, are refused with
-// ErrUnsupportedFormat, like gob snapshots.
+// v4 container records, which logs written by older builds hold,
+// replay like v5 ones. Gob register records from still older builds,
+// and the Deferred container records builds with a background
+// registration pipeline logged before the projection precompute, are
+// refused with ErrUnsupportedFormat, like gob snapshots.
 
 // encodeRegistration serializes c for the op log. It needs no db.mu:
 // registrations call it (through pend) before taking the write lock,
@@ -33,11 +34,11 @@ func (db *DB) encodeRegistration(c *Contract) ([]byte, error) {
 	if hook := db.encodeHook.Load(); hook != nil {
 		(*hook)()
 	}
-	head := v4Head{FormatVersion: formatVersion, Sharded: true, Events: db.voc.Names()}
-	var b v4Builder
-	head.Contracts = []v4ContractHead{b.addContract(c)}
+	head := snapHead{FormatVersion: formatVersion, Sharded: true, Events: db.voc.Names()}
+	var b slabs
+	head.Contracts = []contractHead{b.addContract(c)}
 	var buf bytes.Buffer
-	if err := writeV4(&buf, head, &b); err != nil {
+	if err := writeContainer(&buf, head, &b); err != nil {
 		return nil, fmt.Errorf("encode registration: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -65,7 +66,8 @@ func (db *DB) SetEncodeHook(f func()) {
 // non-nil, accumulates the restore breakdown (contracts installed,
 // compiled forms adopted).
 //
-// A container record's slabs are adopted, not copied: data must stay
+// A container record's slabs are adopted, not copied (but a v4 record's
+// class tables): data must stay
 // valid and unmodified for the database's lifetime, and 8-byte aligned
 // (each WAL record is its own allocation).
 func (db *DB) ApplyRegistration(data []byte, stats *LoadStats) error {
@@ -79,7 +81,7 @@ func (db *DB) ApplyRegistration(data []byte, stats *LoadStats) error {
 }
 
 func (db *DB) applyRegistration(data []byte, stats *LoadStats) error {
-	f, head, err := decodeV4Head(data)
+	f, head, err := decodeHead(data)
 	if err != nil {
 		return err
 	}
@@ -93,7 +95,7 @@ func (db *DB) applyRegistration(data []byte, stats *LoadStats) error {
 	if _, dup := db.ByName(h.Name); dup {
 		return nil
 	}
-	cur, err := newV4Cursor(f)
+	cur, err := newSlabCursor(f, head.FormatVersion)
 	if err != nil {
 		return err
 	}

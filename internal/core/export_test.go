@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+
 	"contractdb/internal/bisim"
 	"contractdb/internal/buchi"
 )
@@ -24,4 +26,11 @@ func (c *Contract) CheckedQuotients() []*buchi.BA {
 // precomputed projections, for tests that check where they live.
 func (c *Contract) PartitionTables() []bisim.Partition {
 	return c.proj.ps.ExportFlat().PartTables
+}
+
+// UnmarshalHead decodes a container head as the loaders do, for tests
+// that price that step on its own.
+func UnmarshalHead(head []byte) error {
+	var h snapHead
+	return json.Unmarshal(head, &h)
 }

@@ -17,31 +17,33 @@ import (
 // partitions — so a reloaded database answers queries at full speed
 // without redoing the precomputation (the paper's registration for
 // 3000 contracts is hours of work; ours is minutes, but still worth
-// persisting). The one on-disk shape is the formatVersion-4 container
+// persisting). The on-disk shape is the formatVersion-5 container
 // described in persist_v4.go.
 //
 // Format history: 2 and 3 were monolithic gob streams, and WAL
 // register records were gob as well; 4 is the snapfmt container.
 // Within v4, the writer later stopped persisting quotients and
 // prefilter indexes (their sections stay empty) and the WAL register
-// record became a one-contract container. This build reads only v4
-// and refuses everything else with ErrUnsupportedFormat.
-const formatVersion = 4
+// record became a one-contract container. 5 stores no subset list and
+// int32 class tables. This build writes 5, reads 4 and 5, and refuses
+// everything else with ErrUnsupportedFormat.
+const formatVersion, minFormatVersion = 5, 4
 
 // SnapshotFormatVersion reports the snapshot format this build writes
-// and reads; the server surfaces it as build info in GET /v1/metrics.
+// (it also reads v4); the server surfaces it as build info in GET
+// /v1/metrics.
 func SnapshotFormatVersion() int { return formatVersion }
 
 // ErrUnsupportedFormat refuses snapshot or register-record bytes that
-// are not a formatVersion-4 container: the v2/v3 gob snapshots and gob
-// register records older builds wrote, any other head version, and
-// anything without the container magic.
-var ErrUnsupportedFormat = errors.New("unsupported snapshot format (this build reads only v4 containers; " +
+// are not a formatVersion-4 or -5 container: the v2/v3 gob snapshots
+// and gob register records older builds wrote, any other head version,
+// and anything without the container magic.
+var ErrUnsupportedFormat = errors.New("unsupported snapshot format (this build reads only v4 and v5 containers; " +
 	"to upgrade, open the data with an older build that still reads it, make one change and shut down cleanly: " +
 	"the checkpoint it writes is v4)")
 
 // Save writes the database, including all precomputed artifacts, to w
-// as one v4 container holding the contracts in name order, so the
+// as one v5 container holding the contracts in name order, so the
 // bytes depend only on the corpus, never on registration order. The
 // vocabulary is read after the contracts are gathered; it is
 // append-only, so it names every event they cite.
@@ -51,17 +53,17 @@ func (db *DB) Save(w io.Writer) error {
 	opts := db.opts
 	db.mu.RUnlock()
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
-	head := v4Head{
+	head := snapHead{
 		FormatVersion: formatVersion,
 		Sharded:       true,
 		Events:        db.voc.Names(),
 		Opts:          opts,
 	}
-	var b v4Builder
+	var b slabs
 	for _, c := range all {
 		head.Contracts = append(head.Contracts, b.addContract(c))
 	}
-	return writeV4(w, head, &b)
+	return writeContainer(w, head, &b)
 }
 
 // LoadStats breaks a Load down for the cold-start telemetry: where
@@ -70,7 +72,7 @@ type LoadStats struct {
 	FormatVersion int
 	Contracts     int
 	// CompiledAdopted counts automata whose CSR form came from the
-	// snapshot (every contract, for a v4 container).
+	// snapshot (every contract).
 	CompiledAdopted int
 	// Decode is the container parse, head decode and slab view
 	// construction; Restore is everything after — validation, checker
@@ -79,8 +81,9 @@ type LoadStats struct {
 	Restore time.Duration
 
 	// Total slab payload bytes, how many of them were copied to the
-	// heap instead of adopted as views (0 on little-endian hosts), and
-	// the section count of the directory.
+	// heap instead of adopted as views (0 on little-endian hosts for
+	// v5; v4's int64 classes section), and the section count of the
+	// directory.
 	SlabBytes   int64
 	CopiedBytes int64
 	Sections    int
@@ -105,7 +108,7 @@ func Load(r io.Reader) (*DB, error) {
 func LoadBytesWithStats(data []byte) (*DB, LoadStats, error) {
 	var stats LoadStats
 	t := time.Now()
-	f, head, err := decodeV4Head(data)
+	f, head, err := decodeHead(data)
 	if err != nil {
 		return nil, stats, fmt.Errorf("core: load: %w", err)
 	}
@@ -117,16 +120,15 @@ func LoadBytesWithStats(data []byte) (*DB, LoadStats, error) {
 	stats.FormatVersion = head.FormatVersion
 	stats.Sections = len(f.Sections)
 	stats.SlabBytes = f.SlabBytes()
-	cur, err := newV4Cursor(f)
+	cur, err := newSlabCursor(f, head.FormatVersion)
 	if err != nil {
 		return nil, stats, fmt.Errorf("core: load: %w", err)
 	}
 	if !snapfmt.HostZeroCopy() {
 		stats.CopiedBytes = stats.SlabBytes
-	} else if !hostAdoptsInts() {
-		if b, ok := f.Section(secClasses); ok {
-			stats.CopiedBytes = int64(len(b))
-		}
+	} else if head.FormatVersion == 4 {
+		b, _ := f.Section(secClasses)
+		stats.CopiedBytes = int64(len(b))
 	}
 	stats.Decode = time.Since(t)
 	t = time.Now()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -17,16 +18,19 @@ import (
 	"contractdb/internal/vocab"
 )
 
-// formatVersion 4 is a snapfmt container: a small JSON head carrying
+// formatVersion 5 is a snapfmt container: a small JSON head carrying
 // names, specs, options and per-contract shape counts, followed by
 // flat little-endian slabs holding every hot numeric table — compiled
 // automata (CSR arrays, label words, final bits), checker seeds,
-// partition class tables and partition reference lists. A contract is
+// partition class tables and partition references. A contract is
 // stored as §5.2 proposes, by its partitions ("just the list of
 // bisimilar states"); projection quotients are derived on first use.
-// Load adopts the slabs as typed views without copying (see
-// slabview.go), so cold start costs O(page-in) of the file, not
-// O(decode) of its contents.
+// Nothing derivable is stored: the precomputed event subsets are the
+// subsets of the contract's LabelEvents of size ≤ MaxSubset, both in
+// the head, so a reference is addressed by its subset's rank
+// (bisim.Subsets). Load adopts the slabs as typed views without
+// copying (see slabview.go), so cold start costs O(page-in) of the
+// file, not O(decode) of its contents.
 //
 // Slab traversal order (save writes and load consumes in lockstep;
 // exact consumption is enforced, leftovers are corruption):
@@ -35,25 +39,27 @@ import (
 //	    auto compiled: 4 meta words, EdgeOff (N+1), EdgeTo (E),
 //	        EdgeLabel (E), Labels (L pairs), Final (N bytes)
 //	    checker seeds: N bytes
-//	    PartTables × class tables (N int64 each, first-occurrence
-//	        order of the Set-sorted reference list)
-//	    PartRefs × (set word, table index)
+//	    PartTables × class tables (N int32 each, first-occurrence
+//	        order of the references)
+//	    one table index per subset, in rank order
 //
 // The writer (DB.Save) emits one shape: Sharded=true, contracts in
-// name order, and the five legacy sections (quotient refs and
-// prefilter index) present but empty. Prefilter indexes are rebuilt at
-// load from the adopted compiled forms (PrepareCompiled).
-// A WAL register record is the same shape holding one contract (see
+// name order, sections 1–8 and 10. Prefilter indexes are rebuilt at
+// load from the adopted compiled forms (PrepareCompiled). A WAL
+// register record is the same shape holding one contract (see
 // durable.go).
 //
-// Older writers left three other v4 shapes: unsharded heads carrying
-// a prefilter index, contracts carrying persisted quotients, and
-// Deferred register records logged before the projection precompute.
-// Every reader refuses them with ErrUnsupportedFormat naming the shape
-// (v4Head.check, newV4Cursor), as it refuses pre-v4 gob; the upgrade
-// path is the one that error states.
+// formatVersion 4 stays readable: its int64 classes are narrowed into
+// one heap copy, its part-ref-sets section must list the subsets in
+// rank order, and its five other legacy sections must be empty. The
+// legacy v4 shapes — unsharded heads carrying a prefilter index,
+// persisted quotients, and Deferred register records logged before the
+// projection precompute — are refused with ErrUnsupportedFormat naming
+// the shape (snapHead.check, newSlabCursor), as pre-v4 gob is; the
+// upgrade path is the one that error states.
 
-// Section kinds of the v4 container, in file order.
+// Section kinds of the container, in file order. Kinds 9 and 11–15
+// exist only in v4 files.
 const (
 	secCompiledMeta  = 1  // 4 uint64 words per compiled form
 	secEdgeOff       = 2  // int32
@@ -62,17 +68,17 @@ const (
 	secLabels        = 5  // uint64 (Pos, Neg) pairs
 	secFinal         = 6  // 0/1 bytes
 	secSeeds         = 7  // 0/1 bytes
-	secClasses       = 8  // int64
-	secPartRefSets   = 9  // uint64
+	secClasses       = 8  // int32 (v4: int64)
+	secPartRefSets   = 9  // v4: uint64
 	secPartRefTables = 10 // int32
-	secQuotRefSets   = 11 // uint64
-	secQuotRefTables = 12 // int32
-	secIndexLabels   = 13 // uint64 (Pos, Neg) pairs
-	secIndexLens     = 14 // int32
-	secIndexWords    = 15 // uint64
+	secQuotRefSets   = 11 // v4, empty
+	secQuotRefTables = 12 // v4, empty
+	secIndexLabels   = 13 // v4, empty
+	secIndexLens     = 14 // v4, empty
+	secIndexWords    = 15 // v4, empty
 )
 
-var v4SectionNames = map[uint32]string{
+var sectionNames = map[uint32]string{
 	secCompiledMeta:  "compiled-meta",
 	secEdgeOff:       "edge-off",
 	secEdgeTo:        "edge-to",
@@ -90,58 +96,59 @@ var v4SectionNames = map[uint32]string{
 	secIndexWords:    "index-words",
 }
 
-// V4SectionName names a section kind for inspection output and
-// errors; unknown kinds render numerically.
-func V4SectionName(kind uint32) string {
-	if n, ok := v4SectionNames[kind]; ok {
+// SectionName names a section kind for inspection output and errors;
+// unknown kinds render numerically.
+func SectionName(kind uint32) string {
+	if n, ok := sectionNames[kind]; ok {
 		return n
 	}
 	return fmt.Sprintf("kind-%d", kind)
 }
 
-// v4ContractHead is the per-contract metadata in the head: the
-// strings and the slab shape counts the load cursor consumes by.
-type v4ContractHead struct {
+// contractHead is the per-contract metadata in the head: the strings
+// and the slab shape counts the load cursor consumes by.
+type contractHead struct {
 	Name string
 	Spec string
 
 	// Deferred (a record logged before its projection precompute) and
-	// Quotients/QuotRefs (persisted quotient rows) describe legacy
-	// shapes: the writer leaves them zero, and readers refuse a head
-	// that sets them.
-	Deferred bool
+	// Quotients/QuotRefs (persisted quotient rows) describe legacy v4
+	// shapes: the writer omits them, and readers refuse a head that
+	// sets them. v4 heads also carry PartRefs, the subset count this
+	// build derives from LabelEvents and MaxSubset.
+	Deferred bool `json:",omitempty"`
 
 	// LabelEvents is the projection set's label-event universe,
-	// persisted so import never walks the automaton's adjacency.
+	// persisted so import never walks the automaton's adjacency; with
+	// MaxSubset it fixes the precomputed subsets.
 	LabelEvents vocab.Set
 	MaxSubset   int
 
 	PartTables int
-	PartRefs   int
-	Quotients  int
-	QuotRefs   int
+	Quotients  int `json:",omitempty"`
+	QuotRefs   int `json:",omitempty"`
 }
 
-// v4Head is the head of a v4 container, serialized as JSON rather
+// snapHead is the head of a container, serialized as JSON rather
 // than gob: gob assigns wire type IDs from a process-global counter,
 // so its bytes for the same value depend on what else the process has
 // encoded — fatal for the byte-determinism guarantee Save carries.
 // JSON emits struct fields in declaration order with no global state,
 // and Go's encoder round-trips uint64 (vocab.Set) exactly.
-type v4Head struct {
+type snapHead struct {
 	FormatVersion int
 	Sharded       bool
 	Events        []string
 	Opts          Options
 
 	// Sharded is always true, and the prefilter index shape of an
-	// older unsharded head always zero, in what the writer emits;
-	// readers refuse anything else.
-	IndexK     int
-	IndexN     int
-	IndexNodes int
+	// older unsharded head always zero (omitted), in what the writer
+	// emits; readers refuse anything else.
+	IndexK     int `json:",omitempty"`
+	IndexN     int `json:",omitempty"`
+	IndexNodes int `json:",omitempty"`
 
-	Contracts []v4ContractHead
+	Contracts []contractHead
 }
 
 // packMeta appends a compiled form's scalar shape as 4 uint64 words:
@@ -160,8 +167,9 @@ func packMeta(dst []uint64, c *buchi.Compiled) []uint64 {
 	)
 }
 
-// v4Builder accumulates the slab arrays while contracts are exported.
-type v4Builder struct {
+// slabs accumulates the slab arrays while contracts are
+// exported.
+type slabs struct {
 	metas      []uint64
 	edgeOff    []int32
 	edgeTo     []int32
@@ -170,12 +178,11 @@ type v4Builder struct {
 	final      []byte
 	seeds      []byte
 
-	classes       []int64
-	partRefSets   []vocab.Set
+	classes       []int32
 	partRefTables []int32
 }
 
-func (b *v4Builder) addCompiled(c *buchi.Compiled) {
+func (b *slabs) addCompiled(c *buchi.Compiled) {
 	b.metas = packMeta(b.metas, c)
 	b.edgeOff = append(b.edgeOff, c.EdgeOff...)
 	b.edgeTo = append(b.edgeTo, c.EdgeTo...)
@@ -186,8 +193,8 @@ func (b *v4Builder) addCompiled(c *buchi.Compiled) {
 
 // addContract exports one contract into the builder and returns its
 // head entry. The projection set's export needs no lock.
-func (b *v4Builder) addContract(c *Contract) v4ContractHead {
-	h := v4ContractHead{Name: c.Name, Spec: c.Spec.String()}
+func (b *slabs) addContract(c *Contract) contractHead {
+	h := contractHead{Name: c.Name, Spec: c.Spec.String()}
 	b.addCompiled(c.auto.Compiled())
 	b.seeds = appendBools(b.seeds, c.checker.Seeds())
 	ps := c.proj.ps
@@ -195,19 +202,17 @@ func (b *v4Builder) addContract(c *Contract) v4ContractHead {
 	h.LabelEvents = ps.LabelEvents()
 	h.MaxSubset = f.MaxSubset
 	h.PartTables = len(f.PartTables)
-	h.PartRefs = len(f.RefSets)
 	for _, t := range f.PartTables {
-		b.classes = appendInts(b.classes, t.Class)
+		b.classes = append(b.classes, t.Class...)
 	}
-	b.partRefSets = append(b.partRefSets, f.RefSets...)
 	b.partRefTables = append(b.partRefTables, f.RefTables...)
 	return h
 }
 
-// writeV4 frames the head and slabs into a snapfmt container. All 15
-// sections are always present (possibly empty) so readers parse one
-// fixed shape.
-func writeV4(w io.Writer, head v4Head, b *v4Builder) error {
+// writeContainer frames the head and slabs into a snapfmt container.
+// Its nine sections are always present (possibly empty) so readers
+// parse one fixed shape.
+func writeContainer(w io.Writer, head snapHead, b *slabs) error {
 	hb, err := json.Marshal(head)
 	if err != nil {
 		return fmt.Errorf("core: save: %w", err)
@@ -221,14 +226,8 @@ func writeV4(w io.Writer, head v4Head, b *v4Builder) error {
 	fw.AddSection(secLabels, snapfmt.AppendSlice[uint64](nil, b.labelWords))
 	fw.AddSection(secFinal, b.final)
 	fw.AddSection(secSeeds, b.seeds)
-	fw.AddSection(secClasses, snapfmt.AppendSlice[int64](nil, b.classes))
-	fw.AddSection(secPartRefSets, snapfmt.AppendSlice[vocab.Set](nil, b.partRefSets))
+	fw.AddSection(secClasses, snapfmt.AppendSlice[int32](nil, b.classes))
 	fw.AddSection(secPartRefTables, snapfmt.AppendSlice[int32](nil, b.partRefTables))
-	fw.AddSection(secQuotRefSets, nil)
-	fw.AddSection(secQuotRefTables, nil)
-	fw.AddSection(secIndexLabels, nil)
-	fw.AddSection(secIndexLens, nil)
-	fw.AddSection(secIndexWords, nil)
 	if _, err := fw.WriteTo(w); err != nil {
 		return fmt.Errorf("core: save: %w", err)
 	}
@@ -246,10 +245,11 @@ func take[T any](s *[]T, n int, what string) ([]T, error) {
 	return out, nil
 }
 
-// v4Cursor walks the typed slab views in traversal order. The views
-// alias the container buffer on little-endian hosts; everything
-// handed out keeps that aliasing.
-type v4Cursor struct {
+// slabCursor walks the typed slab views in traversal order. The views
+// alias the container buffer on little-endian hosts (but v4 classes,
+// narrowed into a heap copy); everything handed out keeps that.
+type slabCursor struct {
+	version       int
 	metas         []uint64
 	edgeOff       []int32
 	edgeTo        []int32
@@ -257,32 +257,33 @@ type v4Cursor struct {
 	labels        []buchi.Label
 	final         []bool
 	seeds         []bool
-	classes       []int
-	partRefSets   []vocab.Set
+	classes       []int32
+	partRefSets   []vocab.Set // v4 only
 	partRefTables []int32
 }
 
-// newV4Cursor views the container's sections, refusing a non-empty
-// legacy section (quotient refs or a prefilter index) by name.
-func newV4Cursor(f *snapfmt.File) (*v4Cursor, error) {
+// newSlabCursor views the sections of a container of the given format
+// version, refusing a non-empty legacy section (quotient refs, a
+// prefilter index, or a v5 subset list) by name.
+func newSlabCursor(f *snapfmt.File, version int) (*slabCursor, error) {
 	for kind := uint32(secCompiledMeta); kind <= secIndexWords; kind++ {
 		b, ok := f.Section(kind)
-		if !ok {
-			return nil, fmt.Errorf("snapshot missing section %s", V4SectionName(kind))
-		}
-		if kind >= secQuotRefSets && len(b) != 0 {
-			return nil, fmt.Errorf("%w: legacy section %s holds %d bytes", ErrUnsupportedFormat, V4SectionName(kind), len(b))
+		switch legacy := kind >= secQuotRefSets || kind == secPartRefSets && version > 4; {
+		case !legacy && !ok:
+			return nil, fmt.Errorf("snapshot missing section %s", SectionName(kind))
+		case legacy && len(b) != 0:
+			return nil, fmt.Errorf("%w: legacy section %s holds %d bytes", ErrUnsupportedFormat, SectionName(kind), len(b))
 		}
 	}
 	sec := func(kind uint32) []byte {
 		b, _ := f.Section(kind)
 		return b
 	}
-	cur := &v4Cursor{}
+	cur := &slabCursor{version: version}
 	var err error
 	step := func(kind uint32, e error) {
 		if err == nil && e != nil {
-			err = fmt.Errorf("section %s: %w", V4SectionName(kind), e)
+			err = fmt.Errorf("section %s: %w", SectionName(kind), e)
 		}
 	}
 	var e error
@@ -300,9 +301,13 @@ func newV4Cursor(f *snapfmt.File) (*v4Cursor, error) {
 	step(secFinal, e)
 	cur.seeds, e = viewBools(sec(secSeeds))
 	step(secSeeds, e)
-	cur.classes, e = viewInts(sec(secClasses))
+	if version == 4 {
+		cur.classes, e = narrowClasses(sec(secClasses))
+	} else {
+		cur.classes, e = snapfmt.ViewSlice[int32](sec(secClasses))
+	}
 	step(secClasses, e)
-	cur.partRefSets, e = viewSets(sec(secPartRefSets))
+	cur.partRefSets, e = snapfmt.ViewSlice[vocab.Set](sec(secPartRefSets))
 	step(secPartRefSets, e)
 	cur.partRefTables, e = snapfmt.ViewSlice[int32](sec(secPartRefTables))
 	step(secPartRefTables, e)
@@ -315,7 +320,7 @@ func newV4Cursor(f *snapfmt.File) (*v4Cursor, error) {
 // takeCompiled consumes one compiled form. Shape counts come from the
 // meta words; semantic validity is the shell adopter's job
 // (validateCompiledSelf), which every consumer runs.
-func (cur *v4Cursor) takeCompiled() (*buchi.Compiled, error) {
+func (cur *slabCursor) takeCompiled() (*buchi.Compiled, error) {
 	m, err := take(&cur.metas, 4, "compiled-meta")
 	if err != nil {
 		return nil, err
@@ -349,9 +354,9 @@ func (cur *v4Cursor) takeCompiled() (*buchi.Compiled, error) {
 
 // restoreContract rebuilds one contract from the cursor: shell
 // automaton over the adopted compiled form, persisted checker seeds,
-// and the projection set adopting its class, subset and reference
-// slabs as they are. Nothing is flattened, translated or copied.
-func (cur *v4Cursor) restoreContract(h v4ContractHead, stats *LoadStats) (*Contract, error) {
+// and the projection set adopting its class and reference slabs as
+// they are. Nothing is flattened, translated or copied.
+func (cur *slabCursor) restoreContract(h contractHead, stats *LoadStats) (*Contract, error) {
 	fail := func(err error) (*Contract, error) {
 		return nil, fmt.Errorf("contract %q: %w", h.Name, err)
 	}
@@ -372,7 +377,8 @@ func (cur *v4Cursor) restoreContract(h v4ContractHead, stats *LoadStats) (*Contr
 		return fail(err)
 	}
 	stats.CompiledAdopted++
-	if h.PartRefs == 0 {
+	refs := bisim.SubsetCount(h.LabelEvents, h.MaxSubset)
+	if refs == 0 {
 		return fail(fmt.Errorf("contract has no projection subsets"))
 	}
 	// The persisted label-event universe must cover every event the
@@ -389,9 +395,9 @@ func (cur *v4Cursor) restoreContract(h v4ContractHead, stats *LoadStats) (*Contr
 	}
 	// Each table is cited by some ref (ImportFlat checks), so counts
 	// the ref slab cannot back are refused before they size anything.
-	if h.PartTables < 0 || h.PartTables > h.PartRefs || h.PartRefs > len(cur.partRefSets) {
-		return fail(fmt.Errorf("head claims %d partition tables and %d refs, slab holds %d refs",
-			h.PartTables, h.PartRefs, len(cur.partRefSets)))
+	if h.PartTables < 0 || h.PartTables > refs || refs > len(cur.partRefTables) {
+		return fail(fmt.Errorf("head implies %d partition tables and %d refs, slab holds %d refs",
+			h.PartTables, refs, len(cur.partRefTables)))
 	}
 	flat := bisim.FlatProjections{MaxSubset: h.MaxSubset}
 	flat.PartTables = make([]bisim.Partition, h.PartTables)
@@ -402,16 +408,14 @@ func (cur *v4Cursor) restoreContract(h v4ContractHead, stats *LoadStats) (*Contr
 		}
 		count := 0
 		for _, v := range cls {
-			if v >= count {
-				count = v + 1
-			}
+			count = max(count, int(v)+1)
 		}
 		flat.PartTables[t] = bisim.Partition{Class: cls, Count: count}
 	}
-	if flat.RefSets, err = take(&cur.partRefSets, h.PartRefs, "part-ref-sets"); err != nil {
+	if err := cur.takeV4Sets(h, refs); err != nil {
 		return fail(err)
 	}
-	if flat.RefTables, err = take(&cur.partRefTables, h.PartRefs, "part-ref-tables"); err != nil {
+	if flat.RefTables, err = take(&cur.partRefTables, refs, "part-ref-tables"); err != nil {
 		return fail(err)
 	}
 	ps, err := bisim.ImportFlat(auto, h.LabelEvents, flat)
@@ -427,9 +431,23 @@ func (cur *v4Cursor) restoreContract(h v4ContractHead, stats *LoadStats) (*Contr
 	}, nil
 }
 
+// takeV4Sets consumes a v4 contract's subset list, which must be the
+// rank enumeration a v5 reader derives; a v4 file listing other
+// subsets is refused by name.
+func (cur *slabCursor) takeV4Sets(h contractHead, refs int) error {
+	if cur.version != 4 {
+		return nil
+	}
+	sets, err := take(&cur.partRefSets, refs, "part-ref-sets")
+	if err == nil && !slices.Equal(sets, slices.Collect(bisim.Subsets(h.LabelEvents, h.MaxSubset))) {
+		err = fmt.Errorf("%w: v4 part-ref-sets are not the subsets of %v up to size %d", ErrUnsupportedFormat, h.LabelEvents, h.MaxSubset)
+	}
+	return err
+}
+
 // skipContract consumes one contract's slab rows without rebuilding
 // anything — the inspection path's footprint walk.
-func (cur *v4Cursor) skipContract(h v4ContractHead) error {
+func (cur *slabCursor) skipContract(h contractHead) error {
 	cc, err := cur.takeCompiled()
 	if err != nil {
 		return err
@@ -440,25 +458,30 @@ func (cur *v4Cursor) skipContract(h v4ContractHead) error {
 	if _, err := take(&cur.classes, h.PartTables*cc.N, "classes"); err != nil {
 		return err
 	}
-	if _, err := take(&cur.partRefSets, h.PartRefs, "part-ref-sets"); err != nil {
+	refs := bisim.SubsetCount(h.LabelEvents, h.MaxSubset)
+	if err := cur.takeV4Sets(h, refs); err != nil {
 		return err
 	}
-	_, err = take(&cur.partRefTables, h.PartRefs, "part-ref-tables")
+	_, err = take(&cur.partRefTables, refs, "part-ref-tables")
 	return err
 }
 
 // remainingBytes reports the encoded size of everything the cursor
 // has not yet consumed, used to attribute slab bytes per contract.
-func (cur *v4Cursor) remainingBytes() int64 {
+func (cur *slabCursor) remainingBytes() int64 {
+	classBytes := 4
+	if cur.version == 4 {
+		classBytes = 8 // v4 classes are int64 in the file
+	}
 	i32 := len(cur.edgeOff) + len(cur.edgeTo) + len(cur.edgeLabel) + len(cur.partRefTables)
-	u64 := len(cur.metas) + len(cur.classes) + len(cur.partRefSets)
-	return int64(4*i32) + int64(8*u64) + int64(16*len(cur.labels)) +
+	u64 := len(cur.metas) + len(cur.partRefSets)
+	return int64(4*i32) + int64(8*u64) + int64(16*len(cur.labels)) + int64(classBytes*len(cur.classes)) +
 		int64(len(cur.final)) + int64(len(cur.seeds))
 }
 
 // assertDrained verifies exact consumption: a well-formed container
 // has nothing left once every head entry is restored.
-func (cur *v4Cursor) assertDrained() error {
+func (cur *slabCursor) assertDrained() error {
 	for kind, left := range []int{
 		secCompiledMeta:  len(cur.metas),
 		secEdgeOff:       len(cur.edgeOff),
@@ -472,17 +495,17 @@ func (cur *v4Cursor) assertDrained() error {
 		secPartRefTables: len(cur.partRefTables),
 	} {
 		if left > 0 {
-			return fmt.Errorf("snapshot has %d unconsumed %s entries", left, V4SectionName(uint32(kind)))
+			return fmt.Errorf("snapshot has %d unconsumed %s entries", left, SectionName(uint32(kind)))
 		}
 	}
 	return nil
 }
 
-// decodeV4Head parses the container and decodes its JSON head,
-// checking the format version and shape. Shared by the load, replay
-// and inspect paths.
-func decodeV4Head(data []byte) (*snapfmt.File, v4Head, error) {
-	var head v4Head
+// decodeHead parses the container and decodes its JSON head, checking
+// the format version and shape. Shared by the load, replay and inspect
+// paths.
+func decodeHead(data []byte) (*snapfmt.File, snapHead, error) {
+	var head snapHead
 	f, err := snapfmt.Parse(data)
 	if err != nil {
 		return nil, head, refuseForeign(err)
@@ -505,10 +528,10 @@ func refuseForeign(err error) error {
 
 // check refuses, with ErrUnsupportedFormat naming what it found, a
 // head of another format version or of a legacy v4 shape.
-func (head *v4Head) check() error {
-	if head.FormatVersion != formatVersion {
-		return fmt.Errorf("%w: container has format version %d, this build reads %d",
-			ErrUnsupportedFormat, head.FormatVersion, formatVersion)
+func (head *snapHead) check() error {
+	if head.FormatVersion < minFormatVersion || head.FormatVersion > formatVersion {
+		return fmt.Errorf("%w: container has format version %d, this build reads %d and %d",
+			ErrUnsupportedFormat, head.FormatVersion, minFormatVersion, formatVersion)
 	}
 	var legacy []string
 	if !head.Sharded {
@@ -555,37 +578,6 @@ func (db *DB) publishRestored(c *Contract) error {
 	return nil
 }
 
-// SnapshotInfo is the cheap view of a v4 container's head: enough to
-// build the target databases before the loader validates any slab.
-type SnapshotInfo struct {
-	Events    []string
-	Opts      Options
-	Contracts int
-}
-
-// PeekV4 decodes only the head of a v4 container. It does not
-// validate section checksums — callers must still run a full loader
-// before trusting any slab.
-func PeekV4(data []byte) (SnapshotInfo, error) {
-	var info SnapshotInfo
-	hb, err := snapfmt.PeekHead(data)
-	if err != nil {
-		return info, fmt.Errorf("core: peek: %w", refuseForeign(err))
-	}
-	var head v4Head
-	if err := json.Unmarshal(hb, &head); err != nil {
-		return info, fmt.Errorf("core: peek: head: %w", err)
-	}
-	if err := head.check(); err != nil {
-		return info, fmt.Errorf("core: peek: %w", err)
-	}
-	return head.info(), nil
-}
-
-func (head *v4Head) info() SnapshotInfo {
-	return SnapshotInfo{Events: head.Events, Opts: head.Opts, Contracts: len(head.Contracts)}
-}
-
 // SectionInfo is one section directory row for inspection output.
 type SectionInfo struct {
 	Kind  uint32
@@ -614,12 +606,12 @@ type SnapshotInspection struct {
 	PerContract   []ContractFootprint
 }
 
-// InspectSnapshot reads a v4 container's structure without building a
-// database: the container is fully CRC-validated and walked for
-// per-contract footprints. Anything else — pre-v4 bytes or a legacy v4
-// shape — is refused with ErrUnsupportedFormat.
+// InspectSnapshot reads a v4 or v5 container's structure without
+// building a database: the container is fully CRC-validated and walked
+// for per-contract footprints. Anything else — pre-v4 bytes or a
+// legacy v4 shape — is refused with ErrUnsupportedFormat.
 func InspectSnapshot(data []byte) (*SnapshotInspection, error) {
-	f, head, err := decodeV4Head(data)
+	f, head, err := decodeHead(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: inspect: %w", err)
 	}
@@ -634,12 +626,12 @@ func InspectSnapshot(data []byte) (*SnapshotInspection, error) {
 	for _, s := range f.Sections {
 		insp.Sections = append(insp.Sections, SectionInfo{
 			Kind:  s.Kind,
-			Name:  V4SectionName(s.Kind),
+			Name:  SectionName(s.Kind),
 			Bytes: int64(s.Len),
 			CRC:   s.CRC,
 		})
 	}
-	cur, err := newV4Cursor(f)
+	cur, err := newSlabCursor(f, head.FormatVersion)
 	if err != nil {
 		return nil, fmt.Errorf("core: inspect: %w", err)
 	}

@@ -14,15 +14,14 @@ import (
 // which side is stale.
 func TestLoadVersionMismatch(t *testing.T) {
 	var doctored bytes.Buffer
-	head := v4Head{FormatVersion: 99, Sharded: true, Events: []string{"purchase"}}
-	if err := writeV4(&doctored, head, &v4Builder{}); err != nil {
+	head := snapHead{FormatVersion: 99, Sharded: true, Events: []string{"purchase"}}
+	if err := writeContainer(&doctored, head, &slabs{}); err != nil {
 		t.Fatal(err)
 	}
 	data := doctored.Bytes()
-	_, peekErr := PeekV4(data)
 	_, loadErr := Load(bytes.NewReader(data))
 	_, inspErr := InspectSnapshot(data)
-	for _, err := range []error{peekErr, loadErr, inspErr} {
+	for _, err := range []error{loadErr, inspErr} {
 		if !errors.Is(err, ErrUnsupportedFormat) {
 			t.Fatalf("version-99 container: got %v, want %v", err, ErrUnsupportedFormat)
 		}

@@ -21,9 +21,12 @@ import (
 // TestPreV4Refused). register-v4-deferred.rec is a container record as
 // builds with a background registration pipeline logged it, before the
 // projection precompute ran: Deferred, with no partition rows. This
-// build refuses it too (see TestLegacyV4Refused). Each fixture was
+// build refuses it too (see TestLegacyV4Refused). register-v4.rec is a
+// formatVersion-4 record as every build before format 5 logged it,
+// which this build replays (see TestReplayV4Record). Each fixture was
 // captured from a database over recordEvents registering one of
-// recordContracts; the deferred ones hold NoRefundsAfterUse.
+// recordContracts; the deferred ones hold NoRefundsAfterUse,
+// register-v4.rec holds Flexible.
 var recordEvents = []string{"purchase", "use", "refund", "dateChange"}
 
 var recordContracts = []struct{ name, spec string }{
@@ -31,7 +34,10 @@ var recordContracts = []struct{ name, spec string }{
 	{"NoRefundsAfterUse", "G(use -> G !refund) & F purchase"},
 }
 
-const deferredFixture = "testdata/register-v4-deferred.rec"
+const (
+	deferredFixture = "testdata/register-v4-deferred.rec"
+	v4RecordFixture = "testdata/register-v4.rec"
+)
 
 func readFixture(t testing.TB, path string) []byte {
 	t.Helper()
@@ -139,8 +145,8 @@ func registerNamed(t *testing.T, db *core.DB, specs []*ltl.Expr) {
 }
 
 // TestRegisterRecordIsContainer: a fresh register record is a
-// one-contract container without quotient rows, which inspection (and
-// so every reader) accepts.
+// one-contract v5 container, which inspection (and so every reader)
+// accepts.
 func TestRegisterRecordIsContainer(t *testing.T) {
 	for i, data := range containerRecords(t) {
 		if !snapfmt.Sniff(data) {
@@ -153,16 +159,21 @@ func TestRegisterRecordIsContainer(t *testing.T) {
 		if name := recordContracts[i].name; insp.Contracts != 1 || insp.PerContract[0].Name != name {
 			t.Fatalf("record %d: %d contracts; want one contract %q", i, insp.Contracts, name)
 		}
-		assertNoQuotientRows(t, insp)
+		assertV5Sections(t, insp)
 	}
 }
 
-func assertNoQuotientRows(t *testing.T, insp *core.SnapshotInspection) {
+// assertV5Sections checks that a container holds exactly the v5
+// sections: no quotient rows, prefilter index or subset list.
+func assertV5Sections(t *testing.T, insp *core.SnapshotInspection) {
 	t.Helper()
+	var got []string
 	for _, s := range insp.Sections {
-		if (s.Name == "quot-ref-sets" || s.Name == "quot-ref-tables") && s.Bytes != 0 {
-			t.Errorf("section %s holds %d bytes; quotients are no longer persisted", s.Name, s.Bytes)
-		}
+		got = append(got, s.Name)
+	}
+	want := []string{"compiled-meta", "edge-off", "edge-to", "edge-label", "labels", "final", "seeds", "classes", "part-ref-tables"}
+	if !slices.Equal(got, want) {
+		t.Errorf("sections %v, want %v", got, want)
 	}
 }
 
@@ -172,8 +183,8 @@ func assertNoQuotientRows(t *testing.T, insp *core.SnapshotInspection) {
 func TestRegisterRecordReplays(t *testing.T) {
 	records := containerRecords(t)
 	db, stats := replayRecords(t, records)
-	if stats.Contracts != 2 || stats.CompiledAdopted != 2 || stats.FormatVersion != 4 {
-		t.Errorf("replay stats %+v: want 2 contracts, 2 compiled forms adopted, version 4", stats)
+	if stats.Contracts != 2 || stats.CompiledAdopted != 2 || stats.FormatVersion != 5 {
+		t.Errorf("replay stats %+v: want 2 contracts, 2 compiled forms adopted, version 5", stats)
 	}
 	if rs := db.RegistrationStats(); rs.Translations != 0 {
 		t.Errorf("replay translated %d specifications, want 0", rs.Translations)
@@ -198,13 +209,47 @@ func TestRegisterRecordReplays(t *testing.T) {
 	}
 }
 
+// TestReplayV4Record: the v4 register record replays, adopting its
+// compiled form and narrowing its classes, into the database a
+// registration of the same contract builds now — equal answers and
+// equal v5 bytes on the next save — and replaying it again changes
+// nothing.
+func TestReplayV4Record(t *testing.T) {
+	rec := readFixture(t, v4RecordFixture)
+	db, stats := replayRecords(t, [][]byte{rec})
+	if stats.Contracts != 1 || stats.CompiledAdopted != 1 || stats.FormatVersion != 4 {
+		t.Errorf("replay stats %+v: want 1 contract, 1 compiled form adopted, version 4", stats)
+	}
+	ref := core.NewDB(vocab.MustFromNames(recordEvents...), core.Options{})
+	if _, err := ref.RegisterLTL(recordContracts[0].name, recordContracts[0].spec); err != nil {
+		t.Fatal(err)
+	}
+	want := saveOf(t, ref)
+	if !bytes.Equal(saveOf(t, db), want) {
+		t.Error("the replayed v4 record saves different bytes than its registration")
+	}
+	assertSameAnswers(t, db, ref, recordQueries(), "v4 record")
+	if err := db.ApplyRegistration(rec, nil); err != nil || !bytes.Equal(saveOf(t, db), want) {
+		t.Fatalf("replaying the installed v4 record again: %v, or the database changed", err)
+	}
+}
+
+// recordQueries is a query mix over recordEvents.
+func recordQueries() []*ltl.Expr {
+	var out []*ltl.Expr
+	for _, q := range []string{"F refund", "G !refund", "F (purchase & G !refund)", "G F use", "purchase U refund", "F dateChange"} {
+		out = append(out, ltl.MustParse(q))
+	}
+	return out
+}
+
 // TestApplyRegistrationHostile: truncated records of either shape and
 // container records with a damaged section or directory are refused,
 // installing nothing — not even vocabulary.
 func TestApplyRegistrationHostile(t *testing.T) {
 	var damaged [][]byte
 	records := append(gobRecords(t), containerRecords(t)...)
-	for _, rec := range append(records, readFixture(t, deferredFixture)) {
+	for _, rec := range append(records, readFixture(t, deferredFixture), readFixture(t, v4RecordFixture)) {
 		for cut := 0; cut < len(rec); cut += 1 + len(rec)/97 {
 			damaged = append(damaged, rec[:cut])
 		}
@@ -242,7 +287,8 @@ func TestApplyRegistrationHostile(t *testing.T) {
 // refused — never a panic, and a refused record installs nothing. An
 // accepted record installs one contract, and its database saves and
 // reloads, since replay validates exactly as the snapshot loader does.
-// The gob seeds exercise the refusal branch.
+// The gob seeds exercise the refusal branch, the v4 record the legacy
+// replay.
 func FuzzApplyRegistration(f *testing.F) {
 	for _, rec := range gobRecords(f) {
 		f.Add(rec)
@@ -251,6 +297,7 @@ func FuzzApplyRegistration(f *testing.F) {
 		f.Add(rec)
 	}
 	f.Add(readFixture(f, deferredFixture))
+	f.Add(readFixture(f, v4RecordFixture))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		voc := vocab.MustFromNames("purchase")
 		db := core.NewDB(voc, core.Options{})

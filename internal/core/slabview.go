@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"unsafe"
 
 	"contractdb/internal/buchi"
@@ -10,11 +9,11 @@ import (
 	"contractdb/internal/vocab"
 )
 
-// Typed views over v4 snapshot slabs. On a little-endian host every
-// view aliases the snapshot buffer (zero-copy — the alloc test pins
-// this); elsewhere the element-wise decode of snapfmt takes over. The
-// buffer must therefore outlive the database: the store owns that
-// lifetime when the buffer is a file mapping.
+// Typed views over snapshot slabs. On a little-endian host every view
+// of a v5 container aliases the snapshot buffer (zero-copy — the alloc
+// test pins this); elsewhere the element-wise decode of snapfmt takes
+// over. The buffer must therefore outlive the database: the store owns
+// that lifetime when the buffer is a file mapping.
 
 func init() {
 	// The label slab reinterprets pairs of uint64 words as
@@ -25,10 +24,6 @@ func init() {
 		panic("core: buchi.Label layout changed; snapshot label slabs need a format bump")
 	}
 }
-
-// hostAdoptsInts reports whether []int64 slabs can be viewed as []int
-// without copying (64-bit int on a little-endian host).
-func hostAdoptsInts() bool { return snapfmt.HostZeroCopy() && strconv.IntSize == 64 }
 
 // viewLabels interprets a slab as []buchi.Label (Pos, Neg word
 // pairs).
@@ -78,38 +73,21 @@ func viewBools(b []byte) ([]bool, error) {
 	return bs, nil
 }
 
-// viewInts interprets an int64 slab as []int (partition class
-// tables).
-func viewInts(b []byte) ([]int, error) {
-	if hostAdoptsInts() {
-		v64, err := snapfmt.ViewSlice[int64](b)
-		if err != nil {
-			return nil, err
-		}
-		if len(v64) == 0 {
-			return nil, nil
-		}
-		vi := unsafe.Slice((*int)(unsafe.Pointer(unsafe.SliceData(v64))), len(v64))
-		return vi[:len(v64):len(v64)], nil
-	}
-	v64, err := snapfmt.CopySlice[int64](b)
+// narrowClasses copies a v4 int64 class slab into one int32 heap
+// table, refusing values out of int32 range.
+func narrowClasses(b []byte) ([]int32, error) {
+	wide, err := snapfmt.ViewSlice[int64](b)
 	if err != nil {
 		return nil, err
 	}
-	vi := make([]int, len(v64))
-	for i, v := range v64 {
-		if int64(int(v)) != v {
-			return nil, fmt.Errorf("class table value %d overflows int on this host", v)
+	narrow := make([]int32, len(wide))
+	for i, v := range wide {
+		if int64(int32(v)) != v {
+			return nil, fmt.Errorf("class table value %d overflows int32", v)
 		}
-		vi[i] = int(v)
+		narrow[i] = int32(v)
 	}
-	return vi, nil
-}
-
-// viewSets interprets a uint64 slab as []vocab.Set (subset reference
-// lists).
-func viewSets(b []byte) ([]vocab.Set, error) {
-	return snapfmt.ViewSlice[vocab.Set](b)
+	return narrow, nil
 }
 
 // appendLabels encodes labels as little-endian (Pos, Neg) word pairs.
@@ -128,14 +106,6 @@ func appendBools(dst []byte, bs []bool) []byte {
 		} else {
 			dst = append(dst, 0)
 		}
-	}
-	return dst
-}
-
-// appendInts widens ints to int64 for the class-table slab.
-func appendInts(dst []int64, vs []int) []int64 {
-	for _, v := range vs {
-		dst = append(dst, int64(v))
 	}
 	return dst
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -21,49 +22,68 @@ import (
 	"contractdb/internal/vocab"
 )
 
-// The v4 golden holds the 20-contract golden corpus as the current
-// writer saves it. Regenerate with
+// The v5 golden holds the 20-contract golden corpus as the current
+// writer saves it. Regenerate it, and the v5 fixed points of the
+// compat matrix, with
 //
-//	CTDB_UPDATE_GOLDENS=1 go test ./internal/core/ -run TestV4GoldenPinned
+//	CTDB_UPDATE_GOLDENS=1 go test ./internal/core/ -run 'TestV5GoldenPinned|TestCompatMatrix'
 //
 // after any deliberate format change; the compat matrix below will
-// fail loudly until the fixture matches the writer again.
-func TestV4GoldenPinned(t *testing.T) {
+// fail loudly until the fixtures match the writer again. The v4
+// fixtures are never regenerated: they are what earlier builds wrote.
+func TestV5GoldenPinned(t *testing.T) {
 	ref := goldenCorpus(t)
 	var fresh bytes.Buffer
 	if err := ref.Save(&fresh); err != nil {
 		t.Fatal(err)
 	}
-	const path = "testdata/snapshot-v4.golden"
-	if os.Getenv("CTDB_UPDATE_GOLDENS") != "" {
-		if err := os.WriteFile(path, fresh.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", path, fresh.Len())
-	}
+	const path = "testdata/snapshot-v5.golden"
+	updateGolden(t, path, fresh.Bytes())
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fresh.Bytes(), want) {
-		t.Fatalf("fresh v4 save (%d bytes) differs from committed golden (%d bytes); if the format changed on purpose, regenerate with CTDB_UPDATE_GOLDENS=1",
+		t.Fatalf("fresh save (%d bytes) differs from committed golden (%d bytes); if the format changed on purpose, regenerate with CTDB_UPDATE_GOLDENS=1",
 			fresh.Len(), len(want))
 	}
 }
 
-// TestLoadV4Golden: the committed v4 containers — the current one and
+// updateGolden writes data to path when CTDB_UPDATE_GOLDENS is set.
+func updateGolden(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if os.Getenv("CTDB_UPDATE_GOLDENS") == "" {
+		return
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s (%d bytes)", path, len(data))
+}
+
+// TestLoadV4Golden: the committed containers — the current v5 one and
+// the v4 ones earlier builds wrote, among them
 // snapshot-v4-gpvw.golden, whose automata the tableau translator built
 // — restore query-ready state with zero translations and zero
-// flattenings — and, on hosts whose layout matches the file, zero slab
-// bytes copied to the heap.
+// flattenings. On hosts whose layout matches the file a v5 load copies
+// no slab byte to the heap; a v4 load copies exactly its int64 classes
+// slab, which it narrows to int32.
 func TestLoadV4Golden(t *testing.T) {
-	for _, path := range []string{"testdata/snapshot-v4.golden", "testdata/snapshot-v4-gpvw.golden"} {
+	for _, path := range []string{"testdata/snapshot-v4.golden", "testdata/snapshot-v4-gpvw.golden", "testdata/snapshot-v5.golden"} {
 		t.Run(filepath.Base(path), func(t *testing.T) { checkLoadV4Golden(t, path) })
 	}
 }
 
 func checkLoadV4Golden(t *testing.T, path string) {
 	ref := goldenCorpus(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insp, err := core.InspectSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	t0 := ltl2ba.TranslationCount()
 	c0 := buchi.CompileCount()
@@ -74,8 +94,8 @@ func checkLoadV4Golden(t *testing.T, path string) {
 	if d := buchi.CompileCount() - c0; d != 0 {
 		t.Errorf("v4 load performed %d CSR flattenings, want 0", d)
 	}
-	if stats.FormatVersion != 4 {
-		t.Fatalf("fixture reports format %d, want 4", stats.FormatVersion)
+	if stats.FormatVersion != insp.FormatVersion || insp.FormatVersion < 4 {
+		t.Fatalf("load reports format %d, inspection %d", stats.FormatVersion, insp.FormatVersion)
 	}
 	if stats.Contracts != 20 || db.Len() != 20 {
 		t.Fatalf("loaded %d contracts, want 20", db.Len())
@@ -86,26 +106,46 @@ func checkLoadV4Golden(t *testing.T, path string) {
 	if stats.Sections == 0 || stats.SlabBytes == 0 {
 		t.Errorf("v4 load reported %d sections, %d slab bytes; both must be nonzero", stats.Sections, stats.SlabBytes)
 	}
-	if snapfmt.HostZeroCopy() && unsafe.Sizeof(int(0)) == 8 && stats.CopiedBytes != 0 {
-		t.Errorf("this host adopts every slab zero-copy, yet the load copied %d bytes", stats.CopiedBytes)
+	if snapfmt.HostZeroCopy() {
+		var want int64 // v5: every slab adopted
+		if insp.FormatVersion == 4 {
+			want = sectionBytes(t, insp, "classes")
+		}
+		if stats.CopiedBytes != want {
+			t.Errorf("this host adopts v%d slabs with %d bytes copied, yet the load copied %d bytes",
+				insp.FormatVersion, want, stats.CopiedBytes)
+		}
 	}
-	assertSameAnswers(t, db, ref, goldenQueries(t, ref), "v4 golden vs fresh registration")
+	assertSameAnswers(t, db, ref, goldenQueries(t, ref), "golden vs fresh registration")
 }
 
-// TestCompatMatrix: every container the current writer's shape holds
-// loads and re-saves to fixed bytes, whichever translator built its
-// automata. A load never retranslates, so the automata stored by
-// earlier translators survive every re-save:
+// sectionBytes returns the size of the named section.
+func sectionBytes(t *testing.T, insp *core.SnapshotInspection, name string) int64 {
+	t.Helper()
+	for _, s := range insp.Sections {
+		if s.Name == name {
+			return s.Bytes
+		}
+	}
+	t.Fatalf("no %s section", name)
+	return 0
+}
+
+// TestCompatMatrix: every container an earlier or the current writer
+// left loads with zero translations and re-saves to fixed v5 bytes,
+// whichever translator built its automata. A load never retranslates,
+// so the automata stored by earlier translators survive every re-save:
 //
-//   - snapshot-v4-clausewise.golden — the current container as the
-//     translator that degeneralized clause by clause wrote it —
-//     re-saves onto itself;
-//   - snapshot-v4-gpvw.golden — the current container as the tableau
-//     translator, with state-based acceptance, wrote it — re-saves
-//     onto itself;
-//   - snapshot-v4.golden re-saves to a fresh registration's bytes.
+//   - snapshot-v4-clausewise.golden — a v4 container as the translator
+//     that degeneralized clause by clause wrote it — re-saves onto
+//     snapshot-v5-clausewise.golden, which re-saves onto itself;
+//   - snapshot-v4-gpvw.golden — a v4 container as the tableau
+//     translator, with state-based acceptance, wrote it — likewise
+//     onto snapshot-v5-gpvw.golden;
+//   - snapshot-v4.golden and snapshot-v5.golden re-save to a fresh
+//     registration's bytes.
 //
-// v4 is a fixed point. Every fixture answers the golden query mix as a
+// v5 is a fixed point. Every fixture answers the golden query mix as a
 // fresh registration does: the translations differ, their languages
 // do not.
 func TestCompatMatrix(t *testing.T) {
@@ -114,42 +154,53 @@ func TestCompatMatrix(t *testing.T) {
 	if err := ref.Save(&fresh); err != nil {
 		t.Fatal(err)
 	}
-	clausewise, err := os.ReadFile("testdata/snapshot-v4-clausewise.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpvw, err := os.ReadFile("testdata/snapshot-v4-gpvw.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, data := range [][]byte{fresh.Bytes(), clausewise, gpvw} {
-		insp, err := core.InspectSnapshot(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertNoQuotientRows(t, insp)
-	}
 	queries := goldenQueries(t, ref)
 	for _, tc := range []struct {
 		name, path string
-		want       []byte
+		version    int
+		want       string // fixed-point fixture; "" for a fresh save
 	}{
-		{"v4-clausewise-to-v4", "testdata/snapshot-v4-clausewise.golden", clausewise},
-		{"v4-gpvw-to-v4", "testdata/snapshot-v4-gpvw.golden", gpvw},
-		{"v4-to-v4", "testdata/snapshot-v4.golden", fresh.Bytes()},
+		{"v4-clausewise-to-v5", "testdata/snapshot-v4-clausewise.golden", 4, "testdata/snapshot-v5-clausewise.golden"},
+		{"v4-gpvw-to-v5", "testdata/snapshot-v4-gpvw.golden", 4, "testdata/snapshot-v5-gpvw.golden"},
+		{"v4-to-v5", "testdata/snapshot-v4.golden", 4, ""},
+		{"v5-clausewise-to-v5", "testdata/snapshot-v5-clausewise.golden", 5, "testdata/snapshot-v5-clausewise.golden"},
+		{"v5-gpvw-to-v5", "testdata/snapshot-v5-gpvw.golden", 5, "testdata/snapshot-v5-gpvw.golden"},
+		{"v5-to-v5", "testdata/snapshot-v5.golden", 5, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			t0 := ltl2ba.TranslationCount()
 			db, stats := loadGolden(t, tc.path)
-			if stats.FormatVersion != 4 {
-				t.Fatalf("fixture reports format %d, want 4", stats.FormatVersion)
+			if d := ltl2ba.TranslationCount() - t0; d != 0 {
+				t.Errorf("load performed %d LTL→BA translations, want 0", d)
+			}
+			if stats.FormatVersion != tc.version {
+				t.Fatalf("fixture reports format %d, want %d", stats.FormatVersion, tc.version)
 			}
 			var resaved bytes.Buffer
 			if err := db.Save(&resaved); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(resaved.Bytes(), tc.want) {
-				t.Errorf("re-save (%d bytes) differs from the %d-byte target", resaved.Len(), len(tc.want))
+			want := fresh.Bytes()
+			if tc.want != "" {
+				if tc.version == 4 {
+					updateGolden(t, tc.want, resaved.Bytes())
+				}
+				var err error
+				if want, err = os.ReadFile(tc.want); err != nil {
+					t.Fatal(err)
+				}
 			}
+			if !bytes.Equal(resaved.Bytes(), want) {
+				t.Errorf("re-save (%d bytes) differs from the %d-byte target", resaved.Len(), len(want))
+			}
+			insp, err := core.InspectSnapshot(resaved.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if insp.FormatVersion != 5 {
+				t.Errorf("re-save is format %d, want 5", insp.FormatVersion)
+			}
+			assertV5Sections(t, insp)
 			assertSameAnswers(t, db, ref, queries, tc.name)
 		})
 	}
@@ -201,7 +252,6 @@ func assertRefused(t *testing.T, path, shape string) {
 	if ldb != nil {
 		t.Error("core.LoadBytesWithStats returned a database")
 	}
-	_, peekErr := core.PeekV4(data)
 	_, inspErr := core.InspectSnapshot(data)
 	voc := vocab.MustFromNames("purchase")
 	target := core.NewDB(voc, core.Options{})
@@ -212,7 +262,6 @@ func assertRefused(t *testing.T, path, shape string) {
 	for name, err := range map[string]error{
 		"core.Load":               loadErr,
 		"core.LoadBytesWithStats": bytesErr,
-		"core.PeekV4":             peekErr,
 		"core.InspectSnapshot":    inspErr,
 		"DB.ApplyRegistration":    replayErr,
 	} {
@@ -306,8 +355,12 @@ func TestLoadV4ZeroCopy(t *testing.T) {
 			ix.InsertPrepared(i, prefilter.PrepareCompiled(c.Automaton().Compiled(), prefilter.DefaultK))
 		}
 	})
+	f, err := snapfmt.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	head := allocs(func() {
-		if _, err := core.PeekV4(data); err != nil {
+		if err := core.UnmarshalHead(f.Head); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -379,6 +432,68 @@ func TestLoadV4ZeroCopy(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no query checked a projection quotient")
+	}
+}
+
+// TestHeadBitFlipRefused: one flipped bit in a contract's spec text —
+// the F of G (purchase -> F refund) turned into a G — fails the head
+// checksum at every entry point, in a snapshot and in a register
+// record alike, instead of loading (and exporting) the damaged spec.
+func TestHeadBitFlipRefused(t *testing.T) {
+	db := core.NewDB(vocab.MustFromNames(recordEvents...), core.Options{})
+	log := &captureLog{}
+	db.SetOpLog(log)
+	if _, err := db.RegisterLTL("Flexible", "G(purchase -> F refund)"); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"snapshot": saveOf(t, db), "register record": log.records[0]} {
+		i := bytes.Index(data, []byte("F refund"))
+		if i < 0 {
+			t.Fatalf("%s: no spec text in %q", name, data)
+		}
+		data[i] ^= 'F' ^ 'G'
+		_, loadErr := core.Load(bytes.NewReader(data))
+		_, inspErr := core.InspectSnapshot(data)
+		replayErr := core.NewDB(vocab.New(), core.Options{}).ApplyRegistration(data, nil)
+		for entry, err := range map[string]error{"Load": loadErr, "InspectSnapshot": inspErr, "ApplyRegistration": replayErr} {
+			if !errors.Is(err, snapfmt.ErrHeadCRC) {
+				t.Errorf("%s with a flipped spec bit: %s = %v, want %v", name, entry, err, snapfmt.ErrHeadCRC)
+			}
+		}
+	}
+}
+
+// TestV4SubsetListChecked: a v4 container whose part-ref-sets section
+// lists the subsets in another order than their rank — framed with
+// valid checksums — is refused by name, not served with tables cited
+// for the wrong subsets.
+func TestV4SubsetListChecked(t *testing.T) {
+	f, err := snapfmt.Parse(readFixture(t, "testdata/snapshot-v4.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w snapfmt.Writer
+	w.SetHead(f.Head)
+	for _, s := range f.Sections {
+		payload, _ := f.Section(s.Kind)
+		if core.SectionName(s.Kind) == "part-ref-sets" {
+			payload = slices.Clone(payload)
+			// Swap the first contract's second and third subsets.
+			a, b := payload[8:16], payload[16:24]
+			var tmp [8]byte
+			copy(tmp[:], a)
+			copy(a, b)
+			copy(b, tmp[:])
+		}
+		w.AddSection(s.Kind, payload)
+	}
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = core.LoadBytesWithStats(buf.Bytes())
+	if !errors.Is(err, core.ErrUnsupportedFormat) || !strings.Contains(err.Error(), "part-ref-sets") {
+		t.Fatalf("reordered v4 subset list: %v, want %v naming part-ref-sets", err, core.ErrUnsupportedFormat)
 	}
 }
 

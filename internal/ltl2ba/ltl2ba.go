@@ -687,7 +687,7 @@ func (g *gba) reduce(ctx context.Context) (*gba, error) {
 		}
 		off[s+1] = int32(len(key))
 	}
-	p, err := bisim.RefineEdges(ctx, off, key, to, make([]int, n))
+	p, err := bisim.RefineEdges(ctx, off, key, to, make([]int32, n))
 	if err != nil {
 		return nil, canceled(ctx)
 	}
@@ -699,7 +699,7 @@ func (g *gba) reduce(ctx context.Context) (*gba, error) {
 	// speak for the class.
 	var r rows
 	for s, out := range a.Out {
-		if p.Class[s] < len(r.out) {
+		if int(p.Class[s]) < len(r.out) {
 			continue
 		}
 	edges:

@@ -273,8 +273,8 @@ type RecoveryState struct {
 	// MappedBytes counts slabs adopted zero-copy from a private file
 	// mapping (paged in on demand); CopiedBytes counts slabs
 	// materialized on the heap — everything when the mapping fell
-	// back (MmapFallback says why), or just the int-width-converted
-	// sections on exotic hosts.
+	// back (MmapFallback says why), or just a v4 file's int64 classes
+	// section, narrowed to int32.
 	MappedBytes  int64  `json:"mapped_bytes"`
 	CopiedBytes  int64  `json:"copied_bytes"`
 	Sections     int    `json:"sections,omitempty"`

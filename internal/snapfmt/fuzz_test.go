@@ -2,13 +2,16 @@ package snapfmt
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
 // FuzzParse throws arbitrary bytes at the container decoder. The
 // invariant under fuzzing is "refuse, never crash": Parse must return
 // an error or a File, and an accepted File's sections must all sit
-// inside the buffer so slab adoption cannot walk off the end.
+// inside the buffer so slab adoption cannot walk off the end. The
+// seeds include a framing-v2 container, a framing-v1 one and the
+// contract store's formatVersion-5 golden snapshot.
 func FuzzParse(f *testing.F) {
 	var w Writer
 	w.SetHead([]byte("seed"))
@@ -22,6 +25,12 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
 	f.Add(bytes.Repeat([]byte{0}, 64))
+	v5, err := os.ReadFile("../core/testdata/snapshot-v5.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v5)
+	f.Add(framingV1(bytes.Clone(buf.Bytes())))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed, err := Parse(data)

@@ -1,5 +1,5 @@
 // Package snapfmt implements the flat container framing of snapshot
-// formatVersion 4: a small opaque head (the core package writes JSON
+// formatVersions 4 and 5: a small opaque head (core writes JSON
 // there — gob's process-global type-ID counter makes its bytes
 // history-dependent, which would break byte-determinism) followed by raw
 // little-endian binary sections ("slabs"), each 8-byte aligned and
@@ -16,8 +16,9 @@
 //
 //	offset 0      header (24 bytes):
 //	                [8]  magic "ctdbFM4\n"
-//	                u32  container version (1)
-//	                u32  reserved (0)
+//	                u32  container version (2)
+//	                u32  crc (Castagnoli over the head; 0 and
+//	                     unchecked in version 1)
 //	                u64  head length H
 //	offset 24     head: H opaque bytes (names, specs, options, counts)
 //	              zero padding to the next 8-byte boundary
@@ -35,10 +36,11 @@
 //
 // Everything multi-byte is little-endian, including on big-endian
 // hosts (the slab helpers fall back to an element-wise decode there).
-// A reader parses the footer first, validates the directory against
-// its checksum, then validates every section's range, alignment and
-// checksum before returning — a hostile or truncated file produces a
-// named error, never a crash and never a silent fallback.
+// A reader checks the head against its checksum, parses the footer,
+// validates the directory against its checksum, then validates every
+// section's range, alignment and checksum before returning — a
+// hostile or truncated file produces a named error, never a crash and
+// never a silent fallback.
 package snapfmt
 
 import (
@@ -57,10 +59,10 @@ const Magic = "ctdbFM4\n"
 // written to completion (the footer is the last thing emitted).
 const footerMagic = "\nMF4bdtc"
 
-// Version is the container framing version this package writes and
-// the only one it reads. It versions the *framing*; the semantic
-// snapshot version travels in the head.
-const Version = 1
+// Version is the container framing version this package writes. It
+// also reads version 1, which left the head unchecksummed. It versions
+// the *framing*; the semantic snapshot version travels in the head.
+const Version = 2
 
 const (
 	headerSize = 24
@@ -94,6 +96,8 @@ var (
 	// ErrSectionRange reports a section whose byte range escapes the
 	// slab region (overlapping the header, head, directory or footer).
 	ErrSectionRange = errors.New("snapfmt: section out of range")
+	// ErrHeadCRC reports a head that fails its checksum.
+	ErrHeadCRC = errors.New("snapfmt: head checksum mismatch")
 	// ErrSectionCRC reports a section whose payload fails its checksum.
 	ErrSectionCRC = errors.New("snapfmt: section checksum mismatch")
 	// ErrDuplicateSection reports two directory entries with one kind.
@@ -128,20 +132,11 @@ func Sniff(data []byte) bool {
 // directory checksum, and every section's range, alignment and
 // payload checksum. It does not interpret the head or the sections.
 func Parse(data []byte) (*File, error) {
-	if !Sniff(data) {
-		return nil, ErrNotContainer
+	head, err := readHead(data)
+	if err != nil {
+		return nil, err
 	}
-	if len(data) < headerSize+footerSize {
-		return nil, fmt.Errorf("%w: %d bytes cannot hold header and footer", ErrTruncated, len(data))
-	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != Version {
-		return nil, fmt.Errorf("%w: file has framing version %d, this build reads %d", ErrVersion, v, Version)
-	}
-	headLen := binary.LittleEndian.Uint64(data[16:])
-	if headLen > uint64(len(data)-headerSize-footerSize) {
-		return nil, fmt.Errorf("%w: head claims %d bytes, file has %d", ErrTruncated, headLen, len(data))
-	}
-
+	headLen := uint64(len(head))
 	foot := data[len(data)-footerSize:]
 	if string(foot[24:]) != footerMagic {
 		return nil, fmt.Errorf("%w: footer magic missing (file truncated or overwritten)", ErrTruncated)
@@ -167,7 +162,7 @@ func Parse(data []byte) (*File, error) {
 	}
 
 	f := &File{
-		Head:     data[headerSize : headerSize+headLen],
+		Head:     head,
 		Sections: make([]Section, count),
 		data:     data,
 	}
@@ -199,26 +194,28 @@ func Parse(data []byte) (*File, error) {
 	return f, nil
 }
 
-// PeekHead returns the head bytes without validating the directory or
-// any section checksum. It is the cheap path for dispatchers that
-// only need the metadata (e.g. the format version) before
-// handing the buffer to a full Parse; nothing returned by PeekHead
-// may be used to adopt slabs.
-func PeekHead(data []byte) ([]byte, error) {
+// readHead validates the header and returns the head bytes, checked
+// against the head checksum in framing version 2.
+func readHead(data []byte) ([]byte, error) {
 	if !Sniff(data) {
 		return nil, ErrNotContainer
 	}
 	if len(data) < headerSize+footerSize {
 		return nil, fmt.Errorf("%w: %d bytes cannot hold header and footer", ErrTruncated, len(data))
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != Version {
-		return nil, fmt.Errorf("%w: file has framing version %d, this build reads %d", ErrVersion, v, Version)
+	v := binary.LittleEndian.Uint32(data[8:])
+	if v != 1 && v != Version {
+		return nil, fmt.Errorf("%w: file has framing version %d, this build reads 1 and %d", ErrVersion, v, Version)
 	}
 	headLen := binary.LittleEndian.Uint64(data[16:])
 	if headLen > uint64(len(data)-headerSize-footerSize) {
 		return nil, fmt.Errorf("%w: head claims %d bytes, file has %d", ErrTruncated, headLen, len(data))
 	}
-	return data[headerSize : headerSize+headLen], nil
+	head := data[headerSize : headerSize+headLen]
+	if v == Version && crc32.Checksum(head, castagnoli) != binary.LittleEndian.Uint32(data[12:]) {
+		return nil, ErrHeadCRC
+	}
+	return head, nil
 }
 
 // Section returns the payload bytes of the first section with the
@@ -278,6 +275,7 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	var hdr [headerSize]byte
 	copy(hdr[:], Magic)
 	binary.LittleEndian.PutUint32(hdr[8:], Version)
+	binary.LittleEndian.PutUint32(hdr[12:], crc32.Checksum(w.head, castagnoli))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(w.head)))
 	if err := emit(hdr[:]); err != nil {
 		return n, err

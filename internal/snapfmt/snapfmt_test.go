@@ -203,6 +203,34 @@ func TestHostile(t *testing.T) {
 	}
 }
 
+// TestHeadCRC: a framing-v2 head that fails its checksum is refused
+// with ErrHeadCRC, while a framing-v1 file, written before the head
+// was checksummed, still parses unchecked.
+func TestHeadCRC(t *testing.T) {
+	damaged := buildContainer(t)
+	damaged[headerSize] ^= 1
+	if _, err := Parse(damaged); !errors.Is(err, ErrHeadCRC) {
+		t.Errorf("Parse of a damaged head = %v, want %v", err, ErrHeadCRC)
+	}
+	v1 := framingV1(buildContainer(t))
+	v1[headerSize] ^= 1
+	f, err := Parse(v1)
+	if err != nil {
+		t.Fatalf("framing-v1 file refused: %v", err)
+	}
+	if string(f.Head) != "iead-gob-bytes" {
+		t.Fatalf("framing-v1 head = %q", f.Head)
+	}
+}
+
+// framingV1 rewrites a container's header as framing version 1 wrote
+// it: version 1 and a zero reserved word where v2 keeps the head CRC.
+func framingV1(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[8:], 1)
+	binary.LittleEndian.PutUint32(b[12:], 0)
+	return b
+}
+
 func TestViewSliceRejectsRaggedLength(t *testing.T) {
 	if _, err := ViewSlice[int32]([]byte{1, 2, 3}); err == nil {
 		t.Fatal("ViewSlice accepted 3 bytes as []int32")

@@ -9,6 +9,7 @@ import (
 	"contractdb/internal/core"
 	"contractdb/internal/journal"
 	"contractdb/internal/store"
+	"contractdb/internal/vocab"
 	"contractdb/internal/wal"
 )
 
@@ -96,5 +97,72 @@ func assertReplayRefuses(t *testing.T, fixture string) {
 	}
 	if !errors.Is(err, core.ErrUnsupportedFormat) {
 		t.Fatalf("open = %v, want %v", err, core.ErrUnsupportedFormat)
+	}
+}
+
+// TestReplayV4Record: a formatVersion-4 register record, as builds
+// before format 5 logged it, replays from the WAL suffix into the
+// contract its registration builds today, with equal answers, and the
+// next checkpoint writes the directory's snapshot as v5.
+func TestReplayV4Record(t *testing.T) {
+	rec, err := os.ReadFile(filepath.Join("..", "core", "testdata", "register-v4.rec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"purchase", "use", "refund", "dateChange"}
+	dir := t.TempDir()
+	cfg := store.Config{Events: names, CheckpointRecords: -1, CheckpointBytes: -1}
+	if err := openStore(t, dir, cfg).Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const registerRecord = 1 // the store's register record type
+	if _, err := log.Append(registerRecord, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir, cfg)
+	if st.Recovery.ReplayedRecords != 1 {
+		t.Fatalf("recovery %+v: want the v4 record replayed", st.Recovery)
+	}
+	ref := core.NewDB(vocab.MustFromNames(names...), core.Options{})
+	if _, err := ref.RegisterLTL("Flexible", "G(purchase -> F refund)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"F refund", "G !refund", "F (purchase & G !refund)", "purchase U refund"} {
+		got, err := st.DB().QueryLTL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.QueryLTL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Matches) != len(want.Matches) {
+			t.Errorf("%s: %d matches after replay, %d registered", q, len(got.Matches), len(want.Matches))
+		}
+	}
+	if _, err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.ctdb"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot after the checkpoint (%v)", err)
+	}
+	data, err := os.ReadFile(snaps[len(snaps)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	insp, err := core.InspectSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if insp.FormatVersion != 5 || insp.Contracts != 1 {
+		t.Errorf("checkpoint after replay: format %d with %d contracts, want format 5 with 1", insp.FormatVersion, insp.Contracts)
 	}
 }

@@ -123,8 +123,8 @@ func TestShardedStoreUpgradeDowngrade(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info, err := core.PeekV4(snap); err != nil || info.Contracts != cdb.Len()+1 {
-				t.Fatalf("checkpoint wrote %+v (%v), want a v4 container of %d contracts", info, err, cdb.Len()+1)
+			if insp, err := core.InspectSnapshot(snap); err != nil || insp.Contracts != cdb.Len()+1 || insp.FormatVersion != 5 {
+				t.Fatalf("checkpoint wrote %+v (%v), want a v5 container of %d contracts", insp, err, cdb.Len()+1)
 			}
 			if wantSnap == nil {
 				wantSnap, wantAnswers = snap, answers

@@ -9,7 +9,7 @@
 //	wal/wal-<firstSeq>.seg     log segments (see internal/wal)
 //
 // Open recovers through the journal: the newest snapshot that decodes
-// (memory-mapped when it is a v4 container), then every record past
+// (memory-mapped when it is a container), then every record past
 // its boundary. Replay restores the precomputed registration artifacts
 // from the records themselves — no automata are re-translated — so
 // recovery cost is I/O, not the paper's hours-long registration step.
@@ -125,11 +125,11 @@ type RecoveryInfo struct {
 	CompiledAdopted int           // automata whose CSR form came from disk (no flattening)
 
 	// Load mechanics of the snapshot bytes: how the slabs entered
-	// memory. MappedBytes is the file mapping adopted
-	// in place (0 when the file was read into the heap); CopiedBytes
-	// is slab bytes element-wise copied instead of viewed (0 on
-	// little-endian hosts); Sections is the container's directory
-	// size. MmapFallback names the reason mapping was not used
+	// memory. MappedBytes is the file mapping adopted in place (0 when
+	// the file was read into the heap); CopiedBytes is slab bytes
+	// element-wise copied instead of viewed (0 on little-endian hosts
+	// but a v4 file's classes slab); Sections is the container's
+	// directory size. MmapFallback names the reason mapping was not used
 	// ("unsupported-platform", "empty-file", or
 	// "mmap-failed: ..."; empty when mapped or when no snapshot was
 	// loaded).

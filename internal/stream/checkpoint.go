@@ -16,11 +16,11 @@ import (
 // Checkpoint generations.
 //
 // A generation is a snapfmt container, the contract store's framing:
-// magic, a CRC32C per section, a checksummed section directory and a
-// footer. Its head is generationTag followed by the format and the
-// boundary as uvarints; snapfmt does not checksum the head, so the
-// boundary there is informational and the file name decides. Two
-// sections hold uvarint-packed records:
+// magic, a CRC32C over the head and per section, a checksummed section
+// directory and a footer. Its head is generationTag followed by the
+// format and the boundary as uvarints; the boundary there is
+// informational and the file name decides. Two sections hold
+// uvarint-packed records:
 //
 //	secContracts  count, then every contract name any stream attaches,
 //	              sorted, each length-prefixed

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -423,6 +424,10 @@ func badGenerations(tb testing.TB, db *core.DB) map[string][]byte {
 	flipStreamsByte(tb, crc)
 	cut := containerOf(base)
 	cut = cut[:len(cut)/2]
+	// The head ends with the boundary; a damaged one fails the head
+	// checksum.
+	head := containerOf(base)
+	head[24+binary.LittleEndian.Uint64(head[16:])-1] ^= 1
 	return map[string][]byte{
 		"gob short statuses": gobOf(base, func(s *snapshotFile) { s.Streams[0].Statuses = s.Streams[0].Statuses[:1] }),
 		"gob status 7":       gobOf(status7, nil),
@@ -433,6 +438,7 @@ func badGenerations(tb testing.TB, db *core.DB) map[string][]byte {
 		"container bit 63":   containerOf(bit63),
 		"container crc":      crc,
 		"container cut":      cut,
+		"container head":     head,
 		"torn":               []byte("torn"),
 	}
 }
