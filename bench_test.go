@@ -411,9 +411,37 @@ func BenchmarkAblationPrefilterDepth(b *testing.B) {
 func BenchmarkTranslate(b *testing.B) {
 	src := "G(!refund) && G(dateChange -> X(!F dateChange)) && G(missedFlight -> !F dateChange)"
 	f := ltl.MustParse(src)
+	voc := vocab.MustFromNames("refund", "dateChange", "missedFlight")
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		voc := vocab.MustFromNames("refund", "dateChange", "missedFlight")
 		if _, err := ltl2ba.Translate(voc, f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// translateMix is the query translation mix: perClass draws of each of
+// datagen's three query classes, satisfiable or not, over the datagen
+// vocabulary every query cites.
+func translateMix(perClass int) (*vocab.Vocabulary, []*ltl.Expr) {
+	voc := datagen.NewVocabulary()
+	gen := datagen.New(voc, 77)
+	var out []*ltl.Expr
+	for _, c := range datagen.QueryClasses() {
+		for range perClass {
+			out = append(out, gen.Specification(c.Properties))
+		}
+	}
+	return voc, out
+}
+
+// BenchmarkTranslateQueryMix measures one cold query translation,
+// cycling the mix: what a compile-cache miss pays before the scan.
+func BenchmarkTranslateQueryMix(b *testing.B) {
+	voc, queries := translateMix(100)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ltl2ba.Translate(voc, queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -271,16 +271,20 @@ func TestDaemonFlagValidation(t *testing.T) {
 // two queries whose translation once held a request for seconds: the
 // fairness conjunction G F e0 ∧ … ∧ G F e9, and a chain of 10,000 X
 // operators. Each must answer within 1.5 s, with its matches (200) or
-// with a timeout (408), and leave the daemon serving.
+// with a timeout (408), and leave the daemon serving. The daemon's
+// vocabulary holds e0…e9, since a query citing an unknown event is
+// refused before translation.
 func TestDaemonHostileTranslation(t *testing.T) {
 	bin := buildDaemon(t)
-	d := startDaemon(t, bin, filepath.Join(t.TempDir(), "data"), "-query-timeout", "1s")
-	if _, err := d.client().Register("PayBeforeUse", "G(use -> F pay)"); err != nil {
-		t.Fatal(err)
-	}
-	var fairness []string
+	var fairness, events []string
 	for i := range 10 {
 		fairness = append(fairness, fmt.Sprintf("G F e%d", i))
+		events = append(events, fmt.Sprintf("e%d", i))
+	}
+	d := startDaemon(t, bin, filepath.Join(t.TempDir(), "data"), "-query-timeout", "1s",
+		"-events", "pay,use,refund,"+strings.Join(events, ","))
+	if _, err := d.client().Register("PayBeforeUse", "G(use -> F pay)"); err != nil {
+		t.Fatal(err)
 	}
 	for _, q := range []struct{ name, spec string }{
 		{"fairness", strings.Join(fairness, " && ")},

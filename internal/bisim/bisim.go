@@ -15,6 +15,7 @@ package bisim
 
 import (
 	"context"
+	"slices"
 	"strconv"
 
 	"contractdb/internal/buchi"
@@ -59,9 +60,9 @@ func Coarsest(a *buchi.BA) Partition {
 // when every label is first projected onto the event set keep. Passing
 // the full event set yields plain bisimulation.
 func CoarsestProjected(a *buchi.BA, keep vocab.Set) Partition {
-	r := loadRefiner(a, false)
+	r := loadRefiner(a)
 	defer refinerPool.Put(r)
-	return r.refine(r.seed(a, false), keep)
+	return r.refine(r.seed(a), keep)
 }
 
 // RefineProjected refines a starting partition until it is the
@@ -75,7 +76,7 @@ func CoarsestProjected(a *buchi.BA, keep vocab.Set) Partition {
 // states; the partitions produced by this package always do. Its
 // classes may be numbered in any order.
 func RefineProjected(a *buchi.BA, start Partition, keep vocab.Set) Partition {
-	r := loadRefiner(a, false)
+	r := loadRefiner(a)
 	defer refinerPool.Put(r)
 	return r.refine(start.Class, keep)
 }
@@ -123,18 +124,17 @@ func Reduce(a *buchi.BA) *buchi.BA {
 // prefixes form an infinite, finitely-branching tree, so infinite runs
 // lift too), and classes are finality-uniform, so acceptance
 // transfers.
+// It is the backward partition ReduceBidirectional's Reducer computes.
 func CoarsestBackward(a *buchi.BA) Partition {
-	p, _ := coarsest(nil, a, true)
-	return p
-}
-
-// coarsest is Coarsest, or CoarsestBackward when backward is set,
-// stopping with ctx's error once a non-nil ctx is done.
-func coarsest(ctx context.Context, a *buchi.BA, backward bool) (Partition, error) {
-	r := loadRefiner(a, backward)
-	defer refinerPool.Put(r)
-	r.project(^vocab.Set(0))
-	return r.partition(ctx, r.seed(a, backward))
+	var r Reducer
+	var f buchi.Flat
+	f.Flatten(a)
+	r.label(&f)
+	count, _ := r.coarsest(nil, &f, true)
+	if count == 0 {
+		return Partition{}
+	}
+	return Partition{Class: slices.Clone(r.class), Count: count}
 }
 
 // ReduceBidirectional alternates forward and backward bisimulation
@@ -143,21 +143,142 @@ func coarsest(ctx context.Context, a *buchi.BA, backward bool) (Partition, error
 // pasts; clause-product automata typically carry both kinds of
 // redundancy. It checks ctx before every refinement round and stops
 // with its error once it is done: a long chain of states takes one
-// round per state.
+// round per state. It returns a itself when no quotient shrinks it.
 func ReduceBidirectional(ctx context.Context, a *buchi.BA) (*buchi.BA, error) {
+	var r Reducer
+	var f buchi.Flat
+	f.Flatten(a)
+	shrunk, err := r.Reduce(ctx, &f)
+	if err != nil {
+		return nil, err
+	}
+	if !shrunk {
+		return a, nil
+	}
+	q := f.BA()
+	q.Events = a.Events
+	return q, nil
+}
+
+// Reducer is ReduceBidirectional on a flat automaton, reducing it in
+// place. Its working memory, the spare automaton each quotient is
+// built in included, is kept between calls, so a reused Reducer
+// allocates nothing once it has grown. The zero value is ready.
+type Reducer struct {
+	ids                            buchi.KeyTable // label → key
+	lab, off, key, to, class, fill []int32
+	spare                          buchi.Flat
+}
+
+// Reduce reduces a as ReduceBidirectional does, quotienting with
+// normalized rows as Quotient does, and reports whether any quotient
+// shrank it. It stops with ctx's error once ctx is done.
+func (r *Reducer) Reduce(ctx context.Context, a *buchi.Flat) (bool, error) {
+	shrunk := false
+	r.label(a)
 	for {
 		before := a.NumStates()
-		for _, backward := range []bool{false, true} {
-			p, err := coarsest(ctx, a, backward)
+		for _, backward := range [2]bool{false, true} {
+			count, err := r.coarsest(ctx, a, backward)
 			if err != nil {
-				return nil, err
+				return false, err
 			}
-			if p.Count < a.NumStates() {
-				a = Quotient(a, p, ^vocab.Set(0))
+			if count < a.NumStates() {
+				r.quotient(a, count)
+				r.label(a)
+				shrunk = true
 			}
 		}
 		if a.NumStates() == before {
-			return a, nil
+			return shrunk, nil
 		}
 	}
+}
+
+// Size returns the bytes r holds, for pools that drop large scratch.
+func (r *Reducer) Size() int {
+	return 4*(cap(r.lab)+cap(r.off)+cap(r.key)+cap(r.to)+cap(r.class)+cap(r.fill)+cap(r.spare.Off)) +
+		r.ids.Bytes() + 24*cap(r.spare.Edges) + cap(r.spare.Final)
+}
+
+// label numbers a's distinct labels densely into r.lab, one per edge.
+func (r *Reducer) label(a *buchi.Flat) {
+	r.ids.Reset()
+	r.lab = resize(r.lab, len(a.Edges))
+	for i, e := range a.Edges {
+		r.lab[i] = r.ids.ID([3]uint64{uint64(e.Label.Pos), uint64(e.Label.Neg)})
+	}
+}
+
+// coarsest refines r.class into the coarsest forward or backward
+// bisimulation partition of a, labeled by r.lab, as Coarsest and
+// CoarsestBackward compute it, and returns its class count.
+func (r *Reducer) coarsest(ctx context.Context, a *buchi.Flat, backward bool) (int, error) {
+	n, m := a.NumStates(), len(a.Edges)
+	off, key, to := a.Off, r.lab, r.to[:0]
+	r.class = resize(r.class, n)
+	for s := range n {
+		r.class[s] = 0
+		if a.Final[s] {
+			r.class[s] = 1
+		}
+	}
+	if !backward {
+		for _, e := range a.Edges {
+			to = append(to, int32(e.To))
+		}
+		r.to = to
+		return RefineEdges(ctx, off, key, to, r.class)
+	}
+	r.off, r.key, r.to, r.fill = resize(r.off, n+1), resize(r.key, m), resize(r.to, m), resize(r.fill, n)
+	off, key, to = r.off, r.key, r.to
+	clear(off)
+	for _, e := range a.Edges {
+		off[e.To+1]++
+	}
+	for s := range n {
+		off[s+1] += off[s]
+	}
+	copy(r.fill, off[:n])
+	for s := range n {
+		for i := a.Off[s]; i < a.Off[s+1]; i++ {
+			e := a.Edges[i]
+			j := r.fill[e.To]
+			r.fill[e.To]++
+			key[j], to[j] = r.lab[i], int32(s)
+		}
+	}
+	if int(a.Init) < n {
+		r.class[a.Init] |= 2
+	}
+	return RefineEdges(ctx, off, key, to, r.class)
+}
+
+// quotient replaces a by its quotient under the partition in r.class,
+// of count classes, built in r.spare with normalized rows.
+func (r *Reducer) quotient(a *buchi.Flat, count int) {
+	q := &r.spare
+	q.Init = buchi.StateID(r.class[a.Init])
+	q.Off, q.Final = resize(q.Off, count+1), resize(q.Final, count)
+	clear(q.Off)
+	clear(q.Final)
+	for s := range a.NumStates() {
+		c := r.class[s]
+		q.Off[c+1] += a.Off[s+1] - a.Off[s]
+		q.Final[c] = q.Final[c] || a.Final[s]
+	}
+	for c := range count {
+		q.Off[c+1] += q.Off[c]
+	}
+	q.Edges = resize(q.Edges, len(a.Edges))
+	r.fill = append(r.fill[:0], q.Off[:count]...)
+	for s := range a.NumStates() {
+		c := r.class[s]
+		for _, e := range a.Row(buchi.StateID(s)) {
+			q.Edges[r.fill[c]] = buchi.Edge{Label: e.Label, To: buchi.StateID(r.class[e.To])}
+			r.fill[c]++
+		}
+	}
+	q.Normalize()
+	*a, *q = *q, *a
 }

@@ -66,7 +66,7 @@ type ProjectionSet struct {
 func Precompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 	// One refiner serves the whole lattice: the contract is flattened
 	// and its labels interned once, and every subset reuses the scratch.
-	r := loadRefiner(a, false)
+	r := loadRefiner(a)
 	defer refinerPool.Put(r)
 	var labelEvents vocab.Set
 	for _, l := range r.labels {
@@ -91,8 +91,8 @@ func Precompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 	// full label set. Once a subset's partition saturates to it, every
 	// superset's partition is sandwiched between the two (Theorem 3)
 	// and must be equal — no refinement needed.
-	full := intern(r.refine(r.seed(a, false), labelEvents))
-	parts := map[vocab.Set]*Partition{0: intern(r.refine(r.seed(a, false), 0))}
+	full := intern(r.refine(r.seed(a), labelEvents))
+	parts := map[vocab.Set]*Partition{0: intern(r.refine(r.seed(a), 0))}
 
 	subsets := []vocab.Set{0}
 	for size := 1; size <= maxSubset; size++ {

@@ -41,6 +41,7 @@ type refiner struct {
 	ids    map[buchi.Label]int32 // interns labels in load, projections in refine
 
 	proj []int32 // projected id per interned label, set per refinement
+	pk   []int32 // projected id per edge, the rounds' view of proj
 
 	class, next []int32 // the current and the next round's partition
 	remap       []int32 // renumbering scratch for the start partition
@@ -77,45 +78,30 @@ var refinerPool = sync.Pool{New: func() any {
 	return &refiner{ids: make(map[buchi.Label]int32), sigMask: ^uint64(0)}
 }}
 
-// loadRefiner returns a pooled refiner loaded with a's edges, reversed
-// when reverse is set. Return it to refinerPool when done.
-func loadRefiner(a *buchi.BA, reverse bool) *refiner {
+// loadRefiner returns a pooled refiner loaded with a's edges. Return
+// it to refinerPool when done.
+func loadRefiner(a *buchi.BA) *refiner {
 	r := refinerPool.Get().(*refiner)
-	r.load(a, reverse)
+	r.load(a)
 	return r
 }
 
-// load flattens a's edge lists into the refiner, reversing every edge
-// when reverse is set (for backward bisimulation).
-func (r *refiner) load(a *buchi.BA, reverse bool) {
+// load flattens a's edge lists into the refiner.
+func (r *refiner) load(a *buchi.BA) {
 	a.EnsureEdges()
 	n := a.NumStates()
 	r.n = n
 	r.off = resize(r.off, n+1)
-	clear(r.off)
-	m := 0
+	m, maxDeg := 0, 0
 	for s, out := range a.Out {
-		m += len(out)
-		if !reverse {
-			r.off[s+1] = int32(len(out))
-			continue
-		}
-		for _, e := range out {
-			r.off[e.To+1]++
-		}
+		r.off[s], m, maxDeg = int32(m), m+len(out), max(maxDeg, len(out))
 	}
-	maxDeg := 0
-	for s := range n {
-		maxDeg = max(maxDeg, int(r.off[s+1])) // still the degree of s
-		r.off[s+1] += r.off[s]
-	}
+	r.off[n] = int32(m)
 	r.lab, r.to = resize(r.lab, m), resize(r.to, m)
 	clear(r.ids)
 	r.labels = r.labels[:0]
-	// fill is the next free edge slot per state; next is free scratch
-	// until the first refinement.
-	fill := append(resize(r.next, n)[:0], r.off[:n]...)
-	for s, out := range a.Out {
+	i := 0
+	for _, out := range a.Out {
 		for _, e := range out {
 			id, ok := r.ids[e.Label]
 			if !ok {
@@ -123,16 +109,10 @@ func (r *refiner) load(a *buchi.BA, reverse bool) {
 				r.ids[e.Label] = id
 				r.labels = append(r.labels, e.Label)
 			}
-			from, to := int32(s), int32(e.To)
-			if reverse {
-				from, to = to, from
-			}
-			i := fill[from]
-			fill[from]++
-			r.lab[i], r.to[i] = id, to
+			r.lab[i], r.to[i] = id, int32(e.To)
+			i++
 		}
 	}
-	r.next = fill
 	r.size(maxDeg)
 }
 
@@ -148,15 +128,17 @@ func (r *refiner) size(maxDeg int) {
 	r.class, r.next = resize(r.class, r.n), resize(r.next, r.n)
 }
 
-// RefineEdges returns the coarsest partition refining start (a class
-// per state, in any numbering) under which the states of one class
-// have equal sets of (key, target class) pairs. State s's edges are
-// key[off[s]:off[s+1]] and to[off[s]:off[s+1]]; keys are dense from
-// 0. It refines automata whose edges carry more than a label, such as
-// the translator's generalized automata, whose edges also carry
-// acceptance marks. It stops with ctx's error once ctx is done,
+// RefineEdges refines class (a class per state, in any numbering), in
+// place, into the coarsest partition under which the states of one
+// class have equal sets of (key, target class) pairs, numbered as
+// Partition values are, and returns its class count. State s's edges
+// are key[off[s]:off[s+1]] and to[off[s]:off[s+1]]; keys are dense
+// from 0. It refines automata whose edges carry more than a label,
+// such as the translator's generalized automata, whose edges also
+// carry acceptance marks, and allocates nothing once the pooled
+// refiner has grown. It stops with ctx's error once ctx is done,
 // checking it once per round.
-func RefineEdges(ctx context.Context, off, key, to []int32, start []int32) (Partition, error) {
+func RefineEdges(ctx context.Context, off, key, to []int32, class []int32) (int, error) {
 	r := refinerPool.Get().(*refiner)
 	defer refinerPool.Put(r)
 	r.n = len(off) - 1
@@ -173,23 +155,23 @@ func RefineEdges(ctx context.Context, off, key, to []int32, start []int32) (Part
 		r.proj[i] = int32(i)
 	}
 	r.size(maxDeg)
-	return r.partition(ctx, start)
+	count, err := r.rounds(ctx, class)
+	if err == nil {
+		copy(class, r.next[:r.n])
+	}
+	return count, err
 }
 
 // seed returns the initial partition of a's states: final apart from
-// non-final and, when init is set, the initial state apart from the
-// rest. The slice is the refiner's scratch, valid until the next seed.
-func (r *refiner) seed(a *buchi.BA, init bool) []int32 {
+// non-final. The slice is the refiner's scratch, valid until the next
+// seed.
+func (r *refiner) seed(a *buchi.BA) []int32 {
 	r.start = resize(r.start, r.n)
 	for s := range r.start {
-		c := int32(0)
+		r.start[s] = 0
 		if a.Final[s] {
-			c |= 1
+			r.start[s] = 1
 		}
-		if init && buchi.StateID(s) == a.Init {
-			c |= 2
-		}
-		r.start[s] = c
 	}
 	return r.start
 }
@@ -224,26 +206,39 @@ func (r *refiner) project(keep vocab.Set) {
 // from start until a round splits nothing. A non-nil ctx is checked
 // before every round; once it is done, partition returns its error.
 func (r *refiner) partition(ctx context.Context, start []int32) (Partition, error) {
-	n := r.n
-	if n == 0 {
-		return Partition{}, nil
+	count, err := r.rounds(ctx, start)
+	if err != nil || r.n == 0 {
+		return Partition{}, err
+	}
+	return Partition{Class: slices.Clone(r.next[:r.n]), Count: count}, nil
+}
+
+// rounds is partition leaving the stable partition in r.next and
+// returning its class count.
+func (r *refiner) rounds(ctx context.Context, start []int32) (int, error) {
+	if r.n == 0 {
+		return 0, nil
 	}
 	var count int
 	r.remap, count = firstOccurrence(r.class, start, r.remap)
+	m := r.off[r.n]
+	r.pk = resize(r.pk, int(m))
+	for e, l := range r.lab[:m] {
+		r.pk[e] = r.proj[l]
+	}
 	for {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return Partition{}, err
+				return 0, err
 			}
 		}
 		next := r.round()
 		if next == count {
-			break // the round split nothing: r.next is stable
+			return count, nil // the round split nothing: r.next is stable
 		}
 		r.class, r.next = r.next, r.class
 		count = next
 	}
-	return Partition{Class: slices.Clone(r.next[:n]), Count: count}, nil
 }
 
 // round computes r.next from r.class — two states share a next class
@@ -252,28 +247,36 @@ func (r *refiner) partition(ctx context.Context, start []int32) (Partition, erro
 func (r *refiner) round() int {
 	n := r.n
 	class, next := r.class[:n], r.next[:n]
+	off, pk, to := r.off, r.pk, r.to // locals: the loop below writes r.ent
+	setKey, setStamp := r.setKey, r.setStamp
 	tab := r.tab[:pow2AtLeast(2*n)]
 	clear(tab)
 	tabMask := uint64(len(tab) - 1)
-	setMask := uint64(len(r.setKey) - 1)
-	r.ent = r.ent[:0]
+	setMask := uint64(len(setKey) - 1)
+	ent := r.ent[:0]
 	classes := 0
 	for s := range n {
 		if r.stamp++; r.stamp == 0 {
-			clear(r.setStamp)
+			clear(setStamp)
 			r.stamp = 1
 		}
-		base := int32(len(r.ent))
+		stamp := r.stamp
+		base := int32(len(ent))
 		var sum uint64
-		for e := r.off[s]; e < r.off[s+1]; e++ {
-			key := uint64(r.proj[r.lab[e]])<<32 | uint64(class[r.to[e]])
+		for e := off[s]; e < off[s+1]; e++ {
+			key := uint64(pk[e])<<32 | uint64(class[to[e]])
 			h := mix64(key)
-			if r.insert(key, h, setMask) {
-				r.ent = append(r.ent, key)
+			i := h & setMask
+			for setStamp[i] == stamp && setKey[i] != key {
+				i = (i + 1) & setMask
+			}
+			if setStamp[i] != stamp { // key is new to the state's entry set
+				setStamp[i], setKey[i] = stamp, key
+				ent = append(ent, key)
 				sum += h
 			}
 		}
-		cnt := int32(len(r.ent)) - base
+		cnt := int32(len(ent)) - base
 		hash := mix64(sum^uint64(class[s])<<32^uint64(cnt)) & r.sigMask
 		for i := hash & tabMask; ; i = (i + 1) & tabMask {
 			slot := &tab[i]
@@ -285,28 +288,15 @@ func (r *refiner) round() int {
 			}
 			rep := slot.rep1 - 1
 			if slot.hash == hash && slot.cnt == cnt && class[rep] == class[s] &&
-				r.containsAll(r.ent[slot.off:slot.off+cnt], setMask) {
+				r.containsAll(ent[slot.off:slot.off+cnt], setMask) {
 				next[s] = next[rep]
-				r.ent = r.ent[:base] // the class keeps its representative's entries
+				ent = ent[:base] // the class keeps its representative's entries
 				break
 			}
 		}
 	}
+	r.ent = ent
 	return classes
-}
-
-// insert adds key (hashed h) to the current state's entry set,
-// reporting whether it was absent.
-func (r *refiner) insert(key, h, mask uint64) bool {
-	for i := h & mask; ; i = (i + 1) & mask {
-		if r.setStamp[i] != r.stamp {
-			r.setStamp[i], r.setKey[i] = r.stamp, key
-			return true
-		}
-		if r.setKey[i] == key {
-			return false
-		}
-	}
 }
 
 // containsAll reports whether every key is in the current state's

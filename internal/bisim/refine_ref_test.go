@@ -21,7 +21,7 @@ import (
 // equal, so the exact compare alone decides every class.
 func RefineOneBucket(a *buchi.BA, start Partition, keep vocab.Set) Partition {
 	r := &refiner{ids: make(map[buchi.Label]int32), sigMask: 0}
-	r.load(a, false)
+	r.load(a)
 	return r.refine(start.Class, keep)
 }
 

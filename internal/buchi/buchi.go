@@ -85,6 +85,7 @@ func (a *BA) NumStates() int {
 type targets struct {
 	out     [][]Edge
 	off, to []int32 // shells: state s's targets are to[off[s]:off[s+1]]
+	edges   []Edge  // a Flat's: state s's edges are edges[off[s]:off[s+1]]
 }
 
 func (a *BA) targets() targets {
@@ -104,8 +105,11 @@ func (g targets) deg(s StateID) int {
 
 // at returns the target of state s's i-th edge in the view.
 func (g targets) at(s StateID, i int) StateID {
-	if g.off != nil {
+	switch {
+	case g.to != nil:
 		return StateID(g.to[int(g.off[s])+i])
+	case g.off != nil:
+		return g.edges[int(g.off[s])+i].To
 	}
 	return g.out[s][i].To
 }
@@ -189,53 +193,58 @@ func (a *BA) Normalize() {
 // merging them shrinks edge counts and makes more states bisimilar.
 // Run Normalize afterwards to drop labels the merge made redundant.
 func (a *BA) MergeAdjacentLabels() {
-	type key struct {
-		to       StateID
-		pos, neg vocab.Set
-	}
 	a.EnsureEdges()
-	index := make(map[key]int) // reused across rows and passes
+	var m LabelMerger
 	for s, out := range a.Out {
-		for {
-			merged := false
-			clear(index)
-			kept := out[:0]
-			for _, e := range out {
-				placed := false
-				e.Label.Vars().ForEach(func(ev vocab.EventID) bool {
-					reduced := e.Label
-					var opposite Label
-					if e.Label.Pos.Has(ev) {
-						reduced.Pos = reduced.Pos.Without(ev)
-						opposite = Label{Pos: reduced.Pos, Neg: reduced.Neg.With(ev)}
-					} else {
-						reduced.Neg = reduced.Neg.Without(ev)
-						opposite = Label{Pos: reduced.Pos.With(ev), Neg: reduced.Neg}
-					}
-					if i, ok := index[key{e.To, opposite.Pos, opposite.Neg}]; ok {
-						kept[i].Label = reduced
-						// The partner's old key is stale now; drop it
-						// so no later edge pairs against it. The
-						// reduced label is re-indexed on the next
-						// fixpoint pass.
-						delete(index, key{e.To, opposite.Pos, opposite.Neg})
-						merged = true
-						placed = true
-						return false
-					}
-					return true
-				})
-				if !placed {
-					index[key{e.To, e.Label.Pos, e.Label.Neg}] = len(kept)
-					kept = append(kept, e)
+		a.Out[s], _ = m.Merge(out)
+	}
+}
+
+// LabelMerger applies MergeAdjacentLabels' rule to one edge row at a
+// time. Its index is reused across rows and calls, so a reused merger
+// allocates nothing once its index has grown. The zero value is ready.
+type LabelMerger struct {
+	index KeyTable // (target, label) → position in the row being kept
+}
+
+// Bytes returns the size of m's index, for pools that drop large
+// scratch.
+func (m *LabelMerger) Bytes() int { return m.index.Bytes() }
+
+// Merge rewrites out in place by the adjacency rule, to a fixpoint,
+// and returns the merged row and whether any two edges merged.
+func (m *LabelMerger) Merge(out []Edge) ([]Edge, bool) {
+	for pass := 0; ; pass++ {
+		merged := false
+		m.index.Reset()
+		kept := out[:0]
+		var tos uint64 // bit To%64 is set once the index holds a key to To
+		for _, e := range out {
+			placed := false
+			bit := uint64(1) << (e.To & 63)
+			for vars := uint64(e.Label.Vars()); vars != 0 && tos&bit != 0; vars &= vars - 1 {
+				ev := vocab.Set(vars & -vars)
+				reduced := Label{Pos: e.Label.Pos &^ ev, Neg: e.Label.Neg &^ ev}
+				opposite := [3]uint64{uint64(e.To), uint64(reduced.Pos | e.Label.Neg&ev), uint64(reduced.Neg | e.Label.Pos&ev)}
+				if i, ok := m.index.Take(opposite); ok {
+					// The partner's old key leaves the index, so no later
+					// edge pairs against it; its reduced label is indexed
+					// on the next fixpoint pass.
+					kept[i].Label = reduced
+					merged, placed = true, true
+					break
 				}
 			}
-			out = kept
-			if !merged {
-				break
+			if !placed {
+				m.index.Put([3]uint64{uint64(e.To), uint64(e.Label.Pos), uint64(e.Label.Neg)}, int32(len(kept)))
+				kept = append(kept, e)
+				tos |= bit
 			}
 		}
-		a.Out[s] = out
+		out = kept
+		if !merged {
+			return out, pass > 0
+		}
 	}
 }
 
@@ -304,30 +313,45 @@ func (a *BA) Reachable() []bool {
 // shell is analysed straight from its CSR arrays without materializing
 // Out.
 func (a *BA) SCCs() (comp []int, count int) {
-	g := a.targets()
-	n := a.NumStates()
-	comp = make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []StateID
-	next := 0
+	var t Tarjan
+	return t.walk(a.targets(), a.NumStates())
+}
 
-	type frame struct {
-		v    StateID
-		edge int
+// Tarjan is the working memory of SCCs, kept between walks: a reused
+// Tarjan allocates nothing once its arrays have grown to the largest
+// graph it walked. The zero value is ready.
+type Tarjan struct {
+	comp, index, low []int
+	onStack          []bool
+	stack, order     []StateID
+	work             []tarjanFrame
+}
+
+// Order returns the states of the last walk in component order, as
+// the walk completed them: every state of component c comes before
+// those of c+1.
+func (t *Tarjan) Order() []StateID { return t.order }
+
+type tarjanFrame struct {
+	v    StateID
+	edge int
+}
+
+func (t *Tarjan) walk(g targets, n int) (comp []int, count int) {
+	t.comp, t.index, t.low = grow(t.comp, n), grow(t.index, n), grow(t.low, n)
+	t.onStack = grow(t.onStack, n)
+	comp, index, low, onStack := t.comp, t.index, t.low, t.onStack
+	for i := range n {
+		comp[i], index[i], onStack[i] = -1, -1, false
 	}
+	stack := t.stack[:0]
+	t.order = t.order[:0]
+	next := 0
 	for root := 0; root < n; root++ {
 		if index[root] != -1 {
 			continue
 		}
-		work := []frame{{v: StateID(root)}}
+		work := append(t.work[:0], tarjanFrame{v: StateID(root)})
 		for len(work) > 0 {
 			f := &work[len(work)-1]
 			v := f.v
@@ -343,7 +367,7 @@ func (a *BA) SCCs() (comp []int, count int) {
 				w := g.at(v, f.edge)
 				f.edge++
 				if index[w] == -1 {
-					work = append(work, frame{v: w})
+					work = append(work, tarjanFrame{v: w})
 					advanced = true
 					break
 				}
@@ -360,6 +384,7 @@ func (a *BA) SCCs() (comp []int, count int) {
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
 					comp[w] = count
+					t.order = append(t.order, w)
 					if w == v {
 						break
 					}
@@ -374,8 +399,19 @@ func (a *BA) SCCs() (comp []int, count int) {
 				}
 			}
 		}
+		t.work = work
 	}
+	t.stack = stack
 	return comp, count
+}
+
+// grow returns s with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // OnAcceptingCycle returns, per state, whether the state lies on some

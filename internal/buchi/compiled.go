@@ -3,6 +3,7 @@ package buchi
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"contractdb/internal/vocab"
 )
@@ -67,27 +68,31 @@ func Compile(a *BA) *Compiled {
 	a.EnsureEdges()
 	compileCount.Add(1)
 	n := a.NumStates()
-	c := &Compiled{
-		N:       n,
-		Init:    a.Init,
-		Final:   append([]bool(nil), a.Final...),
-		Events:  a.Events,
-		EdgeOff: make([]int32, n+1),
+	m := 0
+	for _, out := range a.Out {
+		m += len(out)
 	}
-	labelID := make(map[Label]int32)
-	var buf []Edge
+	c := &Compiled{
+		N:         n,
+		Init:      a.Init,
+		Final:     append([]bool(nil), a.Final...),
+		Events:    a.Events,
+		EdgeOff:   make([]int32, n+1),
+		EdgeTo:    make([]int32, 0, m),
+		EdgeLabel: make([]int32, 0, m),
+	}
+	sc := compilePool.Get().(*compileScratch)
+	sc.labels.Reset()
 	for s, out := range a.Out {
 		c.EdgeOff[s] = int32(len(c.EdgeTo))
 		if len(out) == 0 {
 			continue
 		}
-		buf = append(buf[:0], out...)
-		for _, e := range CanonicalEdges(buf) {
-			id, ok := labelID[e.Label]
-			if !ok {
-				id = int32(len(c.Labels))
+		sc.buf = append(sc.buf[:0], out...)
+		for _, e := range CanonicalEdges(sc.buf) {
+			id := sc.labels.ID([3]uint64{uint64(e.Label.Pos), uint64(e.Label.Neg)})
+			if int(id) == len(c.Labels) {
 				c.Labels = append(c.Labels, e.Label)
-				labelID[e.Label] = id
 			}
 			c.EdgeTo = append(c.EdgeTo, int32(e.To))
 			c.EdgeLabel = append(c.EdgeLabel, id)
@@ -97,8 +102,26 @@ func Compile(a *BA) *Compiled {
 		}
 	}
 	c.EdgeOff[n] = int32(len(c.EdgeTo))
+	if m <= maxPooled {
+		compilePool.Put(sc)
+	}
 	return c
 }
+
+// compileScratch is Compile's working memory, pooled: the label table
+// and the row buffer a compilation would otherwise grow and drop. One
+// that compiled more than maxPooled edges is dropped instead, so one
+// large automaton cannot pin its memory in the pool.
+type compileScratch struct {
+	labels KeyTable
+	buf    []Edge
+}
+
+// maxPooled bounds, in entries, each table of the package's pooled
+// scratches.
+const maxPooled = 1 << 12
+
+var compilePool = sync.Pool{New: func() any { return new(compileScratch) }}
 
 // CanonicalEdges brings one state's out-edges into the canonical
 // compiled order — sorted by (target, literal count, label) — and

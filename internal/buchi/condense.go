@@ -1,6 +1,9 @@
 package buchi
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // Condensation is the automaton's transition graph grouped into
 // strongly connected components, in the two shapes the prefilter's
@@ -48,15 +51,24 @@ func (a *BA) Condensation() *Condensation {
 
 func condense(a *BA) *Condensation {
 	c := a.Compiled()
-	comp, count := a.SCCs()
-	order := make([]StateID, c.N)
-	for s := range order {
-		order[s] = StateID(s)
+	sc := condensePool.Get().(*condenseScratch)
+	if c.N <= maxPooled {
+		defer condensePool.Put(sc)
 	}
-	slices.SortStableFunc(order, func(x, y StateID) int { return comp[y] - comp[x] })
-	d := &Condensation{Comp: comp, Count: count}
-	knot := make(map[StateID]int)
-	for _, s := range order {
+	comp, count := sc.scc.walk(a.targets(), c.N)
+	sc.order, sc.knot = grow(sc.order, c.N), grow(sc.knot, c.N)
+	cross := 0
+	for s := range sc.order {
+		sc.order[s], sc.knot[s] = StateID(s), 0
+		for e := c.EdgeOff[s]; e < c.EdgeOff[s+1]; e++ {
+			if comp[c.EdgeTo[e]] != comp[s] {
+				cross++
+			}
+		}
+	}
+	slices.SortStableFunc(sc.order, func(x, y StateID) int { return comp[y] - comp[x] })
+	d := &Condensation{Comp: slices.Clone(comp), Count: count, Cross: make([]CrossEdge, 0, cross)}
+	for _, s := range sc.order {
 		for e := c.EdgeOff[s]; e < c.EdgeOff[s+1]; e++ {
 			to, lab := StateID(c.EdgeTo[e]), c.EdgeLabel[e]
 			if comp[to] != comp[s] {
@@ -66,16 +78,27 @@ func condense(a *BA) *Condensation {
 			if !c.Final[to] {
 				continue
 			}
-			i, ok := knot[to]
-			if !ok {
-				i = len(d.Knots)
-				knot[to] = i
+			if sc.knot[to] == 0 { // knot[to] is its Knots index + 1
 				d.Knots = append(d.Knots, Knot{Comp: comp[to]})
+				sc.knot[to] = int32(len(d.Knots))
 			}
-			if !slices.Contains(d.Knots[i].Labels, lab) {
-				d.Knots[i].Labels = append(d.Knots[i].Labels, lab)
+			k := &d.Knots[sc.knot[to]-1]
+			if !slices.Contains(k.Labels, lab) {
+				k.Labels = append(k.Labels, lab)
 			}
 		}
 	}
 	return d
 }
+
+// condenseScratch is condense's working memory, pooled: the SCC walk,
+// the component order and the knot index, none of which the
+// condensation keeps. One sized for more than maxPooled states is
+// dropped instead.
+type condenseScratch struct {
+	scc   Tarjan
+	order []StateID
+	knot  []int32
+}
+
+var condensePool = sync.Pool{New: func() any { return new(condenseScratch) }}

@@ -62,6 +62,9 @@ func (db *DB) QueryObligationModeCtx(ctx context.Context, spec *ltl.Expr, mode M
 // no database lock: the vocabulary and the cache are safe for
 // concurrent use.
 func (db *DB) translateQuery(ctx context.Context, spec *ltl.Expr, mode Mode, obligation bool) (qa *buchi.BA, compileHit bool, err error) {
+	if err := knownEvents(db.voc, spec); err != nil {
+		return nil, false, err
+	}
 	var compiled *qcache.Compiled
 	if db.compile != nil && !mode.NoCache {
 		_, csp := trace.StartSpan(ctx, "canonicalize")
@@ -89,6 +92,26 @@ func (db *DB) translateQuery(ctx context.Context, spec *ltl.Expr, mode Mode, obl
 	tsp.SetError(err)
 	tsp.End()
 	return qa, compileHit, err
+}
+
+// knownEvents refuses a query citing an event the vocabulary does not
+// hold, naming the first one it meets. By Definition 1(b) a permitted
+// trace uses only events its contract cites, so such an atom could
+// only ever read false; refusing it keeps queries from growing the
+// shared vocabulary, which registration alone extends. It allocates
+// nothing unless it refuses.
+func knownEvents(voc *vocab.Vocabulary, f *ltl.Expr) error {
+	for ; f != nil; f = f.Right {
+		if f.Op == ltl.OpAtom {
+			if _, ok := voc.Lookup(f.Name); !ok {
+				return fmt.Errorf("vocab: unknown event %q", f.Name)
+			}
+		}
+		if err := knownEvents(voc, f.Left); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // translate is the package's one call into the translator, shared by

@@ -61,6 +61,9 @@ func (db *DB) Explain(ctx context.Context, contractName string, spec *ltl.Expr) 
 	if !ok {
 		return Witness{}, false, fmt.Errorf("core: no contract named %q", contractName)
 	}
+	if err := knownEvents(db.voc, spec); err != nil {
+		return Witness{}, false, fmt.Errorf("core: explain: %w", err)
+	}
 	qa, err := translate(ctx, db.voc, spec, 0)
 	if err != nil {
 		return Witness{}, false, fmt.Errorf("core: explain: %w", err)

@@ -3,6 +3,7 @@ package ltl
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"sync"
 )
 
 // This file implements the structural canonicalizer behind the query
@@ -36,6 +37,8 @@ type canonizer struct {
 	memo map[*Expr]*Expr            // input node → canonical node
 	dig  map[*Expr][digestSize]byte // canonical node → digest
 	buf  []byte                     // digest input, reused across nodes
+	ops  []*Expr                    // mkNary's flattened operands
+	digs [][digestSize]byte         // and their digests
 }
 
 func newCanonizer() *canonizer {
@@ -44,6 +47,13 @@ func newCanonizer() *canonizer {
 		dig:  make(map[*Expr][digestSize]byte),
 	}
 }
+
+// canonPool holds CanonicalKey's canonizers, so a compile-cache lookup
+// reuses their tables. A canonizer whose tables grew past
+// maxPooledNodes nodes is dropped instead.
+var canonPool = sync.Pool{New: func() any { return newCanonizer() }}
+
+const maxPooledNodes = 1 << 12
 
 // Canonical returns the canonical structural form of f. The result is
 // semantically equivalent to f and shared-subtree (DAG) inputs are
@@ -61,8 +71,14 @@ func Canonical(f *Expr) *Expr {
 // collision resistance). The key is stable across processes — it
 // depends only on the formula's structure and atom names.
 func CanonicalKey(f *Expr) string {
-	c := newCanonizer()
+	c := canonPool.Get().(*canonizer)
 	d := c.digest(c.canon(f))
+	if len(c.memo) <= maxPooledNodes && len(c.dig) <= maxPooledNodes && cap(c.ops) <= maxPooledNodes {
+		clear(c.memo)
+		clear(c.dig)
+		clear(c.ops[:cap(c.ops)])
+		canonPool.Put(c)
+	}
 	return hex.EncodeToString(d[:])
 }
 
@@ -193,37 +209,23 @@ func (c *canonizer) mkNary(op Op, l, r *Expr) *Expr {
 	if op == OpOr {
 		unit, zero = OpFalse, OpTrue
 	}
-	var ops []*Expr
-	var flatten func(*Expr)
-	annihilated := false
-	flatten = func(e *Expr) {
-		switch {
-		case annihilated:
-		case e.Op == op:
-			flatten(e.Left)
-			flatten(e.Right)
-		case e.Op == zero:
-			annihilated = true
-		case e.Op == unit:
-			// dropped
-		default:
-			ops = append(ops, e)
-		}
-	}
-	flatten(l)
-	flatten(r)
-	if annihilated {
+	// The operands are collected in the canonizer's buffers: nothing
+	// below calls back into mkNary.
+	c.ops = c.ops[:0]
+	if c.flatten(op, unit, zero, l) || c.flatten(op, unit, zero, r) {
 		return &Expr{Op: zero}
 	}
+	ops := c.ops
 	if len(ops) == 0 {
 		return &Expr{Op: unit}
 	}
 	// Sort by digest, then deduplicate (equal digest ⇒ structurally
 	// equal canonical operand — p && p ≡ p).
-	digs := make([][digestSize]byte, len(ops))
-	for i, e := range ops {
-		digs[i] = c.digest(e)
+	c.digs = c.digs[:0]
+	for _, e := range ops {
+		c.digs = append(c.digs, c.digest(e))
 	}
+	digs := c.digs
 	for i := 1; i < len(ops); i++ { // insertion sort keyed by digest
 		e, d := ops[i], digs[i]
 		j := i - 1
@@ -233,18 +235,30 @@ func (c *canonizer) mkNary(op Op, l, r *Expr) *Expr {
 		}
 		ops[j+1], digs[j+1] = e, d
 	}
-	out := make([]*Expr, 0, len(ops))
-	for i, e := range ops {
-		if i > 0 && digs[i] == digs[i-1] {
-			continue
+	// Rebuild right-nested from the back, skipping each operand equal
+	// to the one before it.
+	res := ops[len(ops)-1]
+	for i := len(ops) - 2; i >= 0; i-- {
+		if digs[i] != digs[i+1] {
+			res = &Expr{Op: op, Left: ops[i], Right: res}
 		}
-		out = append(out, e)
-	}
-	res := out[len(out)-1]
-	for i := len(out) - 2; i >= 0; i-- {
-		res = &Expr{Op: op, Left: out[i], Right: res}
 	}
 	return res
+}
+
+// flatten appends the operands of the op chain e to c.ops, dropping
+// units, and reports whether it met the annihilator zero.
+func (c *canonizer) flatten(op, unit, zero Op, e *Expr) bool {
+	switch e.Op {
+	case op:
+		return c.flatten(op, unit, zero, e.Left) || c.flatten(op, unit, zero, e.Right)
+	case zero:
+		return true
+	case unit:
+		return false
+	}
+	c.ops = append(c.ops, e)
+	return false
 }
 
 func cmpDigest(a, b [digestSize]byte) int {

@@ -229,6 +229,20 @@ func TestRewritesPreserveSemantics(t *testing.T) {
 	}
 }
 
+// TestNNFDesugarsInPlace: NNF, which desugars as it normalizes,
+// builds the tree that normalizing the desugared formula builds, so
+// the translator's automata do not depend on which route it takes.
+func TestNNFDesugarsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	cfg := ltltest.Config{Atoms: []string{"p", "q", "r"}, MaxDepth: 6}
+	for i := 0; i < 3000; i++ {
+		f := ltltest.Expr(rng, cfg)
+		if got, want := ltl.NNF(f), ltl.NNF(ltl.Desugar(f)); !got.Equal(want) {
+			t.Fatalf("NNF(%s) = %s, want NNF(Desugar) = %s", f, got, want)
+		}
+	}
+}
+
 func TestNNFShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cfg := ltltest.Config{Atoms: []string{"p", "q", "r"}, MaxDepth: 5}

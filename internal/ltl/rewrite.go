@@ -47,11 +47,13 @@ func Desugar(f *Expr) *Expr {
 // NNF returns the negation normal form of f: derived operators are
 // eliminated (see Desugar) and negation is pushed inward until it
 // applies only to atoms. The result uses atoms, literals, true/false,
-// &&, ||, X, U and R.
+// &&, ||, X, U and R. It desugars as it goes, building the same tree
+// as normalizing Desugar(f) without allocating that copy first.
 func NNF(f *Expr) *Expr {
-	return nnf(Desugar(f), false)
+	return nnf(f, false)
 }
 
+// nnf returns the negation normal form of f, or of ¬f when neg is set.
 func nnf(f *Expr, neg bool) *Expr {
 	switch f.Op {
 	case OpAtom:
@@ -93,8 +95,38 @@ func nnf(f *Expr, neg bool) *Expr {
 			return Until(nnf(f.Left, true), nnf(f.Right, true))
 		}
 		return Release(nnf(f.Left, false), nnf(f.Right, false))
+	case OpFinally: // true U p
+		if neg {
+			return Release(False(), nnf(f.Left, true))
+		}
+		return Until(True(), nnf(f.Left, false))
+	case OpGlobal: // false R p
+		if neg {
+			return Until(True(), nnf(f.Left, true))
+		}
+		return Release(False(), nnf(f.Left, false))
+	case OpImplies: // !p || q
+		if neg {
+			return And(nnf(f.Left, false), nnf(f.Right, true))
+		}
+		return Or(nnf(f.Left, true), nnf(f.Right, false))
+	case OpIff: // (p && q) || (!p && !q)
+		if neg {
+			return And(Or(nnf(f.Left, true), nnf(f.Right, true)), Or(nnf(f.Left, false), nnf(f.Right, false)))
+		}
+		return Or(And(nnf(f.Left, false), nnf(f.Right, false)), And(nnf(f.Left, true), nnf(f.Right, true)))
+	case OpWeak: // q R (p || q)
+		if neg {
+			return Until(nnf(f.Right, true), And(nnf(f.Left, true), nnf(f.Right, true)))
+		}
+		return Release(nnf(f.Right, false), Or(nnf(f.Left, false), nnf(f.Right, false)))
+	case OpBefore: // p R !q
+		if neg {
+			return Until(nnf(f.Left, true), nnf(f.Right, false))
+		}
+		return Release(nnf(f.Left, false), nnf(f.Right, true))
 	default:
-		panic("ltl: NNF applied to non-desugared operator " + f.Op.String())
+		panic("ltl: unknown operator in NNF")
 	}
 }
 

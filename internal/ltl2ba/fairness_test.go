@@ -25,21 +25,22 @@ func TestFairnessStaysPolynomial(t *testing.T) {
 	spec := ltl.MustParse(strings.Join(parts, " && "))
 	ctx := context.Background()
 	voc := vocab.New()
+	sc := scratchPool.Get().(*scratch)
 	var g *gba
 	for i, part := range parts {
 		voc.Add(fmt.Sprintf("e%d", i))
-		h, err := translateConjunct(ctx, voc, ltl.MustParse(part))
+		h, err := sc.conjunct(ctx, voc, ltl.MustParse(part))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if g == nil {
 			g = h
-		} else if g, err = product(ctx, g, h); err != nil {
+		} else if g, err = sc.product(ctx, g, h); err != nil {
 			t.Fatal(err)
-		} else if g, err = g.trim().reduce(ctx); err != nil {
+		} else if g, err = sc.reduce(ctx, sc.trim(g)); err != nil {
 			t.Fatal(err)
 		}
-		if got := g.auto.NumStates(); got > 1 {
+		if got := g.NumStates(); got > 1 {
 			t.Fatalf("the fold's product of %d conjuncts has %d states, want 1", i+1, got)
 		}
 	}

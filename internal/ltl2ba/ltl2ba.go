@@ -25,9 +25,9 @@
 //
 // TranslateBounded checks its context throughout. A translation
 // needing more than 64 acceptance marks at once, or more than 64 MiB
-// of state sets for one conjunct, fails with ErrTooLarge. The result
-// accepts exactly the runs satisfying the formula; the package's tests
-// verify this against the LTL lasso evaluator.
+// of state sets and terms for one conjunct, fails with ErrTooLarge.
+// The result accepts exactly the runs satisfying the formula; the
+// package's tests verify this against the LTL lasso evaluator.
 package ltl2ba
 
 import (
@@ -36,7 +36,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
+	"sync"
 	"sync/atomic"
 
 	"contractdb/internal/bisim"
@@ -67,7 +67,7 @@ func TranslationCount() int64 { return translations.Load() }
 // ErrTooLarge reports a translation given up because an automaton
 // exceeded the caller's state bound (which callers that reject large
 // contracts anyway use to abort cheaply), or because it needed more
-// than 64 acceptance marks or 64 MiB of state sets.
+// than 64 acceptance marks or 64 MiB of state sets and terms.
 var ErrTooLarge = errors.New("ltl2ba: automaton exceeds the state bound")
 
 // TranslateBounded is Translate under a context and an optional size
@@ -96,44 +96,44 @@ func TranslateBounded(ctx context.Context, voc *vocab.Vocabulary, f *ltl.Expr, m
 		}
 		return nil
 	}
-	var conjuncts []*ltl.Expr
-	collectConjuncts(ltl.Simplify(f), &conjuncts)
-	parts := make([]*gba, len(conjuncts))
-	var err error
-	for i, g := range conjuncts {
-		if parts[i], err = translateConjunct(ctx, voc, g); err != nil {
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	sc.conjuncts = collectConjuncts(ltl.Simplify(f), sc.conjuncts[:0])
+	for _, c := range sc.conjuncts {
+		g, err := sc.conjunct(ctx, voc, c)
+		if err != nil {
 			return nil, err
 		}
+		sc.parts = append(sc.parts, g)
 	}
 	// Fold smallest-first: intermediate products stay smaller when the
 	// tightly-constrained clauses meet early.
-	sort.SliceStable(parts, func(i, j int) bool {
-		return parts[i].auto.NumStates() < parts[j].auto.NumStates()
-	})
-	g := parts[0]
-	for _, h := range parts[1:] {
-		if g, err = product(ctx, g, h); err != nil {
+	slices.SortStableFunc(sc.parts, func(g, h *gba) int { return g.NumStates() - h.NumStates() })
+	g := sc.parts[0]
+	var err error
+	for _, h := range sc.parts[1:] {
+		if g, err = sc.product(ctx, g, h); err != nil {
 			return nil, err
 		}
-		g = g.trim()
-		if err := check("raw product", g.auto.NumStates(), 40); err != nil {
+		g = sc.trim(g)
+		if err := check("raw product", g.NumStates(), 40); err != nil {
 			return nil, err
 		}
-		if g, err = g.reduce(ctx); err != nil {
+		if g, err = sc.reduce(ctx, g); err != nil {
 			return nil, err
 		}
-		if err := check("intermediate product", g.auto.NumStates(), 8); err != nil {
+		if err := check("intermediate product", g.NumStates(), 8); err != nil {
 			return nil, err
 		}
 	}
-	a, err := degeneralize(ctx, g)
+	if g, err = sc.degeneralize(ctx, g); err != nil {
+		return nil, err
+	}
+	if err := check("degeneralized automaton", g.NumStates(), 40); err != nil {
+		return nil, err
+	}
+	a, err := sc.shrink(ctx, g)
 	if err != nil {
-		return nil, err
-	}
-	if err := check("degeneralized automaton", a.NumStates(), 40); err != nil {
-		return nil, err
-	}
-	if a, err = shrink(ctx, a); err != nil {
 		return nil, err
 	}
 	if err := check("automaton", a.NumStates(), 1); err != nil {
@@ -141,6 +141,71 @@ func TranslateBounded(ctx context.Context, voc *vocab.Vocabulary, f *ltl.Expr, m
 	}
 	a.Events = cited
 	return a, nil
+}
+
+// maxScratch is the size, in bytes, past which a scratch is dropped
+// instead of pooled, so one hostile query cannot pin its memory.
+const maxScratch = 1 << 20
+
+// scratch is one translation's working memory: the translator's
+// tables, every intermediate automaton's slabs and the stages' working
+// arrays. Like the permission kernels' search arenas, scratches are
+// pooled: once the pool is warm, a translation allocates little beyond
+// the automaton it returns.
+type scratch struct {
+	t         translator
+	conjuncts []*ltl.Expr
+	parts     []*gba
+	free      []*gba // released automata, whose slabs are reused
+	pairs     pairs
+	scc       buchi.Tarjan
+	merge     buchi.LabelMerger
+	reducer   bisim.Reducer
+	keys      buchi.KeyTable // reduce: (label, marks) → key
+
+	key, to, class, entry []int32
+	remap                 []buchi.StateID
+	comps                 []struct {
+		seen         uint64
+		cyclic, live bool
+	} // trim, per SCC
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{t: translator{ids: map[formula]int32{}, heads: map[uint64]int32{}}}
+}}
+
+// gba returns an empty automaton, reusing a released one's slabs.
+func (sc *scratch) gba() *gba {
+	if len(sc.free) == 0 {
+		sc.free = append(sc.free, new(gba))
+	}
+	g := sc.free[len(sc.free)-1]
+	sc.free = sc.free[:len(sc.free)-1]
+	g.Reset()
+	g.acc, g.k = g.acc[:0], 0
+	return g
+}
+
+// put releases g: nothing may read it afterwards.
+func (sc *scratch) put(g *gba) { sc.free = append(sc.free, g) }
+
+// release returns sc to the pool, unless it has outgrown maxScratch.
+func (sc *scratch) release() {
+	t := &sc.t
+	clear(sc.conjuncts[:cap(sc.conjuncts)])
+	clear(sc.parts[:cap(sc.parts)])
+	sc.parts = sc.parts[:0]
+	t.ctx, t.voc = nil, nil
+	// Maps keep their capacity; the slabs filled beside them tell it.
+	size := 8*cap(t.arena) + 40*cap(t.terms) + 64*(cap(t.forms)+cap(t.states)) + 8*cap(sc.key) +
+		4*cap(sc.pairs.ids) + sc.keys.Bytes() + sc.merge.Bytes() + sc.reducer.Size()
+	for _, g := range sc.free {
+		size += 24*cap(g.Edges) + 8*cap(g.acc)
+	}
+	if size <= maxScratch {
+		scratchPool.Put(sc)
+	}
 }
 
 // canceled returns nil while ctx is live, and the translation's error
@@ -152,44 +217,57 @@ func canceled(ctx context.Context) error {
 	return nil
 }
 
-func collectConjuncts(f *ltl.Expr, out *[]*ltl.Expr) {
+func collectConjuncts(f *ltl.Expr, out []*ltl.Expr) []*ltl.Expr {
 	if f.Op == ltl.OpAnd {
-		collectConjuncts(f.Left, out)
-		collectConjuncts(f.Right, out)
-		return
+		return collectConjuncts(f.Right, collectConjuncts(f.Left, out))
 	}
-	*out = append(*out, f)
+	return append(out, f)
 }
 
-// translateConjunct builds the reduced TGBA of one conjunct.
-func translateConjunct(ctx context.Context, voc *vocab.Vocabulary, f *ltl.Expr) (*gba, error) {
-	t := &translator{ctx: ctx, voc: voc, ids: map[formula]int32{}}
+// conjunct builds the reduced TGBA of one conjunct.
+func (sc *scratch) conjunct(ctx context.Context, voc *vocab.Vocabulary, f *ltl.Expr) (*gba, error) {
+	t := &sc.t
+	t.ctx, t.voc, t.marks, t.ands, t.err = ctx, voc, 0, 0, nil
+	t.forms, t.mark, t.terms = t.forms[:0], t.mark[:0], t.terms[:0]
+	clear(t.ids)
 	root, err := t.intern(ltl.Simplify(ltl.NNF(f)))
 	if err != nil {
 		return nil, err
 	}
-	g, err := t.explore(root)
+	g, err := t.explore(root, sc.gba())
 	if err != nil {
 		return nil, err
 	}
-	return g.trim().reduce(ctx)
+	return sc.reduce(ctx, sc.trim(g))
 }
 
-// shrink reduces the degeneralized automaton. It needs no trim: every
-// state of the fold's result reaches a fair component, so every state
-// of its degeneralization reaches an accepting cycle, unless the
-// language is empty.
-func shrink(ctx context.Context, a *buchi.BA) (*buchi.BA, error) {
-	if len(a.Out[a.Init]) == 0 {
+// shrink reduces the degeneralized automaton a by bidirectional
+// bisimulation, merges labels and normalizes, on a's slabs, and
+// releases a; only the automaton it returns is allocated. It needs no
+// trim: every state of the fold's result reaches a fair component,
+// unless the language is empty.
+func (sc *scratch) shrink(ctx context.Context, a *gba) (*buchi.BA, error) {
+	defer sc.put(a)
+	if len(a.Row(a.Init)) == 0 {
 		return buchi.New(1), nil
 	}
-	a, err := bisim.ReduceBidirectional(ctx, a)
+	quotiented, err := sc.reducer.Reduce(ctx, &a.Flat)
 	if err != nil {
 		return nil, canceled(ctx)
 	}
-	a.MergeAdjacentLabels()
-	a.Normalize()
-	return a, nil
+	a.Rewrite(func(row []buchi.Edge) []buchi.Edge {
+		// Rows as AddMinimal built them hold no two labels to merge,
+		// and a quotient's rows are normalized until a merge.
+		merged := false
+		if quotiented {
+			row, merged = sc.merge.Merge(row)
+		}
+		if len(row) >= 2 && (merged || !quotiented) {
+			row = buchi.CanonicalEdges(row)
+		}
+		return row
+	})
+	return a.BA(), nil
 }
 
 // MustTranslate is Translate, panicking on error; for tests and fixed
@@ -219,14 +297,14 @@ type term struct {
 	next int32  // offset of the next-id set in the arena
 }
 
-// maxArena bounds a conjunct's id-set arena, in words (64 MiB): n
-// subformulas over s states take about s·n/64 words, which 100,000
-// nested X's would take to 1.25 GB.
+// maxArena bounds a conjunct's id-set arena and terms slab (4 words a
+// term), in words (64 MiB): n subformulas over s states take about
+// s·n/64 words, which 100,000 nested X's would take to 1.25 GB.
 const maxArena = 1 << 23
 
-// translator holds one conjunct's formula ids, their covers, and the
-// arena of id sets its terms and states share. Sets are w words; the
-// set at offset 0 is empty.
+// translator holds one conjunct's formula ids, their covers (cut from
+// the terms slab), and the arena of id sets its terms and states
+// share. Sets are w words; the set at offset 0 is empty.
 type translator struct {
 	ctx    context.Context
 	voc    *vocab.Vocabulary
@@ -234,12 +312,17 @@ type translator struct {
 	ids    map[formula]int32
 	mark   []uint64 // the acceptance mark a U/F id owns, else 0
 	marks  int
-	covers [][]term
-	done   []bool
+	covers [][]term // nil until computed (or for false, cheap to redo)
 	w      int
 	arena  []uint64
+	terms  []term
 	ands   int   // calls of and, for the context checks
 	err    error // the context's error, once a check found it done
+
+	// explore's states: their id-set offsets, chained by set hash.
+	states []int32
+	heads  map[uint64]int32 // set hash → newest state + 1
+	chain  []int32          // state → the previous state + 1 of its hash
 }
 
 // intern hash-conses the NNF formula e and returns its id.
@@ -341,25 +424,32 @@ func (t *translator) step(id int32, post uint64, goal int32) []term {
 	}
 	switch t.forms[id].op {
 	case ltl.OpTrue:
-		return []term{{lab: lab, post: post}}
+		return t.cut(term{lab: lab, post: post})
 	case ltl.OpFalse:
 		return nil
 	}
-	return []term{{lab: lab, post: post, next: t.singleton(id)}}
+	return t.cut(term{lab: lab, post: post, next: t.singleton(id)})
+}
+
+// cut returns a one-term cover cut from the terms slab.
+func (t *translator) cut(x term) []term {
+	lo := len(t.terms)
+	t.terms = append(t.terms, x)
+	return t.terms[lo : lo+1 : lo+1]
 }
 
 // cover returns id's one-step cover, computing it on first use.
 func (t *translator) cover(id int32) []term {
-	if t.done[id] {
-		return t.covers[id]
+	if c := t.covers[id]; c != nil {
+		return c
 	}
 	f := t.forms[id]
 	var c []term
 	switch f.op {
 	case ltl.OpTrue:
-		c = []term{{}}
+		c = t.cut(term{})
 	case ltl.OpAtom, ltl.OpNot:
-		c = []term{{lab: f.lit}}
+		c = t.cut(term{lab: f.lit})
 	case ltl.OpAnd:
 		c = t.and(t.cover(f.l), t.cover(f.r))
 	case ltl.OpOr:
@@ -375,12 +465,13 @@ func (t *translator) cover(id int32) []term {
 	case ltl.OpGlobal: // G ψ: ψ ∧ X(G ψ)
 		c = t.and(t.cover(f.l), t.step(id, 0, -1))
 	}
-	t.covers[id], t.done[id] = c, true
+	t.covers[id] = c
 	return c
 }
 
-// and returns the pairwise conjunction of two covers. Every 32nd call
-// checks the context, recording its error in t.err once it is done.
+// and returns the pairwise conjunction of two covers, cut from the
+// terms slab. Every 32nd call checks the context, recording its error
+// in t.err once it is done.
 func (t *translator) and(a, b []term) []term {
 	if t.ands++; t.ands%32 == 0 && t.err == nil {
 		t.err = canceled(t.ctx)
@@ -388,26 +479,30 @@ func (t *translator) and(a, b []term) []term {
 	if t.err != nil {
 		return nil
 	}
-	out := make([]term, 0, len(a)*len(b))
+	lo := len(t.terms)
 	for _, x := range a {
 		for _, y := range b {
 			if !x.lab.Conflicts(y.lab) {
-				out = append(out, term{lab: x.lab.And(y.lab), post: x.post | y.post, next: t.union(x.next, y.next)})
+				t.terms = append(t.terms, term{lab: x.lab.And(y.lab), post: x.post | y.post, next: t.union(x.next, y.next)})
 			}
 		}
 	}
-	return t.prune(out)
+	return t.prune(lo)
 }
 
-// or returns the union of two covers.
+// or returns the union of two covers, cut from the terms slab.
 func (t *translator) or(a, b []term) []term {
-	return t.prune(append(slices.Clip(a), b...))
+	lo := len(t.terms)
+	t.terms = append(append(t.terms, a...), b...)
+	return t.prune(lo)
 }
 
-// prune drops, in place, every term another term dominates: one whose
-// label needs no more literals, whose next set is no larger and which
-// postpones no more marks. Of equal terms the first stays.
-func (t *translator) prune(ts []term) []term {
+// prune drops, in place, every term of t.terms[lo:] another term there
+// dominates: one whose label needs no more literals, whose next set is
+// no larger and which postpones no more marks. Of equal terms the
+// first stays. The slab ends after the kept terms, which it returns.
+func (t *translator) prune(lo int) []term {
+	ts := t.terms[lo:]
 	out := ts[:0] // never longer than the terms visited so far
 	for _, x := range ts {
 		if slices.ContainsFunc(out, func(y term) bool { return t.dominates(y, x) }) {
@@ -415,50 +510,53 @@ func (t *translator) prune(ts []term) []term {
 		}
 		out = append(slices.DeleteFunc(out, func(y term) bool { return t.dominates(x, y) }), x)
 	}
-	return out
+	t.terms = t.terms[:lo+len(out)]
+	return out[:len(out):len(out)]
 }
 
 func (t *translator) dominates(y, x term) bool {
 	return y.lab.ContainedIn(x.lab) && y.post&^x.post == 0 && t.subset(y.next, x.next)
 }
 
-// explore builds the TGBA of the formula root: states are the id sets
-// reachable from {root}, and a state's transitions are the conjunction
-// of its members' covers, each carrying the marks it does not
-// postpone.
-func (t *translator) explore(root int32) (*gba, error) {
+// explore builds, into g, the TGBA of the formula root: states are the
+// id sets reachable from {root}, and a state's transitions are the
+// conjunction of its members' covers, each carrying the marks it does
+// not postpone.
+func (t *translator) explore(root int32, g *gba) (*gba, error) {
 	n := len(t.forms)
 	t.w = (n + 63) / 64
-	t.covers, t.done = make([][]term, n), make([]bool, n)
-	t.arena = make([]uint64, t.w) // the empty set
+	t.covers = slices.Grow(t.covers[:0], n)[:n]
+	clear(t.covers)
+	t.arena = append(t.arena[:0], make([]uint64, t.w)...) // the empty set
+	t.states, t.chain = t.states[:0], t.chain[:0]
+	clear(t.heads)
 	full := fullMask(t.marks)
-
-	var states []int32 // id-set offset per state
-	index := map[uint64][]buchi.StateID{}
 	intern := func(off int32) buchi.StateID {
-		h := hashWords(t.set(off))
-		for _, s := range index[h] {
-			if slices.Equal(t.set(states[s]), t.set(off)) {
-				return s
+		h := uint64(t.w)
+		for _, w := range t.set(off) {
+			h = bits.RotateLeft64((h^w)*0x9e3779b97f4a7c15, 29)
+		}
+		for s := t.heads[h]; s > 0; s = t.chain[s-1] {
+			if slices.Equal(t.set(t.states[s-1]), t.set(off)) {
+				return buchi.StateID(s - 1)
 			}
 		}
-		s := buchi.StateID(len(states))
-		states, index[h] = append(states, off), append(index[h], s)
-		return s
+		t.states, t.chain = append(t.states, off), append(t.chain, t.heads[h])
+		t.heads[h] = int32(len(t.states))
+		return buchi.StateID(len(t.states) - 1)
 	}
 	intern(t.singleton(root))
-	var r rows
-	for s := 0; s < len(states); s++ {
+	for s := 0; s < len(t.states); s++ {
 		if s%32 == 31 {
-			if len(t.arena) > maxArena {
-				return nil, fmt.Errorf("%w (state sets pass %d MiB)", ErrTooLarge, maxArena>>17)
+			if len(t.arena)+4*len(t.terms) > maxArena {
+				return nil, fmt.Errorf("%w (state sets and terms pass %d MiB)", ErrTooLarge, maxArena>>17)
 			}
 			if err := canceled(t.ctx); err != nil {
 				return nil, err
 			}
 		}
-		terms := []term{{}}
-		for w, word := range t.set(states[s]) {
+		terms := t.cut(term{})
+		for w, word := range t.set(t.states[s]) {
 			for ; word != 0; word &= word - 1 {
 				terms = t.and(terms, t.cover(int32(w*64+bits.TrailingZeros64(word))))
 			}
@@ -467,57 +565,31 @@ func (t *translator) explore(root int32) (*gba, error) {
 			return nil, t.err
 		}
 		for _, x := range terms {
-			r.add(buchi.Edge{Label: x.lab, To: intern(x.next)}, full&^x.post)
+			g.add(buchi.Edge{Label: x.lab, To: intern(x.next)}, full&^x.post)
 		}
-		r.next()
+		g.Next()
 	}
-	return r.done(0, t.marks), nil
-}
-
-func hashWords(ws []uint64) uint64 {
-	h := uint64(len(ws))
-	for _, w := range ws {
-		h = bits.RotateLeft64((h^w)*0x9e3779b97f4a7c15, 29)
-	}
-	return h
+	g.k = t.marks
+	return g, nil
 }
 
 func fullMask(k int) uint64 { return ^uint64(0) >> (64 - k) }
 
 // gba is a transition-based generalized Büchi automaton: a run is
 // accepting iff it takes, for each of the k acceptance marks,
-// infinitely many transitions carrying it. acc[s][i] holds the marks
-// of auto.Out[s][i] as bits; auto's Final flags are unused.
+// infinitely many transitions carrying it. acc[i] holds the marks of
+// Edges[i] as bits; Final is unused until degeneralize, whose result
+// is a plain, state-based automaton. Automata live in a scratch, which
+// reuses their slabs once they are released.
 type gba struct {
-	auto *buchi.BA
-	acc  [][]uint64
-	k    int
+	buchi.Flat
+	acc []uint64
+	k   int
 }
 
-// rows builds a gba's adjacency state by state, cutting every row from
-// flat edge and mark buffers: a build allocates per buffer growth.
-type rows struct {
-	out   [][]buchi.Edge
-	acc   [][]uint64
-	edges []buchi.Edge
-	marks []uint64
-	lo    int // where the current row starts
-}
-
-func (r *rows) add(e buchi.Edge, mk uint64) {
-	r.edges, r.marks = append(r.edges, e), append(r.marks, mk)
-}
-
-// next ends the current state's row.
-func (r *rows) next() {
-	n := len(r.edges)
-	r.out, r.acc = append(r.out, r.edges[r.lo:n:n]), append(r.acc, r.marks[r.lo:n:n])
-	r.lo = n
-}
-
-func (r *rows) done(init buchi.StateID, k int) *gba {
-	a := &buchi.BA{Init: init, Final: make([]bool, len(r.out)), Out: r.out}
-	return &gba{auto: a, acc: r.acc, k: k}
+// add appends a transition to the state being built.
+func (g *gba) add(e buchi.Edge, mk uint64) {
+	g.Edges, g.acc = append(g.Edges, e), append(g.acc, mk)
 }
 
 // pairs numbers the pairs (q, i), i < m, of a product-like
@@ -527,6 +599,12 @@ type pairs struct {
 	m     int
 	ids   []int32
 	queue []int
+}
+
+// reset readies p for pairs (q, i), q < n, i < m.
+func (p *pairs) reset(n, m int) {
+	p.m, p.ids, p.queue = m, slices.Grow(p.ids[:0], n*m)[:n*m], p.queue[:0]
+	clear(p.ids)
 }
 
 func (p *pairs) id(q, i int) buchi.StateID {
@@ -542,15 +620,15 @@ func (p *pairs) id(q, i int) buchi.StateID {
 // reachable from the initial pair: a transition exists where the two
 // labels do not conflict, and carries their conjunction. Its marks are
 // g's followed by h's, so a run is accepting iff both of its
-// projections are.
-func product(ctx context.Context, g, h *gba) (*gba, error) {
+// projections are. It releases g and h.
+func (sc *scratch) product(ctx context.Context, g, h *gba) (*gba, error) {
 	if g.k+h.k > 64 {
 		return nil, fmt.Errorf("%w (more than 64 acceptance marks in one product)", ErrTooLarge)
 	}
-	x, y := g.auto, h.auto
-	ps := &pairs{m: y.NumStates(), ids: make([]int32, x.NumStates()*y.NumStates())}
-	ps.id(int(x.Init), int(y.Init))
-	var r rows
+	ps := &sc.pairs
+	ps.reset(g.NumStates(), h.NumStates())
+	ps.id(int(g.Init), int(h.Init))
+	out := sc.gba()
 	for from := 0; from < len(ps.queue); from++ {
 		if from%32 == 31 {
 			if err := canceled(ctx); err != nil {
@@ -558,17 +636,21 @@ func product(ctx context.Context, g, h *gba) (*gba, error) {
 			}
 		}
 		s, t := ps.queue[from]/ps.m, ps.queue[from]%ps.m
-		for i, ex := range x.Out[s] {
-			for j, ey := range y.Out[t] {
-				if !ex.Label.Conflicts(ey.Label) {
+		for i := g.Off[s]; i < g.Off[s+1]; i++ {
+			ex := g.Edges[i]
+			for j := h.Off[t]; j < h.Off[t+1]; j++ {
+				if ey := h.Edges[j]; !ex.Label.Conflicts(ey.Label) {
 					e := buchi.Edge{Label: ex.Label.And(ey.Label), To: ps.id(int(ex.To), int(ey.To))}
-					r.add(e, g.acc[s][i]|h.acc[t][j]<<g.k)
+					out.add(e, g.acc[i]|h.acc[j]<<g.k)
 				}
 			}
 		}
-		r.next()
+		out.Next()
 	}
-	return r.done(0, g.k+h.k), nil
+	out.k = g.k + h.k
+	sc.put(g)
+	sc.put(h)
+	return out, nil
 }
 
 // trim restricts g, whose states explore or product reached from its
@@ -577,144 +659,138 @@ func product(ctx context.Context, g, h *gba) (*gba, error) {
 // marks, changing no run's acceptance: a transition between
 // components, taken at most once, carries every mark; one inside an
 // unfair component carries none; a mark set everywhere, or exactly
-// where an earlier mark is, is dropped, sparing a counter level.
-func (g *gba) trim() *gba {
-	a := g.auto
-	n := a.NumStates()
+// where an earlier mark is, is dropped, sparing a counter level. It
+// releases g.
+func (sc *scratch) trim(g *gba) *gba {
+	n := g.NumStates()
 	full := fullMask(g.k)
-	comp, count := a.SCCs()
-	seen := make([]uint64, count)
-	cyclic := make([]bool, count)
-	for s, out := range a.Out {
-		for i, e := range out {
-			if c := comp[s]; c == comp[e.To] {
-				cyclic[c] = true
-				seen[c] |= g.acc[s][i]
+	comp, count := sc.scc.Flat(&g.Flat)
+	sc.comps = slices.Grow(sc.comps[:0], count)[:count]
+	cs := sc.comps
+	clear(cs)
+	for s := range n {
+		for i := g.Off[s]; i < g.Off[s+1]; i++ {
+			if c := comp[s]; c == comp[g.Edges[i].To] {
+				cs[c].cyclic = true
+				cs[c].seen |= g.acc[i]
 			}
 		}
 	}
-	fair := func(c int) bool { return cyclic[c] && seen[c] == full }
+	fair := func(c int) bool { return cs[c].cyclic && cs[c].seen == full }
 	// SCCs numbers components successors first, so one pass over the
 	// states in component order settles which reach a fair component.
-	order := make([]int, n)
-	for s := range order {
-		order[s] = s
-	}
-	slices.SortFunc(order, func(s, t int) int { return comp[s] - comp[t] })
-	live := make([]bool, count)
-	for _, s := range order {
+	for _, s := range sc.scc.Order() {
 		c := comp[s]
-		live[c] = live[c] || fair(c)
-		for _, e := range a.Out[s] {
-			live[c] = live[c] || live[comp[e.To]]
+		cs[c].live = cs[c].live || fair(c)
+		for _, e := range g.Row(s) {
+			cs[c].live = cs[c].live || cs[comp[e.To]].live
 		}
 	}
-	if !live[comp[a.Init]] {
-		return &gba{auto: buchi.New(1), acc: make([][]uint64, 1)} // empty language
+	out := sc.gba()
+	if !cs[comp[g.Init]].live {
+		out.Next() // empty language: one state, no transitions
+		sc.put(g)
+		return out
 	}
-	remap := make([]buchi.StateID, n)
+	sc.remap = slices.Grow(sc.remap[:0], n)[:n]
 	m := buchi.StateID(0)
-	for s, c := range comp {
-		if remap[s] = m; live[c] {
+	for s, c := range comp[:n] {
+		if sc.remap[s] = m; cs[c].live {
 			m++
 		}
 	}
-	var r rows
 	everywhere := full
-	for s, out := range a.Out {
-		if !live[comp[s]] {
+	for s := range n {
+		if !cs[comp[s]].live {
 			continue
 		}
-		for i, e := range out {
-			if !live[comp[e.To]] {
+		for i := g.Off[s]; i < g.Off[s+1]; i++ {
+			e := g.Edges[i]
+			if !cs[comp[e.To]].live {
 				continue
 			}
 			mk := full
 			if c := comp[s]; c == comp[e.To] {
 				mk = 0
 				if fair(c) {
-					mk = g.acc[s][i]
+					mk = g.acc[i]
 				}
 			}
-			r.add(buchi.Edge{Label: e.Label, To: remap[e.To]}, mk)
+			out.add(buchi.Edge{Label: e.Label, To: sc.remap[e.To]}, mk)
 			everywhere &= mk
 		}
-		r.next()
+		out.Next()
 	}
 	same := func(i, j int) bool { // marks i and j sit on the same transitions
-		return !slices.ContainsFunc(r.marks, func(mk uint64) bool { return mk>>i&1 != mk>>j&1 })
+		return !slices.ContainsFunc(out.acc, func(mk uint64) bool { return mk>>i&1 != mk>>j&1 })
 	}
-	var kept []int
+	var keptBuf [64]int
+	kept := keptBuf[:0]
 	for j := range g.k {
 		if everywhere>>j&1 == 0 && !slices.ContainsFunc(kept, func(i int) bool { return same(i, j) }) {
 			kept = append(kept, j)
 		}
 	}
-	for _, row := range r.acc { // r.marks may have outgrown early rows
-		for i, mk := range row {
-			var packed uint64
-			for to, from := range kept {
-				packed |= mk >> from & 1 << to
-			}
-			row[i] = packed
+	for i, mk := range out.acc {
+		var packed uint64
+		for to, from := range kept {
+			packed |= mk >> from & 1 << to
 		}
+		out.acc[i] = packed
 	}
-	return r.done(remap[a.Init], len(kept))
+	out.Init, out.k = sc.remap[g.Init], len(kept)
+	sc.put(g)
+	return out
 }
 
 // reduce quotients g by forward bisimulation over labeled, marked
 // transitions: equivalent states mimic each other's transitions, with
 // equal labels and marks, into equivalent states, so the quotient
-// accepts the same language.
-func (g *gba) reduce(ctx context.Context) (*gba, error) {
-	a := g.auto
-	n := a.NumStates()
+// accepts the same language. It releases g when it returns another
+// automaton.
+func (sc *scratch) reduce(ctx context.Context, g *gba) (*gba, error) {
+	n, m := g.NumStates(), len(g.Edges)
 	if n <= 1 {
 		return g, nil
 	}
-	keys := map[[3]uint64]int32{} // label and marks
-	off := make([]int32, n+1)
-	var key, to []int32
-	for s, out := range a.Out {
-		for i, e := range out {
-			lm := [3]uint64{uint64(e.Label.Pos), uint64(e.Label.Neg), g.acc[s][i]}
-			id, ok := keys[lm]
-			if !ok {
-				id = int32(len(keys))
-				keys[lm] = id
-			}
-			key, to = append(key, id), append(to, int32(e.To))
-		}
-		off[s+1] = int32(len(key))
+	sc.key, sc.to, sc.class = slices.Grow(sc.key[:0], m)[:m], slices.Grow(sc.to[:0], m)[:m], slices.Grow(sc.class[:0], n)[:n]
+	sc.keys.Reset()
+	for i, e := range g.Edges {
+		sc.key[i], sc.to[i] = sc.keys.ID([3]uint64{uint64(e.Label.Pos), uint64(e.Label.Neg), g.acc[i]}), int32(e.To)
 	}
-	p, err := bisim.RefineEdges(ctx, off, key, to, make([]int32, n))
+	clear(sc.class)
+	count, err := bisim.RefineEdges(ctx, g.Off, sc.key, sc.to, sc.class)
 	if err != nil {
 		return nil, canceled(ctx)
 	}
-	if p.Count == n {
+	if count == n {
 		return g, nil
 	}
 	// Classes are numbered by first occurrence in state order, so each
 	// class's first member comes up in class order; its transitions
 	// speak for the class.
-	var r rows
-	for s, out := range a.Out {
-		if int(p.Class[s]) < len(r.out) {
+	out := sc.gba()
+	for s := range n {
+		if int(sc.class[s]) < out.NumStates() {
 			continue
 		}
+		lo := len(out.Edges)
 	edges:
-		for i, e := range out {
-			e.To = buchi.StateID(p.Class[e.To])
-			for j, f := range r.edges[r.lo:] {
-				if f == e && r.marks[r.lo+j] == g.acc[s][i] {
+		for i := g.Off[s]; i < g.Off[s+1]; i++ {
+			e := g.Edges[i]
+			e.To = buchi.StateID(sc.class[e.To])
+			for j := lo; j < len(out.Edges); j++ {
+				if out.Edges[j] == e && out.acc[j] == g.acc[i] {
 					continue edges
 				}
 			}
-			r.add(e, g.acc[s][i])
+			out.add(e, g.acc[i])
 		}
-		r.next()
+		out.Next()
 	}
-	return r.done(buchi.StateID(p.Class[a.Init]), g.k), nil
+	out.Init, out.k = buchi.StateID(sc.class[g.Init]), g.k
+	sc.put(g)
+	return out, nil
 }
 
 // degeneralize applies the counter construction: state (q, i) has
@@ -724,25 +800,26 @@ func (g *gba) reduce(ctx context.Context) (*gba, error) {
 // continue as level 0. Where a run enters a component does not matter
 // to its acceptance, so an entering transition takes the level the
 // target's own component transitions give it: k when all carry every
-// mark, else 0.
-func degeneralize(ctx context.Context, g *gba) (*buchi.BA, error) {
-	a, k := g.auto, g.k
-	comp, _ := a.SCCs()
-	entry := make([]int, a.NumStates())
+// mark, else 0. It releases g.
+func (sc *scratch) degeneralize(ctx context.Context, g *gba) (*gba, error) {
+	n, k := g.NumStates(), g.k
+	comp, _ := sc.scc.Flat(&g.Flat)
+	sc.entry = slices.Grow(sc.entry[:0], n)[:n]
+	entry := sc.entry
 	for q := range entry {
-		entry[q] = k
+		entry[q] = int32(k)
 	}
-	for s, out := range a.Out {
-		for i, e := range out {
-			if comp[s] == comp[e.To] && g.acc[s][i] != fullMask(k) {
-				entry[e.To] = 0
+	for s := range n {
+		for i := g.Off[s]; i < g.Off[s+1]; i++ {
+			if to := g.Edges[i].To; comp[s] == comp[to] && g.acc[i] != fullMask(k) {
+				entry[to] = 0
 			}
 		}
 	}
-	ps := &pairs{m: k + 1, ids: make([]int32, a.NumStates()*(k+1))}
-	ps.id(int(a.Init), entry[a.Init])
-	out := &buchi.BA{}
-	var edges []buchi.Edge // the rows of out.Out, as rows cuts them
+	ps := &sc.pairs
+	ps.reset(n, k+1)
+	ps.id(int(g.Init), int(entry[g.Init]))
+	out := sc.gba()
 	for from := 0; from < len(ps.queue); from++ {
 		if from%32 == 31 {
 			if err := canceled(ctx); err != nil {
@@ -754,45 +831,19 @@ func degeneralize(ctx context.Context, g *gba) (*buchi.BA, error) {
 		if i == k {
 			i = 0
 		}
-		lo := len(edges)
-		for idx, e := range a.Out[q] {
+		for idx := g.Off[q]; idx < g.Off[q+1]; idx++ {
+			e := g.Edges[idx]
 			j := i
-			for j < k && g.acc[q][idx]>>j&1 != 0 {
+			for j < k && g.acc[idx]>>j&1 != 0 {
 				j++
 			}
 			if comp[q] != comp[e.To] {
-				j = entry[e.To]
+				j = int(entry[e.To])
 			}
-			edges = addMinimal(edges, lo, buchi.Edge{Label: e.Label, To: ps.id(int(e.To), j)})
+			out.AddMinimal(buchi.Edge{Label: e.Label, To: ps.id(int(e.To), j)})
 		}
-		out.Out = append(out.Out, edges[lo:len(edges):len(edges)])
+		out.Next()
 	}
+	sc.put(g)
 	return out, nil
-}
-
-// addMinimal adds e to the row edges[lo:] unless a transition to the
-// same target with a weaker label is there, dropping those e subsumes
-// and merging it with one whose label differs in one literal's sign.
-func addMinimal(edges []buchi.Edge, lo int, e buchi.Edge) []buchi.Edge {
-	for {
-		row := edges[lo:]
-		for _, f := range row {
-			if f.To == e.To && f.Label.ContainedIn(e.Label) {
-				return edges
-			}
-		}
-		row = slices.DeleteFunc(row, func(f buchi.Edge) bool {
-			return f.To == e.To && e.Label.ContainedIn(f.Label)
-		})
-		edges = edges[:lo+len(row)]
-		i := slices.IndexFunc(row, func(f buchi.Edge) bool { // (µ∧x) ∨ (µ∧¬x) = µ
-			return f.To == e.To && f.Label.Vars() == e.Label.Vars() && bits.OnesCount64(uint64(f.Label.Pos^e.Label.Pos)) == 1
-		})
-		if i < 0 {
-			return append(edges, e)
-		}
-		d := row[i].Label.Pos ^ e.Label.Pos
-		e.Label = buchi.Label{Pos: e.Label.Pos &^ d, Neg: e.Label.Neg &^ d}
-		edges = slices.Delete(edges, lo+i, lo+i+1)
-	}
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
+	"contractdb/internal/datagen"
 	"contractdb/internal/dwyer"
 
 	"contractdb/internal/ltl"
@@ -312,6 +315,41 @@ func TestDwyerPatternsThroughAutomata(t *testing.T) {
 						b, sc, run.Prefix, run.Cycle, f)
 				}
 			}
+		}
+	}
+}
+
+// TestScratchReuseAfterAbort: translations share pooled scratch, and
+// one that stops midway — canceled by its deadline or over its state
+// bound — leaves it mid-construction. Every later translation must
+// still build exactly the automaton a clean run builds.
+func TestScratchReuseAfterAbort(t *testing.T) {
+	voc := datagen.NewVocabulary()
+	gen := datagen.New(voc, 9)
+	rng := rand.New(rand.NewSource(11))
+	deep := ltltest.Config{Atoms: voc.Names()[:6], MaxDepth: 8}
+	for i := range 600 {
+		f := gen.Specification(datagen.QueryClasses()[i%3].Properties)
+		want := ltl2ba.MustTranslate(voc, f)
+		// Deep random formulas are single conjuncts with many covers;
+		// complex contracts fold many conjuncts.
+		hard := ltltest.Expr(rng, deep)
+		if i%4 < 2 {
+			hard = gen.Specification(datagen.ComplexContracts.Properties)
+		}
+		if i%2 == 0 {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(rng.Intn(50))*time.Microsecond)
+			ltl2ba.TranslateBounded(ctx, voc, hard, 0)
+			cancel()
+		} else if _, err := ltl2ba.TranslateBounded(context.Background(), voc, hard, 1+rng.Intn(4)); err == nil {
+			continue // small enough to pass; no abort to recover from
+		}
+		got, err := ltl2ba.Translate(voc, f)
+		if err != nil {
+			t.Fatalf("%s after an aborted translation: %v", f, err)
+		}
+		if got.Init != want.Init || !reflect.DeepEqual(got.Final, want.Final) || !reflect.DeepEqual(got.Out, want.Out) {
+			t.Fatalf("%s: %d states after an aborted translation, %d before", f, got.NumStates(), want.NumStates())
 		}
 	}
 }

@@ -74,14 +74,18 @@ type compileSlot struct {
 // translation (e.g. a vocabulary that is full today) is retried on the
 // next call.
 func (e *Compiled) Automaton(negated bool, tr Translate) (*buchi.BA, error) {
-	s, spec := &e.pos, e.spec
+	s := &e.pos
 	if negated {
-		s, spec = &e.neg, ltl.Not(e.spec)
+		s = &e.neg
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ba != nil {
 		return s.ba, nil
+	}
+	spec := e.spec
+	if negated {
+		spec = ltl.Not(spec) // built on a miss only: a hit allocates nothing
 	}
 	ba, err := tr(spec)
 	if err != nil {

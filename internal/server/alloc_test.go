@@ -47,8 +47,8 @@ func TestRequestAllocCeilings(t *testing.T) {
 		status     int
 		ceiling    float64
 	}{
-		{"query cached", "/v1/query", []byte(`{"spec":"F refund"}`), http.StatusOK, 61},
-		{"query no_cache", "/v1/query", []byte(`{"spec":"F refund","no_cache":true}`), http.StatusOK, 165},
+		{"query cached", "/v1/query", []byte(`{"spec":"F refund"}`), http.StatusOK, 54},
+		{"query no_cache", "/v1/query", []byte(`{"spec":"F refund","no_cache":true}`), http.StatusOK, 71},
 		{"push 64 instants", "/v1/streams/s/events", streamMonitorBody(), http.StatusAccepted, 44},
 		{"push 1 instant", "/v1/streams/s/events", []byte(`{"events":[["purchase","use"]]}`), http.StatusAccepted, 44},
 	}
