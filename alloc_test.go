@@ -1,3 +1,5 @@
+//go:build !race
+
 package main_test
 
 import (

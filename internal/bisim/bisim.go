@@ -87,21 +87,19 @@ func RefineProjected(a *buchi.BA, start Partition, keep vocab.Set) Partition {
 // restricts queries to the events the *contract* cites, regardless of
 // which events survive the projection.
 func Quotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
-	a.EnsureEdges()
-	q := buchi.New(p.Count)
+	q := buchi.NewBuilder(p.Count)
 	q.Init = buchi.StateID(p.Class[a.Init])
-	for s, out := range a.Out {
+	q.Events = a.Events
+	for s := range a.NumStates() {
 		c := buchi.StateID(p.Class[s])
 		if a.Final[s] {
 			q.SetFinal(c)
 		}
-		for _, e := range out {
+		for e := range a.Edges(buchi.StateID(s)) {
 			q.AddEdge(c, e.Label.Project(keep), buchi.StateID(p.Class[e.To]))
 		}
 	}
-	q.Normalize()
-	q.Events = a.Events
-	return q
+	return q.BA()
 }
 
 // Reduce is the convenience used by the LTL→BA pipeline: quotient a by
@@ -127,8 +125,7 @@ func Reduce(a *buchi.BA) *buchi.BA {
 // It is the backward partition ReduceBidirectional's Reducer computes.
 func CoarsestBackward(a *buchi.BA) Partition {
 	var r Reducer
-	var f buchi.Flat
-	f.Flatten(a)
+	f := flatten(a)
 	r.label(&f)
 	count, _ := r.coarsest(nil, &f, true)
 	if count == 0 {
@@ -146,8 +143,7 @@ func CoarsestBackward(a *buchi.BA) Partition {
 // round per state. It returns a itself when no quotient shrinks it.
 func ReduceBidirectional(ctx context.Context, a *buchi.BA) (*buchi.BA, error) {
 	var r Reducer
-	var f buchi.Flat
-	f.Flatten(a)
+	f := flatten(a)
 	shrunk, err := r.Reduce(ctx, &f)
 	if err != nil {
 		return nil, err
@@ -155,9 +151,16 @@ func ReduceBidirectional(ctx context.Context, a *buchi.BA) (*buchi.BA, error) {
 	if !shrunk {
 		return a, nil
 	}
-	q := f.BA()
-	q.Events = a.Events
-	return q, nil
+	return f.BA(a.Events), nil
+}
+
+// flatten copies a's rows into a Flat for the Reducer to rewrite.
+func flatten(a *buchi.BA) buchi.Flat {
+	f := buchi.Flat{Init: a.Init, Off: append([]int32(nil), a.EdgeOff...), Final: append([]bool(nil), a.Final...)}
+	for s := range a.NumStates() {
+		f.Edges = slices.AppendSeq(f.Edges, a.Edges(buchi.StateID(s)))
+	}
+	return f
 }
 
 // Reducer is ReduceBidirectional on a flat automaton, reducing it in

@@ -3,6 +3,7 @@ package bisim_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"contractdb/internal/bisim"
@@ -13,13 +14,13 @@ import (
 )
 
 // TestQuotientDerivationMatchesCompile: the quotient automata a
-// ProjectionSet hands out carry a compiled form derived from the
-// parent's CSR rows, not flattened — this pins the derivation to the
-// ground truth by re-flattening each quotient from scratch, and by
-// flattening the quotient Quotient builds edge by edge from the
-// parent's pointer adjacency, requiring bit-identical results. A
-// quotient serves every subset citing its partition table, so its
-// labels are projected onto the union of those subsets.
+// ProjectionSet hands out are derived from the parent's CSR rows, not
+// built from edge rows — this pins the derivation to the builder by
+// rebuilding each quotient's rows from scratch, and by building the
+// quotient Quotient collects edge by edge from the parent's rows,
+// requiring identical arrays. A quotient serves every subset citing
+// its partition table, so its labels are projected onto the union of
+// those subsets.
 func TestQuotientDerivationMatchesCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	voc := vocab.MustFromNames("a", "b", "c", "d")
@@ -37,16 +38,18 @@ func TestQuotientDerivationMatchesCompile(t *testing.T) {
 			if q == a {
 				continue // no reduction: served by the parent itself
 			}
-			derived := q.Compiled()
-			if fresh := buchi.Compile(q); !reflect.DeepEqual(derived, fresh) {
-				t.Fatalf("derived compiled form for %v diverges from Compile:\n got %+v\nwant %+v",
-					names, derived, fresh)
+			rows := buchi.Flat{Init: q.Init, Off: []int32{0}, Final: q.Final}
+			for s := range q.NumStates() {
+				rows.Edges = slices.AppendSeq(rows.Edges, q.Edges(buchi.StateID(s)))
+				rows.Next()
+			}
+			if fresh := rows.BA(q.Events); !sameAutomaton(q, fresh) {
+				t.Fatalf("derived quotient for %v diverges from its rows rebuilt:\n got %+v\nwant %+v", names, q, fresh)
 			}
 			relevant := keep.Intersect(a.Events).Intersect(ps.LabelEvents())
 			built := bisim.Quotient(a, bisim.CoarsestProjected(a, relevant), tableUnion(ps, ps.Table(keep)))
-			if fresh := buchi.Compile(built); !reflect.DeepEqual(derived, fresh) {
-				t.Fatalf("derived compiled form for %v diverges from the edge-by-edge quotient:\n got %+v\nwant %+v",
-					names, derived, fresh)
+			if !sameAutomaton(q, built) {
+				t.Fatalf("derived quotient for %v diverges from the edge-by-edge quotient:\n got %+v\nwant %+v", names, q, built)
 			}
 		}
 	}
@@ -65,8 +68,8 @@ func tableUnion(ps *bisim.ProjectionSet, t int) vocab.Set {
 	return u
 }
 
-// TestFlatProjectionsRoundTrip: ExportFlat → ImportFlat onto a shell
-// of the compiled automaton (as the snapshot loader holds it)
+// TestFlatProjectionsRoundTrip: ExportFlat → ImportFlat onto a copy
+// of the automaton's arrays (as the snapshot loader adopts them)
 // reproduces the projection set — every subset's derived quotient
 // accepts the same lassos as the original's — and the imported set
 // re-exports the same flat form after queries filled its cache.
@@ -83,11 +86,14 @@ func TestFlatProjectionsRoundTrip(t *testing.T) {
 		ps := bisim.Precompute(a, 2)
 		flat := ps.ExportFlat()
 
-		shell, err := buchi.ShellFromCompiled(a.Compiled())
-		if err != nil {
+		adopted := &buchi.BA{
+			Init: a.Init, Final: slices.Clone(a.Final), Events: a.Events, MaxDeg: a.MaxDeg,
+			EdgeOff: slices.Clone(a.EdgeOff), EdgeTo: slices.Clone(a.EdgeTo), EdgeLabel: slices.Clone(a.EdgeLabel), Labels: slices.Clone(a.Labels),
+		}
+		if err := adopted.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		ps2, err := bisim.ImportFlat(shell, ps.LabelEvents(), flat)
+		ps2, err := bisim.ImportFlat(adopted, ps.LabelEvents(), flat)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -128,8 +128,7 @@ func validateCanonicalClasses(class []int32) (int, error) {
 // index is built over them (Table ranks the subset). labelEvents is
 // the persisted label-event set (computed at export from the
 // automaton's labels), passed in so import never walks the automaton's
-// adjacency — auto is typically a shell whose edges stay
-// unmaterialized. The form is validated in place.
+// label table. The form is validated in place.
 func ImportFlat(auto *buchi.BA, labelEvents vocab.Set, f FlatProjections) (*ProjectionSet, error) {
 	n := auto.NumStates()
 	for i, t := range f.PartTables {

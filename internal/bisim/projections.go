@@ -64,8 +64,8 @@ type ProjectionSet struct {
 // Theorem 3 is a coarser partition of the same states. Identical
 // partitions are shared.
 func Precompute(a *buchi.BA, maxSubset int) *ProjectionSet {
-	// One refiner serves the whole lattice: the contract is flattened
-	// and its labels interned once, and every subset reuses the scratch.
+	// One refiner serves the whole lattice: the contract is loaded once,
+	// and every subset reuses the scratch.
 	r := loadRefiner(a)
 	defer refinerPool.Put(r)
 	var labelEvents vocab.Set
@@ -227,35 +227,26 @@ func (ps *ProjectionSet) TableQuotient(t int) *buchi.BA {
 // all members of a class have identical (projected label, target
 // class) edge sets, so any member's edges are the class's edges.
 //
-// The derivation reads the parent's *compiled* CSR rows rather than
-// its pointer-rich edge lists and builds the quotient's compiled form
-// by remapping arrays, never by flattening. Together with snapshots
-// adopting the parent's compiled form, this keeps the entire query
-// path free of Compile calls: projecting a canonical (minimal) edge
-// row and re-canonicalizing yields exactly the row Compile would
-// produce from the raw quotient, because projection preserves label
-// implication. This runs on the query path, where it matters. Each
-// parent label is projected, and its projection identified and ranked
-// in a deduplicated table, once; a row then sorts as plain integer
-// keys, with no comparator call and no map lookup per edge.
+// The derivation remaps the parent's CSR rows into the quotient's,
+// never building it from edge rows: projecting a canonical (minimal)
+// edge row and re-canonicalizing yields exactly the row buchi.Flat.BA
+// would build from the raw quotient, because projection preserves
+// label implication. This runs on the query path, where it matters.
+// Each parent label is projected, and its projection identified and
+// ranked in a deduplicated table, once; a row then sorts as plain
+// integer keys, with no comparator call and no map lookup per edge.
 //
-// The quotient is compiled-only: a buchi.ShellFromCompiled shell with
-// Out == nil, which nothing on the query path materializes (the
-// kernels and the seed analysis read the CSR arrays). A cached
-// quotient therefore costs its arrays alone, each allocated at its
+// A cached quotient costs its arrays alone, each allocated at its
 // final length: 8 bytes per edge (int32 target and label id), 5 per
-// state (offset and final flag) and 16 per distinct label. A pointer
-// adjacency alongside would add 24 bytes per edge and a 24-byte slice
-// header per state, before append slack.
+// state (offset and final flag) and 16 per distinct label.
 func deriveQuotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
 	derivations.Add(1)
-	pc := a.Compiled()
 	// projected[projID[i]] is parent label i projected onto keep, with
 	// equal projections sharing one entry.
-	projID := make([]int32, len(pc.Labels))
+	projID := make([]int32, len(a.Labels))
 	var projected []buchi.Label
-	seen := make(map[buchi.Label]int32, len(pc.Labels))
-	for i, l := range pc.Labels {
+	seen := make(map[buchi.Label]int32, len(a.Labels))
+	for i, l := range a.Labels {
 		l = l.Project(keep)
 		id, ok := seen[l]
 		if !ok {
@@ -285,20 +276,19 @@ func deriveQuotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
 	for i := range rep {
 		rep[i] = -1
 	}
-	for s := 0; s < pc.N; s++ {
+	for s := range a.NumStates() {
 		if c := p.Class[s]; rep[c] == -1 {
 			rep[c] = s
 		}
 	}
-	qc := &buchi.Compiled{
-		N:       p.Count,
+	qc := &buchi.BA{
 		Init:    buchi.StateID(p.Class[a.Init]),
 		Final:   make([]bool, p.Count),
 		Events:  a.Events,
 		EdgeOff: make([]int32, p.Count+1),
 	}
 	// Quotient label ids are assigned in order of first use along the
-	// canonical edge order, as Compile assigns them; qID maps a
+	// canonical edge order, as Flat.BA assigns them; qID maps a
 	// projected entry to its id, -1 until used.
 	qID := make([]int32, len(projected))
 	for i := range qID {
@@ -310,10 +300,10 @@ func deriveQuotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
 	row, group, to, lab := sc.row[:0], sc.group[:0], sc.to[:0], sc.lab[:0]
 	for c, s := range rep {
 		qc.EdgeOff[c] = int32(len(to))
-		qc.Final[c] = pc.Final[s]
+		qc.Final[c] = a.Final[s]
 		row = row[:0]
-		for e := pc.EdgeOff[s]; e < pc.EdgeOff[s+1]; e++ {
-			row = append(row, uint64(p.Class[pc.EdgeTo[e]])<<32|uint64(rank[projID[pc.EdgeLabel[e]]]))
+		for e := a.EdgeOff[s]; e < a.EdgeOff[s+1]; e++ {
+			row = append(row, uint64(p.Class[a.EdgeTo[e]])<<32|uint64(rank[projID[a.EdgeLabel[e]]]))
 		}
 		slices.Sort(row)
 		// As CanonicalEdges does, keep an edge only if no kept edge to
@@ -337,24 +327,21 @@ func deriveQuotient(a *buchi.BA, p Partition, keep vocab.Set) *buchi.BA {
 		qc.MaxDeg = max(qc.MaxDeg, len(to)-int(qc.EdgeOff[c]))
 	}
 	qc.EdgeOff[p.Count] = int32(len(to))
-	if len(to) > 0 { // an edgeless quotient keeps nil arrays, as Compile leaves them
-		qc.EdgeTo = append(make([]int32, 0, len(to)), to...)
-		qc.EdgeLabel = append(make([]int32, 0, len(lab)), lab...)
-		qc.Labels = make([]buchi.Label, nLabels)
-		for id, q := range qID {
-			if q >= 0 {
-				qc.Labels[q] = projected[id]
-			}
+	qc.EdgeTo = append(make([]int32, 0, len(to)), to...)
+	qc.EdgeLabel = append(make([]int32, 0, len(lab)), lab...)
+	qc.Labels = make([]buchi.Label, nLabels)
+	for id, q := range qID {
+		if q >= 0 {
+			qc.Labels[q] = projected[id]
 		}
 	}
 	sc.row, sc.group, sc.to, sc.lab = row, group, to, lab
-	q, err := buchi.ShellFromCompiled(qc)
-	if err != nil {
-		// The form was remapped from a valid parent form; a rejection
-		// is a bug in this function, not bad input.
+	if err := qc.Validate(); err != nil {
+		// The arrays were remapped from a valid parent; a rejection is
+		// a bug in this function, not bad input.
 		panic("bisim: derived quotient failed validation: " + err.Error())
 	}
-	return q
+	return qc
 }
 
 // derivations counts deriveQuotient calls process-wide. The

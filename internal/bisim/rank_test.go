@@ -36,8 +36,9 @@ func TestTableRankMatchesSearch(t *testing.T) {
 			all = append(all, s)
 		}
 		slices.Sort(all)
-		auto := buchi.New(1)
-		auto.Events = labels | outside
+		b := buchi.NewBuilder(1)
+		b.Events = labels | outside
+		auto := b.BA()
 		for k := 0; k <= m+1; k++ {
 			var want []vocab.Set
 			for _, s := range all {

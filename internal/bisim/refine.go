@@ -13,11 +13,9 @@ import (
 // partition this package computes — plain, projected, backward, and the
 // whole subset lattice of Precompute — comes out of refine.
 //
-// Loading an automaton flattens its edge lists into CSR arrays
-// (per-state offsets plus flat label-id and target arrays) and interns
-// each distinct label once. It reads a.Out, never the compiled rows:
-// buchi.Compile drops subsumed edges, which would change the
-// partitions. A refinement then projects each distinct label once, into
+// Loading an automaton copies its CSR arrays (per-state offsets plus
+// flat label-id and target arrays), whose labels the automaton already
+// interns. A refinement then projects each distinct label once, into
 // a dense projected-id table, so a round touches no label at all: it
 // signs every state by its class plus the set of distinct
 // (projected id, target class) entries, deduplicated in a stamped
@@ -38,7 +36,7 @@ type refiner struct {
 	lab    []int32 // interned label id per edge
 	to     []int32 // target state per edge
 	labels []buchi.Label
-	ids    map[buchi.Label]int32 // interns labels in load, projections in refine
+	ids    map[buchi.Label]int32 // interns projections in refine
 
 	proj []int32 // projected id per interned label, set per refinement
 	pk   []int32 // projected id per edge, the rounds' view of proj
@@ -86,34 +84,16 @@ func loadRefiner(a *buchi.BA) *refiner {
 	return r
 }
 
-// load flattens a's edge lists into the refiner.
+// load copies a's CSR arrays into the refiner: the refiner's own
+// slabs are rewritten by later loads, and a's may be a read-only
+// snapshot mapping.
 func (r *refiner) load(a *buchi.BA) {
-	a.EnsureEdges()
-	n := a.NumStates()
-	r.n = n
-	r.off = resize(r.off, n+1)
-	m, maxDeg := 0, 0
-	for s, out := range a.Out {
-		r.off[s], m, maxDeg = int32(m), m+len(out), max(maxDeg, len(out))
-	}
-	r.off[n] = int32(m)
-	r.lab, r.to = resize(r.lab, m), resize(r.to, m)
-	clear(r.ids)
-	r.labels = r.labels[:0]
-	i := 0
-	for _, out := range a.Out {
-		for _, e := range out {
-			id, ok := r.ids[e.Label]
-			if !ok {
-				id = int32(len(r.labels))
-				r.ids[e.Label] = id
-				r.labels = append(r.labels, e.Label)
-			}
-			r.lab[i], r.to[i] = id, int32(e.To)
-			i++
-		}
-	}
-	r.size(maxDeg)
+	r.n = a.NumStates()
+	r.off = append(r.off[:0], a.EdgeOff...)
+	r.lab = append(r.lab[:0], a.EdgeLabel...)
+	r.to = append(r.to[:0], a.EdgeTo...)
+	r.labels = append(r.labels[:0], a.Labels...)
+	r.size(a.MaxDeg)
 }
 
 // size fits the scratch tables to r.n states of at most maxDeg edges.

@@ -25,10 +25,24 @@ func RefineOneBucket(a *buchi.BA, start Partition, keep vocab.Set) Partition {
 	return r.refine(start.Class, keep)
 }
 
+// rowsOf returns a's edges per state, labels by value.
+func rowsOf(a *buchi.BA) [][]buchi.Edge {
+	rows := make([][]buchi.Edge, a.NumStates())
+	for s := range rows {
+		rows[s] = slices.Collect(a.Edges(buchi.StateID(s)))
+	}
+	return rows
+}
+
 // ReferenceRefineProjected is the reference RefineProjected.
 func ReferenceRefineProjected(a *buchi.BA, start Partition, keep vocab.Set) Partition {
-	a.EnsureEdges()
-	n := a.NumStates()
+	return referenceRefine(rowsOf(a), start, keep)
+}
+
+// referenceRefine is ReferenceRefineProjected over edge rows, in any
+// order and with labels compared by value.
+func referenceRefine(rows [][]buchi.Edge, start Partition, keep vocab.Set) Partition {
+	n := len(rows)
 	if n == 0 {
 		return Partition{}
 	}
@@ -48,7 +62,7 @@ func ReferenceRefineProjected(a *buchi.BA, start Partition, keep vocab.Set) Part
 		next := make(map[string]int32, count)
 		for s := 0; s < n; s++ {
 			pairs = pairs[:0]
-			for _, e := range a.Out[s] {
+			for _, e := range rows[s] {
 				l := e.Label.Project(keep)
 				pairs = append(pairs, [3]uint64{uint64(l.Pos), uint64(l.Neg), uint64(class[e.To])})
 			}
@@ -125,24 +139,28 @@ func (t tripleSlice) sort() {
 
 // ReferenceCoarsestProjected is the reference CoarsestProjected.
 func ReferenceCoarsestProjected(a *buchi.BA, keep vocab.Set) Partition {
-	initial := make([]int32, a.NumStates())
-	for s, f := range a.Final {
+	return referenceCoarsest(rowsOf(a), a.Final, keep)
+}
+
+// referenceCoarsest is ReferenceCoarsestProjected over edge rows.
+func referenceCoarsest(rows [][]buchi.Edge, final []bool, keep vocab.Set) Partition {
+	initial := make([]int32, len(rows))
+	for s, f := range final {
 		if f {
 			initial[s] = 1
 		}
 	}
-	return ReferenceRefineProjected(a, Partition{Class: initial, Count: 2}, keep)
+	return referenceRefine(rows, Partition{Class: initial, Count: 2}, keep)
 }
 
 // ReferenceCoarsestBackward is the reference CoarsestBackward, which
-// refined a reversed automaton built through AddEdge.
+// refines the reversed edge rows.
 func ReferenceCoarsestBackward(a *buchi.BA) Partition {
-	a.EnsureEdges()
 	n := a.NumStates()
-	rev := buchi.New(n)
-	for s, out := range a.Out {
-		for _, e := range out {
-			rev.AddEdge(e.To, e.Label, buchi.StateID(s))
+	rev := make([][]buchi.Edge, n)
+	for s := range n {
+		for e := range a.Edges(buchi.StateID(s)) {
+			rev[e.To] = append(rev[e.To], buchi.Edge{Label: e.Label, To: buchi.StateID(s)})
 		}
 	}
 	initial := make([]int32, n)
@@ -156,7 +174,7 @@ func ReferenceCoarsestBackward(a *buchi.BA) Partition {
 		}
 		initial[s] = c
 	}
-	return ReferenceRefineProjected(rev, Partition{Class: initial, Count: 4}, ^vocab.Set(0))
+	return referenceRefine(rev, Partition{Class: initial, Count: 4}, ^vocab.Set(0))
 }
 
 // ReferenceReduceBidirectional is ReduceBidirectional over the
@@ -179,9 +197,14 @@ func ReferenceReduceBidirectional(a *buchi.BA) *buchi.BA {
 // ReferencePrecompute is Precompute over the reference refinement and
 // the fmt-built partition keys.
 func ReferencePrecompute(a *buchi.BA, maxSubset int) *ProjectionSet {
-	a.EnsureEdges()
+	return ReferencePrecomputeRows(a, rowsOf(a), maxSubset)
+}
+
+// ReferencePrecomputeRows is ReferencePrecompute refining the given
+// edge rows in place of a's.
+func ReferencePrecomputeRows(a *buchi.BA, rows [][]buchi.Edge, maxSubset int) *ProjectionSet {
 	var labelEvents vocab.Set
-	for _, out := range a.Out {
+	for _, out := range rows {
 		for _, e := range out {
 			labelEvents = labelEvents.Union(e.Label.Vars())
 		}
@@ -200,8 +223,8 @@ func ReferencePrecompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 		dedup[key] = &cp
 		return &cp
 	}
-	full := intern(ReferenceCoarsestProjected(a, labelEvents))
-	parts := map[vocab.Set]*Partition{0: intern(ReferenceCoarsestProjected(a, 0))}
+	full := intern(referenceCoarsest(rows, a.Final, labelEvents))
+	parts := map[vocab.Set]*Partition{0: intern(referenceCoarsest(rows, a.Final, 0))}
 	subsets := []vocab.Set{0}
 	for size := 1; size <= maxSubset; size++ {
 		var nextSubsets []vocab.Set
@@ -220,7 +243,7 @@ func ReferencePrecompute(a *buchi.BA, maxSubset int) *ProjectionSet {
 				if seed == full {
 					parts[s] = full
 				} else {
-					parts[s] = intern(ReferenceRefineProjected(a, *seed, s))
+					parts[s] = intern(referenceRefine(rows, *seed, s))
 				}
 				nextSubsets = append(nextSubsets, s)
 			}

@@ -25,9 +25,9 @@ import (
 // have no states at all.
 func randomBA(rng *rand.Rand) *buchi.BA {
 	n := rng.Intn(15)
-	a := buchi.New(n)
+	a := buchi.NewBuilder(n)
 	if n == 0 {
-		return a
+		return a.BA()
 	}
 	pool := make([]buchi.Label, 1+rng.Intn(5))
 	for i := range pool {
@@ -49,7 +49,7 @@ func randomBA(rng *rand.Rand) *buchi.BA {
 			}
 		}
 	}
-	return a
+	return a.BA()
 }
 
 // randomStarts returns start partitions for a: finality in canonical
@@ -136,7 +136,7 @@ func checkCorpus(t *testing.T, refine func(*buchi.BA, bisim.Partition, vocab.Set
 func TestRefinerMatchesReference(t *testing.T) {
 	checkRandom(t, bisim.RefineProjected)
 	checkCorpus(t, bisim.RefineProjected)
-	empty := buchi.New(0)
+	empty := buchi.NewBuilder(0).BA()
 	if got := bisim.Coarsest(empty); !reflect.DeepEqual(got, bisim.ReferenceCoarsestProjected(empty, ^vocab.Set(0))) {
 		t.Fatalf("0-state automaton: got %v", got)
 	}
@@ -167,6 +167,41 @@ func TestPrecomputeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPartitionsFromCSRMatchRows: for contracts of every datagen
+// class, Precompute over the automaton's CSR arrays exports the flat
+// form the reference precomputation gives over the same transitions as
+// per-state edge rows — shuffled, with some edges repeated, and labels
+// compared by value rather than by their interned ids.
+func TestPartitionsFromCSRMatchRows(t *testing.T) {
+	voc := datagen.NewVocabulary()
+	gen := datagen.New(voc, 37)
+	rng := rand.New(rand.NewSource(37))
+	for _, class := range datagen.ContractClasses() {
+		checked := 0
+		for checked < 3 {
+			a, err := ltl2ba.TranslateBounded(context.Background(), voc, gen.Specification(class.Properties), 300)
+			if err != nil || a.IsEmpty() {
+				continue
+			}
+			rows := make([][]buchi.Edge, a.NumStates())
+			for s := range rows {
+				for e := range a.Edges(buchi.StateID(s)) {
+					rows[s] = append(rows[s], e)
+					if rng.Intn(4) == 0 {
+						rows[s] = append(rows[s], e)
+					}
+				}
+				rng.Shuffle(len(rows[s]), func(i, j int) { rows[s][i], rows[s][j] = rows[s][j], rows[s][i] })
+			}
+			got, want := bisim.Precompute(a, 3), bisim.ReferencePrecomputeRows(a, rows, 3)
+			if !reflect.DeepEqual(got.ExportFlat(), want.ExportFlat()) || got.LabelEvents() != want.LabelEvents() {
+				t.Fatalf("%s contract %d: partitions from the CSR arrays differ from the rows'", class.Name, checked)
+			}
+			checked++
+		}
+	}
+}
+
 func gobBytes(t *testing.T, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -191,8 +226,8 @@ func TestRefineEdgesMatchesReference(t *testing.T) {
 		ids := map[buchi.Label]int32{}
 		off := make([]int32, n+1)
 		var key, to []int32
-		for s, out := range a.Out {
-			for _, e := range out {
+		for s := range n {
+			for e := range a.Edges(buchi.StateID(s)) {
 				if _, ok := ids[e.Label]; !ok {
 					ids[e.Label] = int32(len(ids))
 				}
@@ -219,7 +254,7 @@ func TestRefineEdgesMatchesReference(t *testing.T) {
 }
 
 // TestReduceBidirectionalMatchesReference: ReduceBidirectional yields
-// the reference reduction's automaton, compiled form included, on a
+// the reference reduction's automaton, array for array, on a
 // fixed set of datagen queries and on random automata. Translation
 // has already reduced the queries, so each is first inflated into two
 // interleaved copies for the reduction to undo.
@@ -244,8 +279,7 @@ func TestReduceBidirectionalMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := bisim.ReferenceReduceBidirectional(input())
-		if got.Init != want.Init || got.Events != want.Events || !reflect.DeepEqual(got.Final, want.Final) ||
-			!reflect.DeepEqual(got.Out, want.Out) || !reflect.DeepEqual(got.Compiled(), want.Compiled()) {
+		if !sameAutomaton(got, want) {
 			t.Fatalf("input %d: reduction to %d states diverges from the reference's %d", i, got.NumStates(), want.NumStates())
 		}
 	}
@@ -286,17 +320,26 @@ func TestRefinerPoolConcurrent(t *testing.T) {
 // copies, so every state has a bisimilar twin.
 func inflate(a *buchi.BA) *buchi.BA {
 	n := a.NumStates()
-	b := buchi.New(2 * n)
+	b := buchi.NewBuilder(2 * n)
 	b.Init = a.Init
-	for s, out := range a.Out {
+	for s := range n {
 		for k := range 2 {
 			from := buchi.StateID(s + k*n)
 			b.Final[from] = a.Final[s]
-			for j, e := range out {
+			j := 0
+			for e := range a.Edges(buchi.StateID(s)) {
 				b.AddEdge(from, e.Label, e.To+buchi.StateID((s+j+k)%2*n))
+				j++
 			}
 		}
 	}
 	b.Events = a.Events
-	return b
+	return b.BA()
+}
+
+// sameAutomaton reports whether a and b hold equal arrays.
+func sameAutomaton(a, b *buchi.BA) bool {
+	return a.Init == b.Init && a.Events == b.Events && a.MaxDeg == b.MaxDeg &&
+		slices.Equal(a.Final, b.Final) && slices.Equal(a.EdgeOff, b.EdgeOff) && slices.Equal(a.EdgeTo, b.EdgeTo) &&
+		slices.Equal(a.EdgeLabel, b.EdgeLabel) && slices.Equal(a.Labels, b.Labels)
 }

@@ -10,10 +10,8 @@ func (a *BA) AcceptsLasso(run ltl.Lasso) bool {
 	if len(run.Cycle) == 0 {
 		return false
 	}
-	a.EnsureEdges()
 	positions := run.Len()
 	n := a.NumStates()
-	node := func(pos int, s StateID) StateID { return StateID(pos*n + int(s)) }
 	succ := func(pos int) int {
 		if pos == positions-1 {
 			return len(run.Prefix)
@@ -21,23 +19,24 @@ func (a *BA) AcceptsLasso(run ltl.Lasso) bool {
 		return pos + 1
 	}
 	// Build the product as a throwaway BA so we can reuse the
-	// accepting-cycle analysis. All product edges carry label true.
-	prod := New(positions * n)
-	prod.Init = node(0, a.Init)
+	// accepting-cycle analysis: product state pos*n+s pairs position
+	// pos with state s, and all its edges carry label true.
+	var prod Flat
+	prod.Reset()
 	for pos := 0; pos < positions; pos++ {
 		snapshot := run.At(pos)
 		for s := 0; s < n; s++ {
-			if a.Final[s] {
-				prod.SetFinal(node(pos, StateID(s)))
-			}
-			for _, e := range a.Out[s] {
+			prod.Final = append(prod.Final, a.Final[s])
+			for e := range a.Edges(StateID(s)) {
 				if e.Label.Matches(snapshot) {
-					prod.AddEdge(node(pos, StateID(s)), True, node(succ(pos), e.To))
+					prod.Edges = append(prod.Edges, Edge{Label: True, To: StateID(succ(pos)*n + int(e.To))})
 				}
 			}
+			prod.Next()
 		}
 	}
-	return !prod.IsEmpty()
+	prod.Init = a.Init
+	return !prod.BA(0).IsEmpty()
 }
 
 // FindAcceptingLasso returns a lasso run accepted by the automaton, or
@@ -47,13 +46,12 @@ func (a *BA) AcceptsLasso(run ltl.Lasso) bool {
 // conjunction of literals. Useful for counterexample-style debugging
 // and for cross-checking translation output against the LTL evaluator.
 func (a *BA) FindAcceptingLasso() (ltl.Lasso, bool) {
-	a.EnsureEdges()
 	reach := a.Reachable()
 	on := a.OnAcceptingCycle()
 	// Pick the first reachable final state on an accepting cycle as the
 	// knot; a final state always lies on its component's cycle.
 	knot := StateID(-1)
-	for s := range a.Out {
+	for s := range a.Final {
 		if reach[s] && on[s] && a.Final[s] {
 			knot = StateID(s)
 			break
@@ -97,7 +95,7 @@ func (a *BA) pathLabels(from, to StateID) ([]Label, bool) {
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
-		for _, e := range a.Out[s] {
+		for e := range a.Edges(s) {
 			if seen[e.To] {
 				continue
 			}
@@ -120,7 +118,7 @@ func (a *BA) pathLabels(from, to StateID) ([]Label, bool) {
 // cycleLabels returns the labels along some nonempty cycle from s back
 // to s.
 func (a *BA) cycleLabels(s StateID) ([]Label, bool) {
-	for _, e := range a.Out[s] {
+	for e := range a.Edges(s) {
 		if e.To == s {
 			return []Label{e.Label}, true
 		}

@@ -2,6 +2,7 @@ package buchi_test
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -133,8 +134,7 @@ func TestLabelFormatRoundTrip(t *testing.T) {
 func buildSample() *buchi.BA {
 	// init -> 1 -a-> 2 (final, self loop true); 3 unreachable;
 	// 4 reachable dead end.
-	a := buchi.New(5)
-	a.Init = 0
+	a := buchi.NewBuilder(5)
 	la, _ := buchi.ParseLabel(voc, "a")
 	a.AddEdge(0, buchi.True, 1)
 	a.AddEdge(1, la, 2)
@@ -142,7 +142,7 @@ func buildSample() *buchi.BA {
 	a.AddEdge(1, la, 4)
 	a.AddEdge(3, buchi.True, 2)
 	a.SetFinal(2)
-	return a
+	return a.BA()
 }
 
 func TestReachableAndTrim(t *testing.T) {
@@ -164,9 +164,9 @@ func TestReachableAndTrim(t *testing.T) {
 }
 
 func TestTrimEmptyLanguage(t *testing.T) {
-	a := buchi.New(2)
-	a.AddEdge(0, buchi.True, 1) // no final state anywhere
-	trimmed, _ := a.Trim()
+	b := buchi.NewBuilder(2)
+	b.AddEdge(0, buchi.True, 1) // no final state anywhere
+	trimmed, _ := b.BA().Trim()
 	if !trimmed.IsEmpty() {
 		t.Error("automaton without finals must trim to empty")
 	}
@@ -188,12 +188,12 @@ func TestOnAcceptingCycle(t *testing.T) {
 }
 
 func TestSCCs(t *testing.T) {
-	a := buchi.New(4)
-	a.AddEdge(0, buchi.True, 1)
-	a.AddEdge(1, buchi.True, 2)
-	a.AddEdge(2, buchi.True, 1) // {1,2} strongly connected
-	a.AddEdge(2, buchi.True, 3)
-	comp, count := a.SCCs()
+	b := buchi.NewBuilder(4)
+	b.AddEdge(0, buchi.True, 1)
+	b.AddEdge(1, buchi.True, 2)
+	b.AddEdge(2, buchi.True, 1) // {1,2} strongly connected
+	b.AddEdge(2, buchi.True, 3)
+	comp, count := b.BA().SCCs()
 	if count != 3 {
 		t.Fatalf("count = %d, want 3", count)
 	}
@@ -209,40 +209,42 @@ func TestSCCs(t *testing.T) {
 	}
 }
 
+// TestNormalizeSubsumption: building an automaton drops exact
+// duplicates and subsumed edges, and keeps each row in canonical
+// order.
 func TestNormalizeSubsumption(t *testing.T) {
-	a := buchi.New(2)
+	b := buchi.NewBuilder(2)
 	la, _ := buchi.ParseLabel(voc, "a")
 	lab, _ := buchi.ParseLabel(voc, "a & b")
 	labc, _ := buchi.ParseLabel(voc, "a & !c")
-	a.AddEdge(0, lab, 1)  // subsumed by a
-	a.AddEdge(0, la, 1)   // weakest, kept
-	a.AddEdge(0, la, 1)   // duplicate
-	a.AddEdge(0, labc, 1) // subsumed by a
-	a.AddEdge(0, lab, 0)  // different target, kept
-	a.Normalize()
-	if len(a.Out[0]) != 2 {
-		t.Fatalf("Normalize kept %d edges, want 2", len(a.Out[0]))
+	b.AddEdge(0, lab, 1)  // subsumed by a
+	b.AddEdge(0, la, 1)   // weakest, kept
+	b.AddEdge(0, la, 1)   // duplicate
+	b.AddEdge(0, labc, 1) // subsumed by a
+	b.AddEdge(0, lab, 0)  // different target, kept
+	got := slices.Collect(b.BA().Edges(0))
+	if want := []buchi.Edge{{Label: lab, To: 0}, {Label: la, To: 1}}; !slices.Equal(got, want) {
+		t.Fatalf("row 0 built as %v, want %v", got, want)
 	}
 }
 
 func TestMergeAdjacentLabels(t *testing.T) {
-	a := buchi.New(2)
 	lab, _ := buchi.ParseLabel(voc, "a & b")
 	lanb, _ := buchi.ParseLabel(voc, "a & !b")
-	a.AddEdge(0, lab, 1)
-	a.AddEdge(0, lanb, 1)
-	a.MergeAdjacentLabels()
-	if len(a.Out[0]) != 1 {
-		t.Fatalf("merge kept %d edges, want 1", len(a.Out[0]))
+	var m buchi.LabelMerger
+	row, merged := m.Merge([]buchi.Edge{{Label: lab, To: 1}, {Label: lanb, To: 1}})
+	if !merged || len(row) != 1 {
+		t.Fatalf("merge kept %d edges (merged %v), want 1", len(row), merged)
 	}
 	la, _ := buchi.ParseLabel(voc, "a")
-	if a.Out[0][0].Label != la {
-		t.Errorf("merged label = %s, want a", a.Out[0][0].Label.Format(voc))
+	if row[0].Label != la {
+		t.Errorf("merged label = %s, want a", row[0].Label.Format(voc))
 	}
 }
 
 // TestMergeAdjacentPreservesLanguage: random automata keep their
-// language under the adjacency merge.
+// language when every row is merged by the adjacency rule and the
+// automaton is rebuilt.
 func TestMergeAdjacentPreservesLanguage(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	cfg := ltltest.Config{Atoms: []string{"a", "b", "c"}, MaxDepth: 4}
@@ -252,13 +254,18 @@ func TestMergeAdjacentPreservesLanguage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := a.Clone()
-		b.MergeAdjacentLabels()
-		b.Normalize()
+		var m buchi.LabelMerger
+		rows := buchi.Flat{Init: a.Init, Off: []int32{0}, Final: a.Final}
+		for s := range a.NumStates() {
+			row, _ := m.Merge(slices.Collect(a.Edges(buchi.StateID(s))))
+			rows.Edges = append(rows.Edges, row...)
+			rows.Next()
+		}
+		b := rows.BA(a.Events)
 		for j := 0; j < 20; j++ {
 			run := ltltest.Lasso(rng, 3, 3, 3)
 			if a.AcceptsLasso(run) != b.AcceptsLasso(run) {
-				t.Fatalf("MergeAdjacentLabels changed the language of BA(%s)", f)
+				t.Fatalf("the adjacency merge changed the language of BA(%s)", f)
 			}
 		}
 	}
@@ -333,9 +340,9 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	a := buchi.New(2)
-	a.AddEdge(0, buchi.Label{Pos: 1, Neg: 1}, 1) // unsatisfiable label
-	if err := a.Validate(); err == nil {
+	b := buchi.NewBuilder(2)
+	b.AddEdge(0, buchi.Label{Pos: 1, Neg: 1}, 1) // unsatisfiable label
+	if err := b.BA().Validate(); err == nil {
 		t.Error("Validate must reject unsatisfiable labels")
 	}
 }

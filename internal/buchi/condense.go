@@ -8,7 +8,7 @@ import (
 // Condensation is the automaton's transition graph grouped into
 // strongly connected components, in the two shapes the prefilter's
 // pruning condition (paper Algorithm 1) walks. Labels are indexes into
-// the compiled form's label table, so a walker can evaluate each
+// the automaton's label table, so a walker can evaluate each
 // distinct label once.
 type Condensation struct {
 	// Comp is the component of every state, numbered as SCCs numbers
@@ -39,24 +39,22 @@ type Knot struct {
 }
 
 // Condensation returns the automaton's condensation, building it on
-// first use from the compiled form (concurrency-safe; later calls
-// return the cached value). Like Compiled, it must only be called once
-// construction of the automaton is complete. A query automaton shared
-// by every shard, or served again from the compile cache, is analysed
+// first use (concurrency-safe; later calls return the cached value). A
+// query automaton served again from the compile cache is analysed
 // once.
 func (a *BA) Condensation() *Condensation {
 	a.condOnce.Do(func() { a.cond = condense(a) })
 	return a.cond
 }
 
-func condense(a *BA) *Condensation {
-	c := a.Compiled()
+func condense(c *BA) *Condensation {
+	n := c.NumStates()
 	sc := condensePool.Get().(*condenseScratch)
-	if c.N <= maxPooled {
+	if n <= maxPooled {
 		defer condensePool.Put(sc)
 	}
-	comp, count := sc.scc.walk(a.targets(), c.N)
-	sc.order, sc.knot = grow(sc.order, c.N), grow(sc.knot, c.N)
+	comp, count := sc.scc.walk(c.EdgeOff, c.EdgeTo)
+	sc.order, sc.knot = grow(sc.order, n), grow(sc.knot, n)
 	cross := 0
 	for s := range sc.order {
 		sc.order[s], sc.knot[s] = StateID(s), 0

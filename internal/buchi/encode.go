@@ -23,7 +23,6 @@ import (
 
 // Encode writes the automaton to w in the textual format.
 func (a *BA) Encode(w io.Writer, v *vocab.Vocabulary) error {
-	a.EnsureEdges()
 	finals := make([]string, 0, len(a.Final))
 	for s, f := range a.Final {
 		if f {
@@ -34,8 +33,8 @@ func (a *BA) Encode(w io.Writer, v *vocab.Vocabulary) error {
 		a.NumStates(), a.Init, strings.Join(finals, ",")); err != nil {
 		return err
 	}
-	for s, out := range a.Out {
-		for _, e := range out {
+	for s := range a.NumStates() {
+		for e := range a.Edges(StateID(s)) {
 			if _, err := fmt.Fprintf(w, "%d -> %d [%s]\n", s, e.To, e.Label.Format(v)); err != nil {
 				return err
 			}
@@ -71,18 +70,18 @@ func Decode(r *bufio.Reader, v *vocab.Vocabulary) (*BA, error) {
 	if states <= 0 {
 		return nil, fmt.Errorf("buchi: header %q: need at least one state", header)
 	}
-	a := New(states)
+	b := NewBuilder(states)
 	if init < 0 || init >= states {
 		return nil, fmt.Errorf("buchi: header %q: init out of range", header)
 	}
-	a.Init = StateID(init)
+	b.Init = StateID(init)
 	if finalList != "" {
 		for _, part := range strings.Split(finalList, ",") {
 			s, err := strconv.Atoi(part)
 			if err != nil || s < 0 || s >= states {
 				return nil, fmt.Errorf("buchi: header %q: bad final state %q", header, part)
 			}
-			a.SetFinal(StateID(s))
+			b.SetFinal(StateID(s))
 		}
 	}
 	for {
@@ -95,7 +94,7 @@ func Decode(r *bufio.Reader, v *vocab.Vocabulary) (*BA, error) {
 		}
 		line, readErr := r.ReadString('\n')
 		if line = strings.TrimSpace(line); line != "" {
-			if err := a.decodeEdge(line, v); err != nil {
+			if err := decodeEdge(b, line, v); err != nil {
 				return nil, err
 			}
 		}
@@ -103,7 +102,7 @@ func Decode(r *bufio.Reader, v *vocab.Vocabulary) (*BA, error) {
 			break
 		}
 	}
-	return a, nil
+	return b.BA(), nil
 }
 
 // DecodeString parses a single automaton from its textual encoding.
@@ -111,7 +110,7 @@ func DecodeString(s string, v *vocab.Vocabulary) (*BA, error) {
 	return Decode(bufio.NewReader(strings.NewReader(s)), v)
 }
 
-func (a *BA) decodeEdge(line string, v *vocab.Vocabulary) error {
+func decodeEdge(b *Builder, line string, v *vocab.Vocabulary) error {
 	arrow := strings.Index(line, "->")
 	open := strings.Index(line, "[")
 	if arrow < 0 || open < 0 || !strings.HasSuffix(line, "]") {
@@ -125,32 +124,31 @@ func (a *BA) decodeEdge(line string, v *vocab.Vocabulary) error {
 	if err != nil {
 		return fmt.Errorf("buchi: bad edge line %q: %v", line, err)
 	}
-	if from < 0 || from >= a.NumStates() || to < 0 || to >= a.NumStates() {
+	if n := len(b.Final); from < 0 || from >= n || to < 0 || to >= n {
 		return fmt.Errorf("buchi: edge line %q: state out of range", line)
 	}
 	label, err := ParseLabel(v, line[open+1:len(line)-1])
 	if err != nil {
 		return err
 	}
-	a.AddEdge(StateID(from), label, StateID(to))
+	b.AddEdge(StateID(from), label, StateID(to))
 	return nil
 }
 
 // Dot renders the automaton in Graphviz dot syntax for debugging.
 func (a *BA) Dot(v *vocab.Vocabulary, name string) string {
-	a.EnsureEdges()
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n", name)
 	fmt.Fprintf(&b, "  hidden [shape=point]; hidden -> s%d;\n", a.Init)
-	for s := range a.Out {
+	for s := range a.Final {
 		shape := "circle"
 		if a.Final[s] {
 			shape = "doublecircle"
 		}
 		fmt.Fprintf(&b, "  s%d [shape=%s,label=\"%d\"];\n", s, shape, s)
 	}
-	for s, out := range a.Out {
-		for _, e := range out {
+	for s := range a.NumStates() {
+		for e := range a.Edges(StateID(s)) {
 			fmt.Fprintf(&b, "  s%d -> s%d [label=%q];\n", s, e.To, e.Label.Format(v))
 		}
 	}

@@ -6,41 +6,40 @@ package buchi
 // rotation is accepting. Product transitions exist only when the two
 // labels do not conflict; their conjunction is the product label.
 //
-// Only states reachable from the initial product state are
-// materialized.
+// Only states reachable from the initial product state are built.
 //
-// No production path calls it: the translator folds conjunctions as
-// generalized Büchi automata (internal/ltl2ba). It is the tests'
-// independent product oracle.
+// The query path never calls it: the translator folds conjunctions as
+// generalized Büchi automata (internal/ltl2ba). core.DB.Explain builds
+// its witness from it, and it is the tests' independent product
+// oracle.
 func Intersect(a, b *BA) *BA {
-	a.EnsureEdges()
-	b.EnsureEdges()
 	nb := b.NumStates()
 	type key int // (s*nb + t)*2 + flag
 	mk := func(s, t StateID, flag int) key { return key((int(s)*nb+int(t))*2 + flag) }
 
-	out := New(0)
+	// States are numbered as they are discovered and expanded in that
+	// order, so each expansion builds the next row.
+	var out Flat
+	out.Reset()
 	ids := make(map[key]StateID)
 	var queue []key
 	intern := func(k key) StateID {
 		if id, ok := ids[k]; ok {
 			return id
 		}
-		id := out.AddState()
+		id := StateID(len(ids))
 		ids[k] = id
 		queue = append(queue, k)
 		return id
 	}
 
-	start := mk(a.Init, b.Init, 0)
-	out.Init = intern(start)
+	out.Init = intern(mk(a.Init, b.Init, 0))
 	for len(queue) > 0 {
 		k := queue[0]
 		queue = queue[1:]
 		flag := int(k) % 2
 		rest := int(k) / 2
 		s, t := StateID(rest/nb), StateID(rest%nb)
-		from := ids[k]
 
 		next := flag
 		if flag == 0 && a.Final[s] {
@@ -48,18 +47,16 @@ func Intersect(a, b *BA) *BA {
 		} else if flag == 1 && b.Final[t] {
 			next = 0
 		}
-		if flag == 1 && b.Final[t] {
-			out.SetFinal(from)
-		}
-		for _, ea := range a.Out[s] {
-			for _, eb := range b.Out[t] {
+		out.Final = append(out.Final, flag == 1 && b.Final[t])
+		for ea := range a.Edges(s) {
+			for eb := range b.Edges(t) {
 				if ea.Label.Conflicts(eb.Label) {
 					continue
 				}
-				out.AddEdge(from, ea.Label.And(eb.Label), intern(mk(ea.To, eb.To, next)))
+				out.Edges = append(out.Edges, Edge{Label: ea.Label.And(eb.Label), To: intern(mk(ea.To, eb.To, next))})
 			}
 		}
+		out.Next()
 	}
-	out.Events = a.Events.Union(b.Events)
-	return out
+	return out.BA(a.Events.Union(b.Events))
 }

@@ -11,6 +11,13 @@
 // expansion), graph analyses (reachability, SCCs, accepting-cycle
 // states), lasso-run acceptance (the test oracle), and a textual
 // serialization.
+//
+// An automaton has one form: an immutable BA holding its transitions
+// as CSR arrays with an interned label table, which every reader —
+// kernels, stream frontiers, quotient derivation, graph walks, the
+// snapshot writer — walks directly. Flat.BA is the one way to build a
+// BA from rows (Builder feeds it edges in any order); a snapshot load
+// or a quotient derivation adopts arrays that BA.Validate accepts.
 package buchi
 
 import (

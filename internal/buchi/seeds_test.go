@@ -26,64 +26,140 @@ func randomLabel(rng *rand.Rand) buchi.Label {
 	return l
 }
 
-// randomBA builds an automaton with n states, random final states and
-// random edges. Some edges are exact duplicates of another, and some
-// are subsumed by a weaker edge to the same target: Compile drops
-// both kinds, so the CSR rows hold fewer edges than Out.
-func randomBA(rng *rand.Rand, n int) *buchi.BA {
-	a := buchi.New(n)
+// randomRows draws an automaton with n states as raw rows: random
+// final states and random edges, some of them exact duplicates of
+// another and some subsumed by a weaker edge to the same target. The
+// builder drops both kinds, so the automaton holds fewer edges than
+// the rows.
+func randomRows(rng *rand.Rand, n int) (rows [][]buchi.Edge, final []bool) {
+	rows, final = make([][]buchi.Edge, n), make([]bool, n)
 	for s := 0; s < n; s++ {
-		if rng.Intn(3) == 0 {
-			a.SetFinal(buchi.StateID(s))
-		}
+		final[s] = rng.Intn(3) == 0
 		for e := rng.Intn(4); e > 0; e-- {
 			to := buchi.StateID(rng.Intn(n))
 			l := randomLabel(rng)
-			a.AddEdge(buchi.StateID(s), l, to)
+			rows[s] = append(rows[s], buchi.Edge{Label: l, To: to})
 			switch rng.Intn(4) {
 			case 0:
-				a.AddEdge(buchi.StateID(s), l, to)
+				rows[s] = append(rows[s], buchi.Edge{Label: l, To: to})
 			case 1:
-				a.AddEdge(buchi.StateID(s), l.And(randomLabel(rng)), to)
+				rows[s] = append(rows[s], buchi.Edge{Label: l.And(randomLabel(rng)), To: to})
 			}
 		}
 	}
-	return a
+	return rows, final
 }
 
-// TestSeedsCSRMatchPointer: the graph walks read a shell's CSR arrays
-// and any other automaton's Out; on the same automaton both must give
-// the same seeds (OnAcceptingCycle), reachability and emptiness — even
-// when Out holds duplicate and subsumed edges the CSR rows dropped —
-// and the CSR walk must not materialize the shell's Out.
+// naiveGraph answers the graph questions by brute force over raw rows:
+// plus[s][t] reports a path of at least one edge from s to t.
+type naiveGraph struct {
+	init  buchi.StateID
+	final []bool
+	plus  [][]bool
+}
+
+func newNaiveGraph(init buchi.StateID, rows [][]buchi.Edge, final []bool) naiveGraph {
+	g := naiveGraph{init: init, final: final, plus: make([][]bool, len(rows))}
+	for s := range rows {
+		seen := make([]bool, len(rows))
+		var stack []buchi.StateID
+		for _, e := range rows[s] {
+			stack = append(stack, e.To)
+		}
+		for len(stack) > 0 {
+			t := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if seen[t] {
+				continue
+			}
+			seen[t] = true
+			for _, e := range rows[t] {
+				stack = append(stack, e.To)
+			}
+		}
+		g.plus[s] = seen
+	}
+	return g
+}
+
+// seeds marks the states on a cycle through a final state: s and some
+// final f reach each other by nonempty paths.
+func (g naiveGraph) seeds() []bool {
+	out := make([]bool, len(g.plus))
+	for s := range out {
+		for f, fin := range g.final {
+			out[s] = out[s] || fin && g.plus[s][f] && g.plus[f][s]
+		}
+	}
+	return out
+}
+
+func (g naiveGraph) reachable() []bool {
+	out := slices.Clone(g.plus[g.init])
+	out[g.init] = true
+	return out
+}
+
+// live marks the states from which a seed is reachable.
+func (g naiveGraph) live() []bool {
+	seeds := g.seeds()
+	out := make([]bool, len(g.plus))
+	for s := range out {
+		for t, seed := range seeds {
+			out[s] = out[s] || seed && (s == t || g.plus[s][t])
+		}
+	}
+	return out
+}
+
+// TestSeedsCSRMatchPointer: the CSR graph walks give the seeds
+// (OnAcceptingCycle), reachability, liveness and emptiness that a
+// brute-force closure over the raw pointer rows ([][]Edge) gives —
+// even when the rows held duplicate and subsumed edges the builder
+// dropped.
 func TestSeedsCSRMatchPointer(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	dropped := 0
-	check := func(desc string, a *buchi.BA) {
+	check := func(desc string, init buchi.StateID, rows [][]buchi.Edge, final []bool) {
 		t.Helper()
-		c := buchi.Compile(a)
-		if c.NumEdges() < a.NumEdges() {
+		b := buchi.NewBuilder(len(rows))
+		b.Init = init
+		raw := 0
+		for s, row := range rows {
+			if final[s] {
+				b.SetFinal(buchi.StateID(s))
+			}
+			for _, e := range row {
+				b.AddEdge(buchi.StateID(s), e.Label, e.To)
+			}
+			raw += len(row)
+		}
+		a := b.BA()
+		if a.NumEdges() < raw {
 			dropped++
 		}
-		shell, err := buchi.ShellFromCompiled(c)
-		if err != nil {
-			t.Fatalf("%s: %v", desc, err)
+		g := newNaiveGraph(init, rows, final)
+		seeds, reach := g.seeds(), g.reachable()
+		if got := a.OnAcceptingCycle(); !slices.Equal(got, seeds) {
+			t.Fatalf("%s: seeds %v, naive search %v", desc, got, seeds)
 		}
-		if got, want := shell.OnAcceptingCycle(), a.OnAcceptingCycle(); !slices.Equal(got, want) {
-			t.Fatalf("%s: CSR seeds %v, pointer seeds %v", desc, got, want)
+		if got := a.Reachable(); !slices.Equal(got, reach) {
+			t.Fatalf("%s: reachability %v, naive search %v", desc, got, reach)
 		}
-		if got, want := shell.Reachable(), a.Reachable(); !slices.Equal(got, want) {
-			t.Fatalf("%s: CSR reachability %v, pointer reachability %v", desc, got, want)
+		if got, want := a.CanReachAcceptingCycle(), g.live(); !slices.Equal(got, want) {
+			t.Fatalf("%s: liveness %v, naive search %v", desc, got, want)
 		}
-		if shell.IsEmpty() != a.IsEmpty() {
-			t.Fatalf("%s: emptiness disagrees between CSR and pointer walks", desc)
+		empty := true
+		for s := range seeds {
+			empty = empty && !(seeds[s] && reach[s])
 		}
-		if shell.Out != nil {
-			t.Fatalf("%s: the CSR walks materialized the shell's adjacency", desc)
+		if a.IsEmpty() != empty {
+			t.Fatalf("%s: IsEmpty %v, naive search %v", desc, a.IsEmpty(), empty)
 		}
 	}
 	for i := 0; i < 400; i++ {
-		check("random automaton", randomBA(rng, 1+rng.Intn(12)))
+		rows, final := randomRows(rng, 1+rng.Intn(12))
+		check("random automaton", buchi.StateID(rng.Intn(len(rows))), rows, final)
 	}
 	cfg := ltltest.Config{Atoms: []string{"a", "b", "c", "d"}, MaxDepth: 4}
 	for i := 0; i < 150; i++ {
@@ -92,9 +168,13 @@ func TestSeedsCSRMatchPointer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("BA("+f.String()+")", a)
+		rows := make([][]buchi.Edge, a.NumStates())
+		for s := range rows {
+			rows[s] = slices.Collect(a.Edges(buchi.StateID(s)))
+		}
+		check("BA("+f.String()+")", a.Init, rows, a.Final)
 	}
 	if dropped == 0 {
-		t.Fatal("no automaton had edges Compile drops; the generator no longer covers that case")
+		t.Fatal("no automaton had edges the builder drops; the generator no longer covers that case")
 	}
 }

@@ -40,7 +40,9 @@ type BatchResult struct {
 // same names, artifacts and Save bytes as one built by Register calls
 // in input order.
 //
-// workers ≤ 0 selects GOMAXPROCS. Results are returned in input
+// The worker pool is the smallest of workers (≤ 0 selects
+// GOMAXPROCS), GOMAXPROCS and the number of distinct specifications;
+// see batchWorkers. Results are returned in input
 // order; failed entries (unsatisfiable, oversized, duplicate name) do
 // not abort the rest. Translations still running when ctx is done fail
 // with ErrCanceled. A batch that registers anything adds its own wall
@@ -48,9 +50,6 @@ type BatchResult struct {
 // prepare times.
 func (db *DB) RegisterBatch(ctx context.Context, specs []Registration, workers int) []BatchResult {
 	start := time.Now()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	// Pre-intern every atom serially: translation then only *reads*
 	// the vocabulary (Add returns early for known names), so workers
@@ -103,7 +102,7 @@ func (db *DB) RegisterBatch(ctx context.Context, specs []Registration, workers i
 	ready := make([]pending, len(specs))
 	var wg sync.WaitGroup
 	work := make(chan *group)
-	for w := 0; w < workers; w++ {
+	for range batchWorkers(workers, len(groups)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -146,4 +145,17 @@ func (db *DB) RegisterBatch(ctx context.Context, specs []Registration, workers i
 		db.registerTime = total + time.Since(start)
 	}
 	return out
+}
+
+// batchWorkers sizes RegisterBatch's worker pool: the requested count
+// (≤ 0 selects GOMAXPROCS), but never more than GOMAXPROCS, since
+// preparation is CPU-bound, nor more than the distinct specifications,
+// since each worker prepares whole ones. The request arrives from
+// clients unchecked.
+func batchWorkers(requested, distinct int) int {
+	procs := runtime.GOMAXPROCS(0)
+	if requested <= 0 {
+		requested = procs
+	}
+	return min(requested, procs, distinct)
 }

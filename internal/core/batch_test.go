@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -191,4 +192,24 @@ func TestBatchTotalIsWallClock(t *testing.T) {
 		t.Errorf("Total %v exceeds the batch's wall clock %v (projections %v, index %v)", rs.Total, wall, rs.Projections, rs.IndexBuild)
 	}
 	t.Logf("%d contracts: Total %v, wall %v, projections %v", rs.Contracts, rs.Total, wall, rs.Projections)
+}
+
+// TestBatchWorkersClamped: a batch's worker pool never outgrows
+// GOMAXPROCS or the batch's distinct specifications, whatever the
+// client asks for. A request for 64 workers on a 2-spec batch starts
+// at most 2.
+func TestBatchWorkersClamped(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ requested, distinct, want int }{
+		{64, 2, min(2, procs)},
+		{0, 2, min(2, procs)},
+		{-3, 1000, procs},
+		{1, 1000, 1},
+		{64, 0, 0},
+		{1 << 30, 1 << 20, procs},
+	} {
+		if got := core.BatchWorkers(c.requested, c.distinct); got != c.want {
+			t.Errorf("BatchWorkers(%d, %d) = %d, want %d", c.requested, c.distinct, got, c.want)
+		}
+	}
 }

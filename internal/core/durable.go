@@ -10,7 +10,7 @@ import (
 
 // The write-ahead log's per-operation encoding. A registration record
 // is the contract's v5 encoding: a one-contract, Sharded=true snapfmt
-// container (see persist_v4.go) holding the compiled automaton, the
+// container (see persist_container.go) holding the compiled automaton, the
 // checker seeds and the deduplicated partition tables — the same slab
 // group a checkpoint writes for the contract — so replay restores the
 // precomputed artifacts instead of redoing the paper's expensive

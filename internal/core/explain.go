@@ -72,17 +72,17 @@ func (db *DB) Explain(ctx context.Context, contractName string, spec *ltl.Expr) 
 	// events (compatibility condition (i)); the product then encodes
 	// exactly the simultaneous-lasso search space, and any accepting
 	// lasso of it is a permission witness.
-	restricted := buchi.New(qa.NumStates())
+	restricted := buchi.NewBuilder(qa.NumStates())
 	restricted.Init = qa.Init
 	copy(restricted.Final, qa.Final)
-	for s, out := range qa.Out {
-		for _, e := range out {
+	for s := range qa.NumStates() {
+		for e := range qa.Edges(buchi.StateID(s)) {
 			if e.Label.Vars().SubsetOf(c.auto.Events) {
 				restricted.AddEdge(buchi.StateID(s), e.Label, e.To)
 			}
 		}
 	}
-	product := buchi.Intersect(c.auto, restricted)
+	product := buchi.Intersect(c.auto, restricted.BA())
 	run, found := product.FindAcceptingLasso()
 	if !found {
 		return Witness{}, false, nil

@@ -34,3 +34,6 @@ func UnmarshalHead(head []byte) error {
 	var h snapHead
 	return json.Unmarshal(head, &h)
 }
+
+// BatchWorkers is batchWorkers, for the pool-size test.
+var BatchWorkers = batchWorkers

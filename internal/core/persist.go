@@ -18,7 +18,7 @@ import (
 // without redoing the precomputation (the paper's registration for
 // 3000 contracts is hours of work; ours is minutes, but still worth
 // persisting). The on-disk shape is the formatVersion-5 container
-// described in persist_v4.go.
+// described in persist_container.go.
 //
 // Format history: 2 and 3 were monolithic gob streams, and WAL
 // register records were gob as well; 4 is the snapfmt container.
@@ -101,7 +101,7 @@ func Load(r io.Reader) (*DB, error) {
 
 // LoadBytesWithStats is Load from an in-memory snapshot image,
 // additionally reporting the recovery breakdown. It rebuilds each
-// contract's prefilter nodes from the adopted compiled form. The slabs
+// contract's prefilter nodes from the adopted automaton. The slabs
 // are adopted zero-copy, so data must outlive the database and stay
 // unmodified; the store owns that lifetime when data is a file
 // mapping.

@@ -6,12 +6,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"unsafe"
 
+	"contractdb/internal/bisim"
 	"contractdb/internal/buchi"
 	"contractdb/internal/core"
 	"contractdb/internal/datagen"
@@ -86,13 +88,13 @@ func checkLoadV4Golden(t *testing.T, path string) {
 	}
 
 	t0 := ltl2ba.TranslationCount()
-	c0 := buchi.CompileCount()
+	b0 := buchi.BuildCount()
 	db, stats := loadGolden(t, path)
 	if d := ltl2ba.TranslationCount() - t0; d != 0 {
 		t.Errorf("v4 load performed %d LTL→BA translations, want 0", d)
 	}
-	if d := buchi.CompileCount() - c0; d != 0 {
-		t.Errorf("v4 load performed %d CSR flattenings, want 0", d)
+	if d := buchi.BuildCount() - b0; d != 0 {
+		t.Errorf("v4 load built %d automata from rows, want 0", d)
 	}
 	if stats.FormatVersion != insp.FormatVersion || insp.FormatVersion < 4 {
 		t.Fatalf("load reports format %d, inspection %d", stats.FormatVersion, insp.FormatVersion)
@@ -335,7 +337,11 @@ func TestLoadV4ZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixed := allocs(load(empty.Bytes()))
+	b0 := buchi.BuildCount()
 	allocated := allocs(load(data))
+	if d := buchi.BuildCount() - b0; d != 0 {
+		t.Errorf("five loads built %d automata from rows, want 0: a load adopts every automaton's arrays", d)
+	}
 	// Then the load does three things that allocate without copying a
 	// slab, each priced here on its own: it rebuilds the prefilter
 	// index from the adopted compiled forms (the container persists
@@ -352,7 +358,7 @@ func TestLoadV4ZeroCopy(t *testing.T) {
 	rebuild := allocs(func() {
 		ix := prefilter.New(prefilter.DefaultK)
 		for i, c := range contracts {
-			ix.InsertPrepared(i, prefilter.PrepareCompiled(c.Automaton().Compiled(), prefilter.DefaultK))
+			ix.InsertPrepared(i, prefilter.Prepare(c.Automaton(), prefilter.DefaultK))
 		}
 	})
 	f, err := snapfmt.Parse(data)
@@ -377,7 +383,7 @@ func TestLoadV4ZeroCopy(t *testing.T) {
 	hi := lo + uintptr(len(data))
 	aliased := 0
 	for _, c := range contracts {
-		cc := c.Automaton().Compiled()
+		cc := c.Automaton()
 		if len(cc.EdgeTo) == 0 {
 			continue
 		}
@@ -392,7 +398,7 @@ func TestLoadV4ZeroCopy(t *testing.T) {
 	}
 
 	// Allocation ceiling: what remains is per-contract bookkeeping —
-	// the shell automaton and compiled-form headers, the checker, the
+	// the automaton and its array headers, the checker, the
 	// contract record, the projection set — a few hundred bytes each,
 	// plus one partition header (a class-slab view and its count, 32
 	// bytes) per distinct partition table; the subset and reference
@@ -413,22 +419,21 @@ func TestLoadV4ZeroCopy(t *testing.T) {
 	}
 
 	// Queries after the load derive projection quotients from the
-	// adopted partitions and build a checker for each, seed analysis
-	// included. That must leave every quotient compiled-only: no Out
-	// adjacency materialized on the heap.
+	// adopted partitions and build a checker for each. A quotient is
+	// remapped from its parent's arrays, never built from rows: the
+	// only automata the queries build are their own translations.
+	t0, b0 := ltl2ba.TranslationCount(), buchi.BuildCount()
 	for i := 0; i < 24; i++ {
 		if _, err := db.Query(gen.Specification(datagen.SimpleQueries.Properties)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if builds, translations := buchi.BuildCount()-b0, ltl2ba.TranslationCount()-t0; builds != translations {
+		t.Errorf("24 queries built %d automata from rows and translated %d; a quotient was built from rows", builds, translations)
+	}
 	checked := 0
 	for _, c := range db.Contracts() {
-		for _, q := range c.CheckedQuotients() {
-			if q.Out != nil {
-				t.Fatalf("contract %s: a quotient's adjacency was materialized on the heap by the query path", c.Name)
-			}
-			checked++
-		}
+		checked += len(c.CheckedQuotients())
 	}
 	if checked == 0 {
 		t.Fatal("no query checked a projection quotient")
@@ -540,5 +545,50 @@ func TestLoadV4Hostile(t *testing.T) {
 				t.Errorf("error %v does not wrap %v", err, tc.sentinel)
 			}
 		})
+	}
+}
+
+// TestPrecomputeSameAfterReload: for contracts of every datagen class,
+// Precompute on the freshly registered automaton and on the same
+// contract's automaton adopted from its snapshot gives identical flat
+// exports, and the reloaded contract keeps the partitions its
+// registration stored.
+func TestPrecomputeSameAfterReload(t *testing.T) {
+	voc := datagen.NewVocabulary()
+	src := core.NewDB(voc, core.Options{MaxAutomatonStates: 300})
+	gen := datagen.New(voc, 41)
+	for _, class := range datagen.ContractClasses() {
+		for registered := 0; registered < 3; {
+			if _, err := src.Register("", gen.Specification(class.Properties)); err == nil {
+				registered++
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, reloaded := src.Contracts(), loaded.Contracts()
+	if len(fresh) != 9 || len(reloaded) != len(fresh) {
+		t.Fatalf("%d contracts registered, %d reloaded", len(fresh), len(reloaded))
+	}
+	for i, c := range fresh {
+		r := reloaded[i]
+		if r.Name != c.Name {
+			t.Fatalf("contract %d: %s reloaded as %s", i, c.Name, r.Name)
+		}
+		if !reflect.DeepEqual(r.PartitionTables(), c.PartitionTables()) {
+			t.Fatalf("%s: reloaded partition tables differ from the registered ones", c.Name)
+		}
+		for _, k := range []int{1, 3} {
+			want := bisim.Precompute(c.Automaton(), k).ExportFlat()
+			if got := bisim.Precompute(r.Automaton(), k).ExportFlat(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Precompute(%d) on the reloaded automaton exports %+v, fresh %+v", c.Name, k, got, want)
+			}
+		}
 	}
 }

@@ -20,12 +20,12 @@ import (
 // formula, so they reach behaviour that uniform lassos over twenty
 // events almost never do.
 func walkLasso(rng *rand.Rand, a *buchi.BA) ltl.Lasso {
-	a.EnsureEdges()
 	s := a.Init
 	states := []buchi.StateID{s}
 	var snaps []vocab.Set
-	for n := 1 + rng.Intn(16); len(snaps) < n && len(a.Out[s]) > 0; {
-		e := a.Out[s][rng.Intn(len(a.Out[s]))]
+	for n := 1 + rng.Intn(16); len(snaps) < n && a.EdgeOff[s] < a.EdgeOff[s+1]; {
+		i := a.EdgeOff[s] + int32(rng.Intn(int(a.EdgeOff[s+1]-a.EdgeOff[s])))
+		e := buchi.Edge{Label: a.Labels[a.EdgeLabel[i]], To: buchi.StateID(a.EdgeTo[i])}
 		snap := e.Label.Pos
 		a.Events.Minus(e.Label.Vars()).ForEach(func(ev vocab.EventID) bool {
 			if rng.Intn(8) == 0 {
@@ -144,7 +144,7 @@ func TestTranslateSizeCeiling(t *testing.T) {
 			f := gen.Specification(c.patterns(i))
 			a := ltl2ba.MustTranslate(voc, f)
 			states += float64(a.NumStates())
-			edges += float64(a.Compiled().NumEdges())
+			edges += float64(a.NumEdges())
 			if _, err := ltl2ba.TranslateBounded(context.Background(), voc, f, a.NumStates()); err != nil {
 				t.Errorf("%s: %s translates to %d states, but not within that bound: %v", c.name, f, a.NumStates(), err)
 			}

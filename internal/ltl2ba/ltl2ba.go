@@ -132,14 +132,13 @@ func TranslateBounded(ctx context.Context, voc *vocab.Vocabulary, f *ltl.Expr, m
 	if err := check("degeneralized automaton", g.NumStates(), 40); err != nil {
 		return nil, err
 	}
-	a, err := sc.shrink(ctx, g)
+	a, err := sc.shrink(ctx, g, cited)
 	if err != nil {
 		return nil, err
 	}
 	if err := check("automaton", a.NumStates(), 1); err != nil {
 		return nil, err
 	}
-	a.Events = cited
 	return a, nil
 }
 
@@ -242,32 +241,29 @@ func (sc *scratch) conjunct(ctx context.Context, voc *vocab.Vocabulary, f *ltl.E
 }
 
 // shrink reduces the degeneralized automaton a by bidirectional
-// bisimulation, merges labels and normalizes, on a's slabs, and
-// releases a; only the automaton it returns is allocated. It needs no
-// trim: every state of the fold's result reaches a fair component,
-// unless the language is empty.
-func (sc *scratch) shrink(ctx context.Context, a *gba) (*buchi.BA, error) {
+// bisimulation and merges labels, on a's slabs, then builds the
+// automaton citing events, and releases a; only the automaton it
+// returns is allocated. It needs no trim: every state of the fold's
+// result reaches a fair component, unless the language is empty.
+func (sc *scratch) shrink(ctx context.Context, a *gba, events vocab.Set) (*buchi.BA, error) {
 	defer sc.put(a)
 	if len(a.Row(a.Init)) == 0 {
-		return buchi.New(1), nil
+		a.Reset()
+		a.Next()
+		return a.BA(events), nil
 	}
 	quotiented, err := sc.reducer.Reduce(ctx, &a.Flat)
 	if err != nil {
 		return nil, canceled(ctx)
 	}
-	a.Rewrite(func(row []buchi.Edge) []buchi.Edge {
-		// Rows as AddMinimal built them hold no two labels to merge,
-		// and a quotient's rows are normalized until a merge.
-		merged := false
-		if quotiented {
-			row, merged = sc.merge.Merge(row)
-		}
-		if len(row) >= 2 && (merged || !quotiented) {
-			row = buchi.CanonicalEdges(row)
-		}
-		return row
-	})
-	return a.BA(), nil
+	if quotiented {
+		// Rows as AddMinimal built them hold no two labels to merge.
+		a.Rewrite(func(row []buchi.Edge) []buchi.Edge {
+			row, _ = sc.merge.Merge(row)
+			return row
+		})
+	}
+	return a.BA(events), nil
 }
 
 // MustTranslate is Translate, panicking on error; for tests and fixed

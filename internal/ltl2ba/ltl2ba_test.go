@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -348,7 +348,8 @@ func TestScratchReuseAfterAbort(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s after an aborted translation: %v", f, err)
 		}
-		if got.Init != want.Init || !reflect.DeepEqual(got.Final, want.Final) || !reflect.DeepEqual(got.Out, want.Out) {
+		if got.Init != want.Init || !slices.Equal(got.Final, want.Final) || !slices.Equal(got.EdgeOff, want.EdgeOff) ||
+			!slices.Equal(got.EdgeTo, want.EdgeTo) || !slices.Equal(got.EdgeLabel, want.EdgeLabel) || !slices.Equal(got.Labels, want.Labels) {
 			t.Fatalf("%s: %d states after an aborted translation, %d before", f, got.NumStates(), want.NumStates())
 		}
 	}

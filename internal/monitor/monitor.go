@@ -103,7 +103,8 @@ func (m *Monitor) Step(snapshot vocab.Set) Status {
 	if m.violated {
 		return Violated
 	}
-	projected := snapshot.Intersect(m.auto.Events)
+	a := m.auto
+	projected := snapshot.Intersect(a.Events)
 	next := m.scratch
 	clear(next)
 	any := false
@@ -111,9 +112,9 @@ func (m *Monitor) Step(snapshot vocab.Set) Status {
 		if !in {
 			continue
 		}
-		for _, e := range m.auto.Out[s] {
-			if e.Label.Matches(projected) {
-				next[e.To] = true
+		for i := a.EdgeOff[s]; i < a.EdgeOff[s+1]; i++ {
+			if a.Labels[a.EdgeLabel[i]].Matches(projected) {
+				next[a.EdgeTo[i]] = true
 				any = true
 			}
 		}

@@ -49,7 +49,7 @@ func diffWorkload(t *testing.T, seed int64, nContracts, nQueries int) ([]*buchi.
 // have several edges to the same target. About one state in eight is
 // final.
 func randomBA(rng *rand.Rand, n int, evs vocab.Set, fanLabels bool) *buchi.BA {
-	a := buchi.New(n)
+	a := buchi.NewBuilder(n)
 	label := func() buchi.Label {
 		var l buchi.Label
 		evs.ForEach(func(e vocab.EventID) bool {
@@ -77,7 +77,7 @@ func randomBA(rng *rand.Rand, n int, evs vocab.Set, fanLabels bool) *buchi.BA {
 		}
 	}
 	a.Events = evs
-	return a
+	return a.BA()
 }
 
 // wideWorkload draws random contracts with several labels per target
@@ -171,16 +171,18 @@ func TestKernelDifferential(t *testing.T) {
 // closing edge.
 func TestKernelEarlyExit(t *testing.T) {
 	const tailLen = 1000
-	contract := buchi.New(2 + tailLen)
-	contract.Final[0] = true
-	contract.AddEdge(0, buchi.True, 1)
-	contract.AddEdge(1, buchi.True, 0)
+	cb := buchi.NewBuilder(2 + tailLen)
+	cb.SetFinal(0)
+	cb.AddEdge(0, buchi.True, 1)
+	cb.AddEdge(1, buchi.True, 0)
 	for s := 1; s <= tailLen; s++ {
-		contract.AddEdge(buchi.StateID(s), buchi.True, buchi.StateID(s+1))
+		cb.AddEdge(buchi.StateID(s), buchi.True, buchi.StateID(s+1))
 	}
-	query := buchi.New(1)
-	query.Final[0] = true
-	query.AddEdge(0, buchi.True, 0)
+	contract := cb.BA()
+	qb := buchi.NewBuilder(1)
+	qb.SetFinal(0)
+	qb.AddEdge(0, buchi.True, 0)
+	query := qb.BA()
 
 	ch := permission.NewChecker(contract)
 	ok, st, err := ch.PermitsCtx(context.Background(), query, permission.SCC, 0)

@@ -1,10 +1,15 @@
 package permission
 
-import "contractdb/internal/buchi"
+import (
+	"slices"
+
+	"contractdb/internal/buchi"
+)
 
 // interpreted is the reference execution of both algorithms, kept for
-// the differential tests: it walks the pointer-rich BAs directly and
-// re-tests label compatibility at every product edge, with none of the
+// the differential tests: it walks per-state edge lists read once from
+// the automata and re-tests label compatibility at every product edge,
+// with none of the
 // production kernels' target rows, bitsets or pooled arena. SCC is a
 // textbook Tarjan pass that decides only once the accepting component
 // is complete; NestedDFS is Algorithm 2 as printed. The embedded
@@ -12,6 +17,7 @@ import "contractdb/internal/buchi"
 type interpreted struct {
 	search
 	contract, query *buchi.BA
+	cout, qout      [][]buchi.Edge // each state's edges
 
 	// edgeOK[qOff[qs]+qi] reports whether query edge qi of qs cites only
 	// contract events (condition (i) of compatibility).
@@ -36,13 +42,13 @@ type iframe struct {
 
 // permitsInterpreted runs the interpreted kernel for algo.
 func (c *Checker) permitsInterpreted(query *buchi.BA, algo Algorithm) (bool, Stats) {
-	c.contract.EnsureEdges()
-	query.EnsureEdges()
 	nc, nq := c.contract.NumStates(), query.NumStates()
 	s := &interpreted{
 		search:   search{checker: c, nc: nc, nq: nq},
 		contract: c.contract,
 		query:    query,
+		cout:     rows(c.contract),
+		qout:     rows(query),
 		visited:  make([]bool, nc*nq),
 	}
 	s.prepEdgeOK()
@@ -59,6 +65,15 @@ func (c *Checker) permitsInterpreted(query *buchi.BA, algo Algorithm) (bool, Sta
 	return found, s.stats
 }
 
+// rows returns a's edges per state.
+func rows(a *buchi.BA) [][]buchi.Edge {
+	out := make([][]buchi.Edge, a.NumStates())
+	for s := range out {
+		out[s] = slices.Collect(a.Edges(buchi.StateID(s)))
+	}
+	return out
+}
+
 func (s *interpreted) pair(cs, qs buchi.StateID) int { return int(cs)*s.nq + int(qs) }
 
 // prepEdgeOK pre-resolves which query labels cite only contract events
@@ -67,12 +82,12 @@ func (s *interpreted) pair(cs, qs buchi.StateID) int { return int(cs)*s.nq + int
 func (s *interpreted) prepEdgeOK() {
 	s.qOff = make([]int32, s.nq)
 	total := 0
-	for q, out := range s.query.Out {
+	for q, out := range s.qout {
 		s.qOff[q] = int32(total)
 		total += len(out)
 	}
 	s.edgeOK = make([]bool, total)
-	for q, out := range s.query.Out {
+	for q, out := range s.qout {
 		off := int(s.qOff[q])
 		for i, e := range out {
 			s.edgeOK[off+i] = e.Label.Vars().SubsetOf(s.contract.Events)
@@ -109,8 +124,8 @@ func (s *interpreted) nestedSearch() bool {
 			}
 		}
 		off := int(s.qOff[qs])
-		for _, ec := range s.contract.Out[cs] {
-			for qi, eq := range s.query.Out[qs] {
+		for _, ec := range s.cout[cs] {
+			for qi, eq := range s.qout[qs] {
 				if !s.edgeOK[off+qi] || ec.Label.Conflicts(eq.Label) {
 					continue
 				}
@@ -152,8 +167,8 @@ func (s *interpreted) cycleSearch(kc, kq buchi.StateID) bool {
 		cs := buchi.StateID(p / s.nq)
 		qs := buchi.StateID(p % s.nq)
 		off := int(s.qOff[qs])
-		for _, ec := range s.contract.Out[cs] {
-			for qi, eq := range s.query.Out[qs] {
+		for _, ec := range s.cout[cs] {
+			for qi, eq := range s.qout[qs] {
 				if !s.edgeOK[off+qi] || ec.Label.Conflicts(eq.Label) {
 					continue
 				}
@@ -209,8 +224,8 @@ func (s *interpreted) sccSearch() bool {
 			s.stats.PairsVisited++
 		}
 		advanced := false
-		cout := s.contract.Out[cs]
-		qout := s.query.Out[qs]
+		cout := s.cout[cs]
+		qout := s.qout[qs]
 		off := int(s.qOff[qs])
 		for int(f.ci) < len(cout) {
 			ec := cout[f.ci]
@@ -275,11 +290,11 @@ func (s *interpreted) selfLoop(v int32) bool {
 	cs := buchi.StateID(int(v) / s.nq)
 	qs := buchi.StateID(int(v) % s.nq)
 	off := int(s.qOff[qs])
-	for _, ec := range s.contract.Out[cs] {
+	for _, ec := range s.cout[cs] {
 		if ec.To != cs {
 			continue
 		}
-		for qi, eq := range s.query.Out[qs] {
+		for qi, eq := range s.qout[qs] {
 			if eq.To == qs && s.edgeOK[off+qi] && !ec.Label.Conflicts(eq.Label) {
 				return true
 			}

@@ -22,8 +22,8 @@
 //     (pair, flag) is visited at most once per knot and the search is
 //     linear in the product rather than backtracking-exponential.
 //
-// Both algorithms run on the flat buchi.Compiled forms of the two
-// automata (see compiled.go) over lazily filled *target rows*: for a
+// Both algorithms run on the CSR arrays of the two automata (see
+// compiled.go) over lazily filled *target rows*: for a
 // contract label and a query state, a bitset of the query states one
 // compatible query edge reaches. The default SCC kernel (scc.go) is an
 // on-the-fly Couvreur emptiness check that keeps its visited and
@@ -100,13 +100,10 @@ const (
 )
 
 // Checker holds a contract automaton with its registration-time
-// precomputation, including the compiled CSR form the default kernels
-// execute. A Checker is immutable after construction and safe for
-// concurrent use.
+// precomputation. A Checker is immutable after construction and safe
+// for concurrent use.
 type Checker struct {
 	contract *buchi.BA
-	// cc is the contract's compiled form, built once at registration.
-	cc *buchi.Compiled
 	// seeds[s] reports whether contract state s lies on a cycle
 	// containing a contract-final state; only such states can anchor
 	// the contract side of a simultaneous lasso cycle.
@@ -136,15 +133,11 @@ func WithAlgorithm(a Algorithm) Option { return func(c *Checker) { c.algo = a } 
 // persisted edge set; only its length is checked.
 func WithSeeds(seeds []bool) Option { return func(c *Checker) { c.seeds = seeds } }
 
-// NewChecker precomputes the seed states and the compiled form of the
-// contract automaton (registration-time work in the paper's
-// architecture). The seed analysis reads a shell's CSR arrays, so a
-// compiled-only automaton — a snapshot-loaded contract, any projection
-// quotient — stays compiled-only.
+// NewChecker precomputes the seed states of the contract automaton
+// (registration-time work in the paper's architecture).
 func NewChecker(contract *buchi.BA, opts ...Option) *Checker {
 	c := &Checker{
 		contract: contract,
-		cc:       contract.Compiled(),
 		useSeeds: true,
 	}
 	for _, o := range opts {
@@ -152,7 +145,7 @@ func NewChecker(contract *buchi.BA, opts ...Option) *Checker {
 	}
 	if c.seeds == nil {
 		c.seeds = contract.OnAcceptingCycle()
-	} else if len(c.seeds) != c.cc.N {
+	} else if len(c.seeds) != contract.NumStates() {
 		// A wrong-length adopted vector would index out of range in the
 		// kernels; recompute rather than trust it.
 		c.seeds = contract.OnAcceptingCycle()
@@ -205,16 +198,15 @@ func (c *Checker) PermitsCtx(ctx context.Context, query *buchi.BA, algo Algorith
 			return false, Stats{}, ErrCanceled
 		}
 	}
-	qc := query.Compiled()
 	sc := scratchPool.Get().(*scratch)
 	s := &sc.srch
 	*s = search{
-		cc:      c.cc,
-		qc:      qc,
+		cc:      c.contract,
+		qc:      query,
 		checker: c,
-		nc:      c.cc.N,
-		nq:      qc.N,
-		W:       (qc.N + 63) / 64,
+		nc:      c.contract.NumStates(),
+		nq:      query.NumStates(),
+		W:       (query.NumStates() + 63) / 64,
 		sc:      sc,
 		ctx:     ctx,
 		budget:  stepBudget,
@@ -258,7 +250,7 @@ func Check(contract, query *buchi.BA) bool {
 // search is the per-call state of one permission check. It lives
 // inside the pooled scratch arena (scratch.srch), not on the heap.
 type search struct {
-	cc, qc  *buchi.Compiled
+	cc, qc  *buchi.BA
 	checker *Checker
 	nc, nq  int
 	W       int // words per target row and per pair set: ⌈nq/64⌉

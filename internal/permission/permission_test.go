@@ -18,17 +18,17 @@ import (
 // contract BA with the query BA restricted to contract-vocabulary
 // edges is non-empty.
 func oracle(contract, query *buchi.BA) bool {
-	restricted := buchi.New(query.NumStates())
+	restricted := buchi.NewBuilder(query.NumStates())
 	restricted.Init = query.Init
 	copy(restricted.Final, query.Final)
-	for s, out := range query.Out {
-		for _, e := range out {
+	for s := range query.NumStates() {
+		for e := range query.Edges(buchi.StateID(s)) {
 			if e.Label.Vars().SubsetOf(contract.Events) {
 				restricted.AddEdge(buchi.StateID(s), e.Label, e.To)
 			}
 		}
 	}
-	return !buchi.Intersect(contract, restricted).IsEmpty()
+	return !buchi.Intersect(contract, restricted.BA()).IsEmpty()
 }
 
 // TestPaperRunningExample pins down the permission verdicts the paper

@@ -76,7 +76,7 @@ func (e *exactEnum) pathConditions() []bitset.Set {
 		e.budget--
 		out[s].UnionWith(current)
 		onPath[s] = true
-		for _, edge := range e.q.Out[s] {
+		for edge := range e.q.Edges(s) {
 			if onPath[edge.To] {
 				continue // keep the path simple
 			}
@@ -107,7 +107,7 @@ func (e *exactEnum) cycleCondition(t buchi.StateID, comp []int) bitset.Set {
 		}
 		e.budget--
 		onPath[s] = true
-		for _, edge := range e.q.Out[s] {
+		for edge := range e.q.Edges(s) {
 			if comp[edge.To] != comp[t] {
 				continue // cycles cannot leave the component
 			}

@@ -91,47 +91,17 @@ type Prepared struct {
 
 // Prepare enumerates the literal-set nodes automaton a touches at
 // depth k. The result is reusable across indexes of the same depth.
+// The automaton's label table already holds exactly the distinct
+// labels of its edges, so the walk reads no edge.
 func Prepare(a *buchi.BA, k int) Prepared {
 	if k <= 0 {
 		k = DefaultK
 	}
-	a.EnsureEdges() // shells: the walk below reads the adjacency
 	// Distinct expansions, not distinct labels: E(γ) collapses labels
 	// differing only in literals the contract leaves free.
-	expansions := make(map[buchi.Label]struct{})
-	for _, out := range a.Out {
-		for _, e := range out {
-			expansions[e.Label.Expand(a.Events)] = struct{}{}
-		}
-	}
-	touched := make(map[buchi.Label]struct{})
-	for exp := range expansions {
-		lits := literalsOf(exp)
-		forEachSubset(lits, k, func(l buchi.Label) {
-			touched[l] = struct{}{}
-		})
-	}
-	p := Prepared{touched: make([]buchi.Label, 0, len(touched))}
-	for l := range touched {
-		p.touched = append(p.touched, l)
-	}
-	return p
-}
-
-// PrepareCompiled is Prepare off the compiled CSR form: the label
-// table already holds exactly the distinct labels appearing on kept
-// edges, so the enumeration needs neither the pointer adjacency nor
-// an Out materialization. For a registered (normalized) automaton it
-// touches exactly the nodes Prepare would — the load path uses it to
-// rebuild the index from snapshot-adopted compiled forms without
-// waking any shell automaton.
-func PrepareCompiled(c *buchi.Compiled, k int) Prepared {
-	if k <= 0 {
-		k = DefaultK
-	}
-	expansions := make(map[buchi.Label]struct{}, len(c.Labels))
-	for _, l := range c.Labels {
-		expansions[l.Expand(c.Events)] = struct{}{}
+	expansions := make(map[buchi.Label]struct{}, len(a.Labels))
+	for _, l := range a.Labels {
+		expansions[l.Expand(a.Events)] = struct{}{}
 	}
 	touched := make(map[buchi.Label]struct{})
 	for exp := range expansions {
@@ -298,7 +268,7 @@ func (ix *Index) Candidates(q *buchi.BA) bitset.Set {
 		return result
 	}
 	d := q.Condensation()
-	labels := q.Compiled().Labels
+	labels := q.Labels
 	sets := make([]bitset.Set, len(labels)) // S per label, on first use
 	s := func(id int32) bitset.Set {
 		if sets[id].Len() == 0 {

@@ -67,7 +67,7 @@ func streamStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, stream.ErrClosed):
 		return http.StatusServiceUnavailable
-	case strings.Contains(err.Error(), "already exists"):
+	case errors.Is(err, stream.ErrExists):
 		return http.StatusConflict
 	default:
 		return http.StatusBadRequest

@@ -51,7 +51,7 @@ import (
 	"io"
 )
 
-// Magic identifies a v4 container. The trailing newline makes an
+// Magic identifies a snapfmt container. The trailing newline makes an
 // accidental text-mode rewrite detectable.
 const Magic = "ctdbFM4\n"
 
@@ -73,13 +73,13 @@ const (
 
 // Section framing errors. Parse wraps these with positional detail;
 // callers match with errors.Is. None of them may be treated as "not a
-// v4 file": once the magic matches, a framing error is corruption and
+// container": once the magic matches, a framing error is corruption and
 // must refuse the file rather than fall back to another decoder.
 var (
-	// ErrNotContainer reports that the bytes do not start with the v4
-	// magic — the one error that legitimately routes a loader to a
-	// legacy (gob) decoder.
-	ErrNotContainer = errors.New("snapfmt: not a v4 container")
+	// ErrNotContainer reports that the bytes do not start with the
+	// container magic — the one error that legitimately routes a
+	// loader to a legacy (gob) decoder.
+	ErrNotContainer = errors.New("snapfmt: not a snapfmt container")
 	// ErrVersion reports a container framing version this build does
 	// not read.
 	ErrVersion = errors.New("snapfmt: unsupported container version")
@@ -123,7 +123,7 @@ type File struct {
 	data     []byte
 }
 
-// Sniff reports whether the bytes begin with the v4 container magic.
+// Sniff reports whether the bytes begin with the container magic.
 func Sniff(data []byte) bool {
 	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
 }

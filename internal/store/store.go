@@ -122,7 +122,7 @@ type RecoveryInfo struct {
 	SnapshotDecode  time.Duration // container parse + head decode + slab view setup
 	ArtifactRestore time.Duration // validation + artifact adoption + index/projection rebuild
 	WALReplay       time.Duration // replaying the log suffix
-	CompiledAdopted int           // automata whose CSR form came from disk (no flattening)
+	CompiledAdopted int           // automata whose CSR form came from disk (none built from rows)
 
 	// Load mechanics of the snapshot bytes: how the slabs entered
 	// memory. MappedBytes is the file mapping adopted in place (0 when

@@ -153,7 +153,7 @@ func (b *Broker) capture() generation {
 			}
 			for i := range st.atts {
 				a := &st.atts[i]
-				ss.atts[i] = attState{contract: st.contracts[i], states: a.g.auto.N, status: a.status}
+				ss.atts[i] = attState{contract: st.contracts[i], states: a.g.auto.NumStates(), status: a.status}
 				words = a.appendFrontier(words)
 			}
 			gen.streams = append(gen.streams, ss)
@@ -306,7 +306,7 @@ func (b *Broker) restoreStream(ss streamState) {
 		st.contracts[i] = saved.contract
 		g.refs++
 		a := attachment{g: g, slot: g.alloc()}
-		if saved.states == g.auto.N {
+		if saved.states == g.auto.NumStates() {
 			a.setFrontier(words[:n])
 			a.status = saved.status
 		} else {

@@ -4,12 +4,12 @@
 // verdict transitions (compliant → doomed → violated, in the
 // finite-trace semantics of internal/monitor).
 //
-// The hot path never touches the pointer-chasing monitor.Monitor.
-// Each attached contract's automaton is flattened once into its
-// buchi.Compiled CSR form and shared by every stream on the shard that
-// monitors the same contract; a stream's reachable-state frontier is a
-// few uint64 bitset words living in the group's arena, double-buffered
-// per attachment and stepped by walking EdgeOff/EdgeTo/EdgeLabel. A
+// The hot path never touches the boolean-frontier monitor.Monitor.
+// Each attached contract's automaton is shared by every stream on the
+// shard that monitors the same contract; a stream's reachable-state
+// frontier is a few uint64 bitset words living in the group's arena,
+// double-buffered per attachment and stepped by walking the
+// automaton's EdgeOff/EdgeTo/EdgeLabel arrays. A
 // precomputed live bitmask (states from which an accepting cycle is
 // reachable) makes the doomed check a word-wise AND. Steady-state
 // ingest allocates nothing per event; only verdict transitions — at
@@ -62,6 +62,9 @@ var ErrNotFound = errors.New("stream: not found")
 
 // ErrClosed reports an operation on a closed broker.
 var ErrClosed = errors.New("stream: broker closed")
+
+// ErrExists reports a stream name already in use.
+var ErrExists = errors.New("stream: already exists")
 
 // Status classifies the prefix a stream has consumed against one
 // attached contract, in the finite-trace semantics of
@@ -176,7 +179,7 @@ type RecoveryInfo struct {
 // double buffer occupies arena[i*2*words : (i+1)*2*words].
 type group struct {
 	contract string
-	auto     *buchi.Compiled
+	auto     *buchi.BA
 	events   vocab.Set
 	// live[w] bit b set ⇔ an accepting cycle is reachable from state
 	// w*64+b; the doomed check is frontier&live == 0.
@@ -189,9 +192,8 @@ type group struct {
 }
 
 func newGroup(contract string, ba *buchi.BA) *group {
-	c := ba.Compiled()
-	words := wordsFor(c.N)
-	g := &group{contract: contract, auto: c, events: c.Events, words: words, live: make([]uint64, words)}
+	words := wordsFor(ba.NumStates())
+	g := &group{contract: contract, auto: ba, events: ba.Events, words: words, live: make([]uint64, words)}
 	for s, ok := range ba.CanReachAcceptingCycle() {
 		if ok {
 			g.live[s>>6] |= 1 << (uint(s) & 63)
@@ -860,7 +862,7 @@ func (sh *shard) applyCreate(name string, contracts []string) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, dup := sh.streams[name]; dup {
-		return fmt.Errorf("stream: %q already exists", name)
+		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	groups := make([]*group, len(contracts))
 	for i, c := range contracts {
